@@ -26,7 +26,7 @@ import numpy as np
 from .refine import RefinementRequest, refine
 from .reporting import AdaptiveReport, LevelRecord
 from .space import SplineField, advance_level, build_initial_space, collocation_block
-from .tmesh import create_tensor_mesh
+from .tmesh import create_tensor_mesh, group_by_cell
 
 __all__ = [
     "ParamPointSet", "FitConfig", "AnisotropyEstimate", "generate_test_model",
@@ -69,20 +69,17 @@ class ParamPointSet:
         return float(np.linalg.norm(span))
 
     def assign_cells(self, mesh):
-        self.cell_of = np.array([mesh.locate_cell(s, t) for s, t in self.params])
+        self.cell_of = mesh.locate_many(self.params[:, 0], self.params[:, 1])
 
     def update_cells(self, report):
         """Relocate only the points whose cell was subdivided."""
-        mesh = report.mesh_after
         stale = np.nonzero(np.isin(self.cell_of, list(report.performed)))[0]
-        for i in stale:
-            self.cell_of[i] = mesh.locate_cell(*self.params[i])
+        self.cell_of[stale] = report.mesh_after.locate_many(
+            self.params[stale, 0], self.params[stale, 1])
 
     def by_cell(self):
-        out = {}
-        for i, cid in enumerate(self.cell_of):
-            out.setdefault(int(cid), []).append(i)
-        return {cid: np.array(ix) for cid, ix in out.items()}
+        """Cell id -> ascending indices of the points assigned to it."""
+        return group_by_cell(self.cell_of)
 
 
 @dataclass

@@ -78,9 +78,9 @@ class Geometry:
                          [d[0, 0, 1], d[1, 0, 1]]])
 
     def physical_diameter(self, cid):
-        c = self.space.mesh.cell(cid)
-        corners = [(c.s0, c.t0), (c.s1, c.t0), (c.s0, c.t1), (c.s1, c.t1)]
-        pts = np.array([self.field.value(float(a), float(b)) for a, b in corners])
+        """Largest distance between the images of a cell's four corners."""
+        s0, s1, t0, t1 = self.space.mesh.cell(cid).bounds_float()
+        pts = self.field.eval_on_cell(cid, [s0, s1, s0, s1], [t0, t0, t1, t1])[0]
         best = 0.0
         for i in range(4):
             for j in range(i + 1, 4):

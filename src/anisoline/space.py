@@ -33,7 +33,7 @@ import json
 import numpy as np
 
 from . import bezier
-from .tmesh import TMesh, VertexKind
+from .tmesh import TMesh, VertexKind, group_by_cell
 
 __all__ = [
     "BasisFunction", "SplineSpace", "SplineField", "CollocationBlock",
@@ -479,13 +479,10 @@ class SplineField:
         """
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        cells = {}
-        for n, (ss, tt) in enumerate(zip(s, t)):
-            cells.setdefault(self.space.mesh.locate_cell(ss, tt), []).append(n)
+        cells = group_by_cell(self.space.mesh.locate_many(s, t))
         shape = (len(derivs), s.size) if self.arity is None else (len(derivs), s.size, self.arity)
         out = np.zeros(shape)
         for cid, idxs in cells.items():
-            idxs = np.array(idxs)
             out[:, idxs] = self.eval_on_cell(cid, s[idxs], t[idxs], derivs)
         return out
 
@@ -532,14 +529,15 @@ def transfer_field(field, new_space):
     shape = (new_space.dim,) if field.arity is None else (new_space.dim, field.arity)
     coeffs = np.zeros(shape)
     coeffs[:n_old] = field.coefficients
-    for vid, fids in new_space.vertex_index.items():
-        if all(fid < n_old for fid in fids):
-            continue
-        v = new_space.mesh.vertex(vid)
-        data = field.lop(float(v.s), float(v.t))
-        block = collocation_block(new_space, vid)
-        cs = block.solve(data)
-        for k, fid in enumerate(fids):
+    fresh = [vid for vid, fids in new_space.vertex_index.items()
+             if any(fid >= n_old for fid in fids)]
+    verts = [new_space.mesh.vertex(vid) for vid in fresh]
+    got = field.eval_many([float(v.s) for v in verts], [float(v.t) for v in verts],
+                          ((0, 0), (1, 0), (0, 1), (1, 1)))
+    for n, vid in enumerate(fresh):
+        data = got[:, n].T if field.arity else got[:, n]
+        cs = collocation_block(new_space, vid).solve(data)
+        for k, fid in enumerate(new_space.vertex_index[vid]):
             coeffs[fid] = cs[..., k]
     return SplineField(new_space, coeffs)
 

@@ -12,18 +12,30 @@ its own level is frozen forever.
 All vertex coordinates are stored as :class:`fractions.Fraction`.  Every
 split happens at an interval midpoint, so coordinates stay exact dyadic
 rationals and aligned-adjacency tests never suffer float round-off.
+
+Point location (:meth:`TMesh.locate_many`) takes float parameters and
+compares them against float thresholds only: every level-0 knot and every
+split midpoint is stored as the smallest float >= its exact value.  For a
+float s and a rational m, ``s >= m`` holds exactly when s is at least the
+smallest float >= m, because s is itself a float; so the float comparison
+reproduces the exact half-open rule on any knots, dyadic or not (on a
+three-cell grid the float nearest 1/3 lies below 1/3 and stays in the
+left cell).  The domain's far edges are stored as the largest float <=
+each edge, for the same reason.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+import math
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "VertexKind", "AdjacencyKind", "Vertex", "Cell", "TMesh",
-    "create_tensor_mesh", "create_mesh_from_knots",
+    "create_tensor_mesh", "create_mesh_from_knots", "group_by_cell",
 ]
 
 SPLIT_KINDS = ("H", "V", "C")
@@ -47,6 +59,26 @@ def _frac(x):
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def _float_at_least(x):
+    """Smallest float >= the exact rational x."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
+def _float_at_most(x):
+    """Largest float <= the exact rational x."""
+    f = float(x)
+    return f if Fraction(f) <= x else math.nextafter(f, -math.inf)
+
+
+def group_by_cell(cell_ids):
+    """Map each cell id to the ascending positions holding it in `cell_ids`."""
+    cell_ids = np.asarray(cell_ids)
+    order = np.argsort(cell_ids, kind="stable")
+    ids, starts = np.unique(cell_ids[order], return_index=True)
+    return {int(cid): idx for cid, idx in zip(ids, np.split(order, starts[1:]))}
 
 
 class Vertex:
@@ -152,18 +184,25 @@ class TMesh:
         self._t_line_cells = {}
         self._next_cell = 0
         self._next_vert = 0
-        # root grid for point location
-        self._root_grid = {}
+        self._locator = None
 
-        for j, (t0, t1) in enumerate(zip(t_knots, t_knots[1:])):
-            for i, (s0, s1) in enumerate(zip(s_knots, s_knots[1:])):
-                cid = self._new_cell(s0, s1, t0, t1, 0, None)
-                self._root_grid[(i, j)] = cid
+        for t0, t1 in zip(t_knots, t_knots[1:]):
+            for s0, s1 in zip(s_knots, s_knots[1:]):
+                self._new_cell(s0, s1, t0, t1, 0, None)
         for t in t_knots:
             for s in s_knots:
                 self._get_or_make_vertex(s, t, 0)
-        for cid in list(self._active):
-            self._register_cell_indexes(cid)
+        # a level-0 cell's boundary holds exactly its four corners
+        for cid in range(self._next_cell):
+            c = self._cells[cid]
+            for s in (c.s0, c.s1):
+                self._s_line_cells.setdefault(s, set()).add(cid)
+            for t in (c.t0, c.t1):
+                self._t_line_cells.setdefault(t, set()).add(cid)
+            for vid in sorted(self._vpos[p] for p in
+                              ((c.s0, c.t0), (c.s1, c.t0), (c.s0, c.t1), (c.s1, c.t1))):
+                self._cell_verts[cid].add(vid)
+                self._vert_cells[vid].add(cid)
 
     # ------------------------------------------------------------------
     # construction internals
@@ -186,17 +225,6 @@ class TMesh:
             self._vpos[key] = vid
             self._vert_cells[vid] = set()
         return vid
-
-    def _register_cell_indexes(self, cid):
-        c = self._cells[cid]
-        for s in (c.s0, c.s1):
-            self._s_line_cells.setdefault(s, set()).add(cid)
-        for t in (c.t0, c.t1):
-            self._t_line_cells.setdefault(t, set()).add(cid)
-        for vid, v in self._verts.items():
-            if self._on_cell_boundary(c, v.s, v.t):
-                self._cell_verts[cid].add(vid)
-                self._vert_cells[vid].add(cid)
 
     @staticmethod
     def _on_cell_boundary(c, s, t):
@@ -236,7 +264,7 @@ class TMesh:
         m._t_line_cells = {k: set(v) for k, v in self._t_line_cells.items()}
         m._next_cell = self._next_cell
         m._next_vert = self._next_vert
-        m._root_grid = dict(self._root_grid)
+        m._locator = None
         return m
 
     # ------------------------------------------------------------------
@@ -405,41 +433,70 @@ class TMesh:
         return sorted(vid for vid in self._verts if self.is_basis_vertex(vid))
 
     def locate_cell(self, s, t):
-        """Active cell containing a parameter point.
+        """Active cell containing one parameter point; see :meth:`locate_many`."""
+        return int(self.locate_many(s, t))
 
-        Points on interior grid lines resolve to the cell on the +side
-        (half-open convention); the domain's far edges close the last cells.
+    def locate_many(self, s, t):
+        """Active cells containing a batch of parameter points.
+
+        `s` and `t` are float arrays of one shape; returns an int64 array of
+        cell ids of that shape.  Points on interior grid lines resolve to the
+        cell on the +side (half-open convention); the domain's far edges
+        close the last cells.  Points outside the domain, and NaN points,
+        raise ValueError.
         """
-        s, t = _frac(s), _frac(t)
-        s0, s1, t0, t1 = self.domain
-        if not (s0 <= s <= s1 and t0 <= t <= t1):
-            raise ValueError(f"point ({float(s)}, {float(t)}) outside domain")
-        sk, tk = self._init_knots
-        i = min(bisect_right(sk, s) - 1, len(sk) - 2)
-        j = min(bisect_right(tk, t) - 1, len(tk) - 2)
-        i = max(i, 0)
-        j = max(j, 0)
-        cid = self._root_grid[(i, j)]
-        while True:
-            c = self._cells[cid]
-            if c.active:
-                return cid
-            picked = None
-            for kid in c.children:
-                k = self._cells[kid]
-                # half-open: prefer the child whose lower-left half-open box has it
-                if (k.s0 <= s < k.s1 or (s == k.s1 == self.domain[1])) and \
-                   (k.t0 <= t < k.t1 or (t == k.t1 == self.domain[3])):
-                    picked = kid
-                    break
-            if picked is None:
-                # point sits on a child's closing edge; fall back to containment
-                for kid in c.children:
-                    k = self._cells[kid]
-                    if k.contains_point(s, t):
-                        picked = kid
-                        break
-            cid = picked
+        s = np.asarray(s, dtype=float)
+        t = np.asarray(t, dtype=float)
+        if s.shape != t.shape:
+            raise ValueError(f"s and t differ in shape: {s.shape} vs {t.shape}")
+        (s_lo, s_hi, t_lo, t_hi), s_cuts, t_cuts, kids, s_mid, t_mid = self._location_tables()
+        inside = (s >= s_lo) & (s <= s_hi) & (t >= t_lo) & (t <= t_hi)
+        if not inside.all():
+            k = np.flatnonzero(~inside)[0]
+            raise ValueError(f"point ({s.flat[k]}, {t.flat[k]}) outside domain")
+        shape = s.shape
+        s, t = s.ravel(), t.ravel()
+        # level-0 cells are numbered row by row, s fastest
+        cid = (np.searchsorted(t_cuts, t, side="right") * (len(s_cuts) + 1)
+               + np.searchsorted(s_cuts, s, side="right"))
+        todo = np.flatnonzero(kids[cid, 0] >= 0)
+        while todo.size:
+            c = cid[todo]
+            c = kids[c, (s[todo] >= s_mid[c]) + 2 * (t[todo] >= t_mid[c])]
+            cid[todo] = c
+            todo = todo[kids[c, 0] >= 0]
+        return cid.reshape(shape)
+
+    def _location_tables(self):
+        """Float tables of the cell hierarchy for :meth:`locate_many`.
+
+        Built on first use and dropped by :meth:`split_cell`.  Row `cid` of
+        `kids` holds the children by (s side, t side) as
+        [low-low, high-low, low-high, high-high], -1 where absent (all -1
+        for an active cell); a cell not cut across s (t) has an infinite
+        s (t) midpoint, so the point always takes the low side.
+        """
+        if self._locator is None:
+            n = self._next_cell
+            kids = np.full((n, 4), -1, dtype=np.int64)
+            s_mid = np.full(n, np.inf)
+            t_mid = np.full(n, np.inf)
+            for _, cid, kind in self.generation_log:
+                k = self._cells[cid].children
+                if kind == "H":
+                    kids[cid, [0, 2]] = k
+                else:
+                    kids[cid, :len(k)] = k
+                    s_mid[cid] = _float_at_least(self._cells[k[1]].s0)
+                if kind != "V":
+                    t_mid[cid] = _float_at_least(self._cells[k[-1]].t0)
+            s0, s1, t0, t1 = self.domain
+            bounds = (_float_at_least(s0), _float_at_most(s1),
+                      _float_at_least(t0), _float_at_most(t1))
+            s_cuts, t_cuts = (np.array([_float_at_least(x) for x in knots[1:-1]])
+                              for knots in self._init_knots)
+            self._locator = (bounds, s_cuts, t_cuts, kids, s_mid, t_mid)
+        return self._locator
 
     # ------------------------------------------------------------------
     # mutation
@@ -482,6 +539,7 @@ class TMesh:
             new_pos = [(s0, tm), (s1, tm), (sm, t0), (sm, t1), (sm, tm)]
 
         # retire the parent from all indexes
+        self._locator = None
         self._active.discard(cid)
         for s in (s0, s1):
             self._s_line_cells[s].discard(cid)

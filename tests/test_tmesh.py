@@ -1,8 +1,11 @@
 """Mesh construction, classification, adjacency, dimension, splitting."""
 
 import json
+import random
+from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from anisoline.tmesh import (
@@ -236,6 +239,127 @@ def test_locate_cell_edges_and_errors():
     assert m.locate_cell(1.0, 1.0) == m.locate_cell(0.9, 0.9)
     with pytest.raises(ValueError):
         m.locate_cell(1.5, 0.5)
+
+
+def reference_locate(mesh, s, t):
+    """The exact rule: Fraction comparisons down the cell hierarchy, each
+    cell half-open toward +s and +t, the domain's far edges closing the
+    last cells."""
+    s, t = Fraction(s), Fraction(t)
+    _, s_far, _, t_far = mesh.domain
+
+    def holds(c):
+        return ((c.s0 <= s < c.s1 or s == c.s1 == s_far)
+                and (c.t0 <= t < c.t1 or t == c.t1 == t_far))
+
+    sk, tk = mesh._init_knots
+    i = min(bisect_right(sk, s) - 1, len(sk) - 2)
+    j = min(bisect_right(tk, t) - 1, len(tk) - 2)
+    cell = mesh.cell(j * (len(sk) - 1) + i)
+    assert holds(cell)
+    while cell.children:
+        (cell,) = [k for k in map(mesh.cell, cell.children) if holds(k)]
+    return cell.id
+
+
+def randomly_refined(mesh, levels, seed):
+    rng = random.Random(seed)
+    for level in range(levels):
+        for cid in mesh.cells_of_level(level):
+            if rng.random() < 0.6:
+                mesh.split_cell(cid, rng.choice("HVC"))
+        mesh.advance_current_level()
+    return mesh
+
+
+def probe_coordinates(lines, rng):
+    """Every grid line, its two float neighbors, and a few random values."""
+    out = set(rng.uniform(float(min(lines)), float(max(lines)), 6))
+    for x in lines:
+        f = float(x)
+        out.update((np.nextafter(f, -np.inf), f, np.nextafter(f, np.inf)))
+    return sorted(out)
+
+
+LOCATE_MESHES = {
+    "3x3": lambda: create_tensor_mesh(3, 3),
+    "5x5": lambda: create_tensor_mesh(5, 5),
+    "non-uniform": lambda: create_mesh_from_knots(
+        [0, Fraction(1, 7), Fraction(2, 5), Fraction(3, 4), 1], [0, Fraction(1, 3), 0.6, 1]),
+    "non-dyadic edges": lambda: create_mesh_from_knots(
+        [Fraction(-1, 3), 0, Fraction(2, 7), Fraction(5, 3)], [Fraction(1, 10), Fraction(1, 3), Fraction(7, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCATE_MESHES))
+def test_locate_many_matches_exact_rule(name):
+    rng = np.random.default_rng(5)
+    m = randomly_refined(LOCATE_MESHES[name](), 4 if name == "3x3" else 3, seed=7)
+    cells = list(m._cells.values())
+    assert {kind for _, _, kind in m.generation_log} == set("HVC")
+    s0, s1, t0, t1 = m.domain
+    ss = probe_coordinates({c.s0 for c in cells} | {c.s1 for c in cells}, rng)
+    ts = probe_coordinates({c.t0 for c in cells} | {c.t1 for c in cells}, rng)
+    s_in = [x for x in ss if s0 <= Fraction(x) <= s1]
+    t_in = [x for x in ts if t0 <= Fraction(x) <= t1]
+    S, T = (a.ravel() for a in np.meshgrid(s_in, t_in, indexing="ij"))
+    got = m.locate_many(S, T)
+    assert got.dtype == np.int64 and got.shape == S.shape
+    want = [reference_locate(m, a, b) for a, b in zip(S, T)]
+    assert got.tolist() == want
+    assert m.locate_cell(S[7], T[7]) == want[7]
+    # just past either far edge, in either direction, is outside
+    for a, b in [(x, t_in[0]) for x in ss if x not in s_in] + \
+                [(s_in[-1], x) for x in ts if x not in t_in]:
+        with pytest.raises(ValueError, match="outside domain"):
+            m.locate_many(np.array([s_in[0], a]), np.array([t_in[0], b]))
+
+
+def test_locate_many_third_lines_stay_exact():
+    # the float nearest 1/3 lies below 1/3: it belongs to the left cell
+    m = create_tensor_mesh(3, 3)
+    assert Fraction(1 / 3) < Fraction(1, 3)
+    assert m.locate_many(np.array([1 / 3, np.nextafter(1 / 3, 1)]), np.array([0.5, 0.5])).tolist() == [3, 4]
+
+
+def test_locate_many_rejects_nan_and_outside():
+    m = create_tensor_mesh(2, 2)
+    for s, t in ((np.nan, 0.5), (0.5, np.nan), (-1e-300, 0.5), (0.5, np.inf), (1.5, 0.5)):
+        with pytest.raises(ValueError):
+            m.locate_many(np.array([0.25, s]), np.array([0.25, t]))
+        with pytest.raises(ValueError):
+            m.locate_cell(s, t)
+    assert m.locate_many(np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+def test_locate_many_not_stale_after_split_or_copy():
+    m = create_tensor_mesh(2, 2)
+    s, t = np.array([0.1, 0.3, 0.9]), np.array([0.1, 0.3, 0.9])
+    before = m.locate_many(s, t).tolist()
+    kids = m.split_cell(before[0], "C")
+    assert m.locate_many(s, t).tolist() == [kids[0], kids[3], before[2]]
+    c = m.copy()
+    m.advance_current_level()
+    c.advance_current_level()
+    grandkids = c.split_cell(kids[3], "V")
+    assert c.locate_many(s, t).tolist() == [kids[0], grandkids[0], before[2]]
+    assert m.locate_many(s, t).tolist() == [kids[0], kids[3], before[2]]
+    for mesh in (m, c):
+        assert mesh.locate_many(s, t).tolist() == [reference_locate(mesh, a, b) for a, b in zip(s, t)]
+
+
+def test_tensor_build_registers_corners_like_a_full_scan():
+    m = create_mesh_from_knots([0, Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), 0.7, 1],
+                               [0, Fraction(2, 9), 0.5, 1])
+    assert m.validate() == []
+    for cid in m.active_cells():
+        c = m.cell(cid)
+        scan = [vid for vid in m.vertices() if m._on_cell_boundary(c, *m.vertex(vid).position)]
+        assert m.cell_vertices(cid) == scan and len(scan) == 4
+    for vid in m.vertices():
+        v = m.vertex(vid)
+        scan = [cid for cid in m.active_cells() if m._on_cell_boundary(m.cell(cid), v.s, v.t)]
+        assert m.vertex_cells(vid) == scan
 
 
 def test_dimension_against_census_oracle():
