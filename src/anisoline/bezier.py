@@ -17,8 +17,7 @@ import numpy as np
 
 __all__ = [
     "bernstein_row", "eval_patch", "eval_patch_many", "split_patch",
-    "corner_data", "zero_corner_block", "ordinates_from_hermite_1d",
-    "hermite_to_bezier_1d",
+    "corner_data", "zero_corner_block",
 ]
 
 # de Casteljau halving of a cubic: rows give child ordinates from parent ones
@@ -141,22 +140,3 @@ def zero_corner_block(p, corner):
         for j in cols:
             p[i, j] = 0.0
     return p
-
-
-def hermite_to_bezier_1d(f0, d0, f1, d1, w):
-    """Cubic Bezier ordinates on an interval of width w from endpoint
-    values and derivatives (derivatives in global units)."""
-    return np.array([f0, f0 + d0 * w / 3.0, f1 - d1 * w / 3.0, f1])
-
-
-def ordinates_from_hermite_1d(values, derivs, widths):
-    """Per-cell Bezier ordinates of a C1 cubic spline given Hermite data.
-
-    values/derivs are sequences at n+1 breakpoints; widths the n cell
-    widths.  Returns an (n, 4) array.
-    """
-    n = len(widths)
-    out = np.empty((n, 4))
-    for k in range(n):
-        out[k] = hermite_to_bezier_1d(values[k], derivs[k], values[k + 1], derivs[k + 1], widths[k])
-    return out

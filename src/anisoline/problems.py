@@ -53,22 +53,6 @@ class PoissonProblem:
             if pos < 1.0 - 1e-12:
                 raise ValueError(f"edge {e} not fully covered by boundary parts")
 
-    def on_dirichlet(self, s, t):
-        return self._on(self.dirichlet, s, t)
-
-    @staticmethod
-    def _on(segments, s, t):
-        for (edge, lo, hi) in segments:
-            if edge == "s0" and s == 0 and lo <= t <= hi:
-                return True
-            if edge == "s1" and s == 1 and lo <= t <= hi:
-                return True
-            if edge == "t0" and t == 0 and lo <= s <= hi:
-                return True
-            if edge == "t1" and t == 1 and lo <= s <= hi:
-                return True
-        return False
-
 
 def _all_dirichlet():
     return [(e, 0.0, 1.0) for e in _EDGES]

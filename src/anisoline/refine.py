@@ -41,17 +41,21 @@ class ConnectedGroup:
     """A maximal set of marked cells closed under aligned-adjacency chains."""
     members: tuple
     edges: dict = field(compare=False, default_factory=dict)
+    # cell id -> [(neighbor, kind)] sorted by neighbor, built from `edges`
+    _adjacent: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        adjacent = {}
+        for (a, b), k in self.edges.items():
+            adjacent.setdefault(a, []).append((b, k))
+            adjacent.setdefault(b, []).append((a, k))
+        for links in adjacent.values():
+            links.sort(key=lambda link: link[0])
+        object.__setattr__(self, "_adjacent", adjacent)
 
     def aligned_neighbors(self, cid, kind=None):
-        out = []
-        for (a, b), k in self.edges.items():
-            if kind is not None and k is not kind:
-                continue
-            if a == cid:
-                out.append(b)
-            elif b == cid:
-                out.append(a)
-        return sorted(out)
+        return [nb for nb, k in self._adjacent.get(cid, ())
+                if kind is None or k is kind]
 
 
 @dataclass

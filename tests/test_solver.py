@@ -1,5 +1,8 @@
 """IGA solver: assembly, boundary conditions, estimator, adaptive loop."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,13 +13,17 @@ from anisoline.problems import (
     lshape_exact_gradient, make_problem, patch_linear_problem,
     square_sin_problem,
 )
+from anisoline.refine import RefinementRequest, refine
 from anisoline.solver import (
-    ConstrainedSystem, DiscreteSolution, SolveConfig, adaptive_solve, assemble,
-    error_indicators, exact_error_norms, impose_boundary_conditions,
-    label_by_solution, solve_linear, _solve_round,
+    ConstrainedSystem, DiscreteSolution, ErrorIndicator, SolveConfig,
+    adaptive_solve, assemble, error_indicators, exact_error_norms,
+    impose_boundary_conditions, label_by_solution, solve_linear, _EDGE_GEOM,
+    _boundary_edges_of_cell, _cell_blocks, _edge_points, _gauss01,
+    _segment_overlap, _solve_round,
 )
 from anisoline.space import (
-    SplineField, build_initial_space, field_from_vertex_data,
+    SplineField, SplineSpace, advance_level, build_initial_space,
+    field_from_vertex_data,
 )
 from anisoline.tmesh import create_tensor_mesh
 
@@ -42,14 +49,8 @@ def test_assemble_symmetric_zero_load():
 
 
 def test_quadrature_measures_area():
-    from anisoline.solver import _cell_quadrature
     space, geometry = unit_setup(2)
-    total = 0.0
-    for cid in space.mesh.active_cells():
-        s, t, ww = _cell_quadrature(space, geometry, cid, 4)
-        _, J, _ = geometry.derivatives_on_cell(cid, s, t)
-        det = np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
-        total += float(np.sum(ww * det))
+    total = sum(float(np.sum(blk.wdet)) for blk in _cell_blocks(space, geometry, 4))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -135,6 +136,7 @@ def test_boundary_segments_must_cover():
                        neumann=[("s0", 0.0, 1.0), ("s1", 0.0, 1.0), ("t1", 0.0, 1.0)])
 
 
+@pytest.mark.filterwarnings("error")
 def test_solve_linear_paths():
     one = ConstrainedSystem(sp.csr_matrix(np.array([[2.0]])), np.array([3.0]),
                             np.array([0]), np.zeros(1), 1)
@@ -153,8 +155,12 @@ def test_solve_linear_paths():
 
     sing = ConstrainedSystem(sp.csr_matrix(np.zeros((2, 2))), np.ones(2),
                              np.arange(2), np.zeros(2), 2)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="singular system"):
         solve_linear(sing)
+    rank_one = ConstrainedSystem(sp.csr_matrix(np.ones((2, 2))), np.ones(2),
+                                 np.arange(2), np.zeros(2), 2)
+    with pytest.raises(RuntimeError, match="singular system"):
+        solve_linear(rank_one)
 
 
 def test_indicator_zero_for_exact_solution():
@@ -371,3 +377,255 @@ def test_lshape_adaptive_smoke():
     assert etas[-1] < etas[0], "eta ends above its start: " + figures
     assert top >= 2, "no cell refined twice: " + figures
     assert near / len(finest) >= 0.5, "finest level not near (1/2, 0): " + figures
+
+
+# ----------------------------------------------------------------------
+# The per-cell loops the block kernel replaced, kept as reference
+# implementations: one cell at a time through `basis_on_cell`,
+# `eval_on_cell` and `derivatives_on_cell`.
+
+def _reference_quadrature(space, cid, q):
+    c = space.mesh.cell(cid)
+    x, w = _gauss01(q)
+    uu, vv = np.meshgrid(x, x, indexing="ij")
+    ww = np.outer(w, w).ravel() * float(c.width) * float(c.height)
+    s = float(c.s0) + float(c.width) * uu.ravel()
+    t = float(c.t0) + float(c.height) * vv.ravel()
+    return s, t, ww
+
+
+def _reference_edge_pieces(mesh, cid, problem, q):
+    for (edge, lo, hi) in _boundary_edges_of_cell(mesh, cid):
+        for (a, b) in _segment_overlap(edge, lo, hi, problem.neumann):
+            yield (edge,) + _edge_points(edge, a, b, *_gauss01(q))
+
+
+def _reference_inverse(J):
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    Jinv = np.empty_like(J)
+    Jinv[:, 0, 0] = J[:, 1, 1] / det
+    Jinv[:, 0, 1] = -J[:, 0, 1] / det
+    Jinv[:, 1, 0] = -J[:, 1, 0] / det
+    Jinv[:, 1, 1] = J[:, 0, 0] / det
+    return det, Jinv
+
+
+def _reference_normal(J, edge):
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    adjT = np.empty_like(J)
+    adjT[:, 0, 0] = J[:, 1, 1]
+    adjT[:, 0, 1] = -J[:, 1, 0]
+    adjT[:, 1, 0] = -J[:, 0, 1]
+    adjT[:, 1, 1] = J[:, 0, 0]
+    nvec = np.einsum("qxy,y->qx", adjT, np.array(_EDGE_GEOM[edge][1])) * np.sign(det)[:, None]
+    nvec /= np.linalg.norm(nvec, axis=1)[:, None]
+    return nvec[:, 0], nvec[:, 1]
+
+
+def _reference_tangent_arc(J, edge):
+    return np.linalg.norm(J[:, :, 1] if edge in ("s0", "s1") else J[:, :, 0], axis=1)
+
+
+def _reference_physical(field, geometry, cid, s, t):
+    d = field.eval_on_cell(cid, s, t, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+    xy, J, H = geometry.derivatives_on_cell(cid, s, t)
+    det, Jinv = _reference_inverse(J)
+    grad_x = np.einsum("qp,qpx->qx", np.stack([d[1], d[2]], axis=-1), Jinv)
+    Hpar = np.empty((len(s), 2, 2))
+    Hpar[:, 0, 0] = d[3]
+    Hpar[:, 0, 1] = Hpar[:, 1, 0] = d[4]
+    Hpar[:, 1, 1] = d[5]
+    rhs = Hpar - np.einsum("qx,qxab->qab", grad_x, H)
+    Hx = np.einsum("qpa,qab,qbr->qpr", np.transpose(Jinv, (0, 2, 1)), rhs, Jinv)
+    return xy, d[0], grad_x, Hx, np.abs(det)
+
+
+def _reference_assemble(space, geometry, problem, q):
+    mesh = space.mesh
+    n = space.dim
+    rows, cols, vals = [], [], []
+    F = np.zeros(n)
+    for cid in mesh.active_cells():
+        s, t, ww = _reference_quadrature(space, cid, q)
+        c = mesh.cell(cid)
+        u = (s - float(c.s0)) / float(c.width)
+        v = (t - float(c.t0)) / float(c.height)
+        fids, bas = space.basis_on_cell(cid, u, v, ((0, 0), (1, 0), (0, 1)))
+        if not fids:
+            continue
+        xy, J, _ = geometry.derivatives_on_cell(cid, s, t)
+        det, Jinv = _reference_inverse(J)
+        gx = np.einsum("fqp,qpx->fqx", np.stack([bas[1], bas[2]], axis=-1), Jinv)
+        wdet = ww * np.abs(det)
+        ids = np.asarray(fids)
+        rows.append(np.repeat(ids, len(ids)))
+        cols.append(np.tile(ids, len(ids)))
+        vals.append(np.einsum("fqx,gqx,q->fg", gx, gx, wdet).ravel())
+        F[ids] += np.einsum("fq,q->f", bas[0], problem.f(xy[:, 0], xy[:, 1]) * wdet)
+    if problem.g_neumann is not None:
+        for cid in mesh.active_cells():
+            c = mesh.cell(cid)
+            for (edge, s, t, w) in _reference_edge_pieces(mesh, cid, problem, q):
+                u = (s - float(c.s0)) / float(c.width)
+                v = (t - float(c.t0)) / float(c.height)
+                fids, bas = space.basis_on_cell(cid, u, v, ((0, 0),))
+                xy, J, _ = geometry.derivatives_on_cell(cid, s, t)
+                nx, ny = _reference_normal(J, edge)
+                g = problem.g_neumann(xy[:, 0], xy[:, 1], nx, ny)
+                arc = _reference_tangent_arc(J, edge)
+                F[np.asarray(fids)] += np.einsum("fq,q->f", bas[0], g * arc * w)
+    A = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+    A.sum_duplicates()
+    return A, F
+
+
+def _reference_error_indicators(u_h, problem, q):
+    space, geometry = u_h.space, u_h.geometry
+    mesh = space.mesh
+    eta, diam = {}, {}
+    for cid in mesh.active_cells():
+        s, t, ww = _reference_quadrature(space, cid, q)
+        xy, _, _, Hx, det = _reference_physical(u_h.field, geometry, cid, s, t)
+        resid = Hx[:, 0, 0] + Hx[:, 1, 1] + problem.f(xy[:, 0], xy[:, 1])
+        interior = float(np.sum(resid ** 2 * ww * det))
+        h = geometry.physical_diameter(cid)
+        boundary = 0.0
+        if problem.g_neumann is not None:
+            for (edge, es, et, w) in _reference_edge_pieces(mesh, cid, problem, q):
+                exy, _, egrad, _, _ = _reference_physical(u_h.field, geometry, cid, es, et)
+                eJ = geometry.derivatives_on_cell(cid, es, et)[1]
+                nx, ny = _reference_normal(eJ, edge)
+                g = problem.g_neumann(exy[:, 0], exy[:, 1], nx, ny)
+                mismatch = g - (egrad[:, 0] * nx + egrad[:, 1] * ny)
+                boundary += float(np.sum(mismatch ** 2 * _reference_tangent_arc(eJ, edge) * w))
+        eta[cid] = float(np.sqrt(h * h * interior + h * boundary))
+        diam[cid] = h
+    return ErrorIndicator(eta, diam)
+
+
+def _reference_error_norms(u_h, q):
+    problem = u_h.problem
+    l2 = h1 = 0.0
+    for cid in u_h.space.mesh.active_cells():
+        s, t, ww = _reference_quadrature(u_h.space, cid, q)
+        xy, vals, grad, _, det = _reference_physical(u_h.field, u_h.geometry, cid, s, t)
+        l2 += float(np.sum((vals - problem.u_exact(xy[:, 0], xy[:, 1])) ** 2 * ww * det))
+        dg = grad - problem.grad_exact(xy[:, 0], xy[:, 1])
+        h1 += float(np.sum(np.sum(dg ** 2, axis=1) * ww * det))
+    return float(np.sqrt(l2)), float(np.sqrt(h1))
+
+
+def _lshape_two_rounds():
+    """The L-shape patch after two refinement rounds with H, V and C
+    splits: every cell 'V', then 'H' for s < 1/4 and 'C' for s >= 1/2.
+    (The adaptive run's first two rounds split only in s.)"""
+    problem, geometry = lshape_benchmark(4)
+    space = geometry.space
+    kinds = set()
+    for label in (lambda s: "V", lambda s: "H" if s < 0.25 else "C" if s >= 0.5 else None):
+        mesh = space.mesh
+        marks = {cid: label(float(mesh.cell(cid).s0))
+                 for cid in mesh.cells_of_level(mesh.current_level)}
+        _, rep = refine(mesh, RefinementRequest(
+            {cid: lab for cid, lab in marks.items() if lab}))
+        kinds |= set(rep.final_labels.values())
+        space = advance_level(space, rep)
+        geometry = geometry.advance(space)
+    assert kinds == {"H", "V", "C"}
+    return problem, geometry
+
+
+# 1x1: less than one block; 10x10: one full block and a partial one
+_KERNEL_CASES = {
+    "1x1": lambda: make_problem("square_sin", (1, 1)),
+    "10x10": lambda: make_problem("square_sin", (10, 10)),
+    "24x24": lambda: make_problem("square_sin", (24, 24)),
+    "lshape_two_rounds": _lshape_two_rounds,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_KERNEL_CASES))
+def kernel_case(request):
+    problem, geometry = _KERNEL_CASES[request.param]()
+    u_h = _solve_round(geometry.space, geometry, problem, SolveConfig(quadrature=5))
+    return problem, geometry, u_h
+
+
+def test_kernel_assemble_matches_reference(kernel_case):
+    problem, geometry, _ = kernel_case
+    A, F = assemble(geometry.space, geometry, problem, q=5)
+    A_ref, F_ref = _reference_assemble(geometry.space, geometry, problem, 5)
+    # same sparsity, so the sparse factorization sees the same structure
+    assert np.array_equal(A.indptr, A_ref.indptr)
+    assert np.array_equal(A.indices, A_ref.indices)
+    assert np.max(np.abs(A.data - A_ref.data)) <= 1e-12 * np.max(np.abs(A_ref.data))
+    assert np.max(np.abs(F - F_ref)) <= 1e-12 * np.max(np.abs(F_ref))
+
+
+def test_kernel_indicators_match_reference(kernel_case):
+    problem, _, u_h = kernel_case
+    ind = error_indicators(u_h, problem, q=5)
+    ref = _reference_error_indicators(u_h, problem, 5)
+    assert list(ind.eta) == list(ref.eta)
+    gaps = [abs(ind.eta[c] - ref.eta[c]) for c in ref.eta]
+    assert max(gaps) <= 1e-10 * ref.total
+    assert all(ind.diameters[c] == pytest.approx(ref.diameters[c], rel=1e-12)
+               for c in ref.diameters)
+
+
+def test_kernel_error_norms_match_reference(kernel_case):
+    _, _, u_h = kernel_case
+    l2, h1 = exact_error_norms(u_h, q=5)
+    l2_ref, h1_ref = _reference_error_norms(u_h, 5)
+    assert l2 == pytest.approx(l2_ref, rel=1e-8)
+    assert h1 == pytest.approx(h1_ref, rel=1e-8)
+
+
+def test_assemble_reads_geometry_in_its_own_numbering():
+    # the solution space numbers the functions differently from the space
+    # the geometry coefficients belong to
+    problem, geometry = lshape_benchmark(4)
+    space = geometry.space
+    order = np.random.default_rng(3).permutation(space.dim)
+    permuted = SplineSpace(space.mesh, [space.functions[i] for i in order])
+    A, F = assemble(space, geometry, problem)
+    A_perm, F_perm = assemble(permuted, geometry, problem)
+    scale = np.max(np.abs(A.data))
+    assert np.max(np.abs(A_perm.toarray() - A.toarray()[np.ix_(order, order)])) <= 1e-12 * scale
+    assert np.max(np.abs(F_perm - F[order])) <= 1e-12 * np.max(np.abs(F))
+
+
+def _peak_mib(fn, *args, **kwargs):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_is_bounded_by_blocks():
+    # Whole-mesh tables would need about 20 MiB for `assemble` and 6.4 MiB
+    # for each of the other two at this size.
+    problem, geometry = make_problem("square_sin", (24, 24))
+    u_h = _solve_round(geometry.space, geometry, problem, SolveConfig(quadrature=5))
+    assert _peak_mib(assemble, geometry.space, geometry, problem, q=5) <= 6.0
+    assert _peak_mib(error_indicators, u_h, problem, q=5) <= 2.0
+    assert _peak_mib(exact_error_norms, u_h, q=5) <= 2.0
+
+
+def test_degenerate_geometry_raises_named_error():
+    space = build_initial_space(create_tensor_mesh(2, 2))
+    geometry = linear_geometry(space, rect=(0.0, 0.0, 0.0, 1.0))   # det J = 0
+    problem = square_sin_problem()
+    u_h = DiscreteSolution(SplineField(space, np.ones(space.dim)), geometry, problem)
+    match = r"singular geometry Jacobian at a quadrature point of cell \d+"
+    with pytest.raises(RuntimeError, match=match):
+        assemble(space, geometry, problem)
+    with pytest.raises(RuntimeError, match=match):
+        error_indicators(u_h, problem)
+    with pytest.raises(RuntimeError, match=match):
+        exact_error_norms(u_h)
