@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "bernstein_row", "eval_patch", "eval_patch_many", "split_patch",
+    "bernstein_row", "eval_patch", "split_patch",
     "corner_data", "zero_corner_block",
 ]
 
@@ -63,17 +63,6 @@ def eval_patch(p, u, v, deriv=(0, 0)):
     bu = bernstein_row(u, a)
     bv = bernstein_row(v, b)
     return np.einsum("ij...,j,i->...", p, bu, bv)
-
-
-def eval_patch_many(p, u, v, deriv=(0, 0)):
-    """Vectorized :func:`eval_patch` over arrays u, v of equal length."""
-    a, b = deriv
-    if a + b > 2 or a < 0 or b < 0:
-        raise ValueError(f"derivative order {deriv} exceeds 2")
-    p = np.asarray(p, dtype=float)
-    bu = bernstein_row(np.asarray(u, dtype=float), a)
-    bv = bernstein_row(np.asarray(v, dtype=float), b)
-    return np.einsum("ij...,jn,in->n...", p, bu, bv)
 
 
 def split_patch(p, kind):

@@ -30,7 +30,7 @@ from .tmesh import create_tensor_mesh, group_by_cell
 
 __all__ = [
     "ParamPointSet", "FitConfig", "AnisotropyEstimate", "generate_test_model",
-    "estimate_vertex_controls", "max_cell_error", "label_by_curvature",
+    "estimate_vertex_controls", "label_by_curvature",
     "fit_surface",
 ]
 
@@ -86,7 +86,9 @@ class ParamPointSet:
 class FitConfig:
     tolerance: float = 1e-3          # fraction of the bounding-box diagonal
     delta: float = 2.0               # anisotropy threshold, > 1
-    samples: int = 9                 # curvature samples per cell
+    # curvature samples per cell, rounded to the nearest square grid
+    # (`_sample_grid`): 10 means 3 x 3
+    samples: int = 9
     max_levels: int = 10
     initial_grid: tuple = (2, 2)
     # cells are marked when their error exceeds mark_safety * tolerance:
@@ -240,21 +242,14 @@ def estimate_vertex_controls(space, vid, pset, max_rings=3, cell_index=None,
 
 
 def _field_errors(field, pset):
-    """Distance of every point to the surface, via one pass per cell."""
-    err = np.empty(len(pset))
-    for cid, idx in pset.by_cell().items():
-        got = field.eval_on_cell(cid, pset.params[idx, 0], pset.params[idx, 1])[0]
-        err[idx] = np.linalg.norm(got - pset.points[idx], axis=1)
-    return err
-
-
-def max_cell_error(field, pset, cid):
-    """Largest point distance inside one cell; 0 when the cell has no data."""
-    idx = np.nonzero(pset.cell_of == cid)[0]
-    if len(idx) == 0:
-        return 0.0
-    got = field.eval_on_cell(cid, pset.params[idx, 0], pset.params[idx, 1])[0]
-    return float(np.max(np.linalg.norm(got - pset.points[idx], axis=1)))
+    """Distance of every point to the surface, and the largest distance
+    per cell id that holds points."""
+    got = field.eval_located(pset.cell_of, pset.params[:, 0], pset.params[:, 1])[0]
+    err = np.linalg.norm(got - pset.points, axis=1)
+    cells, rank = np.unique(pset.cell_of, return_inverse=True)
+    worst = np.zeros(len(cells))
+    np.maximum.at(worst, rank, err)
+    return err, dict(zip(cells.tolist(), worst.tolist()))
 
 
 def _sample_grid(l):
@@ -264,60 +259,50 @@ def _sample_grid(l):
     return uu.ravel(), vv.ravel()
 
 
-def _directional_curvatures(field, cid, u, v):
-    d = field.eval_on_cell(cid, u, v, ((1, 0), (0, 1), (2, 0), (0, 2)))
-    s1, t1, s2, t2 = d  # each (npts, arity)
-    if field.arity is None:
-        s1, t1, s2, t2 = (x[:, None] for x in (s1, t1, s2, t2))
-
-    def curvature(first, second):
-        if first.shape[1] == 1:
-            num = np.abs(second[:, 0])
-            den = (1.0 + first[:, 0] ** 2) ** 1.5
-            speed = np.ones(len(first))
-        else:
-            cross = np.cross(first, second)
-            num = np.linalg.norm(np.atleast_2d(cross).reshape(len(first), -1), axis=1)
-            speed = np.linalg.norm(first, axis=1)
-            den = speed ** 3
+def _mean_curvatures(first, second):
+    """Per-cell mean curvature of sampled curves from their first and
+    second derivatives (c, n, m): the graph curvature |f''| / (1 + f'^2)^1.5
+    when m = 1, else |f' x f''| / |f'|^3.  Samples where the speed
+    vanishes are skipped; a cell without any gets 0."""
+    if first.shape[-1] == 1:
+        num = np.abs(second[..., 0])
+        den = (1.0 + first[..., 0] ** 2) ** 1.5
+        good = np.ones(num.shape, dtype=bool)
+    else:
+        cross = np.cross(first, second)
+        num = np.linalg.norm(cross.reshape(cross.shape[:2] + (-1,)), axis=-1)
+        speed = np.linalg.norm(first, axis=-1)
+        den = speed ** 3
         good = speed > 1e-12
-        return num, den, good
-
-    return curvature(s1, s2), curvature(t1, t2)
+    kappa = np.divide(num, den, out=np.zeros(num.shape), where=good)
+    count = good.sum(axis=1)
+    return np.divide(kappa.sum(axis=1), count, out=np.zeros(len(count)), where=count > 0)
 
 
 def label_by_curvature(field, cells, delta, samples=9):
     """Split labels from averaged directional curvatures per cell.
 
-    kappa_s = |S_s x S_ss| / |S_s|^3 sampled on an interior grid; the
-    ratio of the means picks 'V' (curved along s), 'H' (curved along t)
-    or 'C'.  Degenerate samples are skipped; all-degenerate cells and
-    flat cells get 'C'.
+    kappa_s = |S_s x S_ss| / |S_s|^3 (for a scalar field, the curvature of
+    its graph) is sampled on an interior grid of all cells at once; the
+    ratio of the means picks 'V' (curved along s) above `delta`, 'H'
+    (curved along t) below 1/delta, or 'C'.  Degenerate samples are
+    skipped; all-degenerate cells and flat cells get 'C'.  The ratio is
+    not weighted by the cell widths (see `solver.label_by_solution`).
     """
     u, v = _sample_grid(samples)
-    labels = {}
-    estimates = {}
-    for cid in cells:
-        c = field.space.mesh.cell(cid)
-        # parameters of the samples inside this cell (eval_on_cell wants
-        # global parameters)
-        s = float(c.s0) + float(c.width) * u
-        t = float(c.t0) + float(c.height) * v
-        (num_s, den_s, ok_s), (num_t, den_t, ok_t) = _directional_curvatures(field, cid, s, t)
-        k_s = float(np.mean(num_s[ok_s] / den_s[ok_s])) if ok_s.any() else 0.0
-        k_t = float(np.mean(num_t[ok_t] / den_t[ok_t])) if ok_t.any() else 0.0
-        tiny = 1e-12 * max(k_s, k_t, 1.0)
-        if not ok_s.any() and not ok_t.any():
-            label = "C"
-        elif k_t <= tiny:
-            label = "C" if k_s <= tiny else "V"
-        elif k_s <= tiny:
-            label = "H"
-        else:
-            rho = k_s / k_t
-            label = "V" if rho > delta else ("H" if rho < 1.0 / delta else "C")
-        labels[cid] = label
-        estimates[cid] = AnisotropyEstimate(k_s, k_t, label)
+    cells = list(cells)
+    d = field.eval_grid(cells, u, v, ((1, 0), (0, 1), (2, 0), (0, 2)))
+    d = d.reshape(d.shape[:3] + (-1,))             # a scalar field has one component
+    k_s = _mean_curvatures(d[0], d[2])
+    k_t = _mean_curvatures(d[1], d[3])
+    tiny = 1e-12 * np.maximum(np.maximum(k_s, k_t), 1.0)
+    flat_s, flat_t = k_s <= tiny, k_t <= tiny
+    rho = np.divide(k_s, k_t, out=np.zeros(len(cells)), where=~flat_t)
+    bent = np.where(rho > delta, "V", np.where(rho < 1.0 / delta, "H", "C"))
+    label = np.where(flat_t, np.where(flat_s, "C", "V"), np.where(flat_s, "H", bent))
+    labels = dict(zip(cells, label.tolist()))
+    estimates = {cid: AnisotropyEstimate(ks, kt, labels[cid])
+                 for cid, ks, kt in zip(cells, k_s.tolist(), k_t.tolist())}
     return labels, estimates
 
 
@@ -348,10 +333,7 @@ def fit_surface(pset, config, strategy="modified"):
     pending_mod = 0
     for level in range(config.max_levels + 1):
         t0 = time.perf_counter()
-        err = _field_errors(field, pset)
-        cell_max = {}
-        for cid, idx in pset.by_cell().items():
-            cell_max[cid] = float(err[idx].max())
+        err, cell_max = _field_errors(field, pset)
         err_time = time.perf_counter() - t0
         rec = LevelRecord(
             level=level, dof=field.space.dim,

@@ -25,7 +25,10 @@ import json
 
 import numpy as np
 
-from .space import SplineField, SplineSpace, build_initial_space, field_from_vertex_data, transfer_field
+from .space import (
+    DERIV_ORDERS, SplineField, SplineSpace, build_initial_space, field_from_vertex_data,
+    transfer_field,
+)
 from .tmesh import create_tensor_mesh
 
 __all__ = ["Geometry", "linear_geometry", "lshape_geometry"]
@@ -60,32 +63,20 @@ class Geometry:
         d x_i / d param_j and H[n, a] is the parameter Hessian of
         coordinate a.
         """
-        d = self.field.eval_on_cell(
-            cid, s, t, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
-        xy = d[0]
-        J = np.stack([np.stack([d[1][:, 0], d[2][:, 0]], axis=-1),
-                      np.stack([d[1][:, 1], d[2][:, 1]], axis=-1)], axis=1)
-        H = np.empty((len(xy), 2, 2, 2))
-        for a in (0, 1):
-            H[:, a, 0, 0] = d[3][:, a]
-            H[:, a, 0, 1] = H[:, a, 1, 0] = d[4][:, a]
-            H[:, a, 1, 1] = d[5][:, a]
-        return xy, J, H
+        d = self.field.eval_on_cell(cid, s, t, DERIV_ORDERS)           # (6, n, 2)
+        J = np.stack([d[1], d[2]], axis=-1)
+        H = np.stack([np.stack([d[3], d[4]], axis=-1), np.stack([d[4], d[5]], axis=-1)], axis=-2)
+        return d[0], J, H
 
     def jacobian(self, s, t):
         d = self.field.eval_many([s], [t], ((1, 0), (0, 1)))
-        return np.array([[d[0, 0, 0], d[1, 0, 0]],
-                         [d[0, 0, 1], d[1, 0, 1]]])
+        return np.stack([d[0, 0], d[1, 0]], axis=-1)          # [i, j] = d x_i / d param_j
 
     def physical_diameter(self, cid):
         """Largest distance between the images of a cell's four corners."""
         s0, s1, t0, t1 = self.space.mesh.cell(cid).bounds_float()
         pts = self.field.eval_on_cell(cid, [s0, s1, s0, s1], [t0, t0, t1, t1])[0]
-        best = 0.0
-        for i in range(4):
-            for j in range(i + 1, 4):
-                best = max(best, float(np.linalg.norm(pts[i] - pts[j])))
-        return best
+        return float(np.max(np.linalg.norm(pts[:, None] - pts[None], axis=-1)))
 
     def to_json_dict(self):
         return {

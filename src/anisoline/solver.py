@@ -24,16 +24,21 @@ cells stay at 0.3777 combined.  A split that moves Gauss points toward
 such a point can therefore raise eta while the true error falls.
 
 Assembly, the indicator and the exact error norms share one element
-kernel built on Bezier extraction (`_cell_blocks`).  It walks the active
-cells in blocks of `_BLOCK` = 64 and, per block, gathers each cell's
-function ids and 4x4 Bezier patches (padded with zero patches to the
-widest cell of the block), contracts the geometry coefficients into one
+kernel (`_cell_blocks`) built on the evaluation kernel of `space`, whose
+block walk it shares: it walks the active cells in blocks of
+`space._BLOCK` = 64, takes each block's padded function ids and 4x4
+Bezier patches from there, contracts the geometry coefficients into one
 geometry patch per cell, and evaluates patches at the q x q Gauss points
 with Bernstein tables built once per call.  From the geometry patches
 come the map, J, det J, J^-1 and the parameter Hessian at the points,
 and the physical cell diameter: a Bezier patch interpolates its corner
 ordinates, so the corner images need no evaluation.  The three callers
 are einsums over these block tables; none of it is kept across calls.
+
+Dirichlet pins are structural: along a boundary edge the trace of the
+space is the Hermite interpolant of the boundary vertices' data, so the
+functions that do not vanish on an edge piece are the value and
+along-edge slope functions of its two end vertices.
 
 Blocks bound the memory.  At 24 x 24 cells and q = 5 the tracemalloc
 peak of `assemble` is 4.5 MiB with blocks of 64 cells and 17.7 MiB with
@@ -51,20 +56,19 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
 
-from . import bezier
-from .fitting import _directional_curvatures, _sample_grid
+from .fitting import label_by_curvature
 from .refine import RefinementRequest, refine
 from .reporting import AdaptiveReport, LevelRecord
-from .space import DERIV_ORDERS, SplineField, advance_level
+from .space import (
+    DERIV_ORDERS, SplineField, _bernstein_tables, _blocks, _Cells, _eval_patches,
+    advance_level,
+)
 
 __all__ = [
     "SolveConfig", "DiscreteSolution", "ErrorIndicator", "assemble",
     "impose_boundary_conditions", "solve_linear", "error_indicators",
     "label_by_solution", "exact_error_norms", "adaptive_solve",
 ]
-
-# active cells per block of the element kernel (see the module docstring)
-_BLOCK = 64
 
 _EDGE_GEOM = {
     # edge name -> (fixed coordinate accessor, outward parameter normal)
@@ -75,21 +79,27 @@ _EDGE_GEOM = {
 }
 
 
+# the slots whose functions do not vanish along a boundary edge: the
+# value (0) and the slope along the edge (d_s = 1 on t-edges, d_t = 2 on
+# s-edges) of the edge's end vertices
+_EDGE_SLOTS = {"s0": (0, 2), "s1": (0, 2), "t0": (0, 1), "t1": (0, 1)}
+
+
 @dataclass
 class SolveConfig:
     threshold: float = 1e-4          # mark when eta exceeds this
-    delta0: float = 2.0              # label 'V' above this curvature ratio
-    delta1: float = 0.5              # label 'H' below this
+    delta: float = 2.0               # label 'V' above this curvature ratio, 'H' below 1/delta
+    # curvature samples per cell, rounded to the nearest square grid
+    # (`fitting._sample_grid`): 10 means 3 x 3
     samples: int = 9
     quadrature: int = 5
     max_levels: int = 8
     lin_tol: float = 1e-10
     direct_limit: int = 50_000
-    dorfler: float = None            # optional bulk-marking fraction
 
     def __post_init__(self):
-        if not (self.delta0 > 1.0 > self.delta1 > 0.0):
-            raise ValueError("need delta0 > 1 > delta1 > 0")
+        if self.delta <= 1:
+            raise ValueError("anisotropy threshold must exceed 1")
         if self.quadrature < 4:
             raise ValueError("bicubic integrands need quadrature order >= 4")
 
@@ -120,16 +130,6 @@ def _gauss01(q):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _bernstein_tables(u, v):
-    """Tensor-product Bernstein tables at local points u, v (c, n): per
-    derivative order (a, b), a (c, 16, n) array whose row 4i + j holds
-    B_j^(a)(u) B_i^(b)(v), the weight of patch ordinate b[i, j]."""
-    bu = [bezier.bernstein_row(u, d) for d in range(3)]          # each (4, c, n)
-    bv = [bezier.bernstein_row(v, d) for d in range(3)]
-    return {(a, b): np.einsum("icn,jcn->cijn", bv[b], bu[a]).reshape(len(u), 16, -1)
-            for a, b in DERIV_ORDERS}
-
-
 def _jacobian_inverse(J, cells):
     """det J and J^-1 of stacked Jacobians J (c, n, 2, 2); row k belongs
     to cell cells[k], which a singular Jacobian names in the error."""
@@ -149,9 +149,9 @@ def _jacobian_inverse(J, cells):
 class _Points:
     """n points in each of c cells, with the geometry map there.
 
-    `tables` come from `_bernstein_tables`, with one row of points shared
-    by all cells or one row per cell.  `geo` holds the cells' geometry
-    patches (c, 2, 4, 4).
+    `tables` come from `space._bernstein_tables`, with one row of points
+    shared by all cells or one row per cell.  `geo` holds the cells'
+    geometry patches (c, 2, 4, 4).
     """
 
     def __init__(self, tables, width, height, geo, cells):
@@ -167,10 +167,7 @@ class _Points:
 
     def eval(self, P, order):
         """d^(a+b)/ds^a dt^b of patches P (c, ..., 4, 4) -> (c, ..., n)."""
-        a, b = order
-        out = (P.reshape(len(P), -1, 16) @ self._tables[order]).reshape(P.shape[:-2] + (-1,))
-        scale = self._width ** a * self._height ** b
-        return out / scale.reshape((-1,) + (1,) * (out.ndim - 1))
+        return _eval_patches(P, self._tables, order, self._width, self._height)
 
     def physical(self, P, second=False):
         """Value, physical gradient (c, n, 2) and, with `second`, the
@@ -198,23 +195,17 @@ class _Edges:
     normal: np.ndarray               # (p, q, 2) outward unit normal
 
 
-class _CellBlock:
-    """Up to `_BLOCK` active cells with their basis patches and the data
-    at their q x q Gauss points (see `_cell_blocks`)."""
+class _CellBlock(_Cells):
+    """Up to `space._BLOCK` active cells with their basis patches and the
+    data at their q x q Gauss points (see `_cell_blocks`)."""
 
     def __init__(self, space, geometry, cids, grid, weights, gauss, neumann):
+        super().__init__(space, cids)
         mesh = space.mesh
-        self.cells = np.asarray(cids)
-        s0, s1, t0, t1 = np.array([mesh.cell(cid).bounds_float() for cid in cids]).T
-        width, height = s1 - s0, t1 - t0
-        self.fids, self.patches, self.valid = _padded_patches(space, cids)
-        if geometry.space is space:
-            gfids, gpatches = self.fids, self.patches
-        else:
-            gfids, gpatches, _ = _padded_patches(geometry.space, cids)
-        geo = np.einsum("cfij,cfm->cmij", gpatches, geometry.field.coefficients[gfids])
-        self.grid = _Points(grid, width, height, geo, self.cells)
-        self.wdet = weights * (width * height)[:, None] * np.abs(self.grid.det)
+        gblk = self if geometry.space is space else _Cells(geometry.space, cids)
+        geo = gblk.contract(geometry.field.coefficients)                 # (c, 2, 4, 4)
+        self.grid = _Points(grid, self.width, self.height, geo, self.cells)
+        self.wdet = weights * (self.width * self.height)[:, None] * np.abs(self.grid.det)
         # a Bezier patch interpolates its corner ordinates
         corners = geo[:, :, [0, 0, 3, 3], [0, 3, 0, 3]]              # (c, 2, 4)
         gaps = corners[:, :, :, None] - corners[:, :, None, :]
@@ -232,9 +223,8 @@ class _CellBlock:
         rows = np.array([k for k, _, _, _ in pieces])
         s, t, w = map(np.array, zip(*(_edge_points(e, a, b, *gauss)
                                       for _, e, a, b in pieces)))
-        u = (s - s0[rows, None]) / width[rows, None]
-        v = (t - t0[rows, None]) / height[rows, None]
-        pts = _Points(_bernstein_tables(u, v), width[rows], height[rows], geo[rows],
+        u, v = self.local(s, t, np.s_[rows, None])
+        pts = _Points(_bernstein_tables(u, v), self.width[rows], self.height[rows], geo[rows],
                       self.cells[rows])
         along_t = np.array([e in ("s0", "s1") for _, e, _, _ in pieces])
         tangent = np.where(along_t[:, None, None], pts.J[..., 1], pts.J[..., 0])
@@ -244,28 +234,10 @@ class _CellBlock:
         normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
         self.edges = _Edges(rows, pts, w * np.linalg.norm(tangent, axis=-1), normal)
 
-    def field_patches(self, coefficients):
-        """Per-cell patches (c, 4, 4) of a scalar field over the block's space."""
-        return np.einsum("cfij,cf->cij", self.patches, coefficients[self.fids])
-
-
-def _padded_patches(space, cids):
-    """Function ids (c, F), their patches (c, F, 4, 4) and the mask of real
-    entries; padding has id 0 and a zero patch."""
-    lists = [space.functions_on_cell(cid) for cid in cids]
-    counts = np.array([len(fl) for fl in lists])
-    valid = np.arange(counts.max(initial=0)) < counts[:, None]
-    fids = np.zeros(valid.shape, dtype=np.intp)
-    patches = np.zeros(valid.shape + (4, 4))
-    if valid.any():
-        fids[valid] = [f for fl in lists for f in fl]
-        patches[valid] = [space.functions[f].support[cid]
-                          for cid, fl in zip(cids, lists) for f in fl]
-    return fids, patches, valid
-
 
 def _cell_blocks(space, geometry, q, neumann=()):
-    """The element kernel: the active cells of `space`, `_BLOCK` at a time.
+    """The element kernel: the active cells of `space`, one block of the
+    evaluation kernel at a time.
 
     Gauss points run u-major (point a*q + b sits at u = x_a, v = x_b);
     `neumann` lists the boundary segments whose edge pieces each block
@@ -276,9 +248,8 @@ def _cell_blocks(space, geometry, q, neumann=()):
     grid = _bernstein_tables(np.repeat(x, q)[None], np.tile(x, q)[None])
     weights = np.outer(w, w).ravel()
     active = space.mesh.active_cells()
-    for lo in range(0, len(active), _BLOCK):
-        yield _CellBlock(space, geometry, active[lo:lo + _BLOCK], grid, weights,
-                         (x, w), neumann)
+    for sl in _blocks(len(active)):
+        yield _CellBlock(space, geometry, active[sl], grid, weights, (x, w), neumann)
 
 
 def _boundary_edges_of_cell(mesh, cid):
@@ -398,28 +369,32 @@ class ConstrainedSystem:
 
 def _constrained_functions(space, problem, samples_per_edge=8):
     """Indices of functions not vanishing on the Dirichlet part, together
-    with dense sample points for the boundary fit."""
+    with dense sample points for the boundary fit.
+
+    The rule is structural (see the module docstring): every boundary
+    cell edge that overlaps the Dirichlet part pins the `_EDGE_SLOTS`
+    functions of its two end vertices.
+    """
     mesh = space.mesh
     ticks = np.linspace(0.0, 1.0, samples_per_edge)
     pinned = set()
     pts = []
     for cid in mesh.active_cells():
+        c = mesh.cell(cid)
         for (edge, lo, hi) in _boundary_edges_of_cell(mesh, cid):
-            for (a, b) in _segment_overlap(edge, lo, hi, problem.dirichlet):
+            spans = _segment_overlap(edge, lo, hi, problem.dirichlet)
+            if not spans:
+                continue
+            # the end vertices of the edge are the cell corners on its bound
+            axis, bound = "st".index(edge[0]), getattr(c, edge)
+            for pos in [(x, y) for x in (c.s0, c.s1) for y in (c.t0, c.t1)
+                        if (x, y)[axis] == bound]:
+                pinned.update(fid for fid in space.vertex_index[mesh.vertex_at(*pos)]
+                              if space.functions[fid].slot in _EDGE_SLOTS[edge])
+            for (a, b) in spans:
                 par = a + (b - a) * ticks
-                if edge in ("s0", "s1"):
-                    s = np.full_like(par, _EDGE_GEOM[edge][0][1])
-                    t = par
-                else:
-                    s = par
-                    t = np.full_like(par, _EDGE_GEOM[edge][0][1])
-                c = mesh.cell(cid)
-                u = (s - float(c.s0)) / float(c.width)
-                v = (t - float(c.t0)) / float(c.height)
-                fids, bas = space.basis_on_cell(cid, u, v, ((0, 0),))
-                live = np.max(np.abs(bas[0]), axis=1) > 1e-10
-                pinned.update(np.asarray(fids)[live].tolist())
-                pts.append((cid, s, t))
+                fixed = np.full_like(par, float(bound))
+                pts.append((cid, fixed, par) if axis == 0 else (cid, par, fixed))
     return sorted(pinned), pts
 
 
@@ -505,7 +480,7 @@ def error_indicators(u_h, problem=None, q=5):
     eta = {}
     diam = {}
     for blk in _cell_blocks(u_h.space, u_h.geometry, q, _neumann_segments(problem)):
-        P = blk.field_patches(coefficients)
+        P = blk.contract(coefficients)
         _, _, lap = blk.grid.physical(P, second=True)
         resid = lap + _at_points(problem.f, blk.grid.xy)
         interior = np.sum(resid ** 2 * blk.wdet, axis=1)
@@ -524,35 +499,18 @@ def error_indicators(u_h, problem=None, q=5):
     return ErrorIndicator(eta, diam)
 
 
-def label_by_solution(u_h, cells, delta0=2.0, delta1=0.5, samples=9):
+def label_by_solution(u_h, cells, delta=2.0, samples=9):
     """Anisotropy labels of marked cells from the parametric graph
-    curvatures of the discrete solution.
+    curvatures of the discrete solution (`label_by_curvature` on its
+    scalar field).
 
     The ratio kappa_s / kappa_t is not weighted by the cell widths, so a
     cell already halved in s is labelled 'V' again as long as the
     solution bends more along s per unit parameter.  On the L-shape patch
     this splits the two cells at (1/2, 0) in s down to width 1/32 while
-    their t-extent stays 1/4.
+    their t-extent stays 1/4.  `fit_surface` labels with the same ratio.
     """
-    u, v = _sample_grid(samples)
-    labels = {}
-    for cid in cells:
-        c = u_h.space.mesh.cell(cid)
-        s = float(c.s0) + float(c.width) * u
-        t = float(c.t0) + float(c.height) * v
-        (num_s, den_s, ok_s), (num_t, den_t, ok_t) = \
-            _directional_curvatures(u_h.field, cid, s, t)
-        k_s = float(np.mean(num_s[ok_s] / den_s[ok_s])) if ok_s.any() else 0.0
-        k_t = float(np.mean(num_t[ok_t] / den_t[ok_t])) if ok_t.any() else 0.0
-        tiny = 1e-12 * max(k_s, k_t, 1.0)
-        if k_t <= tiny:
-            labels[cid] = "C" if k_s <= tiny else "V"
-        elif k_s <= tiny:
-            labels[cid] = "H"
-        else:
-            ratio = k_s / k_t
-            labels[cid] = "V" if ratio > delta0 else ("H" if ratio < delta1 else "C")
-    return labels
+    return label_by_curvature(u_h.field, cells, delta, samples)[0]
 
 
 def exact_error_norms(u_h, u_exact=None, grad_exact=None, q=5):
@@ -563,7 +521,7 @@ def exact_error_norms(u_h, u_exact=None, grad_exact=None, q=5):
     coefficients = u_h.field.coefficients
     l2 = h1 = 0.0
     for blk in _cell_blocks(u_h.space, u_h.geometry, q):
-        vals, grad, _ = blk.grid.physical(blk.field_patches(coefficients))
+        vals, grad, _ = blk.grid.physical(blk.contract(coefficients))
         du = vals - _at_points(u_exact, blk.grid.xy)
         l2 += float(np.sum(du ** 2 * blk.wdet))
         if grad_exact is not None:
@@ -582,9 +540,8 @@ def _solve_round(space, geometry, problem, config):
 def adaptive_solve(problem, geometry, config=None, strategy="modified"):
     """Solve -> estimate & mark -> refine until nothing is marked.
 
-    Marking uses the absolute threshold (or the optional bulk fraction)
-    on the current-level cells only.  Returns the last solution and the
-    per-level report.
+    Marking uses the absolute threshold on the current-level cells only.
+    Returns the last solution and the per-level report.
     """
     config = config or SolveConfig()
     if strategy not in ("modified", "cross_only"):
@@ -608,23 +565,12 @@ def adaptive_solve(problem, geometry, config=None, strategy="modified"):
         if problem.u_exact is not None:
             rec.l2_error, rec.h1_error = exact_error_norms(solution, q=config.quadrature)
         current = space.mesh.cells_of_level(level)
-        if config.dorfler is not None:
-            order = sorted(current, key=lambda c: -ind.eta[c])
-            total2 = sum(ind.eta[c] ** 2 for c in current)
-            acc, marked = 0.0, []
-            for cid in order:
-                if acc >= config.dorfler * total2 or ind.eta[cid] <= 0:
-                    break
-                marked.append(cid)
-                acc += ind.eta[cid] ** 2
-        else:
-            marked = [cid for cid in current if ind.eta[cid] > config.threshold]
+        marked = [cid for cid in current if ind.eta[cid] > config.threshold]
         rec.marked = len(marked)
         report.add(rec)
         if not marked or level == config.max_levels:
             break
-        labels = label_by_solution(solution, marked, config.delta0, config.delta1,
-                                   config.samples)
+        labels = label_by_solution(solution, marked, config.delta, config.samples)
         if strategy == "cross_only":
             labels = {cid: "C" for cid in labels}
         t0 = time.perf_counter()

@@ -24,6 +24,16 @@ The four functions at a vertex reproduce arbitrary (value, d_s, d_t,
 d_st) data there, and all other functions carry zero data at that
 vertex; this collocation structure is what makes the basis linearly
 independent and lets coefficients be computed vertex by vertex.
+
+Every evaluation in the package goes through one Bezier-extraction kernel
+(Borden, Scott, Evans and Hughes, 2011), kept here with the
+representation.  It walks cells in blocks of `_BLOCK` (`_Cells`: function
+ids and 4x4 patches, zero-padded to the block's widest cell), contracts
+coefficients into one patch per cell, and evaluates patches by a matmul
+with Bernstein tables (`_bernstein_tables`, `_eval_patches`): at local
+points shared by all cells (`SplineField.eval_grid`, the solver's Gauss
+points) or at scattered points with known cells, `_CHUNK` at a time
+(`SplineField.eval_located`).  Blocks and chunks bound the memory.
 """
 
 from __future__ import annotations
@@ -33,16 +43,20 @@ import json
 import numpy as np
 
 from . import bezier
-from .tmesh import TMesh, VertexKind, group_by_cell
+from .tmesh import TMesh
 
 __all__ = [
     "BasisFunction", "SplineSpace", "SplineField", "CollocationBlock",
-    "build_initial_space", "advance_level", "evaluate", "collocation_block",
+    "build_initial_space", "advance_level", "collocation_block",
     "verify_space", "field_from_vertex_data", "transfer_field",
 ]
 
 # derivative orders in reporting order: value, s, t, ss, st, tt
 DERIV_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+# cells per block and scattered points per chunk of the evaluation kernel
+_BLOCK = 64
+_CHUNK = 1024
 
 
 class BasisFunction:
@@ -141,19 +155,12 @@ class SplineSpace:
         (function ids, array of shape (nderivs, nf, npts)) with
         derivatives already in global parameter units.
         """
-        fids = self.functions_on_cell(cid)
-        c = self.mesh.cell(cid)
-        w, h = float(c.width), float(c.height)
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.empty((len(derivs), len(fids), u.size))
-        if fids:
-            patches = np.stack([self.functions[f].support[cid] for f in fids])
-            for d, (a, b) in enumerate(derivs):
-                bu = bezier.bernstein_row(u, a)
-                bv = bezier.bernstein_row(v, b)
-                out[d] = np.einsum("fij,jn,in->fn", patches, bu, bv) / (w ** a * h ** b)
-        return fids, out
+        blk = _Cells(self, [cid])
+        tables = _bernstein_tables(np.atleast_1d(np.asarray(u, dtype=float))[None],
+                                   np.atleast_1d(np.asarray(v, dtype=float))[None], derivs)
+        out = np.stack([_eval_patches(blk.patches, tables, d, blk.width, blk.height)[0]
+                        for d in derivs])
+        return self.functions_on_cell(cid), out
 
     def to_json_dict(self):
         return {
@@ -402,24 +409,69 @@ def advance_level(space, report):
 
 
 # ----------------------------------------------------------------------
-# evaluation
+# evaluation kernel (see the module docstring)
 
-def evaluate(space, s, t, max_deriv=0):
-    """All functions alive at a parameter point.
+def _blocks(n):
+    """Slices cutting n cells into consecutive blocks of `_BLOCK`."""
+    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
 
-    Returns a list of (function id, values) where values has length 1, 3
-    or 6 for max_deriv 0, 1, 2 in the order value, d_s, d_t, d_ss, d_st,
-    d_tt (global parameter units).
-    """
-    if max_deriv not in (0, 1, 2):
-        raise ValueError("max_deriv must be 0, 1 or 2")
-    nd = {0: 1, 1: 3, 2: 6}[max_deriv]
-    cid = space.mesh.locate_cell(s, t)
-    c = space.mesh.cell(cid)
-    u = (float(s) - float(c.s0)) / float(c.width)
-    v = (float(t) - float(c.t0)) / float(c.height)
-    fids, vals = space.basis_on_cell(cid, [u], [v], DERIV_ORDERS[:nd])
-    return [(fid, vals[:, k, 0].copy()) for k, fid in enumerate(fids)]
+
+def _bernstein_tables(u, v, derivs=DERIV_ORDERS):
+    """Tensor-product Bernstein tables at local points u, v (c, n): per
+    derivative order (a, b), a (c, 16, n) array whose row 4i + j holds
+    B_j^(a)(u) B_i^(b)(v), the weight of patch ordinate b[i, j].  One row
+    of points (c = 1) is shared by all cells."""
+    bu = {a: bezier.bernstein_row(u, a) for a in {a for a, _ in derivs}}   # each (4, c, n)
+    bv = {b: bezier.bernstein_row(v, b) for b in {b for _, b in derivs}}
+    return {(a, b): np.einsum("icn,jcn->cijn", bv[b], bu[a]).reshape(len(u), 16, -1)
+            for a, b in derivs}
+
+
+def _eval_patches(P, tables, order, width, height):
+    """d^(a+b)/ds^a dt^b, in global parameter units, of patches P
+    (c, ..., 4, 4) on cells of the given widths and heights (c,), at the
+    points of `tables` -> (c, ..., n)."""
+    a, b = order
+    out = (P.reshape(len(P), -1, 16) @ tables[order]).reshape(P.shape[:-2] + (-1,))
+    scale = width ** a * height ** b
+    return out / scale.reshape((-1,) + (1,) * (out.ndim - 1))
+
+
+def _padded_patches(space, cids):
+    """Function ids (c, F), their patches (c, F, 4, 4) and the mask of real
+    entries; padding has id 0 and a zero patch."""
+    lists = [space.functions_on_cell(cid) for cid in cids]
+    counts = np.array([len(fl) for fl in lists])
+    valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    fids = np.zeros(valid.shape, dtype=np.intp)
+    patches = np.zeros(valid.shape + (4, 4))
+    if valid.any():
+        fids[valid] = [f for fl in lists for f in fl]
+        patches[valid] = [space.functions[f].support[cid]
+                          for cid, fl in zip(cids, lists) for f in fl]
+    return fids, patches, valid
+
+
+class _Cells:
+    """One block of the kernel: cells, their float bounds and the padded
+    basis patches of `space` on them (see `_padded_patches`)."""
+
+    def __init__(self, space, cids):
+        self.cells = np.asarray(cids)
+        s0, s1, t0, t1 = np.array([space.mesh.cell(cid).bounds_float()
+                                   for cid in cids]).reshape(-1, 4).T
+        self.s0, self.t0 = s0, t0
+        self.width, self.height = s1 - s0, t1 - t0
+        self.fids, self.patches, self.valid = _padded_patches(space, cids)
+
+    def contract(self, coefficients):
+        """Per-cell patches (c, ..., 4, 4) of a field with scalar (n,) or
+        point (n, m) coefficients over the block's space."""
+        return np.einsum("cfij,cf...->c...ij", self.patches, coefficients[self.fids])
+
+    def local(self, s, t, rows):
+        """Local coordinates of parameters s, t in the cells `rows`."""
+        return (s - self.s0[rows]) / self.width[rows], (t - self.t0[rows]) / self.height[rows]
 
 
 def collocation_block(space, vid):
@@ -479,23 +531,56 @@ class SplineField:
         """
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        cells = group_by_cell(self.space.mesh.locate_many(s, t))
-        shape = (len(derivs), s.size) if self.arity is None else (len(derivs), s.size, self.arity)
-        out = np.zeros(shape)
-        for cid, idxs in cells.items():
-            out[:, idxs] = self.eval_on_cell(cid, s[idxs], t[idxs], derivs)
-        return out
+        return self.eval_located(self.space.mesh.locate_many(s, t), s, t, derivs)
 
     def eval_on_cell(self, cid, s, t, derivs=DERIV_ORDERS[:1]):
         """Evaluate using one specific cell's polynomial (s, t on its closure)."""
         c = self.space.mesh.cell(cid)
         u = (np.asarray(s, dtype=float) - float(c.s0)) / float(c.width)
         v = (np.asarray(t, dtype=float) - float(c.t0)) / float(c.height)
-        fids, vals = self.space.basis_on_cell(cid, u, v, derivs)
-        cf = self.coefficients[list(fids)] if fids else np.zeros((0,))
-        if self.arity is None:
-            return np.einsum("dfn,f->dn", vals, cf)
-        return np.einsum("dfn,fm->dnm", vals, cf)
+        return self.eval_grid([cid], u, v, derivs)[:, 0]
+
+    def eval_grid(self, cids, u, v, derivs=DERIV_ORDERS[:1]):
+        """Evaluate at the same local points u, v in [0,1] of every cell.
+
+        Returns an array of shape (nderivs, ncells, n) or (nderivs,
+        ncells, n, arity), derivatives in global parameter units.
+        """
+        tables = _bernstein_tables(np.atleast_1d(np.asarray(u, dtype=float))[None],
+                                   np.atleast_1d(np.asarray(v, dtype=float))[None], derivs)
+        out = np.empty((len(derivs), len(cids), tables[derivs[0]].shape[-1])
+                       + self.coefficients.shape[1:])
+        for sl in _blocks(len(cids)):
+            blk = _Cells(self.space, cids[sl])
+            P = blk.contract(self.coefficients)
+            for k, d in enumerate(derivs):
+                out[k, sl] = np.moveaxis(_eval_patches(P, tables, d, blk.width, blk.height),
+                                         -1, 1)
+        return out
+
+    def eval_located(self, cells, s, t, derivs=DERIV_ORDERS[:1]):
+        """Evaluate at parameter points whose cells are known: point k
+        with cell cells[k] (on that cell's closure).  Shapes as in
+        :meth:`eval_many`."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.empty((len(derivs), s.size) + self.coefficients.shape[1:])
+        uniq, inv = np.unique(np.atleast_1d(cells), return_inverse=True)
+        order = np.argsort(inv, kind="stable")
+        ranks = inv[order]
+        for sl in _blocks(len(uniq)):
+            blk = _Cells(self.space, uniq[sl].tolist())
+            P = blk.contract(self.coefficients)
+            lo, hi = np.searchsorted(ranks, (sl.start, sl.stop))
+            for at in range(lo, hi, _CHUNK):
+                idx = order[at:min(at + _CHUNK, hi)]
+                rows = inv[idx] - sl.start
+                u, v = blk.local(s[idx], t[idx], rows)
+                tables = _bernstein_tables(u[:, None], v[:, None], derivs)
+                for k, d in enumerate(derivs):
+                    out[k, idx] = _eval_patches(P[rows], tables, d, blk.width[rows],
+                                                blk.height[rows])[..., 0]
+        return out
 
     def value(self, s, t):
         out = self.eval_many([s], [t])[0, 0]
@@ -546,26 +631,24 @@ def transfer_field(field, new_space):
 # diagnostics
 
 def _interior_edge_samples(mesh, n_per_edge=3):
-    """(cell a, cell b, s array, t array) for shared interior edge pieces."""
-    act = mesh.active_cells()
+    """(cell a, cell b, s array, t array) for shared interior edge pieces,
+    each piece once (a < b), from the cells' edge neighbors."""
     out = []
     ticks = np.linspace(0.15, 0.85, n_per_edge)
-    for i, a in enumerate(act):
+    for a in mesh.active_cells():
         ca = mesh.cell(a)
-        for b in act[i + 1:]:
+        for b in sorted(mesh.edge_neighbors(a)):
+            if b < a:
+                continue
             cb = mesh.cell(b)
             if ca.s1 == cb.s0 or cb.s1 == ca.s0:
                 lo, hi = max(ca.t0, cb.t0), min(ca.t1, cb.t1)
-                if hi > lo:
-                    s_edge = float(ca.s1 if ca.s1 == cb.s0 else cb.s1)
-                    t = float(lo) + (float(hi) - float(lo)) * ticks
-                    out.append((a, b, np.full_like(t, s_edge), t))
-            if ca.t1 == cb.t0 or cb.t1 == ca.t0:
+                t = float(lo) + (float(hi) - float(lo)) * ticks
+                out.append((a, b, np.full_like(t, float(ca.s1 if ca.s1 == cb.s0 else cb.s1)), t))
+            else:
                 lo, hi = max(ca.s0, cb.s0), min(ca.s1, cb.s1)
-                if hi > lo:
-                    t_edge = float(ca.t1 if ca.t1 == cb.t0 else cb.t1)
-                    s = float(lo) + (float(hi) - float(lo)) * ticks
-                    out.append((a, b, s, np.full_like(s, t_edge)))
+                s = float(lo) + (float(hi) - float(lo)) * ticks
+                out.append((a, b, s, np.full_like(s, float(ca.t1 if ca.t1 == cb.t0 else cb.t1))))
     return out
 
 
@@ -585,33 +668,37 @@ def verify_space(space, n_samples=2000, seed=0):
     pu = ones.eval_many(s, t)[0]
     max_pu_err = float(np.max(np.abs(pu - 1.0)))
 
+    # every basis function at 12 random local points per cell
+    act = mesh.active_cells()
+    u = rng.uniform(0, 1, (len(act), 12))
+    v = rng.uniform(0, 1, (len(act), 12))
     min_val = np.inf
-    for cid in mesh.active_cells():
-        u = rng.uniform(0, 1, 12)
-        v = rng.uniform(0, 1, 12)
-        _, vals = space.basis_on_cell(cid, u, v)
-        if vals.size:
-            min_val = min(min_val, float(vals.min()))
+    for sl in _blocks(len(act)):
+        blk = _Cells(space, act[sl])
+        vals = _eval_patches(blk.patches, _bernstein_tables(u[sl], v[sl], ((0, 0),)),
+                             (0, 0), blk.width, blk.height)
+        min_val = min(min_val, float(vals[blk.valid].min(initial=np.inf)))
 
     field = SplineField(space, rng.standard_normal(space.dim))
-    c1_jump = 0.0
     scale = max(abs(float(x)) for x in field.coefficients) or 1.0
-    for (a, b, es, et) in _interior_edge_samples(mesh):
-        da = field.eval_on_cell(a, es, et, DERIV_ORDERS[:3])
-        db = field.eval_on_cell(b, es, et, DERIV_ORDERS[:3])
-        c1_jump = max(c1_jump, float(np.max(np.abs(da - db))) / scale)
+    pieces = _interior_edge_samples(mesh)
+    c1_jump = 0.0
+    if pieces:
+        a, b, es, et = (np.concatenate([np.broadcast_to(p[k], p[2].shape) for p in pieces])
+                        for k in range(4))
+        jump = field.eval_located(a, es, et, DERIV_ORDERS[:3]) - \
+            field.eval_located(b, es, et, DERIV_ORDERS[:3])
+        c1_jump = float(np.max(np.abs(jump))) / scale
 
+    # the Hermite data of the round-trip field, read in one incident cell
     data = {vid: rng.standard_normal(4) for vid in space.vertex_index}
     rt = field_from_vertex_data(space, data)
-    rt_err = 0.0
-    for vid in space.vertex_index:
-        got = np.zeros(4)
-        v = mesh.vertex(vid)
-        for cid in mesh.vertex_cells(vid):
-            for fid in space.functions_on_cell(cid):
-                got += rt.coefficients[fid] * space.basis_data_at_vertex(fid, vid)
-            break
-        rt_err = max(rt_err, float(np.max(np.abs(got - data[vid]))))
+    vids = list(space.vertex_index)
+    got = rt.eval_located([mesh.vertex_cells(vid)[0] for vid in vids],
+                          [float(mesh.vertex(vid).s) for vid in vids],
+                          [float(mesh.vertex(vid).t) for vid in vids],
+                          ((0, 0), (1, 0), (0, 1), (1, 1)))
+    rt_err = float(np.max(np.abs(got.T - np.array([data[vid] for vid in vids]))))
 
     return {
         "dim": space.dim,

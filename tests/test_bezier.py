@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anisoline import bezier
+from anisoline.space import _bernstein_tables, _eval_patches
 
 
 def random_patch(rng, arity=None):
@@ -182,11 +183,20 @@ def test_zero_corner_block():
 
 
 def test_eval_patch_many_matches_scalar():
+    # the evaluation kernel of `space`, on three cells of unit size, with
+    # points shared by all cells and with one row of points per cell
     rng = np.random.default_rng(7)
-    p = random_patch(rng)
-    u = rng.uniform(0, 1, 20)
-    v = rng.uniform(0, 1, 20)
-    for deriv in [(0, 0), (1, 0), (0, 2)]:
-        many = bezier.eval_patch_many(p, u, v, deriv)
-        single = [bezier.eval_patch(p, uu, vv, deriv) for uu, vv in zip(u, v)]
-        assert np.allclose(many, single, atol=1e-14)
+    P = np.stack([random_patch(rng) for _ in range(3)])            # (3, 4, 4)
+    PV = np.moveaxis(np.stack([random_patch(rng, 2) for _ in range(3)]), -1, 1)
+    u = rng.uniform(0, 1, (3, 20))
+    v = rng.uniform(0, 1, (3, 20))
+    ones = np.ones(3)
+    for deriv in [(0, 0), (1, 0), (0, 2), (1, 1)]:
+        shared = _eval_patches(P, _bernstein_tables(u[:1], v[:1], (deriv,)), deriv, ones, ones)
+        rows = _eval_patches(PV, _bernstein_tables(u, v, (deriv,)), deriv, ones, ones)
+        for c in range(3):
+            single = [bezier.eval_patch(P[c], uu, vv, deriv) for uu, vv in zip(u[0], v[0])]
+            assert np.allclose(shared[c], single, atol=1e-13)
+            single = [bezier.eval_patch(np.moveaxis(PV[c], 0, -1), uu, vv, deriv)
+                      for uu, vv in zip(u[c], v[c])]
+            assert np.allclose(rows[c].T, single, atol=1e-13)

@@ -1,13 +1,19 @@
 """Surface fitting: models, control estimation, labels, adaptive loop."""
 
+import gc
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from anisoline import bezier
 from anisoline.fitting import (
-    FitConfig, ParamPointSet, estimate_vertex_controls, fit_surface,
-    generate_test_model, label_by_curvature, max_cell_error,
+    FitConfig, ParamPointSet, _field_errors, _sample_grid, estimate_vertex_controls,
+    fit_surface, generate_test_model, label_by_curvature,
 )
-from anisoline.space import SplineField, build_initial_space
+from anisoline.refine import RefinementRequest, refine
+from anisoline.space import DERIV_ORDERS, SplineField, advance_level, build_initial_space
 from anisoline.tmesh import create_tensor_mesh
 
 
@@ -97,9 +103,11 @@ def test_max_cell_error_cases():
     c1 = mesh.locate_cell(0.1, 0.1)
     c2 = mesh.locate_cell(0.9, 0.9)
     empty = mesh.locate_cell(0.9, 0.1)
-    assert max_cell_error(field, ps, c1) == pytest.approx(np.linalg.norm(pts[0]))
-    assert max_cell_error(field, ps, c2) == pytest.approx(np.linalg.norm(pts[1]))
-    assert max_cell_error(field, ps, empty) == 0.0
+    err, cell_max = _field_errors(field, ps)
+    assert err == pytest.approx(np.linalg.norm(pts, axis=1))
+    assert cell_max[c1] == pytest.approx(np.linalg.norm(pts[0]))
+    assert cell_max[c2] == pytest.approx(np.linalg.norm(pts[1]))
+    assert empty not in cell_max            # `fit_surface` reads 0 there
 
 
 def fit_exact_field(space, fn):
@@ -253,3 +261,191 @@ def test_fit_empty_cells_never_marked():
         c = mesh.cell(cid)
         if float(c.s0) >= 0.5 or float(c.t0) >= 0.5:
             assert c.level == 0, c
+
+
+# ----------------------------------------------------------------------
+# The per-cell loops the batched evaluation kernel replaced, kept as
+# reference implementations: one cell at a time, basis functions first,
+# then the coefficients.
+
+def _reference_eval_on_cell(field, cid, s, t, derivs):
+    space = field.space
+    c = space.mesh.cell(cid)
+    w, h = float(c.width), float(c.height)
+    u = (np.asarray(s, dtype=float) - float(c.s0)) / w
+    v = (np.asarray(t, dtype=float) - float(c.t0)) / h
+    fids = space.functions_on_cell(cid)
+    vals = np.zeros((len(derivs), len(fids), u.size))
+    if fids:
+        patches = np.stack([space.functions[f].support[cid] for f in fids])
+        for d, (a, b) in enumerate(derivs):
+            bu = bezier.bernstein_row(u, a)
+            bv = bezier.bernstein_row(v, b)
+            vals[d] = np.einsum("fij,jn,in->fn", patches, bu, bv) / (w ** a * h ** b)
+    cf = field.coefficients[list(fids)] if fids else np.zeros((0,) + field.coefficients.shape[1:])
+    return np.einsum("dfn,f...->dn...", vals, cf)
+
+
+def _reference_field_errors(field, pset):
+    err = np.empty(len(pset))
+    cell_max = {}
+    for cid, idx in pset.by_cell().items():
+        got = _reference_eval_on_cell(field, cid, pset.params[idx, 0], pset.params[idx, 1],
+                                      ((0, 0),))[0]
+        err[idx] = np.linalg.norm(got - pset.points[idx], axis=1)
+        cell_max[cid] = float(err[idx].max())
+    return err, cell_max
+
+
+def _reference_directional_curvatures(field, cid, u, v):
+    d = _reference_eval_on_cell(field, cid, u, v, ((1, 0), (0, 1), (2, 0), (0, 2)))
+    s1, t1, s2, t2 = d
+    if field.arity is None:
+        s1, t1, s2, t2 = (x[:, None] for x in (s1, t1, s2, t2))
+
+    def curvature(first, second):
+        if first.shape[1] == 1:
+            num = np.abs(second[:, 0])
+            den = (1.0 + first[:, 0] ** 2) ** 1.5
+            speed = np.ones(len(first))
+        else:
+            cross = np.cross(first, second)
+            num = np.linalg.norm(np.atleast_2d(cross).reshape(len(first), -1), axis=1)
+            speed = np.linalg.norm(first, axis=1)
+            den = speed ** 3
+        good = speed > 1e-12
+        return num, den, good
+
+    return curvature(s1, s2), curvature(t1, t2)
+
+
+def _reference_label_by_curvature(field, cells, delta, samples=9):
+    u, v = _sample_grid(samples)
+    labels, curvatures = {}, {}
+    for cid in cells:
+        c = field.space.mesh.cell(cid)
+        s = float(c.s0) + float(c.width) * u
+        t = float(c.t0) + float(c.height) * v
+        (num_s, den_s, ok_s), (num_t, den_t, ok_t) = \
+            _reference_directional_curvatures(field, cid, s, t)
+        k_s = float(np.mean(num_s[ok_s] / den_s[ok_s])) if ok_s.any() else 0.0
+        k_t = float(np.mean(num_t[ok_t] / den_t[ok_t])) if ok_t.any() else 0.0
+        tiny = 1e-12 * max(k_s, k_t, 1.0)
+        if not ok_s.any() and not ok_t.any():
+            label = "C"
+        elif k_t <= tiny:
+            label = "C" if k_s <= tiny else "V"
+        elif k_s <= tiny:
+            label = "H"
+        else:
+            rho = k_s / k_t
+            label = "V" if rho > delta else ("H" if rho < 1.0 / delta else "C")
+        labels[cid] = label
+        curvatures[cid] = (k_s, k_t)
+    return labels, curvatures
+
+
+def _refined_space(seed, start, rounds=3):
+    """A space after `rounds` random H/V/C refinement rounds."""
+    rng = random.Random(seed)
+    mesh = create_tensor_mesh(*start)
+    space = build_initial_space(mesh)
+    for level in range(rounds):
+        cells = mesh.cells_of_level(level)
+        marks = rng.sample(cells, rng.randint(1, min(6, len(cells))))
+        mesh, report = refine(mesh, RefinementRequest({c: rng.choice("HVC") for c in marks}))
+        space = advance_level(space, report)
+    return space
+
+
+def _close(got, want, rel=1e-12):
+    """Agreement to `rel` of the largest reference magnitude."""
+    return np.max(np.abs(got - want), initial=0.0) <= rel * max(np.max(np.abs(want)), 1e-300)
+
+
+# (10, 10) holds more cells than one kernel block
+_ORACLE_SPACES = [(0, (2, 2)), (3, (3, 2)), (5, (4, 4)), (7, (10, 10))]
+
+
+@pytest.mark.parametrize("seed, start", _ORACLE_SPACES)
+@pytest.mark.parametrize("arity", [None, 3])
+def test_evaluation_matches_per_cell_reference(seed, start, arity):
+    space = _refined_space(seed, start)
+    rng = np.random.default_rng(seed)
+    shape = (space.dim,) if arity is None else (space.dim, arity)
+    field = SplineField(space, rng.standard_normal(shape))
+    s, t = rng.uniform(0, 1, 2500), rng.uniform(0, 1, 2500)     # more than one chunk
+    got = field.eval_many(s, t, DERIV_ORDERS)
+    want = np.empty_like(got)
+    cells = space.mesh.locate_many(s, t)
+    for cid in set(cells.tolist()):
+        idx = cells == cid
+        want[:, idx] = _reference_eval_on_cell(field, cid, s[idx], t[idx], DERIV_ORDERS)
+        assert _close(field.eval_on_cell(cid, s[idx], t[idx], DERIV_ORDERS), want[:, idx])
+    assert _close(got, want)
+
+
+def _point_sets(rng):
+    params = rng.uniform(0, 1, (2500, 2))
+    yield "spread", params
+    # the upper half of the square holds no points
+    yield "lower half", params * [1.0, 0.5]
+    # every point in the cell at the origin
+    yield "one cell", rng.uniform(0, 1e-3, (1500, 2))
+
+
+@pytest.mark.parametrize("seed, start", _ORACLE_SPACES)
+def test_field_errors_match_per_cell_reference(seed, start):
+    space = _refined_space(seed, start)
+    rng = np.random.default_rng(seed)
+    field = SplineField(space, rng.standard_normal((space.dim, 3)))
+    for name, params in _point_sets(rng):
+        pset = ParamPointSet(rng.standard_normal((len(params), 3)), params)
+        pset.assign_cells(space.mesh)
+        err, cell_max = _field_errors(field, pset)
+        err_ref, cell_max_ref = _reference_field_errors(field, pset)
+        assert _close(err, err_ref), name
+        assert list(cell_max) == sorted(cell_max_ref), name
+        assert _close(np.array([cell_max[c] for c in cell_max_ref]),
+                      np.array(list(cell_max_ref.values()))), name
+        if name == "one cell":
+            assert len(cell_max) == 1
+
+
+@pytest.mark.parametrize("seed, start", _ORACLE_SPACES)
+@pytest.mark.parametrize("arity", [None, 3])
+def test_labels_match_per_cell_reference(seed, start, arity):
+    space = _refined_space(seed, start)
+    rng = np.random.default_rng(seed)
+    shape = (space.dim,) if arity is None else (space.dim, arity)
+    cells = space.mesh.active_cells()
+    for scale in (1.0, 0.1):
+        field = SplineField(space, scale * rng.standard_normal(shape))
+        for samples in (1, 9, 10):
+            labels, est = label_by_curvature(field, cells, 2.0, samples)
+            labels_ref, curv_ref = _reference_label_by_curvature(field, cells, 2.0, samples)
+            assert labels == labels_ref
+            assert _close(np.array([(est[c].k_s, est[c].k_t) for c in cells]),
+                          np.array([curv_ref[c] for c in cells]))
+
+
+def _peak_mib(fn, *args, **kwargs):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_errors_and_labels_memory_is_bounded_by_chunks():
+    # 10,201 points and 256 cells after three rounds.  Chunked, the peaks
+    # are 1.3 and 0.7 MiB; one batch over all points and cells takes 7.1
+    # and 1.5 MiB.
+    pset = generate_test_model("bernstein_sum", (101, 101))
+    field, report = fit_surface(pset, FitConfig(tolerance=1e-3, max_levels=3))
+    assert len(report.levels) == 4 and field.space.dim == 1156
+    cells = field.space.mesh.active_cells()
+    assert _peak_mib(_field_errors, field, pset) <= 3.0
+    assert _peak_mib(label_by_curvature, field, cells, 2.0) <= 1.1

@@ -18,7 +18,7 @@ from anisoline.solver import (
     ConstrainedSystem, DiscreteSolution, ErrorIndicator, SolveConfig,
     adaptive_solve, assemble, error_indicators, exact_error_norms,
     impose_boundary_conditions, label_by_solution, solve_linear, _EDGE_GEOM,
-    _boundary_edges_of_cell, _cell_blocks, _edge_points, _gauss01,
+    _boundary_edges_of_cell, _cell_blocks, _constrained_functions, _edge_points, _gauss01,
     _segment_overlap, _solve_round,
 )
 from anisoline.space import (
@@ -105,6 +105,67 @@ def test_impose_pins_boundary_value_slots():
 def test_impose_pins_boundary_value_slots_by_mesh(n, count):
     # 8n + 4 pins on an n x n mesh; 28 is the 3 x 3 count
     _check_boundary_pins(n, count)
+
+
+def _reference_pinned(space, problem, samples_per_edge=8):
+    """The sampled scan the structural rule replaced: functions whose
+    values at 8 points of a Dirichlet edge piece exceed 1e-10."""
+    mesh = space.mesh
+    ticks = np.linspace(0.0, 1.0, samples_per_edge)
+    pinned = set()
+    for cid in mesh.active_cells():
+        c = mesh.cell(cid)
+        for (edge, lo, hi) in _boundary_edges_of_cell(mesh, cid):
+            for (a, b) in _segment_overlap(edge, lo, hi, problem.dirichlet):
+                par = a + (b - a) * ticks
+                fixed = np.full_like(par, _EDGE_GEOM[edge][0][1])
+                s, t = (fixed, par) if edge in ("s0", "s1") else (par, fixed)
+                u = (s - float(c.s0)) / float(c.width)
+                v = (t - float(c.t0)) / float(c.height)
+                fids, bas = space.basis_on_cell(cid, u, v, ((0, 0),))
+                live = np.max(np.abs(bas[0]), axis=1) > 1e-10
+                pinned.update(np.asarray(fids)[live].tolist())
+    return sorted(pinned)
+
+
+def _mixed_problem():
+    # the Dirichlet part ends inside the edge s = 0, at t = 0.375
+    return PoissonProblem(
+        name="mixed", f=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        dirichlet=[("s0", 0.0, 0.375), ("t0", 0.0, 1.0)],
+        neumann=[("s0", 0.375, 1.0), ("s1", 0.0, 1.0), ("t1", 0.0, 1.0)])
+
+
+@pytest.mark.parametrize("start", [(2, 2), (3, 2), (4, 4)])
+def test_structural_pins_match_sampled_scan(start):
+    # 40 seeds x 3 random H/V/C rounds x 3 problems per start
+    problems = [square_sin_problem(), lshape_benchmark(4)[0], _mixed_problem()]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        mesh = create_tensor_mesh(*start)
+        space = build_initial_space(mesh)
+        for level in range(3):
+            cells = mesh.cells_of_level(level)
+            marks = rng.choice(cells, rng.integers(1, min(6, len(cells)) + 1), replace=False)
+            mesh, rep = refine(mesh, RefinementRequest(
+                {int(c): str(rng.choice(list("HVC"))) for c in marks}))
+            space = advance_level(space, rep)
+        for problem in problems:
+            pinned, _ = _constrained_functions(space, problem)
+            assert pinned == _reference_pinned(space, problem), (seed, problem.name)
+
+
+def test_homogeneous_pins_evaluate_no_basis(monkeypatch):
+    space, geometry = unit_setup(3)
+    problem = square_sin_problem()
+    A, F = assemble(space, geometry, problem, q=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis function was evaluated")
+
+    monkeypatch.setattr(SplineSpace, "basis_on_cell", refuse)
+    system = impose_boundary_conditions((A, F), space, geometry, problem)
+    assert len(system.free) == space.dim - 28
 
 
 def test_impose_fits_inhomogeneous_data():

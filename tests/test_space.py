@@ -9,7 +9,7 @@ from anisoline import bezier
 from anisoline.refine import RefinementRequest, refine
 from anisoline.space import (
     DERIV_ORDERS, SplineField, SplineSpace, advance_level, build_initial_space,
-    collocation_block, evaluate, field_from_vertex_data, transfer_field,
+    _interior_edge_samples, collocation_block, field_from_vertex_data, transfer_field,
     verify_space,
 )
 from anisoline.tmesh import create_mesh_from_knots, create_tensor_mesh
@@ -111,9 +111,14 @@ def test_evaluate_sparse_and_unity():
     rng = np.random.default_rng(2)
     for _ in range(80):
         s, t = rng.uniform(0, 1, 2)
-        hits = evaluate(space, s, t, max_deriv=0)
-        assert len(hits) >= 1
-        assert sum(v[0] for _, v in hits) == pytest.approx(1.0, abs=1e-12)
+        c = space.mesh.cell(space.mesh.locate_cell(s, t))
+        u = (s - float(c.s0)) / float(c.width)
+        v = (t - float(c.t0)) / float(c.height)
+        fids, vals = space.basis_on_cell(c.id, [u], [v], DERIV_ORDERS)
+        assert 1 <= len(fids) < space.dim
+        assert vals.shape == (6, len(fids), 1)
+        assert np.sum(vals[0]) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(vals[1:], axis=1) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_initial_space_sixteen_per_cell():
@@ -146,7 +151,7 @@ def test_transition_cell_keeps_coarse_functions():
 def test_evaluate_rejects_outside_domain():
     space = build_initial_space(create_tensor_mesh(2, 2))
     with pytest.raises(ValueError):
-        evaluate(space, 1.5, 0.5)
+        SplineField(space, np.ones(space.dim)).eval_many([0.5, 1.5], [0.5, 0.5])
 
 
 def test_lop_data_vanishes_for_non_anchored():
@@ -207,6 +212,41 @@ def test_verify_space_randomized(seed, depth):
     assert rep["min_value"] >= -1e-12
     assert rep["c1_max_jump"] <= 1e-9
     assert rep["hermite_roundtrip_error"] <= 1e-8
+
+
+def _reference_interior_edge_samples(mesh, n_per_edge=3):
+    """The all-pairs scan the edge-neighbor walk replaced."""
+    act = mesh.active_cells()
+    out = []
+    ticks = np.linspace(0.15, 0.85, n_per_edge)
+    for i, a in enumerate(act):
+        ca = mesh.cell(a)
+        for b in act[i + 1:]:
+            cb = mesh.cell(b)
+            if ca.s1 == cb.s0 or cb.s1 == ca.s0:
+                lo, hi = max(ca.t0, cb.t0), min(ca.t1, cb.t1)
+                if hi > lo:
+                    s_edge = float(ca.s1 if ca.s1 == cb.s0 else cb.s1)
+                    t = float(lo) + (float(hi) - float(lo)) * ticks
+                    out.append((a, b, np.full_like(t, s_edge), t))
+            if ca.t1 == cb.t0 or cb.t1 == ca.t0:
+                lo, hi = max(ca.s0, cb.s0), min(ca.s1, cb.s1)
+                if hi > lo:
+                    t_edge = float(ca.t1 if ca.t1 == cb.t0 else cb.t1)
+                    s = float(lo) + (float(hi) - float(lo)) * ticks
+                    out.append((a, b, s, np.full_like(s, t_edge)))
+    return out
+
+
+@pytest.mark.parametrize("start", [(1, 1), (2, 2), (3, 2), (4, 4)])
+def test_interior_edge_samples_match_all_pairs_scan(start):
+    for seed in range(6):
+        mesh = make_space(seed=seed, start=start, depth=3).mesh
+        got = [(a, b, tuple(s), tuple(t)) for a, b, s, t in _interior_edge_samples(mesh)]
+        want = [(a, b, tuple(s), tuple(t))
+                for a, b, s, t in _reference_interior_edge_samples(mesh)]
+        assert len(set(got)) == len(got)
+        assert set(got) == set(want)
 
 
 def test_nonuniform_level0_space():
