@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "bernstein_row", "eval_patch", "split_patch",
-    "corner_data", "zero_corner_block",
+    "bernstein_row", "eval_patch", "split_patches",
+    "corner_data", "zero_corner_blocks",
 ]
 
 # de Casteljau halving of a cubic: rows give child ordinates from parent ones
@@ -28,6 +28,15 @@ _SPLIT_LO = np.array([
     [1 / 8, 3 / 8, 3 / 8, 1 / 8],
 ])
 _SPLIT_HI = _SPLIT_LO[::-1, ::-1].copy()
+_KEEP = np.eye(4)
+# per split kind, the matrices acting on the rows (t) and, transposed, on
+# the columns (s) of a patch, one pair per child in mesh order
+_CHILD_MAPS = {
+    "H": (np.stack([_SPLIT_LO, _SPLIT_HI]), np.stack([_KEEP, _KEEP])),
+    "V": (np.stack([_KEEP, _KEEP]), np.stack([_SPLIT_LO.T, _SPLIT_HI.T])),
+    "C": (np.stack([_SPLIT_LO, _SPLIT_LO, _SPLIT_HI, _SPLIT_HI]),
+          np.stack([_SPLIT_LO.T, _SPLIT_HI.T, _SPLIT_LO.T, _SPLIT_HI.T])),
+}
 
 
 def bernstein_row(u, order=0):
@@ -65,27 +74,19 @@ def eval_patch(p, u, v, deriv=(0, 0)):
     return np.einsum("ij...,j,i->...", p, bu, bv)
 
 
-def split_patch(p, kind):
-    """Split a patch at the parameter midpoint.
+def split_patches(P, kind):
+    """Split patches P (n, 4, 4) at the parameter midpoint.
 
-    'H' returns (bottom, top), 'V' returns (left, right), 'C' returns
-    (bottom-left, bottom-right, top-left, top-right) -- the same child
-    order the mesh uses.  Children represent the identical polynomial
-    restricted to each subcell.
+    Returns the children (n, k, 4, 4): for 'H' (bottom, top), for 'V'
+    (left, right), for 'C' (bottom-left, bottom-right, top-left,
+    top-right) -- the same child order the mesh uses.  Children represent
+    the identical polynomial restricted to each subcell.
     """
-    p = np.asarray(p, dtype=float)
-    if kind == "H":
-        return (np.einsum("ki,ij...->kj...", _SPLIT_LO, p),
-                np.einsum("ki,ij...->kj...", _SPLIT_HI, p))
-    if kind == "V":
-        return (np.einsum("kj,ij...->ik...", _SPLIT_LO, p),
-                np.einsum("kj,ij...->ik...", _SPLIT_HI, p))
-    if kind == "C":
-        bottom, top = split_patch(p, "H")
-        bl, br = split_patch(bottom, "V")
-        tl, tr = split_patch(top, "V")
-        return (bl, br, tl, tr)
-    raise ValueError(f"unknown split kind {kind!r}")
+    try:
+        rows, cols = _CHILD_MAPS[kind]
+    except KeyError:
+        raise ValueError(f"unknown split kind {kind!r}") from None
+    return rows @ np.asarray(P, dtype=float)[:, None] @ cols
 
 
 def _corner_indices(corner):
@@ -97,6 +98,11 @@ def _corner_indices(corner):
     rows = (0, 1) if ct == 0 else (2, 3)
     cols = (0, 1) if cs == 0 else (2, 3)
     return rows, cols
+
+
+# the 2x2 ordinate block of each corner, corners in order cs + 2 * ct
+_CORNER_BLOCKS = np.array([np.kron(np.outer(np.eye(2)[ct], np.eye(2)[cs]), np.ones((2, 2)))
+                           for ct in (0, 1) for cs in (0, 1)], dtype=bool)
 
 
 def corner_data(p, corner, w, h):
@@ -121,11 +127,10 @@ def corner_data(p, corner, w, h):
     return np.array([f, f_s, f_t, f_st]) if np.ndim(f) == 0 else np.stack([f, f_s, f_t, f_st])
 
 
-def zero_corner_block(p, corner):
-    """Copy of the patch with the 2x2 block nearest `corner` set to zero."""
-    p = np.array(p, dtype=float, copy=True)
-    rows, cols = _corner_indices(corner)
-    for i in rows:
-        for j in cols:
-            p[i, j] = 0.0
-    return p
+def zero_corner_blocks(P, corners):
+    """Copy of patches P (..., 4, 4) with the 2x2 ordinate block at every
+    flagged corner set to zero.  `corners` (..., 4) flags the corners in
+    the order (s_min, t_min), (s_max, t_min), (s_min, t_max), (s_max,
+    t_max), i.e. index cs + 2 * ct."""
+    zero = np.asarray(corners, dtype=bool) @ _CORNER_BLOCKS.reshape(4, 16)
+    return np.where(zero.reshape(zero.shape[:-1] + (4, 4)), 0.0, P)

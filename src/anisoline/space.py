@@ -20,10 +20,26 @@ Level construction:
 * each new basis vertex receives four fresh tensor-product functions on
   its 2x2 (interior) or 1x2 (boundary) cell neighborhood.
 
+The advance is array work, carried across levels as in multi-level
+Bezier extraction (D'Angella, Kollmannsberger, Rank and Reali, 2018): the
+(function, cell) patches on subdivided cells are gathered per split kind
+and split by the fixed half-interval de Casteljau matrices
+(`bezier.split_patches`), the new-vertex corner blocks are zeroed by one
+mask (`bezier.zero_corner_blocks`) and all-zero pieces dropped, all
+`_SPLIT_CHUNK` pairs at a time so memory stays bounded; the new vertices'
+functions are batched outer products of univariate ordinates.
+
 The four functions at a vertex reproduce arbitrary (value, d_s, d_t,
 d_st) data there, and all other functions carry zero data at that
 vertex; this collocation structure is what makes the basis linearly
-independent and lets coefficients be computed vertex by vertex.
+independent and lets coefficients be computed vertex by vertex.  The
+collocation block of a vertex is kron(T, S) of the (value, slope) pairs
+of its univariate s and t functions.  It never changes after the vertex's
+birth (splitting is exact, and zeroing touches only blocks at newer
+vertices), so the builders record S and T then, in one table on the
+space (`SplineSpace.factors`).  `collocation_block` reads one row, and
+`field_from_vertex_data` and `transfer_field` solve all their vertices
+against kron(T^-1, S^-1) in one batched einsum.
 
 Every evaluation in the package goes through one Bezier-extraction kernel
 (Borden, Scott, Evans and Hughes, 2011), kept here with the
@@ -43,7 +59,7 @@ import json
 import numpy as np
 
 from . import bezier
-from .tmesh import TMesh
+from .tmesh import SPLIT_KINDS, TMesh
 
 __all__ = [
     "BasisFunction", "SplineSpace", "SplineField", "CollocationBlock",
@@ -57,6 +73,8 @@ DERIV_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 # cells per block and scattered points per chunk of the evaluation kernel
 _BLOCK = 64
 _CHUNK = 1024
+# (function, cell) patches split per chunk by the level advance
+_SPLIT_CHUNK = 128
 
 
 class BasisFunction:
@@ -78,52 +96,57 @@ class BasisFunction:
 class CollocationBlock:
     """The 4x4 matrix of (f, f_s, f_t, f_st) data of the four functions
     anchored at one basis vertex.  Row k holds the data of slot k, so a
-    coefficient row vector c satisfies  data = c @ matrix."""
+    coefficient row vector c satisfies  data = c @ matrix.
 
-    def __init__(self, vertex, matrix, cell_extents):
+    The matrix is kron(T, S) of the vertex's univariate factors: row j of
+    S (T) holds the (value, slope) of its j-th s (t) function.  Its inverse
+    is kron(T^-1, S^-1); a singular factor raises a RuntimeError naming the
+    vertex.
+    """
+
+    def __init__(self, vertex, factors):
         self.vertex = vertex
-        self.matrix = matrix
-        self._inverse = None
-        self.cell_extents = cell_extents  # (ds_left, ds_right, dt_below, dt_above), None when clamped
-        ds0, ds1, dt0, dt1 = cell_extents
-        sw = (ds0 or 0) + (ds1 or 0)
-        th = (dt0 or 0) + (dt1 or 0)
-        self.alpha = 1.0 / sw if sw else None
-        self.beta = 1.0 / th if th else None
-        self.lam = ds0 * self.alpha if (ds0 and self.alpha) else None
-        self.mu = dt0 * self.beta if (dt0 and self.beta) else None
+        self.factors = factors          # (2, 2, 2): S, T
+        self.inverse = _inverse_blocks(factors[None], [vertex])[0]
+
+    @property
+    def matrix(self):
+        return _kron2(self.factors[1], self.factors[0])
 
     def solve(self, data):
         """Coefficients reproducing `data` (shape (..., 4)) at the vertex."""
         return np.asarray(data, dtype=float) @ self.inverse
 
-    @property
-    def inverse(self):
-        if self._inverse is None:
-            try:
-                inv = np.linalg.inv(self.matrix)
-            except np.linalg.LinAlgError:
-                raise RuntimeError(
-                    f"singular collocation block at vertex {self.vertex}") from None
-            if not np.all(np.isfinite(inv)):
-                raise RuntimeError(f"singular collocation block at vertex {self.vertex}")
-            self._inverse = inv
-        return self._inverse
-
 
 class SplineSpace:
-    """A basis for the C1 bicubic spline space over a T-mesh value."""
+    """A basis for the C1 bicubic spline space over a T-mesh value.
 
-    def __init__(self, mesh, functions):
+    `vertex_index` maps each basis vertex to its four function ids in slot
+    order.  `factors` is the collocation table (n_vertices, 2, 2, 2): row
+    `vertex_row[vid]` holds the univariate factors S and T of the vertex's
+    collocation block kron(T, S) (see `CollocationBlock`), rows in the order
+    of `vertex_index`.  The space builders record it when they create a
+    vertex's functions; a space constructed without it fills it once, on
+    first use, from the patches' corner data.
+    """
+
+    def __init__(self, mesh, functions, factors=None):
         self.mesh = mesh
         self.functions = functions
         self.vertex_index = {}
         for idx, f in enumerate(functions):
             self.vertex_index.setdefault(f.anchor, []).append(idx)
         for vid, ids in self.vertex_index.items():
-            if len(ids) != 4:
-                raise ValueError(f"basis vertex {vid} carries {len(ids)} functions, expected 4")
-            self.vertex_index[vid] = tuple(ids)
+            slots = [functions[f].slot for f in ids]
+            if sorted(slots) != [0, 1, 2, 3]:
+                raise ValueError(f"basis vertex {vid} carries functions of slots {slots}, "
+                                 f"expected one of each slot 0-3")
+            self.vertex_index[vid] = tuple(f for _, f in sorted(zip(slots, ids)))
+        self.vertex_row = {vid: k for k, vid in enumerate(self.vertex_index)}
+        if factors is not None and np.shape(factors) != (len(self.vertex_row), 2, 2, 2):
+            raise ValueError(f"collocation table of shape {np.shape(factors)} for "
+                             f"{len(self.vertex_row)} basis vertices")
+        self._factors = factors
         self.cell_to_funcs = {}
         for idx, f in enumerate(functions):
             for cid in f.support:
@@ -132,6 +155,12 @@ class SplineSpace:
     @property
     def dim(self):
         return len(self.functions)
+
+    @property
+    def factors(self):
+        if self._factors is None:
+            self._factors = _factors_from_patches(self)
+        return self._factors
 
     def functions_on_cell(self, cid):
         return self.cell_to_funcs.get(cid, [])
@@ -206,31 +235,42 @@ def _clamped_pair(w, at_low_end):
     return ((1.0, 3.0 / w), (0.0, -3.0 / w))
 
 
-def _ordinates_toward(val, der, w, anchor_at_low):
-    """Cubic ordinates on a cell with (val, der) at the anchor endpoint and
-    zero value and slope at the other endpoint."""
-    if anchor_at_low:
-        return np.array([val, val + der * w / 3.0, 0.0, 0.0])
-    return np.array([0.0, 0.0, val - der * w / 3.0, val])
+def _ordinates_toward(pair, w, low):
+    """Cubic ordinates (e, 2, 4) on e cells of widths w of the two
+    univariate functions whose (value, slope) at the anchor endpoint are
+    pair[:, j] (e, 2, 2); the anchor is the cell's low end where `low`,
+    and both functions have zero value and slope at the other end."""
+    val, der = pair[..., 0], pair[..., 1]
+    w, low = w[:, None], low[:, None]
+    return np.stack([np.where(low, val, 0.0),
+                     np.where(low, val + der * w / 3.0, 0.0),
+                     np.where(low, 0.0, val - der * w / 3.0),
+                     np.where(low, 0.0, val)], axis=-1)
 
 
-def _tensor_function(anchor, slot, level, s_pair, t_pair, s_cells, t_cells):
-    """Assemble per-cell patches of a tensor-product function.
+def _vertex_functions(anchors, factors, cells, level):
+    """The four functions of every vertex in `anchors`, as batched outer
+    products of univariate ordinates.
 
-    s_cells/t_cells: list of (cell key, width, anchor_at_low) per direction;
-    the support is their cartesian product and cell ids are resolved by the
-    caller via the key pairs.
-    """
-    sv, tv = slot % 2, slot // 2
-    val_s, der_s = s_pair[sv]
-    val_t, der_t = t_pair[tv]
-    support = {}
-    for (tkey, th, t_low) in t_cells:
-        t_ord = _ordinates_toward(val_t, der_t, th, t_low)
-        for (skey, sw, s_low) in s_cells:
-            s_ord = _ordinates_toward(val_s, der_s, sw, s_low)
-            support[(skey, tkey)] = np.outer(t_ord, s_ord)
-    return support
+    factors (n, 2, 2, 2): each vertex's S and T; cells: per vertex, its
+    support cells as (cell id, width, anchor at the cell's low s end,
+    height, anchor at the low t end).  Slot k = sv + 2 tv takes the sv-th
+    s and the tv-th t function."""
+    rows = np.repeat(np.arange(len(anchors)), [len(cs) for cs in cells])
+    sw, s_low, th, t_low = np.array([c[1:] for cs in cells for c in cs],
+                                    dtype=float).reshape(-1, 4).T
+    s_ord = _ordinates_toward(factors[rows, 0], sw, s_low.astype(bool))
+    t_ord = _ordinates_toward(factors[rows, 1], th, t_low.astype(bool))
+    # (entry, tv, sv, 4, 4) -> (entry, slot, 4, 4)
+    patches = (t_ord[:, :, None, :, None] * s_ord[:, None, :, None, :]).reshape(-1, 4, 4, 4)
+    funcs = []
+    at = 0
+    for anchor, cs in zip(anchors, cells):
+        for slot in range(4):
+            funcs.append(BasisFunction(anchor, slot, level, {
+                c[0]: patches[at + e, slot].copy() for e, c in enumerate(cs)}))
+        at += len(cs)
+    return funcs
 
 
 def build_initial_space(mesh):
@@ -245,7 +285,6 @@ def build_initial_space(mesh):
         i = s_knots.index(c.s0)
         j = t_knots.index(c.t0)
         grid[(i, j)] = c.id
-    ns, nt = len(s_knots) - 1, len(t_knots) - 1
 
     def direction_data(knots, k):
         n = len(knots) - 1
@@ -259,18 +298,16 @@ def build_initial_space(mesh):
         w_hi = float(knots[k + 1] - knots[k])
         return _interior_pair(w_lo, w_hi), [(k - 1, w_lo, False), (k, w_hi, True)]
 
-    functions = []
-    for vid in sorted(mesh.vertices()):
+    anchors = sorted(mesh.vertices())
+    factors = np.empty((len(anchors), 2, 2, 2))
+    support_cells = []
+    for row, vid in enumerate(anchors):
         v = mesh.vertex(vid)
-        i = s_knots.index(v.s)
-        j = t_knots.index(v.t)
-        s_pair, s_cells = direction_data(s_knots, i)
-        t_pair, t_cells = direction_data(t_knots, j)
-        for slot in range(4):
-            keyed = _tensor_function(vid, slot, 0, s_pair, t_pair, s_cells, t_cells)
-            support = {grid[(si, tj)]: patch for (si, tj), patch in keyed.items()}
-            functions.append(BasisFunction(vid, slot, 0, support))
-    space = SplineSpace(mesh, functions)
+        factors[row, 0], s_cells = direction_data(s_knots, s_knots.index(v.s))
+        factors[row, 1], t_cells = direction_data(t_knots, t_knots.index(v.t))
+        support_cells.append([(grid[(si, tj)], sw, s_low, th, t_low)
+                              for (tj, th, t_low) in t_cells for (si, sw, s_low) in s_cells])
+    space = SplineSpace(mesh, _vertex_functions(anchors, factors, support_cells, 0), factors)
     if space.dim != mesh.dimension():
         raise AssertionError("initial basis count disagrees with the dimension formula")
     return space
@@ -282,9 +319,10 @@ def build_initial_space(mesh):
 def _new_vertex_neighborhood(mesh, vid):
     """Local tensor structure at a new basis vertex.
 
-    Returns (s_pair, s_cells, t_pair, t_cells) where the cell entries are
-    (cell id selector..., width, anchor_at_low) resolved against the
-    vertex's incident cells.
+    Returns (s_pair, t_pair, support_cells): the univariate (value, slope)
+    pairs of the vertex's s and t functions, and its incident cells as
+    (cell id, width, anchor at the low s end, height, anchor at the low t
+    end).
     """
     v = mesh.vertex(vid)
     cells = [mesh.cell(c) for c in mesh.vertex_cells(vid)]
@@ -318,25 +356,24 @@ def _new_vertex_neighborhood(mesh, vid):
         s_low = c.s0 == v.s      # anchor at the cell's low s end
         t_low = c.t0 == v.t
         support_cells.append((c.id, float(c.width), s_low, float(c.height), t_low))
-    extents = (s_lo[0] if s_lo else None, s_hi[0] if s_hi else None,
-               t_lo[0] if t_lo else None, t_hi[0] if t_hi else None)
-    return s_pair, t_pair, support_cells, extents
+    return s_pair, t_pair, support_cells
 
 
-def _build_vertex_functions(mesh, vid, birth_level):
-    s_pair, t_pair, support_cells, _ = _new_vertex_neighborhood(mesh, vid)
-    funcs = []
-    for slot in range(4):
-        sv, tv = slot % 2, slot // 2
-        val_s, der_s = s_pair[sv]
-        val_t, der_t = t_pair[tv]
-        support = {}
-        for (cid, sw, s_low, th, t_low) in support_cells:
-            s_ord = _ordinates_toward(val_s, der_s, sw, s_low)
-            t_ord = _ordinates_toward(val_t, der_t, th, t_low)
-            support[cid] = np.outer(t_ord, s_ord)
-        funcs.append(BasisFunction(vid, slot, birth_level, support))
-    return funcs
+def _born_functions(mesh, born, level):
+    """Functions and collocation factors of the new basis vertices `born`,
+    `_SPLIT_CHUNK` // 4 vertices at a time, and the corners of the cells
+    holding one of them: cell id -> bit mask, bit cs + 2 ct."""
+    funcs, factors, corners = [], [np.empty((0, 2, 2, 2))], {}
+    step = _SPLIT_CHUNK // 4
+    for lo in range(0, len(born), step):
+        hoods = [_new_vertex_neighborhood(mesh, vid) for vid in born[lo:lo + step]]
+        rows = np.array([h[:2] for h in hoods], dtype=float)
+        cells = [h[2] for h in hoods]
+        for cid, _, s_low, _, t_low in (c for cs in cells for c in cs):
+            corners[cid] = corners.get(cid, 0) | 1 << ((not s_low) + 2 * (not t_low))
+        funcs += _vertex_functions(born[lo:lo + step], rows, cells, level)
+        factors.append(rows)
+    return funcs, np.concatenate(factors), corners
 
 
 def advance_level(space, report):
@@ -345,7 +382,8 @@ def advance_level(space, report):
     Existing functions whose support meets a subdivided cell get that
     patch split and their ordinate blocks at the new basis vertices
     zeroed; untouched functions are reused as-is.  Four new functions
-    are created per new basis vertex.
+    are created per new basis vertex.  Patches on subdivided cells are
+    split per kind, `_SPLIT_CHUNK` (function, cell) pairs at a time.
     """
     if not report.performed:
         return space
@@ -356,46 +394,33 @@ def advance_level(space, report):
         raise ValueError("refinement promoted a T-vertex; space cannot be advanced")
     mesh = report.mesh_after
     split_info = report.performed
-    level = mesh.current_level
+    new_functions, factors, new_corners = _born_functions(
+        mesh, sorted(report.new_basis_vertices), mesh.current_level)
 
-    functions = []
-    touched = {}
-    for idx, f in enumerate(space.functions):
-        hit = [cid for cid in f.support if cid in split_info]
-        if not hit:
-            functions.append(f)
-            continue
-        support = dict(f.support)
-        for cid in hit:
-            kind, kids = split_info[cid]
-            pieces = bezier.split_patch(support.pop(cid), kind)
-            for kid, piece in zip(kids, pieces):
-                support[kid] = piece
-        g = BasisFunction(f.anchor, f.slot, f.birth_level, support)
-        touched[idx] = g
-        functions.append(g)
+    supports = {}           # touched function id -> its new support
+    for kind in SPLIT_KINDS:
+        pairs = [(fid, cid) for cid, (k, _) in split_info.items() if k == kind
+                 for fid in space.cell_to_funcs.get(cid, ())]
+        for lo in range(0, len(pairs), _SPLIT_CHUNK):
+            chunk = pairs[lo:lo + _SPLIT_CHUNK]
+            P = np.array([space.functions[fid].support[cid] for fid, cid in chunk])
+            bits = np.array([[new_corners.get(kid, 0) for kid in split_info[cid][1]]
+                             for _, cid in chunk])
+            kids = bezier.zero_corner_blocks(bezier.split_patches(P, kind),
+                                             (bits[..., None] >> np.arange(4)) & 1)
+            alive = kids.any(axis=(2, 3))
+            for (fid, cid), pieces, live in zip(chunk, kids, alive):
+                support = supports.get(fid)
+                if support is None:
+                    support = supports[fid] = {c: p for c, p in space.functions[fid].support.items()
+                                               if c not in split_info}
+                for kid, piece, keep in zip(split_info[cid][1], pieces, live):
+                    if keep:
+                        support[kid] = piece.copy()
 
-    cell_funcs = {}
-    for g in touched.values():
-        for cid in g.support:
-            cell_funcs.setdefault(cid, []).append(g)
-    for vid in report.new_basis_vertices:
-        v = mesh.vertex(vid)
-        for cid in mesh.vertex_cells(vid):
-            c = mesh.cell(cid)
-            corner = (0 if v.s == c.s0 else 1, 0 if v.t == c.t0 else 1)
-            for g in cell_funcs.get(cid, ()):
-                g.support[cid] = bezier.zero_corner_block(g.support[cid], corner)
-
-    for g in touched.values():
-        dead = [cid for cid, patch in g.support.items() if not patch.any()]
-        for cid in dead:
-            del g.support[cid]
-
-    for vid in sorted(report.new_basis_vertices):
-        functions.extend(_build_vertex_functions(mesh, vid, level))
-
-    out = SplineSpace(mesh, functions)
+    functions = [BasisFunction(f.anchor, f.slot, f.birth_level, supports[idx])
+                 if idx in supports else f for idx, f in enumerate(space.functions)]
+    out = SplineSpace(mesh, functions + new_functions, np.concatenate([space.factors, factors]))
     expected = space.dim + 4 * len(report.new_basis_vertices)
     if out.dim != expected:
         raise AssertionError(
@@ -474,23 +499,66 @@ class _Cells:
         return (s - self.s0[rows]) / self.width[rows], (t - self.t0[rows]) / self.height[rows]
 
 
+def _kron2(T, S):
+    """kron(T, S) of stacked 2x2 matrices (..., 2, 2) -> (..., 4, 4)."""
+    return (T[..., :, None, :, None] * S[..., None, :, None, :]).reshape(T.shape[:-2] + (4, 4))
+
+
+_ADJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _inverse_blocks(factors, vids):
+    """Inverse collocation blocks kron(T^-1, S^-1) (n, 4, 4) from factor
+    rows (n, 2, 2, 2) of the vertices `vids`; raises a RuntimeError naming
+    the first vertex whose block is singular."""
+    F = factors.reshape(-1, 2, 4)                       # (a, b, c, d) of S and T
+    det = F[..., 0] * F[..., 3] - F[..., 1] * F[..., 2]
+    singular = ~(np.isfinite(det) & (det != 0)).all(axis=1)
+    if singular.any():
+        raise RuntimeError(f"singular collocation block at vertex {vids[int(np.argmax(singular))]}")
+    inv = (F[..., [3, 1, 2, 0]] * _ADJUGATE_SIGNS / det[..., None]).reshape(-1, 2, 2, 2)
+    return _kron2(inv[:, 1], inv[:, 0])
+
+
+def _factors_from_patches(space):
+    """The collocation table of a space, read from its patches' corner
+    data: each vertex's block split into its Kronecker factors S and T."""
+    vids = list(space.vertex_index)
+    B = np.array([[space.basis_data_at_vertex(fid, vid) for fid in space.vertex_index[vid]]
+                  for vid in vids]).reshape(-1, 4, 4)
+    n = len(B)
+    # B[k, 2 tv + sv, 2 dt + ds] = T[tv, dt] S[sv, ds]: a rank-one R per vertex
+    R = B.reshape(n, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(n, 4, 4)
+    k = np.arange(n)
+    i, j = np.unravel_index(np.abs(R).reshape(n, 16).argmax(axis=1), (4, 4))
+    pivot = R[k, i, j]
+    S = np.divide(R[k, :, j], pivot[:, None], out=np.zeros((n, 4)), where=pivot[:, None] != 0)
+    factors = np.stack([S, R[k, i, :]], axis=1).reshape(n, 2, 2, 2)
+    # each data column (f, f_s, f_t, f_st) on its own scale
+    gap = np.abs(_kron2(factors[:, 1], factors[:, 0]) - B)
+    bad = ~(gap <= 1e-9 * np.abs(B).max(axis=1, keepdims=True)).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"collocation data at vertex {vids[int(np.argmax(bad))]} "
+                         f"is not a tensor product")
+    return factors
+
+
 def collocation_block(space, vid):
-    """Collocation data of the four functions anchored at a basis vertex."""
-    if not space.mesh.is_basis_vertex(vid):
-        raise ValueError(f"vertex {vid} is not a basis vertex")
-    fids = space.vertex_index.get(vid)
-    if fids is None:
+    """Collocation data of the four functions anchored at a basis vertex,
+    from the space's collocation table."""
+    row = space.vertex_row.get(vid)
+    if row is None:
+        if not space.mesh.is_basis_vertex(vid):
+            raise ValueError(f"vertex {vid} is not a basis vertex")
         raise ValueError(f"vertex {vid} carries no functions in this space")
-    B = np.stack([space.basis_data_at_vertex(fid, vid) for fid in fids])
-    v = space.mesh.vertex(vid)
-    cells = [space.mesh.cell(c) for c in space.mesh.vertex_cells(vid)]
-    ds0 = max((float(c.width) for c in cells if c.s1 == v.s), default=None)
-    ds1 = max((float(c.width) for c in cells if c.s0 == v.s), default=None)
-    dt0 = max((float(c.height) for c in cells if c.t1 == v.t), default=None)
-    dt1 = max((float(c.height) for c in cells if c.t0 == v.t), default=None)
-    block = CollocationBlock(vid, B, (ds0, ds1, dt0, dt1))
-    block.inverse  # surfaces singularity immediately, naming the vertex
-    return block
+    return CollocationBlock(vid, space.factors[row])
+
+
+def _solve_vertices(space, vids, data):
+    """Coefficients (n, 4, ...) of the functions `space.vertex_index[vid]`
+    that reproduce Hermite data (n, ..., 4) at the basis vertices vids."""
+    inv = _inverse_blocks(space.factors[[space.vertex_row[vid] for vid in vids]], vids)
+    return np.moveaxis(np.einsum("n...i,nij->n...j", data, inv), -1, 1)
 
 
 def field_from_vertex_data(space, data):
@@ -499,15 +567,10 @@ def field_from_vertex_data(space, data):
     `data` maps basis vertex id -> array (..., 4).  Every basis vertex of
     the mesh must be present.  Returns a SplineField.
     """
-    sample = next(iter(data.values()))
-    arity = None if np.ndim(sample) == 1 else np.shape(sample)[0]
-    shape = (space.dim,) if arity is None else (space.dim, arity)
-    coeffs = np.zeros(shape)
-    for vid, fids in space.vertex_index.items():
-        block = collocation_block(space, vid)
-        cs = block.solve(np.asarray(data[vid], dtype=float))
-        for k, fid in enumerate(fids):
-            coeffs[fid] = cs[..., k]
+    vids = list(space.vertex_index)
+    values = np.array([data[vid] for vid in vids], dtype=float)
+    coeffs = np.zeros((space.dim,) + values.shape[1:-1])
+    coeffs[[space.vertex_index[vid] for vid in vids]] = _solve_vertices(space, vids, values)
     return SplineField(space, coeffs)
 
 
@@ -616,14 +679,12 @@ def transfer_field(field, new_space):
     coeffs[:n_old] = field.coefficients
     fresh = [vid for vid, fids in new_space.vertex_index.items()
              if any(fid >= n_old for fid in fids)]
-    verts = [new_space.mesh.vertex(vid) for vid in fresh]
-    got = field.eval_many([float(v.s) for v in verts], [float(v.t) for v in verts],
-                          ((0, 0), (1, 0), (0, 1), (1, 1)))
-    for n, vid in enumerate(fresh):
-        data = got[:, n].T if field.arity else got[:, n]
-        cs = collocation_block(new_space, vid).solve(data)
-        for k, fid in enumerate(new_space.vertex_index[vid]):
-            coeffs[fid] = cs[..., k]
+    if fresh:
+        verts = [new_space.mesh.vertex(vid) for vid in fresh]
+        got = field.eval_many([float(v.s) for v in verts], [float(v.t) for v in verts],
+                              ((0, 0), (1, 0), (0, 1), (1, 1)))
+        coeffs[[new_space.vertex_index[vid] for vid in fresh]] = \
+            _solve_vertices(new_space, fresh, np.moveaxis(got, 0, -1))
     return SplineField(new_space, coeffs)
 
 

@@ -7,6 +7,38 @@ from anisoline import bezier
 from anisoline.space import _bernstein_tables, _eval_patches
 
 
+_SPLIT_LO = np.array([
+    [1, 0, 0, 0],
+    [1 / 2, 1 / 2, 0, 0],
+    [1 / 4, 1 / 2, 1 / 4, 0],
+    [1 / 8, 3 / 8, 3 / 8, 1 / 8],
+])
+_SPLIT_HI = _SPLIT_LO[::-1, ::-1].copy()
+_CORNERS = [(0, 0), (1, 0), (0, 1), (1, 1)]        # flag order cs + 2 * ct
+
+
+def _reference_split_patch(p, kind):
+    """The per-patch split the batched kernel replaced: children in mesh order."""
+    if kind == "H":
+        return (np.einsum("ki,ij...->kj...", _SPLIT_LO, p),
+                np.einsum("ki,ij...->kj...", _SPLIT_HI, p))
+    if kind == "V":
+        return (np.einsum("kj,ij...->ik...", _SPLIT_LO, p),
+                np.einsum("kj,ij...->ik...", _SPLIT_HI, p))
+    bottom, top = _reference_split_patch(p, "H")
+    return _reference_split_patch(bottom, "V") + _reference_split_patch(top, "V")
+
+
+def _reference_zero_corner_block(p, corner):
+    """The per-patch zeroing the batched kernel replaced."""
+    p = np.array(p, dtype=float, copy=True)
+    cs, ct = corner
+    for i in ((0, 1) if ct == 0 else (2, 3)):
+        for j in ((0, 1) if cs == 0 else (2, 3)):
+            p[i, j] = 0.0
+    return p
+
+
 def random_patch(rng, arity=None):
     shape = (4, 4) if arity is None else (4, 4, arity)
     return rng.uniform(-2, 2, size=shape)
@@ -85,17 +117,16 @@ def test_deriv_order_rejected():
 
 
 def test_split_constant():
-    p = np.full((4, 4), 3.5)
-    for kind in "HVC":
-        for child in bezier.split_patch(p, kind):
-            assert np.allclose(child, 3.5, atol=0)
+    P = np.full((3, 4, 4), 3.5)
+    for kind, k in (("H", 2), ("V", 2), ("C", 4)):
+        assert np.array_equal(bezier.split_patches(P, kind), np.full((3, k, 4, 4), 3.5))
 
 
 @pytest.mark.parametrize("kind", ["H", "V", "C"])
 def test_split_eval_agreement(kind):
     rng = np.random.default_rng(3)
     p = random_patch(rng)
-    kids = bezier.split_patch(p, kind)
+    kids = bezier.split_patches(p[None], kind)[0]
     pts = rng.uniform(0, 1, size=(100, 2))
     for (u, v) in pts:
         want = bezier.eval_patch(p, u, v)
@@ -114,11 +145,11 @@ def test_split_eval_agreement(kind):
 
 def test_cross_split_is_v_then_h():
     rng = np.random.default_rng(4)
-    p = random_patch(rng)
-    left, right = bezier.split_patch(p, "V")
-    lb, lt = bezier.split_patch(left, "H")
-    rb, rt = bezier.split_patch(right, "H")
-    bl, br, tl, tr = bezier.split_patch(p, "C")
+    P = np.stack([random_patch(rng) for _ in range(5)])
+    left, right = np.moveaxis(bezier.split_patches(P, "V"), 1, 0)
+    lb, lt = np.moveaxis(bezier.split_patches(left, "H"), 1, 0)
+    rb, rt = np.moveaxis(bezier.split_patches(right, "H"), 1, 0)
+    bl, br, tl, tr = np.moveaxis(bezier.split_patches(P, "C"), 1, 0)
     assert np.allclose(bl, lb, atol=1e-15)
     assert np.allclose(br, rb, atol=1e-15)
     assert np.allclose(tl, lt, atol=1e-15)
@@ -126,13 +157,30 @@ def test_cross_split_is_v_then_h():
 
 
 def test_split_vector_valued():
+    # a vector-valued patch splits component by component
     rng = np.random.default_rng(5)
     p = random_patch(rng, arity=3)
-    kids = bezier.split_patch(p, "C")
-    assert kids[0].shape == (4, 4, 3)
-    got = bezier.eval_patch(kids[3], 0.5, 0.5)
+    kids = bezier.split_patches(np.moveaxis(p, -1, 0), "C")
+    assert kids.shape == (3, 4, 4, 4)
+    got = bezier.eval_patch(np.moveaxis(kids[:, 3], 0, -1), 0.5, 0.5)
     want = bezier.eval_patch(p, 0.75, 0.75)
     assert np.allclose(got, want, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["H", "V", "C"])
+def test_split_patches_match_per_patch_reference(kind):
+    rng = np.random.default_rng(8)
+    P = rng.uniform(-2, 2, size=(50, 4, 4)) * 10.0 ** rng.integers(-3, 4, size=(50, 1, 1))
+    got = bezier.split_patches(P, kind)
+    assert got.shape == (50, 4 if kind == "C" else 2, 4, 4)
+    for p, kids in zip(P, got):
+        want = np.stack(_reference_split_patch(p, kind))
+        assert np.max(np.abs(kids - want)) <= 1e-15 * np.max(np.abs(p))
+
+
+def test_split_patches_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown split kind"):
+        bezier.split_patches(np.zeros((1, 4, 4)), "X")
 
 
 def test_corner_data_constant():
@@ -171,15 +219,31 @@ def test_corner_data_rejects_degenerate_cell():
 
 
 def test_zero_corner_block():
-    p = np.ones((4, 4))
-    q = bezier.zero_corner_block(p, (0, 0))
-    assert q[0, 0] == q[0, 1] == q[1, 0] == q[1, 1] == 0
-    assert q.sum() == 12
-    assert np.allclose(bezier.corner_data(q, (0, 0), 1, 1), 0, atol=0)
+    P = np.ones((2, 4, 4))
+    q = bezier.zero_corner_blocks(P, [[True, False, False, False], [False] * 4])
+    assert q[0, 0, 0] == q[0, 0, 1] == q[0, 1, 0] == q[0, 1, 1] == 0
+    assert q[0].sum() == 12
+    assert np.array_equal(q[1], P[1])
+    assert np.array_equal(P, np.ones((2, 4, 4)))       # a copy, the input is kept
+    assert np.allclose(bezier.corner_data(q[0], (0, 0), 1, 1), 0, atol=0)
     # idempotent, zero stays zero
-    assert np.array_equal(bezier.zero_corner_block(q, (0, 0)), q)
-    z = np.zeros((4, 4))
-    assert np.array_equal(bezier.zero_corner_block(z, (1, 1)), z)
+    assert np.array_equal(bezier.zero_corner_blocks(q, [[True, False, False, False]] * 2)[0], q[0])
+    z = np.zeros((1, 4, 4))
+    assert np.array_equal(bezier.zero_corner_blocks(z, [[False, False, False, True]]), z)
+
+
+def test_zero_corner_blocks_match_per_patch_reference():
+    # every subset of the four corners, on patches with children axes
+    rng = np.random.default_rng(9)
+    flags = np.array([[(m >> q) & 1 for q in range(4)] for m in range(16)], dtype=bool)
+    P = rng.uniform(-2, 2, size=(16, 3, 4, 4))
+    got = bezier.zero_corner_blocks(P, np.broadcast_to(flags[:, None], (16, 3, 4)))
+    for m in range(16):
+        for c in range(3):
+            want = P[m, c]
+            for q in np.flatnonzero(flags[m]):
+                want = _reference_zero_corner_block(want, _CORNERS[q])
+            assert np.array_equal(got[m, c], want)
 
 
 def test_eval_patch_many_matches_scalar():

@@ -1,18 +1,21 @@
 """Spline space construction, modification, evaluation, verification."""
 
+import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from anisoline import bezier
+from anisoline import space as space_module
 from anisoline.refine import RefinementRequest, refine
 from anisoline.space import (
-    DERIV_ORDERS, SplineField, SplineSpace, advance_level, build_initial_space,
-    _interior_edge_samples, collocation_block, field_from_vertex_data, transfer_field,
-    verify_space,
+    DERIV_ORDERS, BasisFunction, SplineField, SplineSpace, advance_level, build_initial_space,
+    _interior_edge_samples, _new_vertex_neighborhood, collocation_block,
+    field_from_vertex_data, transfer_field, verify_space,
 )
 from anisoline.tmesh import create_mesh_from_knots, create_tensor_mesh
+from test_bezier import _reference_split_patch, _reference_zero_corner_block
 
 
 def make_space(seed=0, start=(2, 2), depth=0, max_marks=6):
@@ -394,3 +397,205 @@ def test_vector_field_evaluation():
     assert out.shape == (6, 1, 3)
     lop = field.lop(0.3, 0.7)
     assert lop.shape == (3, 4)
+
+
+# ----------------------------------------------------------------------
+# oracles of the collocation table and of the batched level advance
+
+def _reference_collocation_block(space, vid):
+    """The patch-scanning block the collocation table replaced: corner
+    data of the vertex's four functions, read from their patches."""
+    if not space.mesh.is_basis_vertex(vid):
+        raise ValueError(f"vertex {vid} is not a basis vertex")
+    return np.stack([space.basis_data_at_vertex(fid, vid) for fid in space.vertex_index[vid]])
+
+
+def _reference_ordinates_toward(val, der, w, anchor_at_low):
+    if anchor_at_low:
+        return np.array([val, val + der * w / 3.0, 0.0, 0.0])
+    return np.array([0.0, 0.0, val - der * w / 3.0, val])
+
+
+def _reference_advance_level(space, report):
+    """The per-patch level advance the batched one replaced."""
+    mesh = report.mesh_after
+    split_info = report.performed
+    functions = []
+    touched = {}
+    for idx, f in enumerate(space.functions):
+        hit = [cid for cid in f.support if cid in split_info]
+        if not hit:
+            functions.append(f)
+            continue
+        support = dict(f.support)
+        for cid in hit:
+            kind, kids = split_info[cid]
+            for kid, piece in zip(kids, _reference_split_patch(support.pop(cid), kind)):
+                support[kid] = piece
+        g = BasisFunction(f.anchor, f.slot, f.birth_level, support)
+        touched[idx] = g
+        functions.append(g)
+    cell_funcs = {}
+    for g in touched.values():
+        for cid in g.support:
+            cell_funcs.setdefault(cid, []).append(g)
+    for vid in report.new_basis_vertices:
+        v = mesh.vertex(vid)
+        for cid in mesh.vertex_cells(vid):
+            c = mesh.cell(cid)
+            corner = (0 if v.s == c.s0 else 1, 0 if v.t == c.t0 else 1)
+            for g in cell_funcs.get(cid, ()):
+                g.support[cid] = _reference_zero_corner_block(g.support[cid], corner)
+    for g in touched.values():
+        for cid in [cid for cid, patch in g.support.items() if not patch.any()]:
+            del g.support[cid]
+    for vid in sorted(report.new_basis_vertices):
+        s_pair, t_pair, cells = _new_vertex_neighborhood(mesh, vid)
+        for slot in range(4):
+            (val_s, der_s), (val_t, der_t) = s_pair[slot % 2], t_pair[slot // 2]
+            functions.append(BasisFunction(vid, slot, mesh.current_level, {
+                cid: np.outer(_reference_ordinates_toward(val_t, der_t, th, t_low),
+                              _reference_ordinates_toward(val_s, der_s, sw, s_low))
+                for cid, sw, s_low, th, t_low in cells}))
+    return SplineSpace(mesh, functions)
+
+
+_STARTS = {
+    "2x2": lambda: create_tensor_mesh(2, 2),
+    "3x2": lambda: create_tensor_mesh(3, 2),
+    "4x4": lambda: create_tensor_mesh(4, 4),
+    "10x10": lambda: create_tensor_mesh(10, 10),
+    "non-uniform": lambda: create_mesh_from_knots([0, 0.1, 0.35, 0.5, 0.9, 1],
+                                                  [0, 0.3, 0.45, 1]),
+}
+
+
+def _random_rounds(start, seed, rounds=3, share=0.6):
+    """(space, report) of each of `rounds` random H/V/C rounds, each
+    marking `share` of the current level's cells."""
+    rng = random.Random(seed)
+    mesh = _STARTS[start]()
+    space = build_initial_space(mesh)
+    out = []
+    for level in range(rounds):
+        cells = mesh.cells_of_level(level)
+        labels = {c: rng.choice("HVC") for c in rng.sample(cells, max(1, int(share * len(cells))))}
+        mesh, report = refine(mesh, RefinementRequest(labels))
+        out.append((space, report))
+        space = advance_level(space, report)
+    return out, space
+
+
+def _assert_blocks_close(got, want):
+    """Blocks agree to 1e-12 relative, each data column (f, f_s, f_t,
+    f_st) on its own scale."""
+    scale = np.abs(want).max(axis=0)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale), (got, want)
+
+
+@pytest.mark.parametrize("start", list(_STARTS))
+def test_advance_level_matches_per_patch_reference(start):
+    crossed = False
+    for seed in range(3):
+        steps, _ = _random_rounds(start, seed)
+        for space, report in steps:
+            got = advance_level(space, report)
+            want = _reference_advance_level(space, report)
+            assert got.vertex_index == want.vertex_index
+            for i, (g, w) in enumerate(zip(got.functions, want.functions)):
+                assert (g.anchor, g.slot, g.birth_level) == (w.anchor, w.slot, w.birth_level)
+                assert set(g.support) == set(w.support), (i, g, w)
+                for cid, patch in w.support.items():
+                    assert np.max(np.abs(g.support[cid] - patch)) <= 1e-13
+                if i < space.dim:
+                    assert (g is space.functions[i]) == (w is space.functions[i])
+            for vid in got.vertex_index:
+                _assert_blocks_close(collocation_block(got, vid).matrix,
+                                     _reference_collocation_block(got, vid))
+            crossed |= max(sum(len(space.cell_to_funcs.get(cid, ()))
+                               for cid, (k, _) in report.performed.items() if k == kind)
+                           for kind in "HVC") > space_module._SPLIT_CHUNK
+    if start == "10x10":
+        assert crossed, "no round split more than one chunk of patches"
+
+
+@pytest.mark.parametrize("start", list(_STARTS))
+def test_stored_blocks_match_patch_scan(start):
+    for seed in range(3):
+        steps, space = _random_rounds(start, seed)
+        for s in [step[0] for step in steps] + [space]:
+            for vid in s.vertex_index:
+                block = collocation_block(s, vid)
+                want = _reference_collocation_block(s, vid)
+                _assert_blocks_close(block.matrix, want)
+                assert np.allclose(block.inverse @ want, np.eye(4), atol=1e-10)
+
+
+@pytest.mark.parametrize("start", list(_STARTS))
+def test_rebuilt_tables_match_the_source_space(start):
+    # a JSON load and a hand-built permuted space fill the table from patches
+    _, space = _random_rounds(start, seed=4)
+    back = SplineSpace.from_json(space.to_json())
+    order = np.random.default_rng(5).permutation(space.dim)
+    permuted = SplineSpace(space.mesh, [space.functions[i] for i in order])
+    for vid in space.vertex_index:
+        want = collocation_block(space, vid).matrix
+        _assert_blocks_close(collocation_block(back, vid).matrix, want)
+        _assert_blocks_close(collocation_block(permuted, vid).matrix, want)
+    data = {vid: np.random.default_rng(vid).standard_normal(4) for vid in space.vertex_index}
+    want = field_from_vertex_data(space, data).coefficients
+    assert np.allclose(field_from_vertex_data(permuted, data).coefficients, want[order],
+                       rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _hand_built(space, vid, edit):
+    """A copy of `space` whose functions at `vid` are replaced by edit(functions)."""
+    fids = space.vertex_index[vid]
+    new = edit([space.functions[f] for f in fids])
+    functions = list(space.functions)
+    for f, g in zip(fids, new):
+        functions[f] = g
+    return SplineSpace(space.mesh, functions)
+
+
+def test_singular_collocation_block_names_the_vertex():
+    space = build_initial_space(create_tensor_mesh(2, 2))
+    center = space.mesh.vertex_at(0.5, 0.5)
+    # slots 1 and 3 repeat slots 0 and 2: the block is kron(T, S) with a singular S
+    broken = _hand_built(space, center, lambda fs: [
+        fs[0], BasisFunction(center, 1, 0, fs[0].support),
+        fs[2], BasisFunction(center, 3, 0, fs[2].support)])
+    match = f"singular collocation block at vertex {center}"
+    with pytest.raises(RuntimeError, match=match):
+        collocation_block(broken, center)
+    with pytest.raises(RuntimeError, match=match):
+        field_from_vertex_data(broken, {vid: np.ones(4) for vid in broken.vertex_index})
+
+
+def test_non_tensor_collocation_data_is_refused():
+    space = build_initial_space(create_tensor_mesh(2, 2))
+    center = space.mesh.vertex_at(0.5, 0.5)
+    broken = _hand_built(space, center, lambda fs: fs[:3] + [BasisFunction(
+        center, 3, 0, {c: 2 * p for c, p in fs[3].support.items()})])
+    with pytest.raises(ValueError, match=f"vertex {center} is not a tensor product"):
+        collocation_block(broken, center)
+
+
+def _peak_bytes(fn, *args):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_advance_level_memory_stays_near_reference():
+    # Splitting a whole round in one batch would hold every child patch
+    # twice; chunks keep the peak at the per-patch advance's.
+    steps, _ = _random_rounds("10x10", seed=0)
+    for space, report in steps:
+        want = _peak_bytes(_reference_advance_level, space, report)
+        got = _peak_bytes(advance_level, space, report)
+        assert got <= 1.10 * want, (got, want)
