@@ -176,7 +176,7 @@ def estimate_vertex_controls(space, vid, pset, max_rings=3, cell_index=None,
     """
     mesh = space.mesh
     v = mesh.vertex(vid)
-    vs, vt = float(v.s), float(v.t)
+    vs, vt = v.position_float()
     cells = set(mesh.vertex_cells(vid))
     arity = pset.points.shape[1]
     if cell_index is None:

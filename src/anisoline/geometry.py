@@ -108,8 +108,9 @@ def linear_geometry(space, rect=(0.0, 1.0, 0.0, 1.0)):
     data = {}
     for vid in space.mesh.basis_vertices():
         v = space.mesh.vertex(vid)
-        x = x0 + gx * (float(v.s) - s0)
-        y = y0 + gy * (float(v.t) - t0)
+        s, t = v.position_float()
+        x = x0 + gx * (s - s0)
+        y = y0 + gy * (t - t0)
         data[vid] = np.array([[x, gx, 0.0, 0.0],
                               [y, 0.0, gy, 0.0]])
     return Geometry(field_from_vertex_data(space, data))
@@ -161,6 +162,6 @@ def lshape_geometry(n=4):
     data = {}
     for vid in mesh.basis_vertices():
         v = mesh.vertex(vid)
-        data[vid] = _lshape_vertex_data(float(v.s), float(v.t))
+        data[vid] = _lshape_vertex_data(*v.position_float())
     field = field_from_vertex_data(space, data)
     return Geometry(field, degenerate_params=[(0.5, 0.0), (0.5, 1.0)])

@@ -101,8 +101,7 @@ class RefinementReport:
             "performed": {str(k): {"kind": kind, "children": list(kids)}
                           for k, (kind, kids) in sorted(self.performed.items())},
             "new_basis_vertices": [
-                {"id": vid,
-                 "position": [float(after.vertex(vid).s), float(after.vertex(vid).t)]}
+                {"id": vid, "position": list(after.vertex(vid).position_float())}
                 for vid in self.new_basis_vertices],
             "cell_new_basis": {str(k): list(v) for k, v in sorted(self.cell_new_basis.items())},
             "t_to_crossing_count": self.transition_count,
@@ -163,28 +162,28 @@ def flood_fill_groups(mesh, marked):
         assigned |= members
         edges = {}
         mem = sorted(members)
-        for i, a in enumerate(mem):
-            for b in mem[i + 1:]:
-                k = aligned[a].get(b)
-                if k is not None:
-                    edges[(a, b)] = k
+        for a in mem:
+            for b in sorted(aligned[a]):
+                if b > a and b in members:
+                    edges[(a, b)] = aligned[a][b]
         groups.append(ConnectedGroup(tuple(mem), edges))
     return groups
 
 
 def _split_candidates(cell, kind):
-    """(side, position) midpoints the split cuts into, plus center for 'C'."""
-    s0, s1, t0, t1 = cell.bounds
-    sm = (s0 + s1) / 2
-    tm = (t0 + t1) / 2
+    """(side, lattice position) midpoints the split cuts into, plus center
+    for 'C'."""
+    i0, i1, j0, j1 = cell.lattice_bounds
+    im = (i0 + i1) >> 1
+    jm = (j0 + j1) >> 1
     if kind == "H":
-        sides = [("left", (s0, tm)), ("right", (s1, tm))]
+        sides = [("left", (i0, jm)), ("right", (i1, jm))]
     elif kind == "V":
-        sides = [("bottom", (sm, t0)), ("top", (sm, t1))]
+        sides = [("bottom", (im, j0)), ("top", (im, j1))]
     else:
-        sides = [("left", (s0, tm)), ("right", (s1, tm)),
-                 ("bottom", (sm, t0)), ("top", (sm, t1))]
-    center = (sm, tm) if kind == "C" else None
+        sides = [("left", (i0, jm)), ("right", (i1, jm)),
+                 ("bottom", (im, j0)), ("top", (im, j1))]
+    center = (im, jm) if kind == "C" else None
     return sides, center
 
 
@@ -199,7 +198,7 @@ def simulate_new_basis_vertices(mesh, splits):
     basis vertex when it lies on the domain boundary, at a cross center,
     or at an edge midpoint cut from both sides.  Existing vertices are
     never counted (promoting one is exactly what the strategy forbids).
-    Returns dict cell id -> set of positions.
+    Returns dict cell id -> set of lattice positions (i, j).
     """
     out = {}
     for cid, kind in splits.items():
@@ -209,9 +208,9 @@ def simulate_new_basis_vertices(mesh, splits):
         if center is not None:
             found.add(center)
         for side, pos in sides:
-            if mesh.vertex_at(*pos) is not None:
+            if pos in mesh._vpos:
                 continue
-            if mesh.is_boundary_position(*pos):
+            if mesh._on_domain_boundary(*pos):
                 found.add(pos)
                 continue
             nb = mesh.aligned_neighbor(cid, side)
@@ -294,10 +293,10 @@ def _build_report(before, after, groups, proposed, final, performed):
                 continue
             seen.add(vid)
             if before.classify_vertex(vid) is VertexKind.T_JUNCTION:
-                pos = before.vertex(vid).position
-                aid = after._vpos.get(pos)
+                v = before.vertex(vid)
+                aid = after._vpos.get((v.i, v.j))
                 if aid is not None and after.classify_vertex(aid) is VertexKind.CROSSING:
-                    promotions.append((aid, (float(pos[0]), float(pos[1]))))
+                    promotions.append((aid, v.position_float()))
     return RefinementReport(
         level=before.current_level,
         groups=groups,
@@ -392,22 +391,25 @@ def check_refinement_invariants(before, after, report):
     subdivided cell gained no new basis vertex on its closure, when a
     group's image is not a single connected group, when a T-vertex sits
     on a group-interior edge, or when two distinct groups ended up
-    sharing an edge.  Returns (ok, diagnostics).
+    sharing an edge.  Both meshes must share their level-0 knots, so that
+    positions compare on the lattice.  Returns (ok, diagnostics).
     """
+    if [a.knots for a in before.axes] != [a.knots for a in after.axes]:
+        raise ValueError("meshes on different level-0 knots")
     diags = []
     for pos, vid in before._vpos.items():
         if before.classify_vertex(vid) is VertexKind.T_JUNCTION:
             aid = after._vpos.get(pos)
             if aid is not None and after.classify_vertex(aid) is VertexKind.CROSSING:
-                diags.append(
-                    f"T-vertex at ({float(pos[0])}, {float(pos[1])}) became a crossing vertex")
+                s, t = before.vertex(vid).position_float()
+                diags.append(f"T-vertex at ({s}, {t}) became a crossing vertex")
     old_pos = set(before._vpos)
-    new_basis_pos = {after.vertex(vid).position
-                     for (pos, vid) in after._vpos.items()
+    new_basis_pos = {pos for (pos, vid) in after._vpos.items()
                      if pos not in old_pos and after.is_basis_vertex(vid)}
     for cid, (kind, kids) in report.performed.items():
         cell = before.cell(cid)
-        if not any(cell.contains_point(s, t) for (s, t) in new_basis_pos):
+        if not any(cell.i0 <= i <= cell.i1 and cell.j0 <= j <= cell.j1
+                   for (i, j) in new_basis_pos):
             diags.append(f"subdivided cell {cid} gained no new basis vertex")
 
     group_child_rects = []
@@ -418,7 +420,7 @@ def check_refinement_invariants(before, after, report):
                 kids.extend(report.performed[cid][1])
         if not kids:
             continue
-        rects = [after.cell(k).bounds for k in kids]
+        rects = [after.cell(k).lattice_bounds for k in kids]
         group_child_rects.append((g, kids, rects))
         if len(kids) > 1:
             images = flood_fill_groups(after, kids)
@@ -427,12 +429,12 @@ def check_refinement_invariants(before, after, report):
         # no T-vertex on interior edges of the image
         for vid in after.vertices():
             v = after.vertex(vid)
-            if not _point_interior_to_region(rects, v.s, v.t):
+            if not _point_interior_to_region(rects, v.i, v.j):
                 continue
-            on_edge = any(TMesh._on_cell_boundary(after.cell(k), v.s, v.t) for k in kids)
+            on_edge = any(TMesh._on_cell_boundary(after.cell(k), v.i, v.j) for k in kids)
             if on_edge and after.classify_vertex(vid) is VertexKind.T_JUNCTION:
-                diags.append(
-                    f"T-vertex at ({float(v.s)}, {float(v.t)}) on interior edge of group {g.members}")
+                s, t = v.position_float()
+                diags.append(f"T-vertex at ({s}, {t}) on interior edge of group {g.members}")
     for i in range(len(group_child_rects)):
         for j in range(i + 1, len(group_child_rects)):
             ra = group_child_rects[i][2]

@@ -83,6 +83,8 @@ _EDGE_GEOM = {
 # value (0) and the slope along the edge (d_s = 1 on t-edges, d_t = 2 on
 # s-edges) of the edge's end vertices
 _EDGE_SLOTS = {"s0": (0, 2), "s1": (0, 2), "t0": (0, 1), "t1": (0, 1)}
+# the end vertices of each cell edge, as indexes into `TMesh.corner_vertices`
+_EDGE_CORNERS = {"s0": (0, 2), "s1": (1, 3), "t0": (0, 1), "t1": (2, 3)}
 
 
 @dataclass
@@ -254,16 +256,16 @@ def _cell_blocks(space, geometry, q, neumann=()):
 
 def _boundary_edges_of_cell(mesh, cid):
     c = mesh.cell(cid)
-    s0, s1, t0, t1 = mesh.domain
+    s0, s1, t0, t1 = c.bounds_float()
     out = []
-    if c.s0 == s0:
-        out.append(("s0", float(c.t0), float(c.t1)))
-    if c.s1 == s1:
-        out.append(("s1", float(c.t0), float(c.t1)))
-    if c.t0 == t0:
-        out.append(("t0", float(c.s0), float(c.s1)))
-    if c.t1 == t1:
-        out.append(("t1", float(c.s0), float(c.s1)))
+    if c.i0 == 0:
+        out.append(("s0", t0, t1))
+    if c.i1 == mesh.axes[0].end:
+        out.append(("s1", t0, t1))
+    if c.j0 == 0:
+        out.append(("t0", s0, s1))
+    if c.j1 == mesh.axes[1].end:
+        out.append(("t1", s0, s1))
     return out
 
 
@@ -380,20 +382,19 @@ def _constrained_functions(space, problem, samples_per_edge=8):
     pinned = set()
     pts = []
     for cid in mesh.active_cells():
-        c = mesh.cell(cid)
+        bounds = dict(zip(("s0", "s1", "t0", "t1"), mesh.cell(cid).bounds_float()))
         for (edge, lo, hi) in _boundary_edges_of_cell(mesh, cid):
             spans = _segment_overlap(edge, lo, hi, problem.dirichlet)
             if not spans:
                 continue
-            # the end vertices of the edge are the cell corners on its bound
-            axis, bound = "st".index(edge[0]), getattr(c, edge)
-            for pos in [(x, y) for x in (c.s0, c.s1) for y in (c.t0, c.t1)
-                        if (x, y)[axis] == bound]:
-                pinned.update(fid for fid in space.vertex_index[mesh.vertex_at(*pos)]
+            corners = mesh.corner_vertices(cid)
+            for k in _EDGE_CORNERS[edge]:
+                pinned.update(fid for fid in space.vertex_index[corners[k]]
                               if space.functions[fid].slot in _EDGE_SLOTS[edge])
+            axis, bound = "st".index(edge[0]), bounds[edge]
             for (a, b) in spans:
                 par = a + (b - a) * ticks
-                fixed = np.full_like(par, float(bound))
+                fixed = np.full_like(par, bound)
                 pts.append((cid, fixed, par) if axis == 0 else (cid, par, fixed))
     return sorted(pinned), pts
 
@@ -415,8 +416,10 @@ def impose_boundary_conditions(system, space, geometry, problem):
         targets = []
         for (cid, s, t) in pts:
             c = space.mesh.cell(cid)
-            u = (s - float(c.s0)) / float(c.width)
-            v = (t - float(c.t0)) / float(c.height)
+            s0, _, t0, _ = c.bounds_float()
+            width, height = c.size_float()
+            u = (s - s0) / width
+            v = (t - t0) / height
             fids, bas = space.basis_on_cell(cid, u, v, ((0, 0),))
             xy = geometry.field.eval_on_cell(cid, s, t)[0]
             row = np.zeros((len(s), len(pinned)))

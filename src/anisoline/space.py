@@ -171,10 +171,9 @@ class SplineSpace:
         v = self.mesh.vertex(vid)
         for cid in sorted(f.support):
             c = self.mesh.cell(cid)
-            if (v.s, v.t) in ((c.s0, c.t0), (c.s1, c.t0), (c.s0, c.t1), (c.s1, c.t1)):
-                corner = (0 if v.s == c.s0 else 1, 0 if v.t == c.t0 else 1)
-                return bezier.corner_data(f.support[cid], corner,
-                                          float(c.width), float(c.height))
+            if v.i in (c.i0, c.i1) and v.j in (c.j0, c.j1):
+                corner = (0 if v.i == c.i0 else 1, 0 if v.j == c.j0 else 1)
+                return bezier.corner_data(f.support[cid], corner, *c.size_float())
         return np.zeros(4)
 
     def basis_on_cell(self, cid, u, v, derivs=DERIV_ORDERS[:1]):
@@ -278,33 +277,33 @@ def build_initial_space(mesh):
     cells = [mesh.cell(c) for c in mesh.active_cells()]
     if any(c.level != 0 for c in cells) or mesh.generation_log:
         raise ValueError("initial space requires a pure tensor-product mesh")
-    s_knots = sorted({c.s0 for c in cells} | {c.s1 for c in cells})
-    t_knots = sorted({c.t0 for c in cells} | {c.t1 for c in cells})
-    grid = {}
-    for c in cells:
-        i = s_knots.index(c.s0)
-        j = t_knots.index(c.t0)
-        grid[(i, j)] = c.id
+    # knot lines as lattice coordinates, and the index of each
+    s_knots = sorted({c.i0 for c in cells} | {c.i1 for c in cells})
+    t_knots = sorted({c.j0 for c in cells} | {c.j1 for c in cells})
+    s_index = {x: k for k, x in enumerate(s_knots)}
+    t_index = {x: k for k, x in enumerate(t_knots)}
+    grid = {(s_index[c.i0], t_index[c.j0]): c.id for c in cells}
 
-    def direction_data(knots, k):
+    def direction_data(axis, knots, k):
         n = len(knots) - 1
         if k == 0:
-            w = float(knots[1] - knots[0])
+            w = axis.length(knots[0], knots[1])
             return _clamped_pair(w, True), [(0, w, True)]
         if k == n:
-            w = float(knots[n] - knots[n - 1])
+            w = axis.length(knots[n - 1], knots[n])
             return _clamped_pair(w, False), [(n - 1, w, False)]
-        w_lo = float(knots[k] - knots[k - 1])
-        w_hi = float(knots[k + 1] - knots[k])
+        w_lo = axis.length(knots[k - 1], knots[k])
+        w_hi = axis.length(knots[k], knots[k + 1])
         return _interior_pair(w_lo, w_hi), [(k - 1, w_lo, False), (k, w_hi, True)]
 
+    s_axis, t_axis = mesh.axes
     anchors = sorted(mesh.vertices())
     factors = np.empty((len(anchors), 2, 2, 2))
     support_cells = []
     for row, vid in enumerate(anchors):
         v = mesh.vertex(vid)
-        factors[row, 0], s_cells = direction_data(s_knots, s_knots.index(v.s))
-        factors[row, 1], t_cells = direction_data(t_knots, t_knots.index(v.t))
+        factors[row, 0], s_cells = direction_data(s_axis, s_knots, s_index[v.i])
+        factors[row, 1], t_cells = direction_data(t_axis, t_knots, t_index[v.j])
         support_cells.append([(grid[(si, tj)], sw, s_low, th, t_low)
                               for (tj, th, t_low) in t_cells for (si, sw, s_low) in s_cells])
     space = SplineSpace(mesh, _vertex_functions(anchors, factors, support_cells, 0), factors)
@@ -325,14 +324,16 @@ def _new_vertex_neighborhood(mesh, vid):
     end).
     """
     v = mesh.vertex(vid)
+    i, j = v.i, v.j
     cells = [mesh.cell(c) for c in mesh.vertex_cells(vid)]
+    sizes = [c.size_float() for c in cells]
     for c in cells:
-        if (v.s, v.t) not in ((c.s0, c.t0), (c.s1, c.t0), (c.s0, c.t1), (c.s1, c.t1)):
+        if i not in (c.i0, c.i1) or j not in (c.j0, c.j1):
             raise AssertionError(f"vertex {vid} is not a corner of incident cell {c.id}")
-    s_lo = sorted({float(c.width) for c in cells if c.s1 == v.s})
-    s_hi = sorted({float(c.width) for c in cells if c.s0 == v.s})
-    t_lo = sorted({float(c.height) for c in cells if c.t1 == v.t})
-    t_hi = sorted({float(c.height) for c in cells if c.t0 == v.t})
+    s_lo = sorted({w for c, (w, _) in zip(cells, sizes) if c.i1 == i})
+    s_hi = sorted({w for c, (w, _) in zip(cells, sizes) if c.i0 == i})
+    t_lo = sorted({h for c, (_, h) in zip(cells, sizes) if c.j1 == j})
+    t_hi = sorted({h for c, (_, h) in zip(cells, sizes) if c.j0 == j})
     for widths, name in ((s_lo, "left"), (s_hi, "right"), (t_lo, "below"), (t_hi, "above")):
         if len(widths) > 1:
             raise AssertionError(
@@ -351,11 +352,8 @@ def _new_vertex_neighborhood(mesh, vid):
     else:
         t_pair = _clamped_pair(t_lo[0], False)
 
-    support_cells = []
-    for c in cells:
-        s_low = c.s0 == v.s      # anchor at the cell's low s end
-        t_low = c.t0 == v.t
-        support_cells.append((c.id, float(c.width), s_low, float(c.height), t_low))
+    # anchor at the cell's low s end, low t end
+    support_cells = [(c.id, w, c.i0 == i, h, c.j0 == j) for c, (w, h) in zip(cells, sizes)]
     return s_pair, t_pair, support_cells
 
 
@@ -425,11 +423,11 @@ def advance_level(space, report):
     if out.dim != expected:
         raise AssertionError(
             f"basis count {out.dim} disagrees with expected {expected}")
-    # the full Eq.-(1) recount walks every vertex; keep it for meshes where
-    # it is cheap, the randomized suites re-check it on everything
-    if len(mesh._verts) <= 4000 and out.dim != mesh.dimension():
-        raise AssertionError(
-            f"basis count {out.dim} disagrees with dimension formula {mesh.dimension()}")
+    # the full Eq.-(1) recount classifies every vertex on the lattice, at
+    # every level of every mesh
+    dim = mesh.dimension()
+    if out.dim != dim:
+        raise AssertionError(f"basis count {out.dim} disagrees with dimension formula {dim}")
     return out
 
 
@@ -599,8 +597,10 @@ class SplineField:
     def eval_on_cell(self, cid, s, t, derivs=DERIV_ORDERS[:1]):
         """Evaluate using one specific cell's polynomial (s, t on its closure)."""
         c = self.space.mesh.cell(cid)
-        u = (np.asarray(s, dtype=float) - float(c.s0)) / float(c.width)
-        v = (np.asarray(t, dtype=float) - float(c.t0)) / float(c.height)
+        s0, _, t0, _ = c.bounds_float()
+        width, height = c.size_float()
+        u = (np.asarray(s, dtype=float) - s0) / width
+        v = (np.asarray(t, dtype=float) - t0) / height
         return self.eval_grid([cid], u, v, derivs)[:, 0]
 
     def eval_grid(self, cids, u, v, derivs=DERIV_ORDERS[:1]):
@@ -680,9 +680,8 @@ def transfer_field(field, new_space):
     fresh = [vid for vid, fids in new_space.vertex_index.items()
              if any(fid >= n_old for fid in fids)]
     if fresh:
-        verts = [new_space.mesh.vertex(vid) for vid in fresh]
-        got = field.eval_many([float(v.s) for v in verts], [float(v.t) for v in verts],
-                              ((0, 0), (1, 0), (0, 1), (1, 1)))
+        s, t = zip(*(new_space.mesh.vertex(vid).position_float() for vid in fresh))
+        got = field.eval_many(s, t, ((0, 0), (1, 0), (0, 1), (1, 1)))
         coeffs[[new_space.vertex_index[vid] for vid in fresh]] = \
             _solve_vertices(new_space, fresh, np.moveaxis(got, 0, -1))
     return SplineField(new_space, coeffs)
@@ -696,20 +695,21 @@ def _interior_edge_samples(mesh, n_per_edge=3):
     each piece once (a < b), from the cells' edge neighbors."""
     out = []
     ticks = np.linspace(0.15, 0.85, n_per_edge)
+    s_axis, t_axis = mesh.axes
     for a in mesh.active_cells():
         ca = mesh.cell(a)
         for b in sorted(mesh.edge_neighbors(a)):
             if b < a:
                 continue
             cb = mesh.cell(b)
-            if ca.s1 == cb.s0 or cb.s1 == ca.s0:
-                lo, hi = max(ca.t0, cb.t0), min(ca.t1, cb.t1)
-                t = float(lo) + (float(hi) - float(lo)) * ticks
-                out.append((a, b, np.full_like(t, float(ca.s1 if ca.s1 == cb.s0 else cb.s1)), t))
+            if ca.i1 == cb.i0 or cb.i1 == ca.i0:
+                lo, hi = t_axis.float(max(ca.j0, cb.j0)), t_axis.float(min(ca.j1, cb.j1))
+                t = lo + (hi - lo) * ticks
+                out.append((a, b, np.full_like(t, s_axis.float(max(ca.i0, cb.i0))), t))
             else:
-                lo, hi = max(ca.s0, cb.s0), min(ca.s1, cb.s1)
-                s = float(lo) + (float(hi) - float(lo)) * ticks
-                out.append((a, b, s, np.full_like(s, float(ca.t1 if ca.t1 == cb.t0 else cb.t1))))
+                lo, hi = s_axis.float(max(ca.i0, cb.i0)), s_axis.float(min(ca.i1, cb.i1))
+                s = lo + (hi - lo) * ticks
+                out.append((a, b, s, np.full_like(s, t_axis.float(max(ca.j0, cb.j0)))))
     return out
 
 
@@ -755,9 +755,8 @@ def verify_space(space, n_samples=2000, seed=0):
     data = {vid: rng.standard_normal(4) for vid in space.vertex_index}
     rt = field_from_vertex_data(space, data)
     vids = list(space.vertex_index)
-    got = rt.eval_located([mesh.vertex_cells(vid)[0] for vid in vids],
-                          [float(mesh.vertex(vid).s) for vid in vids],
-                          [float(mesh.vertex(vid).t) for vid in vids],
+    s, t = zip(*(mesh.vertex(vid).position_float() for vid in vids))
+    got = rt.eval_located([mesh.vertex_cells(vid)[0] for vid in vids], s, t,
                           ((0, 0), (1, 0), (0, 1), (1, 1)))
     rt_err = float(np.max(np.abs(got.T - np.array([data[vid] for vid in vids]))))
 

@@ -9,9 +9,23 @@ insertion ('C'), producing children one level deeper.  Only cells whose
 level equals the mesh's current level may be subdivided; a cell skipped at
 its own level is frozen forever.
 
-All vertex coordinates are stored as :class:`fractions.Fraction`.  Every
-split happens at an interval midpoint, so coordinates stay exact dyadic
-rationals and aligned-adjacency tests never suffer float round-off.
+Every split halves an interval, so each coordinate is a dyadic point of a
+level-0 knot span.  Cells and vertices store it as an integer *lattice
+coordinate* per axis: X = k * 2**LATTICE_DEPTH + j is the point j / 2**D of
+the way through span k (the last knot is n * 2**D), and a split cuts at
+(X0 + X1) >> 1.  The map from lattice coordinates to values is strictly
+increasing, so equality, ordering and hashing of coordinates (adjacency,
+vertex kinds, the position index) run on plain ints.  A split
+that would halve a cell one lattice unit wide raises
+:class:`LatticeDepthError`; the D-th halving of a span is still exact.
+
+The level-0 knots stay exact :class:`fractions.Fraction` values, in one
+axis table per direction (:class:`Axis`) shared by a mesh and its copies.
+The table derives the exact value and the float of a lattice coordinate
+once, on first request, and caches both; `Cell.s0 .. t1`, `Vertex.s`,
+`Vertex.t` and the JSON format read exact values through it.  A cell's
+width is a power-of-two fraction of its span's, so its float is the
+span's float width times that power of two, with no rounding.
 
 Point location (:meth:`TMesh.locate_many`) takes float parameters and
 compares them against float thresholds only: every level-0 knot and every
@@ -28,17 +42,27 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "VertexKind", "AdjacencyKind", "Vertex", "Cell", "TMesh",
+    "VertexKind", "AdjacencyKind", "Vertex", "Cell", "TMesh", "Axis",
+    "LatticeDepthError", "LATTICE_DEPTH",
     "create_tensor_mesh", "create_mesh_from_knots", "group_by_cell",
 ]
 
 SPLIT_KINDS = ("H", "V", "C")
+
+# halvings of a level-0 span the lattice resolves
+LATTICE_DEPTH = 32
+_SPAN = 1 << LATTICE_DEPTH
+
+
+class LatticeDepthError(ValueError):
+    """A split would halve a cell one lattice unit wide."""
 
 
 class VertexKind(Enum):
@@ -54,25 +78,6 @@ class AdjacencyKind(Enum):
     VERTICALLY_ALIGNED = "VerticallyAligned"
 
 
-def _frac(x):
-    """Exact conversion; floats are binary rationals so this never rounds."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
-def _float_at_least(x):
-    """Smallest float >= the exact rational x."""
-    f = float(x)
-    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
-
-
-def _float_at_most(x):
-    """Largest float <= the exact rational x."""
-    f = float(x)
-    return f if Fraction(f) <= x else math.nextafter(f, -math.inf)
-
-
 def group_by_cell(cell_ids):
     """Map each cell id to the ascending positions holding it in `cell_ids`."""
     cell_ids = np.asarray(cell_ids)
@@ -81,51 +86,161 @@ def group_by_cell(cell_ids):
     return {int(cid): idx for cid, idx in zip(ids, np.split(order, starts[1:]))}
 
 
+class Axis:
+    """The exact level-0 knots of one direction and the values of lattice
+    coordinates on them.
+
+    `end` is the lattice coordinate of the last knot.  Exact values, floats
+    and location thresholds are derived once per coordinate and cached.
+    """
+
+    def __init__(self, knots):
+        self.knots = knots
+        self.end = (len(knots) - 1) * _SPAN
+        self._span_float = [float(b - a) for a, b in zip(knots, knots[1:])]
+        self._exact = {}
+        self._float = {}
+        self._at_least = {}
+
+    def exact(self, x):
+        """Exact Fraction value of lattice coordinate x."""
+        v = self._exact.get(x)
+        if v is None:
+            k, j = divmod(x, _SPAN)
+            v = self.knots[k]
+            if j:
+                v += (self.knots[k + 1] - v) * Fraction(j, _SPAN)
+            self._exact[x] = v
+        return v
+
+    def float(self, x):
+        """float() of the exact value of x."""
+        f = self._float.get(x)
+        if f is None:
+            f = self._float[x] = float(self.exact(x))
+        return f
+
+    def length(self, x0, x1):
+        """float() of the exact length from x0 to x1, for x0 < x1 in one
+        span with x1 - x0 a power of two (the extent of a cell)."""
+        return self._span_float[x0 >> LATTICE_DEPTH] * ((x1 - x0) / _SPAN)
+
+    def float_at_least(self, x):
+        """Smallest float >= the exact value of x."""
+        f = self._at_least.get(x)
+        if f is None:
+            f = self.float(x)
+            if f < self.exact(x):
+                f = math.nextafter(f, math.inf)
+            self._at_least[x] = f
+        return f
+
+    def float_at_most(self, x):
+        """Largest float <= the exact value of x."""
+        f = self.float(x)
+        return f if f <= self.exact(x) else math.nextafter(f, -math.inf)
+
+    def coordinate(self, value):
+        """Lattice coordinate of an exact value, or None off the lattice."""
+        value = Fraction(value)
+        k = bisect_right(self.knots, value) - 1
+        if k < 0 or value > self.knots[-1]:
+            return None
+        if k == len(self.knots) - 1:
+            return self.end
+        r = (value - self.knots[k]) / (self.knots[k + 1] - self.knots[k]) * _SPAN
+        return k * _SPAN + r.numerator if r.denominator == 1 else None
+
+
 class Vertex:
-    """A grid point.  `level` is the level at which it first appeared."""
+    """A grid point at lattice coordinates (i, j).  `level` is the level at
+    which it first appeared; `axes` are the mesh's axis tables."""
 
-    __slots__ = ("id", "s", "t", "level")
+    __slots__ = ("id", "i", "j", "level", "axes")
 
-    def __init__(self, vid, s, t, level):
+    def __init__(self, vid, i, j, level, axes):
         self.id = vid
-        self.s = s
-        self.t = t
+        self.i = i
+        self.j = j
         self.level = level
+        self.axes = axes
+
+    @property
+    def s(self):
+        return self.axes[0].exact(self.i)
+
+    @property
+    def t(self):
+        return self.axes[1].exact(self.j)
 
     @property
     def position(self):
         return (self.s, self.t)
+
+    def position_float(self):
+        return (self.axes[0].float(self.i), self.axes[1].float(self.j))
 
     def __repr__(self):
         return f"Vertex({self.id}, s={self.s}, t={self.t}, level={self.level})"
 
 
 class Cell:
-    """A rectangular cell.  Active cells have no children."""
+    """A rectangular cell.  Active cells have no children.
 
-    __slots__ = ("id", "s0", "s1", "t0", "t1", "level", "parent", "children", "label")
+    The bounds are lattice coordinates i0 < i1 along s and j0 < j1 along
+    t; `s0`, `s1`, `t0`, `t1`, `width` and `height` are their exact values,
+    read through the mesh's axis tables `axes`.
+    """
 
-    def __init__(self, cid, s0, s1, t0, t1, level, parent=None):
+    __slots__ = ("id", "i0", "i1", "j0", "j1", "level", "parent", "children", "label", "axes")
+
+    def __init__(self, cid, i0, i1, j0, j1, level, parent, axes):
         self.id = cid
-        self.s0 = s0
-        self.s1 = s1
-        self.t0 = t0
-        self.t1 = t1
+        self.i0 = i0
+        self.i1 = i1
+        self.j0 = j0
+        self.j1 = j1
         self.level = level
         self.parent = parent
         self.children = ()
         self.label = None
+        self.axes = axes
 
     @property
     def active(self):
         return not self.children
 
     @property
+    def s0(self):
+        return self.axes[0].exact(self.i0)
+
+    @property
+    def s1(self):
+        return self.axes[0].exact(self.i1)
+
+    @property
+    def t0(self):
+        return self.axes[1].exact(self.j0)
+
+    @property
+    def t1(self):
+        return self.axes[1].exact(self.j1)
+
+    @property
     def bounds(self):
         return (self.s0, self.s1, self.t0, self.t1)
 
+    @property
+    def lattice_bounds(self):
+        return (self.i0, self.i1, self.j0, self.j1)
+
     def bounds_float(self):
-        return (float(self.s0), float(self.s1), float(self.t0), float(self.t1))
+        sa, ta = self.axes
+        return (sa.float(self.i0), sa.float(self.i1), ta.float(self.j0), ta.float(self.j1))
+
+    def size_float(self):
+        """float() of the exact width and height."""
+        return (self.axes[0].length(self.i0, self.i1), self.axes[1].length(self.j0, self.j1))
 
     @property
     def width(self):
@@ -142,7 +257,7 @@ class Cell:
         return self.s0 <= s <= self.s1 and self.t0 <= t <= self.t1
 
     def copy(self):
-        c = Cell(self.id, self.s0, self.s1, self.t0, self.t1, self.level, self.parent)
+        c = Cell(self.id, self.i0, self.i1, self.j0, self.j1, self.level, self.parent, self.axes)
         c.children = self.children
         c.label = self.label
         return c
@@ -162,14 +277,14 @@ class TMesh:
     """
 
     def __init__(self, s_knots, t_knots):
-        s_knots = [_frac(x) for x in s_knots]
-        t_knots = [_frac(x) for x in t_knots]
+        s_knots = [Fraction(x) for x in s_knots]
+        t_knots = [Fraction(x) for x in t_knots]
         if len(s_knots) < 2 or len(t_knots) < 2:
             raise ValueError("need at least one cell in each direction")
         if any(b <= a for a, b in zip(s_knots, s_knots[1:])) or \
            any(b <= a for a, b in zip(t_knots, t_knots[1:])):
             raise ValueError("knot lines must be strictly increasing (degenerate domain)")
-        self._init_knots = (list(s_knots), list(t_knots))
+        self.axes = (Axis(s_knots), Axis(t_knots))
         self.domain = (s_knots[0], s_knots[-1], t_knots[0], t_knots[-1])
         self.current_level = 0
         self.generation_log = []
@@ -180,88 +295,70 @@ class TMesh:
         self._vpos = {}
         self._vert_cells = {}
         self._cell_verts = {}
-        self._s_line_cells = {}
-        self._t_line_cells = {}
         self._next_cell = 0
         self._next_vert = 0
         self._locator = None
 
-        for t0, t1 in zip(t_knots, t_knots[1:]):
-            for s0, s1 in zip(s_knots, s_knots[1:]):
-                self._new_cell(s0, s1, t0, t1, 0, None)
-        for t in t_knots:
-            for s in s_knots:
-                self._get_or_make_vertex(s, t, 0)
+        s_lines = [k * _SPAN for k in range(len(s_knots))]
+        t_lines = [k * _SPAN for k in range(len(t_knots))]
+        for j0, j1 in zip(t_lines, t_lines[1:]):
+            for i0, i1 in zip(s_lines, s_lines[1:]):
+                self._new_cell(i0, i1, j0, j1, 0, None)
+        for j in t_lines:
+            for i in s_lines:
+                self._get_or_make_vertex(i, j, 0)
         # a level-0 cell's boundary holds exactly its four corners
         for cid in range(self._next_cell):
-            c = self._cells[cid]
-            for s in (c.s0, c.s1):
-                self._s_line_cells.setdefault(s, set()).add(cid)
-            for t in (c.t0, c.t1):
-                self._t_line_cells.setdefault(t, set()).add(cid)
-            for vid in sorted(self._vpos[p] for p in
-                              ((c.s0, c.t0), (c.s1, c.t0), (c.s0, c.t1), (c.s1, c.t1))):
+            for vid in sorted(self.corner_vertices(cid)):
                 self._cell_verts[cid].add(vid)
                 self._vert_cells[vid].add(cid)
 
     # ------------------------------------------------------------------
     # construction internals
 
-    def _new_cell(self, s0, s1, t0, t1, level, parent):
+    def _new_cell(self, i0, i1, j0, j1, level, parent):
         cid = self._next_cell
         self._next_cell += 1
-        self._cells[cid] = Cell(cid, s0, s1, t0, t1, level, parent)
+        self._cells[cid] = Cell(cid, i0, i1, j0, j1, level, parent, self.axes)
         self._active.add(cid)
         self._cell_verts[cid] = set()
         return cid
 
-    def _get_or_make_vertex(self, s, t, level):
-        key = (s, t)
+    def _get_or_make_vertex(self, i, j, level):
+        key = (i, j)
         vid = self._vpos.get(key)
         if vid is None:
             vid = self._next_vert
             self._next_vert += 1
-            self._verts[vid] = Vertex(vid, s, t, level)
+            self._verts[vid] = Vertex(vid, i, j, level, self.axes)
             self._vpos[key] = vid
             self._vert_cells[vid] = set()
         return vid
 
     @staticmethod
-    def _on_cell_boundary(c, s, t):
-        if not (c.s0 <= s <= c.s1 and c.t0 <= t <= c.t1):
+    def _on_cell_boundary(c, i, j):
+        if not (c.i0 <= i <= c.i1 and c.j0 <= j <= c.j1):
             return False
-        return s == c.s0 or s == c.s1 or t == c.t0 or t == c.t1
+        return i == c.i0 or i == c.i1 or j == c.j0 or j == c.j1
 
-    def _active_cells_at_point(self, s, t):
-        """Active cells whose closed boundary contains (s, t)."""
-        out = set()
-        for cid in self._s_line_cells.get(s, ()):
-            c = self._cells[cid]
-            if c.t0 <= t <= c.t1:
-                out.add(cid)
-        for cid in self._t_line_cells.get(t, ()):
-            c = self._cells[cid]
-            if c.s0 <= s <= c.s1:
-                out.add(cid)
-        return out
+    def _on_domain_boundary(self, i, j):
+        return i == 0 or j == 0 or i == self.axes[0].end or j == self.axes[1].end
 
     # ------------------------------------------------------------------
     # value semantics
 
     def copy(self):
         m = object.__new__(TMesh)
-        m._init_knots = (list(self._init_knots[0]), list(self._init_knots[1]))
+        m.axes = self.axes
         m.domain = self.domain
         m.current_level = self.current_level
         m.generation_log = list(self.generation_log)
         m._cells = {cid: c.copy() for cid, c in self._cells.items()}
         m._active = set(self._active)
-        m._verts = {vid: Vertex(v.id, v.s, v.t, v.level) for vid, v in self._verts.items()}
+        m._verts = self._verts.copy()
         m._vpos = dict(self._vpos)
         m._vert_cells = {vid: set(cs) for vid, cs in self._vert_cells.items()}
         m._cell_verts = {cid: set(vs) for cid, vs in self._cell_verts.items()}
-        m._s_line_cells = {k: set(v) for k, v in self._s_line_cells.items()}
-        m._t_line_cells = {k: set(v) for k, v in self._t_line_cells.items()}
         m._next_cell = self._next_cell
         m._next_vert = self._next_vert
         m._locator = None
@@ -284,7 +381,16 @@ class TMesh:
 
     def vertex_at(self, s, t):
         """Vertex id at an exact position, or None."""
-        return self._vpos.get((_frac(s), _frac(t)))
+        i, j = self.axes[0].coordinate(s), self.axes[1].coordinate(t)
+        if i is None or j is None:
+            return None
+        return self._vpos.get((i, j))
+
+    def corner_vertices(self, cid):
+        """Vertex ids at a cell's corners: (s0, t0), (s1, t0), (s0, t1), (s1, t1)."""
+        c = self.cell(cid)
+        vpos = self._vpos
+        return (vpos[c.i0, c.j0], vpos[c.i1, c.j0], vpos[c.i0, c.j1], vpos[c.i1, c.j1])
 
     def active_cells(self):
         return sorted(self._active)
@@ -305,32 +411,29 @@ class TMesh:
         self.cell(cid)
         return sorted(self._cell_verts[cid])
 
-    def is_boundary_position(self, s, t):
-        s0, s1, t0, t1 = self.domain
-        return s == s0 or s == s1 or t == t0 or t == t1
-
     def vertex_directions(self, vid):
         """Edge directions incident to a vertex, subset of {+s,-s,+t,-t}."""
         v = self.vertex(vid)
+        i, j = v.i, v.j
         dirs = set()
         for cid in self._vert_cells[vid]:
             c = self._cells[cid]
-            if v.t == c.t0 or v.t == c.t1:
-                if v.s < c.s1:
+            if j == c.j0 or j == c.j1:
+                if i < c.i1:
                     dirs.add("+s")
-                if v.s > c.s0:
+                if i > c.i0:
                     dirs.add("-s")
-            if v.s == c.s0 or v.s == c.s1:
-                if v.t < c.t1:
+            if i == c.i0 or i == c.i1:
+                if j < c.j1:
                     dirs.add("+t")
-                if v.t > c.t0:
+                if j > c.j0:
                     dirs.add("-t")
         return dirs
 
     def classify_vertex(self, vid):
         """Kind of a vertex, derived from its incident edges."""
         v = self.vertex(vid)
-        if self.is_boundary_position(v.s, v.t):
+        if self._on_domain_boundary(v.i, v.j):
             return VertexKind.BOUNDARY
         n = len(self.vertex_directions(vid))
         if n == 4:
@@ -352,17 +455,15 @@ class TMesh:
         if cid1 == cid2:
             return AdjacencyKind.NOT_ADJACENT
         # vertical common edge (side-by-side)
-        if c1.s1 == c2.s0 or c2.s1 == c1.s0:
-            lo, hi = max(c1.t0, c2.t0), min(c1.t1, c2.t1)
-            if hi > lo:
-                if c1.t0 == c2.t0 and c1.t1 == c2.t1:
+        if c1.i1 == c2.i0 or c2.i1 == c1.i0:
+            if min(c1.j1, c2.j1) > max(c1.j0, c2.j0):
+                if c1.j0 == c2.j0 and c1.j1 == c2.j1:
                     return AdjacencyKind.HORIZONTALLY_ALIGNED
                 return AdjacencyKind.ADJACENT_ONLY
         # horizontal common edge (stacked)
-        if c1.t1 == c2.t0 or c2.t1 == c1.t0:
-            lo, hi = max(c1.s0, c2.s0), min(c1.s1, c2.s1)
-            if hi > lo:
-                if c1.s0 == c2.s0 and c1.s1 == c2.s1:
+        if c1.j1 == c2.j0 or c2.j1 == c1.j0:
+            if min(c1.i1, c2.i1) > max(c1.i0, c2.i0):
+                if c1.i0 == c2.i0 and c1.i1 == c2.i1:
                     return AdjacencyKind.VERTICALLY_ALIGNED
                 return AdjacencyKind.ADJACENT_ONLY
         return AdjacencyKind.NOT_ADJACENT
@@ -382,9 +483,9 @@ class TMesh:
         good = set()
         for nid in out:
             n = self._cells[nid]
-            if (n.s1 == c.s0 or c.s1 == n.s0) and min(c.t1, n.t1) > max(c.t0, n.t0):
+            if (n.i1 == c.i0 or c.i1 == n.i0) and min(c.j1, n.j1) > max(c.j0, n.j0):
                 good.add(nid)
-            elif (n.t1 == c.t0 or c.t1 == n.t0) and min(c.s1, n.s1) > max(c.s0, n.s0):
+            elif (n.j1 == c.j0 or c.j1 == n.j0) and min(c.i1, n.i1) > max(c.i0, n.i0):
                 good.add(nid)
         return good
 
@@ -393,13 +494,13 @@ class TMesh:
         with extents matching in the edge direction, or None."""
         c = self.cell(cid)
         if side == "left":
-            p1, p2 = (c.s0, c.t0), (c.s0, c.t1)
+            p1, p2 = (c.i0, c.j0), (c.i0, c.j1)
         elif side == "right":
-            p1, p2 = (c.s1, c.t0), (c.s1, c.t1)
+            p1, p2 = (c.i1, c.j0), (c.i1, c.j1)
         elif side == "bottom":
-            p1, p2 = (c.s0, c.t0), (c.s1, c.t0)
+            p1, p2 = (c.i0, c.j0), (c.i1, c.j0)
         else:
-            p1, p2 = (c.s0, c.t1), (c.s1, c.t1)
+            p1, p2 = (c.i0, c.j1), (c.i1, c.j1)
         v1, v2 = self._vpos.get(p1), self._vpos.get(p2)
         if v1 is None or v2 is None:
             return None
@@ -408,13 +509,13 @@ class TMesh:
             if nid == cid:
                 continue
             n = self._cells[nid]
-            if side == "left" and n.s1 == c.s0 and n.t0 == c.t0 and n.t1 == c.t1:
+            if side == "left" and n.i1 == c.i0 and n.j0 == c.j0 and n.j1 == c.j1:
                 return nid
-            if side == "right" and n.s0 == c.s1 and n.t0 == c.t0 and n.t1 == c.t1:
+            if side == "right" and n.i0 == c.i1 and n.j0 == c.j0 and n.j1 == c.j1:
                 return nid
-            if side == "bottom" and n.t1 == c.t0 and n.s0 == c.s0 and n.s1 == c.s1:
+            if side == "bottom" and n.j1 == c.j0 and n.i0 == c.i0 and n.i1 == c.i1:
                 return nid
-            if side == "top" and n.t0 == c.t1 and n.s0 == c.s0 and n.s1 == c.s1:
+            if side == "top" and n.j0 == c.j1 and n.i0 == c.i0 and n.i1 == c.i1:
                 return nid
         return None
 
@@ -477,6 +578,7 @@ class TMesh:
         s (t) midpoint, so the point always takes the low side.
         """
         if self._locator is None:
+            sa, ta = self.axes
             n = self._next_cell
             kids = np.full((n, 4), -1, dtype=np.int64)
             s_mid = np.full(n, np.inf)
@@ -487,14 +589,13 @@ class TMesh:
                     kids[cid, [0, 2]] = k
                 else:
                     kids[cid, :len(k)] = k
-                    s_mid[cid] = _float_at_least(self._cells[k[1]].s0)
+                    s_mid[cid] = sa.float_at_least(self._cells[k[1]].i0)
                 if kind != "V":
-                    t_mid[cid] = _float_at_least(self._cells[k[-1]].t0)
-            s0, s1, t0, t1 = self.domain
-            bounds = (_float_at_least(s0), _float_at_most(s1),
-                      _float_at_least(t0), _float_at_most(t1))
-            s_cuts, t_cuts = (np.array([_float_at_least(x) for x in knots[1:-1]])
-                              for knots in self._init_knots)
+                    t_mid[cid] = ta.float_at_least(self._cells[k[-1]].j0)
+            bounds = (sa.float_at_least(0), sa.float_at_most(sa.end),
+                      ta.float_at_least(0), ta.float_at_most(ta.end))
+            s_cuts, t_cuts = (np.array([a.float_at_least(x) for x in range(_SPAN, a.end, _SPAN)])
+                              for a in self.axes)
             self._locator = (bounds, s_cuts, t_cuts, kids, s_mid, t_mid)
         return self._locator
 
@@ -510,7 +611,9 @@ class TMesh:
         kind 'H' inserts a horizontal mid edge (2 stacked children,
         bottom first), 'V' a vertical mid edge (2 children, left first),
         'C' a cross (4 children: bottom-left, bottom-right, top-left,
-        top-right).  Returns the tuple of child ids.
+        top-right).  Returns the tuple of child ids.  Raises
+        LatticeDepthError when a cut would halve an extent of one lattice
+        unit.
         """
         c = self.cell(cid)
         if not c.active:
@@ -523,66 +626,59 @@ class TMesh:
         if kind not in SPLIT_KINDS:
             raise ValueError(f"unknown split kind {kind!r}")
 
-        s0, s1, t0, t1 = c.bounds
-        sm = (s0 + s1) / 2
-        tm = (t0 + t1) / 2
+        i0, i1, j0, j1 = c.i0, c.i1, c.j0, c.j1
+        for cut, lo, hi, axis in (("HC", j0, j1, "t"), ("VC", i0, i1, "s")):
+            if kind in cut and hi - lo < 2:
+                raise LatticeDepthError(
+                    f"cell {cid} is one lattice unit wide along {axis}; a '{kind}' split "
+                    f"would go past the lattice depth of {LATTICE_DEPTH} halvings per span")
+        im = (i0 + i1) >> 1
+        jm = (j0 + j1) >> 1
         lvl = c.level + 1
         if kind == "H":
-            child_bounds = [(s0, s1, t0, tm), (s0, s1, tm, t1)]
-            new_pos = [(s0, tm), (s1, tm)]
+            child_bounds = [(i0, i1, j0, jm), (i0, i1, jm, j1)]
+            new_pos = [(i0, jm), (i1, jm)]
         elif kind == "V":
-            child_bounds = [(s0, sm, t0, t1), (sm, s1, t0, t1)]
-            new_pos = [(sm, t0), (sm, t1)]
+            child_bounds = [(i0, im, j0, j1), (im, i1, j0, j1)]
+            new_pos = [(im, j0), (im, j1)]
         else:
-            child_bounds = [(s0, sm, t0, tm), (sm, s1, t0, tm),
-                            (s0, sm, tm, t1), (sm, s1, tm, t1)]
-            new_pos = [(s0, tm), (s1, tm), (sm, t0), (sm, t1), (sm, tm)]
+            child_bounds = [(i0, im, j0, jm), (im, i1, j0, jm),
+                            (i0, im, jm, j1), (im, i1, jm, j1)]
+            new_pos = [(i0, jm), (i1, jm), (im, j0), (im, j1), (im, jm)]
+        corner_ids = self.corner_vertices(cid)
 
         # retire the parent from all indexes
         self._locator = None
         self._active.discard(cid)
-        for s in (s0, s1):
-            self._s_line_cells[s].discard(cid)
-        for t in (t0, t1):
-            self._t_line_cells[t].discard(cid)
         parent_verts = self._cell_verts.pop(cid)
         for vid in parent_verts:
             self._vert_cells[vid].discard(cid)
 
-        kids = []
-        for b in child_bounds:
-            kid = self._new_cell(*b, lvl, cid)
-            kids.append(kid)
-            k = self._cells[kid]
-            for s in (k.s0, k.s1):
-                self._s_line_cells.setdefault(s, set()).add(kid)
-            for t in (k.t0, k.t1):
-                self._t_line_cells.setdefault(t, set()).add(kid)
+        kids = [self._new_cell(*b, lvl, cid) for b in child_bounds]
         c.children = tuple(kids)
+        kid_cells = [self._cells[kid] for kid in kids]
 
         # vertices inherited from the parent boundary
         for vid in parent_verts:
             v = self._verts[vid]
-            for kid in kids:
-                k = self._cells[kid]
-                if self._on_cell_boundary(k, v.s, v.t):
-                    self._cell_verts[kid].add(vid)
-                    self._vert_cells[vid].add(kid)
+            for k in kid_cells:
+                if self._on_cell_boundary(k, v.i, v.j):
+                    self._cell_verts[k.id].add(vid)
+                    self._vert_cells[vid].add(k.id)
         # new vertices (may already exist if a neighbor split created them).
         # Any active cell whose boundary contains a split midpoint either is
         # a child or spans the parent's edge, hence carries a parent corner
         # vertex: the corner incidence lists cover all candidates.
-        corner_ids = [self._vpos[p] for p in
-                      ((s0, t0), (s1, t0), (s0, t1), (s1, t1))]
         candidates = set(kids)
         for cvid in corner_ids:
             candidates |= self._vert_cells[cvid]
-        for (s, t) in new_pos:
-            vid = self._get_or_make_vertex(s, t, lvl)
-            for nid in candidates:
-                if self._on_cell_boundary(self._cells[nid], s, t):
-                    self._cell_verts[nid].add(vid)
-                    self._vert_cells[vid].add(nid)
+        candidates = [self._cells[nid] for nid in candidates]
+        for (i, j) in new_pos:
+            vid = self._get_or_make_vertex(i, j, lvl)
+            for n in candidates:
+                if self._on_cell_boundary(n, i, j):
+                    self._cell_verts[n.id].add(vid)
+                    self._vert_cells[vid].add(n.id)
 
         self.generation_log.append((c.level, cid, kind))
         return tuple(kids)
@@ -596,18 +692,19 @@ class TMesh:
         s0, s1, t0, t1 = self.domain
         dom_area = (s1 - s0) * (t1 - t0)
         area = Fraction(0)
+        si_end, tj_end = self.axes[0].end, self.axes[1].end
         act = [self._cells[cid] for cid in sorted(self._active)]
         for c in act:
-            if c.s1 <= c.s0 or c.t1 <= c.t0:
+            if c.i1 <= c.i0 or c.j1 <= c.j0:
                 out.append(f"cell {c.id}: degenerate rectangle")
-            if not (s0 <= c.s0 and c.s1 <= s1 and t0 <= c.t0 and c.t1 <= t1):
+            if not (0 <= c.i0 and c.i1 <= si_end and 0 <= c.j0 and c.j1 <= tj_end):
                 out.append(f"cell {c.id}: outside domain")
             area += c.area()
         if area != dom_area:
             out.append(f"active cells cover area {area}, domain has {dom_area}")
         for i, a in enumerate(act):
             for b in act[i + 1:]:
-                if min(a.s1, b.s1) > max(a.s0, b.s0) and min(a.t1, b.t1) > max(a.t0, b.t0):
+                if min(a.i1, b.i1) > max(a.i0, b.i0) and min(a.j1, b.j1) > max(a.j0, b.j0):
                     out.append(f"cells {a.id} and {b.id} overlap")
         for cid, c in self._cells.items():
             if c.children:
@@ -617,13 +714,13 @@ class TMesh:
                     kid_area += kc.area()
                     if kc.level != c.level + 1:
                         out.append(f"cell {k}: level {kc.level} != parent level + 1")
-                    if not (c.s0 <= kc.s0 and kc.s1 <= c.s1 and c.t0 <= kc.t0 and kc.t1 <= c.t1):
+                    if not (c.i0 <= kc.i0 and kc.i1 <= c.i1 and c.j0 <= kc.j0 and kc.j1 <= c.j1):
                         out.append(f"cell {k}: not inside parent {cid}")
                 if kid_area != c.area():
                     out.append(f"cell {cid}: children do not tile it")
         for vid, v in self._verts.items():
             dirs = self.vertex_directions(vid)
-            if self.is_boundary_position(v.s, v.t):
+            if self._on_domain_boundary(v.i, v.j):
                 if len(dirs) < 2:
                     out.append(f"vertex {vid}: grid-line endpoint not on two grid lines")
             elif len(dirs) < 3:
@@ -641,7 +738,7 @@ class TMesh:
 
     def replay(self):
         """Rebuild this mesh from its initial grid and generation log."""
-        m = TMesh(*self._init_knots)
+        m = TMesh(self.axes[0].knots, self.axes[1].knots)
         for (lvl, cid, kind) in self.generation_log:
             while m.current_level < lvl:
                 m.advance_current_level()
@@ -652,8 +749,12 @@ class TMesh:
 
     def same_structure(self, other):
         """True when both meshes have identical cell and vertex sets."""
-        mine = {(c.bounds, c.level, c.active) for c in self._cells.values()}
-        theirs = {(c.bounds, c.level, c.active) for c in other._cells.values()}
+        # the level-0 cells are the knot spans: other knots, other cells
+        if self.axes is not other.axes and \
+           [a.knots for a in self.axes] != [a.knots for a in other.axes]:
+            return False
+        mine = {(c.lattice_bounds, c.level, c.active) for c in self._cells.values()}
+        theirs = {(c.lattice_bounds, c.level, c.active) for c in other._cells.values()}
         if mine != theirs:
             return False
         return set(self._vpos) == set(other._vpos)
@@ -668,15 +769,15 @@ class TMesh:
             c = self._cells[cid]
             cells.append({
                 "id": cid,
-                "bounds": [str(c.s0), str(c.s1), str(c.t0), str(c.t1)],
+                "bounds": [str(x) for x in c.bounds],
                 "level": c.level,
                 "state": "Active" if c.active else "Subdivided",
                 "label": c.label,
             })
         return {
             "domain": [str(s0), str(s1), str(t0), str(t1)],
-            "s_knots": [str(x) for x in self._init_knots[0]],
-            "t_knots": [str(x) for x in self._init_knots[1]],
+            "s_knots": [str(x) for x in self.axes[0].knots],
+            "t_knots": [str(x) for x in self.axes[1].knots],
             "current_level": self.current_level,
             "cells": cells,
             "log": [[lvl, cid, kind] for (lvl, cid, kind) in self.generation_log],
@@ -705,9 +806,9 @@ def create_tensor_mesh(ns, nt, domain=(0.0, 1.0, 0.0, 1.0)):
     """Uniform ns x nt tensor-product mesh over `domain` = (s0, s1, t0, t1)."""
     if ns < 1 or nt < 1:
         raise ValueError(f"cell counts must be positive, got ({ns}, {nt})")
-    s0, s1, t0, t1 = (_frac(x) for x in domain)
+    s0, s1, t0, t1 = (Fraction(x) for x in domain)
     if s1 <= s0 or t1 <= t0:
-        raise ValueError(f"degenerate domain {tuple(float(_frac(x)) for x in domain)}")
+        raise ValueError(f"degenerate domain {tuple(float(x) for x in domain)}")
     s_knots = [s0 + (s1 - s0) * Fraction(i, ns) for i in range(ns + 1)]
     t_knots = [t0 + (t1 - t0) * Fraction(j, nt) for j in range(nt + 1)]
     return TMesh(s_knots, t_knots)

@@ -2,7 +2,10 @@
 
 import gc
 import random
+import sys
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -599,3 +602,38 @@ def test_advance_level_memory_stays_near_reference():
         want = _peak_bytes(_reference_advance_level, space, report)
         got = _peak_bytes(advance_level, space, report)
         assert got <= 1.10 * want, (got, want)
+
+
+# Functions on the refinement and level-advance paths whose coordinate work
+# runs on lattice ints; none of them may compare, hash or compute with a
+# Fraction.
+_LATTICE_ONLY = ("split_cell", "classify_vertex", "_build_report", "_new_vertex_neighborhood")
+_FRACTION_OPS = ("_richcmp", "__eq__", "__hash__", "__add__", "__radd__", "__sub__",
+                 "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_refinement_and_advance_do_no_fraction_work(monkeypatch):
+    calls = Counter()
+
+    def counted(op, fn):
+        def wrapper(*args, **kw):
+            calls["any", op] += 1
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code.co_name in _LATTICE_ONLY and \
+                        frame.f_globals["__name__"].startswith("anisoline."):
+                    calls[frame.f_code.co_name, op] += 1
+                    break
+                frame = frame.f_back
+            return fn(*args, **kw)
+        return wrapper
+
+    for op in _FRACTION_OPS:
+        monkeypatch.setattr(Fraction, op, counted(op, getattr(Fraction, op)))
+    # the counters see Fraction work done anywhere
+    assert Fraction(1, 3) + 1 > Fraction(1, 2) and hash(Fraction(1, 3))
+    assert {op for _, op in calls} >= {"_richcmp", "__hash__", "__add__"}
+    steps, space = _random_rounds("10x10", seed=4)
+    kinds = {kind for _, report in steps for kind, _ in report.performed.values()}
+    assert kinds == set("HVC") and space.mesh.current_level == 3
+    assert {key: n for key, n in calls.items() if key[0] != "any"} == {}

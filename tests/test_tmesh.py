@@ -2,14 +2,16 @@
 
 import json
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from anisoline.tmesh import (
-    AdjacencyKind, TMesh, VertexKind, create_mesh_from_knots, create_tensor_mesh,
+    LATTICE_DEPTH, AdjacencyKind, LatticeDepthError, TMesh, VertexKind,
+    create_mesh_from_knots, create_tensor_mesh,
 )
 
 
@@ -184,7 +186,9 @@ def test_validate_constructive_meshes_clean():
 def test_validate_flags_hanging_vertex():
     # inject a grid-line endpoint that does not land on two grid lines
     m = create_tensor_mesh(2, 2)
-    vid = m._get_or_make_vertex(Fraction(1, 8), Fraction(1, 8), 0)
+    i, j = (axis.coordinate(Fraction(1, 8)) for axis in m.axes)
+    vid = m._get_or_make_vertex(i, j, 0)
+    assert m.vertex(vid).position == (Fraction(1, 8), Fraction(1, 8))
     m._vert_cells[vid].add(m.locate_cell(0.1, 0.1))
     problems = m.validate()
     assert any("not on two grid lines" in p for p in problems)
@@ -192,9 +196,10 @@ def test_validate_flags_hanging_vertex():
 
 def test_validate_flags_overlap():
     m = create_tensor_mesh(2, 1)
-    a = m.locate_cell(0.1, 0.5)
-    c = m.cell(a)
-    c.s1 = Fraction(3, 4)  # stretch into the neighbor
+    c = m.cell(m.locate_cell(0.1, 0.5))
+    right = m.cell(m.locate_cell(0.9, 0.5))
+    c.i1 = (right.i0 + right.i1) // 2  # stretch into the neighbor
+    assert c.s1 == Fraction(3, 4)
     problems = m.validate()
     assert any("overlap" in p for p in problems)
 
@@ -252,7 +257,7 @@ def reference_locate(mesh, s, t):
         return ((c.s0 <= s < c.s1 or s == c.s1 == s_far)
                 and (c.t0 <= t < c.t1 or t == c.t1 == t_far))
 
-    sk, tk = mesh._init_knots
+    sk, tk = (axis.knots for axis in mesh.axes)
     i = min(bisect_right(sk, s) - 1, len(sk) - 2)
     j = min(bisect_right(tk, t) - 1, len(tk) - 2)
     cell = mesh.cell(j * (len(sk) - 1) + i)
@@ -354,11 +359,12 @@ def test_tensor_build_registers_corners_like_a_full_scan():
     assert m.validate() == []
     for cid in m.active_cells():
         c = m.cell(cid)
-        scan = [vid for vid in m.vertices() if m._on_cell_boundary(c, *m.vertex(vid).position)]
+        scan = [vid for vid in m.vertices()
+                if m._on_cell_boundary(c, m.vertex(vid).i, m.vertex(vid).j)]
         assert m.cell_vertices(cid) == scan and len(scan) == 4
     for vid in m.vertices():
         v = m.vertex(vid)
-        scan = [cid for cid in m.active_cells() if m._on_cell_boundary(m.cell(cid), v.s, v.t)]
+        scan = [cid for cid in m.active_cells() if m._on_cell_boundary(m.cell(cid), v.i, v.j)]
         assert m.vertex_cells(vid) == scan
 
 
@@ -412,3 +418,153 @@ def test_dimension_against_census_oracle():
                     m.split_cell(cid, rng.choice("HVC"))
             m.advance_current_level()
         assert m.dimension() == census_dimension(m)
+
+
+def reference_bounds(mesh):
+    """Exact bounds of every cell the mesh ever made, rebuilt from its
+    level-0 knots and generation log by halving Fractions."""
+    sk, tk = (axis.knots for axis in mesh.axes)
+    bounds = [(s0, s1, t0, t1) for t0, t1 in zip(tk, tk[1:]) for s0, s1 in zip(sk, sk[1:])]
+    for _, cid, kind in mesh.generation_log:
+        s0, s1, t0, t1 = bounds[cid]
+        sm, tm = (s0 + s1) / 2, (t0 + t1) / 2
+        kids = {"H": [(s0, s1, t0, tm), (s0, s1, tm, t1)],
+                "V": [(s0, sm, t0, t1), (sm, s1, t0, t1)],
+                "C": [(s0, sm, t0, tm), (sm, s1, t0, tm), (s0, sm, tm, t1), (sm, s1, tm, t1)]}[kind]
+        assert mesh.cell(cid).children == tuple(range(len(bounds), len(bounds) + len(kids)))
+        bounds += kids
+    return bounds
+
+
+def census_kinds(rects, domain):
+    """Vertex kinds from exact active-cell rectangles alone: every corner,
+    and the edge directions it sees along the cell edges through it."""
+    verts = {p for (s0, s1, t0, t1) in rects for p in ((s0, t0), (s1, t0), (s0, t1), (s1, t1))}
+    rows, cols = defaultdict(list), defaultdict(list)   # t -> sorted s, s -> sorted t
+    for s, t in sorted(verts):
+        cols[s].append(t)
+    for s, t in sorted(verts, key=lambda p: (p[1], p[0])):
+        rows[t].append(s)
+    dirs = defaultdict(set)
+    for s0, s1, t0, t1 in rects:
+        for t in (t0, t1):
+            line = rows[t]
+            for s in line[bisect_left(line, s0):bisect_right(line, s1)]:
+                dirs[s, t].update(["+s"] * (s < s1) + ["-s"] * (s > s0))
+        for s in (s0, s1):
+            line = cols[s]
+            for t in line[bisect_left(line, t0):bisect_right(line, t1)]:
+                dirs[s, t].update(["+t"] * (t < t1) + ["-t"] * (t > t0))
+    ds0, ds1, dt0, dt1 = domain
+    by_count = {4: VertexKind.CROSSING, 3: VertexKind.T_JUNCTION}
+    return {(s, t): VertexKind.BOUNDARY if s in (ds0, ds1) or t in (dt0, dt1)
+            else by_count.get(len(dirs[s, t])) for (s, t) in verts}
+
+
+def float_bits(values):
+    return [float(x).hex() for x in values]
+
+
+LATTICE_STARTS = {
+    "uniform": lambda: create_tensor_mesh(3, 2),
+    "non-uniform": lambda: create_mesh_from_knots(
+        [0, Fraction(1, 7), Fraction(2, 5), Fraction(3, 4), 1], [0, Fraction(1, 3), 0.6, 1]),
+    "negative": lambda: create_mesh_from_knots(
+        [-2, Fraction(-1, 3), 0, 0.7], [-1, Fraction(-1, 10), Fraction(5, 4)]),
+    "24x24": lambda: create_tensor_mesh(24, 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_STARTS))
+def test_lattice_matches_fraction_halving(name):
+    m = randomly_refined(LATTICE_STARTS[name](), 2 if name == "24x24" else 5, seed=17)
+    assert {kind for _, _, kind in m.generation_log} == set("HVC")
+    ref = reference_bounds(m)
+    assert len(ref) == m._next_cell
+    for cid, b in enumerate(ref):
+        c = m.cell(cid)
+        assert c.bounds == b and all(type(x) is Fraction for x in c.bounds)
+        assert (c.width, c.height) == (b[1] - b[0], b[3] - b[2])
+        assert float_bits(c.bounds_float()) == float_bits(b)
+        assert float_bits(c.size_float()) == float_bits((b[1] - b[0], b[3] - b[2]))
+    kinds = census_kinds([ref[cid] for cid in m.active_cells()], m.domain)
+    got = {}
+    for vid in m.vertices():
+        v = m.vertex(vid)
+        assert all(type(x) is Fraction for x in v.position)
+        assert float_bits(v.position_float()) == float_bits(v.position)
+        assert m.vertex_at(v.s, v.t) == vid
+        got[v.position] = m.classify_vertex(vid)
+    assert len(got) == len(m.vertices())
+    assert got == kinds
+    assert m.dimension() == 4 * sum(k is not VertexKind.T_JUNCTION for k in kinds.values())
+
+
+def test_split_past_the_lattice_depth_is_refused():
+    m = create_mesh_from_knots([0, Fraction(1, 3)], [0, 0.6])
+    cid = m.active_cells()[0]
+    for _ in range(LATTICE_DEPTH):
+        cid = m.split_cell(cid, "V")[0]
+        m.advance_current_level()
+    # the last level the lattice resolves is still exact
+    c = m.cell(cid)
+    assert c.i1 - c.i0 == 1
+    assert c.s1 == Fraction(1, 3) / 2 ** LATTICE_DEPTH
+    assert float_bits(c.size_float()) == float_bits([c.width, c.height])
+    assert m.vertex_at(c.s1, 0) is not None
+    for kind in "VC":
+        with pytest.raises(LatticeDepthError, match="lattice depth"):
+            m.split_cell(cid, kind)
+    assert c.active and m.validate() == []
+    # the other direction still splits
+    low, high = m.split_cell(cid, "H")
+    assert m.cell(high).t0 == Fraction(0.6) / 2
+    assert issubclass(LatticeDepthError, ValueError)
+
+
+# A mesh in the JSON format: exact bounds as str(Fraction), among them
+# "1/3" and the binary expansion of the float knot 0.6.
+FRACTION_JSON = """
+{"cells": [
+ {"bounds": ["-1", "1/3", "0", "5404319552844595/9007199254740992"], "id": 0, "label": null, "level": 0, "state": "Subdivided"},
+ {"bounds": ["1/3", "1", "0", "5404319552844595/9007199254740992"], "id": 1, "label": null, "level": 0, "state": "Active"},
+ {"bounds": ["-1", "1/3", "5404319552844595/9007199254740992", "1"], "id": 2, "label": null, "level": 0, "state": "Active"},
+ {"bounds": ["1/3", "1", "5404319552844595/9007199254740992", "1"], "id": 3, "label": null, "level": 0, "state": "Subdivided"},
+ {"bounds": ["-1", "-1/3", "0", "5404319552844595/18014398509481984"], "id": 4, "label": null, "level": 1, "state": "Active"},
+ {"bounds": ["-1/3", "1/3", "0", "5404319552844595/18014398509481984"], "id": 5, "label": null, "level": 1, "state": "Subdivided"},
+ {"bounds": ["-1", "-1/3", "5404319552844595/18014398509481984", "5404319552844595/9007199254740992"], "id": 6, "label": null, "level": 1, "state": "Active"},
+ {"bounds": ["-1/3", "1/3", "5404319552844595/18014398509481984", "5404319552844595/9007199254740992"], "id": 7, "label": null, "level": 1, "state": "Active"},
+ {"bounds": ["1/3", "2/3", "5404319552844595/9007199254740992", "1"], "id": 8, "label": null, "level": 1, "state": "Subdivided"},
+ {"bounds": ["2/3", "1", "5404319552844595/9007199254740992", "1"], "id": 9, "label": null, "level": 1, "state": "Active"},
+ {"bounds": ["-1/3", "1/3", "0", "5404319552844595/36028797018963968"], "id": 10, "label": null, "level": 2, "state": "Active"},
+ {"bounds": ["-1/3", "1/3", "5404319552844595/36028797018963968", "5404319552844595/18014398509481984"], "id": 11, "label": null, "level": 2, "state": "Active"},
+ {"bounds": ["1/3", "1/2", "5404319552844595/9007199254740992", "14411518807585587/18014398509481984"], "id": 12, "label": null, "level": 2, "state": "Active"},
+ {"bounds": ["1/2", "2/3", "5404319552844595/9007199254740992", "14411518807585587/18014398509481984"], "id": 13, "label": null, "level": 2, "state": "Active"},
+ {"bounds": ["1/3", "1/2", "14411518807585587/18014398509481984", "1"], "id": 14, "label": null, "level": 2, "state": "Active"},
+ {"bounds": ["1/2", "2/3", "14411518807585587/18014398509481984", "1"], "id": 15, "label": null, "level": 2, "state": "Active"}],
+ "current_level": 2, "domain": ["-1", "1", "0", "1"],
+ "log": [[0, 0, "C"], [0, 3, "V"], [1, 5, "H"], [1, 8, "C"]],
+ "s_knots": ["-1", "1/3", "1"], "t_knots": ["0", "5404319552844595/9007199254740992", "1"]}
+"""
+
+
+def test_fraction_json_loads_onto_the_lattice():
+    built = create_mesh_from_knots([-1, Fraction(1, 3), 1], [0, 0.6, 1])
+    built.split_cell(0, "C")
+    built.split_cell(3, "V")
+    built.advance_current_level()
+    built.split_cell(5, "H")
+    built.split_cell(8, "C")
+    built.advance_current_level()
+    loaded = TMesh.from_json(FRACTION_JSON)
+    assert loaded.same_structure(built) and built.same_structure(loaded)
+    assert built.to_json_dict() == json.loads(FRACTION_JSON)
+    assert loaded.to_json_dict() == json.loads(FRACTION_JSON)
+    assert loaded.cell(12).bounds == (Fraction(1, 3), Fraction(1, 2), Fraction(0.6),
+                                      (Fraction(0.6) + 1) / 2)
+
+
+def test_same_structure_compares_knots():
+    # equal lattice coordinates on other knots are another mesh
+    assert not create_tensor_mesh(2, 2).same_structure(create_tensor_mesh(2, 2, (0, 2, 0, 1)))
+    assert create_tensor_mesh(2, 2).same_structure(create_tensor_mesh(2, 2))
