@@ -6,10 +6,12 @@ fits, measure the max distance per cell, mark the current-level cells
 above tolerance, label them from discrete directional curvatures of the
 current surface, refine, repeat.
 
-Control points are estimated per basis vertex, from the collocation
-block of its four functions.  After a refinement round the new vertices
-and the vertices whose incident cells were just subdivided get fresh
-estimates (the surface value at an anchor is pinned by its own four
+Control points are estimated for a level's basis vertices at once
+(`estimate_vertex_controls`): one quadratic least-squares fit per vertex,
+all of them stacked into a few QR factorizations, and one batched solve
+against the vertices' collocation blocks.  After a refinement round the
+new vertices and the vertices whose incident cells were just subdivided
+get fresh estimates (the surface value at an anchor is pinned by its own four
 functions, so a stale coarse estimate would put a floor under the
 error); anchors away from the refined region keep their control points,
 which freezes the surface over cells that already passed.
@@ -20,13 +22,16 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .refine import RefinementRequest, refine
 from .reporting import AdaptiveReport, LevelRecord
-from .space import SplineField, advance_level, build_initial_space, collocation_block
-from .tmesh import create_tensor_mesh, group_by_cell
+from .space import (
+    HERMITE_ORDERS, SplineField, _solve_vertices, advance_level, build_initial_space,
+)
+from .tmesh import create_tensor_mesh
 
 __all__ = [
     "ParamPointSet", "FitConfig", "AnisotropyEstimate", "generate_test_model",
@@ -52,14 +57,15 @@ class ParamPointSet:
         self.cell_of = None
         self._tree = None
 
-    def nearest(self, s, t, k):
-        """Indices of the k data points with parameters closest to (s, t)."""
+    def nearest(self, params, k):
+        """Indices (n, k) of the k data points with parameters closest to
+        each row of `params` (n, 2)."""
         if self._tree is None:
             from scipy.spatial import cKDTree
             self._tree = cKDTree(self.params)
         k = min(k, len(self.points))
-        _, idx = self._tree.query([s, t], k=k)
-        return np.atleast_1d(idx)
+        _, idx = self._tree.query(params, k=k)
+        return idx.reshape(len(params), k)
 
     def __len__(self):
         return len(self.points)
@@ -76,10 +82,6 @@ class ParamPointSet:
         stale = np.nonzero(np.isin(self.cell_of, list(report.performed)))[0]
         self.cell_of[stale] = report.mesh_after.locate_many(
             self.params[stale, 0], self.params[stale, 1])
-
-    def by_cell(self):
-        """Cell id -> ascending indices of the points assigned to it."""
-        return group_by_cell(self.cell_of)
 
 
 @dataclass
@@ -162,83 +164,237 @@ def _ring_expand(mesh, cells):
     return out
 
 
-def estimate_vertex_controls(space, vid, pset, max_rings=3, cell_index=None,
-                             fallback_field=None):
-    """Control values of the four functions at a basis vertex.
+# rows per stacked QR of the fit kernel, and vertices per window
+_BLOCK = 4096
+_WINDOW = 256
 
-    Fits the points around the vertex with one quadratic per coordinate,
-    reads off (S, S_s, S_t, S_st) there and solves against the collocation
-    block.  Too few points or a rank-deficient fit first grows the
-    neighborhood ring by ring, then falls back to a linear fit with zero
-    twist; with fewer than three points the current surface's own data is
-    carried over (refinement has outrun the data there, so there is
-    nothing local left to learn).  Returns an array (4, arity).
+
+def _ranges(starts, counts):
+    """Concatenated integer ranges [starts[k], starts[k] + counts[k])."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
+class _CellRows:
+    """The points of a set in cell order: one stable argsort of `cell_of`,
+    with the start and count of every cell id's run in it."""
+
+    def __init__(self, cell_of):
+        self.order = np.argsort(cell_of, kind="stable")
+        self.counts = np.bincount(cell_of)
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    def spans(self, cells):
+        """Start and count of each cell's run; a cell without points has
+        count 0."""
+        has = cells < len(self.counts)
+        at = np.where(has, cells, 0)
+        return self.starts[at], np.where(has, self.counts[at], 0)
+
+
+class _CellHoods:
+    """Neighborhoods made of whole cells, one cell set per vertex."""
+
+    def __init__(self, cell_rows, cell_sets):
+        self.cell_rows = cell_rows
+        self.sizes = np.array([len(c) for c in cell_sets], dtype=np.int64)
+        self.first = np.cumsum(self.sizes) - self.sizes
+        cells = np.fromiter((c for cs in cell_sets for c in sorted(cs)), np.int64,
+                            int(self.sizes.sum()))
+        self.starts, self.cell_counts = cell_rows.spans(cells)
+        owner = np.repeat(np.arange(len(cell_sets)), self.sizes)
+        self.counts = np.bincount(owner, weights=self.cell_counts,
+                                  minlength=len(cell_sets)).astype(np.int64)
+
+    def rows(self, sel):
+        """Point indices of the neighborhoods `sel`, one after another."""
+        pairs = _ranges(self.first[sel], self.sizes[sel])
+        return self.cell_rows.order[_ranges(self.starts[pairs], self.cell_counts[pairs])]
+
+
+class _NearestHoods:
+    """Neighborhoods of the k nearest points, one row of `idx` per vertex."""
+
+    def __init__(self, idx):
+        self.idx = idx
+        self.counts = np.full(len(idx), idx.shape[1], dtype=np.int64)
+
+    def rows(self, sel):
+        return self.idx[sel].ravel()
+
+
+def _design(pset, rows, centers, ncols):
+    """Rows [A | P] of a fit: the first `ncols` of the monomials 1, ds, dt,
+    ds^2, ds dt, dt^2 about each row's center, then the points.  Filled
+    column by column, and returned as a column-major view."""
+    X = np.empty((ncols + pset.points.shape[1], len(rows)))
+    X[0] = 1.0
+    X[1:3] = (pset.params[rows] - centers).T
+    if ncols == 6:
+        ds, dt = X[1], X[2]
+        np.multiply(ds, ds, out=X[3])
+        np.multiply(ds, dt, out=X[4])
+        np.multiply(dt, dt, out=X[5])
+    X[ncols:] = pset.points[rows].T
+    return X.T
+
+
+def _stacked_r(pset, hoods, sel, centers, ncols):
+    """R factors (n, k, k) of the k-column systems [A | P] of the
+    neighborhoods `sel`, zero-padded to the largest of them and to at
+    least k rows: one stacked QR."""
+    counts = hoods.counts[sel]
+    k = ncols + pset.points.shape[1]
+    owner = np.repeat(np.arange(len(sel)), counts)
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    X = np.zeros((len(sel), max(counts.max(), k), k))
+    X[owner, slot] = _design(pset, hoods.rows(sel), centers[sel][owner], ncols)
+    return np.linalg.qr(X, mode="r")
+
+
+def _streamed_r(pset, hoods, j, centers, ncols):
+    """R factor of one neighborhood over `_BLOCK` rows, reduced a piece at
+    a time (sequential TSQR): each piece goes under the R so far."""
+    rows = hoods.rows([j])
+    R = np.zeros((0, ncols + pset.points.shape[1]))
+    for at in range(0, len(rows), _BLOCK):
+        R = np.linalg.qr(np.vstack([R, _design(pset, rows[at:at + _BLOCK], centers[j], ncols)]),
+                         mode="r")
+    return R
+
+
+def _fit(pset, hoods, sel, centers, ncols):
+    """Least-squares fits of `ncols` monomials about each center to the
+    points of the neighborhoods `sel` (each of at least `ncols` points).
+
+    Returns the solutions (n, ncols, arity) and ranks (n,) of
+    `np.linalg.lstsq(A, P, rcond=None)`: the singular values of A are
+    those of R's leading block, cut by lstsq's rank rule, and the
+    minimum-norm solution is formed from them.
+    """
+    k = ncols + pset.points.shape[1]
+    sol = np.empty((len(sel), ncols, pset.points.shape[1]))
+    rank = np.empty(len(sel), dtype=np.int64)
+    counts = hoods.counts[sel]
+    order = np.argsort(counts, kind="stable")
+    for w in range(0, len(sel), _WINDOW):
+        win = order[w:w + _WINDOW]
+        R = np.empty((len(win), k, k))
+        lo = 0
+        while lo < len(win):
+            if counts[win[lo]] > _BLOCK:
+                R[lo] = _streamed_r(pset, hoods, sel[win[lo]], centers, ncols)
+                lo += 1
+                continue
+            # counts ascend, so a chunk is padded to its last neighborhood
+            hi = lo + 1
+            while hi < len(win) and (hi - lo + 1) * counts[win[hi]] <= _BLOCK:
+                hi += 1
+            R[lo:hi] = _stacked_r(pset, hoods, sel[win[lo:hi]], centers, ncols)
+            lo = hi
+        U, s, Vt = np.linalg.svd(R[:, :ncols, :ncols])
+        keep = s > (np.finfo(float).eps * counts[win] * s[:, 0])[:, None]
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        sol[win] = np.swapaxes(Vt, 1, 2) @ (np.swapaxes(U, 1, 2) @ R[:, :ncols, ncols:]
+                                            * inv[:, :, None])
+        rank[win] = keep.sum(axis=1)
+    return sol, rank
+
+
+def estimate_vertex_controls(space, vids, pset, max_rings=3, fallback_field=None):
+    """Control values of the four functions at each basis vertex of `vids`:
+    an array (n, 4, arity), row k of vertex i for its slot k.
+
+    Around each vertex the points are fitted with one quadratic per
+    coordinate; (S, S_s, S_t, S_st) read off at the vertex are solved
+    against its collocation block.  The tiers run as waves over the
+    vertices still without data:
+
+    1. the points of the vertex's cells, then of up to `max_rings` rings
+       of edge neighbors, until the quadratic fit has full rank;
+    2. the 18 nearest points (when the set holds at least 6), for cells
+       thinner than the data;
+    3. a linear fit with zero twist to the last points tried, if there
+       are at least 3 (warns);
+    4. the current surface's (f, f_s, f_t, f_st) at the vertex from
+       `fallback_field`, where refinement has outrun the data (warns);
+       without it a ValueError.
+
+    Tier 1 walks the vertices `_WINDOW` at a time.  Every wave's fits go
+    through one kernel (`_fit`): neighborhoods sorted by point count,
+    their systems [A | P] zero-padded and stacked into QRs of at most
+    `_BLOCK` rows, a larger system streamed through `_BLOCK`-row pieces.
+    So the transient memory grows with neither the number of vertices nor
+    their point counts.
     """
     mesh = space.mesh
-    v = mesh.vertex(vid)
-    vs, vt = v.position_float()
-    cells = set(mesh.vertex_cells(vid))
+    vids = list(vids)
+    for vid in vids:
+        if vid not in space.vertex_row:
+            if not mesh.is_basis_vertex(vid):
+                raise ValueError(f"vertex {vid} is not a basis vertex")
+            raise ValueError(f"vertex {vid} carries no functions in this space")
+    n = len(vids)
     arity = pset.points.shape[1]
-    if cell_index is None:
-        cell_index = pset.by_cell()
+    centers = np.fromiter(chain.from_iterable(mesh.vertex(vid).position_float() for vid in vids),
+                          float, 2 * n).reshape(n, 2)
+    data = np.zeros((n, arity, 4))
+    cell_rows = _CellRows(pset.cell_of)
 
-    def points_in(cells):
-        idx = [cell_index[c] for c in cells if c in cell_index]
-        if not idx:
-            return pset.params[:0], pset.points[:0]
-        idx = np.concatenate(idx)
-        return pset.params[idx], pset.points[idx]
+    def quadratic(hoods, ks):
+        """Fits the neighborhoods of the vertices `ks` that hold at least
+        6 points, keeps the data of the full-rank fits; returns their mask."""
+        sel = np.flatnonzero(hoods.counts >= 6)
+        sol, rank = _fit(pset, hoods, sel, centers[ks], 6)
+        full = rank == 6
+        data[ks[sel[full]]] = np.moveaxis(sol[full][:, [0, 1, 2, 4]], 1, 2)
+        return np.isin(np.arange(len(ks)), sel[full])
 
-    params, pts = points_in(cells)
-    rings = 0
-    data = None
-    while True:
-        if len(pts) >= 6:
-            ds = params[:, 0] - vs
-            dt = params[:, 1] - vt
-            A = np.stack([np.ones_like(ds), ds, dt, ds * ds, ds * dt, dt * dt], axis=1)
-            sol, _, rank, _ = np.linalg.lstsq(A, pts, rcond=None)
-            if rank == 6:
-                data = np.stack([sol[0], sol[1], sol[2], sol[4]], axis=1)  # (arity, 4)
+    # tier 1, a window of vertices at a time: their cells, then rings
+    failed = {}                         # vertex -> the last cells tried
+    for lo in range(0, n, _WINDOW):
+        ks = np.arange(lo, min(lo + _WINDOW, n))
+        cells = {k: mesh.vertex_cells(vids[k]) for k in ks.tolist()}
+        for ring in range(max_rings + 1):
+            grow = []
+            for k in ks[~quadratic(_CellHoods(cell_rows, [cells[k] for k in ks]), ks)].tolist():
+                bigger = _ring_expand(mesh, cells[k]) if ring < max_rings else cells[k]
+                if len(bigger) == len(cells[k]):            # no further ring
+                    failed[k] = cells[k]
+                else:
+                    cells[k] = bigger
+                    grow.append(k)
+            ks = np.array(grow, dtype=np.int64)
+            if not grow:
                 break
-        if rings >= max_rings:
-            break
-        bigger = _ring_expand(mesh, cells)
-        if bigger == cells:
-            break
-        cells = bigger
-        rings += 1
-        params, pts = points_in(cells)
-    if data is None and len(pset) >= 6:
+    ks = np.array(sorted(failed), dtype=np.int64)
+    if len(ks) and len(pset) >= 6:
         # neighborhood cells are thinner than the data: fit the nearest
         # points instead, so the window tracks the sampling density
-        idx = pset.nearest(vs, vt, 18)
-        params, pts = pset.params[idx], pset.points[idx]
-        ds = params[:, 0] - vs
-        dt = params[:, 1] - vt
-        A = np.stack([np.ones_like(ds), ds, dt, ds * ds, ds * dt, dt * dt], axis=1)
-        sol, _, rank, _ = np.linalg.lstsq(A, pts, rcond=None)
-        if rank == 6:
-            data = np.stack([sol[0], sol[1], sol[2], sol[4]], axis=1)
-    if data is None:
-        if len(pts) >= 3:
+        hoods = _NearestHoods(pset.nearest(centers[ks], 18))
+        full = quadratic(hoods, ks)
+        ks, hoods = ks[~full], _NearestHoods(hoods.idx[~full])
+    else:
+        hoods = _CellHoods(cell_rows, [failed[k] for k in ks])
+    linear = hoods.counts >= 3
+    sol, _ = _fit(pset, hoods, np.flatnonzero(linear), centers[ks], 3)
+    data[ks[linear], :, :3] = np.moveaxis(sol, 1, 2)          # zero twist
+    for k, lin in zip(ks.tolist(), linear.tolist()):
+        if lin:
             warnings.warn(
-                f"quadratic fit around vertex {vid} is rank deficient; "
+                f"quadratic fit around vertex {vids[k]} is rank deficient; "
                 f"falling back to a linear fit with zero twist", stacklevel=2)
-            ds = params[:, 0] - vs
-            dt = params[:, 1] - vt
-            A = np.stack([np.ones_like(ds), ds, dt], axis=1)
-            sol, _, rank, _ = np.linalg.lstsq(A, pts, rcond=None)
-            data = np.stack([sol[0], sol[1], sol[2], np.zeros(arity)], axis=1)
         elif fallback_field is not None:
             warnings.warn(
-                f"not enough data points around vertex {vid}; keeping the "
+                f"not enough data points around vertex {vids[k]}; keeping the "
                 f"current surface there", stacklevel=2)
-            data = fallback_field.lop(vs, vt)
         else:
-            raise ValueError(f"no data points around vertex {vid}")
-    block = collocation_block(space, vid)
-    return block.solve(data).T  # (4, arity), row per slot
+            raise ValueError(f"no data points around vertex {vids[k]}")
+    carry = ks[~linear]
+    if len(carry):
+        got = fallback_field.eval_many(centers[carry, 0], centers[carry, 1], HERMITE_ORDERS)
+        data[carry] = np.moveaxis(got, 0, -1)
+    return _solve_vertices(space, vids, data)
 
 
 def _field_errors(field, pset):
@@ -306,6 +462,11 @@ def label_by_curvature(field, cells, delta, samples=9):
     return labels, estimates
 
 
+def _function_ids(space, vids):
+    """Function ids (n, 4) of the basis vertices `vids`, in slot order."""
+    return np.array([space.vertex_index[vid] for vid in vids], dtype=np.int64).reshape(-1, 4)
+
+
 def fit_surface(pset, config, strategy="modified"):
     """Adaptive fit; returns (surface field, report).
 
@@ -322,10 +483,8 @@ def fit_surface(pset, config, strategy="modified"):
 
     t0 = time.perf_counter()
     coeffs = np.zeros((space.dim, 3))
-    cell_index = pset.by_cell()
-    for vid, fids in space.vertex_index.items():
-        coeffs[list(fids)] = estimate_vertex_controls(space, vid, pset,
-                                                      cell_index=cell_index)
+    vids = list(space.vertex_index)
+    coeffs[_function_ids(space, vids)] = estimate_vertex_controls(space, vids, pset)
     field = SplineField(space, coeffs)
     fit_time = time.perf_counter() - t0
 
@@ -376,14 +535,11 @@ def fit_surface(pset, config, strategy="modified"):
                 if vid in new_space.vertex_index and vid not in stale:
                     if all(c in rrep.performed for c in old_mesh.vertex_cells(vid)):
                         stale.add(vid)
-        cell_index = pset.by_cell()
+        stale = sorted(stale)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for vid in sorted(stale):
-                fids = new_space.vertex_index[vid]
-                new_coeffs[list(fids)] = estimate_vertex_controls(
-                    new_space, vid, pset, cell_index=cell_index,
-                    fallback_field=field)
+            new_coeffs[_function_ids(new_space, stale)] = estimate_vertex_controls(
+                new_space, stale, pset, fallback_field=field)
         if caught:
             warnings.warn(
                 f"level {level + 1}: {len(caught)} vertex estimates used a "

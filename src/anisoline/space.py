@@ -69,6 +69,8 @@ __all__ = [
 
 # derivative orders in reporting order: value, s, t, ss, st, tt
 DERIV_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+# the collocation data at a vertex: f, f_s, f_t, f_st
+HERMITE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 # cells per block and scattered points per chunk of the evaluation kernel
 _BLOCK = 64
@@ -649,11 +651,6 @@ class SplineField:
         out = self.eval_many([s], [t])[0, 0]
         return float(out) if self.arity is None else out
 
-    def lop(self, s, t):
-        """(f, f_s, f_t, f_st) of the field at one parameter point."""
-        got = self.eval_many([s], [t], ((0, 0), (1, 0), (0, 1), (1, 1)))
-        return got[:, 0].T if self.arity else got[:, 0]
-
     def to_json_dict(self):
         return {"coefficients": self.coefficients.tolist(),
                 "space": self.space.to_json_dict()}
@@ -681,7 +678,7 @@ def transfer_field(field, new_space):
              if any(fid >= n_old for fid in fids)]
     if fresh:
         s, t = zip(*(new_space.mesh.vertex(vid).position_float() for vid in fresh))
-        got = field.eval_many(s, t, ((0, 0), (1, 0), (0, 1), (1, 1)))
+        got = field.eval_many(s, t, HERMITE_ORDERS)
         coeffs[[new_space.vertex_index[vid] for vid in fresh]] = \
             _solve_vertices(new_space, fresh, np.moveaxis(got, 0, -1))
     return SplineField(new_space, coeffs)
@@ -757,7 +754,7 @@ def verify_space(space, n_samples=2000, seed=0):
     vids = list(space.vertex_index)
     s, t = zip(*(mesh.vertex(vid).position_float() for vid in vids))
     got = rt.eval_located([mesh.vertex_cells(vid)[0] for vid in vids], s, t,
-                          ((0, 0), (1, 0), (0, 1), (1, 1)))
+                          HERMITE_ORDERS)
     rt_err = float(np.max(np.abs(got.T - np.array([data[vid] for vid in vids]))))
 
     return {

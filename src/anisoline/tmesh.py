@@ -51,7 +51,7 @@ import numpy as np
 __all__ = [
     "VertexKind", "AdjacencyKind", "Vertex", "Cell", "TMesh", "Axis",
     "LatticeDepthError", "LATTICE_DEPTH",
-    "create_tensor_mesh", "create_mesh_from_knots", "group_by_cell",
+    "create_tensor_mesh", "create_mesh_from_knots",
 ]
 
 SPLIT_KINDS = ("H", "V", "C")
@@ -76,14 +76,6 @@ class AdjacencyKind(Enum):
     ADJACENT_ONLY = "AdjacentOnly"
     HORIZONTALLY_ALIGNED = "HorizontallyAligned"
     VERTICALLY_ALIGNED = "VerticallyAligned"
-
-
-def group_by_cell(cell_ids):
-    """Map each cell id to the ascending positions holding it in `cell_ids`."""
-    cell_ids = np.asarray(cell_ids)
-    order = np.argsort(cell_ids, kind="stable")
-    ids, starts = np.unique(cell_ids[order], return_index=True)
-    return {int(cid): idx for cid, idx in zip(ids, np.split(order, starts[1:]))}
 
 
 class Axis:

@@ -2,18 +2,24 @@
 
 import gc
 import random
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from anisoline import bezier
+from anisoline import bezier, fitting
 from anisoline.fitting import (
-    FitConfig, ParamPointSet, _field_errors, _sample_grid, estimate_vertex_controls,
-    fit_surface, generate_test_model, label_by_curvature,
+    FitConfig, ParamPointSet, _field_errors, _ring_expand, _sample_grid,
+    estimate_vertex_controls, fit_surface, generate_test_model, label_by_curvature,
 )
 from anisoline.refine import RefinementRequest, refine
-from anisoline.space import DERIV_ORDERS, SplineField, advance_level, build_initial_space
+from anisoline.space import (
+    DERIV_ORDERS, HERMITE_ORDERS, SplineField, advance_level, build_initial_space,
+    collocation_block,
+)
 from anisoline.tmesh import create_tensor_mesh
 
 
@@ -41,6 +47,79 @@ def test_point_set_validation():
         ParamPointSet(np.zeros((3, 3)), np.array([[0, 0], [2.0, 0], [0, 0]]))
 
 
+def _by_cell(pset):
+    """Cell id -> ascending indices of the points assigned to it."""
+    order = np.argsort(pset.cell_of, kind="stable")
+    ids, starts = np.unique(pset.cell_of[order], return_index=True)
+    return {int(cid): idx for cid, idx in zip(ids, np.split(order, starts[1:]))}
+
+
+# ----------------------------------------------------------------------
+# The per-vertex estimator the batched `estimate_vertex_controls`
+# replaced, kept as its reference: one vertex at a time, one lstsq per
+# fit, one collocation block per vertex.
+
+def _reference_estimate(space, vid, pset, max_rings=3, fallback_field=None):
+    mesh = space.mesh
+    vs, vt = mesh.vertex(vid).position_float()
+    cells = set(mesh.vertex_cells(vid))
+    arity = pset.points.shape[1]
+    cell_index = _by_cell(pset)
+
+    def points_in(cells):
+        idx = [cell_index[c] for c in cells if c in cell_index]
+        if not idx:
+            return pset.params[:0], pset.points[:0]
+        idx = np.concatenate(idx)
+        return pset.params[idx], pset.points[idx]
+
+    def lstsq(params, pts, ncols):
+        ds = params[:, 0] - vs
+        dt = params[:, 1] - vt
+        A = np.stack([np.ones_like(ds), ds, dt, ds * ds, ds * dt, dt * dt], axis=1)
+        sol, _, rank, _ = np.linalg.lstsq(A[:, :ncols], pts, rcond=None)
+        return sol, rank
+
+    params, pts = points_in(cells)
+    rings = 0
+    data = None
+    while True:
+        if len(pts) >= 6:
+            sol, rank = lstsq(params, pts, 6)
+            if rank == 6:
+                data = np.stack([sol[0], sol[1], sol[2], sol[4]], axis=1)  # (arity, 4)
+                break
+        if rings >= max_rings:
+            break
+        bigger = _ring_expand(mesh, cells)
+        if bigger == cells:
+            break
+        cells = bigger
+        rings += 1
+        params, pts = points_in(cells)
+    if data is None and len(pset) >= 6:
+        idx = cKDTree(pset.params).query([vs, vt], k=min(18, len(pset)))[1]
+        params, pts = pset.params[idx], pset.points[idx]
+        sol, rank = lstsq(params, pts, 6)
+        if rank == 6:
+            data = np.stack([sol[0], sol[1], sol[2], sol[4]], axis=1)
+    if data is None:
+        if len(pts) >= 3:
+            warnings.warn(
+                f"quadratic fit around vertex {vid} is rank deficient; "
+                f"falling back to a linear fit with zero twist", stacklevel=2)
+            sol, _ = lstsq(params, pts, 3)
+            data = np.stack([sol[0], sol[1], sol[2], np.zeros(arity)], axis=1)
+        elif fallback_field is not None:
+            warnings.warn(
+                f"not enough data points around vertex {vid}; keeping the "
+                f"current surface there", stacklevel=2)
+            data = fallback_field.eval_many([vs], [vt], HERMITE_ORDERS)[:, 0].T
+        else:
+            raise ValueError(f"no data points around vertex {vid}")
+    return collocation_block(space, vid).solve(data).T  # (4, arity), row per slot
+
+
 def test_estimate_controls_plane_exact():
     mesh = create_tensor_mesh(2, 2)
     space = build_initial_space(mesh)
@@ -51,8 +130,8 @@ def test_estimate_controls_plane_exact():
     ps = ParamPointSet(pts, params)
     ps.assign_cells(mesh)
     coeffs = np.zeros((space.dim, 3))
-    for vid, fids in space.vertex_index.items():
-        coeffs[list(fids)] = estimate_vertex_controls(space, vid, ps)
+    vids = list(space.vertex_index)
+    coeffs[[space.vertex_index[vid] for vid in vids]] = estimate_vertex_controls(space, vids, ps)
     field = SplineField(space, coeffs)
     got = field.eval_many(params[:, 0], params[:, 1])[0]
     assert np.max(np.linalg.norm(got - pts, axis=1)) < 1e-10
@@ -67,9 +146,8 @@ def test_estimate_controls_quadratic_derivative():
     ps = ParamPointSet(pts, params)
     ps.assign_cells(mesh)
     vid = mesh.vertex_at(0.5, 0.5)
-    controls = estimate_vertex_controls(space, vid, ps)
+    controls, = estimate_vertex_controls(space, [vid], ps)
     # z-coordinate Hermite data at the vertex: S_s must equal 2 s_v
-    from anisoline.space import collocation_block
     block = collocation_block(space, vid)
     data = controls.T @ block.matrix    # (arity, 4)
     assert data[2, 1] == pytest.approx(1.0, abs=1e-8)   # d/ds s^2 at s=0.5
@@ -87,8 +165,145 @@ def test_estimate_controls_linear_fallback_warns():
     ps.assign_cells(mesh)
     vid = mesh.vertex_at(0, 0)
     with pytest.warns(UserWarning, match="rank deficient"):
-        controls = estimate_vertex_controls(space, vid, ps)
+        controls, = estimate_vertex_controls(space, [vid], ps)
     assert np.all(np.isfinite(controls))
+
+
+def _point_set(rng, params):
+    return ParamPointSet(rng.standard_normal((len(params), 3)), params)
+
+
+def _oracle_case(name, rng):
+    """(space, located point set, fallback field) exercising one tier."""
+    fallback = None
+    if name == "quadratic":
+        space = build_initial_space(create_tensor_mesh(2, 2))
+        pset = _point_set(rng, rng.uniform(0, 1, (400, 2)))
+    elif name == "rings and nearest":
+        # thin refined cells around sparse points
+        space = _refined_space(3, (3, 2))
+        pset = _point_set(rng, rng.uniform(0, 1, (40, 2)))
+    elif name == "linear":
+        space = build_initial_space(create_tensor_mesh(1, 1))
+        pset = _point_set(rng, np.stack([np.linspace(0, 1, 5), np.full(5, 0.5)], axis=1))
+    elif name == "rank rule":
+        # 500 points within 3e-7 of the line t = 1/2: the smallest singular
+        # value of A is 2.7e-14 of the largest, below lstsq's cut eps * 500
+        # but above eps * 6
+        space = build_initial_space(create_tensor_mesh(1, 1))
+        params = np.stack([rng.uniform(0, 1, 500), 0.5 + 3e-7 * rng.uniform(-1, 1, 500)], axis=1)
+        pset = _point_set(rng, params)
+    elif name == "carry-over":
+        # four points in one corner cell: too few for the nearest-points tier
+        space = build_initial_space(create_tensor_mesh(4, 4))
+        pset = _point_set(rng, rng.uniform(0, 0.2, (4, 2)))
+        fallback = SplineField(space, rng.standard_normal((space.dim, 3)))
+    elif name == "streamed":
+        # the center vertex's four cells hold all 10,201 points
+        space = build_initial_space(create_tensor_mesh(2, 2))
+        pset = generate_test_model("cone", (101, 101))
+    elif name == "windows":
+        space = build_initial_space(create_tensor_mesh(20, 20))
+        pset = _point_set(rng, rng.uniform(0, 1, (3000, 2)))
+    pset.assign_cells(space.mesh)
+    return space, pset, fallback
+
+
+def _estimate_with_warnings(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("block", [None, 40])
+@pytest.mark.parametrize("name", ["quadratic", "rings and nearest", "linear", "rank rule",
+                                  "carry-over", "streamed", "windows"])
+def test_estimates_match_per_vertex_reference(name, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(fitting, "_BLOCK", block)
+    fits, streamed = [], []
+    fit, stream = fitting._fit, fitting._streamed_r
+
+    def spy_fit(pset, hoods, sel, centers, ncols):
+        fits.append((type(hoods).__name__, ncols, len(sel)))
+        return fit(pset, hoods, sel, centers, ncols)
+
+    def spy_stream(*args):
+        streamed.append(args[2])
+        return stream(*args)
+
+    monkeypatch.setattr(fitting, "_fit", spy_fit)
+    monkeypatch.setattr(fitting, "_streamed_r", spy_stream)
+    space, pset, fallback = _oracle_case(name, np.random.default_rng(11))
+    vids = list(space.vertex_index)
+    got, got_warned = _estimate_with_warnings(
+        lambda: estimate_vertex_controls(space, vids, pset, fallback_field=fallback))
+    want, want_warned = _estimate_with_warnings(
+        lambda: np.array([_reference_estimate(space, vid, pset, fallback_field=fallback)
+                          for vid in vids]))
+    assert got.shape == want.shape == (len(vids), 4, 3)
+    assert _close(got, want)
+    assert got_warned == want_warned
+    # the case reaches the tier it is named for
+    if name == "quadratic":
+        assert fits[0] == ("_CellHoods", 6, len(vids)) and not got_warned
+    elif name == "rings and nearest":
+        assert fits[1][2] > 0 and ("_NearestHoods", 6, 4) in fits and not got_warned
+    elif name == "linear":
+        assert fits[-1][1:] == (3, 4) and all("rank deficient" in w for w in got_warned)
+    elif name == "rank rule":
+        # all four cell fits are cut to rank 5, so all go to the nearest points
+        assert fits[0] == ("_CellHoods", 6, 4) and ("_NearestHoods", 6, 4) in fits
+    elif name == "carry-over":
+        assert sum("keeping the current surface" in w for w in got_warned) == 6
+        assert sum("rank deficient" in w for w in got_warned) == 19
+        with pytest.raises(ValueError) as err, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            estimate_vertex_controls(space, vids, pset)
+        with pytest.raises(ValueError, match=f"^{err.value}$"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for vid in vids:
+                _reference_estimate(space, vid, pset)
+    elif name == "streamed":
+        # the four edge vertices and the center hold over 4,096 points each
+        assert len(streamed) == (5 if block is None else 9)
+    elif name == "windows":
+        assert len(vids) > fitting._WINDOW
+    if block is not None and name in ("quadratic", "windows"):
+        assert streamed
+
+
+def test_fit_counts_fallbacks_per_level(monkeypatch):
+    # points on three lines t = 0.2, 0.5, 0.8: once cells are thinner than
+    # the line spacing, the nearest points lie on at most two lines, where
+    # the quadratic fit is rank deficient
+    s = np.tile(np.linspace(0.01, 0.99, 20), 3)
+    t = np.repeat([0.2, 0.5, 0.8], 20)
+    pset = ParamPointSet(np.stack([s, t, np.sin(7 * s) * np.cos(3 * t)], axis=1),
+                         np.stack([s, t], axis=1))
+    expected = []
+    batched = fitting.estimate_vertex_controls
+
+    def counting(space, vids, pset, max_rings=3, fallback_field=None):
+        _, warned = _estimate_with_warnings(
+            lambda: [_reference_estimate(space, vid, pset, max_rings, fallback_field)
+                     for vid in vids])
+        expected.append(len(warned))
+        return batched(space, vids, pset, max_rings, fallback_field)
+
+    monkeypatch.setattr(fitting, "estimate_vertex_controls", counting)
+    _, warned = _estimate_with_warnings(
+        lambda: fit_surface(pset, FitConfig(tolerance=1e-4, max_levels=4)))
+    got = {}
+    for message in warned:
+        m = re.fullmatch(r"level (\d+): (\d+) vertex estimates used a fallback \(thin data\)",
+                         message)
+        if m:
+            got[int(m.group(1))] = int(m.group(2))
+    # call 0 is the set-up, call k the estimate of level k
+    assert got == {level: k for level, k in enumerate(expected) if level and k}
+    assert got == {2: 28, 3: 14, 4: 19}
 
 
 def test_max_cell_error_cases():
@@ -289,7 +504,7 @@ def _reference_eval_on_cell(field, cid, s, t, derivs):
 def _reference_field_errors(field, pset):
     err = np.empty(len(pset))
     cell_max = {}
-    for cid, idx in pset.by_cell().items():
+    for cid, idx in _by_cell(pset).items():
         got = _reference_eval_on_cell(field, cid, pset.params[idx, 0], pset.params[idx, 1],
                                       ((0, 0),))[0]
         err[idx] = np.linalg.norm(got - pset.points[idx], axis=1)
@@ -449,3 +664,13 @@ def test_errors_and_labels_memory_is_bounded_by_chunks():
     cells = field.space.mesh.active_cells()
     assert _peak_mib(_field_errors, field, pset) <= 3.0
     assert _peak_mib(label_by_curvature, field, cells, 2.0) <= 1.1
+
+
+def test_control_estimation_memory_is_bounded_by_blocks():
+    # all nine level-0 vertices of the 101 x 101 cone: the center's cells
+    # hold all 10,201 points.  Streamed through 4,096-row pieces the peak
+    # is 0.75 MiB; one vertex at a time with lstsq it was 1.4 MiB.
+    pset = generate_test_model("cone", (101, 101))
+    space = build_initial_space(create_tensor_mesh(2, 2))
+    pset.assign_cells(space.mesh)
+    assert _peak_mib(estimate_vertex_controls, space, list(space.vertex_index), pset) <= 1.0

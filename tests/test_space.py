@@ -13,8 +13,8 @@ import pytest
 from anisoline import space as space_module
 from anisoline.refine import RefinementRequest, refine
 from anisoline.space import (
-    DERIV_ORDERS, BasisFunction, SplineField, SplineSpace, advance_level, build_initial_space,
-    _interior_edge_samples, _new_vertex_neighborhood, collocation_block,
+    DERIV_ORDERS, HERMITE_ORDERS, BasisFunction, SplineField, SplineSpace, advance_level,
+    build_initial_space, _interior_edge_samples, _new_vertex_neighborhood, collocation_block,
     field_from_vertex_data, transfer_field, verify_space,
 )
 from anisoline.tmesh import create_mesh_from_knots, create_tensor_mesh
@@ -398,8 +398,8 @@ def test_vector_field_evaluation():
     field = SplineField(space, rng.standard_normal((space.dim, 3)))
     out = field.eval_many([0.3], [0.7], DERIV_ORDERS)
     assert out.shape == (6, 1, 3)
-    lop = field.lop(0.3, 0.7)
-    assert lop.shape == (3, 4)
+    hermite = field.eval_many([0.3], [0.7], HERMITE_ORDERS)
+    assert hermite.shape == (4, 1, 3)
 
 
 # ----------------------------------------------------------------------
