@@ -462,11 +462,6 @@ def label_by_curvature(field, cells, delta, samples=9):
     return labels, estimates
 
 
-def _function_ids(space, vids):
-    """Function ids (n, 4) of the basis vertices `vids`, in slot order."""
-    return np.array([space.vertex_index[vid] for vid in vids], dtype=np.int64).reshape(-1, 4)
-
-
 def fit_surface(pset, config, strategy="modified"):
     """Adaptive fit; returns (surface field, report).
 
@@ -482,13 +477,11 @@ def fit_surface(pset, config, strategy="modified"):
     report = AdaptiveReport(strategy=strategy)
 
     t0 = time.perf_counter()
-    coeffs = np.zeros((space.dim, 3))
-    vids = list(space.vertex_index)
-    coeffs[_function_ids(space, vids)] = estimate_vertex_controls(space, vids, pset)
-    field = SplineField(space, coeffs)
+    coeffs = estimate_vertex_controls(space, space.vertices, pset)
+    field = SplineField(space, coeffs.reshape(space.dim, 3))
     fit_time = time.perf_counter() - t0
 
-    pending_new = 4 * len(space.vertex_index)
+    pending_new = space.dim
     pending_mod = 0
     for level in range(config.max_levels + 1):
         t0 = time.perf_counter()
@@ -532,13 +525,14 @@ def fit_surface(pset, config, strategy="modified"):
         stale = set(rrep.new_basis_vertices)
         for parent in rrep.performed:
             for vid in old_mesh.cell_vertices(parent):
-                if vid in new_space.vertex_index and vid not in stale:
+                if vid in new_space.vertex_row and vid not in stale:
                     if all(c in rrep.performed for c in old_mesh.vertex_cells(vid)):
                         stale.add(vid)
         stale = sorted(stale)
+        rows = np.array([new_space.vertex_row[vid] for vid in stale], dtype=np.intp)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            new_coeffs[_function_ids(new_space, stale)] = estimate_vertex_controls(
+            new_coeffs[4 * rows[:, None] + np.arange(4)] = estimate_vertex_controls(
                 new_space, stale, pset, fallback_field=field)
         if caught:
             warnings.warn(
@@ -554,9 +548,7 @@ def fit_surface(pset, config, strategy="modified"):
         rec.seconds["label"] = label_time
         rec.seconds["refine"] = refine_time
         pending_new = 4 * len(rrep.new_basis_vertices)
-        pending_mod = sum(
-            1 for i, f in enumerate(new_space.functions[:old_space.dim])
-            if f is not old_space.functions[i])
+        pending_mod = len(old_space.functions_on_cells(rrep.performed))
 
     report.converged = bool(report.final.max_error <= tol)
     return field, report

@@ -61,7 +61,7 @@ from .refine import RefinementRequest, refine
 from .reporting import AdaptiveReport, LevelRecord
 from .space import (
     DERIV_ORDERS, SplineField, _bernstein_tables, _blocks, _Cells, _eval_patches,
-    advance_level,
+    _inverse_2x2, advance_level,
 )
 
 __all__ = [
@@ -97,7 +97,6 @@ class SolveConfig:
     quadrature: int = 5
     max_levels: int = 8
     lin_tol: float = 1e-10
-    direct_limit: int = 50_000
 
     def __post_init__(self):
         if self.delta <= 1:
@@ -132,22 +131,6 @@ def _gauss01(q):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _jacobian_inverse(J, cells):
-    """det J and J^-1 of stacked Jacobians J (c, n, 2, 2); row k belongs
-    to cell cells[k], which a singular Jacobian names in the error."""
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    bad = np.nonzero(np.any(np.abs(det) < 1e-14, axis=1))[0]
-    if bad.size:
-        raise RuntimeError(
-            f"singular geometry Jacobian at a quadrature point of cell {cells[bad[0]]}")
-    inv = np.empty_like(J)
-    inv[..., 0, 0] = J[..., 1, 1] / det
-    inv[..., 0, 1] = -J[..., 0, 1] / det
-    inv[..., 1, 0] = -J[..., 1, 0] / det
-    inv[..., 1, 1] = J[..., 0, 0] / det
-    return det, inv
-
-
 class _Points:
     """n points in each of c cells, with the geometry map there.
 
@@ -165,7 +148,11 @@ class _Points:
         self.J = np.moveaxis(np.stack([d[1], d[2]], axis=-1), 2, 1)
         self.H = np.moveaxis(np.stack([np.stack([d[3], d[4]], axis=-1),
                                        np.stack([d[4], d[5]], axis=-1)], axis=-1), 2, 1)
-        self.det, self.Jinv = _jacobian_inverse(self.J, cells)
+        self.det, self.Jinv = _inverse_2x2(self.J)
+        bad = np.nonzero(np.any(np.abs(self.det) < 1e-14, axis=1))[0]
+        if bad.size:
+            raise RuntimeError(
+                f"singular geometry Jacobian at a quadrature point of cell {cells[bad[0]]}")
 
     def eval(self, P, order):
         """d^(a+b)/ds^a dt^b of patches P (c, ..., 4, 4) -> (c, ..., n)."""
@@ -389,8 +376,8 @@ def _constrained_functions(space, problem, samples_per_edge=8):
                 continue
             corners = mesh.corner_vertices(cid)
             for k in _EDGE_CORNERS[edge]:
-                pinned.update(fid for fid in space.vertex_index[corners[k]]
-                              if space.functions[fid].slot in _EDGE_SLOTS[edge])
+                pinned.update(4 * space.vertex_row[corners[k]] + slot
+                              for slot in _EDGE_SLOTS[edge])
             axis, bound = "st".index(edge[0]), bounds[edge]
             for (a, b) in spans:
                 par = a + (b - a) * ticks
@@ -440,28 +427,19 @@ def impose_boundary_conditions(system, space, geometry, problem):
     return ConstrainedSystem(Aff, Ff, free, fixed, n)
 
 
-def solve_linear(system, tol=1e-10, direct_limit=50_000):
-    """Solve the constrained SPD system; returns full coefficient vector.
-
-    Direct sparse LU factorization up to `direct_limit` unknowns,
-    conjugate gradients with a diagonal preconditioner beyond.  A singular
-    system raises RuntimeError; the relative residual must meet `tol`.
+def solve_linear(system, tol=1e-10):
+    """Solve the constrained SPD system by sparse LU factorization; returns
+    the full coefficient vector.  A singular system raises RuntimeError;
+    the relative residual must meet `tol`.
     """
     A, b = system.matrix, system.rhs
     if A.shape[0] != A.shape[1]:
         raise ValueError("system matrix must be square")
-    if A.shape[0] <= direct_limit:
-        try:
-            lu = spla.splu(A.tocsc())
-        except RuntimeError as err:      # SuperLU: "Factor is exactly singular"
-            raise RuntimeError(f"singular system of {A.shape[0]} unknowns ({err})") from None
-        x = lu.solve(b)
-    else:
-        dia = A.diagonal()
-        M = sp.diags(np.where(dia > 0, 1.0 / dia, 1.0))
-        x, info = spla.cg(A, b, rtol=tol * 1e-2, maxiter=20 * A.shape[0], M=M)
-        if info != 0:
-            raise RuntimeError(f"conjugate gradients did not converge (info={info})")
+    try:
+        lu = spla.splu(A.tocsc())
+    except RuntimeError as err:          # SuperLU: "Factor is exactly singular"
+        raise RuntimeError(f"singular system of {A.shape[0]} unknowns ({err})") from None
+    x = lu.solve(b)
     bn = np.linalg.norm(b)
     res = np.linalg.norm(A @ x - b)
     if bn > 0 and res / bn > tol:
@@ -536,7 +514,7 @@ def exact_error_norms(u_h, u_exact=None, grad_exact=None, q=5):
 def _solve_round(space, geometry, problem, config):
     A, F = assemble(space, geometry, problem, config.quadrature)
     system = impose_boundary_conditions((A, F), space, geometry, problem)
-    coeffs = solve_linear(system, config.lin_tol, config.direct_limit)
+    coeffs = solve_linear(system, config.lin_tol)
     return DiscreteSolution(SplineField(space, coeffs), geometry, problem)
 
 
@@ -587,7 +565,6 @@ def adaptive_solve(problem, geometry, config=None, strategy="modified"):
             hist[lab] = hist.get(lab, 0) + 1
         rec.labels = hist
         pending_new = 4 * len(rrep.new_basis_vertices)
-        pending_mod = sum(1 for i, f in enumerate(space.functions[:old_space.dim])
-                          if f is not old_space.functions[i])
+        pending_mod = len(old_space.functions_on_cells(rrep.performed))
     report.converged = report.final.marked == 0
     return solution, report

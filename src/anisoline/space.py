@@ -1,11 +1,11 @@
 """C1 bicubic spline spaces over modified hierarchical T-meshes.
 
-Every basis function is anchored at a basis vertex (boundary or interior
-crossing) and stored purely in per-cell Bezier form: a sparse map from
-active cell id to a 4x4 ordinate grid.  Knot vectors appear only
+Every basis vertex (boundary or interior crossing) carries four basis
+functions, stored purely in per-cell Bezier form.  Knot vectors appear only
 transiently, when the level-0 tensor basis and the four functions of a
-newly created basis vertex are built; after that a single representation
-feeds evaluation, modification, fitting and assembly.
+newly created basis vertex are built; after that one representation, the
+three tables of `SplineSpace` (basis vertices, per-cell patches, the
+collocation table), feeds evaluation, modification, fitting and assembly.
 
 Level construction:
 
@@ -20,14 +20,15 @@ Level construction:
 * each new basis vertex receives four fresh tensor-product functions on
   its 2x2 (interior) or 1x2 (boundary) cell neighborhood.
 
-The advance is array work, carried across levels as in multi-level
-Bezier extraction (D'Angella, Kollmannsberger, Rank and Reali, 2018): the
-(function, cell) patches on subdivided cells are gathered per split kind
-and split by the fixed half-interval de Casteljau matrices
-(`bezier.split_patches`), the new-vertex corner blocks are zeroed by one
-mask (`bezier.zero_corner_blocks`) and all-zero pieces dropped, all
-`_SPLIT_CHUNK` pairs at a time so memory stays bounded; the new vertices'
-functions are batched outer products of univariate ordinates.
+The advance works on the cell table, carried across levels as in
+multi-level Bezier extraction (D'Angella, Kollmannsberger, Rank and
+Reali, 2018): unsplit cells keep their entries; the patches of subdivided
+cells are split per kind by the fixed half-interval de Casteljau matrices
+(`bezier.split_patches`), their new-vertex corner blocks zeroed by one
+mask (`bezier.zero_corner_blocks`) and all-zero pieces dropped,
+`_SPLIT_CELLS` whole cells at a time so memory stays bounded; the new
+vertices' functions, batched outer products of univariate ordinates, come
+after the old ones in every cell.
 
 The four functions at a vertex reproduce arbitrary (value, d_s, d_t,
 d_st) data there, and all other functions carry zero data at that
@@ -55,6 +56,8 @@ points) or at scattered points with known cells, `_CHUNK` at a time
 from __future__ import annotations
 
 import json
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -62,7 +65,7 @@ from . import bezier
 from .tmesh import SPLIT_KINDS, TMesh
 
 __all__ = [
-    "BasisFunction", "SplineSpace", "SplineField", "CollocationBlock",
+    "SplineSpace", "SplineField", "CollocationBlock",
     "build_initial_space", "advance_level", "collocation_block",
     "verify_space", "field_from_vertex_data", "transfer_field",
 ]
@@ -75,24 +78,10 @@ HERMITE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 # cells per block and scattered points per chunk of the evaluation kernel
 _BLOCK = 64
 _CHUNK = 1024
-# (function, cell) patches split per chunk by the level advance
-_SPLIT_CHUNK = 128
-
-
-class BasisFunction:
-    """One spline basis function in sparse per-cell Bezier form."""
-
-    __slots__ = ("anchor", "slot", "birth_level", "support")
-
-    def __init__(self, anchor, slot, birth_level, support):
-        self.anchor = anchor
-        self.slot = slot
-        self.birth_level = birth_level
-        self.support = support          # cell id -> (4, 4) ndarray
-
-    def __repr__(self):
-        return (f"BasisFunction(anchor={self.anchor}, slot={self.slot}, "
-                f"level={self.birth_level}, cells={sorted(self.support)})")
+# subdivided cells split per chunk by the level advance
+_SPLIT_CELLS = 8
+# the cell-table entry of a cell without functions
+_NO_FUNCTIONS = (np.zeros(0, dtype=np.intp), np.zeros((0, 4, 4)))
 
 
 class CollocationBlock:
@@ -121,42 +110,61 @@ class CollocationBlock:
 
 
 class SplineSpace:
-    """A basis for the C1 bicubic spline space over a T-mesh value.
+    """A basis for the C1 bicubic spline space over a T-mesh value, as
+    three tables:
 
-    `vertex_index` maps each basis vertex to its four function ids in slot
-    order.  `factors` is the collocation table (n_vertices, 2, 2, 2): row
-    `vertex_row[vid]` holds the univariate factors S and T of the vertex's
-    collocation block kron(T, S) (see `CollocationBlock`), rows in the order
-    of `vertex_index`.  The space builders record it when they create a
-    vertex's functions; a space constructed without it fills it once, on
-    first use, from the patches' corner data.
+    * `vertices[k]` is the basis vertex whose slots 0-3 are the functions
+      4k .. 4k + 3;
+    * `cells` maps each active cell id to (the ids of its functions,
+      ascending (F,); their Bezier patches there (F, 4, 4)).  Spaces share
+      entries (`advance_level` keeps those of unsplit cells), so nothing
+      writes into them;
+    * `factors` is the collocation table (len(vertices), 2, 2, 2): row k
+      holds the factors S and T of vertex k's collocation block kron(T, S)
+      (see `CollocationBlock`).  The space builders record it; a space
+      constructed without it fills it from the patches' corner data on
+      first use.
     """
 
-    def __init__(self, mesh, functions, factors=None):
+    def __init__(self, mesh, vertices, cells, factors=None):
         self.mesh = mesh
-        self.functions = functions
-        self.vertex_index = {}
-        for idx, f in enumerate(functions):
-            self.vertex_index.setdefault(f.anchor, []).append(idx)
-        for vid, ids in self.vertex_index.items():
-            slots = [functions[f].slot for f in ids]
-            if sorted(slots) != [0, 1, 2, 3]:
-                raise ValueError(f"basis vertex {vid} carries functions of slots {slots}, "
-                                 f"expected one of each slot 0-3")
-            self.vertex_index[vid] = tuple(f for _, f in sorted(zip(slots, ids)))
-        self.vertex_row = {vid: k for k, vid in enumerate(self.vertex_index)}
-        if factors is not None and np.shape(factors) != (len(self.vertex_row), 2, 2, 2):
+        self.vertices = vertices
+        self.cells = cells
+        if factors is not None and np.shape(factors) != (len(vertices), 2, 2, 2):
             raise ValueError(f"collocation table of shape {np.shape(factors)} for "
-                             f"{len(self.vertex_row)} basis vertices")
+                             f"{len(vertices)} basis vertices")
         self._factors = factors
-        self.cell_to_funcs = {}
-        for idx, f in enumerate(functions):
-            for cid in f.support:
-                self.cell_to_funcs.setdefault(cid, []).append(idx)
+
+    @classmethod
+    def from_supports(cls, mesh, vertices, supports):
+        """The space whose function 4k + slot, at basis vertex vertices[k],
+        has the patches supports[4k + slot] ({cell id: (4, 4) patch})."""
+        if len(supports) != 4 * len(vertices):
+            raise ValueError(f"{len(supports)} functions for {len(vertices)} basis vertices, "
+                             f"expected four per vertex")
+        if len(set(vertices)) != len(vertices):
+            twice = next(v for k, v in enumerate(vertices) if v in vertices[:k])
+            raise ValueError(f"basis vertex {twice} is listed twice")
+        entries = {}
+        for fid, support in enumerate(supports):
+            for cid, patch in support.items():
+                entries.setdefault(cid, []).append((fid, patch))
+        cells = {cid: (np.array([f for f, _ in es], dtype=np.intp),
+                       np.array([p for _, p in es], dtype=float).reshape(-1, 4, 4))
+                 for cid, es in entries.items()}
+        return cls(mesh, list(vertices), cells)
 
     @property
     def dim(self):
-        return len(self.functions)
+        return 4 * len(self.vertices)
+
+    @cached_property
+    def vertex_row(self):
+        return {vid: k for k, vid in enumerate(self.vertices)}
+
+    @cached_property
+    def vertex_index(self):
+        return {vid: tuple(range(4 * k, 4 * k + 4)) for k, vid in enumerate(self.vertices)}
 
     @property
     def factors(self):
@@ -165,17 +173,33 @@ class SplineSpace:
         return self._factors
 
     def functions_on_cell(self, cid):
-        return self.cell_to_funcs.get(cid, [])
+        return self.cells.get(cid, _NO_FUNCTIONS)[0].tolist()
+
+    def functions_on_cells(self, cids):
+        """The set of ids of the functions living on any of the cells."""
+        return {fid for cid in cids for fid in self.functions_on_cell(cid)}
+
+    def supports(self):
+        """Per function, its patches {cell id: (4, 4) patch} in ascending
+        cell order, read from the cell table."""
+        out = [{} for _ in range(self.dim)]
+        for cid in sorted(self.cells):
+            fids, patches = self.cells[cid]
+            for fid, patch in zip(fids.tolist(), patches):
+                out[fid][cid] = patch
+        return out
 
     def basis_data_at_vertex(self, fid, vid):
         """(f, f_s, f_t, f_st) of one function at a vertex, zeros off-support."""
-        f = self.functions[fid]
         v = self.mesh.vertex(vid)
-        for cid in sorted(f.support):
+        for cid in self.mesh.vertex_cells(vid):
             c = self.mesh.cell(cid)
-            if v.i in (c.i0, c.i1) and v.j in (c.j0, c.j1):
+            fids, patches = self.cells.get(cid, _NO_FUNCTIONS)
+            k = np.searchsorted(fids, fid)
+            if k < len(fids) and fids[k] == fid and \
+                    v.i in (c.i0, c.i1) and v.j in (c.j0, c.j1):
                 corner = (0 if v.i == c.i0 else 1, 0 if v.j == c.j0 else 1)
-                return bezier.corner_data(f.support[cid], corner, *c.size_float())
+                return bezier.corner_data(patches[k], corner, *c.size_float())
         return np.zeros(4)
 
     def basis_on_cell(self, cid, u, v, derivs=DERIV_ORDERS[:1]):
@@ -196,10 +220,11 @@ class SplineSpace:
         return {
             "mesh": self.mesh.to_json_dict(),
             "functions": [
-                {"anchor": f.anchor, "slot": f.slot, "birth_level": f.birth_level,
+                {"anchor": self.vertices[fid // 4], "slot": fid % 4,
+                 "birth_level": self.mesh.vertex(self.vertices[fid // 4]).level,
                  "support": {str(cid): [float(x) for x in patch.ravel()]
-                             for cid, patch in sorted(f.support.items())}}
-                for f in self.functions],
+                             for cid, patch in support.items()}}
+                for fid, support in enumerate(self.supports())],
         }
 
     def to_json(self, **kw):
@@ -207,13 +232,18 @@ class SplineSpace:
 
     @classmethod
     def from_json_dict(cls, d):
+        """The space of `to_json_dict`: four functions per basis vertex, in
+        slot order, or a ValueError names the first out of place."""
         mesh = TMesh.from_json_dict(d["mesh"])
-        funcs = []
-        for fd in d["functions"]:
-            support = {int(cid): np.array(vals, dtype=float).reshape(4, 4)
-                       for cid, vals in fd["support"].items()}
-            funcs.append(BasisFunction(fd["anchor"], fd["slot"], fd["birth_level"], support))
-        return cls(mesh, funcs)
+        records = d["functions"]
+        vertices = [fd["anchor"] for fd in records[::4]]
+        for fid, fd in enumerate(records):
+            if (fd["anchor"], fd["slot"]) != (vertices[fid // 4], fid % 4):
+                raise ValueError(f"function {fid} is slot {fd['slot']} of vertex {fd['anchor']}, "
+                                 f"expected slot {fid % 4} of vertex {vertices[fid // 4]}")
+        supports = [{int(cid): np.array(vals, dtype=float).reshape(4, 4)
+                     for cid, vals in fd["support"].items()} for fd in records]
+        return cls.from_supports(mesh, vertices, supports)
 
     @classmethod
     def from_json(cls, text):
@@ -249,29 +279,30 @@ def _ordinates_toward(pair, w, low):
                      np.where(low, 0.0, val)], axis=-1)
 
 
-def _vertex_functions(anchors, factors, cells, level):
-    """The four functions of every vertex in `anchors`, as batched outer
-    products of univariate ordinates.
+def _vertex_functions(first, factors, cells):
+    """Cell-table entries of the four functions of n vertices whose ids
+    start at `first`, as batched outer products of univariate ordinates.
 
     factors (n, 2, 2, 2): each vertex's S and T; cells: per vertex, its
     support cells as (cell id, width, anchor at the cell's low s end,
     height, anchor at the low t end).  Slot k = sv + 2 tv takes the sv-th
-    s and the tv-th t function."""
-    rows = np.repeat(np.arange(len(anchors)), [len(cs) for cs in cells])
-    sw, s_low, th, t_low = np.array([c[1:] for cs in cells for c in cs],
-                                    dtype=float).reshape(-1, 4).T
+    s and the tv-th t function.  Each cell's entries come in vertex order,
+    so its ids ascend."""
+    rows = np.repeat(np.arange(len(cells)), [len(cs) for cs in cells])
+    flat = list(chain.from_iterable(cells))
+    cids = np.array([c[0] for c in flat], dtype=np.intp)
+    sw, s_low, th, t_low = np.array([c[1:] for c in flat], dtype=float).reshape(-1, 4).T
     s_ord = _ordinates_toward(factors[rows, 0], sw, s_low.astype(bool))
     t_ord = _ordinates_toward(factors[rows, 1], th, t_low.astype(bool))
     # (entry, tv, sv, 4, 4) -> (entry, slot, 4, 4)
     patches = (t_ord[:, :, None, :, None] * s_ord[:, None, :, None, :]).reshape(-1, 4, 4, 4)
-    funcs = []
-    at = 0
-    for anchor, cs in zip(anchors, cells):
-        for slot in range(4):
-            funcs.append(BasisFunction(anchor, slot, level, {
-                c[0]: patches[at + e, slot].copy() for e, c in enumerate(cs)}))
-        at += len(cs)
-    return funcs
+    order = np.argsort(cids, kind="stable")
+    uniq, starts = np.unique(cids[order], return_index=True)
+    fids = (first + 4 * rows[order, None] + np.arange(4)).reshape(-1)
+    patches = patches[order].reshape(-1, 4, 4)
+    ends = 4 * np.append(starts[1:], len(order))
+    return {cid: (fids[4 * a:b], patches[4 * a:b])
+            for cid, a, b in zip(uniq.tolist(), starts.tolist(), ends.tolist())}
 
 
 def build_initial_space(mesh):
@@ -308,7 +339,7 @@ def build_initial_space(mesh):
         factors[row, 1], t_cells = direction_data(t_axis, t_knots, t_index[v.j])
         support_cells.append([(grid[(si, tj)], sw, s_low, th, t_low)
                               for (tj, th, t_low) in t_cells for (si, sw, s_low) in s_cells])
-    space = SplineSpace(mesh, _vertex_functions(anchors, factors, support_cells, 0), factors)
+    space = SplineSpace(mesh, anchors, _vertex_functions(0, factors, support_cells), factors)
     if space.dim != mesh.dimension():
         raise AssertionError("initial basis count disagrees with the dimension formula")
     return space
@@ -359,31 +390,14 @@ def _new_vertex_neighborhood(mesh, vid):
     return s_pair, t_pair, support_cells
 
 
-def _born_functions(mesh, born, level):
-    """Functions and collocation factors of the new basis vertices `born`,
-    `_SPLIT_CHUNK` // 4 vertices at a time, and the corners of the cells
-    holding one of them: cell id -> bit mask, bit cs + 2 ct."""
-    funcs, factors, corners = [], [np.empty((0, 2, 2, 2))], {}
-    step = _SPLIT_CHUNK // 4
-    for lo in range(0, len(born), step):
-        hoods = [_new_vertex_neighborhood(mesh, vid) for vid in born[lo:lo + step]]
-        rows = np.array([h[:2] for h in hoods], dtype=float)
-        cells = [h[2] for h in hoods]
-        for cid, _, s_low, _, t_low in (c for cs in cells for c in cs):
-            corners[cid] = corners.get(cid, 0) | 1 << ((not s_low) + 2 * (not t_low))
-        funcs += _vertex_functions(born[lo:lo + step], rows, cells, level)
-        factors.append(rows)
-    return funcs, np.concatenate(factors), corners
-
-
 def advance_level(space, report):
     """Carry a spline space across one refinement round.
 
     Existing functions whose support meets a subdivided cell get that
     patch split and their ordinate blocks at the new basis vertices
-    zeroed; untouched functions are reused as-is.  Four new functions
-    are created per new basis vertex.  Patches on subdivided cells are
-    split per kind, `_SPLIT_CHUNK` (function, cell) pairs at a time.
+    zeroed; the entries of unsplit cells are reused as-is.  Four new
+    functions are created per new basis vertex.  Subdivided cells are
+    split per kind, `_SPLIT_CELLS` whole cells at a time.
     """
     if not report.performed:
         return space
@@ -394,37 +408,39 @@ def advance_level(space, report):
         raise ValueError("refinement promoted a T-vertex; space cannot be advanced")
     mesh = report.mesh_after
     split_info = report.performed
-    new_functions, factors, new_corners = _born_functions(
-        mesh, sorted(report.new_basis_vertices), mesh.current_level)
+    born = sorted(report.new_basis_vertices)
+    hoods = [_new_vertex_neighborhood(mesh, vid) for vid in born]
+    factors = np.array([h[:2] for h in hoods], dtype=float).reshape(-1, 2, 2, 2)
+    corners = {}            # cell id -> bit cs + 2 ct per corner at a new vertex
+    for cid, _, s_low, _, t_low in chain.from_iterable(h[2] for h in hoods):
+        corners[cid] = corners.get(cid, 0) | 1 << ((not s_low) + 2 * (not t_low))
 
-    supports = {}           # touched function id -> its new support
+    cells = {cid: entry for cid, entry in space.cells.items() if cid not in split_info}
     for kind in SPLIT_KINDS:
-        pairs = [(fid, cid) for cid, (k, _) in split_info.items() if k == kind
-                 for fid in space.cell_to_funcs.get(cid, ())]
-        for lo in range(0, len(pairs), _SPLIT_CHUNK):
-            chunk = pairs[lo:lo + _SPLIT_CHUNK]
-            P = np.array([space.functions[fid].support[cid] for fid, cid in chunk])
-            bits = np.array([[new_corners.get(kid, 0) for kid in split_info[cid][1]]
-                             for _, cid in chunk])
-            kids = bezier.zero_corner_blocks(bezier.split_patches(P, kind),
-                                             (bits[..., None] >> np.arange(4)) & 1)
+        parents = [cid for cid, (k, _) in split_info.items() if k == kind]
+        for lo in range(0, len(parents), _SPLIT_CELLS):
+            chunk = parents[lo:lo + _SPLIT_CELLS]
+            entries = [space.cells[cid] for cid in chunk]
+            counts = [len(fids) for fids, _ in entries]
+            bits = np.repeat([[corners.get(kid, 0) for kid in split_info[cid][1]]
+                              for cid in chunk], counts, axis=0)
+            kids = bezier.zero_corner_blocks(
+                bezier.split_patches(np.concatenate([p for _, p in entries]), kind),
+                (bits[..., None] >> np.arange(4)) & 1)
             alive = kids.any(axis=(2, 3))
-            for (fid, cid), pieces, live in zip(chunk, kids, alive):
-                support = supports.get(fid)
-                if support is None:
-                    support = supports[fid] = {c: p for c, p in space.functions[fid].support.items()
-                                               if c not in split_info}
-                for kid, piece, keep in zip(split_info[cid][1], pieces, live):
-                    if keep:
-                        support[kid] = piece.copy()
+            at = 0
+            for cid, (fids, _), n in zip(chunk, entries, counts):
+                for k, kid in enumerate(split_info[cid][1]):
+                    live = alive[at:at + n, k]
+                    cells[kid] = (fids[live], kids[at:at + n, k][live])
+                at += n
+    for cid, (fids, patches) in _vertex_functions(space.dim, factors,
+                                                  [h[2] for h in hoods]).items():
+        old_fids, old_patches = cells[cid]       # a new vertex touches children only
+        cells[cid] = (np.concatenate([old_fids, fids]), np.concatenate([old_patches, patches]))
 
-    functions = [BasisFunction(f.anchor, f.slot, f.birth_level, supports[idx])
-                 if idx in supports else f for idx, f in enumerate(space.functions)]
-    out = SplineSpace(mesh, functions + new_functions, np.concatenate([space.factors, factors]))
-    expected = space.dim + 4 * len(report.new_basis_vertices)
-    if out.dim != expected:
-        raise AssertionError(
-            f"basis count {out.dim} disagrees with expected {expected}")
+    out = SplineSpace(mesh, space.vertices + born, cells,
+                      np.concatenate([space.factors, factors]))
     # the full Eq.-(1) recount classifies every vertex on the lattice, at
     # every level of every mesh
     dim = mesh.dimension()
@@ -465,15 +481,14 @@ def _eval_patches(P, tables, order, width, height):
 def _padded_patches(space, cids):
     """Function ids (c, F), their patches (c, F, 4, 4) and the mask of real
     entries; padding has id 0 and a zero patch."""
-    lists = [space.functions_on_cell(cid) for cid in cids]
-    counts = np.array([len(fl) for fl in lists])
+    entries = [space.cells.get(cid, _NO_FUNCTIONS) for cid in cids]
+    counts = np.array([len(f) for f, _ in entries])
     valid = np.arange(counts.max(initial=0)) < counts[:, None]
     fids = np.zeros(valid.shape, dtype=np.intp)
     patches = np.zeros(valid.shape + (4, 4))
     if valid.any():
-        fids[valid] = [f for fl in lists for f in fl]
-        patches[valid] = [space.functions[f].support[cid]
-                          for cid, fl in zip(cids, lists) for f in fl]
+        fids[valid] = np.concatenate([f for f, _ in entries])
+        patches[valid] = np.concatenate([p for _, p in entries])
     return fids, patches, valid
 
 
@@ -504,28 +519,33 @@ def _kron2(T, S):
     return (T[..., :, None, :, None] * S[..., None, :, None, :]).reshape(T.shape[:-2] + (4, 4))
 
 
-_ADJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+def _inverse_2x2(M):
+    """Determinants (...) and inverses (..., 2, 2) of stacked 2x2 matrices
+    M (..., 2, 2), by the adjugate.  A singular matrix gives a non-finite
+    inverse; each caller rules on the determinants itself."""
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    adj = np.stack([M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0]], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return det, (adj / det[..., None]).reshape(M.shape)
 
 
 def _inverse_blocks(factors, vids):
     """Inverse collocation blocks kron(T^-1, S^-1) (n, 4, 4) from factor
     rows (n, 2, 2, 2) of the vertices `vids`; raises a RuntimeError naming
     the first vertex whose block is singular."""
-    F = factors.reshape(-1, 2, 4)                       # (a, b, c, d) of S and T
-    det = F[..., 0] * F[..., 3] - F[..., 1] * F[..., 2]
+    det, inv = _inverse_2x2(factors)
     singular = ~(np.isfinite(det) & (det != 0)).all(axis=1)
     if singular.any():
         raise RuntimeError(f"singular collocation block at vertex {vids[int(np.argmax(singular))]}")
-    inv = (F[..., [3, 1, 2, 0]] * _ADJUGATE_SIGNS / det[..., None]).reshape(-1, 2, 2, 2)
     return _kron2(inv[:, 1], inv[:, 0])
 
 
 def _factors_from_patches(space):
     """The collocation table of a space, read from its patches' corner
     data: each vertex's block split into its Kronecker factors S and T."""
-    vids = list(space.vertex_index)
-    B = np.array([[space.basis_data_at_vertex(fid, vid) for fid in space.vertex_index[vid]]
-                  for vid in vids]).reshape(-1, 4, 4)
+    vids = space.vertices
+    B = np.array([[space.basis_data_at_vertex(4 * k + slot, vid) for slot in range(4)]
+                  for k, vid in enumerate(vids)]).reshape(-1, 4, 4)
     n = len(B)
     # B[k, 2 tv + sv, 2 dt + ds] = T[tv, dt] S[sv, ds]: a rank-one R per vertex
     R = B.reshape(n, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(n, 4, 4)
@@ -555,8 +575,8 @@ def collocation_block(space, vid):
 
 
 def _solve_vertices(space, vids, data):
-    """Coefficients (n, 4, ...) of the functions `space.vertex_index[vid]`
-    that reproduce Hermite data (n, ..., 4) at the basis vertices vids."""
+    """Coefficients (n, 4, ...) of the four functions of each basis vertex
+    of `vids` that reproduce Hermite data (n, ..., 4) there."""
     inv = _inverse_blocks(space.factors[[space.vertex_row[vid] for vid in vids]], vids)
     return np.moveaxis(np.einsum("n...i,nij->n...j", data, inv), -1, 1)
 
@@ -567,11 +587,9 @@ def field_from_vertex_data(space, data):
     `data` maps basis vertex id -> array (..., 4).  Every basis vertex of
     the mesh must be present.  Returns a SplineField.
     """
-    vids = list(space.vertex_index)
-    values = np.array([data[vid] for vid in vids], dtype=float)
-    coeffs = np.zeros((space.dim,) + values.shape[1:-1])
-    coeffs[[space.vertex_index[vid] for vid in vids]] = _solve_vertices(space, vids, values)
-    return SplineField(space, coeffs)
+    values = np.array([data[vid] for vid in space.vertices], dtype=float)
+    coeffs = _solve_vertices(space, space.vertices, values)
+    return SplineField(space, coeffs.reshape((space.dim,) + values.shape[1:-1]))
 
 
 class SplineField:
@@ -663,24 +681,22 @@ class SplineField:
 def transfer_field(field, new_space):
     """Represent an existing field exactly in a once-advanced space.
 
-    Old functions keep their coefficients; each new basis vertex gets the
-    coefficients that reproduce the old field's local Hermite data, which
-    the modification operator handed over verbatim.
+    Old functions keep their coefficients; each new basis vertex (those
+    after the old ones in `new_space.vertices`) gets the coefficients that
+    reproduce the old field's local Hermite data, which the modification
+    operator handed over verbatim.
     """
-    old_space = field.space
-    n_old = old_space.dim
+    n_old = field.space.dim
     if new_space.dim < n_old:
         raise ValueError("target space is smaller than the source space")
-    shape = (new_space.dim,) if field.arity is None else (new_space.dim, field.arity)
-    coeffs = np.zeros(shape)
+    coeffs = np.zeros((new_space.dim,) + field.coefficients.shape[1:])
     coeffs[:n_old] = field.coefficients
-    fresh = [vid for vid, fids in new_space.vertex_index.items()
-             if any(fid >= n_old for fid in fids)]
+    fresh = new_space.vertices[len(field.space.vertices):]
     if fresh:
         s, t = zip(*(new_space.mesh.vertex(vid).position_float() for vid in fresh))
         got = field.eval_many(s, t, HERMITE_ORDERS)
-        coeffs[[new_space.vertex_index[vid] for vid in fresh]] = \
-            _solve_vertices(new_space, fresh, np.moveaxis(got, 0, -1))
+        coeffs[n_old:] = _solve_vertices(new_space, fresh, np.moveaxis(got, 0, -1)) \
+            .reshape(coeffs[n_old:].shape)
     return SplineField(new_space, coeffs)
 
 
@@ -749,9 +765,9 @@ def verify_space(space, n_samples=2000, seed=0):
         c1_jump = float(np.max(np.abs(jump))) / scale
 
     # the Hermite data of the round-trip field, read in one incident cell
-    data = {vid: rng.standard_normal(4) for vid in space.vertex_index}
+    vids = space.vertices
+    data = {vid: rng.standard_normal(4) for vid in vids}
     rt = field_from_vertex_data(space, data)
-    vids = list(space.vertex_index)
     s, t = zip(*(mesh.vertex(vid).position_float() for vid in vids))
     got = rt.eval_located([mesh.vertex_cells(vid)[0] for vid in vids], s, t,
                           HERMITE_ORDERS)

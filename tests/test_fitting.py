@@ -492,7 +492,7 @@ def _reference_eval_on_cell(field, cid, s, t, derivs):
     fids = space.functions_on_cell(cid)
     vals = np.zeros((len(derivs), len(fids), u.size))
     if fids:
-        patches = np.stack([space.functions[f].support[cid] for f in fids])
+        patches = space.cells[cid][1]
         for d, (a, b) in enumerate(derivs):
             bu = bezier.bernstein_row(u, a)
             bv = bezier.bernstein_row(v, b)

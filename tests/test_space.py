@@ -1,11 +1,14 @@
 """Spline space construction, modification, evaluation, verification."""
 
+import copy
 import gc
+import json
 import random
 import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ import pytest
 from anisoline import space as space_module
 from anisoline.refine import RefinementRequest, refine
 from anisoline.space import (
-    DERIV_ORDERS, HERMITE_ORDERS, BasisFunction, SplineField, SplineSpace, advance_level,
+    DERIV_ORDERS, HERMITE_ORDERS, SplineField, SplineSpace, advance_level,
     build_initial_space, _interior_edge_samples, _new_vertex_neighborhood, collocation_block,
     field_from_vertex_data, transfer_field, verify_space,
 )
@@ -43,8 +46,8 @@ def test_single_cell_space_is_bernstein():
     # the double-end-knot construction degenerates to the Bernstein basis:
     # each patch has exactly one unit ordinate
     seen = set()
-    for f in space.functions:
-        (patch,) = f.support.values()
+    for support in space.supports():
+        (patch,) = support.values()
         nz = np.argwhere(patch != 0)
         assert len(nz) == 1
         assert patch[tuple(nz[0])] == pytest.approx(1.0)
@@ -64,10 +67,10 @@ def test_initial_space_counts_and_unity():
 def test_initial_space_supports_are_incident_cells():
     mesh = create_tensor_mesh(3, 3)
     space = build_initial_space(mesh)
-    for f in space.functions:
-        incident = set(mesh.vertex_cells(f.anchor))
-        assert set(f.support) == incident
-        assert len(f.support) <= 4
+    for fid, support in enumerate(space.supports()):
+        incident = set(mesh.vertex_cells(space.vertices[fid // 4]))
+        assert set(support) == incident
+        assert len(support) <= 4
 
 
 def test_initial_space_rejects_refined_mesh():
@@ -107,9 +110,11 @@ def test_functions_away_from_marks_unchanged():
     far_vertex = mesh.vertex_at(1, 1)
     mesh2, report = refine(mesh, RefinementRequest({corner_cell: "C"}))
     space2 = advance_level(space, report)
+    old, new = space.supports(), space2.supports()
     for fid in space.vertex_index[far_vertex]:
-        old, new = space.functions[fid], space2.functions[fid]
-        assert old is new  # untouched functions are reused, patches bitwise equal
+        assert old[fid].keys() == new[fid].keys()
+        # untouched cells keep their entries, so the patches are bitwise equal
+        assert all(space2.cells[cid] is space.cells[cid] for cid in old[fid])
 
 
 def test_evaluate_sparse_and_unity():
@@ -147,7 +152,7 @@ def test_transition_cell_keeps_coarse_functions():
     assert mesh2.cell(child).bounds_float() == (0.25, 0.5, 0.25, 0.5)
     fids = space2.functions_on_cell(child)
     assert len(fids) == 16
-    anchors = {space2.functions[f].anchor for f in fids}
+    anchors = {space2.vertices[f // 4] for f in fids}
     assert anchors == {mesh2.vertex_at(0.5, 0), mesh2.vertex_at(0, 0.5),
                        mesh2.vertex_at(0.5, 0.5), mesh2.vertex_at(0.25, 0.25)}
     ones = SplineField(space2, np.ones(space2.dim))
@@ -337,15 +342,15 @@ def test_support_stays_local_and_connected():
     for seed in (1, 4, 6):
         space = make_space(seed=seed, depth=3)
         mesh = space.mesh
-        for f in space.functions:
-            v = mesh.vertex(f.anchor)
-            cells = [mesh.cell(c) for c in f.support]
+        for f, support in enumerate(space.supports()):
+            v = mesh.vertex(space.vertices[f // 4])
+            cells = [mesh.cell(c) for c in support]
             assert cells, f
-            # birth neighborhood: cells of the birth level whose closure
-            # contains the anchor (the full tree is retained, so these
-            # records exist even after later subdivision)
+            # birth neighborhood: cells of the anchor's level (the function's
+            # birth level) whose closure contains the anchor (the full tree is
+            # retained, so these records exist even after later subdivision)
             birth = [c for c in mesh._cells.values()
-                     if c.level == f.birth_level and c.contains_point(v.s, v.t)]
+                     if c.level == v.level and c.contains_point(v.s, v.t)]
             s_lo = min(c.s0 for c in birth)
             s_hi = max(c.s1 for c in birth)
             t_lo = min(c.t0 for c in birth)
@@ -354,7 +359,7 @@ def test_support_stays_local_and_connected():
                 assert (s_lo <= c.s0 and c.s1 <= s_hi and
                         t_lo <= c.t0 and c.t1 <= t_hi), (f, c)
             # support is edge-connected
-            ids = list(f.support)
+            ids = list(support)
             seen = {ids[0]}
             stack = [ids[0]]
             while stack:
@@ -392,6 +397,60 @@ def test_space_json_roundtrip():
     assert np.allclose(a, b, atol=1e-14)
 
 
+# a 2x2 mesh after one C split, written by the per-function store that the
+# cell table replaced
+_CROSS_FILE = Path(__file__).parent / "data" / "space_2x2_cross.json"
+
+
+def test_per_function_file_loads_bitwise():
+    mesh = create_tensor_mesh(2, 2)
+    _, report = refine(mesh, RefinementRequest({mesh.locate_cell(0.25, 0.25): "C"}))
+    built = advance_level(build_initial_space(mesh), report)
+    text = _CROSS_FILE.read_text()
+    loaded = SplineSpace.from_json(text)
+    assert json.loads(text) == built.to_json_dict()
+    assert loaded.to_json_dict()["functions"] == built.to_json_dict()["functions"]
+    assert loaded.mesh.same_structure(built.mesh)
+    rng = np.random.default_rng(8)
+    s, t = rng.uniform(0, 1, 300), rng.uniform(0, 1, 300)
+    coeffs = rng.standard_normal(built.dim)
+    assert np.array_equal(SplineField(loaded, coeffs).eval_many(s, t, DERIV_ORDERS),
+                          SplineField(built, coeffs).eval_many(s, t, DERIV_ORDERS))
+
+
+def test_file_out_of_slot_order_is_refused():
+    d = json.loads(_CROSS_FILE.read_text())
+    fs = d["functions"]
+    fs[4], fs[5] = fs[5], fs[4]
+    with pytest.raises(ValueError, match=r"function 4 is slot 1 of vertex \d+, expected slot 0 "):
+        SplineSpace.from_json_dict(d)
+    fs[4], fs[5] = fs[5], fs[4]
+    twice = fs[4]["anchor"]
+    fs.extend(copy.deepcopy(fs[4:8]))
+    with pytest.raises(ValueError, match=f"basis vertex {twice} is listed twice"):
+        SplineSpace.from_json_dict(d)
+    del fs[-5:]
+    with pytest.raises(ValueError, match="47 functions for 12 basis vertices"):
+        SplineSpace.from_json_dict(d)
+
+
+@pytest.mark.parametrize("start", ["2x2", "10x10", "non-uniform"])
+def test_cell_table_invariants(start):
+    steps, space = _random_rounds(start, seed=6)
+    for s in [step[0] for step in steps] + [space]:
+        mesh = s.mesh
+        assert set(s.cells) == set(mesh.active_cells())
+        assert set(s.vertices) == set(mesh.basis_vertices())
+        assert len(s.vertices) == len(set(s.vertices))
+        for fids, patches in s.cells.values():
+            assert np.all(np.diff(fids) > 0)        # ascending, so unique
+            assert patches.shape == (len(fids), 4, 4)
+        # each function of vertex k has a patch on every cell at its anchor
+        for k, vid in enumerate(s.vertices):
+            for cid in mesh.vertex_cells(vid):
+                assert set(range(4 * k, 4 * k + 4)) <= set(s.functions_on_cell(cid))
+
+
 def test_vector_field_evaluation():
     space = build_initial_space(create_tensor_mesh(2, 2))
     rng = np.random.default_rng(7)
@@ -420,47 +479,46 @@ def _reference_ordinates_toward(val, der, w, anchor_at_low):
 
 
 def _reference_advance_level(space, report):
-    """The per-patch level advance the batched one replaced."""
+    """The per-patch level advance the batched one replaced, and the set of
+    ids of the old functions it touched."""
     mesh = report.mesh_after
     split_info = report.performed
-    functions = []
-    touched = {}
-    for idx, f in enumerate(space.functions):
-        hit = [cid for cid in f.support if cid in split_info]
-        if not hit:
-            functions.append(f)
-            continue
-        support = dict(f.support)
-        for cid in hit:
-            kind, kids = split_info[cid]
-            for kid, piece in zip(kids, _reference_split_patch(support.pop(cid), kind)):
-                support[kid] = piece
-        g = BasisFunction(f.anchor, f.slot, f.birth_level, support)
-        touched[idx] = g
-        functions.append(g)
-    cell_funcs = {}
-    for g in touched.values():
-        for cid in g.support:
-            cell_funcs.setdefault(cid, []).append(g)
-    for vid in report.new_basis_vertices:
+    born = sorted(report.new_basis_vertices)
+    pieces = {}             # child cell id -> {function id: patch}
+    for cid, (kind, kids) in split_info.items():
+        for kid in kids:
+            pieces[kid] = {}
+        fids, patches = space.cells[cid]
+        for fid, patch in zip(fids.tolist(), patches):
+            for kid, piece in zip(kids, _reference_split_patch(patch, kind)):
+                pieces[kid][fid] = piece
+    touched = {fid for on_kid in pieces.values() for fid in on_kid}
+    for vid in born:
         v = mesh.vertex(vid)
-        for cid in mesh.vertex_cells(vid):
+        for cid in mesh.vertex_cells(vid):      # a new vertex touches children only
             c = mesh.cell(cid)
             corner = (0 if v.s == c.s0 else 1, 0 if v.t == c.t0 else 1)
-            for g in cell_funcs.get(cid, ()):
-                g.support[cid] = _reference_zero_corner_block(g.support[cid], corner)
-    for g in touched.values():
-        for cid in [cid for cid, patch in g.support.items() if not patch.any()]:
-            del g.support[cid]
-    for vid in sorted(report.new_basis_vertices):
+            on_kid = pieces[cid]
+            for fid, patch in on_kid.items():
+                on_kid[fid] = _reference_zero_corner_block(patch, corner)
+    for on_kid in pieces.values():
+        for fid in [fid for fid, patch in on_kid.items() if not patch.any()]:
+            del on_kid[fid]
+    for k, vid in enumerate(born):
         s_pair, t_pair, cells = _new_vertex_neighborhood(mesh, vid)
         for slot in range(4):
             (val_s, der_s), (val_t, der_t) = s_pair[slot % 2], t_pair[slot // 2]
-            functions.append(BasisFunction(vid, slot, mesh.current_level, {
-                cid: np.outer(_reference_ordinates_toward(val_t, der_t, th, t_low),
-                              _reference_ordinates_toward(val_s, der_s, sw, s_low))
-                for cid, sw, s_low, th, t_low in cells}))
-    return SplineSpace(mesh, functions)
+            for cid, sw, s_low, th, t_low in cells:
+                pieces[cid][space.dim + 4 * k + slot] = np.outer(
+                    _reference_ordinates_toward(val_t, der_t, th, t_low),
+                    _reference_ordinates_toward(val_s, der_s, sw, s_low))
+    cells = {cid: entry for cid, entry in space.cells.items() if cid not in split_info}
+    for cid in list(pieces):
+        on_kid = pieces.pop(cid)    # free each child's pieces as its entry is stacked
+        fids = sorted(on_kid)
+        cells[cid] = (np.array(fids, dtype=np.intp),
+                      np.array([on_kid[f] for f in fids]).reshape(-1, 4, 4))
+    return SplineSpace(mesh, space.vertices + born, cells), touched
 
 
 _STARTS = {
@@ -503,23 +561,23 @@ def test_advance_level_matches_per_patch_reference(start):
         steps, _ = _random_rounds(start, seed)
         for space, report in steps:
             got = advance_level(space, report)
-            want = _reference_advance_level(space, report)
-            assert got.vertex_index == want.vertex_index
-            for i, (g, w) in enumerate(zip(got.functions, want.functions)):
-                assert (g.anchor, g.slot, g.birth_level) == (w.anchor, w.slot, w.birth_level)
-                assert set(g.support) == set(w.support), (i, g, w)
-                for cid, patch in w.support.items():
-                    assert np.max(np.abs(g.support[cid] - patch)) <= 1e-13
-                if i < space.dim:
-                    assert (g is space.functions[i]) == (w is space.functions[i])
-            for vid in got.vertex_index:
+            want, touched = _reference_advance_level(space, report)
+            assert got.vertices == want.vertices
+            assert got.cells.keys() == want.cells.keys()
+            for cid, (fids, patches) in want.cells.items():
+                assert got.cells[cid][0].tolist() == fids.tolist(), cid
+                assert np.max(np.abs(got.cells[cid][1] - patches), initial=0.0) <= 1e-13
+                if cid in space.cells:
+                    # an unsplit cell keeps its entry, the same arrays
+                    assert got.cells[cid] is space.cells[cid]
+            assert space.functions_on_cells(report.performed) == touched
+            for vid in got.vertices:
                 _assert_blocks_close(collocation_block(got, vid).matrix,
                                      _reference_collocation_block(got, vid))
-            crossed |= max(sum(len(space.cell_to_funcs.get(cid, ()))
-                               for cid, (k, _) in report.performed.items() if k == kind)
-                           for kind in "HVC") > space_module._SPLIT_CHUNK
+            crossed |= max(sum(k == kind for k, _ in report.performed.values())
+                           for kind in "HVC") > space_module._SPLIT_CELLS
     if start == "10x10":
-        assert crossed, "no round split more than one chunk of patches"
+        assert crossed, "no round split more than one chunk of cells"
 
 
 @pytest.mark.parametrize("start", list(_STARTS))
@@ -539,8 +597,7 @@ def test_rebuilt_tables_match_the_source_space(start):
     # a JSON load and a hand-built permuted space fill the table from patches
     _, space = _random_rounds(start, seed=4)
     back = SplineSpace.from_json(space.to_json())
-    order = np.random.default_rng(5).permutation(space.dim)
-    permuted = SplineSpace(space.mesh, [space.functions[i] for i in order])
+    permuted, order = permuted_space(space, seed=5)
     for vid in space.vertex_index:
         want = collocation_block(space, vid).matrix
         _assert_blocks_close(collocation_block(back, vid).matrix, want)
@@ -551,23 +608,32 @@ def test_rebuilt_tables_match_the_source_space(start):
                        rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def permuted_space(space, seed):
+    """`space` rebuilt with its basis vertices in a random order, and the
+    old id of each new function id."""
+    rows = np.random.default_rng(seed).permutation(len(space.vertices))
+    order = (4 * rows[:, None] + np.arange(4)).ravel()
+    supports = space.supports()
+    permuted = SplineSpace.from_supports(space.mesh, [space.vertices[k] for k in rows],
+                                         [supports[f] for f in order])
+    return permuted, order
+
+
 def _hand_built(space, vid, edit):
-    """A copy of `space` whose functions at `vid` are replaced by edit(functions)."""
+    """A copy of `space` whose functions at `vid` have the patches
+    edit(their patches), four {cell id: patch} in slot order."""
+    supports = space.supports()
     fids = space.vertex_index[vid]
-    new = edit([space.functions[f] for f in fids])
-    functions = list(space.functions)
-    for f, g in zip(fids, new):
-        functions[f] = g
-    return SplineSpace(space.mesh, functions)
+    for f, support in zip(fids, edit([supports[f] for f in fids])):
+        supports[f] = support
+    return SplineSpace.from_supports(space.mesh, space.vertices, supports)
 
 
 def test_singular_collocation_block_names_the_vertex():
     space = build_initial_space(create_tensor_mesh(2, 2))
     center = space.mesh.vertex_at(0.5, 0.5)
     # slots 1 and 3 repeat slots 0 and 2: the block is kron(T, S) with a singular S
-    broken = _hand_built(space, center, lambda fs: [
-        fs[0], BasisFunction(center, 1, 0, fs[0].support),
-        fs[2], BasisFunction(center, 3, 0, fs[2].support)])
+    broken = _hand_built(space, center, lambda fs: [fs[0], fs[0], fs[2], fs[2]])
     match = f"singular collocation block at vertex {center}"
     with pytest.raises(RuntimeError, match=match):
         collocation_block(broken, center)
@@ -578,8 +644,8 @@ def test_singular_collocation_block_names_the_vertex():
 def test_non_tensor_collocation_data_is_refused():
     space = build_initial_space(create_tensor_mesh(2, 2))
     center = space.mesh.vertex_at(0.5, 0.5)
-    broken = _hand_built(space, center, lambda fs: fs[:3] + [BasisFunction(
-        center, 3, 0, {c: 2 * p for c, p in fs[3].support.items()})])
+    broken = _hand_built(space, center,
+                         lambda fs: fs[:3] + [{c: 2 * p for c, p in fs[3].items()}])
     with pytest.raises(ValueError, match=f"vertex {center} is not a tensor product"):
         collocation_block(broken, center)
 
