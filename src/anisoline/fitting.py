@@ -52,6 +52,12 @@ class ParamPointSet:
             raise ValueError("params must be (n, 2)")
         if len(self.points) == 0:
             raise ValueError("empty point set")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.params).all()):
+            # row-wise only on failure: the reductions along axis 1 are slow
+            k = int(np.argmin(np.isfinite(self.points).all(axis=1)
+                              & np.isfinite(self.params).all(axis=1)))
+            raise ValueError(f"row {k} is not finite: point {self.points[k].tolist()}, "
+                             f"parameters {self.params[k].tolist()}")
         if self.params.min() < 0 or self.params.max() > 1:
             raise ValueError("parameters outside [0,1]^2")
         self.cell_of = None

@@ -74,13 +74,17 @@ class RefinementRequest:
 
 @dataclass
 class RefinementReport:
-    """Everything one refinement round did, plus before/after mesh values."""
+    """Everything one refinement round did, plus before/after mesh values.
+
+    A mesh hands out vertex ids in order, so the round's new vertices are
+    the ids from the before-mesh's next one on; `new_basis_vertices` are
+    the basis vertices among them, ascending.
+    """
     level: int
     groups: list
     proposed_labels: dict
     final_labels: dict
     performed: dict                 # cell id -> (kind, child ids)
-    new_vertices: list              # ids in the after-mesh
     new_basis_vertices: list        # ids in the after-mesh
     cell_new_basis: dict            # subdivided cell id -> new basis vertex ids
     t_to_crossing: list             # (vertex id, position) promotions, must be empty
@@ -275,9 +279,8 @@ def resolve_labels(mesh, group, labels):
 
 
 def _build_report(before, after, groups, proposed, final, performed):
-    old_pos = set(before._vpos)
-    new_ids = sorted(vid for (pos, vid) in after._vpos.items() if pos not in old_pos)
-    new_basis = [vid for vid in new_ids if after.is_basis_vertex(vid)]
+    new_basis = [vid for vid in range(before._next_vert, after._next_vert)
+                 if after.is_basis_vertex(vid)]
     cell_new = {cid: [] for cid in performed}
     for vid in new_basis:
         parents = {after.cell(ch).parent for ch in after.vertex_cells(vid)}
@@ -303,7 +306,6 @@ def _build_report(before, after, groups, proposed, final, performed):
         proposed_labels=dict(proposed),
         final_labels=dict(final),
         performed=performed,
-        new_vertices=new_ids,
         new_basis_vertices=new_basis,
         cell_new_basis=cell_new,
         t_to_crossing=promotions,
@@ -312,27 +314,31 @@ def _build_report(before, after, groups, proposed, final, performed):
     )
 
 
+def _split(before, groups, proposed, final):
+    """Split each cell of `final` by its label, on a copy of `before`, and
+    report the round; with nothing to split, `before` is returned as is."""
+    if not final:
+        return before, _build_report(before, before, groups, proposed, final, {})
+    after = before.copy()
+    performed = {}
+    for cid in sorted(final):
+        performed[cid] = (final[cid], after.split_cell(cid, final[cid]))
+    after.advance_current_level()
+    return after, _build_report(before, after, groups, proposed, final, performed)
+
+
 def refine(mesh, request):
     """One round of the refinement strategy.  Returns (new mesh, report).
 
     The input mesh is left untouched; an empty request returns it as is
     with an empty report.
     """
-    if not request.marked:
-        return mesh, _build_report(mesh, mesh, [], {}, {}, {})
     _check_markable(mesh, request.marked)
     groups = flood_fill_groups(mesh, request.marked)
     final = {}
     for g in groups:
         final.update(resolve_labels(mesh, g, request.labels))
-    after = mesh.copy()
-    performed = {}
-    for cid in sorted(final):
-        kids = after.split_cell(cid, final[cid])
-        after.cell(cid).label = final[cid]
-        performed[cid] = (final[cid], kids)
-    after.advance_current_level()
-    return after, _build_report(mesh, after, groups, request.labels, final, performed)
+    return _split(mesh, groups, request.labels, final)
 
 
 def naive_subdivide(mesh, request):
@@ -342,18 +348,8 @@ def naive_subdivide(mesh, request):
     violate the refinement guarantees and is used to exercise
     :func:`check_refinement_invariants`.
     """
-    if not request.marked:
-        return mesh, _build_report(mesh, mesh, [], {}, {}, {})
     _check_markable(mesh, request.marked)
-    after = mesh.copy()
-    performed = {}
-    for cid in sorted(request.marked):
-        kind = request.labels[cid]
-        kids = after.split_cell(cid, kind)
-        after.cell(cid).label = kind
-        performed[cid] = (kind, kids)
-    after.advance_current_level()
-    return after, _build_report(mesh, after, [], dict(request.labels), dict(request.labels), performed)
+    return _split(mesh, [], request.labels, request.labels)
 
 
 def _point_interior_to_region(rects, s, t):

@@ -7,28 +7,34 @@ newly created basis vertex are built; after that one representation, the
 three tables of `SplineSpace` (basis vertices, per-cell patches, the
 collocation table), feeds evaluation, modification, fitting and assembly.
 
-Level construction:
+Level construction has one birth rule (`_births`).  A new basis vertex
+gets four tensor-product functions on the cells it is a corner of (2x2
+inside the domain, 1x2 on an edge, one cell at a domain corner), made of
+two univariate C1 cubics per direction on the widths of the cells on
+either side of it, with a quadruple knot at a domain end (Deng, Chen,
+Li, Feng, Yang and Feng, "Polynomial splines over hierarchical
+T-meshes", 2008).  One pass over the corners of the cells born with the
+vertices finds every vertex's support cells and factors:
 
-* level 0 uses the C1 tensor-product cubics with doubled interior knots,
-  two univariate functions per breakpoint and direction;
+* level 0 is that rule with every cell and every vertex born, which gives
+  the C1 tensor-product cubics with doubled interior knots;
 * when the mesh refines, each existing function is pushed through the
   modification operator: its patches on subdivided cells are split with
   de Casteljau's algorithm, then every 2x2 ordinate block sitting at a
   *new* basis vertex is reset to zero, in all incident child cells at
   once (this keeps the functions C1 and hands the local Hermite data
-  over to the newcomers);
-* each new basis vertex receives four fresh tensor-product functions on
-  its 2x2 (interior) or 1x2 (boundary) cell neighborhood.
+  over to the newcomers); the new basis vertices are then born on the
+  children, which hold all their support.
 
 The advance works on the cell table, carried across levels as in
 multi-level Bezier extraction (D'Angella, Kollmannsberger, Rank and
 Reali, 2018): unsplit cells keep their entries; the patches of subdivided
 cells are split per kind by the fixed half-interval de Casteljau matrices
-(`bezier.split_patches`), their new-vertex corner blocks zeroed by one
-mask (`bezier.zero_corner_blocks`) and all-zero pieces dropped,
-`_SPLIT_CELLS` whole cells at a time so memory stays bounded; the new
-vertices' functions, batched outer products of univariate ordinates, come
-after the old ones in every cell.
+(`bezier.split_patches`), their new-vertex corner blocks, read off the
+births' incidence table, zeroed by one mask (`bezier.zero_corner_blocks`)
+and all-zero pieces dropped, `_SPLIT_CELLS` whole cells at a time so
+memory stays bounded; the new vertices' functions, batched outer
+products of univariate ordinates, come after the old ones in every cell.
 
 The four functions at a vertex reproduce arbitrary (value, d_s, d_t,
 d_st) data there, and all other functions carry zero data at that
@@ -37,7 +43,7 @@ independent and lets coefficients be computed vertex by vertex.  The
 collocation block of a vertex is kron(T, S) of the (value, slope) pairs
 of its univariate s and t functions.  It never changes after the vertex's
 birth (splitting is exact, and zeroing touches only blocks at newer
-vertices), so the builders record S and T then, in one table on the
+vertices), so the births record S and T then, in one table on the
 space (`SplineSpace.factors`).  `collocation_block` reads one row, and
 `field_from_vertex_data` and `transfer_field` solve all their vertices
 against kron(T^-1, S^-1) in one batched einsum.
@@ -57,7 +63,6 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -251,19 +256,68 @@ class SplineSpace:
 
 
 # ----------------------------------------------------------------------
-# univariate C1 cubic data: (value, derivative) of the two functions at a
-# breakpoint; both vanish to first order at the neighboring breakpoints.
+# births: the four functions of each new basis vertex
 
-def _interior_pair(w_lo, w_hi):
-    a = 1.0 / (w_lo + w_hi)
-    return ((w_hi * a, -3.0 * a), (w_lo * a, 3.0 * a))
+def _univariate_factors(lo, hi):
+    """(value, slope) rows (..., 2, 2) of the two univariate C1 cubics at
+    breakpoints between cells of widths lo and hi (...); both vanish to
+    first order at the neighboring breakpoints.  NaN marks a domain end,
+    where a quadruple knot gives the first function the value and the
+    second the slope."""
+    a = 1.0 / (lo + hi)
+    interior = np.stack([hi * a, -3.0 * a, lo * a, 3.0 * a], axis=-1)
+    first = np.stack([np.ones_like(hi), -3.0 / hi, np.zeros_like(hi), 3.0 / hi], axis=-1)
+    last = np.stack([np.ones_like(lo), 3.0 / lo, np.zeros_like(lo), -3.0 / lo], axis=-1)
+    out = np.where(np.isnan(lo)[..., None], first,
+                   np.where(np.isnan(hi)[..., None], last, interior))
+    return out.reshape(lo.shape + (2, 2))
 
 
-def _clamped_pair(w, at_low_end):
-    # quadruple end knot: first function carries the value, second the slope
-    if at_low_end:
-        return ((1.0, -3.0 / w), (0.0, 3.0 / w))
-    return ((1.0, 3.0 / w), (0.0, -3.0 / w))
+def _births(mesh, cells, born):
+    """Collocation factors and support cells of the basis vertices `born`
+    (ascending ids), from one pass over the corners of `cells`, which must
+    hold every cell the vertices touch.
+
+    Returns (factors, incidence).  factors (n, 2, 2, 2) holds each
+    vertex's S and T (see `CollocationBlock`).  incidence has one entry per
+    support cell, sorted by cell and then vertex, as arrays: the vertex's
+    row in `born`, the cell id, the corner cs + 2 ct the vertex sits at
+    (cs = 1 at the cell's high s end, ct = 1 at its high t end) and the
+    cell's (width, height).
+
+    A vertex is a corner of 4 cells inside the domain, 2 on an edge and 1
+    at a domain corner, and the cells on one side of it share their extent
+    across it (a tensor block); an AssertionError names the first vertex
+    that breaks either rule.
+    """
+    born = np.asarray(born, dtype=np.intp)
+    vids = np.array([mesh.corner_vertices(cid) for cid in cells], dtype=np.intp)
+    at, corner = np.nonzero(np.isin(vids, born))
+    rows = np.searchsorted(born, vids[at, corner])
+    cids = np.asarray(cells, dtype=np.intp)[at]
+    order = np.lexsort((rows, cids))
+    rows, cids, corner, at = rows[order], cids[order], corner[order], at[order]
+    sizes = np.array([mesh.cell(cid).size_float() for cid in cells])[at]
+
+    pos = np.array([(v.i, v.j) for v in map(mesh.vertex, born.tolist())],
+                   dtype=np.int64).reshape(-1, 2)
+    on_edge = (pos == 0) | (pos == [axis.end for axis in mesh.axes])
+    want = np.where(on_edge, 1, 2).prod(axis=1)
+    got = np.bincount(rows, minlength=len(born))
+    if (got != want).any():
+        k = int(np.argmax(got != want))
+        raise AssertionError(f"new basis vertex {born[k]} is a corner of {got[k]} cells, "
+                             f"expected {want[k]}")
+    # extent[row, axis, side]: the width (axis 0) or height (axis 1) of the
+    # cells after (side 0) or before (side 1) the vertex along that axis
+    extent = np.full((len(born), 2, 2), np.nan)
+    sides = np.stack([corner & 1, corner >> 1], axis=1)
+    extent[rows[:, None], [0, 1], sides] = sizes
+    torn = (extent[rows[:, None], [0, 1], sides] != sizes).any(axis=1)
+    if torn.any():
+        raise AssertionError(f"cells around new basis vertex {born[rows[np.argmax(torn)]]} "
+                             f"do not form a tensor block")
+    return _univariate_factors(extent[..., 1], extent[..., 0]), (rows, cids, corner, sizes)
 
 
 def _ordinates_toward(pair, w, low):
@@ -279,67 +333,32 @@ def _ordinates_toward(pair, w, low):
                      np.where(low, 0.0, val)], axis=-1)
 
 
-def _vertex_functions(first, factors, cells):
+def _vertex_functions(first, factors, incidence):
     """Cell-table entries of the four functions of n vertices whose ids
-    start at `first`, as batched outer products of univariate ordinates.
-
-    factors (n, 2, 2, 2): each vertex's S and T; cells: per vertex, its
-    support cells as (cell id, width, anchor at the cell's low s end,
-    height, anchor at the low t end).  Slot k = sv + 2 tv takes the sv-th
-    s and the tv-th t function.  Each cell's entries come in vertex order,
-    so its ids ascend."""
-    rows = np.repeat(np.arange(len(cells)), [len(cs) for cs in cells])
-    flat = list(chain.from_iterable(cells))
-    cids = np.array([c[0] for c in flat], dtype=np.intp)
-    sw, s_low, th, t_low = np.array([c[1:] for c in flat], dtype=float).reshape(-1, 4).T
-    s_ord = _ordinates_toward(factors[rows, 0], sw, s_low.astype(bool))
-    t_ord = _ordinates_toward(factors[rows, 1], th, t_low.astype(bool))
+    start at `first`, as batched outer products of univariate ordinates,
+    from the vertices' factors and incidence table (see `_births`).  Slot
+    k = sv + 2 tv takes the sv-th s and the tv-th t function.  Each cell's
+    entries come in vertex order, so its ids ascend."""
+    rows, cids, corner, sizes = incidence
+    s_ord = _ordinates_toward(factors[rows, 0], sizes[:, 0], corner & 1 == 0)
+    t_ord = _ordinates_toward(factors[rows, 1], sizes[:, 1], corner < 2)
     # (entry, tv, sv, 4, 4) -> (entry, slot, 4, 4)
-    patches = (t_ord[:, :, None, :, None] * s_ord[:, None, :, None, :]).reshape(-1, 4, 4, 4)
-    order = np.argsort(cids, kind="stable")
-    uniq, starts = np.unique(cids[order], return_index=True)
-    fids = (first + 4 * rows[order, None] + np.arange(4)).reshape(-1)
-    patches = patches[order].reshape(-1, 4, 4)
-    ends = 4 * np.append(starts[1:], len(order))
+    patches = (t_ord[:, :, None, :, None] * s_ord[:, None, :, None, :]).reshape(-1, 4, 4)
+    fids = (first + 4 * rows[:, None] + np.arange(4)).reshape(-1)
+    uniq, starts = np.unique(cids, return_index=True)
+    ends = 4 * np.append(starts[1:], len(cids))
     return {cid: (fids[4 * a:b], patches[4 * a:b])
             for cid, a, b in zip(uniq.tolist(), starts.tolist(), ends.tolist())}
 
 
 def build_initial_space(mesh):
-    """Tensor-product C1 bicubic basis on a level-0 tensor mesh."""
-    cells = [mesh.cell(c) for c in mesh.active_cells()]
-    if any(c.level != 0 for c in cells) or mesh.generation_log:
+    """Tensor-product C1 bicubic basis on a level-0 tensor mesh: the birth
+    rule with every cell and every vertex born."""
+    if mesh.generation_log:
         raise ValueError("initial space requires a pure tensor-product mesh")
-    # knot lines as lattice coordinates, and the index of each
-    s_knots = sorted({c.i0 for c in cells} | {c.i1 for c in cells})
-    t_knots = sorted({c.j0 for c in cells} | {c.j1 for c in cells})
-    s_index = {x: k for k, x in enumerate(s_knots)}
-    t_index = {x: k for k, x in enumerate(t_knots)}
-    grid = {(s_index[c.i0], t_index[c.j0]): c.id for c in cells}
-
-    def direction_data(axis, knots, k):
-        n = len(knots) - 1
-        if k == 0:
-            w = axis.length(knots[0], knots[1])
-            return _clamped_pair(w, True), [(0, w, True)]
-        if k == n:
-            w = axis.length(knots[n - 1], knots[n])
-            return _clamped_pair(w, False), [(n - 1, w, False)]
-        w_lo = axis.length(knots[k - 1], knots[k])
-        w_hi = axis.length(knots[k], knots[k + 1])
-        return _interior_pair(w_lo, w_hi), [(k - 1, w_lo, False), (k, w_hi, True)]
-
-    s_axis, t_axis = mesh.axes
-    anchors = sorted(mesh.vertices())
-    factors = np.empty((len(anchors), 2, 2, 2))
-    support_cells = []
-    for row, vid in enumerate(anchors):
-        v = mesh.vertex(vid)
-        factors[row, 0], s_cells = direction_data(s_axis, s_knots, s_index[v.i])
-        factors[row, 1], t_cells = direction_data(t_axis, t_knots, t_index[v.j])
-        support_cells.append([(grid[(si, tj)], sw, s_low, th, t_low)
-                              for (tj, th, t_low) in t_cells for (si, sw, s_low) in s_cells])
-    space = SplineSpace(mesh, anchors, _vertex_functions(0, factors, support_cells), factors)
+    anchors = mesh.vertices()
+    factors, incidence = _births(mesh, mesh.active_cells(), anchors)
+    space = SplineSpace(mesh, anchors, _vertex_functions(0, factors, incidence), factors)
     if space.dim != mesh.dimension():
         raise AssertionError("initial basis count disagrees with the dimension formula")
     return space
@@ -348,56 +367,16 @@ def build_initial_space(mesh):
 # ----------------------------------------------------------------------
 # level advance
 
-def _new_vertex_neighborhood(mesh, vid):
-    """Local tensor structure at a new basis vertex.
-
-    Returns (s_pair, t_pair, support_cells): the univariate (value, slope)
-    pairs of the vertex's s and t functions, and its incident cells as
-    (cell id, width, anchor at the low s end, height, anchor at the low t
-    end).
-    """
-    v = mesh.vertex(vid)
-    i, j = v.i, v.j
-    cells = [mesh.cell(c) for c in mesh.vertex_cells(vid)]
-    sizes = [c.size_float() for c in cells]
-    for c in cells:
-        if i not in (c.i0, c.i1) or j not in (c.j0, c.j1):
-            raise AssertionError(f"vertex {vid} is not a corner of incident cell {c.id}")
-    s_lo = sorted({w for c, (w, _) in zip(cells, sizes) if c.i1 == i})
-    s_hi = sorted({w for c, (w, _) in zip(cells, sizes) if c.i0 == i})
-    t_lo = sorted({h for c, (_, h) in zip(cells, sizes) if c.j1 == j})
-    t_hi = sorted({h for c, (_, h) in zip(cells, sizes) if c.j0 == j})
-    for widths, name in ((s_lo, "left"), (s_hi, "right"), (t_lo, "below"), (t_hi, "above")):
-        if len(widths) > 1:
-            raise AssertionError(
-                f"cells {name} of new basis vertex {vid} do not form a tensor block")
-
-    if s_lo and s_hi:
-        s_pair = _interior_pair(s_lo[0], s_hi[0])
-    elif s_hi:
-        s_pair = _clamped_pair(s_hi[0], True)
-    else:
-        s_pair = _clamped_pair(s_lo[0], False)
-    if t_lo and t_hi:
-        t_pair = _interior_pair(t_lo[0], t_hi[0])
-    elif t_hi:
-        t_pair = _clamped_pair(t_hi[0], True)
-    else:
-        t_pair = _clamped_pair(t_lo[0], False)
-
-    # anchor at the cell's low s end, low t end
-    support_cells = [(c.id, w, c.i0 == i, h, c.j0 == j) for c, (w, h) in zip(cells, sizes)]
-    return s_pair, t_pair, support_cells
-
-
 def advance_level(space, report):
     """Carry a spline space across one refinement round.
 
     Existing functions whose support meets a subdivided cell get that
     patch split and their ordinate blocks at the new basis vertices
-    zeroed; the entries of unsplit cells are reused as-is.  Four new
-    functions are created per new basis vertex.  Subdivided cells are
-    split per kind, `_SPLIT_CELLS` whole cells at a time.
+    zeroed; the entries of unsplit cells are reused as-is.  The new basis
+    vertices are born on the children of the subdivided cells, which hold
+    all their support: one `_births` pass gives their factors, their four
+    functions each and the corners to zero.  Subdivided cells are split
+    per kind, `_SPLIT_CELLS` whole cells at a time.
     """
     if not report.performed:
         return space
@@ -408,12 +387,11 @@ def advance_level(space, report):
         raise ValueError("refinement promoted a T-vertex; space cannot be advanced")
     mesh = report.mesh_after
     split_info = report.performed
-    born = sorted(report.new_basis_vertices)
-    hoods = [_new_vertex_neighborhood(mesh, vid) for vid in born]
-    factors = np.array([h[:2] for h in hoods], dtype=float).reshape(-1, 2, 2, 2)
-    corners = {}            # cell id -> bit cs + 2 ct per corner at a new vertex
-    for cid, _, s_low, _, t_low in chain.from_iterable(h[2] for h in hoods):
-        corners[cid] = corners.get(cid, 0) | 1 << ((not s_low) + 2 * (not t_low))
+    born = report.new_basis_vertices
+    children = [kid for _, kids in split_info.values() for kid in kids]
+    factors, incidence = _births(mesh, children, born)
+    corners = np.zeros(max(children) + 1, dtype=np.intp)   # bit cs + 2 ct per corner at a new vertex
+    np.bitwise_or.at(corners, incidence[1], 1 << incidence[2])
 
     cells = {cid: entry for cid, entry in space.cells.items() if cid not in split_info}
     for kind in SPLIT_KINDS:
@@ -422,8 +400,7 @@ def advance_level(space, report):
             chunk = parents[lo:lo + _SPLIT_CELLS]
             entries = [space.cells[cid] for cid in chunk]
             counts = [len(fids) for fids, _ in entries]
-            bits = np.repeat([[corners.get(kid, 0) for kid in split_info[cid][1]]
-                              for cid in chunk], counts, axis=0)
+            bits = np.repeat(corners[[split_info[cid][1] for cid in chunk]], counts, axis=0)
             kids = bezier.zero_corner_blocks(
                 bezier.split_patches(np.concatenate([p for _, p in entries]), kind),
                 (bits[..., None] >> np.arange(4)) & 1)
@@ -434,9 +411,8 @@ def advance_level(space, report):
                     live = alive[at:at + n, k]
                     cells[kid] = (fids[live], kids[at:at + n, k][live])
                 at += n
-    for cid, (fids, patches) in _vertex_functions(space.dim, factors,
-                                                  [h[2] for h in hoods]).items():
-        old_fids, old_patches = cells[cid]       # a new vertex touches children only
+    for cid, (fids, patches) in _vertex_functions(space.dim, factors, incidence).items():
+        old_fids, old_patches = cells[cid]
         cells[cid] = (np.concatenate([old_fids, fids]), np.concatenate([old_patches, patches]))
 
     out = SplineSpace(mesh, space.vertices + born, cells,

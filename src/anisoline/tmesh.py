@@ -603,9 +603,9 @@ class TMesh:
         kind 'H' inserts a horizontal mid edge (2 stacked children,
         bottom first), 'V' a vertical mid edge (2 children, left first),
         'C' a cross (4 children: bottom-left, bottom-right, top-left,
-        top-right).  Returns the tuple of child ids.  Raises
-        LatticeDepthError when a cut would halve an extent of one lattice
-        unit.
+        top-right).  Records the kind as the cell's `label` and returns
+        the tuple of child ids.  Raises LatticeDepthError when a cut would
+        halve an extent of one lattice unit.
         """
         c = self.cell(cid)
         if not c.active:
@@ -648,6 +648,7 @@ class TMesh:
 
         kids = [self._new_cell(*b, lvl, cid) for b in child_bounds]
         c.children = tuple(kids)
+        c.label = kind
         kid_cells = [self._cells[kid] for kid in kids]
 
         # vertices inherited from the parent boundary

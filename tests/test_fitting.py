@@ -47,6 +47,17 @@ def test_point_set_validation():
         ParamPointSet(np.zeros((3, 3)), np.array([[0, 0], [2.0, 0], [0, 0]]))
 
 
+@pytest.mark.parametrize("column", ["points", "params"])
+def test_point_set_rejects_non_finite_rows(column):
+    # a NaN coordinate would carry through the fit into NaN coefficients
+    # and a NaN max error; a NaN parameter would fail only in point location
+    ps = generate_test_model("cone", (21, 21))
+    data = {"points": ps.points.copy(), "params": ps.params.copy()}
+    data[column][[137, 300], -1] = [np.nan, np.inf]
+    with pytest.raises(ValueError, match=r"row 137 is not finite: point \[.*\], parameters"):
+        ParamPointSet(data["points"], data["params"])
+
+
 def _by_cell(pset):
     """Cell id -> ascending indices of the points assigned to it."""
     order = np.argsort(pset.cell_of, kind="stable")

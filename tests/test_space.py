@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from anisoline import space as space_module
-from anisoline.refine import RefinementRequest, refine
+from anisoline.refine import RefinementRequest, naive_subdivide, refine
 from anisoline.space import (
     DERIV_ORDERS, HERMITE_ORDERS, SplineField, SplineSpace, advance_level,
-    build_initial_space, _interior_edge_samples, _new_vertex_neighborhood, collocation_block,
+    build_initial_space, _births, _interior_edge_samples, collocation_block,
     field_from_vertex_data, transfer_field, verify_space,
 )
 from anisoline.tmesh import create_mesh_from_knots, create_tensor_mesh
@@ -85,6 +85,17 @@ def test_noop_report_returns_same_space():
     space = build_initial_space(mesh)
     _, report = refine(mesh, RefinementRequest({}))
     assert advance_level(space, report) is space
+
+
+def test_round_without_new_basis_vertices_keeps_the_space():
+    # an H split of the middle cell leaves T-junctions only: no vertex is born
+    mesh = create_tensor_mesh(3, 3)
+    space = build_initial_space(mesh)
+    _, report = naive_subdivide(mesh, RefinementRequest({mesh.locate_cell(0.5, 0.5): "H"}))
+    assert report.new_basis_vertices == [] and report.transition_count == 0
+    out = advance_level(space, report)
+    assert out.vertices == space.vertices and out.factors.shape == space.factors.shape
+    assert verify_space(out, n_samples=200)["max_partition_error"] <= 1e-12
 
 
 def test_one_cross_on_single_cell():
@@ -410,6 +421,7 @@ def test_per_function_file_loads_bitwise():
     loaded = SplineSpace.from_json(text)
     assert json.loads(text) == built.to_json_dict()
     assert loaded.to_json_dict()["functions"] == built.to_json_dict()["functions"]
+    assert loaded.mesh.to_json_dict() == json.loads(text)["mesh"]
     assert loaded.mesh.same_structure(built.mesh)
     rng = np.random.default_rng(8)
     s, t = rng.uniform(0, 1, 300), rng.uniform(0, 1, 300)
@@ -478,6 +490,117 @@ def _reference_ordinates_toward(val, der, w, anchor_at_low):
     return np.array([0.0, 0.0, val - der * w / 3.0, val])
 
 
+def _interior_pair(w_lo, w_hi):
+    a = 1.0 / (w_lo + w_hi)
+    return ((w_hi * a, -3.0 * a), (w_lo * a, 3.0 * a))
+
+
+def _clamped_pair(w, at_low_end):
+    # quadruple end knot: first function carries the value, second the slope
+    if at_low_end:
+        return ((1.0, -3.0 / w), (0.0, 3.0 / w))
+    return ((1.0, 3.0 / w), (0.0, -3.0 / w))
+
+
+def _new_vertex_neighborhood(mesh, vid):
+    """The per-vertex mesh query the batched births replaced: the
+    univariate (value, slope) pairs of a new basis vertex's s and t
+    functions, and its incident cells as (cell id, width, anchor at the low
+    s end, height, anchor at the low t end)."""
+    v = mesh.vertex(vid)
+    i, j = v.i, v.j
+    cells = [mesh.cell(c) for c in mesh.vertex_cells(vid)]
+    sizes = [c.size_float() for c in cells]
+    for c in cells:
+        if i not in (c.i0, c.i1) or j not in (c.j0, c.j1):
+            raise AssertionError(f"vertex {vid} is not a corner of incident cell {c.id}")
+    s_lo = sorted({w for c, (w, _) in zip(cells, sizes) if c.i1 == i})
+    s_hi = sorted({w for c, (w, _) in zip(cells, sizes) if c.i0 == i})
+    t_lo = sorted({h for c, (_, h) in zip(cells, sizes) if c.j1 == j})
+    t_hi = sorted({h for c, (_, h) in zip(cells, sizes) if c.j0 == j})
+    for widths, name in ((s_lo, "left"), (s_hi, "right"), (t_lo, "below"), (t_hi, "above")):
+        if len(widths) > 1:
+            raise AssertionError(
+                f"cells {name} of new basis vertex {vid} do not form a tensor block")
+
+    if s_lo and s_hi:
+        s_pair = _interior_pair(s_lo[0], s_hi[0])
+    elif s_hi:
+        s_pair = _clamped_pair(s_hi[0], True)
+    else:
+        s_pair = _clamped_pair(s_lo[0], False)
+    if t_lo and t_hi:
+        t_pair = _interior_pair(t_lo[0], t_hi[0])
+    elif t_hi:
+        t_pair = _clamped_pair(t_hi[0], True)
+    else:
+        t_pair = _clamped_pair(t_lo[0], False)
+
+    # anchor at the cell's low s end, low t end
+    support_cells = [(c.id, w, c.i0 == i, h, c.j0 == j) for c, (w, h) in zip(cells, sizes)]
+    return s_pair, t_pair, support_cells
+
+
+def _reference_initial_hoods(mesh):
+    """The knot-index level-0 construction the birth rule replaced: the
+    vertices and, per vertex, what `_new_vertex_neighborhood` returns."""
+    cells = [mesh.cell(c) for c in mesh.active_cells()]
+    s_knots = sorted({c.i0 for c in cells} | {c.i1 for c in cells})
+    t_knots = sorted({c.j0 for c in cells} | {c.j1 for c in cells})
+    s_index = {x: k for k, x in enumerate(s_knots)}
+    t_index = {x: k for k, x in enumerate(t_knots)}
+    grid = {(s_index[c.i0], t_index[c.j0]): c.id for c in cells}
+
+    def direction_data(axis, knots, k):
+        n = len(knots) - 1
+        if k == 0:
+            w = axis.length(knots[0], knots[1])
+            return _clamped_pair(w, True), [(0, w, True)]
+        if k == n:
+            w = axis.length(knots[n - 1], knots[n])
+            return _clamped_pair(w, False), [(n - 1, w, False)]
+        w_lo = axis.length(knots[k - 1], knots[k])
+        w_hi = axis.length(knots[k], knots[k + 1])
+        return _interior_pair(w_lo, w_hi), [(k - 1, w_lo, False), (k, w_hi, True)]
+
+    s_axis, t_axis = mesh.axes
+    anchors = sorted(mesh.vertices())
+    hoods = []
+    for vid in anchors:
+        v = mesh.vertex(vid)
+        s_pair, s_cells = direction_data(s_axis, s_knots, s_index[v.i])
+        t_pair, t_cells = direction_data(t_axis, t_knots, t_index[v.j])
+        hoods.append((s_pair, t_pair, [(grid[(si, tj)], sw, s_low, th, t_low)
+                                       for (tj, th, t_low) in t_cells
+                                       for (si, sw, s_low) in s_cells]))
+    return anchors, hoods
+
+
+def _reference_vertex_functions(pieces, first, hoods):
+    """Add to pieces ({cell id: {function id: patch}}) the four functions
+    of each vertex of `hoods`, ids from `first` on, one outer product per
+    function and cell."""
+    for k, (s_pair, t_pair, cells) in enumerate(hoods):
+        for slot in range(4):
+            (val_s, der_s), (val_t, der_t) = s_pair[slot % 2], t_pair[slot // 2]
+            for cid, sw, s_low, th, t_low in cells:
+                pieces[cid][first + 4 * k + slot] = np.outer(
+                    _reference_ordinates_toward(val_t, der_t, th, t_low),
+                    _reference_ordinates_toward(val_s, der_s, sw, s_low))
+
+
+def _stacked(pieces):
+    """Cell-table entries of pieces ({cell id: {function id: patch}}),
+    freeing each cell's pieces as its entry is stacked."""
+    cells = {}
+    for cid in list(pieces):
+        on_kid = pieces.pop(cid)
+        fids = sorted(on_kid)
+        cells[cid] = (np.array(fids, dtype=np.intp),
+                      np.array([on_kid[f] for f in fids]).reshape(-1, 4, 4))
+    return cells
+
+
 def _reference_advance_level(space, report):
     """The per-patch level advance the batched one replaced, and the set of
     ids of the old functions it touched."""
@@ -504,20 +627,10 @@ def _reference_advance_level(space, report):
     for on_kid in pieces.values():
         for fid in [fid for fid, patch in on_kid.items() if not patch.any()]:
             del on_kid[fid]
-    for k, vid in enumerate(born):
-        s_pair, t_pair, cells = _new_vertex_neighborhood(mesh, vid)
-        for slot in range(4):
-            (val_s, der_s), (val_t, der_t) = s_pair[slot % 2], t_pair[slot // 2]
-            for cid, sw, s_low, th, t_low in cells:
-                pieces[cid][space.dim + 4 * k + slot] = np.outer(
-                    _reference_ordinates_toward(val_t, der_t, th, t_low),
-                    _reference_ordinates_toward(val_s, der_s, sw, s_low))
+    _reference_vertex_functions(pieces, space.dim,
+                                (_new_vertex_neighborhood(mesh, vid) for vid in born))
     cells = {cid: entry for cid, entry in space.cells.items() if cid not in split_info}
-    for cid in list(pieces):
-        on_kid = pieces.pop(cid)    # free each child's pieces as its entry is stacked
-        fids = sorted(on_kid)
-        cells[cid] = (np.array(fids, dtype=np.intp),
-                      np.array([on_kid[f] for f in fids]).reshape(-1, 4, 4))
+    cells.update(_stacked(pieces))
     return SplineSpace(mesh, space.vertices + born, cells), touched
 
 
@@ -578,6 +691,64 @@ def test_advance_level_matches_per_patch_reference(start):
                            for kind in "HVC") > space_module._SPLIT_CELLS
     if start == "10x10":
         assert crossed, "no round split more than one chunk of cells"
+
+
+def _assert_births_match(births, hoods):
+    """`_births`' factors are bitwise those of the per-vertex references
+    `hoods`, and its incidence table, sorted by cell and then vertex,
+    names the same support cells with the same extents and sides."""
+    factors, (rows, cids, corner, sizes) = births
+    want = np.array([h[:2] for h in hoods], dtype=float).reshape(-1, 2, 2, 2)
+    assert factors.shape == want.shape and factors.tobytes() == want.tobytes()
+    assert np.array_equal(np.lexsort((rows, cids)), np.arange(len(rows)))
+    cells = [[] for _ in hoods]
+    for r, cid, k, (w, h) in zip(rows.tolist(), cids.tolist(), corner.tolist(), sizes.tolist()):
+        cells[r].append((cid, w, k & 1 == 0, h, k < 2))
+    assert cells == [sorted(h[2]) for h in hoods]
+
+
+@pytest.mark.parametrize("start", list(_STARTS))
+def test_births_match_per_vertex_references(start):
+    mesh = _STARTS[start]()
+    anchors, hoods = _reference_initial_hoods(mesh)
+    _assert_births_match(_births(mesh, mesh.active_cells(), anchors), hoods)
+    built = build_initial_space(mesh)
+    pieces = {cid: {} for cid in mesh.active_cells()}
+    _reference_vertex_functions(pieces, 0, hoods)
+    assert built.vertices == anchors
+    assert built.factors.tobytes() == np.array([h[:2] for h in hoods]).tobytes()
+    want = _stacked(pieces)
+    assert built.cells.keys() == want.keys()
+    for cid, (fids, patches) in want.items():
+        assert np.array_equal(built.cells[cid][0], fids)
+        assert built.cells[cid][1].tobytes() == patches.tobytes()
+    for seed in range(3):
+        steps, _ = _random_rounds(start, seed)
+        for space, report in steps:
+            mesh = report.mesh_after
+            born = report.new_basis_vertices
+            kids = [kid for _, ks in report.performed.values() for kid in ks]
+            hoods = [_new_vertex_neighborhood(mesh, vid) for vid in born]
+            _assert_births_match(_births(mesh, kids, born), hoods)
+            factors = advance_level(space, report).factors[len(space.vertices):]
+            assert factors.tobytes() == np.array([h[:2] for h in hoods]).tobytes()
+
+
+def test_births_name_a_vertex_off_the_rule():
+    mesh = create_tensor_mesh(2, 2)
+    center = mesh.vertex_at(Fraction(1, 2), Fraction(1, 2))
+    mesh.split_cell(mesh.locate_cell(0.25, 0.25), "V")
+    cells = mesh.active_cells()
+    # left of the center, the cell below is half as wide as the one above
+    with pytest.raises(AssertionError, match=f"around new basis vertex {center} do not form "
+                                             f"a tensor block"):
+        _births(mesh, cells, [center])
+    below_left = mesh.locate_cell(0.4, 0.25)
+    with pytest.raises(AssertionError, match=f"vertex {center} is a corner of 3 cells, expected 4"):
+        _births(mesh, [c for c in cells if c != below_left], [center])
+    corner, edge = mesh.vertex_at(0, 1), mesh.vertex_at(0, Fraction(1, 2))
+    with pytest.raises(AssertionError, match=f"vertex {edge} is a corner of 1 cells, expected 2"):
+        _births(mesh, [mesh.locate_cell(0.25, 0.75)], sorted([corner, edge]))
 
 
 @pytest.mark.parametrize("start", list(_STARTS))
@@ -673,7 +844,7 @@ def test_advance_level_memory_stays_near_reference():
 # Functions on the refinement and level-advance paths whose coordinate work
 # runs on lattice ints; none of them may compare, hash or compute with a
 # Fraction.
-_LATTICE_ONLY = ("split_cell", "classify_vertex", "_build_report", "_new_vertex_neighborhood")
+_LATTICE_ONLY = ("split_cell", "classify_vertex", "_build_report", "_births")
 _FRACTION_OPS = ("_richcmp", "__eq__", "__hash__", "__add__", "__radd__", "__sub__",
                  "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
 

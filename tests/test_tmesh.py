@@ -526,15 +526,15 @@ def test_split_past_the_lattice_depth_is_refused():
 # "1/3" and the binary expansion of the float knot 0.6.
 FRACTION_JSON = """
 {"cells": [
- {"bounds": ["-1", "1/3", "0", "5404319552844595/9007199254740992"], "id": 0, "label": null, "level": 0, "state": "Subdivided"},
+ {"bounds": ["-1", "1/3", "0", "5404319552844595/9007199254740992"], "id": 0, "label": "C", "level": 0, "state": "Subdivided"},
  {"bounds": ["1/3", "1", "0", "5404319552844595/9007199254740992"], "id": 1, "label": null, "level": 0, "state": "Active"},
  {"bounds": ["-1", "1/3", "5404319552844595/9007199254740992", "1"], "id": 2, "label": null, "level": 0, "state": "Active"},
- {"bounds": ["1/3", "1", "5404319552844595/9007199254740992", "1"], "id": 3, "label": null, "level": 0, "state": "Subdivided"},
+ {"bounds": ["1/3", "1", "5404319552844595/9007199254740992", "1"], "id": 3, "label": "V", "level": 0, "state": "Subdivided"},
  {"bounds": ["-1", "-1/3", "0", "5404319552844595/18014398509481984"], "id": 4, "label": null, "level": 1, "state": "Active"},
- {"bounds": ["-1/3", "1/3", "0", "5404319552844595/18014398509481984"], "id": 5, "label": null, "level": 1, "state": "Subdivided"},
+ {"bounds": ["-1/3", "1/3", "0", "5404319552844595/18014398509481984"], "id": 5, "label": "H", "level": 1, "state": "Subdivided"},
  {"bounds": ["-1", "-1/3", "5404319552844595/18014398509481984", "5404319552844595/9007199254740992"], "id": 6, "label": null, "level": 1, "state": "Active"},
  {"bounds": ["-1/3", "1/3", "5404319552844595/18014398509481984", "5404319552844595/9007199254740992"], "id": 7, "label": null, "level": 1, "state": "Active"},
- {"bounds": ["1/3", "2/3", "5404319552844595/9007199254740992", "1"], "id": 8, "label": null, "level": 1, "state": "Subdivided"},
+ {"bounds": ["1/3", "2/3", "5404319552844595/9007199254740992", "1"], "id": 8, "label": "C", "level": 1, "state": "Subdivided"},
  {"bounds": ["2/3", "1", "5404319552844595/9007199254740992", "1"], "id": 9, "label": null, "level": 1, "state": "Active"},
  {"bounds": ["-1/3", "1/3", "0", "5404319552844595/36028797018963968"], "id": 10, "label": null, "level": 2, "state": "Active"},
  {"bounds": ["-1/3", "1/3", "5404319552844595/36028797018963968", "5404319552844595/18014398509481984"], "id": 11, "label": null, "level": 2, "state": "Active"},
@@ -560,6 +560,9 @@ def test_fraction_json_loads_onto_the_lattice():
     assert loaded.same_structure(built) and built.same_structure(loaded)
     assert built.to_json_dict() == json.loads(FRACTION_JSON)
     assert loaded.to_json_dict() == json.loads(FRACTION_JSON)
+    # a split records its kind as the cell's label, so a replayed log restores it
+    for _, cid, kind in loaded.generation_log:
+        assert loaded.cell(cid).label == built.cell(cid).label == kind
     assert loaded.cell(12).bounds == (Fraction(1, 3), Fraction(1, 2), Fraction(0.6),
                                       (Fraction(0.6) + 1) / 2)
 
