@@ -19,6 +19,7 @@ which freezes the surface over cells that already passed.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -106,13 +107,15 @@ class FitConfig:
     mark_safety: float = 0.5
 
     def __post_init__(self):
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
         if self.delta <= 1:
             raise ValueError("anisotropy threshold must exceed 1 "
                              "(values below 1 would mark every cell anisotropic)")
         if self.samples < 1:
-            raise ValueError("need at least one curvature sample per cell")
+            raise ValueError("samples must be at least 1 (curvature samples per cell)")
+        if self.max_levels < 0:
+            raise ValueError(f"max_levels must be nonnegative, got {self.max_levels!r}")
         if not (0 < self.mark_safety <= 1):
             raise ValueError("mark_safety must lie in (0, 1]")
 

@@ -15,6 +15,14 @@ implemented here avoids both:
    horizontal -> 'H', only vertical -> 'V', both or none -> 'C');
 3. split according to the final labels.
 
+A split adds edges only at the lattice points it cuts through, with the
+edge directions :func:`anisoline.tmesh.cut_rule` states, so vertex kinds
+change only there.  :func:`simulate_new_basis_vertices` ORs the cuts of a
+split set over the positions that are not yet vertices, and a round's
+report reads its new basis vertices and its T-to-crossing promotions off
+the cuts it performed, with kinds looked up in the meshes' edge-direction
+masks.
+
 :func:`check_refinement_invariants` re-derives the guarantees from the
 before/after meshes and is used as the oracle in randomized tests.
 :func:`naive_subdivide` bypasses step 2 so the failure modes can be
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .tmesh import AdjacencyKind, TMesh, VertexKind
+from .tmesh import AdjacencyKind, TMesh, VertexKind, cut_rule
 
 __all__ = [
     "ConnectedGroup", "RefinementRequest", "RefinementReport",
@@ -87,7 +95,7 @@ class RefinementReport:
     performed: dict                 # cell id -> (kind, child ids)
     new_basis_vertices: list        # ids in the after-mesh
     cell_new_basis: dict            # subdivided cell id -> new basis vertex ids
-    t_to_crossing: list             # (vertex id, position) promotions, must be empty
+    t_to_crossing: list             # (vertex id, position) promotions by id, must be empty
     mesh_before: TMesh = field(repr=False, default=None)
     mesh_after: TMesh = field(repr=False, default=None)
 
@@ -174,57 +182,26 @@ def flood_fill_groups(mesh, marked):
     return groups
 
 
-def _split_candidates(cell, kind):
-    """(side, lattice position) midpoints the split cuts into, plus center
-    for 'C'."""
-    i0, i1, j0, j1 = cell.lattice_bounds
-    im = (i0 + i1) >> 1
-    jm = (j0 + j1) >> 1
-    if kind == "H":
-        sides = [("left", (i0, jm)), ("right", (i1, jm))]
-    elif kind == "V":
-        sides = [("bottom", (im, j0)), ("top", (im, j1))]
-    else:
-        sides = [("left", (i0, jm)), ("right", (i1, jm)),
-                 ("bottom", (im, j0)), ("top", (im, j1))]
-    center = (im, jm) if kind == "C" else None
-    return sides, center
-
-
-_HITS_VERTICAL_EDGE = ("H", "C")     # cuts arriving at a left/right edge midpoint
-_HITS_HORIZONTAL_EDGE = ("V", "C")   # cuts arriving at a bottom/top edge midpoint
-
-
 def simulate_new_basis_vertices(mesh, splits):
     """Predict, per cell, the new basis vertices a joint split set creates.
 
-    `splits` maps cell id -> kind.  A genuinely new position becomes a
-    basis vertex when it lies on the domain boundary, at a cross center,
-    or at an edge midpoint cut from both sides.  Existing vertices are
-    never counted (promoting one is exactly what the strategy forbids).
-    Returns dict cell id -> set of lattice positions (i, j).
+    `splits` maps cell id -> kind.  The edge directions all cuts add are
+    ORed per position; a position that is not yet a vertex becomes a
+    basis vertex when it lies on the domain boundary or gains all four
+    directions (a cross center, or an edge midpoint cut from both sides).
+    Existing vertices are never counted (promoting one is exactly what the
+    strategy forbids).  Returns dict cell id -> set of lattice positions
+    (i, j).
     """
-    out = {}
-    for cid, kind in splits.items():
-        cell = mesh.cell(cid)
-        sides, center = _split_candidates(cell, kind)
-        found = set()
-        if center is not None:
-            found.add(center)
-        for side, pos in sides:
-            if pos in mesh._vpos:
-                continue
-            if mesh._on_domain_boundary(*pos):
-                found.add(pos)
-                continue
-            nb = mesh.aligned_neighbor(cid, side)
-            if nb is None or nb not in splits:
-                continue
-            hits = _HITS_VERTICAL_EDGE if side in ("left", "right") else _HITS_HORIZONTAL_EDGE
-            if splits[nb] in hits:
-                found.add(pos)
-        out[cid] = found
-    return out
+    fresh = {cid: [(pos, bits) for pos, bits in cut_rule(mesh.cell(cid).lattice_bounds, kind)[1]
+                   if pos not in mesh._vpos]
+             for cid, kind in splits.items()}
+    joint = {}
+    for cuts in fresh.values():
+        for pos, bits in cuts:
+            joint[pos] = joint.get(pos, 0) | bits
+    return {cid: {pos for pos, _ in cuts if joint[pos] == 0b1111 or mesh._on_domain_boundary(*pos)}
+            for cid, cuts in fresh.items()}
 
 
 def resolve_labels(mesh, group, labels):
@@ -279,27 +256,21 @@ def resolve_labels(mesh, group, labels):
 
 
 def _build_report(before, after, groups, proposed, final, performed):
-    new_basis = [vid for vid in range(before._next_vert, after._next_vert)
-                 if after.is_basis_vertex(vid)]
-    cell_new = {cid: [] for cid in performed}
-    for vid in new_basis:
-        parents = {after.cell(ch).parent for ch in after.vertex_cells(vid)}
-        for p in parents:
-            if p in cell_new:
-                cell_new[p].append(vid)
-    # only vertices on the closure of a subdivided cell can change kind
-    promotions = []
-    seen = set()
-    for cid in performed:
-        for vid in before.cell_vertices(cid):
-            if vid in seen:
-                continue
-            seen.add(vid)
-            if before.classify_vertex(vid) is VertexKind.T_JUNCTION:
-                v = before.vertex(vid)
-                aid = after._vpos.get((v.i, v.j))
-                if aid is not None and after.classify_vertex(aid) is VertexKind.CROSSING:
-                    promotions.append((aid, v.position_float()))
+    # A split makes vertices and changes kinds only at its cut points, and
+    # a new basis vertex on a split cell's closure is one of its own cuts:
+    # a neighbor's cut on the cell's edge gains no edge into the cell and
+    # stays a T-junction.  Ids below `born` name the same vertex in both
+    # meshes.
+    born = before._next_vert
+    cell_new, promoted = {}, set()
+    for cid, (kind, _) in performed.items():
+        vids = [after._vpos[pos] for pos, _ in cut_rule(before.cell(cid).lattice_bounds, kind)[1]]
+        cell_new[cid] = sorted(vid for vid in vids if vid >= born and after.is_basis_vertex(vid))
+        promoted.update(vid for vid in vids if vid < born
+                        and before.classify_vertex(vid) is VertexKind.T_JUNCTION
+                        and after.classify_vertex(vid) is VertexKind.CROSSING)
+    new_basis = sorted({vid for vids in cell_new.values() for vid in vids})
+    promotions = [(vid, after.vertex(vid).position_float()) for vid in sorted(promoted)]
     return RefinementReport(
         level=before.current_level,
         groups=groups,

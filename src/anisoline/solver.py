@@ -48,6 +48,7 @@ the stiffness triplets themselves take 2.3 MiB.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -99,8 +100,14 @@ class SolveConfig:
     lin_tol: float = 1e-10
 
     def __post_init__(self):
+        if not 0 <= self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold!r}")
         if self.delta <= 1:
             raise ValueError("anisotropy threshold must exceed 1")
+        if self.samples < 1:
+            raise ValueError("samples must be at least 1 (curvature samples per cell)")
+        if self.max_levels < 0:
+            raise ValueError(f"max_levels must be nonnegative, got {self.max_levels!r}")
         if self.quadrature < 4:
             raise ValueError("bicubic integrands need quadrature order >= 4")
 

@@ -19,6 +19,15 @@ vertex kinds, the position index) run on plain ints.  A split
 that would halve a cell one lattice unit wide raises
 :class:`LatticeDepthError`; the D-th halving of a span is still exact.
 
+One rule states the geometry of a split (:func:`cut_rule`): a cell's
+children by s and t side, and the lattice points its new edges cut
+through, with the edge directions they add at each.  Every vertex carries
+a mask of its incident edge directions (+s, -s, +t, -t); the level-0 grid
+sets it and :meth:`TMesh.split_cell` ORs in the bits of each cut, since
+a split only adds edges and only at its cut points.  Vertex kinds, basis
+vertices and the dimension are lookups in the mask; :meth:`TMesh.validate`
+re-derives every mask from the incident cells as an independent check.
+
 The level-0 knots stay exact :class:`fractions.Fraction` values, in one
 axis table per direction (:class:`Axis`) shared by a mesh and its copies.
 The table derives the exact value and the float of a lattice coordinate
@@ -50,7 +59,7 @@ import numpy as np
 
 __all__ = [
     "VertexKind", "AdjacencyKind", "Vertex", "Cell", "TMesh", "Axis",
-    "LatticeDepthError", "LATTICE_DEPTH",
+    "LatticeDepthError", "LATTICE_DEPTH", "cut_rule",
     "create_tensor_mesh", "create_mesh_from_knots",
 ]
 
@@ -63,6 +72,43 @@ _SPAN = 1 << LATTICE_DEPTH
 
 class LatticeDepthError(ValueError):
     """A split would halve a cell one lattice unit wide."""
+
+
+# bits of a vertex's edge-direction mask
+_DIRECTIONS = (("+s", 1), ("-s", 2), ("+t", 4), ("-t", 8))
+_PLUS_S, _MINUS_S, _PLUS_T, _MINUS_T = (bit for _, bit in _DIRECTIONS)
+_ALONG_S, _ALONG_T, _ALL = _PLUS_S | _MINUS_S, _PLUS_T | _MINUS_T, 15
+
+
+def cut_rule(bounds, kind):
+    """Geometry of splitting the lattice rectangle `bounds` = (i0, i1, j0, j1).
+
+    Returns (children, cuts).  `children` holds (slot, child bounds) in
+    child order; slot is s side + 2 * t side, 0 low and 1 high.  `cuts`
+    holds ((i, j), bits) for each lattice point the new edges cut through,
+    with the edge directions they add there: a side midpoint gets both
+    directions along the side and the inward one, the centre of a 'C'
+    split all four.
+    """
+    i0, i1, j0, j1 = bounds
+    im, jm = (i0 + i1) >> 1, (j0 + j1) >> 1
+    s_sides = ((i0, i1),) if kind == "H" else ((i0, im), (im, i1))
+    t_sides = ((j0, j1),) if kind == "V" else ((j0, jm), (jm, j1))
+    children = [(a + 2 * b, (s0, s1, t0, t1))
+                for b, (t0, t1) in enumerate(t_sides)
+                for a, (s0, s1) in enumerate(s_sides)]
+    cuts = []
+    if kind != "V":
+        cuts += (((i0, jm), _ALONG_T | _PLUS_S), ((i1, jm), _ALONG_T | _MINUS_S))
+    if kind != "H":
+        cuts += (((im, j0), _ALONG_S | _PLUS_T), ((im, j1), _ALONG_S | _MINUS_T))
+    if kind == "C":
+        cuts.append(((im, jm), _ALL))
+    return children, cuts
+
+
+# the slots of each split kind's children, in child order
+_CHILD_SLOTS = {kind: [slot for slot, _ in cut_rule((0, 2, 0, 2), kind)[0]] for kind in SPLIT_KINDS}
 
 
 class VertexKind(Enum):
@@ -287,6 +333,9 @@ class TMesh:
         self._vpos = {}
         self._vert_cells = {}
         self._cell_verts = {}
+        # vertex id -> edge-direction mask; not a Vertex field, because
+        # copies of a mesh share its Vertex objects
+        self._dirs = bytearray()
         self._next_cell = 0
         self._next_vert = 0
         self._locator = None
@@ -296,9 +345,12 @@ class TMesh:
         for j0, j1 in zip(t_lines, t_lines[1:]):
             for i0, i1 in zip(s_lines, s_lines[1:]):
                 self._new_cell(i0, i1, j0, j1, 0, None)
+        s_end, t_end = s_lines[-1], t_lines[-1]
         for j in t_lines:
             for i in s_lines:
-                self._get_or_make_vertex(i, j, 0)
+                vid = self._get_or_make_vertex(i, j, 0)
+                self._dirs[vid] = (_PLUS_S * (i < s_end) | _MINUS_S * (i > 0)
+                                   | _PLUS_T * (j < t_end) | _MINUS_T * (j > 0))
         # a level-0 cell's boundary holds exactly its four corners
         for cid in range(self._next_cell):
             for vid in sorted(self.corner_vertices(cid)):
@@ -325,6 +377,7 @@ class TMesh:
             self._verts[vid] = Vertex(vid, i, j, level, self.axes)
             self._vpos[key] = vid
             self._vert_cells[vid] = set()
+            self._dirs.append(0)
         return vid
 
     @staticmethod
@@ -351,6 +404,7 @@ class TMesh:
         m._vpos = dict(self._vpos)
         m._vert_cells = {vid: set(cs) for vid, cs in self._vert_cells.items()}
         m._cell_verts = {cid: set(vs) for cid, vs in self._cell_verts.items()}
+        m._dirs = bytearray(self._dirs)
         m._next_cell = self._next_cell
         m._next_vert = self._next_vert
         m._locator = None
@@ -405,29 +459,16 @@ class TMesh:
 
     def vertex_directions(self, vid):
         """Edge directions incident to a vertex, subset of {+s,-s,+t,-t}."""
-        v = self.vertex(vid)
-        i, j = v.i, v.j
-        dirs = set()
-        for cid in self._vert_cells[vid]:
-            c = self._cells[cid]
-            if j == c.j0 or j == c.j1:
-                if i < c.i1:
-                    dirs.add("+s")
-                if i > c.i0:
-                    dirs.add("-s")
-            if i == c.i0 or i == c.i1:
-                if j < c.j1:
-                    dirs.add("+t")
-                if j > c.j0:
-                    dirs.add("-t")
-        return dirs
+        self.vertex(vid)
+        mask = self._dirs[vid]
+        return {name for name, bit in _DIRECTIONS if mask & bit}
 
     def classify_vertex(self, vid):
-        """Kind of a vertex, derived from its incident edges."""
+        """Kind of a vertex, read from its edge-direction mask."""
         v = self.vertex(vid)
         if self._on_domain_boundary(v.i, v.j):
             return VertexKind.BOUNDARY
-        n = len(self.vertex_directions(vid))
+        n = self._dirs[vid].bit_count()
         if n == 4:
             return VertexKind.CROSSING
         if n == 3:
@@ -481,46 +522,9 @@ class TMesh:
                 good.add(nid)
         return good
 
-    def aligned_neighbor(self, cid, side):
-        """Active cell sharing the full `side` edge ('left','right','bottom','top')
-        with extents matching in the edge direction, or None."""
-        c = self.cell(cid)
-        if side == "left":
-            p1, p2 = (c.i0, c.j0), (c.i0, c.j1)
-        elif side == "right":
-            p1, p2 = (c.i1, c.j0), (c.i1, c.j1)
-        elif side == "bottom":
-            p1, p2 = (c.i0, c.j0), (c.i1, c.j0)
-        else:
-            p1, p2 = (c.i0, c.j1), (c.i1, c.j1)
-        v1, v2 = self._vpos.get(p1), self._vpos.get(p2)
-        if v1 is None or v2 is None:
-            return None
-        # an aligned neighbor shares both edge-end vertices
-        for nid in self._vert_cells[v1] & self._vert_cells[v2]:
-            if nid == cid:
-                continue
-            n = self._cells[nid]
-            if side == "left" and n.i1 == c.i0 and n.j0 == c.j0 and n.j1 == c.j1:
-                return nid
-            if side == "right" and n.i0 == c.i1 and n.j0 == c.j0 and n.j1 == c.j1:
-                return nid
-            if side == "bottom" and n.j1 == c.j0 and n.i0 == c.i0 and n.i1 == c.i1:
-                return nid
-            if side == "top" and n.j0 == c.j1 and n.i0 == c.i0 and n.i1 == c.i1:
-                return nid
-        return None
-
     def dimension(self):
         """Spline-space dimension 4*(boundary vertices + interior crossings)."""
-        vb = vp = 0
-        for vid in self._verts:
-            kind = self.classify_vertex(vid)
-            if kind is VertexKind.BOUNDARY:
-                vb += 1
-            elif kind is VertexKind.CROSSING:
-                vp += 1
-        return 4 * (vb + vp)
+        return 4 * len(self.basis_vertices())
 
     def basis_vertices(self):
         return sorted(vid for vid in self._verts if self.is_basis_vertex(vid))
@@ -575,15 +579,19 @@ class TMesh:
             kids = np.full((n, 4), -1, dtype=np.int64)
             s_mid = np.full(n, np.inf)
             t_mid = np.full(n, np.inf)
+            rows, slots, children = [], [], []
             for _, cid, kind in self.generation_log:
                 k = self._cells[cid].children
-                if kind == "H":
-                    kids[cid, [0, 2]] = k
-                else:
-                    kids[cid, :len(k)] = k
-                    s_mid[cid] = sa.float_at_least(self._cells[k[1]].i0)
-                if kind != "V":
-                    t_mid[cid] = ta.float_at_least(self._cells[k[-1]].j0)
+                rows += [cid] * len(k)
+                slots += _CHILD_SLOTS[kind]
+                children += k
+                # the last child lies on the high side of every cut
+                last, high = self._cells[k[-1]], _CHILD_SLOTS[kind][-1]
+                if high & 1:
+                    s_mid[cid] = sa.float_at_least(last.i0)
+                if high & 2:
+                    t_mid[cid] = ta.float_at_least(last.j0)
+            kids[rows, slots] = children
             bounds = (sa.float_at_least(0), sa.float_at_most(sa.end),
                       ta.float_at_least(0), ta.float_at_most(ta.end))
             s_cuts, t_cuts = (np.array([a.float_at_least(x) for x in range(_SPAN, a.end, _SPAN)])
@@ -618,25 +626,14 @@ class TMesh:
         if kind not in SPLIT_KINDS:
             raise ValueError(f"unknown split kind {kind!r}")
 
-        i0, i1, j0, j1 = c.i0, c.i1, c.j0, c.j1
-        for cut, lo, hi, axis in (("HC", j0, j1, "t"), ("VC", i0, i1, "s")):
-            if kind in cut and hi - lo < 2:
+        children, cuts = cut_rule(c.lattice_bounds, kind)
+        # halving one lattice unit leaves a child of zero extent
+        for _, (i0, i1, j0, j1) in children:
+            if i0 == i1 or j0 == j1:
                 raise LatticeDepthError(
-                    f"cell {cid} is one lattice unit wide along {axis}; a '{kind}' split "
-                    f"would go past the lattice depth of {LATTICE_DEPTH} halvings per span")
-        im = (i0 + i1) >> 1
-        jm = (j0 + j1) >> 1
+                    f"cell {cid} is one lattice unit wide along {'t' if j0 == j1 else 's'}; a "
+                    f"'{kind}' split would go past the lattice depth of {LATTICE_DEPTH} halvings per span")
         lvl = c.level + 1
-        if kind == "H":
-            child_bounds = [(i0, i1, j0, jm), (i0, i1, jm, j1)]
-            new_pos = [(i0, jm), (i1, jm)]
-        elif kind == "V":
-            child_bounds = [(i0, im, j0, j1), (im, i1, j0, j1)]
-            new_pos = [(im, j0), (im, j1)]
-        else:
-            child_bounds = [(i0, im, j0, jm), (im, i1, j0, jm),
-                            (i0, im, jm, j1), (im, i1, jm, j1)]
-            new_pos = [(i0, jm), (i1, jm), (im, j0), (im, j1), (im, jm)]
         corner_ids = self.corner_vertices(cid)
 
         # retire the parent from all indexes
@@ -646,7 +643,7 @@ class TMesh:
         for vid in parent_verts:
             self._vert_cells[vid].discard(cid)
 
-        kids = [self._new_cell(*b, lvl, cid) for b in child_bounds]
+        kids = [self._new_cell(*b, lvl, cid) for _, b in children]
         c.children = tuple(kids)
         c.label = kind
         kid_cells = [self._cells[kid] for kid in kids]
@@ -658,16 +655,17 @@ class TMesh:
                 if self._on_cell_boundary(k, v.i, v.j):
                     self._cell_verts[k.id].add(vid)
                     self._vert_cells[vid].add(k.id)
-        # new vertices (may already exist if a neighbor split created them).
-        # Any active cell whose boundary contains a split midpoint either is
-        # a child or spans the parent's edge, hence carries a parent corner
-        # vertex: the corner incidence lists cover all candidates.
+        # cut points, which a neighbor's split may have made already.  Any
+        # active cell whose boundary contains a cut point either is a child
+        # or spans the parent's edge, hence carries a parent corner vertex:
+        # the corner incidence lists cover all candidates.
         candidates = set(kids)
         for cvid in corner_ids:
             candidates |= self._vert_cells[cvid]
         candidates = [self._cells[nid] for nid in candidates]
-        for (i, j) in new_pos:
+        for (i, j), bits in cuts:
             vid = self._get_or_make_vertex(i, j, lvl)
+            self._dirs[vid] |= bits
             for n in candidates:
                 if self._on_cell_boundary(n, i, j):
                     self._cell_verts[n.id].add(vid)
@@ -712,11 +710,19 @@ class TMesh:
                 if kid_area != c.area():
                     out.append(f"cell {cid}: children do not tile it")
         for vid, v in self._verts.items():
-            dirs = self.vertex_directions(vid)
-            if self._on_domain_boundary(v.i, v.j):
-                if len(dirs) < 2:
-                    out.append(f"vertex {vid}: grid-line endpoint not on two grid lines")
-            elif len(dirs) < 3:
+            # the edge directions the incident cells show, independent of the mask
+            i, j = v.i, v.j
+            dirs = 0
+            for cid in self._vert_cells[vid]:
+                c = self._cells[cid]
+                if j == c.j0 or j == c.j1:
+                    dirs |= _PLUS_S * (i < c.i1) | _MINUS_S * (i > c.i0)
+                if i == c.i0 or i == c.i1:
+                    dirs |= _PLUS_T * (j < c.j1) | _MINUS_T * (j > c.j0)
+            if dirs != self._dirs[vid]:
+                out.append(f"vertex {vid}: direction mask {self._dirs[vid]:04b} "
+                           f"disagrees with its incident cells ({dirs:04b})")
+            if dirs.bit_count() < (2 if self._on_domain_boundary(i, j) else 3):
                 out.append(f"vertex {vid}: grid-line endpoint not on two grid lines")
             if not self._vert_cells[vid]:
                 out.append(f"vertex {vid}: not on any active cell boundary")
@@ -731,12 +737,19 @@ class TMesh:
 
     def replay(self):
         """Rebuild this mesh from its initial grid and generation log."""
-        m = TMesh(self.axes[0].knots, self.axes[1].knots)
-        for (lvl, cid, kind) in self.generation_log:
+        return self._replayed(self.axes[0].knots, self.axes[1].knots,
+                              self.generation_log, self.current_level)
+
+    @classmethod
+    def _replayed(cls, s_knots, t_knots, log, level):
+        """The grid on the knots after the (level, cell id, kind) splits of
+        `log`, advanced to `level`."""
+        m = cls(s_knots, t_knots)
+        for (lvl, cid, kind) in log:
             while m.current_level < lvl:
                 m.advance_current_level()
             m.split_cell(cid, kind)
-        while m.current_level < self.current_level:
+        while m.current_level < level:
             m.advance_current_level()
         return m
 
@@ -781,14 +794,8 @@ class TMesh:
 
     @classmethod
     def from_json_dict(cls, d):
-        m = cls([Fraction(x) for x in d["s_knots"]], [Fraction(x) for x in d["t_knots"]])
-        for (lvl, cid, kind) in d["log"]:
-            while m.current_level < lvl:
-                m.advance_current_level()
-            m.split_cell(cid, kind)
-        while m.current_level < d.get("current_level", m.current_level):
-            m.advance_current_level()
-        return m
+        return cls._replayed([Fraction(x) for x in d["s_knots"]], [Fraction(x) for x in d["t_knots"]],
+                             d["log"], d.get("current_level", 0))
 
     @classmethod
     def from_json(cls, text):

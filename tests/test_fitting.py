@@ -16,6 +16,7 @@ from anisoline.fitting import (
     estimate_vertex_controls, fit_surface, generate_test_model, label_by_curvature,
 )
 from anisoline.refine import RefinementRequest, refine
+from anisoline.solver import SolveConfig
 from anisoline.space import (
     DERIV_ORDERS, HERMITE_ORDERS, SplineField, advance_level, build_initial_space,
     collocation_block,
@@ -411,6 +412,19 @@ def test_fit_config_validation():
         FitConfig(delta=0.5)
     with pytest.raises(ValueError):
         FitConfig(samples=0)
+
+
+# Unchecked, a negative max_levels ends either loop in an AttributeError,
+# and a NaN tolerance or threshold stops it at level 0.
+@pytest.mark.parametrize("config, field, value", [
+    (config, field, value)
+    for config, stop in ((FitConfig, "tolerance"), (SolveConfig, "threshold"))
+    for field, value in ((stop, -1e-3), (stop, float("nan")), (stop, float("inf")),
+                         ("max_levels", -1), ("samples", 0))])
+def test_configs_reject_bad_values_by_name(config, field, value):
+    with pytest.raises(ValueError, match=field):
+        config(**{field: value})
+    config(**{field: 0 if field != "samples" else 1})
 
 
 def test_fit_reproduces_quadratic_surface():

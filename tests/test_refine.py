@@ -9,6 +9,7 @@ from anisoline.refine import (
     naive_subdivide, refine, resolve_labels, simulate_new_basis_vertices,
 )
 from anisoline.tmesh import VertexKind, create_tensor_mesh
+from test_tmesh import LATTICE_STARTS, census_kinds
 
 
 def cell_at(mesh, s, t):
@@ -256,3 +257,56 @@ def test_group_images_connected_and_disjoint():
                 kids = [k for c in g.members for k in report.performed[c][1]]
                 images = flood_fill_groups(after, kids)
                 assert len(images) == 1
+
+
+def _census(mesh):
+    return census_kinds([mesh.cell(cid).bounds for cid in mesh.active_cells()], mesh.domain)
+
+
+def _value(mesh, i, j):
+    return mesh.axes[0].exact(i), mesh.axes[1].exact(j)
+
+
+def _in_closure(cell, positions):
+    return {(s, t) for s, t in positions if cell.s0 <= s <= cell.s1 and cell.t0 <= t <= cell.t1}
+
+
+@pytest.mark.parametrize("step", [refine, naive_subdivide], ids=["refine", "naive"])
+@pytest.mark.parametrize("name", sorted(LATTICE_STARTS))
+def test_kinds_promotions_and_predictions_match_the_census(name, step):
+    # The masks, the report read off the cuts and the predicted births,
+    # each against the kinds of a census of the active cells alone.
+    rng = random.Random(41)
+    promotions = 0
+    for trial in range(2 if name == "24x24" else 10):
+        m = LATTICE_STARTS[name]()
+        for level in range(3):
+            cells = m.cells_of_level(level)
+            before, kinds = m, _census(m)
+            # a random split set, predicted and then carried out on a copy
+            splits = {cid: rng.choice("HVC") for cid in rng.sample(cells, rng.randint(1, len(cells)))}
+            predicted = simulate_new_basis_vertices(m, splits)
+            trial_mesh = m.copy()
+            for cid in sorted(splits):
+                trial_mesh.split_cell(cid, splits[cid])
+            born = {p for p, k in _census(trial_mesh).items()
+                    if p not in kinds and k is not VertexKind.T_JUNCTION}
+            for cid, positions in predicted.items():
+                assert {_value(m, *pos) for pos in positions} == _in_closure(m.cell(cid), born)
+            # one round of the step under test
+            labels = {cid: rng.choice("HVC") for cid in rng.sample(cells, rng.randint(1, min(12, len(cells))))}
+            m, report = step(m, RefinementRequest(labels))
+            after = _census(m)
+            assert {m.vertex(vid).position: m.classify_vertex(vid) for vid in m.vertices()} == after
+            promoted = sorted(p for p, k in kinds.items()
+                              if k is VertexKind.T_JUNCTION and after[p] is VertexKind.CROSSING)
+            assert sorted(m.vertex(vid).position for vid, _ in report.t_to_crossing) == promoted
+            assert [vid for vid, _ in report.t_to_crossing] == sorted({vid for vid, _ in report.t_to_crossing})
+            promotions += len(promoted)
+            born = {p for p, k in after.items() if p not in kinds and k is not VertexKind.T_JUNCTION}
+            assert {m.vertex(vid).position for vid in report.new_basis_vertices} == born
+            for cid, vids in report.cell_new_basis.items():
+                assert vids == sorted(vids)
+                assert {m.vertex(vid).position for vid in vids} == _in_closure(before.cell(cid), born)
+    # the strategy never promotes; verbatim splits do, on every start
+    assert (promotions > 0) == (step is naive_subdivide)

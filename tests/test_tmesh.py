@@ -194,6 +194,20 @@ def test_validate_flags_hanging_vertex():
     assert any("not on two grid lines" in p for p in problems)
 
 
+def test_validate_checks_direction_masks_against_the_cells():
+    m = randomly_refined(create_tensor_mesh(3, 3), 3, seed=5)
+    assert m.validate() == []
+    # a T-junction whose mask claims the missing direction reads as a crossing
+    vid = next(v for v in m.vertices() if m.classify_vertex(v) is VertexKind.T_JUNCTION)
+    copy = m.copy()
+    copy._dirs[vid] = 15
+    assert copy.classify_vertex(vid) is VertexKind.CROSSING
+    assert m.classify_vertex(vid) is VertexKind.T_JUNCTION
+    assert [p for p in copy.validate() if "mask" in p] == \
+        [f"vertex {vid}: direction mask 1111 disagrees with its incident cells "
+         f"({m._dirs[vid]:04b})"]
+
+
 def test_validate_flags_overlap():
     m = create_tensor_mesh(2, 1)
     c = m.cell(m.locate_cell(0.1, 0.5))
