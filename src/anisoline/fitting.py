@@ -109,9 +109,9 @@ class FitConfig:
     def __post_init__(self):
         if not 0 <= self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
-        if self.delta <= 1:
-            raise ValueError("anisotropy threshold must exceed 1 "
-                             "(values below 1 would mark every cell anisotropic)")
+        if not self.delta > 1:
+            raise ValueError(f"delta (anisotropy threshold) must exceed 1, got {self.delta!r}; "
+                             f"values below 1 would mark every cell anisotropic")
         if self.samples < 1:
             raise ValueError("samples must be at least 1 (curvature samples per cell)")
         if self.max_levels < 0:

@@ -23,17 +23,24 @@ two cells touching (1/2, 1) grow from 0.061 to 0.467, and the other 12
 cells stay at 0.3777 combined.  A split that moves Gauss points toward
 such a point can therefore raise eta while the true error falls.
 
-Assembly, the indicator and the exact error norms share one element
-kernel (`_cell_blocks`) built on the evaluation kernel of `space`, whose
-block walk it shares: it walks the active cells in blocks of
-`space._BLOCK` = 64, takes each block's padded function ids and 4x4
-Bezier patches from there, contracts the geometry coefficients into one
-geometry patch per cell, and evaluates patches at the q x q Gauss points
-with Bernstein tables built once per call.  From the geometry patches
-come the map, J, det J, J^-1 and the parameter Hessian at the points,
-and the physical cell diameter: a Bezier patch interpolates its corner
-ordinates, so the corner images need no evaluation.  The three callers
-are einsums over these block tables; none of it is kept across calls.
+Each round walks the active cells twice, through one element kernel
+(`_cell_blocks`) built on the evaluation kernel of `space`, whose block
+walk it shares: `assemble` walks them once, and `error_indicators` once
+more for the indicator and, when the problem knows its exact solution,
+the L2 and H1 errors, which `adaptive_solve` reads off the indicator
+(`exact_error_norms` runs the same walk without the residual).  The
+kernel walks the active cells in blocks of `space._BLOCK` = 64, takes
+each block's padded function ids and 4x4 Bezier patches and its cells'
+float bounds (rows of the mesh's `cell_bounds` table) from there,
+contracts the geometry coefficients into one geometry patch per cell, and
+evaluates patches at the q x q Gauss points with Bernstein tables built
+once per walk.  From the geometry patches come the map, J, det J and
+J^-1 at the points, the parameter Hessian only when the residual asks
+for the physical Laplacian, and the physical cell diameter: a Bezier
+patch interpolates its corner ordinates, so the corner images need no
+evaluation.  The cells with Neumann edge pieces are picked by lattice
+comparisons on the mesh's cell table.  The callers are einsums over
+these block tables; none of it is kept across calls.
 
 Dirichlet pins are structural: along a boundary edge the trace of the
 space is the Hermite interpolant of the boundary vertices' data, so the
@@ -41,16 +48,19 @@ functions that do not vanish on an edge piece are the value and
 along-edge slope functions of its two end vertices.
 
 Blocks bound the memory.  At 24 x 24 cells and q = 5 the tracemalloc
-peak of `assemble` is 4.5 MiB with blocks of 64 cells and 17.7 MiB with
-whole-mesh tables, and 1.1 MiB against 5.4 MiB for `error_indicators`;
-the stiffness triplets themselves take 2.3 MiB.
+peak of `assemble` is 4.3 MiB with blocks of 64 cells and 17.0 MiB with
+whole-mesh tables, 1.1 MiB against 6.2 MiB for `error_indicators` with
+the exact error norms, and 0.9 MiB against 3.9 MiB for
+`exact_error_norms`; the stiffness triplets themselves take 2.3 MiB.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,6 +89,8 @@ _EDGE_GEOM = {
     "t1": ((1, 1.0), (0.0, 1.0)),
 }
 
+# the edges in the order of the lattice columns i0, i1, j0, j1 they lie on
+_EDGES = tuple(_EDGE_GEOM)
 
 # the slots whose functions do not vanish along a boundary edge: the
 # value (0) and the slope along the edge (d_s = 1 on t-edges, d_t = 2 on
@@ -102,14 +114,18 @@ class SolveConfig:
     def __post_init__(self):
         if not 0 <= self.threshold < math.inf:
             raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold!r}")
-        if self.delta <= 1:
-            raise ValueError("anisotropy threshold must exceed 1")
+        if not self.delta > 1:
+            raise ValueError(f"delta (anisotropy threshold) must exceed 1, got {self.delta!r}")
         if self.samples < 1:
             raise ValueError("samples must be at least 1 (curvature samples per cell)")
         if self.max_levels < 0:
             raise ValueError(f"max_levels must be nonnegative, got {self.max_levels!r}")
-        if self.quadrature < 4:
-            raise ValueError("bicubic integrands need quadrature order >= 4")
+        if not isinstance(self.quadrature, numbers.Integral) or self.quadrature < 4:
+            raise ValueError(f"quadrature must be an integer >= 4 for bicubic integrands, "
+                             f"got {self.quadrature!r}")
+        # a NaN or infinite tolerance would switch the residual check off
+        if not 0 <= self.lin_tol < math.inf:
+            raise ValueError(f"lin_tol must be finite and nonnegative, got {self.lin_tol!r}")
 
 
 @dataclass
@@ -127,6 +143,8 @@ class DiscreteSolution:
 class ErrorIndicator:
     eta: dict                        # cell id -> eta >= 0
     diameters: dict                  # cell id -> physical diameter
+    l2_error: float = None           # exact error norms, when u_exact is known
+    h1_error: float = None
 
     @property
     def total(self):
@@ -149,12 +167,11 @@ class _Points:
     def __init__(self, tables, width, height, geo, cells):
         self._tables = tables
         self._width, self._height = width, height
-        d = [self.eval(geo, order) for order in DERIV_ORDERS]     # each (c, 2, n)
+        self._geo = geo
+        d = [self.eval(geo, order) for order in DERIV_ORDERS[:3]]  # each (c, 2, n)
         self.xy = np.moveaxis(d[0], 1, 2)                         # (c, n, 2)
-        # J[..., i, j] = d x_i / d param_j; H[..., a, :, :] = Hessian of x_a
+        # J[..., i, j] = d x_i / d param_j
         self.J = np.moveaxis(np.stack([d[1], d[2]], axis=-1), 2, 1)
-        self.H = np.moveaxis(np.stack([np.stack([d[3], d[4]], axis=-1),
-                                       np.stack([d[4], d[5]], axis=-1)], axis=-1), 2, 1)
         self.det, self.Jinv = _inverse_2x2(self.J)
         bad = np.nonzero(np.any(np.abs(self.det) < 1e-14, axis=1))[0]
         if bad.size:
@@ -164,6 +181,13 @@ class _Points:
     def eval(self, P, order):
         """d^(a+b)/ds^a dt^b of patches P (c, ..., 4, 4) -> (c, ..., n)."""
         return _eval_patches(P, self._tables, order, self._width, self._height)
+
+    @cached_property
+    def H(self):
+        """The geometry's parameter Hessians: H[..., a, :, :] of x_a."""
+        ss, st, tt = (self.eval(self._geo, order) for order in DERIV_ORDERS[3:])
+        return np.moveaxis(np.stack([np.stack([ss, st], axis=-1),
+                                     np.stack([st, tt], axis=-1)], axis=-1), 2, 1)
 
     def physical(self, P, second=False):
         """Value, physical gradient (c, n, 2) and, with `second`, the
@@ -197,7 +221,6 @@ class _CellBlock(_Cells):
 
     def __init__(self, space, geometry, cids, grid, weights, gauss, neumann):
         super().__init__(space, cids)
-        mesh = space.mesh
         gblk = self if geometry.space is space else _Cells(geometry.space, cids)
         geo = gblk.contract(geometry.field.coefficients)                 # (c, 2, 4, 4)
         self.grid = _Points(grid, self.width, self.height, geo, self.cells)
@@ -211,8 +234,7 @@ class _CellBlock(_Cells):
         if not neumann:
             return
         pieces = [(k, edge, a, b)
-                  for k, cid in enumerate(cids)
-                  for (edge, lo, hi) in _boundary_edges_of_cell(mesh, cid)
+                  for k, edge, lo, hi, _ in _boundary_edges(space.mesh, cids)
                   for (a, b) in _segment_overlap(edge, lo, hi, neumann)]
         if not pieces:
             return
@@ -220,8 +242,8 @@ class _CellBlock(_Cells):
         s, t, w = map(np.array, zip(*(_edge_points(e, a, b, *gauss)
                                       for _, e, a, b in pieces)))
         u, v = self.local(s, t, np.s_[rows, None])
-        pts = _Points(_bernstein_tables(u, v), self.width[rows], self.height[rows], geo[rows],
-                      self.cells[rows])
+        pts = _Points(_bernstein_tables(u, v, DERIV_ORDERS[:3]), self.width[rows],
+                      self.height[rows], geo[rows], self.cells[rows])
         along_t = np.array([e in ("s0", "s1") for _, e, _, _ in pieces])
         tangent = np.where(along_t[:, None, None], pts.J[..., 1], pts.J[..., 0])
         # n_phys ~ J^-T n_par
@@ -248,19 +270,19 @@ def _cell_blocks(space, geometry, q, neumann=()):
         yield _CellBlock(space, geometry, active[sl], grid, weights, (x, w), neumann)
 
 
-def _boundary_edges_of_cell(mesh, cid):
-    c = mesh.cell(cid)
-    s0, s1, t0, t1 = c.bounds_float()
-    out = []
-    if c.i0 == 0:
-        out.append(("s0", t0, t1))
-    if c.i1 == mesh.axes[0].end:
-        out.append(("s1", t0, t1))
-    if c.j0 == 0:
-        out.append(("t0", s0, s1))
-    if c.j1 == mesh.axes[1].end:
-        out.append(("t1", s0, s1))
-    return out
+def _boundary_edges(mesh, cids):
+    """The domain-boundary edges of the cells `cids`, by cell and then in
+    `_EDGES` order, as (k, edge, lo, hi, at): cids[k] has `edge` on the
+    domain boundary at the float coordinate `at`, spanning [lo, hi] along
+    it.  Boundary cells are picked by lattice comparisons on the mesh's
+    cell table."""
+    cids = np.asarray(cids, dtype=np.intp)
+    ends = np.array([0, mesh.axes[0].end, 0, mesh.axes[1].end], dtype=np.int64)
+    # lattice columns i0, i1, j0, j1 are the edges s0, s1, t0, t1
+    k, e = np.nonzero(mesh.cell_table().lattice[cids] == ends)
+    bounds = mesh.cell_bounds()[cids[k]].tolist()
+    return [(kk, _EDGES[ee], *(b[2:] if ee < 2 else b[:2]), b[ee])
+            for kk, ee, b in zip(k.tolist(), e.tolist(), bounds)]
 
 
 def _segment_overlap(edge, lo, hi, segments):
@@ -373,23 +395,22 @@ def _constrained_functions(space, problem, samples_per_edge=8):
     """
     mesh = space.mesh
     ticks = np.linspace(0.0, 1.0, samples_per_edge)
+    active = mesh.active_cells()
+    corners = mesh.cell_table().corners
     pinned = set()
     pts = []
-    for cid in mesh.active_cells():
-        bounds = dict(zip(("s0", "s1", "t0", "t1"), mesh.cell(cid).bounds_float()))
-        for (edge, lo, hi) in _boundary_edges_of_cell(mesh, cid):
-            spans = _segment_overlap(edge, lo, hi, problem.dirichlet)
-            if not spans:
-                continue
-            corners = mesh.corner_vertices(cid)
-            for k in _EDGE_CORNERS[edge]:
-                pinned.update(4 * space.vertex_row[corners[k]] + slot
-                              for slot in _EDGE_SLOTS[edge])
-            axis, bound = "st".index(edge[0]), bounds[edge]
-            for (a, b) in spans:
-                par = a + (b - a) * ticks
-                fixed = np.full_like(par, bound)
-                pts.append((cid, fixed, par) if axis == 0 else (cid, par, fixed))
+    for k, edge, lo, hi, bound in _boundary_edges(mesh, active):
+        spans = _segment_overlap(edge, lo, hi, problem.dirichlet)
+        if not spans:
+            continue
+        cid = active[k]
+        for corner in _EDGE_CORNERS[edge]:
+            row = space.vertex_row[int(corners[cid, corner])]
+            pinned.update(4 * row + slot for slot in _EDGE_SLOTS[edge])
+        for (a, b) in spans:
+            par = a + (b - a) * ticks
+            fixed = np.full_like(par, bound)
+            pts.append((cid, fixed, par) if edge[0] == "s" else (cid, par, fixed))
     return sorted(pinned), pts
 
 
@@ -457,34 +478,55 @@ def solve_linear(system, tol=1e-10):
 
 
 def error_indicators(u_h, problem=None, q=5):
-    """Residual indicator per active cell of the discrete solution.
+    """Residual indicator per active cell of the discrete solution and,
+    when the problem has `u_exact`, the exact error norms of
+    `exact_error_norms`, from the same walk over the cells.
 
     Finite on every cell because the Gauss points are interior, but not
     convergent in `q` on cells whose closure holds a degenerate point of
     the geometry (see the module docstring for the measured growth).
     """
     problem = problem or u_h.problem
+    return _estimate(u_h, problem, q, problem.u_exact, problem.grad_exact, residual=True)
+
+
+def _estimate(u_h, problem, q, u_exact, grad_exact, residual):
+    """One walk over the active cells: with `residual`, eta per cell;
+    with `u_exact`, the L2 and H1 seminorm errors (H1 left 0 without
+    `grad_exact`)."""
     coefficients = u_h.field.coefficients
     eta = {}
     diam = {}
-    for blk in _cell_blocks(u_h.space, u_h.geometry, q, _neumann_segments(problem)):
+    l2 = h1 = 0.0
+    neumann = _neumann_segments(problem) if residual else ()
+    for blk in _cell_blocks(u_h.space, u_h.geometry, q, neumann):
         P = blk.contract(coefficients)
-        _, _, lap = blk.grid.physical(P, second=True)
+        vals, grad, lap = blk.grid.physical(P, second=residual)
+        if u_exact is not None:
+            du = vals - _at_points(u_exact, blk.grid.xy)
+            l2 += float(np.sum(du ** 2 * blk.wdet))
+            if grad_exact is not None:
+                dg = grad - _at_points(grad_exact, blk.grid.xy)
+                h1 += float(np.sum(np.sum(dg ** 2, axis=-1) * blk.wdet))
+        if not residual:
+            continue
         resid = lap + _at_points(problem.f, blk.grid.xy)
         interior = np.sum(resid ** 2 * blk.wdet, axis=1)
         boundary = np.zeros(len(blk.cells))
         e = blk.edges
         if e is not None:
-            _, grad, _ = e.points.physical(P[e.rows])
+            _, egrad, _ = e.points.physical(P[e.rows])
             g = _at_points(problem.g_neumann, e.points.xy,
                            e.normal[..., 0], e.normal[..., 1])
-            mismatch = g - np.sum(grad * e.normal, axis=-1)
+            mismatch = g - np.sum(egrad * e.normal, axis=-1)
             np.add.at(boundary, e.rows, np.sum(mismatch ** 2 * e.arc_weights, axis=1))
         h = blk.diameter
         cells = blk.cells.tolist()
         eta.update(zip(cells, np.sqrt(h * h * interior + h * boundary).tolist()))
         diam.update(zip(cells, h.tolist()))
-    return ErrorIndicator(eta, diam)
+    if u_exact is None:
+        return ErrorIndicator(eta, diam)
+    return ErrorIndicator(eta, diam, float(np.sqrt(l2)), float(np.sqrt(h1)))
 
 
 def label_by_solution(u_h, cells, delta=2.0, samples=9):
@@ -502,20 +544,15 @@ def label_by_solution(u_h, cells, delta=2.0, samples=9):
 
 
 def exact_error_norms(u_h, u_exact=None, grad_exact=None, q=5):
-    """(L2 error, H1 seminorm error) against a known solution."""
+    """(L2 error, H1 seminorm error) against a known solution, by the
+    walk of `error_indicators` without the residual."""
     problem = u_h.problem
     u_exact = u_exact or problem.u_exact
-    grad_exact = grad_exact or problem.grad_exact
-    coefficients = u_h.field.coefficients
-    l2 = h1 = 0.0
-    for blk in _cell_blocks(u_h.space, u_h.geometry, q):
-        vals, grad, _ = blk.grid.physical(blk.contract(coefficients))
-        du = vals - _at_points(u_exact, blk.grid.xy)
-        l2 += float(np.sum(du ** 2 * blk.wdet))
-        if grad_exact is not None:
-            dg = grad - _at_points(grad_exact, blk.grid.xy)
-            h1 += float(np.sum(np.sum(dg ** 2, axis=-1) * blk.wdet))
-    return float(np.sqrt(l2)), float(np.sqrt(h1))
+    if u_exact is None:
+        raise ValueError(f"problem {problem.name!r} has no exact solution to measure against")
+    ind = _estimate(u_h, problem, q, u_exact, grad_exact or problem.grad_exact,
+                    residual=False)
+    return ind.l2_error, ind.h1_error
 
 
 def _solve_round(space, geometry, problem, config):
@@ -550,8 +587,7 @@ def adaptive_solve(problem, geometry, config=None, strategy="modified"):
                           new_functions=pending_new, modified_functions=pending_mod,
                           eta_total=ind.total,
                           seconds={"solve": solve_time, "estimate": est_time})
-        if problem.u_exact is not None:
-            rec.l2_error, rec.h1_error = exact_error_norms(solution, q=config.quadrature)
+        rec.l2_error, rec.h1_error = ind.l2_error, ind.h1_error
         current = space.mesh.cells_of_level(level)
         marked = [cid for cid in current if ind.eta[cid] > config.threshold]
         rec.marked = len(marked)

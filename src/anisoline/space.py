@@ -51,7 +51,8 @@ against kron(T^-1, S^-1) in one batched einsum.
 Every evaluation in the package goes through one Bezier-extraction kernel
 (Borden, Scott, Evans and Hughes, 2011), kept here with the
 representation.  It walks cells in blocks of `_BLOCK` (`_Cells`: function
-ids and 4x4 patches, zero-padded to the block's widest cell), contracts
+ids and 4x4 patches, zero-padded to the block's widest cell, and the
+cells' float bounds from the mesh's `cell_bounds` table), contracts
 coefficients into one patch per cell, and evaluates patches by a matmul
 with Bernstein tables (`_bernstein_tables`, `_eval_patches`): at local
 points shared by all cells (`SplineField.eval_grid`, the solver's Gauss
@@ -276,7 +277,8 @@ def _univariate_factors(lo, hi):
 def _births(mesh, cells, born):
     """Collocation factors and support cells of the basis vertices `born`
     (ascending ids), from one pass over the corners of `cells`, which must
-    hold every cell the vertices touch.
+    hold every cell the vertices touch; corners and sizes are rows of the
+    mesh's `cell_table`.
 
     Returns (factors, incidence).  factors (n, 2, 2, 2) holds each
     vertex's S and T (see `CollocationBlock`).  incidence has one entry per
@@ -291,13 +293,15 @@ def _births(mesh, cells, born):
     that breaks either rule.
     """
     born = np.asarray(born, dtype=np.intp)
-    vids = np.array([mesh.corner_vertices(cid) for cid in cells], dtype=np.intp)
+    cells = np.asarray(cells, dtype=np.intp)
+    table = mesh.cell_table()
+    vids = table.corners[cells]
     at, corner = np.nonzero(np.isin(vids, born))
     rows = np.searchsorted(born, vids[at, corner])
-    cids = np.asarray(cells, dtype=np.intp)[at]
+    cids = cells[at]
     order = np.lexsort((rows, cids))
-    rows, cids, corner, at = rows[order], cids[order], corner[order], at[order]
-    sizes = np.array([mesh.cell(cid).size_float() for cid in cells])[at]
+    rows, cids, corner = rows[order], cids[order], corner[order]
+    sizes = table.sizes[cids]
 
     pos = np.array([(v.i, v.j) for v in map(mesh.vertex, born.tolist())],
                    dtype=np.int64).reshape(-1, 2)
@@ -469,13 +473,13 @@ def _padded_patches(space, cids):
 
 
 class _Cells:
-    """One block of the kernel: cells, their float bounds and the padded
-    basis patches of `space` on them (see `_padded_patches`)."""
+    """One block of the kernel: cells, their float bounds (rows of the
+    mesh's `cell_bounds`) and the padded basis patches of `space` on them
+    (see `_padded_patches`)."""
 
     def __init__(self, space, cids):
-        self.cells = np.asarray(cids)
-        s0, s1, t0, t1 = np.array([space.mesh.cell(cid).bounds_float()
-                                   for cid in cids]).reshape(-1, 4).T
+        self.cells = np.asarray(cids, dtype=np.intp)
+        s0, s1, t0, t1 = space.mesh.cell_bounds()[self.cells].T
         self.s0, self.t0 = s0, t0
         self.width, self.height = s1 - s0, t1 - t0
         self.fids, self.patches, self.valid = _padded_patches(space, cids)

@@ -27,6 +27,15 @@ sets it and :meth:`TMesh.split_cell` ORs in the bits of each cut, since
 a split only adds edges and only at its cut points.  Vertex kinds, basis
 vertices and the dimension are lookups in the mask; :meth:`TMesh.validate`
 re-derives every mask from the incident cells as an independent check.
+The same rule gives the incidence of each cut point: the children whose
+closure holds it and, for a new side midpoint, the one cell across that
+side, which spans it whole.
+
+Per-cell data that never changes, the lattice bounds, corner vertex ids,
+float sizes (:meth:`TMesh.cell_table`) and float bounds
+(:meth:`TMesh.cell_bounds`), sit in numpy tables by cell id, built on
+first use and extended as cells are made, for the evaluation kernel and
+the level advance to read by slicing.
 
 The level-0 knots stay exact :class:`fractions.Fraction` values, in one
 axis table per direction (:class:`Axis`) shared by a mesh and its copies.
@@ -54,11 +63,12 @@ import math
 from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "VertexKind", "AdjacencyKind", "Vertex", "Cell", "TMesh", "Axis",
+    "VertexKind", "AdjacencyKind", "Vertex", "Cell", "CellTable", "TMesh", "Axis",
     "LatticeDepthError", "LATTICE_DEPTH", "cut_rule",
     "create_tensor_mesh", "create_mesh_from_knots",
 ]
@@ -107,6 +117,9 @@ def cut_rule(bounds, kind):
     return children, cuts
 
 
+# the corners (indexes into `TMesh.corner_vertices`) of a cell's sides,
+# left, right, bottom and top
+_SIDE_CORNERS = ((0, 2), (1, 3), (0, 1), (2, 3))
 # the slots of each split kind's children, in child order
 _CHILD_SLOTS = {kind: [slot for slot, _ in cut_rule((0, 2, 0, 2), kind)[0]] for kind in SPLIT_KINDS}
 
@@ -135,7 +148,7 @@ class Axis:
     def __init__(self, knots):
         self.knots = knots
         self.end = (len(knots) - 1) * _SPAN
-        self._span_float = [float(b - a) for a, b in zip(knots, knots[1:])]
+        self._span_float = np.array([float(b - a) for a, b in zip(knots, knots[1:])])
         self._exact = {}
         self._float = {}
         self._at_least = {}
@@ -160,7 +173,9 @@ class Axis:
 
     def length(self, x0, x1):
         """float() of the exact length from x0 to x1, for x0 < x1 in one
-        span with x1 - x0 a power of two (the extent of a cell)."""
+        span with x1 - x0 a power of two (the extent of a cell): the span's
+        float width times a power of two, so no rounding.  x0 and x1 are
+        ints or int64 arrays of one shape."""
         return self._span_float[x0 >> LATTICE_DEPTH] * ((x1 - x0) / _SPAN)
 
     def float_at_least(self, x):
@@ -278,7 +293,8 @@ class Cell:
 
     def size_float(self):
         """float() of the exact width and height."""
-        return (self.axes[0].length(self.i0, self.i1), self.axes[1].length(self.j0, self.j1))
+        return (float(self.axes[0].length(self.i0, self.i1)),
+                float(self.axes[1].length(self.j0, self.j1)))
 
     @property
     def width(self):
@@ -304,6 +320,18 @@ class Cell:
         b = self.bounds_float()
         state = "Subdivided" if self.children else "Active"
         return f"Cell({self.id}, {b}, level={self.level}, {state})"
+
+
+class CellTable(NamedTuple):
+    """Per-cell columns of a mesh, row `cid` for cell `cid`, over every
+    cell made so far (active or not)."""
+    lattice: np.ndarray              # (n, 4) int64: i0, i1, j0, j1
+    corners: np.ndarray              # (n, 4) vertex ids, as `TMesh.corner_vertices`
+    sizes: np.ndarray                # (n, 2) float width and height, as `Cell.size_float`
+
+
+_NO_CELLS = CellTable(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4), dtype=np.intp),
+                      np.zeros((0, 2)))
 
 
 class TMesh:
@@ -339,6 +367,8 @@ class TMesh:
         self._next_cell = 0
         self._next_vert = 0
         self._locator = None
+        self._table = _NO_CELLS
+        self._bounds = np.zeros((0, 4))
 
         s_lines = [k * _SPAN for k in range(len(s_knots))]
         t_lines = [k * _SPAN for k in range(len(t_knots))]
@@ -408,6 +438,9 @@ class TMesh:
         m._next_cell = self._next_cell
         m._next_vert = self._next_vert
         m._locator = None
+        # rows are never written, only appended to a new array: share them
+        m._table = self._table
+        m._bounds = self._bounds
         return m
 
     # ------------------------------------------------------------------
@@ -437,6 +470,39 @@ class TMesh:
         c = self.cell(cid)
         vpos = self._vpos
         return (vpos[c.i0, c.j0], vpos[c.i1, c.j0], vpos[c.i0, c.j1], vpos[c.i1, c.j1])
+
+    def cell_table(self):
+        """The `CellTable` of every cell made so far.
+
+        Built on first use and extended by the cells made since, never
+        rebuilt: a cell's bounds and corners do not change.  Copies share
+        the rows they have in common.
+        """
+        table = self._table
+        first = len(table.lattice)
+        if first < self._next_cell:
+            lattice = np.array([self._cells[cid].lattice_bounds
+                                for cid in range(first, self._next_cell)], dtype=np.int64)
+            vpos = self._vpos
+            corners = np.array([(vpos[i0, j0], vpos[i1, j0], vpos[i0, j1], vpos[i1, j1])
+                                for i0, i1, j0, j1 in lattice.tolist()], dtype=np.intp)
+            sa, ta = self.axes
+            sizes = np.stack([sa.length(lattice[:, 0], lattice[:, 1]),
+                              ta.length(lattice[:, 2], lattice[:, 3])], axis=1)
+            table = self._table = CellTable(*(np.concatenate(pair) for pair in
+                                              zip(table, (lattice, corners, sizes))))
+        return table
+
+    def cell_bounds(self):
+        """Float bounds (n, 4), as `Cell.bounds_float`, of every cell made
+        so far, by id; built and extended as `cell_table`."""
+        bounds = self._bounds
+        if len(bounds) < self._next_cell:
+            sa, ta = self.axes
+            fresh = [(sa.float(i0), sa.float(i1), ta.float(j0), ta.float(j1))
+                     for i0, i1, j0, j1 in self.cell_table().lattice[len(bounds):].tolist()]
+            bounds = self._bounds = np.concatenate([bounds, fresh])
+        return bounds
 
     def active_cells(self):
         return sorted(self._active)
@@ -655,21 +721,26 @@ class TMesh:
                 if self._on_cell_boundary(k, v.i, v.j):
                     self._cell_verts[k.id].add(vid)
                     self._vert_cells[vid].add(k.id)
-        # cut points, which a neighbor's split may have made already.  Any
-        # active cell whose boundary contains a cut point either is a child
-        # or spans the parent's edge, hence carries a parent corner vertex:
-        # the corner incidence lists cover all candidates.
-        candidates = set(kids)
-        for cvid in corner_ids:
-            candidates |= self._vert_cells[cvid]
-        candidates = [self._cells[nid] for nid in candidates]
+        # cut points: each lies on the children whose closure holds it.  A
+        # side midpoint a neighbor's split made already has its outer
+        # cells.  A new one has no vertex between the side's corners, so
+        # by dyadic nesting one active cell across the side (none on the
+        # domain boundary) spans the whole side: the one holding both
+        # corners.  The 'C' centre lies inside the parent.
         for (i, j), bits in cuts:
-            vid = self._get_or_make_vertex(i, j, lvl)
+            cells = [kid for kid, (_, (i0, i1, j0, j1)) in zip(kids, children)
+                     if i0 <= i <= i1 and j0 <= j <= j1]
+            vid = self._vpos.get((i, j))
+            if vid is None:
+                vid = self._get_or_make_vertex(i, j, lvl)
+                if bits != _ALL:
+                    side = 0 if i == c.i0 else 1 if i == c.i1 else 2 if j == c.j0 else 3
+                    a, b = _SIDE_CORNERS[side]
+                    cells += self._vert_cells[corner_ids[a]] & self._vert_cells[corner_ids[b]]
             self._dirs[vid] |= bits
-            for n in candidates:
-                if self._on_cell_boundary(n, i, j):
-                    self._cell_verts[n.id].add(vid)
-                    self._vert_cells[vid].add(n.id)
+            self._vert_cells[vid].update(cells)
+            for n in cells:
+                self._cell_verts[n].add(vid)
 
         self.generation_log.append((c.level, cid, kind))
         return tuple(kids)

@@ -415,16 +415,26 @@ def test_fit_config_validation():
 
 
 # Unchecked, a negative max_levels ends either loop in an AttributeError,
-# and a NaN tolerance or threshold stops it at level 0.
+# a NaN tolerance or threshold stops it at level 0, a NaN delta labels
+# every cell 'C', and a NaN lin_tol switches the solver's residual check off.
+_VALID = {"tolerance": 0, "threshold": 0, "max_levels": 0, "samples": 1, "delta": 1.5,
+          "lin_tol": 0, "quadrature": 4}
+
+
 @pytest.mark.parametrize("config, field, value", [
     (config, field, value)
     for config, stop in ((FitConfig, "tolerance"), (SolveConfig, "threshold"))
     for field, value in ((stop, -1e-3), (stop, float("nan")), (stop, float("inf")),
-                         ("max_levels", -1), ("samples", 0))])
+                         ("max_levels", -1), ("samples", 0), ("delta", float("nan")),
+                         ("delta", 1.0))]
+    + [(SolveConfig, field, value)
+       for field, value in (("lin_tol", float("nan")), ("lin_tol", -1e-10),
+                            ("lin_tol", float("inf")), ("quadrature", 4.5),
+                            ("quadrature", 5.0), ("quadrature", 3))])
 def test_configs_reject_bad_values_by_name(config, field, value):
     with pytest.raises(ValueError, match=field):
         config(**{field: value})
-    config(**{field: 0 if field != "samples" else 1})
+    config(**{field: _VALID[field]})
 
 
 def test_fit_reproduces_quadratic_surface():

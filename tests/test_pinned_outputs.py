@@ -5,9 +5,14 @@ outputs is checked here rather than by hand.
 of the `AdaptiveReport` without its timings.  Counts and labels must match
 exactly, and errors and estimator totals to 1e-12 relative.  A change
 meant to move outputs rewrites the file and says so.
+
+`PYTHONPATH=src python tests/test_pinned_outputs.py RUN [RUN ...]`
+records the named `RUNS` entries, both strategies each, and leaves every
+other entry byte-identical.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +21,9 @@ from anisoline.fitting import FitConfig, fit_surface, generate_test_model
 from anisoline.problems import lshape_benchmark, make_problem
 from anisoline.solver import SolveConfig, adaptive_solve
 
-_PINNED = json.loads((Path(__file__).parent / "data" / "pinned_outputs.json").read_text())
+_PINNED_FILE = Path(__file__).parent / "data" / "pinned_outputs.json"
+_PINNED = json.loads(_PINNED_FILE.read_text())
+_STRATEGIES = ("modified", "cross_only")
 _EXACT = ("level", "dof", "new_functions", "modified_functions", "marked", "labels")
 
 RUNS = {
@@ -29,20 +36,42 @@ RUNS = {
         *lshape_benchmark(2), SolveConfig(max_levels=1), strategy=strategy),
     "square_sin": lambda strategy: adaptive_solve(
         *make_problem("square_sin", (4, 4)), SolveConfig(), strategy=strategy),
+    # the two solve workloads of the benchmark
+    "lshape_benchmark": lambda strategy: adaptive_solve(
+        *lshape_benchmark(4), SolveConfig(max_levels=4), strategy=strategy),
+    "square_sin_24": lambda strategy: adaptive_solve(
+        *make_problem("square_sin", (24, 24)), SolveConfig(max_levels=0), strategy=strategy),
 }
 
 
-@pytest.mark.parametrize("strategy", ["modified", "cross_only"])
+def _record(report):
+    out = report.to_json_dict()
+    for lev in out["levels"]:
+        lev.pop("seconds")
+    return out
+
+
+@pytest.mark.parametrize("strategy", _STRATEGIES)
 @pytest.mark.parametrize("run", list(RUNS))
 def test_outputs_match_pinned(run, strategy):
-    _, report = RUNS[run](strategy)
-    got = report.to_json_dict()
+    got = _record(RUNS[run](strategy)[1])
     want = _PINNED[f"{run}/{strategy}"]
     assert got["converged"] == want["converged"]
     assert len(got["levels"]) == len(want["levels"])
     for lev, ref in zip(got["levels"], want["levels"]):
-        lev.pop("seconds")
         assert lev.keys() == ref.keys()
         assert {k: lev[k] for k in _EXACT} == {k: ref[k] for k in _EXACT}
         for k in ref.keys() - set(_EXACT):
             assert lev[k] == pytest.approx(ref[k], rel=1e-12, abs=0), (lev["level"], k)
+
+
+if __name__ == "__main__":
+    names = sys.argv[1:]
+    unknown = [name for name in names if name not in RUNS]
+    if not names or unknown:
+        sys.exit(f"usage: {sys.argv[0]} RUN [RUN ...], RUN one of {', '.join(RUNS)}"
+                 + (f" (unknown: {', '.join(unknown)})" if unknown else ""))
+    for name in names:
+        for strategy in _STRATEGIES:
+            _PINNED[f"{name}/{strategy}"] = _record(RUNS[name](strategy)[1])
+    _PINNED_FILE.write_text(json.dumps(_PINNED, indent=1, sort_keys=True) + "\n")

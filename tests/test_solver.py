@@ -1,5 +1,6 @@
 """IGA solver: assembly, boundary conditions, estimator, adaptive loop."""
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -13,12 +14,13 @@ from anisoline.problems import (
     lshape_exact_gradient, make_problem, patch_linear_problem,
     square_sin_problem,
 )
+from anisoline import solver
 from anisoline.refine import RefinementRequest, refine
 from anisoline.solver import (
     ConstrainedSystem, DiscreteSolution, ErrorIndicator, SolveConfig,
     adaptive_solve, assemble, error_indicators, exact_error_norms,
     impose_boundary_conditions, label_by_solution, solve_linear, _EDGE_GEOM,
-    _boundary_edges_of_cell, _cell_blocks, _constrained_functions, _edge_points, _gauss01,
+    _boundary_edges, _cell_blocks, _constrained_functions, _edge_points, _gauss01,
     _segment_overlap, _solve_round,
 )
 from anisoline.space import (
@@ -106,6 +108,23 @@ def test_impose_pins_boundary_value_slots():
 def test_impose_pins_boundary_value_slots_by_mesh(n, count):
     # 8n + 4 pins on an n x n mesh; 28 is the 3 x 3 count
     _check_boundary_pins(n, count)
+
+
+def _boundary_edges_of_cell(mesh, cid):
+    """The domain-boundary edges of one cell from its own bounds, as
+    (edge, lo, hi): the per-cell query `_boundary_edges` replaced."""
+    c = mesh.cell(cid)
+    s0, s1, t0, t1 = c.bounds_float()
+    out = []
+    if c.i0 == 0:
+        out.append(("s0", t0, t1))
+    if c.i1 == mesh.axes[0].end:
+        out.append(("s1", t0, t1))
+    if c.j0 == 0:
+        out.append(("t0", s0, s1))
+    if c.j1 == mesh.axes[1].end:
+        out.append(("t1", s0, s1))
+    return out
 
 
 def _reference_pinned(space, problem, samples_per_edge=8):
@@ -640,6 +659,62 @@ def test_kernel_error_norms_match_reference(kernel_case):
     l2_ref, h1_ref = _reference_error_norms(u_h, 5)
     assert l2 == pytest.approx(l2_ref, rel=1e-8)
     assert h1 == pytest.approx(h1_ref, rel=1e-8)
+
+
+def test_indicator_carries_the_exact_error_norms(kernel_case):
+    problem, _, u_h = kernel_case
+    ind = error_indicators(u_h, problem, q=5)
+    assert (ind.l2_error, ind.h1_error) == exact_error_norms(u_h, q=5)
+    # the norms ride along without touching eta, which matches the
+    # per-cell oracle
+    alone = error_indicators(u_h, dataclasses.replace(problem, u_exact=None, grad_exact=None), q=5)
+    assert (alone.l2_error, alone.h1_error) == (None, None)
+    assert list(alone.eta.items()) == list(ind.eta.items())
+    assert alone.diameters == ind.diameters
+    ref = _reference_error_indicators(u_h, problem, 5)
+    assert max(abs(ind.eta[c] - ref.eta[c]) for c in ref.eta) <= 1e-10 * ref.total
+
+
+def test_exact_error_norms_need_an_exact_solution():
+    space, geometry = unit_setup(1)
+    problem = dataclasses.replace(square_sin_problem(), u_exact=None, grad_exact=None)
+    u_h = DiscreteSolution(SplineField(space, np.zeros(space.dim)), geometry, problem)
+    with pytest.raises(ValueError, match="no exact solution"):
+        exact_error_norms(u_h)
+
+
+@pytest.mark.parametrize("build, config", [
+    (lambda: lshape_benchmark(2), SolveConfig(max_levels=1)),
+    (lambda: make_problem("square_sin", (4, 4)), SolveConfig(max_levels=1))],
+    ids=["lshape", "square_sin"])
+def test_each_round_walks_the_cells_twice(monkeypatch, build, config):
+    # one walk assembles, one estimates and measures the exact errors;
+    # only the residual evaluates second derivatives
+    walks, orders = [], []
+    cell_blocks, eval_patches = solver._cell_blocks, solver._eval_patches
+
+    def counted_walk(*args, **kwargs):
+        walks.append(args[0].dim)
+        return cell_blocks(*args, **kwargs)
+
+    def recorded_eval(P, tables, order, *args):
+        orders.append(order)
+        return eval_patches(P, tables, order, *args)
+
+    monkeypatch.setattr(solver, "_cell_blocks", counted_walk)
+    monkeypatch.setattr(solver, "_eval_patches", recorded_eval)
+    problem, geometry = build()
+    _, report = adaptive_solve(problem, geometry, config)
+    assert len(report.levels) == 2 and report.final.h1_error is not None
+    assert walks == [lev.dof for lev in report.levels for _ in range(2)]
+
+    space = geometry.space
+    del orders[:]
+    assemble(space, geometry, problem)
+    assert orders and max(sum(order) for order in orders) == 1
+    u_h = DiscreteSolution(SplineField(space, np.zeros(space.dim)), geometry, problem)
+    error_indicators(u_h, problem)
+    assert max(sum(order) for order in orders) == 2
 
 
 def test_assemble_reads_geometry_in_its_own_numbering():

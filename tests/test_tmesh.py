@@ -514,6 +514,48 @@ def test_lattice_matches_fraction_halving(name):
     assert m.dimension() == 4 * sum(k is not VertexKind.T_JUNCTION for k in kinds.values())
 
 
+def _check_incidence_and_table(m):
+    """Incidence lists against a scan of every vertex over every active
+    cell's closed boundary; table rows against the per-cell queries."""
+    act = m.active_cells()
+    vids = m.vertices()
+    b = np.array([m.cell(cid).lattice_bounds for cid in act])
+    p = np.array([(m.vertex(vid).i, m.vertex(vid).j) for vid in vids])
+    i, j = p[:, 0, None], p[:, 1, None]
+    inside = (b[:, 0] <= i) & (i <= b[:, 1]) & (b[:, 2] <= j) & (j <= b[:, 3])
+    on = inside & ((i == b[:, 0]) | (i == b[:, 1]) | (j == b[:, 2]) | (j == b[:, 3]))
+    for k, vid in enumerate(vids):
+        assert m.vertex_cells(vid) == [act[a] for a in np.flatnonzero(on[k])], vid
+    for a, cid in enumerate(act):
+        assert m.cell_vertices(cid) == [vids[k] for k in np.flatnonzero(on[:, a])], cid
+    table, bounds = m.cell_table(), m.cell_bounds()
+    assert len(table.lattice) == len(table.corners) == len(table.sizes) == len(bounds) == m._next_cell
+    for cid in range(m._next_cell):
+        c = m.cell(cid)
+        assert tuple(table.lattice[cid].tolist()) == c.lattice_bounds
+        assert tuple(table.corners[cid].tolist()) == m.corner_vertices(cid)
+        assert float_bits(table.sizes[cid]) == float_bits(c.size_float())
+        assert float_bits(bounds[cid]) == float_bits(c.bounds_float())
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_STARTS))
+def test_incidence_and_cell_table_match_a_full_scan(name):
+    # split_cell registers each cut point from the cut rule; the tables
+    # are built at level 0 and extended, on copies that diverge
+    rng = random.Random(23)
+    m = LATTICE_STARTS[name]()
+    _check_incidence_and_table(m)
+    for level in range(2 if name == "24x24" else 4):
+        fork = m.copy()
+        for mesh in (m, fork):
+            for cid in mesh.cells_of_level(level):
+                if rng.random() < 0.6:
+                    mesh.split_cell(cid, rng.choice("HVC"))
+            mesh.advance_current_level()
+            _check_incidence_and_table(mesh)
+    assert {kind for _, _, kind in m.generation_log} == set("HVC")
+
+
 def test_split_past_the_lattice_depth_is_refused():
     m = create_mesh_from_knots([0, Fraction(1, 3)], [0, 0.6])
     cid = m.active_cells()[0]
