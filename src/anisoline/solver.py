@@ -39,8 +39,10 @@ J^-1 at the points, the parameter Hessian only when the residual asks
 for the physical Laplacian, and the physical cell diameter: a Bezier
 patch interpolates its corner ordinates, so the corner images need no
 evaluation.  The cells with Neumann edge pieces are picked by lattice
-comparisons on the mesh's cell table.  The callers are einsums over
-these block tables; none of it is kept across calls.
+comparisons on the mesh's cell table.  The callers contract these block
+tables by einsums, except the stiffness: `_local_stiffness` forms each
+block's element matrices as one batched matmul over the flattened (point,
+component) axis, which runs in BLAS.  None of it is kept across calls.
 
 Dirichlet pins are structural: along a boundary edge the trace of the
 space is the Hermite interpolant of the boundary vertices' data, so the
@@ -49,7 +51,7 @@ along-edge slope functions of its two end vertices.
 
 Blocks bound the memory.  At 24 x 24 cells and q = 5 the tracemalloc
 peak of `assemble` is 4.3 MiB with blocks of 64 cells and 17.0 MiB with
-whole-mesh tables, 1.1 MiB against 6.2 MiB for `error_indicators` with
+whole-mesh tables, 1.0 MiB against 6.2 MiB for `error_indicators` with
 the exact error norms, and 0.9 MiB against 3.9 MiB for
 `exact_error_norms`; the stiffness triplets themselves take 2.3 MiB.
 """
@@ -348,7 +350,7 @@ def _element_contributions(space, geometry, problem, q):
         # physical gradient: grad_x b = Jinv^T grad_param b
         gp = np.stack([g.eval(blk.patches, (1, 0)), g.eval(blk.patches, (0, 1))], axis=-1)
         gx = np.einsum("cfqp,cqpx->cfqx", gp, g.Jinv, optimize=True)
-        loc = np.einsum("cfqx,cgqx,cq->cfg", gx, gx, blk.wdet)
+        loc = _local_stiffness(gx, blk.wdet)
         pair = blk.valid[:, :, None] & blk.valid[:, None, :]
         m = int(np.count_nonzero(pair))
         rows[at:at + m] = np.broadcast_to(blk.fids[:, :, None], pair.shape)[pair]
@@ -367,6 +369,15 @@ def _element_contributions(space, geometry, problem, q):
             live = blk.valid[e.rows]
             np.add.at(F, blk.fids[e.rows][live], load[live])
     return rows, cols, vals, F
+
+
+def _local_stiffness(gx, wdet):
+    """The cells' stiffness blocks loc[c, f, g] = sum over points n of
+    gx[c, f, n] . gx[c, g, n] wdet[c, n], as one batched matmul over the
+    flattened (point, component) axis."""
+    c, f = gx.shape[:2]
+    G = gx.reshape(c, f, -1)
+    return G @ (gx * wdet[:, None, :, None]).reshape(G.shape).transpose(0, 2, 1)
 
 
 class ConstrainedSystem:
@@ -450,8 +461,9 @@ def impose_boundary_conditions(system, space, geometry, problem):
     free = np.array(sorted(set(range(n)) - set(pinned)), dtype=int)
     if len(free) == 0:
         raise ValueError("all degrees of freedom are constrained")
-    Ff = F[free] - A[free][:, pinned] @ fixed[pinned] if pinned else F[free]
-    Aff = A[free][:, free].tocsr()
+    Af = A[free]
+    Ff = F[free] - Af[:, pinned] @ fixed[pinned] if pinned else F[free]
+    Aff = Af[:, free].tocsr()
     return ConstrainedSystem(Aff, Ff, free, fixed, n)
 
 
@@ -459,12 +471,23 @@ def solve_linear(system, tol=1e-10):
     """Solve the constrained SPD system by sparse LU factorization; returns
     the full coefficient vector.  A singular system raises RuntimeError;
     the relative residual must meet `tol`.
+
+    SuperLU runs in its symmetric mode: the columns are ordered by minimum
+    degree on the structure of A^T + A (`MMD_AT_PLUS_A`), and the pivots
+    stay on the diagonal (`diag_pivot_thresh=0`, which leaves the diagonal
+    only where it is exactly zero).  Pivoting buys nothing on the
+    constrained Galerkin system, which is symmetric positive definite.
+    Against SuperLU's default (COLAMD ordering, partial pivoting) the
+    factors of the last `lshape_benchmark(4)` level hold 262k instead of
+    503k nonzeros, and those of the 24 x 24 `square_sin` system 317k
+    instead of 341k.
     """
     A, b = system.matrix, system.rhs
     if A.shape[0] != A.shape[1]:
         raise ValueError("system matrix must be square")
     try:
-        lu = spla.splu(A.tocsc())
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as err:          # SuperLU: "Factor is exactly singular"
         raise RuntimeError(f"singular system of {A.shape[0]} unknowns ({err})") from None
     x = lu.solve(b)

@@ -8,7 +8,10 @@ meant to move outputs rewrites the file and says so.
 
 `PYTHONPATH=src python tests/test_pinned_outputs.py RUN [RUN ...]`
 records the named `RUNS` entries, both strategies each, and leaves every
-other entry byte-identical.
+other entry byte-identical.  For each entry it re-records it prints the
+drift against the old entry: the largest relative change of each float
+field over the levels, and every change of an `_EXACT` field, of the
+level count or of a run-level field such as `converged`.
 """
 
 import json
@@ -65,6 +68,27 @@ def test_outputs_match_pinned(run, strategy):
             assert lev[k] == pytest.approx(ref[k], rel=1e-12, abs=0), (lev["level"], k)
 
 
+def _drift(old, new):
+    """Lines describing how the recorded run `new` differs from `old`."""
+    lines = [f"{k}: {old.get(k)!r} -> {new.get(k)!r}"
+             for k in sorted((old.keys() | new.keys()) - {"levels"}) if old.get(k) != new.get(k)]
+    exact = []
+    if len(old["levels"]) != len(new["levels"]):
+        exact.append(f"levels: {len(old['levels'])} -> {len(new['levels'])}")
+    worst = {}
+    for a, b in zip(old["levels"], new["levels"]):
+        for k in sorted(a.keys() | b.keys()):
+            x, y = a.get(k), b.get(k)
+            if k in _EXACT or not all(isinstance(v, float) for v in (x, y)):
+                if x != y:
+                    exact.append(f"level {a['level']} {k}: {x!r} -> {y!r}")
+            else:
+                worst[k] = max(worst.get(k, 0.0), abs(y - x) / abs(x) if x else abs(y - x))
+    return lines + (exact or ["level count and exact fields unchanged"]) + [
+        ", ".join(f"{k} {rel:.1e}" for k, rel in sorted(worst.items()))
+        + " (largest relative change)"]
+
+
 if __name__ == "__main__":
     names = sys.argv[1:]
     unknown = [name for name in names if name not in RUNS]
@@ -73,5 +97,12 @@ if __name__ == "__main__":
                  + (f" (unknown: {', '.join(unknown)})" if unknown else ""))
     for name in names:
         for strategy in _STRATEGIES:
-            _PINNED[f"{name}/{strategy}"] = _record(RUNS[name](strategy)[1])
+            key = f"{name}/{strategy}"
+            new = _record(RUNS[name](strategy)[1])
+            if key in _PINNED:
+                for line in _drift(_PINNED[key], new):
+                    print(f"{key}: {line}")
+            else:
+                print(f"{key}: new entry")
+            _PINNED[key] = new
     _PINNED_FILE.write_text(json.dumps(_PINNED, indent=1, sort_keys=True) + "\n")

@@ -231,6 +231,21 @@ def test_solve_linear_paths():
     x = solve_linear(system)
     assert np.allclose(x, np.linalg.solve(A, b), atol=1e-10)
 
+    # symmetric and nonsingular with a zero diagonal: the factorization
+    # must pivot off the diagonal rather than call it singular
+    swap = ConstrainedSystem(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+                             np.array([1.0, 2.0]), np.arange(2), np.zeros(2), 2)
+    assert solve_linear(swap) == pytest.approx(np.array([2.0, 1.0]), abs=1e-15)
+
+    # a real constrained system against a dense solve
+    problem, geometry = make_problem("square_sin", (8, 8))
+    space = geometry.space
+    system = impose_boundary_conditions(assemble(space, geometry, problem), space,
+                                        geometry, problem)
+    x = solve_linear(system)[system.free]
+    ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
     sing = ConstrainedSystem(sp.csr_matrix(np.zeros((2, 2))), np.ones(2),
                              np.arange(2), np.zeros(2), 2)
     with pytest.raises(RuntimeError, match="singular system"):
@@ -239,6 +254,61 @@ def test_solve_linear_paths():
                                  np.arange(2), np.zeros(2), 2)
     with pytest.raises(RuntimeError, match="singular system"):
         solve_linear(rank_one)
+
+
+def _einsum_stiffness(gx, wdet):
+    """The three-operand einsum that `solver._local_stiffness` replaced."""
+    return np.einsum("cfqx,cgqx,cq->cfg", gx, gx, wdet)
+
+
+def _refined_once(build, label):
+    """A problem and its geometry after one refinement of the current
+    level's cells by `label(cell)` (None leaves a cell alone)."""
+    problem, geometry = build()
+    mesh = geometry.space.mesh
+    labels = {cid: label(mesh.cell(cid)) for cid in mesh.cells_of_level(mesh.current_level)}
+    _, rep = refine(mesh, RefinementRequest({cid: lab for cid, lab in labels.items() if lab}))
+    return problem, geometry.advance(advance_level(geometry.space, rep))
+
+
+def _uneven_tmesh():
+    """The 4x4 square with one cell split crosswise, and a hand-built
+    solution space that drops every seventh function from one cell of its
+    support, so that the cells of a block carry different numbers of
+    functions."""
+    problem, geometry = _refined_once(lambda: make_problem("square_sin", (4, 4)),
+                                      lambda c: "C" if (c.s0, c.t0) == (0.25, 0.25) else None)
+    space = geometry.space
+    supports = space.supports()
+    for f in range(0, space.dim, 7):
+        del supports[f][min(supports[f])]
+    return problem, geometry, SplineSpace.from_supports(space.mesh, space.vertices, supports)
+
+
+_STIFFNESS_CASES = {
+    "square_sin_4x4": lambda: (*make_problem("square_sin", (4, 4)), None),
+    # Neumann edges on a refined mesh
+    "lshape_refined": lambda: (*_refined_once(lambda: lshape_benchmark(2),
+                                              lambda c: "V" if c.s0 < 0.5 else "C"), None),
+    "uneven_tmesh": _uneven_tmesh,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STIFFNESS_CASES))
+def test_stiffness_matches_einsum_oracle(monkeypatch, case):
+    problem, geometry, space = _STIFFNESS_CASES[case]()
+    space = space or geometry.space
+    blocks = list(_cell_blocks(space, geometry, 5, solver._neumann_segments(problem)))
+    assert any(blk.edges is not None for blk in blocks) == (case == "lshape_refined")
+    assert any(not blk.valid.all() for blk in blocks) == (case == "uneven_tmesh")
+    A, F = assemble(space, geometry, problem)
+    monkeypatch.setattr(solver, "_local_stiffness", _einsum_stiffness)
+    A_ref, F_ref = assemble(space, geometry, problem)
+    scale = np.max(np.abs(A_ref.data))
+    assert np.array_equal(A.indptr, A_ref.indptr) and np.array_equal(A.indices, A_ref.indices)
+    assert np.max(np.abs(A.data - A_ref.data)) <= 1e-13 * scale
+    assert np.max(np.abs(F - F_ref)) <= 1e-13 * np.max(np.abs(F_ref))
+    assert abs(A - A.T).max() <= 1e-14 * scale
 
 
 def test_indicator_zero_for_exact_solution():
@@ -741,8 +811,8 @@ def _peak_mib(fn, *args, **kwargs):
 
 
 def test_kernel_memory_is_bounded_by_blocks():
-    # Whole-mesh tables would need about 20 MiB for `assemble` and 6.4 MiB
-    # for each of the other two at this size.
+    # Whole-mesh tables would need about 17 MiB for `assemble`, 6.2 MiB for
+    # `error_indicators` and 3.9 MiB for `exact_error_norms` at this size.
     problem, geometry = make_problem("square_sin", (24, 24))
     u_h = _solve_round(geometry.space, geometry, problem, SolveConfig(quadrature=5))
     assert _peak_mib(assemble, geometry.space, geometry, problem, q=5) <= 6.0
