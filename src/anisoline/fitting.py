@@ -20,6 +20,7 @@ which freezes the surface over cells that already passed.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -91,6 +92,13 @@ class ParamPointSet:
             self.params[stale, 0], self.params[stale, 1])
 
 
+def _check_count(name, value, least, meaning=""):
+    """Raise a ValueError naming the config field `name` unless `value` is
+    an integer >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}{meaning}, got {value!r}")
+
+
 @dataclass
 class FitConfig:
     tolerance: float = 1e-3          # fraction of the bounding-box diagonal
@@ -112,10 +120,13 @@ class FitConfig:
         if not self.delta > 1:
             raise ValueError(f"delta (anisotropy threshold) must exceed 1, got {self.delta!r}; "
                              f"values below 1 would mark every cell anisotropic")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1 (curvature samples per cell)")
-        if self.max_levels < 0:
-            raise ValueError(f"max_levels must be nonnegative, got {self.max_levels!r}")
+        _check_count("samples", self.samples, 1, " (curvature samples per cell)")
+        _check_count("max_levels", self.max_levels, 0)
+        grid = self.initial_grid
+        if not (isinstance(grid, (tuple, list)) and len(grid) == 2
+                and all(isinstance(n, numbers.Integral) and n >= 1 for n in grid)):
+            raise ValueError(f"initial_grid must be two integers >= 1 (cells along s and t), "
+                             f"got {grid!r}")
         if not (0 < self.mark_safety <= 1):
             raise ValueError("mark_safety must lie in (0, 1]")
 

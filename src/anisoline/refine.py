@@ -398,7 +398,7 @@ def check_refinement_invariants(before, after, report):
             v = after.vertex(vid)
             if not _point_interior_to_region(rects, v.i, v.j):
                 continue
-            on_edge = any(TMesh._on_cell_boundary(after.cell(k), v.i, v.j) for k in kids)
+            on_edge = not set(after.vertex_cells(vid)).isdisjoint(kids)
             if on_edge and after.classify_vertex(vid) is VertexKind.T_JUNCTION:
                 s, t = v.position_float()
                 diags.append(f"T-vertex at ({s}, {t}) on interior edge of group {g.members}")

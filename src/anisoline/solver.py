@@ -59,7 +59,6 @@ the exact error norms, and 0.9 MiB against 3.9 MiB for
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,7 +68,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
 
-from .fitting import label_by_curvature
+from .fitting import _check_count, label_by_curvature
 from .refine import RefinementRequest, refine
 from .reporting import AdaptiveReport, LevelRecord
 from .space import (
@@ -118,13 +117,9 @@ class SolveConfig:
             raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold!r}")
         if not self.delta > 1:
             raise ValueError(f"delta (anisotropy threshold) must exceed 1, got {self.delta!r}")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1 (curvature samples per cell)")
-        if self.max_levels < 0:
-            raise ValueError(f"max_levels must be nonnegative, got {self.max_levels!r}")
-        if not isinstance(self.quadrature, numbers.Integral) or self.quadrature < 4:
-            raise ValueError(f"quadrature must be an integer >= 4 for bicubic integrands, "
-                             f"got {self.quadrature!r}")
+        _check_count("samples", self.samples, 1, " (curvature samples per cell)")
+        _check_count("max_levels", self.max_levels, 0)
+        _check_count("quadrature", self.quadrature, 4, " for bicubic integrands")
         # a NaN or infinite tolerance would switch the residual check off
         if not 0 <= self.lin_tol < math.inf:
             raise ValueError(f"lin_tol must be finite and nonnegative, got {self.lin_tol!r}")

@@ -303,8 +303,7 @@ def _births(mesh, cells, born):
     rows, cids, corner = rows[order], cids[order], corner[order]
     sizes = table.sizes[cids]
 
-    pos = np.array([(v.i, v.j) for v in map(mesh.vertex, born.tolist())],
-                   dtype=np.int64).reshape(-1, 2)
+    pos = mesh.vertex_table()[born]
     on_edge = (pos == 0) | (pos == [axis.end for axis in mesh.axes])
     want = np.where(on_edge, 1, 2).prod(axis=1)
     got = np.bincount(rows, minlength=len(born))

@@ -27,15 +27,21 @@ sets it and :meth:`TMesh.split_cell` ORs in the bits of each cut, since
 a split only adds edges and only at its cut points.  Vertex kinds, basis
 vertices and the dimension are lookups in the mask; :meth:`TMesh.validate`
 re-derives every mask from the incident cells as an independent check.
-The same rule gives the incidence of each cut point: the children whose
-closure holds it and, for a new side midpoint, the one cell across that
-side, which spans it whole.
 
-Per-cell data that never changes, the lattice bounds, corner vertex ids,
-float sizes (:meth:`TMesh.cell_table`) and float bounds
-(:meth:`TMesh.cell_bounds`), sit in numpy tables by cell id, built on
-first use and extended as cells are made, for the evaluation kernel and
-the level advance to read by slicing.
+Vertex-cell incidence is derived, not stored: one batched pass per mesh
+state, on the first query after a split.  Cells have integer bounds, so the
+active cells whose closure holds vertex (i, j) are the cells that hold the
+lattice points (i - a, j - b), a, b in {0, 1}, inside the domain, under the
+half-open rule.  The pass finds them with the descent of point location on
+exact integers and keeps CSR in both orders (:meth:`TMesh.vertex_cells`,
+:meth:`TMesh.cell_vertices`).
+
+Data that never changes sits in numpy tables, built on first use and
+extended as cells and vertices are made, for the evaluation kernel and the
+level advance to read by slicing: per cell id the lattice bounds, corner
+vertex ids, float sizes (:meth:`TMesh.cell_table`) and float bounds
+(:meth:`TMesh.cell_bounds`), per vertex id the lattice position
+(:meth:`TMesh.vertex_table`).
 
 The level-0 knots stay exact :class:`fractions.Fraction` values, in one
 axis table per direction (:class:`Axis`) shared by a mesh and its copies.
@@ -61,6 +67,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -117,9 +124,6 @@ def cut_rule(bounds, kind):
     return children, cuts
 
 
-# the corners (indexes into `TMesh.corner_vertices`) of a cell's sides,
-# left, right, bottom and top
-_SIDE_CORNERS = ((0, 2), (1, 3), (0, 1), (2, 3))
 # the slots of each split kind's children, in child order
 _CHILD_SLOTS = {kind: [slot for slot, _ in cut_rule((0, 2, 0, 2), kind)[0]] for kind in SPLIT_KINDS}
 
@@ -332,6 +336,24 @@ class CellTable(NamedTuple):
 
 _NO_CELLS = CellTable(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4), dtype=np.intp),
                       np.zeros((0, 2)))
+# an s (t) midpoint that no point reaches, for a cell not cut across s (t)
+_NEVER = np.iinfo(np.int64).max
+
+
+def _descend(kids, s, t, s_cuts, t_cuts, s_mid, t_mid):
+    """Active cells holding the points (s, t) under the half-open rule:
+    the level-0 cell from the cuts between spans, then down `kids`, taking
+    the high side of each midpoint a point reaches."""
+    # level-0 cells are numbered row by row, s fastest
+    cid = (np.searchsorted(t_cuts, t, side="right") * (len(s_cuts) + 1)
+           + np.searchsorted(s_cuts, s, side="right"))
+    todo = np.flatnonzero(kids[cid, 0] >= 0)
+    while todo.size:
+        c = cid[todo]
+        c = kids[c, (s[todo] >= s_mid[c]) + 2 * (t[todo] >= t_mid[c])]
+        cid[todo] = c
+        todo = todo[kids[c, 0] >= 0]
+    return cid
 
 
 class TMesh:
@@ -359,16 +381,16 @@ class TMesh:
         self._active = set()
         self._verts = {}
         self._vpos = {}
-        self._vert_cells = {}
-        self._cell_verts = {}
         # vertex id -> edge-direction mask; not a Vertex field, because
         # copies of a mesh share its Vertex objects
         self._dirs = bytearray()
         self._next_cell = 0
         self._next_vert = 0
         self._locator = None
+        self._incidence = None
         self._table = _NO_CELLS
         self._bounds = np.zeros((0, 4))
+        self._vtable = np.zeros((0, 2), dtype=np.int64)
 
         s_lines = [k * _SPAN for k in range(len(s_knots))]
         t_lines = [k * _SPAN for k in range(len(t_knots))]
@@ -381,11 +403,6 @@ class TMesh:
                 vid = self._get_or_make_vertex(i, j, 0)
                 self._dirs[vid] = (_PLUS_S * (i < s_end) | _MINUS_S * (i > 0)
                                    | _PLUS_T * (j < t_end) | _MINUS_T * (j > 0))
-        # a level-0 cell's boundary holds exactly its four corners
-        for cid in range(self._next_cell):
-            for vid in sorted(self.corner_vertices(cid)):
-                self._cell_verts[cid].add(vid)
-                self._vert_cells[vid].add(cid)
 
     # ------------------------------------------------------------------
     # construction internals
@@ -395,7 +412,6 @@ class TMesh:
         self._next_cell += 1
         self._cells[cid] = Cell(cid, i0, i1, j0, j1, level, parent, self.axes)
         self._active.add(cid)
-        self._cell_verts[cid] = set()
         return cid
 
     def _get_or_make_vertex(self, i, j, level):
@@ -406,15 +422,8 @@ class TMesh:
             self._next_vert += 1
             self._verts[vid] = Vertex(vid, i, j, level, self.axes)
             self._vpos[key] = vid
-            self._vert_cells[vid] = set()
             self._dirs.append(0)
         return vid
-
-    @staticmethod
-    def _on_cell_boundary(c, i, j):
-        if not (c.i0 <= i <= c.i1 and c.j0 <= j <= c.j1):
-            return False
-        return i == c.i0 or i == c.i1 or j == c.j0 or j == c.j1
 
     def _on_domain_boundary(self, i, j):
         return i == 0 or j == 0 or i == self.axes[0].end or j == self.axes[1].end
@@ -432,15 +441,14 @@ class TMesh:
         m._active = set(self._active)
         m._verts = self._verts.copy()
         m._vpos = dict(self._vpos)
-        m._vert_cells = {vid: set(cs) for vid, cs in self._vert_cells.items()}
-        m._cell_verts = {cid: set(vs) for cid, vs in self._cell_verts.items()}
         m._dirs = bytearray(self._dirs)
         m._next_cell = self._next_cell
         m._next_vert = self._next_vert
-        m._locator = None
+        m._locator = m._incidence = None
         # rows are never written, only appended to a new array: share them
         m._table = self._table
         m._bounds = self._bounds
+        m._vtable = self._vtable
         return m
 
     # ------------------------------------------------------------------
@@ -504,6 +512,15 @@ class TMesh:
             bounds = self._bounds = np.concatenate([bounds, fresh])
         return bounds
 
+    def vertex_table(self):
+        """Lattice positions (n, 2) int64, (i, j), of every vertex made so
+        far, by id; built and extended as `cell_table`."""
+        table = self._vtable
+        if len(table) < self._next_vert:
+            fresh = [(v.i, v.j) for v in map(self._verts.get, range(len(table), self._next_vert))]
+            table = self._vtable = np.concatenate([table, np.array(fresh, dtype=np.int64)])
+        return table
+
     def active_cells(self):
         return sorted(self._active)
 
@@ -514,14 +531,47 @@ class TMesh:
         return sorted(self._verts)
 
     def vertex_cells(self, vid):
-        """Ids of active cells whose closed boundary contains the vertex."""
+        """Ids of active cells whose closed boundary contains the vertex, ascending."""
         self.vertex(vid)
-        return sorted(self._vert_cells[vid])
+        start, cells, _, _ = self._incidences()
+        return cells[start[vid]:start[vid + 1]]
 
     def cell_vertices(self, cid):
-        """Ids of vertices on the closed boundary of an active cell."""
-        self.cell(cid)
-        return sorted(self._cell_verts[cid])
+        """Ids of vertices on the closed boundary of an active cell, ascending."""
+        self._active_cell(cid)
+        _, _, start, verts = self._incidences()
+        return verts[start[cid]:start[cid + 1]]
+
+    def _active_cell(self, cid):
+        c = self.cell(cid)
+        if c.children:
+            raise ValueError(f"cell {cid} is not active")
+        return c
+
+    def _incidences(self):
+        """(cell_start, cells, vert_start, verts): the incidence CSR of this
+        mesh state in both orders, vertex v's cells at
+        cells[cell_start[v]:cell_start[v + 1]] and cell c's vertices at
+        verts[vert_start[c]:vert_start[c + 1]], ascending, as lists (faster
+        to slice per item than arrays).  Built on first use and dropped by
+        :meth:`split_cell`."""
+        if self._incidence is None:
+            _, kids, _, lattice = self._location_tables()
+            vij = self.vertex_table()
+            n = self._next_cell
+            # the lattice points below and left of each vertex, in the domain
+            i = (vij[:, :1] - [0, 1, 0, 1]).ravel()
+            j = (vij[:, 1:] - [0, 0, 1, 1]).ravel()
+            inside = np.flatnonzero((i >= 0) & (i < self.axes[0].end)
+                                    & (j >= 0) & (j < self.axes[1].end))
+            cids = _descend(kids, i[inside], j[inside], *lattice)
+            # the distinct (vertex, cell) pairs, by vertex and then cell
+            vids, cids = np.divmod(np.unique((inside >> 2) * n + cids), n)
+            by_cell = np.argsort(cids, kind="stable")
+            csr = (np.searchsorted(vids, np.arange(len(vij) + 1)), cids,
+                   np.searchsorted(cids[by_cell], np.arange(n + 1)), vids[by_cell])
+            self._incidence = tuple(a.tolist() for a in csr)
+        return self._incidence
 
     def vertex_directions(self, vid):
         """Edge directions incident to a vertex, subset of {+s,-s,+t,-t}."""
@@ -547,10 +597,7 @@ class TMesh:
 
     def adjacency(self, cid1, cid2):
         """Neighbor relation of two active cells."""
-        c1, c2 = self.cell(cid1), self.cell(cid2)
-        for cid, c in ((cid1, c1), (cid2, c2)):
-            if not c.active:
-                raise ValueError(f"cell {cid} is not active")
+        c1, c2 = self._active_cell(cid1), self._active_cell(cid2)
         if cid1 == cid2:
             return AdjacencyKind.NOT_ADJACENT
         # vertical common edge (side-by-side)
@@ -568,25 +615,19 @@ class TMesh:
         return AdjacencyKind.NOT_ADJACENT
 
     def edge_neighbors(self, cid):
-        """Active cells sharing a positive-length edge piece with `cid`.
+        """The set of active cells sharing a positive-length edge piece
+        with the active cell `cid`.
 
-        Any such neighbor contains a vertex of this cell's boundary (the
-        shared segment ends at a corner of one of the two cells), so the
-        boundary-vertex incidence lists cover all candidates.
+        The ends of a shared piece are corners of one cell or the other, so
+        vertices on both closures, while cells that touch at a corner share
+        that vertex alone: the neighbors are the cells holding two or more
+        vertices of `cid`, counted off the incidence CSR.
         """
-        c = self.cell(cid)
-        out = set()
-        for vid in self._cell_verts[cid]:
-            out |= self._vert_cells[vid]
-        out.discard(cid)
-        good = set()
-        for nid in out:
-            n = self._cells[nid]
-            if (n.i1 == c.i0 or c.i1 == n.i0) and min(c.j1, n.j1) > max(c.j0, n.j0):
-                good.add(nid)
-            elif (n.j1 == c.j0 or c.j1 == n.j0) and min(c.i1, n.i1) > max(c.i0, n.i0):
-                good.add(nid)
-        return good
+        vids = self.cell_vertices(cid)
+        start, cells, _, _ = self._incidences()
+        shared = Counter(n for vid in vids for n in cells[start[vid]:start[vid + 1]])
+        del shared[cid]
+        return {n for n, k in shared.items() if k > 1}
 
     def dimension(self):
         """Spline-space dimension 4*(boundary vertices + interior crossings)."""
@@ -612,57 +653,47 @@ class TMesh:
         t = np.asarray(t, dtype=float)
         if s.shape != t.shape:
             raise ValueError(f"s and t differ in shape: {s.shape} vs {t.shape}")
-        (s_lo, s_hi, t_lo, t_hi), s_cuts, t_cuts, kids, s_mid, t_mid = self._location_tables()
+        (s_lo, s_hi, t_lo, t_hi), kids, floats, _ = self._location_tables()
         inside = (s >= s_lo) & (s <= s_hi) & (t >= t_lo) & (t <= t_hi)
         if not inside.all():
             k = np.flatnonzero(~inside)[0]
             raise ValueError(f"point ({s.flat[k]}, {t.flat[k]}) outside domain")
-        shape = s.shape
-        s, t = s.ravel(), t.ravel()
-        # level-0 cells are numbered row by row, s fastest
-        cid = (np.searchsorted(t_cuts, t, side="right") * (len(s_cuts) + 1)
-               + np.searchsorted(s_cuts, s, side="right"))
-        todo = np.flatnonzero(kids[cid, 0] >= 0)
-        while todo.size:
-            c = cid[todo]
-            c = kids[c, (s[todo] >= s_mid[c]) + 2 * (t[todo] >= t_mid[c])]
-            cid[todo] = c
-            todo = todo[kids[c, 0] >= 0]
-        return cid.reshape(shape)
+        return _descend(kids, s.ravel(), t.ravel(), *floats).reshape(s.shape)
 
     def _location_tables(self):
-        """Float tables of the cell hierarchy for :meth:`locate_many`.
+        """Tables of the cell hierarchy for :func:`_descend`, (bounds, kids,
+        floats, lattice), built on first use and dropped by :meth:`split_cell`.
 
-        Built on first use and dropped by :meth:`split_cell`.  Row `cid` of
-        `kids` holds the children by (s side, t side) as
+        `bounds` are the closed float domain bounds.  Row `cid` of `kids`
+        holds the children by (s side, t side) as
         [low-low, high-low, low-high, high-high], -1 where absent (all -1
-        for an active cell); a cell not cut across s (t) has an infinite
-        s (t) midpoint, so the point always takes the low side.
+        for an active cell).  `floats` and `lattice` each hold the level-0
+        knots between spans and the s and t split midpoints by cell, as the
+        smallest float >= the exact value and as lattice coordinates; a
+        cell not cut across s (t) has an s (t) midpoint no point reaches
+        (inf, `_NEVER`), so the point always takes the low side.
         """
         if self._locator is None:
-            sa, ta = self.axes
             n = self._next_cell
             kids = np.full((n, 4), -1, dtype=np.int64)
-            s_mid = np.full(n, np.inf)
-            t_mid = np.full(n, np.inf)
             rows, slots, children = [], [], []
             for _, cid, kind in self.generation_log:
                 k = self._cells[cid].children
                 rows += [cid] * len(k)
                 slots += _CHILD_SLOTS[kind]
                 children += k
-                # the last child lies on the high side of every cut
-                last, high = self._cells[k[-1]], _CHILD_SLOTS[kind][-1]
-                if high & 1:
-                    s_mid[cid] = sa.float_at_least(last.i0)
-                if high & 2:
-                    t_mid[cid] = ta.float_at_least(last.j0)
             kids[rows, slots] = children
+            # a cut's midpoint is the low bound of the child on its high side
+            lattice = self.cell_table().lattice
+            mids = [np.where(kids[:, slot] >= 0, lattice[kids[:, slot], col], _NEVER)
+                    for slot, col in ((1, 0), (2, 2))]
+            cuts = [np.arange(_SPAN, a.end, _SPAN, dtype=np.int64) for a in self.axes]
+            floats = [np.array([a.float_at_least(x) if x != _NEVER else np.inf
+                                for x in c.tolist()]) for a, c in zip(self.axes * 2, cuts + mids)]
+            sa, ta = self.axes
             bounds = (sa.float_at_least(0), sa.float_at_most(sa.end),
                       ta.float_at_least(0), ta.float_at_most(ta.end))
-            s_cuts, t_cuts = (np.array([a.float_at_least(x) for x in range(_SPAN, a.end, _SPAN)])
-                              for a in self.axes)
-            self._locator = (bounds, s_cuts, t_cuts, kids, s_mid, t_mid)
+            self._locator = (bounds, kids, floats, cuts + mids)
         return self._locator
 
     # ------------------------------------------------------------------
@@ -700,56 +731,26 @@ class TMesh:
                     f"cell {cid} is one lattice unit wide along {'t' if j0 == j1 else 's'}; a "
                     f"'{kind}' split would go past the lattice depth of {LATTICE_DEPTH} halvings per span")
         lvl = c.level + 1
-        corner_ids = self.corner_vertices(cid)
-
-        # retire the parent from all indexes
-        self._locator = None
+        self._locator = self._incidence = None
         self._active.discard(cid)
-        parent_verts = self._cell_verts.pop(cid)
-        for vid in parent_verts:
-            self._vert_cells[vid].discard(cid)
-
-        kids = [self._new_cell(*b, lvl, cid) for _, b in children]
-        c.children = tuple(kids)
+        c.children = tuple(self._new_cell(*b, lvl, cid) for _, b in children)
         c.label = kind
-        kid_cells = [self._cells[kid] for kid in kids]
-
-        # vertices inherited from the parent boundary
-        for vid in parent_verts:
-            v = self._verts[vid]
-            for k in kid_cells:
-                if self._on_cell_boundary(k, v.i, v.j):
-                    self._cell_verts[k.id].add(vid)
-                    self._vert_cells[vid].add(k.id)
-        # cut points: each lies on the children whose closure holds it.  A
-        # side midpoint a neighbor's split made already has its outer
-        # cells.  A new one has no vertex between the side's corners, so
-        # by dyadic nesting one active cell across the side (none on the
-        # domain boundary) spans the whole side: the one holding both
-        # corners.  The 'C' centre lies inside the parent.
         for (i, j), bits in cuts:
-            cells = [kid for kid, (_, (i0, i1, j0, j1)) in zip(kids, children)
-                     if i0 <= i <= i1 and j0 <= j <= j1]
-            vid = self._vpos.get((i, j))
-            if vid is None:
-                vid = self._get_or_make_vertex(i, j, lvl)
-                if bits != _ALL:
-                    side = 0 if i == c.i0 else 1 if i == c.i1 else 2 if j == c.j0 else 3
-                    a, b = _SIDE_CORNERS[side]
-                    cells += self._vert_cells[corner_ids[a]] & self._vert_cells[corner_ids[b]]
-            self._dirs[vid] |= bits
-            self._vert_cells[vid].update(cells)
-            for n in cells:
-                self._cell_verts[n].add(vid)
-
+            self._dirs[self._get_or_make_vertex(i, j, lvl)] |= bits
         self.generation_log.append((c.level, cid, kind))
-        return tuple(kids)
+        return c.children
 
     # ------------------------------------------------------------------
     # diagnostics
 
     def validate(self):
-        """Check all mesh invariants; returns a list of violation strings."""
+        """Check all mesh invariants; returns a list of violation strings.
+
+        The vertex checks read the derived incidence: the edge directions
+        the cells whose closure holds a vertex show there must equal its
+        mask and put it on two grid lines.  A vertex inside a cell's open
+        interior shows none.
+        """
         out = []
         s0, s1, t0, t1 = self.domain
         dom_area = (s1 - s0) * (t1 - t0)
@@ -784,7 +785,7 @@ class TMesh:
             # the edge directions the incident cells show, independent of the mask
             i, j = v.i, v.j
             dirs = 0
-            for cid in self._vert_cells[vid]:
+            for cid in self.vertex_cells(vid):
                 c = self._cells[cid]
                 if j == c.j0 or j == c.j1:
                     dirs |= _PLUS_S * (i < c.i1) | _MINUS_S * (i > c.i0)
@@ -795,8 +796,6 @@ class TMesh:
                            f"disagrees with its incident cells ({dirs:04b})")
             if dirs.bit_count() < (2 if self._on_domain_boundary(i, j) else 3):
                 out.append(f"vertex {vid}: grid-line endpoint not on two grid lines")
-            if not self._vert_cells[vid]:
-                out.append(f"vertex {vid}: not on any active cell boundary")
         last = 0
         for (lvl, cid, kind) in self.generation_log:
             if lvl < last:

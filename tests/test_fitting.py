@@ -417,20 +417,25 @@ def test_fit_config_validation():
 # Unchecked, a negative max_levels ends either loop in an AttributeError,
 # a NaN tolerance or threshold stops it at level 0, a NaN delta labels
 # every cell 'C', and a NaN lin_tol switches the solver's residual check off.
+# A NaN samples fails deep in the curvature sampling, a fractional or NaN
+# max_levels in range(), and a bad initial_grid only once fit_surface runs.
 _VALID = {"tolerance": 0, "threshold": 0, "max_levels": 0, "samples": 1, "delta": 1.5,
-          "lin_tol": 0, "quadrature": 4}
+          "lin_tol": 0, "quadrature": 4, "initial_grid": (1, 3)}
 
 
 @pytest.mark.parametrize("config, field, value", [
     (config, field, value)
     for config, stop in ((FitConfig, "tolerance"), (SolveConfig, "threshold"))
     for field, value in ((stop, -1e-3), (stop, float("nan")), (stop, float("inf")),
-                         ("max_levels", -1), ("samples", 0), ("delta", float("nan")),
-                         ("delta", 1.0))]
+                         ("max_levels", -1), ("max_levels", 1.5), ("max_levels", float("nan")),
+                         ("samples", 0), ("samples", float("nan")), ("samples", 9.5),
+                         ("delta", float("nan")), ("delta", 1.0))]
     + [(SolveConfig, field, value)
        for field, value in (("lin_tol", float("nan")), ("lin_tol", -1e-10),
                             ("lin_tol", float("inf")), ("quadrature", 4.5),
-                            ("quadrature", 5.0), ("quadrature", 3))])
+                            ("quadrature", 5.0), ("quadrature", 3))]
+    + [(FitConfig, "initial_grid", value)
+       for value in ((2.5, 2), (2,), (0, 2), (2, float("nan")), (2, 2, 2), 4)])
 def test_configs_reject_bad_values_by_name(config, field, value):
     with pytest.raises(ValueError, match=field):
         config(**{field: value})

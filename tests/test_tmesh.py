@@ -119,6 +119,20 @@ def test_adjacency_rejects_inactive():
         m.adjacency(cid, other)
 
 
+def test_cell_queries_reject_inactive_and_unknown_cells():
+    # a subdivided cell has no row of its own in the derived incidence
+    m = create_tensor_mesh(2, 2)
+    cid = m.locate_cell(0.25, 0.25)
+    m.split_cell(cid, "C")
+    for query in (m.cell_vertices, m.edge_neighbors):
+        with pytest.raises(ValueError, match=f"cell {cid} is not active"):
+            query(cid)
+        with pytest.raises(KeyError, match="unknown cell id 99"):
+            query(99)
+    with pytest.raises(KeyError, match="unknown vertex id 99"):
+        m.vertex_cells(99)
+
+
 def test_dimension_examples():
     assert create_tensor_mesh(2, 2).dimension() == 36
     assert create_tensor_mesh(1, 1).dimension() == 16
@@ -189,7 +203,8 @@ def test_validate_flags_hanging_vertex():
     i, j = (axis.coordinate(Fraction(1, 8)) for axis in m.axes)
     vid = m._get_or_make_vertex(i, j, 0)
     assert m.vertex(vid).position == (Fraction(1, 8), Fraction(1, 8))
-    m._vert_cells[vid].add(m.locate_cell(0.1, 0.1))
+    # the derived incidence finds the cell that holds the point
+    assert m.vertex_cells(vid) == [m.locate_cell(0.1, 0.1)]
     problems = m.validate()
     assert any("not on two grid lines" in p for p in problems)
 
@@ -371,15 +386,8 @@ def test_tensor_build_registers_corners_like_a_full_scan():
     m = create_mesh_from_knots([0, Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), 0.7, 1],
                                [0, Fraction(2, 9), 0.5, 1])
     assert m.validate() == []
-    for cid in m.active_cells():
-        c = m.cell(cid)
-        scan = [vid for vid in m.vertices()
-                if m._on_cell_boundary(c, m.vertex(vid).i, m.vertex(vid).j)]
-        assert m.cell_vertices(cid) == scan and len(scan) == 4
-    for vid in m.vertices():
-        v = m.vertex(vid)
-        scan = [cid for cid in m.active_cells() if m._on_cell_boundary(m.cell(cid), v.i, v.j)]
-        assert m.vertex_cells(vid) == scan
+    _check_incidence_and_table(m)
+    assert all(m.cell_vertices(cid) == sorted(m.corner_vertices(cid)) for cid in m.active_cells())
 
 
 def test_dimension_against_census_oracle():
@@ -528,6 +536,8 @@ def _check_incidence_and_table(m):
         assert m.vertex_cells(vid) == [act[a] for a in np.flatnonzero(on[k])], vid
     for a, cid in enumerate(act):
         assert m.cell_vertices(cid) == [vids[k] for k in np.flatnonzero(on[:, a])], cid
+    assert vids == list(range(len(vids)))
+    assert m.vertex_table().dtype == np.int64 and m.vertex_table().tolist() == p.tolist()
     table, bounds = m.cell_table(), m.cell_bounds()
     assert len(table.lattice) == len(table.corners) == len(table.sizes) == len(bounds) == m._next_cell
     for cid in range(m._next_cell):
@@ -538,22 +548,61 @@ def _check_incidence_and_table(m):
         assert float_bits(bounds[cid]) == float_bits(c.bounds_float())
 
 
+def _incidence(m):
+    return ([m.vertex_cells(vid) for vid in m.vertices()],
+            [m.cell_vertices(cid) for cid in m.active_cells()])
+
+
 @pytest.mark.parametrize("name", sorted(LATTICE_STARTS))
 def test_incidence_and_cell_table_match_a_full_scan(name):
-    # split_cell registers each cut point from the cut rule; the tables
-    # are built at level 0 and extended, on copies that diverge
+    # the incidence is derived per mesh state and the tables are built at
+    # level 0 and extended, on copies that diverge
     rng = random.Random(23)
     m = LATTICE_STARTS[name]()
     _check_incidence_and_table(m)
     for level in range(2 if name == "24x24" else 4):
         fork = m.copy()
-        for mesh in (m, fork):
+        for mesh in (fork, m):
+            # the fork's splits leave what the first mesh derived untouched
+            _check_incidence_and_table(m)
             for cid in mesh.cells_of_level(level):
                 if rng.random() < 0.6:
                     mesh.split_cell(cid, rng.choice("HVC"))
             mesh.advance_current_level()
             _check_incidence_and_table(mesh)
     assert {kind for _, _, kind in m.generation_log} == set("HVC")
+    # a replayed log and a JSON round trip give the same ids, so the same incidence
+    for twin in (m.replay(), TMesh.from_json_dict(m.to_json_dict())):
+        assert _incidence(twin) == _incidence(m)
+
+
+def _edge_neighbor_scan(m):
+    """Per active cell, the active cells sharing a positive-length piece of
+    its boundary, from a scan of all pairs of lattice bounds."""
+    act = m.active_cells()
+    i0, i1, j0, j1 = np.array([m.cell(cid).lattice_bounds for cid in act]).T
+    s_touch = (i1[:, None] == i0) | (i0[:, None] == i1)
+    t_touch = (j1[:, None] == j0) | (j0[:, None] == j1)
+    s_overlap = np.minimum(i1[:, None], i1) > np.maximum(i0[:, None], i0)
+    t_overlap = np.minimum(j1[:, None], j1) > np.maximum(j0[:, None], j0)
+    shared = (s_touch & t_overlap) | (t_touch & s_overlap)
+    return {cid: {act[k] for k in np.flatnonzero(shared[a])} for a, cid in enumerate(act)}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_STARTS))
+def test_edge_neighbors_match_a_full_scan(name):
+    m = randomly_refined(LATTICE_STARTS[name](), 2 if name == "24x24" else 4, seed=29)
+    assert {kind for _, _, kind in m.generation_log} == set("HVC")
+    act = m.active_cells()
+    scan = _edge_neighbor_scan(m)
+    rng = random.Random(29)
+    for cid in act:
+        got = m.edge_neighbors(cid)
+        assert got == scan[cid], cid
+        # every neighbor is adjacent, and a sample of the rest is not
+        others = act if len(act) <= 400 else rng.sample(act, 100)
+        for b in got | set(others):
+            assert (m.adjacency(cid, b) is not AdjacencyKind.NOT_ADJACENT) == (b in got), (cid, b)
 
 
 def test_split_past_the_lattice_depth_is_refused():
