@@ -7,8 +7,13 @@ vertex, both of which break the spline-space bookkeeping.  The strategy
 implemented here avoids both:
 
 1. classify the marked set into connected groups by flood fill through
-   aligned-adjacency (adjacent marked cells that are *not* aligned are
-   kept in different groups);
+   aligned-adjacency: the marked pairs that share an edge piece come from
+   one batched pass over the mesh's incidence
+   (:meth:`anisoline.tmesh.TMesh.edge_neighbor_pairs`), each classified
+   as aligned or adjacent only from the cells' lattice bounds, and a cell
+   adjacent but not aligned to a member of a group is kept out of it, so
+   the fill is a search with a conflict rule, not the connected
+   components of the aligned pairs;
 2. inside a group with identical labels, relabel to 'C' the chain of
    cells that would gain no new basis vertex; inside a mixed group,
    relabel every cell from its in-group aligned neighbors (only
@@ -20,8 +25,8 @@ edge directions :func:`anisoline.tmesh.cut_rule` states, so vertex kinds
 change only there.  :func:`simulate_new_basis_vertices` ORs the cuts of a
 split set over the positions that are not yet vertices, and a round's
 report reads its new basis vertices and its T-to-crossing promotions off
-the cuts it performed, with kinds looked up in the meshes' edge-direction
-masks.
+the cuts it performed, with kinds read in one batched lookup of the
+meshes' edge-direction masks.
 
 :func:`check_refinement_invariants` re-derives the guarantees from the
 before/after meshes and is used as the oracle in randomized tests.
@@ -33,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .tmesh import AdjacencyKind, TMesh, VertexKind, cut_rule
 
 __all__ = [
@@ -40,9 +47,6 @@ __all__ = [
     "flood_fill_groups", "resolve_labels", "refine", "naive_subdivide",
     "check_refinement_invariants", "simulate_new_basis_vertices",
 ]
-
-_ALIGNED = (AdjacencyKind.HORIZONTALLY_ALIGNED, AdjacencyKind.VERTICALLY_ALIGNED)
-
 
 @dataclass(frozen=True)
 class ConnectedGroup:
@@ -141,20 +145,22 @@ def flood_fill_groups(mesh, marked):
     """
     marked = sorted(set(marked))
     _check_markable(mesh, marked)
-    marked_set = set(marked)
     aligned = {c: {} for c in marked}
     conflict = {c: set() for c in marked}
-    for a in marked:
-        for b in mesh.edge_neighbors(a):
-            if b not in marked_set or b <= a:
-                continue
-            k = mesh.adjacency(a, b)
-            if k in _ALIGNED:
-                aligned[a][b] = k
-                aligned[b][a] = k
-            elif k is AdjacencyKind.ADJACENT_ONLY:
-                conflict[a].add(b)
-                conflict[b].add(a)
+    low, high = mesh.edge_neighbor_pairs(marked)
+    lattice = mesh.cell_table().lattice
+    la, lb = lattice[low], lattice[high]
+    # a pair side by side shares a vertical edge piece, else a horizontal one
+    side = (la[:, 1] == lb[:, 0]) | (lb[:, 1] == la[:, 0])
+    horizontal = side & (la[:, 2:] == lb[:, 2:]).all(axis=1)
+    vertical = ~side & (la[:, :2] == lb[:, :2]).all(axis=1)
+    for x, y, h, v in zip(low.tolist(), high.tolist(), horizontal.tolist(), vertical.tolist()):
+        if h or v:
+            aligned[x][y] = aligned[y][x] = (AdjacencyKind.HORIZONTALLY_ALIGNED if h
+                                             else AdjacencyKind.VERTICALLY_ALIGNED)
+        else:
+            conflict[x].add(y)
+            conflict[y].add(x)
     groups = []
     assigned = set()
     for seed in marked:
@@ -260,24 +266,28 @@ def _build_report(before, after, groups, proposed, final, performed):
     # a new basis vertex on a split cell's closure is one of its own cuts:
     # a neighbor's cut on the cell's edge gains no edge into the cell and
     # stays a T-junction.  Ids below `born` name the same vertex in both
-    # meshes.
+    # meshes, and an old vertex keeps its side of the domain boundary, so
+    # it was promoted exactly when it is a basis vertex after the round and
+    # was none before.
     born = before._next_vert
-    cell_new, promoted = {}, set()
-    for cid, (kind, _) in performed.items():
-        vids = [after._vpos[pos] for pos, _ in cut_rule(before.cell(cid).lattice_bounds, kind)[1]]
-        cell_new[cid] = sorted(vid for vid in vids if vid >= born and after.is_basis_vertex(vid))
-        promoted.update(vid for vid in vids if vid < born
-                        and before.classify_vertex(vid) is VertexKind.T_JUNCTION
-                        and after.classify_vertex(vid) is VertexKind.CROSSING)
-    new_basis = sorted({vid for vids in cell_new.values() for vid in vids})
-    promotions = [(vid, after.vertex(vid).position_float()) for vid in sorted(promoted)]
+    cuts = {cid: [after._vpos[pos] for pos, _ in cut_rule(before.cell(cid).lattice_bounds, kind)[1]]
+            for cid, (kind, _) in performed.items()}
+    vids = np.array([vid for cut in cuts.values() for vid in cut], dtype=np.intp)
+    basis = after._basis_mask(vids)
+    old = vids < born
+    promoted = old & basis
+    promoted[old] &= ~before._basis_mask(vids[old])
+    new_basis = set(vids[~old & basis].tolist())
+    cell_new = {cid: sorted(new_basis.intersection(cut)) for cid, cut in cuts.items()}
+    promotions = [(vid, after.vertex(vid).position_float())
+                  for vid in sorted(set(vids[promoted].tolist()))]
     return RefinementReport(
         level=before.current_level,
         groups=groups,
         proposed_labels=dict(proposed),
         final_labels=dict(final),
         performed=performed,
-        new_basis_vertices=new_basis,
+        new_basis_vertices=sorted(new_basis),
         cell_new_basis=cell_new,
         t_to_crossing=promotions,
         mesh_before=before,

@@ -28,13 +28,18 @@ vertices finds every vertex's support cells and factors:
 
 The advance works on the cell table, carried across levels as in
 multi-level Bezier extraction (D'Angella, Kollmannsberger, Rank and
-Reali, 2018): unsplit cells keep their entries; the patches of subdivided
-cells are split per kind by the fixed half-interval de Casteljau matrices
-(`bezier.split_patches`), their new-vertex corner blocks, read off the
-births' incidence table, zeroed by one mask (`bezier.zero_corner_blocks`)
-and all-zero pieces dropped, `_SPLIT_CELLS` whole cells at a time so
-memory stays bounded; the new vertices' functions, batched outer
-products of univariate ordinates, come after the old ones in every cell.
+Reali, 2018): unsplit cells keep their entries, and subdivided cells are
+rewritten per kind, `_SPLIT_CELLS` whole cells at a time so memory stays
+bounded, in one pass per chunk.  The chunk's patches are split by the
+fixed half-interval de Casteljau matrices (`bezier.split_patches`) and
+their new-vertex corner blocks, read off the births' incidence table,
+zeroed by one mask (`bezier.zero_corner_blocks`); the live pieces are
+taken by one `np.nonzero` of the nonzero-piece mask, and the new vertices'
+functions on the chunk's children, batched outer products of univariate
+ordinates, from the children's rows of the incidence table.  One stable
+sort by child id merges both, old ids before new ones, and slicing the
+sorted pieces cuts the children's entries (`_entries`, which also cuts
+the level-0 space's).
 
 The four functions at a vertex reproduce arbitrary (value, d_s, d_t,
 d_st) data there, and all other functions carry zero data at that
@@ -68,7 +73,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bezier
-from .tmesh import SPLIT_KINDS, TMesh
+from .tmesh import SPLIT_KINDS, TMesh, _ranges
 
 __all__ = [
     "SplineSpace", "SplineField", "CollocationBlock",
@@ -337,21 +342,27 @@ def _ordinates_toward(pair, w, low):
 
 
 def _vertex_functions(first, factors, incidence):
-    """Cell-table entries of the four functions of n vertices whose ids
-    start at `first`, as batched outer products of univariate ordinates,
-    from the vertices' factors and incidence table (see `_births`).  Slot
-    k = sv + 2 tv takes the sv-th s and the tv-th t function.  Each cell's
-    entries come in vertex order, so its ids ascend."""
+    """The four functions of n vertices whose ids start at `first`, as
+    flat pieces (cell ids, function ids, patches), sorted by cell and then
+    function, from batched outer products of univariate ordinates; the
+    vertices' factors and incidence entries (any rows of the table of
+    `_births`, in its order) give them.  Slot k = sv + 2 tv takes the sv-th
+    s and the tv-th t function."""
     rows, cids, corner, sizes = incidence
     s_ord = _ordinates_toward(factors[rows, 0], sizes[:, 0], corner & 1 == 0)
     t_ord = _ordinates_toward(factors[rows, 1], sizes[:, 1], corner < 2)
     # (entry, tv, sv, 4, 4) -> (entry, slot, 4, 4)
     patches = (t_ord[:, :, None, :, None] * s_ord[:, None, :, None, :]).reshape(-1, 4, 4)
     fids = (first + 4 * rows[:, None] + np.arange(4)).reshape(-1)
-    uniq, starts = np.unique(cids, return_index=True)
-    ends = 4 * np.append(starts[1:], len(cids))
-    return {cid: (fids[4 * a:b], patches[4 * a:b])
-            for cid, a, b in zip(uniq.tolist(), starts.tolist(), ends.tolist())}
+    return np.repeat(cids, 4), fids, patches
+
+
+def _entries(keys, cells, fids, patches):
+    """Cell-table entries of the cells `keys`, cut by slicing from pieces
+    (cell ids, function ids, patches) sorted by cell."""
+    lo = np.searchsorted(cells, keys).tolist()
+    hi = np.searchsorted(cells, keys, side="right").tolist()
+    return {cid: (fids[a:b], patches[a:b]) for cid, a, b in zip(keys.tolist(), lo, hi)}
 
 
 def build_initial_space(mesh):
@@ -360,8 +371,10 @@ def build_initial_space(mesh):
     if mesh.generation_log:
         raise ValueError("initial space requires a pure tensor-product mesh")
     anchors = mesh.vertices()
-    factors, incidence = _births(mesh, mesh.active_cells(), anchors)
-    space = SplineSpace(mesh, anchors, _vertex_functions(0, factors, incidence), factors)
+    cells = np.array(mesh.active_cells(), dtype=np.intp)
+    factors, incidence = _births(mesh, cells, anchors)
+    space = SplineSpace(mesh, anchors, _entries(cells, *_vertex_functions(0, factors, incidence)),
+                        factors)
     if space.dim != mesh.dimension():
         raise AssertionError("initial basis count disagrees with the dimension formula")
     return space
@@ -379,7 +392,9 @@ def advance_level(space, report):
     vertices are born on the children of the subdivided cells, which hold
     all their support: one `_births` pass gives their factors, their four
     functions each and the corners to zero.  Subdivided cells are split
-    per kind, `_SPLIT_CELLS` whole cells at a time.
+    per kind, `_SPLIT_CELLS` whole cells at a time, and each chunk's live
+    pieces and the newborn functions on its children are merged into the
+    children's entries in one pass.
     """
     if not report.performed:
         return space
@@ -401,22 +416,27 @@ def advance_level(space, report):
         parents = [cid for cid, (k, _) in split_info.items() if k == kind]
         for lo in range(0, len(parents), _SPLIT_CELLS):
             chunk = parents[lo:lo + _SPLIT_CELLS]
+            kids = np.array([split_info[cid][1] for cid in chunk], dtype=np.intp)
             entries = [space.cells[cid] for cid in chunk]
-            counts = [len(fids) for fids, _ in entries]
-            bits = np.repeat(corners[[split_info[cid][1] for cid in chunk]], counts, axis=0)
-            kids = bezier.zero_corner_blocks(
+            owner = np.repeat(np.arange(len(chunk)), [len(fids) for fids, _ in entries])
+            split = bezier.zero_corner_blocks(
                 bezier.split_patches(np.concatenate([p for _, p in entries]), kind),
-                (bits[..., None] >> np.arange(4)) & 1)
-            alive = kids.any(axis=(2, 3))
-            at = 0
-            for cid, (fids, _), n in zip(chunk, entries, counts):
-                for k, kid in enumerate(split_info[cid][1]):
-                    live = alive[at:at + n, k]
-                    cells[kid] = (fids[live], kids[at:at + n, k][live])
-                at += n
-    for cid, (fids, patches) in _vertex_functions(space.dim, factors, incidence).items():
-        old_fids, old_patches = cells[cid]
-        cells[cid] = (np.concatenate([old_fids, fids]), np.concatenate([old_patches, patches]))
+                (corners[kids[owner]][..., None] >> np.arange(4)) & 1)
+            at, k = np.nonzero(split.any(axis=(2, 3)))
+            # the newborn functions on the chunk's children: their rows of
+            # the incidence table, which is sorted by cell
+            flat = kids.ravel()
+            rows = _ranges(np.searchsorted(incidence[1], flat),
+                           np.searchsorted(incidence[1], flat, side="right"))
+            new_cells, new_fids, new_patches = _vertex_functions(
+                space.dim, factors, tuple(a[rows] for a in incidence))
+            # old ids ascend in parent order and new ids follow them, so a
+            # stable sort by cell leaves each cell's ids ascending
+            piece_cells = np.concatenate([kids[owner[at], k], new_cells])
+            fids = np.concatenate([np.concatenate([f for f, _ in entries])[at], new_fids])
+            patches = np.concatenate([split[at, k], new_patches])
+            order = np.argsort(piece_cells, kind="stable")
+            cells.update(_entries(flat, piece_cells[order], fids[order], patches[order]))
 
     out = SplineSpace(mesh, space.vertices + born, cells,
                       np.concatenate([space.factors, factors]))

@@ -24,8 +24,9 @@ children by s and t side, and the lattice points its new edges cut
 through, with the edge directions they add at each.  Every vertex carries
 a mask of its incident edge directions (+s, -s, +t, -t); the level-0 grid
 sets it and :meth:`TMesh.split_cell` ORs in the bits of each cut, since
-a split only adds edges and only at its cut points.  Vertex kinds, basis
-vertices and the dimension are lookups in the mask; :meth:`TMesh.validate`
+a split only adds edges and only at its cut points.  Vertex kinds are
+lookups in the mask, and basis vertices and the dimension one batched
+lookup over every vertex's mask and position; :meth:`TMesh.validate`
 re-derives every mask from the incident cells as an independent check.
 
 Vertex-cell incidence is derived, not stored: one batched pass per mesh
@@ -91,10 +92,11 @@ class LatticeDepthError(ValueError):
     """A split would halve a cell one lattice unit wide."""
 
 
-# bits of a vertex's edge-direction mask
-_DIRECTIONS = (("+s", 1), ("-s", 2), ("+t", 4), ("-t", 8))
-_PLUS_S, _MINUS_S, _PLUS_T, _MINUS_T = (bit for _, bit in _DIRECTIONS)
+# bits of a vertex's edge-direction mask: +s, -s, +t, -t
+_PLUS_S, _MINUS_S, _PLUS_T, _MINUS_T = 1, 2, 4, 8
 _ALONG_S, _ALONG_T, _ALL = _PLUS_S | _MINUS_S, _PLUS_T | _MINUS_T, 15
+# the number of directions in each mask
+_DIRECTION_COUNT = np.array([m.bit_count() for m in range(16)], dtype=np.int8)
 
 
 def cut_rule(bounds, kind):
@@ -340,6 +342,12 @@ _NO_CELLS = CellTable(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4), dtype=n
 _NEVER = np.iinfo(np.int64).max
 
 
+def _ranges(lo, hi):
+    """range(lo[k], hi[k]) for every k, concatenated into one int array."""
+    n = hi - lo
+    return np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+
+
 def _descend(kids, s, t, s_cuts, t_cuts, s_mid, t_mid):
     """Active cells holding the points (s, t) under the half-open rule:
     the level-0 cell from the cuts between spans, then down `kids`, taking
@@ -553,8 +561,13 @@ class TMesh:
         mesh state in both orders, vertex v's cells at
         cells[cell_start[v]:cell_start[v + 1]] and cell c's vertices at
         verts[vert_start[c]:vert_start[c + 1]], ascending, as lists (faster
-        to slice per item than arrays).  Built on first use and dropped by
+        to slice per item than arrays).  Built on first use, next to the
+        same CSR as arrays for batched queries, and dropped by
         :meth:`split_cell`."""
+        return self._incidence_tables()[0]
+
+    def _incidence_tables(self):
+        """The incidence CSR of :meth:`_incidences` as (lists, arrays)."""
         if self._incidence is None:
             _, kids, _, lattice = self._location_tables()
             vij = self.vertex_table()
@@ -570,14 +583,8 @@ class TMesh:
             by_cell = np.argsort(cids, kind="stable")
             csr = (np.searchsorted(vids, np.arange(len(vij) + 1)), cids,
                    np.searchsorted(cids[by_cell], np.arange(n + 1)), vids[by_cell])
-            self._incidence = tuple(a.tolist() for a in csr)
+            self._incidence = (tuple(a.tolist() for a in csr), csr)
         return self._incidence
-
-    def vertex_directions(self, vid):
-        """Edge directions incident to a vertex, subset of {+s,-s,+t,-t}."""
-        self.vertex(vid)
-        mask = self._dirs[vid]
-        return {name for name, bit in _DIRECTIONS if mask & bit}
 
     def classify_vertex(self, vid):
         """Kind of a vertex, read from its edge-direction mask."""
@@ -594,6 +601,25 @@ class TMesh:
     def is_basis_vertex(self, vid):
         """Boundary vertices and interior crossing vertices carry basis functions."""
         return self.classify_vertex(vid) in (VertexKind.BOUNDARY, VertexKind.CROSSING)
+
+    def _basis_mask(self, vids=None):
+        """`is_basis_vertex` of the vertices `vids` (an int array; every
+        vertex if None) as one bool array, read off the edge-direction masks
+        and `vertex_table` in one pass.  An interior vertex with fewer than
+        three directions raises the ValueError of `classify_vertex`."""
+        count = _DIRECTION_COUNT[np.frombuffer(self._dirs, dtype=np.uint8)]
+        pos = self.vertex_table()
+        if vids is None:
+            vids = np.arange(len(pos))
+        else:
+            count, pos = count[vids], pos[vids]
+        boundary = ((pos == 0) | (pos == [axis.end for axis in self.axes])).any(axis=1)
+        bad = ~boundary & (count < 3)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"vertex {vids[k]} has {count[k]} incident edge directions; "
+                             f"not a valid T-mesh vertex")
+        return boundary | (count == 4)
 
     def adjacency(self, cid1, cid2):
         """Neighbor relation of two active cells."""
@@ -629,12 +655,33 @@ class TMesh:
         del shared[cid]
         return {n for n, k in shared.items() if k > 1}
 
+    def edge_neighbor_pairs(self, cids):
+        """The pairs (a, b), a < b, of the active cells `cids` that share a
+        positive-length edge piece, as two int arrays ordered by a and then
+        b: :meth:`edge_neighbors` within the set, in one batched pass that
+        counts the vertices each pair holds off the incidence CSR."""
+        cids = np.unique(np.asarray(cids, dtype=np.intp))
+        inactive = set(cids.tolist()) - self._active
+        if inactive:
+            self._active_cell(min(inactive))
+        cell_start, cells, vert_start, verts = self._incidence_tables()[1]
+        lo, hi = vert_start[cids], vert_start[cids + 1]
+        a, vids = np.repeat(cids, hi - lo), verts[_ranges(lo, hi)]
+        lo, hi = cell_start[vids], cell_start[vids + 1]
+        a, b = np.repeat(a, hi - lo), cells[_ranges(lo, hi)]
+        n = self._next_cell
+        wanted = np.zeros(n, dtype=bool)
+        wanted[cids] = True
+        keep = (a < b) & wanted[b]
+        pairs, shared = np.unique(a[keep] * n + b[keep], return_counts=True)
+        return np.divmod(pairs[shared > 1], n)
+
     def dimension(self):
         """Spline-space dimension 4*(boundary vertices + interior crossings)."""
-        return 4 * len(self.basis_vertices())
+        return 4 * int(np.count_nonzero(self._basis_mask()))
 
     def basis_vertices(self):
-        return sorted(vid for vid in self._verts if self.is_basis_vertex(vid))
+        return np.flatnonzero(self._basis_mask()).tolist()
 
     def locate_cell(self, s, t):
         """Active cell containing one parameter point; see :meth:`locate_many`."""

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from anisoline.refine import (
-    RefinementRequest, check_refinement_invariants, flood_fill_groups,
-    naive_subdivide, refine, resolve_labels, simulate_new_basis_vertices,
+    ConnectedGroup, RefinementRequest, _build_report, check_refinement_invariants,
+    flood_fill_groups, naive_subdivide, refine, resolve_labels, simulate_new_basis_vertices,
 )
-from anisoline.tmesh import VertexKind, create_tensor_mesh
+from anisoline.tmesh import AdjacencyKind, VertexKind, create_tensor_mesh
 from test_tmesh import LATTICE_STARTS, census_kinds
 
 
@@ -48,6 +48,74 @@ def test_flood_fill_three_groups():
     groups = flood_fill_groups(m, mk)
     assert len(groups) == 3
     assert sorted(len(g.members) for g in groups) == [1, 2, 2]
+
+
+def _reference_flood_fill_groups(mesh, marked):
+    """The per-cell flood fill the batched pair search replaced: each
+    marked cell's `edge_neighbors`, classified by `adjacency`.  Returns the
+    groups and the number of marked pairs adjacent but not aligned."""
+    marked = sorted(set(marked))
+    marked_set = set(marked)
+    aligned = {c: {} for c in marked}
+    conflict = {c: set() for c in marked}
+    conflicts = 0
+    for a in marked:
+        for b in mesh.edge_neighbors(a):
+            if b not in marked_set or b <= a:
+                continue
+            k = mesh.adjacency(a, b)
+            if k in (AdjacencyKind.HORIZONTALLY_ALIGNED, AdjacencyKind.VERTICALLY_ALIGNED):
+                aligned[a][b] = k
+                aligned[b][a] = k
+            elif k is AdjacencyKind.ADJACENT_ONLY:
+                conflict[a].add(b)
+                conflict[b].add(a)
+                conflicts += 1
+    groups = []
+    assigned = set()
+    for seed in marked:
+        if seed in assigned:
+            continue
+        members = {seed}
+        queue = [seed]
+        while queue:
+            cur = queue.pop(0)
+            for nb in sorted(aligned[cur]):
+                if nb in assigned or nb in members:
+                    continue
+                if conflict[nb] & members:
+                    continue
+                members.add(nb)
+                queue.append(nb)
+        assigned |= members
+        mem = sorted(members)
+        edges = {(a, b): aligned[a][b] for a in mem for b in sorted(aligned[a])
+                 if b > a and b in members}
+        groups.append(ConnectedGroup(tuple(mem), edges))
+    return groups, conflicts
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_STARTS))
+def test_flood_fill_matches_the_per_cell_reference(name):
+    # random marks on meshes refined by random verbatim rounds, whose mixed
+    # labels leave marked neighbors adjacent but not aligned
+    rng = random.Random(13)
+    conflicts = 0
+    for trial in range(2 if name == "24x24" else 8):
+        m = LATTICE_STARTS[name]()
+        for level in range(3):
+            cells = m.cells_of_level(level)
+            marked = rng.sample(cells, rng.randint(1, len(cells)))
+            low, high = m.edge_neighbor_pairs(marked)
+            assert list(zip(low.tolist(), high.tolist())) == sorted(
+                (a, b) for a in marked for b in m.edge_neighbors(a) if a < b and b in marked)
+            want, n = _reference_flood_fill_groups(m, marked)
+            got = flood_fill_groups(m, marked)
+            assert [(g.members, g.edges) for g in got] == [(g.members, g.edges) for g in want]
+            conflicts += n
+            labels = {cid: rng.choice("HVC") for cid in rng.sample(cells, rng.randint(1, len(cells)))}
+            m, _ = naive_subdivide(m, RefinementRequest(labels))
+    assert conflicts > 0
 
 
 def test_flood_fill_rejects_stale():
@@ -204,6 +272,36 @@ def test_strategy_avoids_t_to_crossing():
     assert v in report.new_basis_vertices
     ok, diags = check_refinement_invariants(m, out, report)
     assert ok, diags
+
+
+def test_kind_lookups_name_a_vertex_off_two_grid_lines():
+    # one mask corrupted in a copy: the batched lookups of the mesh and of
+    # a round's report name the vertex as `classify_vertex` does
+    m = create_tensor_mesh(2, 2)
+    m.split_cell(m.locate_cell(0.25, 0.25), "C")
+    t = m.vertex_at(0.5, 0.25)                      # a T-junction: -s, +t and -t
+    right = m.locate_cell(0.75, 0.25)
+    after = m.copy()
+    performed = {right: ("H", after.split_cell(right, "H"))}   # cuts through t
+    match = f"vertex {t} has 2 incident edge directions"
+
+    def corrupted(mesh):
+        mesh = mesh.copy()
+        mesh._dirs[t] = 0b1100                      # +t and -t only
+        return mesh
+
+    for mesh in (corrupted(m), corrupted(after)):
+        for lookup in (mesh.dimension, mesh.basis_vertices, lambda: mesh.classify_vertex(t)):
+            with pytest.raises(ValueError, match=match):
+                lookup()
+    for before, broken_after in ((corrupted(m), after), (m, corrupted(after))):
+        with pytest.raises(ValueError, match=match):
+            _build_report(before, broken_after, [], {}, {}, performed)
+    # the originals keep their masks: t is promoted to a crossing
+    assert m.dimension() == 48 and after.dimension() == 56
+    report = _build_report(m, after, [], {}, {}, performed)
+    assert [vid for vid, _ in report.t_to_crossing] == [t]
+    assert report.cell_new_basis == {right: [after.vertex_at(1, 0.25)]}
 
 
 def test_naive_no_basis_vertex_rejected():

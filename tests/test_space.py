@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from anisoline import fitting
 from anisoline import space as space_module
+from anisoline.fitting import FitConfig, fit_surface, generate_test_model
 from anisoline.refine import RefinementRequest, naive_subdivide, refine
 from anisoline.space import (
     DERIV_ORDERS, HERMITE_ORDERS, SplineField, SplineSpace, advance_level,
@@ -839,6 +841,34 @@ def test_advance_level_memory_stays_near_reference():
         want = _peak_bytes(_reference_advance_level, space, report)
         got = _peak_bytes(advance_level, space, report)
         assert got <= 1.10 * want, (got, want)
+
+
+def test_last_advance_of_a_deep_fit_peaks_near_what_it_keeps(monkeypatch):
+    # The fourth round of a 101 x 101 bernstein_sum fit splits all 256
+    # cells.  Merged per chunk, the advance's peak growth is 1.13 times the
+    # growth it leaves behind (its new entries); split pieces copied per
+    # child and then joined per cell to a round-wide batch of newborn
+    # functions, it was 1.80 times.
+    rounds = []
+
+    def recorded(space, report):
+        rounds.append((space, report))
+        return advance_level(space, report)
+
+    monkeypatch.setattr(fitting, "advance_level", recorded)
+    fit_surface(generate_test_model("bernstein_sum", (101, 101)),
+                FitConfig(tolerance=1e-3, max_levels=4))
+    space, report = rounds[-1]
+    assert len(rounds) == 4 and len(report.performed) == 256
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = advance_level(space, report)
+        grown, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept.dim > space.dim
+    assert peak <= 1.3 * grown, (peak, grown)
 
 
 # Functions on the refinement and level-advance paths whose coordinate work
