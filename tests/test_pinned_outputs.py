@@ -39,7 +39,12 @@ RUNS = {
         *lshape_benchmark(2), SolveConfig(max_levels=1), strategy=strategy),
     "square_sin": lambda strategy: adaptive_solve(
         *make_problem("square_sin", (4, 4)), SolveConfig(), strategy=strategy),
-    # the two solve workloads of the benchmark
+    # the four workloads of the benchmark, without their point permutation
+    "cone_101": lambda strategy: fit_surface(
+        generate_test_model("cone", (101, 101)), FitConfig(tolerance=1e-3), strategy),
+    "bernstein_sum_101": lambda strategy: fit_surface(
+        generate_test_model("bernstein_sum", (101, 101)),
+        FitConfig(tolerance=1e-3, max_levels=5), strategy),
     "lshape_benchmark": lambda strategy: adaptive_solve(
         *lshape_benchmark(4), SolveConfig(max_levels=4), strategy=strategy),
     "square_sin_24": lambda strategy: adaptive_solve(
