@@ -24,7 +24,6 @@ import numbers
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -356,8 +355,7 @@ def estimate_vertex_controls(space, vids, pset, max_rings=3, fallback_field=None
             raise ValueError(f"vertex {vid} carries no functions in this space")
     n = len(vids)
     arity = pset.points.shape[1]
-    centers = np.fromiter(chain.from_iterable(mesh.vertex(vid).position_float() for vid in vids),
-                          float, 2 * n).reshape(n, 2)
+    centers = mesh.vertex_floats()[np.array(vids, dtype=np.intp)]
     data = np.zeros((n, arity, 4))
     cell_rows = _CellRows(pset.cell_of)
 

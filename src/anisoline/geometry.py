@@ -105,46 +105,36 @@ def linear_geometry(space, rect=(0.0, 1.0, 0.0, 1.0)):
     s0, s1, t0, t1 = (float(v) for v in space.mesh.domain)
     gx = (x1 - x0) / (s1 - s0)
     gy = (y1 - y0) / (t1 - t0)
-    data = {}
-    for vid in space.mesh.basis_vertices():
-        v = space.mesh.vertex(vid)
-        s, t = v.position_float()
-        x = x0 + gx * (s - s0)
-        y = y0 + gy * (t - t0)
-        data[vid] = np.array([[x, gx, 0.0, 0.0],
-                              [y, 0.0, gy, 0.0]])
-    return Geometry(field_from_vertex_data(space, data))
+    vids = space.mesh.basis_vertices()
+    s, t = space.mesh.vertex_floats()[vids].T
+    data = np.zeros((len(vids), 2, 4))
+    data[:, 0, 0] = x0 + gx * (s - s0)
+    data[:, 1, 0] = y0 + gy * (t - t0)
+    data[:, 0, 1], data[:, 1, 2] = gx, gy
+    return Geometry(field_from_vertex_data(space, dict(zip(vids, data))))
 
 
 def _lshape_vertex_data(s, t):
-    """Exact Hermite data of the folded two-quadrilateral map.
+    """Exact Hermite data (n, 2, 4) of the folded two-quadrilateral map at
+    the parameter points s, t (n,).
 
     First half covers the quadrilateral (1,0)(0,0)(1,-1)(-1,-1), second
     half (0,0)(0,1)(-1,-1)(-1,1); across s = 1/2 the s-velocity turns
     through the bisector (-1, 1) with a magnitude profile that vanishes
     at the two boundary corners.
     """
-    if s < 0.5:
-        xi = 2.0 * s
-        g = np.array([1.0 - xi * (1.0 + t), -t])
-        gs = np.array([-2.0 * (1.0 + t), 0.0])
-        gt = np.array([-xi, -1.0])
-        gst = np.array([-2.0, 0.0])
-    elif s > 0.5:
-        ze = 2.0 * s - 1.0
-        g = np.array([-t, ze * (1.0 + t) - t])
-        gs = np.array([0.0, 2.0 * (1.0 + t)])
-        gt = np.array([-1.0, ze - 1.0])
-        gst = np.array([0.0, 2.0])
-    else:
-        c = (1.0 + t) * np.sin(np.pi * t)
-        cp = np.sin(np.pi * t) + (1.0 + t) * np.pi * np.cos(np.pi * t)
-        g = np.array([-t, -t])
-        gs = c * np.array([-1.0, 1.0])
-        gt = np.array([-1.0, -1.0])
-        gst = cp * np.array([-1.0, 1.0])
-    return np.stack([np.array([g[0], gs[0], gt[0], gst[0]]),
-                     np.array([g[1], gs[1], gt[1], gst[1]])])
+    first, second = s < 0.5, s > 0.5
+    xi, ze, one = 2.0 * s, 2.0 * s - 1.0, 1.0 + t
+    c = one * np.sin(np.pi * t)
+    cp = np.sin(np.pi * t) + one * np.pi * np.cos(np.pi * t)
+    zero = np.zeros_like(t)
+    # rows (g, g_s, g_t, g_st) of each coordinate, per half and on the fold
+    x = np.where(first, [1.0 - xi * one, -2.0 * one, -xi, zero - 2.0],
+                 np.where(second, [-t, zero, zero - 1.0, zero], [-t, -c, zero - 1.0, -cp]))
+    y = np.where(first, [-t, zero, zero - 1.0, zero],
+                 np.where(second, [ze * one - t, 2.0 * one, ze - 1.0, zero + 2.0],
+                          [-t, c, zero - 1.0, cp]))
+    return np.stack([x.T, y.T], axis=1)
 
 
 def lshape_geometry(n=4):
@@ -159,9 +149,7 @@ def lshape_geometry(n=4):
                          "fold line s=1/2 is a mesh line")
     mesh = create_tensor_mesh(n, n)
     space = build_initial_space(mesh)
-    data = {}
-    for vid in mesh.basis_vertices():
-        v = mesh.vertex(vid)
-        data[vid] = _lshape_vertex_data(*v.position_float())
-    field = field_from_vertex_data(space, data)
+    vids = mesh.basis_vertices()
+    data = _lshape_vertex_data(*mesh.vertex_floats()[vids].T)
+    field = field_from_vertex_data(space, dict(zip(vids, data)))
     return Geometry(field, degenerate_params=[(0.5, 0.0), (0.5, 1.0)])

@@ -18,20 +18,21 @@ implemented here avoids both:
    cells that would gain no new basis vertex; inside a mixed group,
    relabel every cell from its in-group aligned neighbors (only
    horizontal -> 'H', only vertical -> 'V', both or none -> 'C');
-3. split according to the final labels.
+3. split every cell by its final label in one batch
+   (:meth:`anisoline.tmesh.TMesh.split_many` on a copy of the mesh), which
+   appends the children and the new cut vertices to the mesh's tables and
+   returns each cell's children and the vertex ids at its cut points.
 
 A split adds edges only at the lattice points it cuts through, with the
 edge directions :func:`anisoline.tmesh.cut_rule` states, so vertex kinds
 change only there.  :func:`simulate_new_basis_vertices` ORs the cuts of a
 split set over the positions that are not yet vertices, and a round's
 report reads its new basis vertices and its T-to-crossing promotions off
-the cuts it performed, with kinds read in one batched lookup of the
-meshes' edge-direction masks.
+the cut vertex ids the batch returned, with kinds read in one batched
+lookup of the meshes' edge-direction masks.
 
 :func:`check_refinement_invariants` re-derives the guarantees from the
 before/after meshes and is used as the oracle in randomized tests.
-:func:`naive_subdivide` bypasses step 2 so the failure modes can be
-reproduced and rejected.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tmesh import AdjacencyKind, TMesh, VertexKind, cut_rule
+from .tmesh import AdjacencyKind, TMesh, VertexKind, _unique_rows, cut_rule
 
 __all__ = [
     "ConnectedGroup", "RefinementRequest", "RefinementReport",
-    "flood_fill_groups", "resolve_labels", "refine", "naive_subdivide",
+    "flood_fill_groups", "resolve_labels", "refine",
     "check_refinement_invariants", "simulate_new_basis_vertices",
 ]
 
@@ -125,14 +126,17 @@ class RefinementReport:
 
 
 def _check_markable(mesh, marked):
-    for cid in marked:
-        c = mesh.cell(cid)
-        if not c.active:
-            raise ValueError(f"marked cell {cid} is not active")
-        if c.level != mesh.current_level:
-            raise ValueError(
-                f"marked cell {cid} has level {c.level}; only cells of the "
-                f"current level {mesh.current_level} may be marked")
+    cids = np.asarray(marked, dtype=np.int64)
+    markable = mesh._open(cids)
+    if markable.all():
+        return
+    cid = int(cids[np.argmin(markable)])
+    c = mesh.cell(cid)
+    if not c.active:
+        raise ValueError(f"marked cell {cid} is not active")
+    raise ValueError(
+        f"marked cell {cid} has level {c.level}; only cells of the "
+        f"current level {mesh.current_level} may be marked")
 
 
 def flood_fill_groups(mesh, marked):
@@ -192,22 +196,26 @@ def simulate_new_basis_vertices(mesh, splits):
     """Predict, per cell, the new basis vertices a joint split set creates.
 
     `splits` maps cell id -> kind.  The edge directions all cuts add are
-    ORed per position; a position that is not yet a vertex becomes a
-    basis vertex when it lies on the domain boundary or gains all four
-    directions (a cross center, or an edge midpoint cut from both sides).
-    Existing vertices are never counted (promoting one is exactly what the
-    strategy forbids).  Returns dict cell id -> set of lattice positions
-    (i, j).
+    ORed per position; a position that is not yet a vertex becomes a basis
+    vertex on the domain boundary or with all four directions (a cross
+    center, or an edge midpoint cut from both sides).  Existing vertices
+    never count: promoting one is what the strategy forbids.  Returns dict
+    cell id -> set of lattice positions (i, j).
     """
-    fresh = {cid: [(pos, bits) for pos, bits in cut_rule(mesh.cell(cid).lattice_bounds, kind)[1]
-                   if pos not in mesh._vpos]
-             for cid, kind in splits.items()}
-    joint = {}
-    for cuts in fresh.values():
-        for pos, bits in cuts:
-            joint[pos] = joint.get(pos, 0) | bits
-    return {cid: {pos for pos, _ in cuts if joint[pos] == 0b1111 or mesh._on_domain_boundary(*pos)}
-            for cid, cuts in fresh.items()}
+    cids = list(splits)
+    grid, _, (owner, point, bits) = cut_rule(mesh.cell_table().lattice[cids],
+                                             [splits[cid] for cid in cids])
+    ij = grid[owner[:, None], [0, 1], point]
+    fresh = np.flatnonzero(mesh._vertices_at_cuts(ij, point) < 0)
+    first, inverse = _unique_rows(ij[fresh])
+    pos = ij[fresh[first]]
+    joint = np.zeros(len(pos), dtype=np.int64)
+    np.bitwise_or.at(joint, inverse, bits[fresh])
+    basis = (joint == 0b1111) | ((pos == 0) | (pos == [a.end for a in mesh.axes])).any(axis=1)
+    out = {cid: set() for cid in cids}
+    for k in fresh[basis[inverse]].tolist():
+        out[cids[owner[k]]].add(tuple(ij[k].tolist()))
+    return out
 
 
 def resolve_labels(mesh, group, labels):
@@ -261,17 +269,14 @@ def resolve_labels(mesh, group, labels):
     return out
 
 
-def _build_report(before, after, groups, proposed, final, performed):
-    # A split makes vertices and changes kinds only at its cut points, and
-    # a new basis vertex on a split cell's closure is one of its own cuts:
-    # a neighbor's cut on the cell's edge gains no edge into the cell and
-    # stays a T-junction.  Ids below `born` name the same vertex in both
-    # meshes, and an old vertex keeps its side of the domain boundary, so
-    # it was promoted exactly when it is a basis vertex after the round and
-    # was none before.
-    born = before._next_vert
-    cuts = {cid: [after._vpos[pos] for pos, _ in cut_rule(before.cell(cid).lattice_bounds, kind)[1]]
-            for cid, (kind, _) in performed.items()}
+def _build_report(before, after, groups, proposed, final, performed, cuts):
+    # `cuts` maps each split cell to the vertex ids at its cut points, the
+    # only places a split makes vertices and changes kinds; a new basis
+    # vertex on a split cell's closure is one of its own cuts (a neighbor's
+    # cut on its edge stays a T-junction).  Ids below `born` name the same
+    # vertex in both meshes, so an old one was promoted exactly when it is
+    # a basis vertex after the round and was none before.
+    born = len(before.vertex_table())
     vids = np.array([vid for cut in cuts.values() for vid in cut], dtype=np.intp)
     basis = after._basis_mask(vids)
     old = vids < born
@@ -296,16 +301,18 @@ def _build_report(before, after, groups, proposed, final, performed):
 
 
 def _split(before, groups, proposed, final):
-    """Split each cell of `final` by its label, on a copy of `before`, and
-    report the round; with nothing to split, `before` is returned as is."""
+    """Split the cells of `final` by their labels, in one batch on a copy
+    of `before`, and report the round; with nothing to split, `before` is
+    returned as is."""
     if not final:
-        return before, _build_report(before, before, groups, proposed, final, {})
+        return before, _build_report(before, before, groups, proposed, final, {}, {})
     after = before.copy()
-    performed = {}
-    for cid in sorted(final):
-        performed[cid] = (final[cid], after.split_cell(cid, final[cid]))
+    cids = sorted(final)
+    children, cuts = after.split_many(cids, [final[cid] for cid in cids])
     after.advance_current_level()
-    return after, _build_report(before, after, groups, proposed, final, performed)
+    performed = {cid: (final[cid], kids) for cid, kids in zip(cids, children)}
+    return after, _build_report(before, after, groups, proposed, final, performed,
+                                dict(zip(cids, cuts)))
 
 
 def refine(mesh, request):
@@ -320,17 +327,6 @@ def refine(mesh, request):
     for g in groups:
         final.update(resolve_labels(mesh, g, request.labels))
     return _split(mesh, groups, request.labels, final)
-
-
-def naive_subdivide(mesh, request):
-    """Split marked cells exactly as labeled, skipping the strategy.
-
-    This is the path the strategy exists to replace; its output can
-    violate the refinement guarantees and is used to exercise
-    :func:`check_refinement_invariants`.
-    """
-    _check_markable(mesh, request.marked)
-    return _split(mesh, [], request.labels, request.labels)
 
 
 def _point_interior_to_region(rects, s, t):
@@ -374,19 +370,18 @@ def check_refinement_invariants(before, after, report):
     if [a.knots for a in before.axes] != [a.knots for a in after.axes]:
         raise ValueError("meshes on different level-0 knots")
     diags = []
-    for pos, vid in before._vpos.items():
+    # the after-mesh vertex at each before-mesh vertex's position, -1 where none
+    for vid, aid in enumerate(after.vertices_at(before.vertex_table()).tolist()):
         if before.classify_vertex(vid) is VertexKind.T_JUNCTION:
-            aid = after._vpos.get(pos)
-            if aid is not None and after.classify_vertex(aid) is VertexKind.CROSSING:
+            if aid >= 0 and after.classify_vertex(aid) is VertexKind.CROSSING:
                 s, t = before.vertex(vid).position_float()
                 diags.append(f"T-vertex at ({s}, {t}) became a crossing vertex")
-    old_pos = set(before._vpos)
-    new_basis_pos = {pos for (pos, vid) in after._vpos.items()
-                     if pos not in old_pos and after.is_basis_vertex(vid)}
-    for cid, (kind, kids) in report.performed.items():
-        cell = before.cell(cid)
-        if not any(cell.i0 <= i <= cell.i1 and cell.j0 <= j <= cell.j1
-                   for (i, j) in new_basis_pos):
+    after_pos = after.vertex_table()
+    fresh = np.flatnonzero(before.vertices_at(after_pos) < 0)
+    i, j = after_pos[fresh[after._basis_mask(fresh)]].T
+    for cid in report.performed:
+        i0, i1, j0, j1 = before.cell(cid).lattice_bounds
+        if not ((i0 <= i) & (i <= i1) & (j0 <= j) & (j <= j1)).any():
             diags.append(f"subdivided cell {cid} gained no new basis vertex")
 
     group_child_rects = []
@@ -404,13 +399,12 @@ def check_refinement_invariants(before, after, report):
             if len(images) != 1:
                 diags.append(f"image of group {g.members} splits into {len(images)} groups")
         # no T-vertex on interior edges of the image
-        for vid in after.vertices():
-            v = after.vertex(vid)
-            if not _point_interior_to_region(rects, v.i, v.j):
+        for vid, (i, j) in enumerate(after_pos.tolist()):
+            if not _point_interior_to_region(rects, i, j):
                 continue
             on_edge = not set(after.vertex_cells(vid)).isdisjoint(kids)
             if on_edge and after.classify_vertex(vid) is VertexKind.T_JUNCTION:
-                s, t = v.position_float()
+                s, t = after.vertex(vid).position_float()
                 diags.append(f"T-vertex at ({s}, {t}) on interior edge of group {g.members}")
     for i in range(len(group_child_rects)):
         for j in range(i + 1, len(group_child_rects)):

@@ -257,14 +257,27 @@ def _cell_blocks(space, geometry, q, neumann=()):
     Gauss points run u-major (point a*q + b sits at u = x_a, v = x_b);
     `neumann` lists the boundary segments whose edge pieces each block
     carries.  Raises RuntimeError naming the first cell with a singular
-    Jacobian at one of its points.
+    Jacobian at one of its points, and ValueError at the first point whose
+    det J has the sign opposite to the walk's first point: the map folds
+    there.  A map may reverse orientation as a whole.
     """
     x, w = _gauss01(q)
-    grid = _bernstein_tables(np.repeat(x, q)[None], np.tile(x, q)[None])
+    u, v = np.repeat(x, q), np.tile(x, q)
+    grid = _bernstein_tables(u[None], v[None])
     weights = np.outer(w, w).ravel()
     active = space.mesh.active_cells()
+    sign = 0.0
     for sl in _blocks(len(active)):
-        yield _CellBlock(space, geometry, active[sl], grid, weights, (x, w), neumann)
+        blk = _CellBlock(space, geometry, active[sl], grid, weights, (x, w), neumann)
+        det = blk.grid.det
+        sign = sign or np.sign(det[0, 0])
+        folded = det * sign < 0
+        if folded.any():
+            c, k = np.unravel_index(np.argmax(folded), det.shape)
+            raise ValueError(
+                f"geometry folds over cell {blk.cells[c]}: det J = {det[c, k]:.3g} at "
+                f"({blk.s0[c] + blk.width[c] * u[k]:.6g}, {blk.t0[c] + blk.height[c] * v[k]:.6g})")
+        yield blk
 
 
 def _boundary_edges(mesh, cids):

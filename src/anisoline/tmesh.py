@@ -14,53 +14,50 @@ level-0 knot span.  Cells and vertices store it as an integer *lattice
 coordinate* per axis: X = k * 2**LATTICE_DEPTH + j is the point j / 2**D of
 the way through span k (the last knot is n * 2**D), and a split cuts at
 (X0 + X1) >> 1.  The map from lattice coordinates to values is strictly
-increasing, so equality, ordering and hashing of coordinates (adjacency,
-vertex kinds, the position index) run on plain ints.  A split
-that would halve a cell one lattice unit wide raises
-:class:`LatticeDepthError`; the D-th halving of a span is still exact.
+increasing, so equality and ordering of coordinates (adjacency, vertex
+kinds, the cut lookup) run on plain ints.  A split that would halve a cell
+one lattice unit wide raises :class:`LatticeDepthError`; the D-th halving
+of a span is still exact.
 
-One rule states the geometry of a split (:func:`cut_rule`): a cell's
-children by s and t side, and the lattice points its new edges cut
-through, with the edge directions they add at each.  Every vertex carries
-a mask of its incident edge directions (+s, -s, +t, -t); the level-0 grid
-sets it and :meth:`TMesh.split_cell` ORs in the bits of each cut, since
-a split only adds edges and only at its cut points.  Vertex kinds are
-lookups in the mask, and basis vertices and the dimension one batched
-lookup over every vertex's mask and position; :meth:`TMesh.validate`
-re-derives every mask from the incident cells as an independent check.
+One rule states the geometry of a split (:func:`cut_rule`), for a batch of
+cells: children by s and t side, and the lattice points the new edges cut
+through, with the edge directions they add at each.  Every vertex
+carries a mask of its incident edge directions (+s, -s, +t, -t); the
+level-0 grid sets it and :meth:`TMesh.split_many` ORs in the bits of each
+cut, since a split only adds edges and only at its cut points.  Vertex
+kinds are lookups in the mask, batched over every vertex for the basis
+vertices and the dimension; :meth:`TMesh.validate` re-derives every mask
+from the incident cells as an independent check.
 
-Vertex-cell incidence is derived, not stored: one batched pass per mesh
-state, on the first query after a split.  Cells have integer bounds, so the
-active cells whose closure holds vertex (i, j) are the cells that hold the
-lattice points (i - a, j - b), a, b in {0, 1}, inside the domain, under the
-half-open rule.  The pass finds them with the descent of point location on
-exact integers and keeps CSR in both orders (:meth:`TMesh.vertex_cells`,
-:meth:`TMesh.cell_vertices`).
-
-Data that never changes sits in numpy tables, built on first use and
-extended as cells and vertices are made, for the evaluation kernel and the
-level advance to read by slicing: per cell id the lattice bounds, corner
-vertex ids, float sizes (:meth:`TMesh.cell_table`) and float bounds
-(:meth:`TMesh.cell_bounds`), per vertex id the lattice position
-(:meth:`TMesh.vertex_table`).
+The mesh is its tables.  A cell is a row of numpy columns by id: lattice
+bounds, corner vertex ids, float sizes and bounds, the smallest floats >=
+its low bounds, level, parent, children by slot and split label.  A vertex
+is one row: lattice position, float position, level and direction mask.
+A split appends the rows of the cells and vertices it makes into new
+arrays, so a copy shares every column but the three a split writes in
+place (children, labels, masks); :meth:`TMesh.cell` and
+:meth:`TMesh.vertex` return views of one row.  Positions live in the
+vertex table only: a cut point on a cell's side is a vertex already
+exactly when it is a corner of the active cell just across that side,
+which the descent of point location finds.  Vertex-cell incidence is
+derived in one batched pass per mesh state, on the first query after a
+split: the active cells whose closure holds vertex (i, j) are those that
+hold the lattice points (i - a, j - b), a, b in {0, 1}, inside the domain,
+found by the same descent, kept as CSR in both orders.
 
 The level-0 knots stay exact :class:`fractions.Fraction` values, in one
 axis table per direction (:class:`Axis`) shared by a mesh and its copies.
-The table derives the exact value and the float of a lattice coordinate
-once, on first request, and caches both; `Cell.s0 .. t1`, `Vertex.s`,
-`Vertex.t` and the JSON format read exact values through it.  A cell's
-width is a power-of-two fraction of its span's, so its float is the
-span's float width times that power of two, with no rounding.
+It caches the exact value of each lattice coordinate the views and the
+JSON format read, and derives floats and location thresholds in integer
+arithmetic: a split, once per distinct new coordinate, never from float
+midpoints.  A cell's float width is its span's times a power of two.
 
-Point location (:meth:`TMesh.locate_many`) takes float parameters and
-compares them against float thresholds only: every level-0 knot and every
-split midpoint is stored as the smallest float >= its exact value.  For a
-float s and a rational m, ``s >= m`` holds exactly when s is at least the
-smallest float >= m, because s is itself a float; so the float comparison
-reproduces the exact half-open rule on any knots, dyadic or not (on a
-three-cell grid the float nearest 1/3 lies below 1/3 and stays in the
-left cell).  The domain's far edges are stored as the largest float <=
-each edge, for the same reason.
+Point location (:meth:`TMesh.locate_many`) compares float parameters
+against the smallest float >= each level-0 knot and split midpoint: for a
+float s and a rational m, ``s >= m`` exactly when s is at least the
+smallest float >= m, so the exact half-open rule holds on any knots (the
+float nearest 1/3 lies below 1/3 and stays in the left cell).  The far
+edges are the largest floats <= them, for the same reason.
 """
 
 from __future__ import annotations
@@ -71,6 +68,7 @@ from bisect import bisect_right
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +80,9 @@ __all__ = [
 ]
 
 SPLIT_KINDS = ("H", "V", "C")
+_KIND_CODE = {kind: code for code, kind in enumerate(SPLIT_KINDS)}
+# the label column: 0 for a cell never split, else the kind's code + 1
+_LABELS = (None,) + SPLIT_KINDS
 
 # halvings of a level-0 span the lattice resolves
 LATTICE_DEPTH = 32
@@ -98,36 +99,71 @@ _ALONG_S, _ALONG_T, _ALL = _PLUS_S | _MINUS_S, _PLUS_T | _MINUS_T, 15
 # the number of directions in each mask
 _DIRECTION_COUNT = np.array([m.bit_count() for m in range(16)], dtype=np.int8)
 
+# each split kind on a cell's grid (see `cut_rule`): its children (slot,
+# s0, s1, t0, t1) in child order and its cut points (column, row, bits)
+_H_CUTS = ((0, 1, _ALONG_T | _PLUS_S), (2, 1, _ALONG_T | _MINUS_S))
+_V_CUTS = ((1, 0, _ALONG_S | _PLUS_T), (1, 2, _ALONG_S | _MINUS_T))
+_RULE = {
+    "H": (((0, 0, 2, 0, 1), (2, 0, 2, 1, 2)), _H_CUTS),
+    "V": (((0, 0, 1, 0, 2), (1, 1, 2, 0, 2)), _V_CUTS),
+    "C": (((0, 0, 1, 0, 1), (1, 1, 2, 0, 1), (2, 0, 1, 1, 2), (3, 1, 2, 1, 2)),
+          _H_CUTS + _V_CUTS + ((1, 1, _ALL),)),
+}
+_CHILD_RULE, _CUT_RULE = ([np.array(_RULE[kind][part], dtype=np.int64) for kind in SPLIT_KINDS]
+                          for part in (0, 1))
 
-def cut_rule(bounds, kind):
-    """Geometry of splitting the lattice rectangle `bounds` = (i0, i1, j0, j1).
 
-    Returns (children, cuts).  `children` holds (slot, child bounds) in
-    child order; slot is s side + 2 * t side, 0 low and 1 high.  `cuts`
-    holds ((i, j), bits) for each lattice point the new edges cut through,
-    with the edge directions they add there: a side midpoint gets both
-    directions along the side and the inward one, the centre of a 'C'
-    split all four.
+def _ranges(lo, hi):
+    """range(lo[k], hi[k]) for every k, concatenated into one int array."""
+    n = hi - lo
+    return np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+
+
+def _rows_by_kind(rule, codes):
+    """(owner, rows): the rows of `rule` (one array per split kind) for
+    each kind code of `codes` in turn, owner the position in `codes`."""
+    sizes = np.array([len(r) for r in rule])
+    start, n = (np.cumsum(sizes) - sizes)[codes], sizes[codes]
+    return np.repeat(np.arange(len(codes)), n), np.concatenate(rule)[_ranges(start, start + n)]
+
+
+def cut_rule(bounds, kinds):
+    """Geometry of splitting the lattice rectangles `bounds` (n, 4), rows
+    (i0, i1, j0, j1), row k by split kind kinds[k] ('H', 'V' or 'C').
+
+    Returns (grid, children, cuts), rectangle by rectangle.  grid (n, 2,
+    3) holds the grid columns i0, (i0 + i1) >> 1, i1 and rows j0, (j0 +
+    j1) >> 1, j1.  children = (owner, slot, box): the rectangle's row, s
+    side + 2 * t side (0 low, 1 high), and (s0, s1, t0, t1) as grid
+    indices, in child order.  cuts = (owner, point, bits): the grid points
+    (column, row) the new edges cut through and the edge directions they
+    add there, both along the side and inward at a side midpoint, all four
+    at the centre of a 'C' split.
     """
-    i0, i1, j0, j1 = bounds
-    im, jm = (i0 + i1) >> 1, (j0 + j1) >> 1
-    s_sides = ((i0, i1),) if kind == "H" else ((i0, im), (im, i1))
-    t_sides = ((j0, j1),) if kind == "V" else ((j0, jm), (jm, j1))
-    children = [(a + 2 * b, (s0, s1, t0, t1))
-                for b, (t0, t1) in enumerate(t_sides)
-                for a, (s0, s1) in enumerate(s_sides)]
-    cuts = []
-    if kind != "V":
-        cuts += (((i0, jm), _ALONG_T | _PLUS_S), ((i1, jm), _ALONG_T | _MINUS_S))
-    if kind != "H":
-        cuts += (((im, j0), _ALONG_S | _PLUS_T), ((im, j1), _ALONG_S | _MINUS_T))
-    if kind == "C":
-        cuts.append(((im, jm), _ALL))
-    return children, cuts
+    b = np.asarray(bounds, dtype=np.int64).reshape(-1, 4)
+    lo, hi = b[:, ::2], b[:, 1::2]
+    grid = np.stack([lo, (lo + hi) >> 1, hi], axis=-1)
+    codes = np.array([_KIND_CODE[kind] for kind in kinds], dtype=np.intp)
+    owner, rows = _rows_by_kind(_CHILD_RULE, codes)
+    cut_owner, cut_rows = _rows_by_kind(_CUT_RULE, codes)
+    return grid, (owner, rows[:, 0], rows[:, 1:]), (cut_owner, cut_rows[:, :2], cut_rows[:, 2])
 
 
-# the slots of each split kind's children, in child order
-_CHILD_SLOTS = {kind: [slot for slot, _ in cut_rule((0, 2, 0, 2), kind)[0]] for kind in SPLIT_KINDS}
+def _unique_rows(rows):
+    """(first, inverse) of the distinct rows of an int array (k, 2), as
+    np.unique(axis=0) gives them, by a stable lexsort in its place."""
+    order = np.lexsort(rows.T[::-1])
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    return order[head], inverse
+
+
+def _per_owner(values, owner, n):
+    """Tuples of `values` (grouped by `owner`, ascending) for owners 0 .. n-1."""
+    it = iter(values.tolist())
+    return [tuple(islice(it, k)) for k in np.bincount(owner, minlength=n).tolist()]
 
 
 class VertexKind(Enum):
@@ -145,59 +181,60 @@ class AdjacencyKind(Enum):
 
 class Axis:
     """The exact level-0 knots of one direction and the values of lattice
-    coordinates on them.
-
-    `end` is the lattice coordinate of the last knot.  Exact values, floats
-    and location thresholds are derived once per coordinate and cached.
-    """
+    coordinates on them; `end` is the lattice coordinate of the last knot.
+    Exact values are cached; floats come from integer arithmetic."""
 
     def __init__(self, knots):
         self.knots = knots
         self.end = (len(knots) - 1) * _SPAN
         self._span_float = np.array([float(b - a) for a, b in zip(knots, knots[1:])])
         self._exact = {}
-        self._float = {}
-        self._at_least = {}
 
     def exact(self, x):
         """Exact Fraction value of lattice coordinate x."""
         v = self._exact.get(x)
         if v is None:
-            k, j = divmod(x, _SPAN)
-            v = self.knots[k]
-            if j:
-                v += (self.knots[k + 1] - v) * Fraction(j, _SPAN)
-            self._exact[x] = v
+            v = self._exact[x] = Fraction(*self._ratio(x))
         return v
 
-    def float(self, x):
-        """float() of the exact value of x."""
-        f = self._float.get(x)
-        if f is None:
-            f = self._float[x] = float(self.exact(x))
-        return f
+    def _ratio(self, x):
+        """(numerator, denominator > 0) of the exact value of x, unreduced."""
+        k, j = divmod(x, _SPAN)
+        a = self.knots[k]
+        if not j:
+            return a.numerator, a.denominator
+        b = self.knots[k + 1]
+        num = a.numerator * b.denominator
+        return (num * _SPAN + (b.numerator * a.denominator - num) * j,
+                a.denominator * b.denominator * _SPAN)
 
-    def length(self, x0, x1):
-        """float() of the exact length from x0 to x1, for x0 < x1 in one
-        span with x1 - x0 a power of two (the extent of a cell): the span's
-        float width times a power of two, so no rounding.  x0 and x1 are
-        ints or int64 arrays of one shape."""
-        return self._span_float[x0 >> LATTICE_DEPTH] * ((x1 - x0) / _SPAN)
+    def float(self, x):
+        """float() of the exact value of x (int true division rounds
+        correctly)."""
+        num, den = self._ratio(x)
+        return num / den
+
+    def _rounded(self, x, toward):
+        """The float of x if it lies on the side `toward` (+-inf) of the
+        exact value, else its neighbor there."""
+        num, den = self._ratio(x)
+        f = num / den
+        p, q = f.as_integer_ratio()
+        above = p * den - num * q        # the sign of f - x
+        return f if above == 0 or (above > 0) == (toward > 0) else math.nextafter(f, toward)
 
     def float_at_least(self, x):
         """Smallest float >= the exact value of x."""
-        f = self._at_least.get(x)
-        if f is None:
-            f = self.float(x)
-            if f < self.exact(x):
-                f = math.nextafter(f, math.inf)
-            self._at_least[x] = f
-        return f
+        return self._rounded(x, math.inf)
 
     def float_at_most(self, x):
         """Largest float <= the exact value of x."""
-        f = self.float(x)
-        return f if f <= self.exact(x) else math.nextafter(f, -math.inf)
+        return self._rounded(x, -math.inf)
+
+    def length(self, x0, x1):
+        """float() of the exact extent from x0 to x1 of a cell (ints or int64
+        arrays): the span's float width times a power of two, no rounding."""
+        return self._span_float[x0 >> LATTICE_DEPTH] * ((x1 - x0) / _SPAN)
 
     def coordinate(self, value):
         """Lattice coordinate of an exact value, or None off the lattice."""
@@ -211,104 +248,79 @@ class Axis:
         return k * _SPAN + r.numerator if r.denominator == 1 else None
 
 
+def _floats(axis, x):
+    """`Axis.float` and `Axis.float_at_least` of the lattice coordinates
+    x (an int array), each distinct coordinate derived once."""
+    values, inverse = np.unique(x, return_inverse=True)
+    values = values.tolist()
+    return (np.array([axis.float(v) for v in values], dtype=float)[inverse],
+            np.array([axis.float_at_least(v) for v in values], dtype=float)[inverse])
+
+
 class Vertex:
-    """A grid point at lattice coordinates (i, j).  `level` is the level at
-    which it first appeared; `axes` are the mesh's axis tables."""
+    """A view of one row of a mesh's vertex columns: the grid point at
+    lattice coordinates (i, j), made at level `level`."""
 
-    __slots__ = ("id", "i", "j", "level", "axes")
+    __slots__ = ("mesh", "id")
 
-    def __init__(self, vid, i, j, level, axes):
-        self.id = vid
-        self.i = i
-        self.j = j
-        self.level = level
-        self.axes = axes
+    def __init__(self, mesh, vid):
+        self.mesh, self.id = mesh, vid
 
-    @property
-    def s(self):
-        return self.axes[0].exact(self.i)
-
-    @property
-    def t(self):
-        return self.axes[1].exact(self.j)
-
-    @property
-    def position(self):
-        return (self.s, self.t)
+    axes = property(lambda self: self.mesh.axes)
+    i = property(lambda self: int(self.mesh._vtable[self.id, 0]))
+    j = property(lambda self: int(self.mesh._vtable[self.id, 1]))
+    level = property(lambda self: int(self.mesh._vlevel[self.id]))
+    s = property(lambda self: self.axes[0].exact(self.i))
+    t = property(lambda self: self.axes[1].exact(self.j))
+    position = property(lambda self: (self.s, self.t))
 
     def position_float(self):
-        return (self.axes[0].float(self.i), self.axes[1].float(self.j))
+        return tuple(self.mesh._vfloat[self.id].tolist())
 
     def __repr__(self):
         return f"Vertex({self.id}, s={self.s}, t={self.t}, level={self.level})"
 
 
 class Cell:
-    """A rectangular cell.  Active cells have no children.
+    """A view of one row of a mesh's cell columns: a rectangle with lattice
+    bounds i0 < i1 along s and j0 < j1 along t, whose exact values are `s0`,
+    `s1`, `t0`, `t1`, `width` and `height`.  Active cells have no children."""
 
-    The bounds are lattice coordinates i0 < i1 along s and j0 < j1 along
-    t; `s0`, `s1`, `t0`, `t1`, `width` and `height` are their exact values,
-    read through the mesh's axis tables `axes`.
-    """
+    __slots__ = ("mesh", "id")
 
-    __slots__ = ("id", "i0", "i1", "j0", "j1", "level", "parent", "children", "label", "axes")
+    def __init__(self, mesh, cid):
+        self.mesh, self.id = mesh, cid
 
-    def __init__(self, cid, i0, i1, j0, j1, level, parent, axes):
-        self.id = cid
-        self.i0 = i0
-        self.i1 = i1
-        self.j0 = j0
-        self.j1 = j1
-        self.level = level
-        self.parent = parent
-        self.children = ()
-        self.label = None
-        self.axes = axes
-
-    @property
-    def active(self):
-        return not self.children
-
-    @property
-    def s0(self):
-        return self.axes[0].exact(self.i0)
+    axes = property(lambda self: self.mesh.axes)
+    lattice_bounds = property(lambda self: tuple(self.mesh._lattice[self.id].tolist()))
+    i0 = property(lambda self: int(self.mesh._lattice[self.id, 0]))
+    i1 = property(lambda self: int(self.mesh._lattice[self.id, 1]))
+    j0 = property(lambda self: int(self.mesh._lattice[self.id, 2]))
+    j1 = property(lambda self: int(self.mesh._lattice[self.id, 3]))
+    level = property(lambda self: int(self.mesh._level[self.id]))
+    parent = property(lambda self: int(self.mesh._parent[self.id]) if self.level else None)
+    label = property(lambda self: _LABELS[self.mesh._label[self.id]])
+    active = property(lambda self: bool(self.mesh._kids[self.id, 0] < 0))
+    s0 = property(lambda self: self.axes[0].exact(self.i0))
+    s1 = property(lambda self: self.axes[0].exact(self.i1))
+    t0 = property(lambda self: self.axes[1].exact(self.j0))
+    t1 = property(lambda self: self.axes[1].exact(self.j1))
+    bounds = property(lambda self: (self.s0, self.s1, self.t0, self.t1))
+    width = property(lambda self: self.s1 - self.s0)
+    height = property(lambda self: self.t1 - self.t0)
 
     @property
-    def s1(self):
-        return self.axes[0].exact(self.i1)
-
-    @property
-    def t0(self):
-        return self.axes[1].exact(self.j0)
-
-    @property
-    def t1(self):
-        return self.axes[1].exact(self.j1)
-
-    @property
-    def bounds(self):
-        return (self.s0, self.s1, self.t0, self.t1)
-
-    @property
-    def lattice_bounds(self):
-        return (self.i0, self.i1, self.j0, self.j1)
+    def children(self):
+        """Child ids in child order; () for an active cell."""
+        code = self.mesh._label[self.id]
+        return tuple(self.mesh._kids[self.id, _CHILD_RULE[code - 1][:, 0]].tolist()) if code else ()
 
     def bounds_float(self):
-        sa, ta = self.axes
-        return (sa.float(self.i0), sa.float(self.i1), ta.float(self.j0), ta.float(self.j1))
+        return tuple(self.mesh._bounds[self.id].tolist())
 
     def size_float(self):
         """float() of the exact width and height."""
-        return (float(self.axes[0].length(self.i0, self.i1)),
-                float(self.axes[1].length(self.j0, self.j1)))
-
-    @property
-    def width(self):
-        return self.s1 - self.s0
-
-    @property
-    def height(self):
-        return self.t1 - self.t0
+        return tuple(self.mesh._sizes[self.id].tolist())
 
     def area(self):
         return self.width * self.height
@@ -316,16 +328,9 @@ class Cell:
     def contains_point(self, s, t):
         return self.s0 <= s <= self.s1 and self.t0 <= t <= self.t1
 
-    def copy(self):
-        c = Cell(self.id, self.i0, self.i1, self.j0, self.j1, self.level, self.parent, self.axes)
-        c.children = self.children
-        c.label = self.label
-        return c
-
     def __repr__(self):
-        b = self.bounds_float()
-        state = "Subdivided" if self.children else "Active"
-        return f"Cell({self.id}, {b}, level={self.level}, {state})"
+        state = "Active" if self.active else "Subdivided"
+        return f"Cell({self.id}, {self.bounds_float()}, level={self.level}, {state})"
 
 
 class CellTable(NamedTuple):
@@ -336,16 +341,8 @@ class CellTable(NamedTuple):
     sizes: np.ndarray                # (n, 2) float width and height, as `Cell.size_float`
 
 
-_NO_CELLS = CellTable(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4), dtype=np.intp),
-                      np.zeros((0, 2)))
 # an s (t) midpoint that no point reaches, for a cell not cut across s (t)
 _NEVER = np.iinfo(np.int64).max
-
-
-def _ranges(lo, hi):
-    """range(lo[k], hi[k]) for every k, concatenated into one int array."""
-    n = hi - lo
-    return np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
 
 
 def _descend(kids, s, t, s_cuts, t_cuts, s_mid, t_mid):
@@ -366,11 +363,8 @@ def _descend(kids, s, t, s_cuts, t_cuts, s_mid, t_mid):
 
 class TMesh:
     """Leveled T-mesh with exact coordinates and full subdivision history.
-
-    The mesh is a value: reading is safe from any number of threads, while
-    :meth:`split_cell` requires exclusive access.  Use :meth:`copy` to build
-    a modified version without touching the original.
-    """
+    Reading is safe from any number of threads, while :meth:`split_many`
+    needs exclusive access; :meth:`copy` leaves the original untouched."""
 
     def __init__(self, s_knots, t_knots):
         s_knots = [Fraction(x) for x in s_knots]
@@ -384,54 +378,52 @@ class TMesh:
         self.domain = (s_knots[0], s_knots[-1], t_knots[0], t_knots[-1])
         self.current_level = 0
         self.generation_log = []
+        self._locator = self._incidence = None
 
-        self._cells = {}
-        self._active = set()
-        self._verts = {}
-        self._vpos = {}
-        # vertex id -> edge-direction mask; not a Vertex field, because
-        # copies of a mesh share its Vertex objects
-        self._dirs = bytearray()
-        self._next_cell = 0
-        self._next_vert = 0
-        self._locator = None
-        self._incidence = None
-        self._table = _NO_CELLS
-        self._bounds = np.zeros((0, 4))
-        self._vtable = np.zeros((0, 2), dtype=np.int64)
-
-        s_lines = [k * _SPAN for k in range(len(s_knots))]
-        t_lines = [k * _SPAN for k in range(len(t_knots))]
-        for j0, j1 in zip(t_lines, t_lines[1:]):
-            for i0, i1 in zip(s_lines, s_lines[1:]):
-                self._new_cell(i0, i1, j0, j1, 0, None)
-        s_end, t_end = s_lines[-1], t_lines[-1]
-        for j in t_lines:
-            for i in s_lines:
-                vid = self._get_or_make_vertex(i, j, 0)
-                self._dirs[vid] = (_PLUS_S * (i < s_end) | _MINUS_S * (i > 0)
-                                   | _PLUS_T * (j < t_end) | _MINUS_T * (j > 0))
+        # cells row by row and vertices line by line, s fastest: cell
+        # (a, b) has the corner vertex b * (ns + 1) + a at its low end
+        ns, nt = len(s_knots) - 1, len(t_knots) - 1
+        a, b = np.tile(np.arange(ns), nt), np.repeat(np.arange(nt), ns)
+        sf, tf, s_least, t_least = (
+            np.array([fn(axis, x) for x in range(0, axis.end + 1, _SPAN)])
+            for fn in (Axis.float, Axis.float_at_least) for axis in self.axes)
+        self._append_cells(np.stack([a, a + 1, b, b + 1], axis=1) * _SPAN,
+                           (b * (ns + 1) + a)[:, None] + np.array([0, 1, ns + 1, ns + 2]),
+                           np.stack([sf[a], sf[a + 1], tf[b], tf[b + 1]], axis=1),
+                           np.stack([s_least[a], t_least[b]], axis=1), 0, np.full(len(a), -1))
+        i, j = np.tile(np.arange(ns + 1), nt + 1), np.repeat(np.arange(nt + 1), ns + 1)
+        self._append_vertices(np.stack([i, j], axis=1) * _SPAN, np.stack([sf[i], tf[j]], axis=1), 0)
+        self._dirs[:] = (_PLUS_S * (i < ns) | _MINUS_S * (i > 0)
+                         | _PLUS_T * (j < nt) | _MINUS_T * (j > 0))
 
     # ------------------------------------------------------------------
     # construction internals
 
-    def _new_cell(self, i0, i1, j0, j1, level, parent):
-        cid = self._next_cell
-        self._next_cell += 1
-        self._cells[cid] = Cell(cid, i0, i1, j0, j1, level, parent, self.axes)
-        self._active.add(cid)
-        return cid
+    _next_cell = property(lambda self: len(self._level))
+    _next_vert = property(lambda self: len(self._vlevel))
 
-    def _get_or_make_vertex(self, i, j, level):
-        key = (i, j)
-        vid = self._vpos.get(key)
-        if vid is None:
-            vid = self._next_vert
-            self._next_vert += 1
-            self._verts[vid] = Vertex(vid, i, j, level, self.axes)
-            self._vpos[key] = vid
-            self._dirs.append(0)
-        return vid
+    def _grow(self, **rows):
+        """Append rows to the named columns (or make them), each into a new
+        array, so a copy that shares a column keeps it as it was."""
+        for name, new in rows.items():
+            old = self.__dict__.get(name)
+            setattr(self, name, new if old is None else np.concatenate([old, new]))
+
+    def _append_cells(self, lattice, corners, bounds, at_least, level, parent):
+        """Append active cells, their columns as in the module docstring."""
+        n, (sa, ta) = len(lattice), self.axes
+        sizes = np.stack([sa.length(lattice[:, 0], lattice[:, 1]),
+                          ta.length(lattice[:, 2], lattice[:, 3])], axis=1)
+        self._grow(_lattice=lattice, _corners=corners, _sizes=sizes, _bounds=bounds,
+                   _at_least=at_least, _level=np.full(n, level, dtype=np.int64), _parent=parent,
+                   _kids=np.full((n, 4), -1, dtype=np.int64), _label=np.zeros(n, dtype=np.int8))
+
+    def _append_vertices(self, ij, xy, level):
+        """Append vertices at lattice positions ij (k, 2) and float
+        positions xy (k, 2), with empty masks; returns the first new id."""
+        self._grow(_vtable=ij, _vfloat=xy, _vlevel=np.full(len(ij), level, dtype=np.int64),
+                   _dirs=np.zeros(len(ij), dtype=np.uint8))
+        return self._next_vert - len(ij)
 
     def _on_domain_boundary(self, i, j):
         return i == 0 or j == 0 or i == self.axes[0].end or j == self.axes[1].end
@@ -441,133 +433,103 @@ class TMesh:
 
     def copy(self):
         m = object.__new__(TMesh)
-        m.axes = self.axes
-        m.domain = self.domain
-        m.current_level = self.current_level
+        m.__dict__.update(self.__dict__)
         m.generation_log = list(self.generation_log)
-        m._cells = {cid: c.copy() for cid, c in self._cells.items()}
-        m._active = set(self._active)
-        m._verts = self._verts.copy()
-        m._vpos = dict(self._vpos)
-        m._dirs = bytearray(self._dirs)
-        m._next_cell = self._next_cell
-        m._next_vert = self._next_vert
+        # a split writes these in place; the others grow into new arrays
+        m._kids, m._label, m._dirs = self._kids.copy(), self._label.copy(), self._dirs.copy()
         m._locator = m._incidence = None
-        # rows are never written, only appended to a new array: share them
-        m._table = self._table
-        m._bounds = self._bounds
-        m._vtable = self._vtable
         return m
 
     # ------------------------------------------------------------------
     # queries
 
     def cell(self, cid):
-        try:
-            return self._cells[cid]
-        except KeyError:
-            raise KeyError(f"unknown cell id {cid}") from None
+        if not 0 <= cid < self._next_cell:
+            raise KeyError(f"unknown cell id {cid}")
+        return Cell(self, int(cid))
 
     def vertex(self, vid):
-        try:
-            return self._verts[vid]
-        except KeyError:
-            raise KeyError(f"unknown vertex id {vid}") from None
+        if not 0 <= vid < self._next_vert:
+            raise KeyError(f"unknown vertex id {vid}")
+        return Vertex(self, int(vid))
+
+    def vertices_at(self, ij):
+        """Ids of the vertices at lattice positions ij (k, 2), -1 where
+        there is none: one batched search of `vertex_table`."""
+        table = self._vtable
+        both = np.concatenate([table, np.asarray(ij, dtype=np.int64).reshape(-1, 2)])
+        first, inverse = _unique_rows(both)
+        hit = first[inverse[len(table):]]
+        return np.where(hit < len(table), hit, -1)
 
     def vertex_at(self, s, t):
         """Vertex id at an exact position, or None."""
         i, j = self.axes[0].coordinate(s), self.axes[1].coordinate(t)
         if i is None or j is None:
             return None
-        return self._vpos.get((i, j))
+        hit = np.flatnonzero((self._vtable == (i, j)).all(axis=1))
+        return int(hit[0]) if hit.size else None
 
     def corner_vertices(self, cid):
         """Vertex ids at a cell's corners: (s0, t0), (s1, t0), (s0, t1), (s1, t1)."""
-        c = self.cell(cid)
-        vpos = self._vpos
-        return (vpos[c.i0, c.j0], vpos[c.i1, c.j0], vpos[c.i0, c.j1], vpos[c.i1, c.j1])
+        self.cell(cid)
+        return tuple(self._corners[cid].tolist())
 
     def cell_table(self):
-        """The `CellTable` of every cell made so far.
-
-        Built on first use and extended by the cells made since, never
-        rebuilt: a cell's bounds and corners do not change.  Copies share
-        the rows they have in common.
-        """
-        table = self._table
-        first = len(table.lattice)
-        if first < self._next_cell:
-            lattice = np.array([self._cells[cid].lattice_bounds
-                                for cid in range(first, self._next_cell)], dtype=np.int64)
-            vpos = self._vpos
-            corners = np.array([(vpos[i0, j0], vpos[i1, j0], vpos[i0, j1], vpos[i1, j1])
-                                for i0, i1, j0, j1 in lattice.tolist()], dtype=np.intp)
-            sa, ta = self.axes
-            sizes = np.stack([sa.length(lattice[:, 0], lattice[:, 1]),
-                              ta.length(lattice[:, 2], lattice[:, 3])], axis=1)
-            table = self._table = CellTable(*(np.concatenate(pair) for pair in
-                                              zip(table, (lattice, corners, sizes))))
-        return table
+        """The `CellTable` of every cell made so far.  Its rows never
+        change, so copies share the rows they have in common."""
+        return CellTable(self._lattice, self._corners, self._sizes)
 
     def cell_bounds(self):
-        """Float bounds (n, 4), as `Cell.bounds_float`, of every cell made
-        so far, by id; built and extended as `cell_table`."""
-        bounds = self._bounds
-        if len(bounds) < self._next_cell:
-            sa, ta = self.axes
-            fresh = [(sa.float(i0), sa.float(i1), ta.float(j0), ta.float(j1))
-                     for i0, i1, j0, j1 in self.cell_table().lattice[len(bounds):].tolist()]
-            bounds = self._bounds = np.concatenate([bounds, fresh])
-        return bounds
+        """Float bounds (n, 4) of every cell made so far, as `Cell.bounds_float`."""
+        return self._bounds
 
     def vertex_table(self):
-        """Lattice positions (n, 2) int64, (i, j), of every vertex made so
-        far, by id; built and extended as `cell_table`."""
-        table = self._vtable
-        if len(table) < self._next_vert:
-            fresh = [(v.i, v.j) for v in map(self._verts.get, range(len(table), self._next_vert))]
-            table = self._vtable = np.concatenate([table, np.array(fresh, dtype=np.int64)])
-        return table
+        """Lattice positions (n, 2) int64, (i, j), of every vertex made so far."""
+        return self._vtable
+
+    def vertex_floats(self):
+        """Float positions (n, 2) of every vertex made so far, as `Vertex.position_float`."""
+        return self._vfloat
 
     def active_cells(self):
-        return sorted(self._active)
+        return np.flatnonzero(self._kids[:, 0] < 0).tolist()
 
     def cells_of_level(self, level):
-        return sorted(cid for cid in self._active if self._cells[cid].level == level)
+        return np.flatnonzero((self._kids[:, 0] < 0) & (self._level == level)).tolist()
 
     def vertices(self):
-        return sorted(self._verts)
+        return list(range(self._next_vert))
 
     def vertex_cells(self, vid):
         """Ids of active cells whose closed boundary contains the vertex, ascending."""
-        self.vertex(vid)
         start, cells, _, _ = self._incidences()
+        if not 0 <= vid < len(start) - 1:
+            self.vertex(vid)                    # raises the KeyError
         return cells[start[vid]:start[vid + 1]]
 
     def cell_vertices(self, cid):
         """Ids of vertices on the closed boundary of an active cell, ascending."""
-        self._active_cell(cid)
         _, _, start, verts = self._incidences()
+        if not (0 <= cid < len(start) - 1 and start[cid] < start[cid + 1]):
+            self._active_cell(cid)              # raises the KeyError or ValueError
         return verts[start[cid]:start[cid + 1]]
 
     def _active_cell(self, cid):
         c = self.cell(cid)
-        if c.children:
+        if not c.active:
             raise ValueError(f"cell {cid} is not active")
         return c
 
     def _incidences(self):
-        """(cell_start, cells, vert_start, verts): the incidence CSR of this
-        mesh state in both orders, vertex v's cells at
-        cells[cell_start[v]:cell_start[v + 1]] and cell c's vertices at
-        verts[vert_start[c]:vert_start[c + 1]], ascending, as lists (faster
-        to slice per item than arrays).  Built on first use, next to the
-        same CSR as arrays for batched queries, and dropped by
-        :meth:`split_cell`."""
+        """(cell_start, cells, vert_start, verts): the incidence CSR, vertex
+        v's cells at cells[cell_start[v]:cell_start[v + 1]] and cell c's
+        vertices likewise, ascending, as lists (faster to slice per item)."""
         return self._incidence_tables()[0]
 
     def _incidence_tables(self):
-        """The incidence CSR of :meth:`_incidences` as (lists, arrays)."""
+        """The incidence CSR of :meth:`_incidences` as (lists, arrays),
+        built on first use and dropped by a split."""
         if self._incidence is None:
             _, kids, _, lattice = self._location_tables()
             vij = self.vertex_table()
@@ -591,24 +553,20 @@ class TMesh:
         v = self.vertex(vid)
         if self._on_domain_boundary(v.i, v.j):
             return VertexKind.BOUNDARY
-        n = self._dirs[vid].bit_count()
-        if n == 4:
-            return VertexKind.CROSSING
-        if n == 3:
-            return VertexKind.T_JUNCTION
-        raise ValueError(f"vertex {vid} has {n} incident edge directions; not a valid T-mesh vertex")
+        n = int(self._dirs[vid]).bit_count()
+        if n < 3:
+            raise ValueError(f"vertex {vid} has {n} incident edge directions; not a valid T-mesh vertex")
+        return VertexKind.CROSSING if n == 4 else VertexKind.T_JUNCTION
 
     def is_basis_vertex(self, vid):
         """Boundary vertices and interior crossing vertices carry basis functions."""
         return self.classify_vertex(vid) in (VertexKind.BOUNDARY, VertexKind.CROSSING)
 
     def _basis_mask(self, vids=None):
-        """`is_basis_vertex` of the vertices `vids` (an int array; every
-        vertex if None) as one bool array, read off the edge-direction masks
-        and `vertex_table` in one pass.  An interior vertex with fewer than
-        three directions raises the ValueError of `classify_vertex`."""
-        count = _DIRECTION_COUNT[np.frombuffer(self._dirs, dtype=np.uint8)]
-        pos = self.vertex_table()
+        """`is_basis_vertex` of the vertices `vids` (an int array; all if
+        None) in one pass, raising the ValueError of `classify_vertex`."""
+        count = _DIRECTION_COUNT[self._dirs]
+        pos = self._vtable
         if vids is None:
             vids = np.arange(len(pos))
         else:
@@ -626,29 +584,22 @@ class TMesh:
         c1, c2 = self._active_cell(cid1), self._active_cell(cid2)
         if cid1 == cid2:
             return AdjacencyKind.NOT_ADJACENT
-        # vertical common edge (side-by-side)
-        if c1.i1 == c2.i0 or c2.i1 == c1.i0:
-            if min(c1.j1, c2.j1) > max(c1.j0, c2.j0):
-                if c1.j0 == c2.j0 and c1.j1 == c2.j1:
-                    return AdjacencyKind.HORIZONTALLY_ALIGNED
-                return AdjacencyKind.ADJACENT_ONLY
-        # horizontal common edge (stacked)
-        if c1.j1 == c2.j0 or c2.j1 == c1.j0:
-            if min(c1.i1, c2.i1) > max(c1.i0, c2.i0):
-                if c1.i0 == c2.i0 and c1.i1 == c2.i1:
-                    return AdjacencyKind.VERTICALLY_ALIGNED
-                return AdjacencyKind.ADJACENT_ONLY
+        a0, a1, b0, b1 = c1.lattice_bounds
+        p0, p1, q0, q1 = c2.lattice_bounds
+        # a vertical common edge (side by side), then a horizontal one (stacked)
+        for touch, overlap, aligned, kind in (
+                (a1 == p0 or p1 == a0, min(b1, q1) > max(b0, q0), (b0, b1) == (q0, q1),
+                 AdjacencyKind.HORIZONTALLY_ALIGNED),
+                (b1 == q0 or q1 == b0, min(a1, p1) > max(a0, p0), (a0, a1) == (p0, p1),
+                 AdjacencyKind.VERTICALLY_ALIGNED)):
+            if touch and overlap:
+                return kind if aligned else AdjacencyKind.ADJACENT_ONLY
         return AdjacencyKind.NOT_ADJACENT
 
     def edge_neighbors(self, cid):
         """The set of active cells sharing a positive-length edge piece
-        with the active cell `cid`.
-
-        The ends of a shared piece are corners of one cell or the other, so
-        vertices on both closures, while cells that touch at a corner share
-        that vertex alone: the neighbors are the cells holding two or more
-        vertices of `cid`, counted off the incidence CSR.
-        """
+        with the active cell `cid`: the cells holding two or more of its
+        vertices (the ends of a shared piece; a corner touch shares one)."""
         vids = self.cell_vertices(cid)
         start, cells, _, _ = self._incidences()
         shared = Counter(n for vid in vids for n in cells[start[vid]:start[vid + 1]])
@@ -656,20 +607,20 @@ class TMesh:
         return {n for n, k in shared.items() if k > 1}
 
     def edge_neighbor_pairs(self, cids):
-        """The pairs (a, b), a < b, of the active cells `cids` that share a
-        positive-length edge piece, as two int arrays ordered by a and then
-        b: :meth:`edge_neighbors` within the set, in one batched pass that
-        counts the vertices each pair holds off the incidence CSR."""
+        """The pairs (a, b), a < b, of the active cells `cids` that are
+        :meth:`edge_neighbors`, as two int arrays by a and then b, in one
+        batched pass over the incidence CSR."""
         cids = np.unique(np.asarray(cids, dtype=np.intp))
-        inactive = set(cids.tolist()) - self._active
-        if inactive:
-            self._active_cell(min(inactive))
+        n = self._next_cell
+        known = (cids >= 0) & (cids < n)
+        bad = ~known | (self._kids[np.where(known, cids, 0), 0] >= 0)
+        if bad.any():
+            self._active_cell(int(cids[np.argmax(bad)]))
         cell_start, cells, vert_start, verts = self._incidence_tables()[1]
         lo, hi = vert_start[cids], vert_start[cids + 1]
         a, vids = np.repeat(cids, hi - lo), verts[_ranges(lo, hi)]
         lo, hi = cell_start[vids], cell_start[vids + 1]
         a, b = np.repeat(a, hi - lo), cells[_ranges(lo, hi)]
-        n = self._next_cell
         wanted = np.zeros(n, dtype=bool)
         wanted[cids] = True
         keep = (a < b) & wanted[b]
@@ -688,13 +639,10 @@ class TMesh:
         return int(self.locate_many(s, t))
 
     def locate_many(self, s, t):
-        """Active cells containing a batch of parameter points.
-
-        `s` and `t` are float arrays of one shape; returns an int64 array of
-        cell ids of that shape.  Points on interior grid lines resolve to the
-        cell on the +side (half-open convention); the domain's far edges
-        close the last cells.  Points outside the domain, and NaN points,
-        raise ValueError.
+        """Active cells (an int64 array) containing the points of the float
+        arrays `s` and `t`, of one shape.  Points on interior grid lines go
+        to the cell on the +side (half-open); the domain's far edges close
+        the last cells.  Points outside the domain, and NaN, raise ValueError.
         """
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -708,40 +656,44 @@ class TMesh:
         return _descend(kids, s.ravel(), t.ravel(), *floats).reshape(s.shape)
 
     def _location_tables(self):
-        """Tables of the cell hierarchy for :func:`_descend`, (bounds, kids,
-        floats, lattice), built on first use and dropped by :meth:`split_cell`.
-
-        `bounds` are the closed float domain bounds.  Row `cid` of `kids`
-        holds the children by (s side, t side) as
-        [low-low, high-low, low-high, high-high], -1 where absent (all -1
-        for an active cell).  `floats` and `lattice` each hold the level-0
-        knots between spans and the s and t split midpoints by cell, as the
-        smallest float >= the exact value and as lattice coordinates; a
-        cell not cut across s (t) has an s (t) midpoint no point reaches
-        (inf, `_NEVER`), so the point always takes the low side.
-        """
+        """(bounds, kids, floats, lattice) for :func:`_descend`, built on
+        first use and dropped by a split: the closed float domain bounds,
+        the children column by slot (-1 where none), and the level-0 knots
+        between spans and each cell's s and t split midpoints, as smallest
+        floats >= and as lattice coordinates; an uncut direction has a
+        midpoint no point reaches (inf, `_NEVER`)."""
         if self._locator is None:
-            n = self._next_cell
-            kids = np.full((n, 4), -1, dtype=np.int64)
-            rows, slots, children = [], [], []
-            for _, cid, kind in self.generation_log:
-                k = self._cells[cid].children
-                rows += [cid] * len(k)
-                slots += _CHILD_SLOTS[kind]
-                children += k
-            kids[rows, slots] = children
             # a cut's midpoint is the low bound of the child on its high side
-            lattice = self.cell_table().lattice
-            mids = [np.where(kids[:, slot] >= 0, lattice[kids[:, slot], col], _NEVER)
-                    for slot, col in ((1, 0), (2, 2))]
+            high = self._kids[:, [1, 2]]
+            cut = high >= 0
+            mids = np.where(cut, self._lattice[high, [0, 2]], _NEVER)
+            mid_floats = np.where(cut, self._at_least[high, [0, 1]], np.inf)
             cuts = [np.arange(_SPAN, a.end, _SPAN, dtype=np.int64) for a in self.axes]
-            floats = [np.array([a.float_at_least(x) if x != _NEVER else np.inf
-                                for x in c.tolist()]) for a, c in zip(self.axes * 2, cuts + mids)]
+            floats = [np.array([a.float_at_least(x) for x in c.tolist()], dtype=float)
+                      for a, c in zip(self.axes, cuts)]
             sa, ta = self.axes
             bounds = (sa.float_at_least(0), sa.float_at_most(sa.end),
                       ta.float_at_least(0), ta.float_at_most(ta.end))
-            self._locator = (bounds, kids, floats, cuts + mids)
+            self._locator = (bounds, self._kids, floats + [mid_floats[:, 0], mid_floats[:, 1]],
+                             cuts + [mids[:, 0], mids[:, 1]])
         return self._locator
+
+    def _vertices_at_cuts(self, ij, point):
+        """Ids of the vertices at the cut points ij (q, 2), grid points
+        `point` of active cells (see `cut_rule`), -1 where none.  A point on
+        a cell's side is a vertex exactly when it is a corner of the active
+        cell across it: any vertex there was cut, with an edge, from that
+        side.  Nothing is across the domain boundary or a cross's centre."""
+        probe = ij - (point == 0)
+        across = np.flatnonzero((point != 1).any(axis=1) & (probe >= 0).all(axis=1)
+                                & (probe < [a.end for a in self.axes]).all(axis=1))
+        _, kids, _, lattice = self._location_tables()
+        cells = _descend(kids, probe[across, 0], probe[across, 1], *lattice)
+        p, lo, hi = ij[across], self._lattice[cells, ::2], self._lattice[cells, 1::2]
+        corner = ((p == lo) | (p == hi)).all(axis=1)
+        vid = np.full(len(ij), -1, dtype=np.int64)
+        vid[across[corner]] = self._corners[cells[corner], (p == hi)[corner] @ [1, 2]]
+        return vid
 
     # ------------------------------------------------------------------
     # mutation
@@ -750,17 +702,89 @@ class TMesh:
         self.current_level += 1
 
     def split_cell(self, cid, kind):
-        """Subdivide an active, current-level cell in place.
+        """Subdivide an active, current-level cell in place: the one-cell
+        case of :meth:`split_many`.  Returns the tuple of child ids."""
+        return self.split_many([cid], [kind])[0][0]
 
-        kind 'H' inserts a horizontal mid edge (2 stacked children,
-        bottom first), 'V' a vertical mid edge (2 children, left first),
-        'C' a cross (4 children: bottom-left, bottom-right, top-left,
-        top-right).  Records the kind as the cell's `label` and returns
-        the tuple of child ids.  Raises LatticeDepthError when a cut would
-        halve an extent of one lattice unit.
+    def split_many(self, cids, kinds):
+        """Subdivide active, current-level cells in place, cids[k] by
+        kinds[k], with the cells, vertices and ids of splitting them one at
+        a time in the order given: 'H' inserts a horizontal mid edge (2
+        children, bottom first), 'V' a vertical one (left first), 'C' a
+        cross (bottom-left, bottom-right, top-left, top-right).  A new cut
+        vertex takes its id and the cells' level + 1 where it first appears.
+        Records each kind as the cell's `label` and in the generation log.
+        Returns (children, cuts): per cell, its child ids and the vertex ids
+        at its cut points, in `cut_rule` order.  Nothing is written unless
+        every cell can be split; the first that cannot raises (`_refuse`).
         """
+        cids, kinds = np.asarray(cids, dtype=np.int64).reshape(-1), list(kinds)
+        if len(kinds) != len(cids):
+            raise ValueError(f"{len(kinds)} split kinds for {len(cids)} cells")
+        n = len(cids)
+        codes = self._check_split(cids, kinds)
+        grid, (owner, slot, box), (cut_owner, point, bits) = cut_rule(self._lattice[cids], kinds)
+        ij = grid[cut_owner[:, None], [0, 1], point]
+        vid = self._vertices_at_cuts(ij, point)
+        # float grid columns and rows, and the smallest floats >= the low
+        # and middle ones, from each distinct new midpoint
+        floats = np.full((n, 2, 3), np.nan)
+        floats[:, :, ::2] = self._bounds[cids].reshape(n, 2, 2)
+        least = np.stack([self._at_least[cids], np.full((n, 2), np.nan)], axis=-1)
+        for a, axis in enumerate(self.axes):
+            k = np.flatnonzero(codes != a)      # 'H' cuts no s midpoint, 'V' no t midpoint
+            floats[k, a, 1], least[k, a, 1] = _floats(axis, grid[k, a, 1])
+        # the missing cut points become vertices in order of first appearance
+        miss = np.flatnonzero(vid < 0)
+        first, inverse = _unique_rows(ij[miss])
+        vid[miss] = self._next_vert + np.argsort(np.argsort(first))[inverse]
+        new = miss[np.sort(first)]
+        self._append_vertices(ij[new], floats[cut_owner[new, None], [0, 1], point[new]],
+                              self.current_level + 1)
+        np.bitwise_or.at(self._dirs, vid, bits.astype(np.uint8))
+        # each cell's vertices on its 3 x 3 grid, by (row, column)
+        verts = np.empty((n, 3, 3), dtype=np.int64)
+        verts[:, ::2, ::2] = self._corners[cids].reshape(n, 2, 2)
+        verts[cut_owner, point[:, 1], point[:, 0]] = vid
+        o, sides, kids = owner[:, None], [0, 0, 1, 1], self._next_cell + np.arange(len(owner))
+        corners = verts[o, box[:, [2, 2, 3, 3]], box[:, [0, 1, 0, 1]]]
+        self._append_cells(grid[o, sides, box], corners, floats[o, sides, box],
+                           least[o, [0, 1], box[:, ::2]], self.current_level + 1, cids[owner])
+        self._kids[cids[owner], slot] = kids
+        self._label[cids] = codes + 1
+        self.generation_log += [(self.current_level, cid, kind)
+                                for cid, kind in zip(cids.tolist(), kinds)]
+        self._locator = self._incidence = None
+        return _per_owner(kids, owner, n), _per_owner(vid, cut_owner, n)
+
+    def _open(self, cids):
+        """Mask of the cells `cids` (an int array) that exist, are active
+        and have the current level."""
+        known = (cids >= 0) & (cids < self._next_cell)
+        rows = np.where(known, cids, 0)
+        return known & (self._kids[rows, 0] < 0) & (self._level[rows] == self.current_level)
+
+    def _check_split(self, cids, kinds):
+        """The kind codes of a batch of splits, after checking every cell."""
+        again = np.ones(len(cids), dtype=bool)
+        again[np.unique(cids, return_index=True)[1]] = False
+        codes = np.array([_KIND_CODE.get(kind, -1) for kind in kinds], dtype=np.intp)
+        rows = np.clip(cids, 0, self._next_cell - 1)
+        # a cut across an extent of one lattice unit
+        narrow = (self._lattice[rows, 1::2] - self._lattice[rows, ::2] < 2) & np.array(
+            [codes != 0, codes != 1]).T
+        bad = ~self._open(cids) | again | (codes < 0) | narrow.any(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            self._refuse(int(cids[k]), kinds[k], again[k])
+        return codes
+
+    def _refuse(self, cid, kind, again):
+        """Raise why cell `cid` cannot be split by `kind` (`again`: the
+        batch splits it before); a LatticeDepthError where a cut would halve
+        an extent of one lattice unit."""
         c = self.cell(cid)
-        if not c.active:
+        if again or not c.active:
             raise ValueError(f"cell {cid} is already subdivided")
         if c.level != self.current_level:
             raise ValueError(
@@ -769,23 +793,10 @@ class TMesh:
                 f"their own level are frozen)")
         if kind not in SPLIT_KINDS:
             raise ValueError(f"unknown split kind {kind!r}")
-
-        children, cuts = cut_rule(c.lattice_bounds, kind)
-        # halving one lattice unit leaves a child of zero extent
-        for _, (i0, i1, j0, j1) in children:
-            if i0 == i1 or j0 == j1:
-                raise LatticeDepthError(
-                    f"cell {cid} is one lattice unit wide along {'t' if j0 == j1 else 's'}; a "
-                    f"'{kind}' split would go past the lattice depth of {LATTICE_DEPTH} halvings per span")
-        lvl = c.level + 1
-        self._locator = self._incidence = None
-        self._active.discard(cid)
-        c.children = tuple(self._new_cell(*b, lvl, cid) for _, b in children)
-        c.label = kind
-        for (i, j), bits in cuts:
-            self._dirs[self._get_or_make_vertex(i, j, lvl)] |= bits
-        self.generation_log.append((c.level, cid, kind))
-        return c.children
+        along = "t" if kind != "V" and c.j1 - c.j0 == 1 else "s"
+        raise LatticeDepthError(
+            f"cell {cid} is one lattice unit wide along {along}; a '{kind}' split "
+            f"would go past the lattice depth of {LATTICE_DEPTH} halvings per span")
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -800,55 +811,51 @@ class TMesh:
         """
         out = []
         s0, s1, t0, t1 = self.domain
-        dom_area = (s1 - s0) * (t1 - t0)
-        area = Fraction(0)
-        si_end, tj_end = self.axes[0].end, self.axes[1].end
-        act = [self._cells[cid] for cid in sorted(self._active)]
-        for c in act:
-            if c.i1 <= c.i0 or c.j1 <= c.j0:
-                out.append(f"cell {c.id}: degenerate rectangle")
-            if not (0 <= c.i0 and c.i1 <= si_end and 0 <= c.j0 and c.j1 <= tj_end):
-                out.append(f"cell {c.id}: outside domain")
-            area += c.area()
-        if area != dom_area:
-            out.append(f"active cells cover area {area}, domain has {dom_area}")
-        for i, a in enumerate(act):
-            for b in act[i + 1:]:
-                if min(a.i1, b.i1) > max(a.i0, b.i0) and min(a.j1, b.j1) > max(a.j0, b.j0):
-                    out.append(f"cells {a.id} and {b.id} overlap")
-        for cid, c in self._cells.items():
-            if c.children:
-                kid_area = Fraction(0)
-                for k in c.children:
-                    kc = self._cells[k]
-                    kid_area += kc.area()
-                    if kc.level != c.level + 1:
-                        out.append(f"cell {k}: level {kc.level} != parent level + 1")
-                    if not (c.i0 <= kc.i0 and kc.i1 <= c.i1 and c.j0 <= kc.j0 and kc.j1 <= c.j1):
-                        out.append(f"cell {k}: not inside parent {cid}")
-                if kid_area != c.area():
-                    out.append(f"cell {cid}: children do not tile it")
-        for vid, v in self._verts.items():
+        lattice, act = self._lattice.tolist(), self.active_cells()
+        ends = [axis.end for axis in self.axes]
+        for a in act:
+            a0, a1, b0, b1 = lattice[a]
+            if a1 <= a0 or b1 <= b0:
+                out.append(f"cell {a}: degenerate rectangle")
+            if not (0 <= a0 and a1 <= ends[0] and 0 <= b0 and b1 <= ends[1]):
+                out.append(f"cell {a}: outside domain")
+        area = sum((self.cell(cid).area() for cid in act), Fraction(0))
+        if area != (s1 - s0) * (t1 - t0):
+            out.append(f"active cells cover area {area}, domain has {(s1 - s0) * (t1 - t0)}")
+        for k, a in enumerate(act):
+            a0, a1, b0, b1 = lattice[a]
+            out += [f"cells {a} and {b} overlap" for b in act[k + 1:] if
+                    min(a1, lattice[b][1]) > max(a0, lattice[b][0])
+                    and min(b1, lattice[b][3]) > max(b0, lattice[b][2])]
+        for cid in range(self._next_cell):
+            c = self.cell(cid)
+            kids = [self.cell(k) for k in c.children]
+            for kc in kids:
+                if kc.level != c.level + 1:
+                    out.append(f"cell {kc.id}: level {kc.level} != parent level + 1")
+                if not (c.i0 <= kc.i0 and kc.i1 <= c.i1 and c.j0 <= kc.j0 and kc.j1 <= c.j1):
+                    out.append(f"cell {kc.id}: not inside parent {cid}")
+            if kids and sum(kc.area() for kc in kids) != c.area():
+                out.append(f"cell {cid}: children do not tile it")
+        for vid, (i, j) in enumerate(self._vtable.tolist()):
             # the edge directions the incident cells show, independent of the mask
-            i, j = v.i, v.j
             dirs = 0
-            for cid in self.vertex_cells(vid):
-                c = self._cells[cid]
-                if j == c.j0 or j == c.j1:
-                    dirs |= _PLUS_S * (i < c.i1) | _MINUS_S * (i > c.i0)
-                if i == c.i0 or i == c.i1:
-                    dirs |= _PLUS_T * (j < c.j1) | _MINUS_T * (j > c.j0)
+            for c0, c1, d0, d1 in map(lattice.__getitem__, self.vertex_cells(vid)):
+                if j == d0 or j == d1:
+                    dirs |= _PLUS_S * (i < c1) | _MINUS_S * (i > c0)
+                if i == c0 or i == c1:
+                    dirs |= _PLUS_T * (j < d1) | _MINUS_T * (j > d0)
             if dirs != self._dirs[vid]:
                 out.append(f"vertex {vid}: direction mask {self._dirs[vid]:04b} "
                            f"disagrees with its incident cells ({dirs:04b})")
             if dirs.bit_count() < (2 if self._on_domain_boundary(i, j) else 3):
                 out.append(f"vertex {vid}: grid-line endpoint not on two grid lines")
         last = 0
-        for (lvl, cid, kind) in self.generation_log:
+        for lvl, cid, _ in self.generation_log:
             if lvl < last:
                 out.append("generation log levels decrease")
             last = max(last, lvl)
-            if cid in self._cells and self._cells[cid].level != lvl:
+            if 0 <= cid < self._next_cell and self._level[cid] != lvl:
                 out.append(f"log entry for cell {cid}: level mismatch")
         return out
 
@@ -860,12 +867,13 @@ class TMesh:
     @classmethod
     def _replayed(cls, s_knots, t_knots, log, level):
         """The grid on the knots after the (level, cell id, kind) splits of
-        `log`, advanced to `level`."""
+        `log`, advanced to `level`: one batch per run of equal levels."""
         m = cls(s_knots, t_knots)
-        for (lvl, cid, kind) in log:
+        for lvl, entries in groupby(log, key=lambda entry: entry[0]):
             while m.current_level < lvl:
                 m.advance_current_level()
-            m.split_cell(cid, kind)
+            _, cids, kinds = zip(*entries)
+            m.split_many(cids, kinds)
         while m.current_level < level:
             m.advance_current_level()
         return m
@@ -876,27 +884,21 @@ class TMesh:
         if self.axes is not other.axes and \
            [a.knots for a in self.axes] != [a.knots for a in other.axes]:
             return False
-        mine = {(c.lattice_bounds, c.level, c.active) for c in self._cells.values()}
-        theirs = {(c.lattice_bounds, c.level, c.active) for c in other._cells.values()}
-        if mine != theirs:
-            return False
-        return set(self._vpos) == set(other._vpos)
+
+        def cells(m):
+            return np.unique(np.column_stack([m._lattice, m._level, m._kids[:, 0] < 0]), axis=0)
+
+        return (np.array_equal(cells(self), cells(other))
+                and np.array_equal(np.unique(self._vtable, axis=0), np.unique(other._vtable, axis=0)))
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_json_dict(self):
         s0, s1, t0, t1 = self.domain
-        cells = []
-        for cid in sorted(self._cells):
-            c = self._cells[cid]
-            cells.append({
-                "id": cid,
-                "bounds": [str(x) for x in c.bounds],
-                "level": c.level,
-                "state": "Active" if c.active else "Subdivided",
-                "label": c.label,
-            })
+        cells = [{"id": c.id, "bounds": [str(x) for x in c.bounds], "level": c.level,
+                  "state": "Active" if c.active else "Subdivided", "label": c.label}
+                 for c in map(self.cell, range(self._next_cell))]
         return {
             "domain": [str(s0), str(s1), str(t0), str(t1)],
             "s_knots": [str(x) for x in self.axes[0].knots],

@@ -6,9 +6,10 @@ import pytest
 
 from anisoline.refine import (
     ConnectedGroup, RefinementRequest, _build_report, check_refinement_invariants,
-    flood_fill_groups, naive_subdivide, refine, resolve_labels, simulate_new_basis_vertices,
+    flood_fill_groups, refine, resolve_labels, simulate_new_basis_vertices,
 )
 from anisoline.tmesh import AdjacencyKind, VertexKind, create_tensor_mesh
+from oracles import naive_subdivide
 from test_tmesh import LATTICE_STARTS, census_kinds
 
 
@@ -282,7 +283,8 @@ def test_kind_lookups_name_a_vertex_off_two_grid_lines():
     t = m.vertex_at(0.5, 0.25)                      # a T-junction: -s, +t and -t
     right = m.locate_cell(0.75, 0.25)
     after = m.copy()
-    performed = {right: ("H", after.split_cell(right, "H"))}   # cuts through t
+    (kids,), (cut,) = after.split_many([right], ["H"])          # cuts through t
+    performed, cuts = {right: ("H", kids)}, {right: cut}
     match = f"vertex {t} has 2 incident edge directions"
 
     def corrupted(mesh):
@@ -296,10 +298,10 @@ def test_kind_lookups_name_a_vertex_off_two_grid_lines():
                 lookup()
     for before, broken_after in ((corrupted(m), after), (m, corrupted(after))):
         with pytest.raises(ValueError, match=match):
-            _build_report(before, broken_after, [], {}, {}, performed)
+            _build_report(before, broken_after, [], {}, {}, performed, cuts)
     # the originals keep their masks: t is promoted to a crossing
     assert m.dimension() == 48 and after.dimension() == 56
-    report = _build_report(m, after, [], {}, {}, performed)
+    report = _build_report(m, after, [], {}, {}, performed, cuts)
     assert [vid for vid, _ in report.t_to_crossing] == [t]
     assert report.cell_new_basis == {right: [after.vertex_at(1, 0.25)]}
 

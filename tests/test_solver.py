@@ -24,7 +24,7 @@ from anisoline.solver import (
     _segment_overlap, _solve_round,
 )
 from anisoline.space import (
-    SplineField, SplineSpace, advance_level, build_initial_space,
+    SplineField, SplineSpace, advance_level, build_initial_space, collocation_block,
     field_from_vertex_data,
 )
 from anisoline.tmesh import create_tensor_mesh
@@ -818,6 +818,35 @@ def test_kernel_memory_is_bounded_by_blocks():
     assert _peak_mib(assemble, geometry.space, geometry, problem, q=5) <= 6.0
     assert _peak_mib(error_indicators, u_h, problem, q=5) <= 2.0
     assert _peak_mib(exact_error_norms, u_h, q=5) <= 2.0
+
+
+def test_folded_geometry_raises_named_error():
+    # the interior vertex at (1/2, 1/2) of the 4 x 4 map moved by 0.6 in x:
+    # det J changes sign inside the cells right of it
+    problem, geometry = make_problem("square_sin", (4, 4))
+    space = geometry.space
+    center = space.mesh.vertex_at(0.5, 0.5)
+    coefficients = geometry.field.coefficients.copy()
+    k = space.vertex_row[center]
+    coefficients[4 * k:4 * k + 4, 0] += collocation_block(space, center).solve([0.6, 0, 0, 0])
+    folded = Geometry(SplineField(space, coefficients))
+    match = r"geometry folds over cell \d+: det J = -\d\.\d+ at \(0\.\d+, 0\.\d+\)"
+    for levels in (0, 2):
+        with pytest.raises(ValueError, match=match):
+            adaptive_solve(problem, folded, SolveConfig(max_levels=levels))
+    with pytest.raises(ValueError, match=match):
+        assemble(space, folded, problem)
+
+
+def test_reflected_geometry_solves_like_the_original():
+    # det J < 0 everywhere: a reversed orientation is no fold
+    problem, geometry = make_problem("square_sin", (4, 4))
+    reflected = linear_geometry(geometry.space, rect=(1, 0, 0, 1))
+    assert np.all(solver._cell_blocks(geometry.space, reflected, 3).__next__().grid.det < 0)
+    _, want = adaptive_solve(problem, geometry, SolveConfig(max_levels=1))
+    _, got = adaptive_solve(problem, reflected, SolveConfig(max_levels=1))
+    assert got.final.h1_error == pytest.approx(want.final.h1_error, rel=1e-9, abs=0)
+    assert got.final.dof == want.final.dof
 
 
 def test_degenerate_geometry_raises_named_error():

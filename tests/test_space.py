@@ -16,13 +16,13 @@ import pytest
 from anisoline import fitting
 from anisoline import space as space_module
 from anisoline.fitting import FitConfig, fit_surface, generate_test_model
-from anisoline.refine import RefinementRequest, naive_subdivide, refine
+from anisoline.refine import RefinementRequest, refine
 from anisoline.space import (
     DERIV_ORDERS, HERMITE_ORDERS, SplineField, SplineSpace, advance_level,
-    build_initial_space, _births, _interior_edge_samples, collocation_block,
-    field_from_vertex_data, transfer_field, verify_space,
+    build_initial_space, _births, collocation_block, field_from_vertex_data, transfer_field,
 )
 from anisoline.tmesh import create_mesh_from_knots, create_tensor_mesh
+from oracles import interior_edge_samples, naive_subdivide, verify_space
 from test_bezier import _reference_split_patch, _reference_zero_corner_block
 
 
@@ -266,7 +266,7 @@ def _reference_interior_edge_samples(mesh, n_per_edge=3):
 def test_interior_edge_samples_match_all_pairs_scan(start):
     for seed in range(6):
         mesh = make_space(seed=seed, start=start, depth=3).mesh
-        got = [(a, b, tuple(s), tuple(t)) for a, b, s, t in _interior_edge_samples(mesh)]
+        got = [(a, b, tuple(s), tuple(t)) for a, b, s, t in interior_edge_samples(mesh)]
         want = [(a, b, tuple(s), tuple(t))
                 for a, b, s, t in _reference_interior_edge_samples(mesh)]
         assert len(set(got)) == len(got)
@@ -362,7 +362,7 @@ def test_support_stays_local_and_connected():
             # birth neighborhood: cells of the anchor's level (the function's
             # birth level) whose closure contains the anchor (the full tree is
             # retained, so these records exist even after later subdivision)
-            birth = [c for c in mesh._cells.values()
+            birth = [c for c in map(mesh.cell, range(len(mesh.cell_table().lattice)))
                      if c.level == v.level and c.contains_point(v.s, v.t)]
             s_lo = min(c.s0 for c in birth)
             s_hi = max(c.s1 for c in birth)
@@ -874,7 +874,7 @@ def test_last_advance_of_a_deep_fit_peaks_near_what_it_keeps(monkeypatch):
 # Functions on the refinement and level-advance paths whose coordinate work
 # runs on lattice ints; none of them may compare, hash or compute with a
 # Fraction.
-_LATTICE_ONLY = ("split_cell", "classify_vertex", "_build_report", "_births")
+_LATTICE_ONLY = ("split_cell", "split_many", "classify_vertex", "_build_report", "_births")
 _FRACTION_OPS = ("_richcmp", "__eq__", "__hash__", "__add__", "__radd__", "__sub__",
                  "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from anisoline.tmesh import (
-    LATTICE_DEPTH, AdjacencyKind, LatticeDepthError, TMesh, VertexKind,
+    LATTICE_DEPTH, AdjacencyKind, LatticeDepthError, TMesh, VertexKind, cut_rule,
     create_mesh_from_knots, create_tensor_mesh,
 )
 
@@ -201,7 +201,7 @@ def test_validate_flags_hanging_vertex():
     # inject a grid-line endpoint that does not land on two grid lines
     m = create_tensor_mesh(2, 2)
     i, j = (axis.coordinate(Fraction(1, 8)) for axis in m.axes)
-    vid = m._get_or_make_vertex(i, j, 0)
+    vid = m._append_vertices(np.array([[i, j]]), np.array([[0.125, 0.125]]), 0)
     assert m.vertex(vid).position == (Fraction(1, 8), Fraction(1, 8))
     # the derived incidence finds the cell that holds the point
     assert m.vertex_cells(vid) == [m.locate_cell(0.1, 0.1)]
@@ -227,7 +227,7 @@ def test_validate_flags_overlap():
     m = create_tensor_mesh(2, 1)
     c = m.cell(m.locate_cell(0.1, 0.5))
     right = m.cell(m.locate_cell(0.9, 0.5))
-    c.i1 = (right.i0 + right.i1) // 2  # stretch into the neighbor
+    m.cell_table().lattice[c.id, 1] = (right.i0 + right.i1) // 2  # stretch into the neighbor
     assert c.s1 == Fraction(3, 4)
     problems = m.validate()
     assert any("overlap" in p for p in problems)
@@ -329,7 +329,7 @@ LOCATE_MESHES = {
 def test_locate_many_matches_exact_rule(name):
     rng = np.random.default_rng(5)
     m = randomly_refined(LOCATE_MESHES[name](), 4 if name == "3x3" else 3, seed=7)
-    cells = list(m._cells.values())
+    cells = [m.cell(cid) for cid in range(len(m.cell_table().lattice))]
     assert {kind for _, _, kind in m.generation_log} == set("HVC")
     s0, s1, t0, t1 = m.domain
     ss = probe_coordinates({c.s0 for c in cells} | {c.s1 for c in cells}, rng)
@@ -676,3 +676,104 @@ def test_same_structure_compares_knots():
     # equal lattice coordinates on other knots are another mesh
     assert not create_tensor_mesh(2, 2).same_structure(create_tensor_mesh(2, 2, (0, 2, 0, 1)))
     assert create_tensor_mesh(2, 2).same_structure(create_tensor_mesh(2, 2))
+
+
+# every column of a mesh, cells then vertices
+_COLUMNS = ("_lattice", "_corners", "_sizes", "_bounds", "_at_least", "_level", "_parent",
+            "_kids", "_label", "_vtable", "_vfloat", "_vlevel", "_dirs")
+
+
+def _column_bytes(m):
+    return {name: (getattr(m, name).dtype.str, getattr(m, name).tobytes()) for name in _COLUMNS}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_STARTS))
+def test_split_many_matches_splits_one_at_a_time(name):
+    # a round split in one batch against the same round split cell by cell
+    # in ascending id; the first round crosses every cell, so neighbors cut
+    # their shared midpoints in one batch
+    rng = random.Random(41)
+    batch = LATTICE_STARTS[name]()
+    probe = np.random.default_rng(41)
+    s0, s1, t0, t1 = (float(x) for x in batch.domain)
+    s, t = probe.uniform(s0, s1, 400), probe.uniform(t0, t1, 400)
+    shared = 0
+    for level in range(2 if name == "24x24" else 4):
+        cells = batch.cells_of_level(level)
+        cids = cells if level == 0 else sorted(rng.sample(cells, (len(cells) * 3 + 4) // 5))
+        kinds = ["C"] * len(cids) if level == 0 else [rng.choice("HVC") for _ in cids]
+        one = batch.copy()
+        want = [one.split_cell(cid, kind) for cid, kind in zip(cids, kinds)]
+        lattice = batch.cell_table().lattice[cids]
+        children, cuts = batch.split_many(cids, kinds)
+        assert children == want
+        assert _column_bytes(batch) == _column_bytes(one)
+        assert batch.generation_log == one.generation_log
+        # each cell's cut ids name the vertices at its cut points, in order
+        grid, _, (owner, point, _) = cut_rule(lattice, kinds)
+        ij = grid[owner[:, None], [0, 1], point]
+        assert batch.vertex_table()[[v for cut in cuts for v in cut]].tolist() == ij.tolist()
+        assert [len(cut) for cut in cuts] == np.bincount(owner, minlength=len(cids)).tolist()
+        shared += len(ij) - len({v for cut in cuts for v in cut})
+        for mesh in (batch, one):
+            mesh.advance_current_level()
+        assert batch.locate_many(s, t).tolist() == one.locate_many(s, t).tolist()
+        assert _incidence(batch) == _incidence(one)
+    assert {kind for _, _, kind in batch.generation_log} == set("HVC")
+    assert shared > 0
+    assert name == "24x24" or batch.validate() == []         # the check is quadratic
+
+
+def _mesh_state(m, s, t):
+    cells = [m.cell(cid) for cid in range(len(m.cell_table().lattice))]
+    return (m.to_json_dict(), [(c.children, c.active, c.label) for c in cells],
+            [a.tobytes() for a in m.cell_table()], m.locate_many(s, t).tolist())
+
+
+def test_splits_of_a_copy_and_of_its_original_stay_apart():
+    m = randomly_refined(create_tensor_mesh(3, 3), 2, seed=3)
+    s, t = np.random.default_rng(3).random((2, 500))
+    cells = m.cells_of_level(m.current_level)
+    half = len(cells) // 2
+    original = _mesh_state(m, s, t)
+    c = m.copy()
+    c.split_many(cells[:half], "C" * half)
+    assert _mesh_state(m, s, t) == original
+    copied = _mesh_state(c, s, t)
+    # the original now makes cells and vertices under the ids the copy used
+    m.split_many(cells[half:], "H" * (len(cells) - half))
+    assert _mesh_state(c, s, t) == copied
+    assert c.validate() == [] and m.validate() == []
+
+
+def _narrow_pair():
+    """A 2 x 1 mesh whose two current-level cells are one lattice unit wide along s."""
+    m = create_tensor_mesh(2, 1)
+    cells = [0, 1]
+    for _ in range(LATTICE_DEPTH):
+        cells = [kids[0] for kids in m.split_many(cells, "VV")[0]]
+        m.advance_current_level()
+    return m, cells
+
+
+def test_a_batch_with_one_bad_cell_raises_and_writes_nothing():
+    m = create_tensor_mesh(3, 3)
+    kids = m.split_cell(0, "C")
+    m.advance_current_level()
+    narrow, (a, b) = _narrow_pair()
+    cases = [
+        (m, [kids[0], 0, kids[1]], "HHH", ValueError, "cell 0 is already subdivided"),
+        (m, [kids[0], kids[0]], "HV", ValueError, f"cell {kids[0]} is already subdivided"),
+        (m, [kids[0], 4, 0], "HHH", ValueError, "cell 4 has level 0, but only cells of the current level 1"),
+        (m, [kids[2], kids[1]], "HX", ValueError, "unknown split kind 'X'"),
+        (m, [kids[1], 99], "HH", KeyError, "unknown cell id 99"),
+        (narrow, [a, b], "HV", LatticeDepthError, f"cell {b} is one lattice unit wide along s"),
+        (narrow, [a, b], "CH", LatticeDepthError, f"cell {a} is one lattice unit wide along s"),
+    ]
+    for mesh, cids, kinds, error, match in cases:
+        before = (mesh.to_json_dict(), _column_bytes(mesh))
+        with pytest.raises(error, match=match):
+            mesh.split_many(cids, kinds)
+        assert (mesh.to_json_dict(), _column_bytes(mesh)) == before
+    # the valid cells of each batch still split
+    assert len(narrow.split_many([a, b], "HH")[0]) == 2
