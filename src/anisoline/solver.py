@@ -23,12 +23,9 @@ two cells touching (1/2, 1) grow from 0.061 to 0.467, and the other 12
 cells stay at 0.3777 combined.  A split that moves Gauss points toward
 such a point can therefore raise eta while the true error falls.
 
-Each round walks the active cells twice, through one element kernel
-(`_cell_blocks`) built on the evaluation kernel of `space`, whose block
-walk it shares: `assemble` walks them once, and `error_indicators` once
-more for the indicator and, when the problem knows its exact solution,
-the L2 and H1 errors, which `adaptive_solve` reads off the indicator
-(`exact_error_norms` runs the same walk without the residual).  The
+Each round evaluates the geometry at the Gauss points once, in one walk
+over the active cells through one element kernel (`_cell_blocks`) built
+on the evaluation kernel of `space`, whose block walk it shares.  The
 kernel walks the active cells in blocks of `space._BLOCK` = 64, takes
 each block's padded function ids and 4x4 Bezier patches and its cells'
 float bounds (rows of the mesh's `cell_bounds` table) from there,
@@ -42,24 +39,46 @@ evaluation.  The cells with Neumann edge pieces are picked by lattice
 comparisons on the mesh's cell table.  The callers contract these block
 tables by einsums, except the stiffness: `_local_stiffness` forms each
 block's element matrices as one batched matmul over the flattened (point,
-component) axis, which runs in BLAS.  None of it is kept across calls.
+component) axis, which runs in BLAS.
+
+`adaptive_solve` hands each round's geometry to `assemble` as a
+`_RoundGeometry`.  The assembly's walk keeps every block there: the
+cells and their bounds, the map values, J^-1, the weights times |det J|,
+the geometry patches, the diameters and the Neumann edge pieces, about
+1.8 KB per cell at q = 5.  The basis patches are dropped, and so are J
+and det J once the fold and singularity checks have run.
+`error_indicators` then walks these blocks instead of evaluating the map
+again: it gathers
+only the basis patches and releases each block once read, for the
+indicator and, when the problem knows its exact solution, the L2 and H1
+errors, which `adaptive_solve` reads off the indicator.  Nothing is kept
+across rounds, and every standalone call (`assemble`, `error_indicators`,
+`exact_error_norms`, which runs the estimator's walk without the
+residual) walks and evaluates by itself.
 
 Dirichlet pins are structural: along a boundary edge the trace of the
 space is the Hermite interpolant of the boundary vertices' data, so the
 functions that do not vanish on an edge piece are the value and
 along-edge slope functions of its two end vertices.
 
-Blocks bound the memory.  At 24 x 24 cells and q = 5 the tracemalloc
-peak of `assemble` is 4.3 MiB with blocks of 64 cells and 17.0 MiB with
-whole-mesh tables, 1.0 MiB against 6.2 MiB for `error_indicators` with
-the exact error norms, and 0.9 MiB against 3.9 MiB for
-`exact_error_norms`; the stiffness triplets themselves take 2.3 MiB.
+Blocks bound the memory of a walk.  At 24 x 24 cells and q = 5 the
+tracemalloc peak of `assemble` is 4.3 MiB with blocks of 64 cells and
+17.0 MiB with whole-mesh tables, 1.1 MiB against 6.2 MiB for
+`error_indicators` with the exact error norms, and 0.9 MiB against
+3.9 MiB for `exact_error_norms`; the stiffness triplets themselves take
+2.3 MiB.  The kept blocks of a round add about 1 MiB there: one round of
+`adaptive_solve` peaks at 5.2 MiB instead of 4.3 with a second walk, and
+the five rounds of `lshape_benchmark(4)` at 7.9 MiB instead of 7.0.  To
+offset part of this, `_solve_round` holds no name on the full system, so
+the full stiffness matrix is released before SuperLU factors the reduced
+one, which `impose_boundary_conditions` hands over in CSC.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,11 +88,12 @@ import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
 
 from .fitting import _check_count, label_by_curvature
+from .geometry import Geometry
 from .refine import RefinementRequest, refine
 from .reporting import AdaptiveReport, LevelRecord
 from .space import (
     DERIV_ORDERS, SplineField, _bernstein_tables, _blocks, _Cells, _eval_patches,
-    _inverse_2x2, advance_level,
+    _inverse_2x2, _padded_patches, advance_level,
 )
 
 __all__ = [
@@ -249,6 +269,34 @@ class _CellBlock(_Cells):
         normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
         self.edges = _Edges(rows, pts, w * np.linalg.norm(tangent, axis=-1), normal)
 
+    def kept(self):
+        """The block as a round keeps it for its estimator: without the
+        basis patches, which the estimator gathers again, and without J and
+        det J, whose checks have run."""
+        self.fids = self.patches = self.valid = None
+        for pts in (self.grid, self.edges and self.edges.points):
+            if pts:
+                pts.J = pts.det = None
+        return self
+
+    def regathered(self, space):
+        """A kept block with its basis patches over `space` again."""
+        self.fids, self.patches, self.valid = _padded_patches(space, self.cells.tolist())
+        return self
+
+
+class _RoundGeometry(Geometry):
+    """The geometry map of one solve round.  The round's first walk
+    (`assemble`) keeps each block's Gauss-point geometry here, and one
+    later walk over the same space, q and Neumann part (`error_indicators`)
+    reads the blocks back in order, releasing each once read, instead of
+    evaluating the map again.  Every other walk is a plain one."""
+
+    def __init__(self, geometry):
+        super().__init__(geometry.field, geometry.degenerate_params)
+        self.walk = None                 # (space, q, neumann) of the first walk
+        self.blocks = None               # its kept blocks, until read back
+
 
 def _cell_blocks(space, geometry, q, neumann=()):
     """The element kernel: the active cells of `space`, one block of the
@@ -260,7 +308,30 @@ def _cell_blocks(space, geometry, q, neumann=()):
     Jacobian at one of its points, and ValueError at the first point whose
     det J has the sign opposite to the walk's first point: the map folds
     there.  A map may reverse orientation as a whole.
+
+    With a `_RoundGeometry`, the round's first walk keeps its blocks, and
+    a later walk of the same space, q and Neumann part yields them again
+    with their basis patches regathered, without evaluating the map.
     """
+    walk = (space, q, tuple(neumann))
+    if isinstance(geometry, _RoundGeometry):
+        if geometry.walk is None:
+            geometry.walk, kept = walk, []
+            for blk in _walk(space, geometry, q, neumann):
+                yield blk
+                kept.append(blk.kept())
+            geometry.blocks = deque(kept)
+            return
+        if geometry.blocks is not None and geometry.walk == walk:
+            blocks, geometry.blocks = geometry.blocks, None
+            while blocks:
+                yield blocks.popleft().regathered(space)
+            return
+    yield from _walk(space, geometry, q, neumann)
+
+
+def _walk(space, geometry, q, neumann):
+    """The blocks of `_cell_blocks`, each evaluated and checked."""
     x, w = _gauss01(q)
     u, v = np.repeat(x, q), np.tile(x, q)
     grid = _bernstein_tables(u[None], v[None])
@@ -471,8 +542,9 @@ def impose_boundary_conditions(system, space, geometry, problem):
         raise ValueError("all degrees of freedom are constrained")
     Af = A[free]
     Ff = F[free] - Af[:, pinned] @ fixed[pinned] if pinned else F[free]
-    Aff = Af[:, free].tocsr()
-    return ConstrainedSystem(Aff, Ff, free, fixed, n)
+    # the row slice goes before the copy into CSC, the format SuperLU factors
+    Af = Af[:, free]
+    return ConstrainedSystem(Af.tocsc(), Ff, free, fixed, n)
 
 
 def solve_linear(system, tol=1e-10):
@@ -587,8 +659,10 @@ def exact_error_norms(u_h, u_exact=None, grad_exact=None, q=5):
 
 
 def _solve_round(space, geometry, problem, config):
-    A, F = assemble(space, geometry, problem, config.quadrature)
-    system = impose_boundary_conditions((A, F), space, geometry, problem)
+    # no name holds the full system, so it is released before the reduced
+    # one is factored
+    system = impose_boundary_conditions(assemble(space, geometry, problem, config.quadrature),
+                                        space, geometry, problem)
     coeffs = solve_linear(system, config.lin_tol)
     return DiscreteSolution(SplineField(space, coeffs), geometry, problem)
 
@@ -609,11 +683,14 @@ def adaptive_solve(problem, geometry, config=None, strategy="modified"):
     pending_mod = 0
     for level in range(config.max_levels + 1):
         t0 = time.perf_counter()
-        solution = _solve_round(space, geometry, problem, config)
+        solution = _solve_round(space, _RoundGeometry(geometry), problem, config)
         solve_time = time.perf_counter() - t0
         t0 = time.perf_counter()
         ind = error_indicators(solution, problem, config.quadrature)
         est_time = time.perf_counter() - t0
+        # the estimator has read the round's kept blocks; the solution
+        # carries the plain map
+        solution.geometry = geometry
         rec = LevelRecord(level=level, dof=space.dim,
                           new_functions=pending_new, modified_functions=pending_mod,
                           eta_total=ind.total,

@@ -68,6 +68,7 @@ from bisect import bisect_right
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby, islice
 from typing import NamedTuple
 
@@ -160,6 +161,11 @@ def _unique_rows(rows):
     return order[head], inverse
 
 
+def _area(i0, i1, j0, j1):
+    """Area of a lattice rectangle in lattice units."""
+    return (i1 - i0) * (j1 - j0)
+
+
 def _per_owner(values, owner, n):
     """Tuples of `values` (grouped by `owner`, ascending) for owners 0 .. n-1."""
     it = iter(values.tolist())
@@ -230,6 +236,16 @@ class Axis:
     def float_at_most(self, x):
         """Largest float <= the exact value of x."""
         return self._rounded(x, -math.inf)
+
+    @cached_property
+    def location_floats(self):
+        """(lo, hi, knots, cuts) for point location, made once per axis,
+        which a mesh and its copies share: the smallest float >= the first
+        knot, the largest float <= the last, and the smallest floats >= the
+        knots between spans, at the lattice coordinates `cuts`."""
+        cuts = np.arange(_SPAN, self.end, _SPAN, dtype=np.int64)
+        return (self.float_at_least(0), self.float_at_most(self.end),
+                np.array([self.float_at_least(x) for x in cuts.tolist()], dtype=float), cuts)
 
     def length(self, x0, x1):
         """float() of the exact extent from x0 to x1 of a cell (ints or int64
@@ -661,21 +677,19 @@ class TMesh:
         the children column by slot (-1 where none), and the level-0 knots
         between spans and each cell's s and t split midpoints, as smallest
         floats >= and as lattice coordinates; an uncut direction has a
-        midpoint no point reaches (inf, `_NEVER`)."""
+        midpoint no point reaches (inf, `_NEVER`).  The bounds and the knots
+        come from the axes (`Axis.location_floats`)."""
         if self._locator is None:
             # a cut's midpoint is the low bound of the child on its high side
             high = self._kids[:, [1, 2]]
             cut = high >= 0
             mids = np.where(cut, self._lattice[high, [0, 2]], _NEVER)
             mid_floats = np.where(cut, self._at_least[high, [0, 1]], np.inf)
-            cuts = [np.arange(_SPAN, a.end, _SPAN, dtype=np.int64) for a in self.axes]
-            floats = [np.array([a.float_at_least(x) for x in c.tolist()], dtype=float)
-                      for a, c in zip(self.axes, cuts)]
-            sa, ta = self.axes
-            bounds = (sa.float_at_least(0), sa.float_at_most(sa.end),
-                      ta.float_at_least(0), ta.float_at_most(ta.end))
-            self._locator = (bounds, self._kids, floats + [mid_floats[:, 0], mid_floats[:, 1]],
-                             cuts + [mids[:, 0], mids[:, 1]])
+            (s_lo, s_hi, s_knots, s_cuts), (t_lo, t_hi, t_knots, t_cuts) = (
+                axis.location_floats for axis in self.axes)
+            self._locator = ((s_lo, s_hi, t_lo, t_hi), self._kids,
+                             [s_knots, t_knots, mid_floats[:, 0], mid_floats[:, 1]],
+                             [s_cuts, t_cuts, mids[:, 0], mids[:, 1]])
         return self._locator
 
     def _vertices_at_cuts(self, ij, point):
@@ -810,23 +824,23 @@ class TMesh:
         interior shows none.
         """
         out = []
-        s0, s1, t0, t1 = self.domain
-        lattice, act = self._lattice.tolist(), self.active_cells()
+        lattice, act = self._lattice.tolist(), np.array(self.active_cells(), dtype=np.int64)
         ends = [axis.end for axis in self.axes]
-        for a in act:
-            a0, a1, b0, b1 = lattice[a]
-            if a1 <= a0 or b1 <= b0:
-                out.append(f"cell {a}: degenerate rectangle")
-            if not (0 <= a0 and a1 <= ends[0] and 0 <= b0 and b1 <= ends[1]):
-                out.append(f"cell {a}: outside domain")
-        area = sum((self.cell(cid).area() for cid in act), Fraction(0))
-        if area != (s1 - s0) * (t1 - t0):
-            out.append(f"active cells cover area {area}, domain has {(s1 - s0) * (t1 - t0)}")
-        for k, a in enumerate(act):
-            a0, a1, b0, b1 = lattice[a]
-            out += [f"cells {a} and {b} overlap" for b in act[k + 1:] if
-                    min(a1, lattice[b][1]) > max(a0, lattice[b][0])
-                    and min(b1, lattice[b][3]) > max(b0, lattice[b][2])]
+        i0, i1, j0, j1 = self._lattice[act].T
+        degenerate = (i1 <= i0) | (j1 <= j0)
+        outside = (i0 < 0) | (i1 > ends[0]) | (j0 < 0) | (j1 > ends[1])
+        for k in np.flatnonzero(degenerate | outside).tolist():
+            if degenerate[k]:
+                out.append(f"cell {act[k]}: degenerate rectangle")
+            if outside[k]:
+                out.append(f"cell {act[k]}: outside domain")
+        # areas in lattice units, which map onto exact areas span by span;
+        # Python ints, since an area may pass 2**63
+        area = sum(map(_area, i0.tolist(), i1.tolist(), j0.tolist(), j1.tolist()))
+        if area != ends[0] * ends[1]:
+            out.append(f"active cells cover {area} lattice units of area, "
+                       f"domain has {ends[0] * ends[1]}")
+        out += [f"cells {a} and {b} overlap" for a, b in act[self._overlaps(act)].tolist()]
         for cid in range(self._next_cell):
             c = self.cell(cid)
             kids = [self.cell(k) for k in c.children]
@@ -835,7 +849,7 @@ class TMesh:
                     out.append(f"cell {kc.id}: level {kc.level} != parent level + 1")
                 if not (c.i0 <= kc.i0 and kc.i1 <= c.i1 and c.j0 <= kc.j0 and kc.j1 <= c.j1):
                     out.append(f"cell {kc.id}: not inside parent {cid}")
-            if kids and sum(kc.area() for kc in kids) != c.area():
+            if kids and sum(_area(*lattice[kc.id]) for kc in kids) != _area(*lattice[cid]):
                 out.append(f"cell {cid}: children do not tile it")
         for vid, (i, j) in enumerate(self._vtable.tolist()):
             # the edge directions the incident cells show, independent of the mask
@@ -858,6 +872,22 @@ class TMesh:
             if 0 <= cid < self._next_cell and self._level[cid] != lvl:
                 out.append(f"log entry for cell {cid}: level mismatch")
         return out
+
+    def _overlaps(self, cids):
+        """The pairs (k, l), k < l ascending, of the cells cids[k] and
+        cids[l] whose open rectangles overlap.  Of two overlapping cells,
+        one holds the other's low s end in its s-interval [i0, i1), so the
+        candidates come from one search of the sorted low ends."""
+        i0, i1, j0, j1 = self._lattice[cids].T
+        order = np.argsort(i0, kind="stable")
+        lo = np.searchsorted(i0[order], i0)
+        hi = np.maximum(np.searchsorted(i0[order], i1), lo)
+        k = np.repeat(np.arange(len(cids)), hi - lo)
+        m = order[_ranges(lo, hi)]
+        hit = ((np.minimum(i1[k], i1[m]) > np.maximum(i0[k], i0[m]))
+               & (np.minimum(j1[k], j1[m]) > np.maximum(j0[k], j0[m])) & (k != m))
+        pairs = np.sort(np.stack([k[hit], m[hit]], axis=1), axis=1)
+        return pairs[np.unique(pairs[:, 0] * len(cids) + pairs[:, 1], return_index=True)[1]]
 
     def replay(self):
         """Rebuild this mesh from its initial grid and generation log."""
