@@ -8,8 +8,11 @@ current surface, refine, repeat.
 
 Control points are estimated for a level's basis vertices at once
 (`estimate_vertex_controls`): one quadratic least-squares fit per vertex,
-all of them stacked into a few QR factorizations, and one batched solve
-against the vertices' collocation blocks.  After a refinement round the
+and one batched solve against the vertices' collocation blocks.  The fits
+run in two stages: each cell's points are reduced once per call to a few
+rows of a QR factor, and each vertex's fit is one QR of its cells' rows,
+moved to the monomials about the vertex; both stages stack their systems
+into a few QR factorizations.  After a refinement round the
 new vertices and the vertices whose incident cells were just subdivided
 get fresh estimates (the surface value at an anchor is pinned by its own four
 functions, so a stale coarse estimate would put a floor under the
@@ -86,7 +89,9 @@ class ParamPointSet:
 
     def update_cells(self, report):
         """Relocate only the points whose cell was subdivided."""
-        stale = np.nonzero(np.isin(self.cell_of, list(report.performed)))[0]
+        split = np.zeros(len(report.mesh_before.cell_bounds()), dtype=bool)
+        split[list(report.performed)] = True
+        stale = np.flatnonzero(split[self.cell_of])
         self.cell_of[stale] = report.mesh_after.locate_many(
             self.params[stale, 0], self.params[stale, 1])
 
@@ -175,14 +180,6 @@ def generate_test_model(kind, grid=(101, 101)):
     return ParamPointSet(pts, np.stack([uu, vv], axis=1))
 
 
-def _ring_expand(mesh, cells):
-    """Active cells sharing an edge with the given set."""
-    out = set(cells)
-    for cid in cells:
-        out |= mesh.edge_neighbors(cid)
-    return out
-
-
 # rows per stacked QR of the fit kernel, and vertices per window
 _BLOCK = 4096
 _WINDOW = 256
@@ -194,52 +191,131 @@ def _ranges(starts, counts):
     return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
 
 
-class _CellRows:
-    """The points of a set in cell order: one stable argsort of `cell_of`,
-    with the start and count of every cell id's run in it."""
+class _PointHoods:
+    """Neighborhoods of listed points, one design row per point:
+    neighborhood i is the points `order[first[i]:first[i] + counts[i]]`."""
 
-    def __init__(self, cell_of):
-        self.order = np.argsort(cell_of, kind="stable")
-        self.counts = np.bincount(cell_of)
-        self.starts = np.cumsum(self.counts) - self.counts
-
-    def spans(self, cells):
-        """Start and count of each cell's run; a cell without points has
-        count 0."""
-        has = cells < len(self.counts)
-        at = np.where(has, cells, 0)
-        return self.starts[at], np.where(has, self.counts[at], 0)
-
-
-class _CellHoods:
-    """Neighborhoods made of whole cells, one cell set per vertex."""
-
-    def __init__(self, cell_rows, cell_sets):
-        self.cell_rows = cell_rows
-        self.sizes = np.array([len(c) for c in cell_sets], dtype=np.int64)
-        self.first = np.cumsum(self.sizes) - self.sizes
-        cells = np.fromiter((c for cs in cell_sets for c in sorted(cs)), np.int64,
-                            int(self.sizes.sum()))
-        self.starts, self.cell_counts = cell_rows.spans(cells)
-        owner = np.repeat(np.arange(len(cell_sets)), self.sizes)
-        self.counts = np.bincount(owner, weights=self.cell_counts,
-                                  minlength=len(cell_sets)).astype(np.int64)
+    def __init__(self, pset, order, first, counts):
+        self.pset, self.order, self.first = pset, order, first
+        self.counts = self.nrows = counts
 
     def rows(self, sel):
         """Point indices of the neighborhoods `sel`, one after another."""
-        pairs = _ranges(self.first[sel], self.sizes[sel])
-        return self.cell_rows.order[_ranges(self.starts[pairs], self.cell_counts[pairs])]
+        return self.order[_ranges(self.first[sel], self.counts[sel])]
+
+    def design(self, rows, centers, ncols):
+        return _design(self.pset, rows, centers, ncols)
 
 
-class _NearestHoods:
+class _NearestHoods(_PointHoods):
     """Neighborhoods of the k nearest points, one row of `idx` per vertex."""
 
-    def __init__(self, idx):
+    def __init__(self, pset, idx):
+        n, k = idx.shape
+        super().__init__(pset, idx.ravel(), k * np.arange(n), np.full(n, k, dtype=np.int64))
         self.idx = idx
-        self.counts = np.full(len(idx), idx.shape[1], dtype=np.int64)
+
+
+class _CellFactors:
+    """Each cell's points reduced once: the nonzero rows of the R factor of
+    the cell's system [A | P], its monomials about the cell's center.  A
+    cell of at most k = 6 + arity points keeps its design rows, with no QR.
+
+    Cells are reduced when a neighborhood first asks for them (`add`), and
+    the table holds at most min(points, k) rows per cell, so never more
+    rows than the point set."""
+
+    def __init__(self, pset, mesh):
+        b = mesh.cell_bounds()
+        self.centers = np.stack([b[:, 0] + b[:, 1], b[:, 2] + b[:, 3]], axis=1) / 2
+        self.counts = np.bincount(pset.cell_of, minlength=len(b))
+        # neighborhood c is the points of cell c, in a stable order
+        self.points = _PointHoods(pset, np.argsort(pset.cell_of, kind="stable"),
+                                  np.cumsum(self.counts) - self.counts, self.counts)
+        k = 6 + pset.points.shape[1]
+        self.nrows = np.minimum(self.counts, k)
+        self.first = np.full(len(b), -1, dtype=np.int64)       # -1: not reduced yet
+        self.table = np.empty((k, 0))          # column-major: row i is column i of [A | P]
+        self.row_cell = np.empty(0, dtype=np.int64)
+
+    def add(self, cells):
+        """Reduce those of `cells` not reduced yet."""
+        new = np.unique(cells[self.first[cells] < 0])
+        if not len(new):
+            return
+        few = self.counts[new] == self.nrows[new]
+        k = len(self.table)
+        small, big = new[few], new[~few]
+        raw = self.points.design(self.points.rows(small),
+                                 np.repeat(self.centers[small], self.counts[small], axis=0), 6)
+        R = _reduced(self.points.pset, self.points, big, self.centers, 6)
+        new = np.concatenate([small, big])
+        self.first[new] = self.table.shape[1] + np.cumsum(self.nrows[new]) - self.nrows[new]
+        self.table = np.concatenate([self.table, raw.T, R.reshape(-1, k).T], axis=1)
+        self.row_cell = np.concatenate([self.row_cell, np.repeat(new, self.nrows[new])])
+
+
+class _CellHoods:
+    """Neighborhoods made of whole cells: neighborhood i is the cells
+    `cells[first[i]:first[i] + sizes[i]]`, ascending.  Its rows are its
+    cells' factor rows (`_CellFactors`) moved to the monomials about the
+    vertex, A_v = A_c T(c - v)."""
+
+    def __init__(self, factors, sizes, cells):
+        factors.add(cells)
+        self.factors, self.sizes, self.cells = factors, sizes, cells
+        self.first = np.cumsum(sizes) - sizes
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        self.counts, self.nrows = (
+            np.bincount(owner, weights=per_cell[cells], minlength=len(sizes)).astype(np.int64)
+            for per_cell in (factors.counts, factors.nrows))
+
+    def subset(self, sel):
+        """The neighborhoods `sel` (indices or a mask)."""
+        return _CellHoods(self.factors, self.sizes[sel],
+                          self.cells[_ranges(self.first[sel], self.sizes[sel])])
 
     def rows(self, sel):
-        return self.idx[sel].ravel()
+        """Factor-table rows of the neighborhoods `sel`, one after another."""
+        cells = self.cells[_ranges(self.first[sel], self.sizes[sel])]
+        return _ranges(self.factors.first[cells], self.factors.nrows[cells])
+
+    def design(self, rows, centers, ncols):
+        f = self.factors
+        return _shifted(f.table[:, rows], f.centers[f.row_cell[rows]] - centers, ncols)
+
+
+def _edge_neighbors(mesh, cells):
+    """The edge neighbors of the active `cells` as a CSR (start, cells) over
+    cell ids, cell c's at cells[start[c]:start[c + 1]], none for the other
+    cells: one `TMesh.edge_neighbor_pairs` pass over them and the cells
+    around their vertices, which hold every edge neighbor."""
+    cell_start, incident, vert_start, verts = mesh._incidence_tables()
+    cells = np.unique(cells)
+    lo = vert_start[cells]
+    vids = np.unique(verts[_ranges(lo, vert_start[cells + 1] - lo)])
+    lo = cell_start[vids]
+    a, b = mesh.edge_neighbor_pairs(incident[_ranges(lo, cell_start[vids + 1] - lo)])
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    asked = np.zeros(len(vert_start), dtype=bool)
+    asked[cells] = True
+    src, dst = src[asked[src]], dst[asked[src]]
+    order = np.argsort(src, kind="stable")
+    return np.searchsorted(src[order], np.arange(len(vert_start))), dst[order]
+
+
+def _ring(sizes, cells, neighbors):
+    """Cell sets (sizes, cells), each set's cells ascending, with one ring
+    of edge neighbors added, from the CSR `neighbors` of `_edge_neighbors`:
+    one batched pass for all sets."""
+    start, adjacent = neighbors
+    n = len(start) - 1
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    lo, hi = start[cells], start[cells + 1]
+    key = np.unique(np.concatenate([owner, np.repeat(owner, hi - lo)]) * n
+                    + np.concatenate([cells, adjacent[_ranges(lo, hi - lo)]]))
+    owner, cells = np.divmod(key, n)
+    return np.bincount(owner, minlength=len(sizes)), cells
 
 
 def _design(pset, rows, centers, ncols):
@@ -258,16 +334,34 @@ def _design(pset, rows, centers, ncols):
     return X.T
 
 
+def _shifted(X, offsets, ncols):
+    """Rows [A | P] with the first `ncols` monomials about the centers
+    c - d, made in place from the columns X of rows [A | P] with all six
+    monomials about the centers c, where d is each row's `offsets` (a, b):
+    ds + a and dt + b replace ds and dt, so the column of (ds + a)^2, say,
+    becomes ds^2 + 2a ds + a^2 times the column of 1.  Returned as a
+    column-major view."""
+    a, b = offsets.T
+    one = X[0]
+    if ncols == 6:
+        X[5] += b * (2 * X[2] + b * one)
+        X[4] += b * X[1] + a * (X[2] + b * one)
+        X[3] += a * (2 * X[1] + a * one)
+    X[1] += a * one
+    X[2] += b * one
+    return (X if ncols == 6 else X[np.r_[:ncols, 6:len(X)]]).T
+
+
 def _stacked_r(pset, hoods, sel, centers, ncols):
     """R factors (n, k, k) of the k-column systems [A | P] of the
     neighborhoods `sel`, zero-padded to the largest of them and to at
     least k rows: one stacked QR."""
-    counts = hoods.counts[sel]
+    nrows = hoods.nrows[sel]
     k = ncols + pset.points.shape[1]
-    owner = np.repeat(np.arange(len(sel)), counts)
-    slot = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    X = np.zeros((len(sel), max(counts.max(), k), k))
-    X[owner, slot] = _design(pset, hoods.rows(sel), centers[sel][owner], ncols)
+    owner = np.repeat(np.arange(len(sel)), nrows)
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(nrows) - nrows, nrows)
+    X = np.zeros((len(sel), max(nrows.max(), k), k))
+    X[owner, slot] = hoods.design(hoods.rows(sel), centers[sel][owner], ncols)
     return np.linalg.qr(X, mode="r")
 
 
@@ -277,8 +371,31 @@ def _streamed_r(pset, hoods, j, centers, ncols):
     rows = hoods.rows([j])
     R = np.zeros((0, ncols + pset.points.shape[1]))
     for at in range(0, len(rows), _BLOCK):
-        R = np.linalg.qr(np.vstack([R, _design(pset, rows[at:at + _BLOCK], centers[j], ncols)]),
+        R = np.linalg.qr(np.vstack([R, hoods.design(rows[at:at + _BLOCK], centers[j], ncols)]),
                          mode="r")
+    return R
+
+
+def _reduced(pset, hoods, sel, centers, ncols):
+    """R factors (n, k, k) of the k-column systems [A | P] of the
+    neighborhoods `sel`, in order: sorted by row count, stacked into QRs
+    of at most `_BLOCK` rows, a larger system streamed."""
+    k = ncols + pset.points.shape[1]
+    nrows = hoods.nrows[sel]
+    order = np.argsort(nrows, kind="stable")
+    R = np.empty((len(sel), k, k))
+    lo = 0
+    while lo < len(sel):
+        if nrows[order[lo]] > _BLOCK:
+            R[order[lo]] = _streamed_r(pset, hoods, sel[order[lo]], centers, ncols)
+            lo += 1
+            continue
+        # row counts ascend, so a chunk is padded to its last system
+        hi = lo + 1
+        while hi < len(sel) and (hi - lo + 1) * nrows[order[hi]] <= _BLOCK:
+            hi += 1
+        R[order[lo:hi]] = _stacked_r(pset, hoods, sel[order[lo:hi]], centers, ncols)
+        lo = hi
     return R
 
 
@@ -291,26 +408,13 @@ def _fit(pset, hoods, sel, centers, ncols):
     those of R's leading block, cut by lstsq's rank rule, and the
     minimum-norm solution is formed from them.
     """
-    k = ncols + pset.points.shape[1]
     sol = np.empty((len(sel), ncols, pset.points.shape[1]))
     rank = np.empty(len(sel), dtype=np.int64)
     counts = hoods.counts[sel]
-    order = np.argsort(counts, kind="stable")
+    order = np.argsort(hoods.nrows[sel], kind="stable")
     for w in range(0, len(sel), _WINDOW):
         win = order[w:w + _WINDOW]
-        R = np.empty((len(win), k, k))
-        lo = 0
-        while lo < len(win):
-            if counts[win[lo]] > _BLOCK:
-                R[lo] = _streamed_r(pset, hoods, sel[win[lo]], centers, ncols)
-                lo += 1
-                continue
-            # counts ascend, so a chunk is padded to its last neighborhood
-            hi = lo + 1
-            while hi < len(win) and (hi - lo + 1) * counts[win[hi]] <= _BLOCK:
-                hi += 1
-            R[lo:hi] = _stacked_r(pset, hoods, sel[win[lo:hi]], centers, ncols)
-            lo = hi
+        R = _reduced(pset, hoods, sel[win], centers, ncols)
         U, s, Vt = np.linalg.svd(R[:, :ncols, :ncols])
         keep = s > (np.finfo(float).eps * counts[win] * s[:, 0])[:, None]
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
@@ -339,12 +443,23 @@ def estimate_vertex_controls(space, vids, pset, max_rings=3, fallback_field=None
        `fallback_field`, where refinement has outrun the data (warns);
        without it a ValueError.
 
-    Tier 1 walks the vertices `_WINDOW` at a time.  Every wave's fits go
-    through one kernel (`_fit`): neighborhoods sorted by point count,
-    their systems [A | P] zero-padded and stacked into QRs of at most
-    `_BLOCK` rows, a larger system streamed through `_BLOCK`-row pieces.
-    So the transient memory grows with neither the number of vertices nor
-    their point counts.
+    The whole-cell neighborhoods of tiers 1 and 3 are fitted in two
+    stages.  First each cell that a neighborhood asks for is reduced once
+    per call (`_CellFactors`): its points' rows [A | P], with the
+    monomials about the cell's center, become the nonzero rows of their R
+    factor, at most 6 + arity of them.  Then each vertex's R comes from
+    one QR of its cells' factor rows moved to the monomials about the
+    vertex (`_shifted`); the linear tier reads the linear columns of the
+    same rows.  So a point is reduced once however many neighborhoods
+    and rings hold it (tall-skinny QR).  The nearest points of tier 2
+    are fitted from their design rows.
+
+    Every QR goes through one kernel (`_reduced`): systems sorted by row
+    count, zero-padded and stacked into QRs of at most `_BLOCK` rows, a
+    larger system streamed through `_BLOCK`-row pieces; `_fit` takes the
+    vertices `_WINDOW` at a time.  So the transient memory grows with
+    neither the number of vertices nor their point counts, and the
+    factor table never holds more rows than the point set.
     """
     mesh = space.mesh
     vids = list(vids)
@@ -355,9 +470,9 @@ def estimate_vertex_controls(space, vids, pset, max_rings=3, fallback_field=None
             raise ValueError(f"vertex {vid} carries no functions in this space")
     n = len(vids)
     arity = pset.points.shape[1]
-    centers = mesh.vertex_floats()[np.array(vids, dtype=np.intp)]
+    at = np.array(vids, dtype=np.intp)
+    centers = mesh.vertex_floats()[at]
     data = np.zeros((n, arity, 4))
-    cell_rows = _CellRows(pset.cell_of)
 
     def quadratic(hoods, ks):
         """Fits the neighborhoods of the vertices `ks` that hold at least
@@ -368,32 +483,37 @@ def estimate_vertex_controls(space, vids, pset, max_rings=3, fallback_field=None
         data[ks[sel[full]]] = np.moveaxis(sol[full][:, [0, 1, 2, 4]], 1, 2)
         return np.isin(np.arange(len(ks)), sel[full])
 
-    # tier 1, a window of vertices at a time: their cells, then rings
-    failed = {}                         # vertex -> the last cells tried
-    for lo in range(0, n, _WINDOW):
-        ks = np.arange(lo, min(lo + _WINDOW, n))
-        cells = {k: mesh.vertex_cells(vids[k]) for k in ks.tolist()}
-        for ring in range(max_rings + 1):
-            grow = []
-            for k in ks[~quadratic(_CellHoods(cell_rows, [cells[k] for k in ks]), ks)].tolist():
-                bigger = _ring_expand(mesh, cells[k]) if ring < max_rings else cells[k]
-                if len(bigger) == len(cells[k]):            # no further ring
-                    failed[k] = cells[k]
-                else:
-                    cells[k] = bigger
-                    grow.append(k)
-            ks = np.array(grow, dtype=np.int64)
-            if not grow:
-                break
-    ks = np.array(sorted(failed), dtype=np.int64)
+    # tier 1: the vertices' cells, then rings
+    start, incident = mesh._incidence_tables()[:2]
+    lo, hi = start[at], start[at + 1]
+    factors = _CellFactors(pset, mesh)
+    hoods = _CellHoods(factors, hi - lo, incident[_ranges(lo, hi - lo)])
+    ks = np.arange(n)
+    failed = []             # (vertices, their last cells tried) that no ring made full rank
+    for ring in range(max_rings + 1):
+        full = quadratic(hoods, ks)
+        ks, hoods = ks[~full], hoods.subset(~full)
+        bigger = hoods
+        if ring < max_rings and len(ks):
+            bigger = _CellHoods(factors, *_ring(hoods.sizes, hoods.cells,
+                                                _edge_neighbors(mesh, hoods.cells)))
+        stuck = bigger.sizes == hoods.sizes                 # no further ring
+        failed.append((ks[stuck], hoods.subset(stuck)))
+        ks, hoods = ks[~stuck], bigger.subset(~stuck)
+        if not len(ks):
+            break
+    ks = np.concatenate([k for k, _ in failed])
+    order = np.argsort(ks)
+    ks = ks[order]
     if len(ks) and len(pset) >= 6:
         # neighborhood cells are thinner than the data: fit the nearest
         # points instead, so the window tracks the sampling density
-        hoods = _NearestHoods(pset.nearest(centers[ks], 18))
+        hoods = _NearestHoods(pset, pset.nearest(centers[ks], 18))
         full = quadratic(hoods, ks)
-        ks, hoods = ks[~full], _NearestHoods(hoods.idx[~full])
+        ks, hoods = ks[~full], _NearestHoods(pset, hoods.idx[~full])
     else:
-        hoods = _CellHoods(cell_rows, [failed[k] for k in ks])
+        hoods = _CellHoods(factors, np.concatenate([h.sizes for _, h in failed]),
+                           np.concatenate([h.cells for _, h in failed])).subset(order)
     linear = hoods.counts >= 3
     sol, _ = _fit(pset, hoods, np.flatnonzero(linear), centers[ks], 3)
     data[ks[linear], :, :3] = np.moveaxis(sol, 1, 2)          # zero twist
@@ -413,6 +533,22 @@ def estimate_vertex_controls(space, vids, pset, max_rings=3, fallback_field=None
         got = fallback_field.eval_many(centers[carry, 0], centers[carry, 1], HERMITE_ORDERS)
         data[carry] = np.moveaxis(got, 0, -1)
     return _solve_vertices(space, vids, data)
+
+
+def _vertices_inside(mesh, cells):
+    """The vertices of the active `cells` whose every incident cell is one
+    of them, ascending: one pass over the mesh's incidence CSR."""
+    cell_start, incident, vert_start, verts = mesh._incidence_tables()
+    cells = np.asarray(cells, dtype=np.int64)
+    chosen = np.zeros(len(vert_start) - 1, dtype=bool)
+    chosen[cells] = True
+    lo = vert_start[cells]
+    vids = np.unique(verts[_ranges(lo, vert_start[cells + 1] - lo)])
+    lo, counts = cell_start[vids], cell_start[vids + 1] - cell_start[vids]
+    owner = np.repeat(np.arange(len(vids)), counts)
+    outside = np.bincount(owner, weights=~chosen[incident[_ranges(lo, counts)]],
+                          minlength=len(vids))
+    return vids[outside == 0]
 
 
 def _field_errors(field, pset):
@@ -540,13 +676,9 @@ def fit_surface(pset, config, strategy="modified"):
         # would put a floor under the error there.  Anchors touching any
         # unrefined cell keep their control points, which leaves the
         # surface over every unrefined cell bitwise unchanged.
-        stale = set(rrep.new_basis_vertices)
-        for parent in rrep.performed:
-            for vid in old_mesh.cell_vertices(parent):
-                if vid in new_space.vertex_row and vid not in stale:
-                    if all(c in rrep.performed for c in old_mesh.vertex_cells(vid)):
-                        stale.add(vid)
-        stale = sorted(stale)
+        inside = _vertices_inside(old_mesh, list(rrep.performed))
+        stale = sorted(set(rrep.new_basis_vertices).union(
+            vid for vid in inside.tolist() if vid in new_space.vertex_row))
         rows = np.array([new_space.vertex_row[vid] for vid in stale], dtype=np.intp)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -394,7 +394,7 @@ class TMesh:
         self.domain = (s_knots[0], s_knots[-1], t_knots[0], t_knots[-1])
         self.current_level = 0
         self.generation_log = []
-        self._locator = self._incidence = None
+        self._locator = self._incidence = self._incidence_lists = None
 
         # cells row by row and vertices line by line, s fastest: cell
         # (a, b) has the corner vertex b * (ns + 1) + a at its low end
@@ -453,7 +453,7 @@ class TMesh:
         m.generation_log = list(self.generation_log)
         # a split writes these in place; the others grow into new arrays
         m._kids, m._label, m._dirs = self._kids.copy(), self._label.copy(), self._dirs.copy()
-        m._locator = m._incidence = None
+        m._locator = m._incidence = m._incidence_lists = None
         return m
 
     # ------------------------------------------------------------------
@@ -540,12 +540,15 @@ class TMesh:
     def _incidences(self):
         """(cell_start, cells, vert_start, verts): the incidence CSR, vertex
         v's cells at cells[cell_start[v]:cell_start[v + 1]] and cell c's
-        vertices likewise, ascending, as lists (faster to slice per item)."""
-        return self._incidence_tables()[0]
+        vertices likewise, ascending, as lists (faster to slice per item),
+        made from :meth:`_incidence_tables` on first use."""
+        if self._incidence_lists is None:
+            self._incidence_lists = tuple(a.tolist() for a in self._incidence_tables())
+        return self._incidence_lists
 
     def _incidence_tables(self):
-        """The incidence CSR of :meth:`_incidences` as (lists, arrays),
-        built on first use and dropped by a split."""
+        """The incidence CSR of :meth:`_incidences` as arrays, built on
+        first use and dropped by a split."""
         if self._incidence is None:
             _, kids, _, lattice = self._location_tables()
             vij = self.vertex_table()
@@ -561,7 +564,7 @@ class TMesh:
             by_cell = np.argsort(cids, kind="stable")
             csr = (np.searchsorted(vids, np.arange(len(vij) + 1)), cids,
                    np.searchsorted(cids[by_cell], np.arange(n + 1)), vids[by_cell])
-            self._incidence = (tuple(a.tolist() for a in csr), csr)
+            self._incidence = csr
         return self._incidence
 
     def classify_vertex(self, vid):
@@ -632,7 +635,7 @@ class TMesh:
         bad = ~known | (self._kids[np.where(known, cids, 0), 0] >= 0)
         if bad.any():
             self._active_cell(int(cids[np.argmax(bad)]))
-        cell_start, cells, vert_start, verts = self._incidence_tables()[1]
+        cell_start, cells, vert_start, verts = self._incidence_tables()
         lo, hi = vert_start[cids], vert_start[cids + 1]
         a, vids = np.repeat(cids, hi - lo), verts[_ranges(lo, hi)]
         lo, hi = cell_start[vids], cell_start[vids + 1]
@@ -768,7 +771,7 @@ class TMesh:
         self._label[cids] = codes + 1
         self.generation_log += [(self.current_level, cid, kind)
                                 for cid, kind in zip(cids.tolist(), kinds)]
-        self._locator = self._incidence = None
+        self._locator = self._incidence = self._incidence_lists = None
         return _per_owner(kids, owner, n), _per_owner(vid, cut_owner, n)
 
     def _open(self, cids):

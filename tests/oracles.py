@@ -3,6 +3,8 @@
 `naive_subdivide` splits marked cells as labeled, without the refinement
 strategy, so that its failure modes can be reproduced and rejected.
 `verify_space` is a numerical health report of a spline space.
+`ring_expand` grows a cell set by one ring of edge neighbors, one cell at
+a time, for the per-vertex control estimate of the fitting tests.
 """
 
 import numpy as np
@@ -23,6 +25,14 @@ def naive_subdivide(mesh, request):
     """
     _check_markable(mesh, request.marked)
     return _split(mesh, [], request.labels, request.labels)
+
+
+def ring_expand(mesh, cells):
+    """Active cells sharing an edge with the given set, and the set."""
+    out = set(cells)
+    for cid in cells:
+        out |= mesh.edge_neighbors(cid)
+    return out
 
 
 def interior_edge_samples(mesh, n_per_edge=3):

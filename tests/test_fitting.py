@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 
 from anisoline import bezier, fitting
 from anisoline.fitting import (
-    FitConfig, ParamPointSet, _field_errors, _ring_expand, _sample_grid,
+    FitConfig, ParamPointSet, _field_errors, _sample_grid,
     estimate_vertex_controls, fit_surface, generate_test_model, label_by_curvature,
 )
 from anisoline.refine import RefinementRequest, refine
@@ -21,7 +21,8 @@ from anisoline.space import (
     DERIV_ORDERS, HERMITE_ORDERS, SplineField, advance_level, build_initial_space,
     collocation_block,
 )
-from anisoline.tmesh import create_tensor_mesh
+from anisoline.tmesh import VertexKind, create_tensor_mesh
+from oracles import ring_expand
 
 
 def test_generate_models():
@@ -103,7 +104,7 @@ def _reference_estimate(space, vid, pset, max_rings=3, fallback_field=None):
                 break
         if rings >= max_rings:
             break
-        bigger = _ring_expand(mesh, cells)
+        bigger = ring_expand(mesh, cells)
         if bigger == cells:
             break
         cells = bigger
@@ -211,12 +212,18 @@ def _oracle_case(name, rng):
         pset = _point_set(rng, rng.uniform(0, 0.2, (4, 2)))
         fallback = SplineField(space, rng.standard_normal((space.dim, 3)))
     elif name == "streamed":
-        # the center vertex's four cells hold all 10,201 points
-        space = build_initial_space(create_tensor_mesh(2, 2))
+        # each of the two cells holds over 4,096 of the 10,201 points
+        space = build_initial_space(create_tensor_mesh(2, 1))
         pset = generate_test_model("cone", (101, 101))
     elif name == "windows":
         space = build_initial_space(create_tensor_mesh(20, 20))
         pset = _point_set(rng, rng.uniform(0, 1, (3000, 2)))
+    elif name == "mixed":
+        # a dense corner and sparse points elsewhere on a refined mesh:
+        # cells of both sizes, neighborhoods of cells with and without points
+        space = _refined_space(1, (3, 3))
+        pset = _point_set(rng, np.concatenate([rng.uniform(0.05, 0.45, (500, 2)),
+                                               rng.uniform(0, 1, (60, 2))]))
     pset.assign_cells(space.mesh)
     return space, pset, fallback
 
@@ -228,9 +235,9 @@ def _estimate_with_warnings(fn):
     return out, [str(w.message) for w in caught]
 
 
-@pytest.mark.parametrize("block", [None, 40])
+@pytest.mark.parametrize("block", [None, 40, 20])
 @pytest.mark.parametrize("name", ["quadratic", "rings and nearest", "linear", "rank rule",
-                                  "carry-over", "streamed", "windows"])
+                                  "carry-over", "streamed", "windows", "mixed"])
 def test_estimates_match_per_vertex_reference(name, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(fitting, "_BLOCK", block)
@@ -241,9 +248,9 @@ def test_estimates_match_per_vertex_reference(name, block, monkeypatch):
         fits.append((type(hoods).__name__, ncols, len(sel)))
         return fit(pset, hoods, sel, centers, ncols)
 
-    def spy_stream(*args):
-        streamed.append(args[2])
-        return stream(*args)
+    def spy_stream(pset, hoods, j, centers, ncols):
+        streamed.append((type(hoods).__name__, hoods.rows([j])))
+        return stream(pset, hoods, j, centers, ncols)
 
     monkeypatch.setattr(fitting, "_fit", spy_fit)
     monkeypatch.setattr(fitting, "_streamed_r", spy_stream)
@@ -277,13 +284,97 @@ def test_estimates_match_per_vertex_reference(name, block, monkeypatch):
             warnings.simplefilter("ignore")
             for vid in vids:
                 _reference_estimate(space, vid, pset)
-    elif name == "streamed":
-        # the four edge vertices and the center hold over 4,096 points each
-        assert len(streamed) == (5 if block is None else 9)
     elif name == "windows":
         assert len(vids) > fitting._WINDOW
-    if block is not None and name in ("quadratic", "windows"):
-        assert streamed
+    elif name == "mixed":
+        mesh = space.mesh
+        counts = np.bincount(pset.cell_of, minlength=len(mesh.cell_bounds()))
+        hoods = [mesh.vertex_cells(vid) for vid in vids]
+        cells = sorted({c for h in hoods for c in h})
+        assert (counts[cells] <= 9).any() and (counts[cells] > 9).any()
+        assert {int(np.count_nonzero(counts[h])) for h in hoods} >= {2, 3, 4}
+        corners = {mesh.classify_vertex(v) for c in cells for v in mesh.cell_vertices(c)}
+        assert {VertexKind.BOUNDARY, VertexKind.T_JUNCTION} <= corners
+        assert fits[0][0] == fits[1][0] == "_CellHoods" and fits[1][2] > 0    # a ring
+        assert not got_warned
+    # every cell of more than _BLOCK points streams, once per call
+    counts = np.bincount(pset.cell_of, minlength=len(space.mesh.cell_bounds()))
+    asked = {c for vid in vids for c in space.mesh.vertex_cells(vid)}
+    cells = [np.unique(pset.cell_of[rows]) for kind, rows in streamed if kind == "_PointHoods"]
+    assert all(len(c) == 1 for c in cells)
+    assert sorted(int(c[0]) for c in cells) == [c for c in sorted(asked)
+                                                if counts[c] > fitting._BLOCK]
+    if name == "streamed":
+        assert len(cells) == 2
+    if block is not None and name in ("quadratic", "mixed"):
+        assert cells
+    if block == 20 and name in ("quadratic", "windows", "mixed"):
+        # a vertex's stacked factor rows stream past the block too
+        assert any(kind == "_CellHoods" for kind, _ in streamed)
+
+
+def test_each_point_gets_one_design_row_per_call(monkeypatch):
+    # the nine level-0 vertices of the cone share its four cells, 10,201
+    # points: each cell is reduced once for all of them
+    pset = generate_test_model("cone", (101, 101))
+    space = build_initial_space(create_tensor_mesh(2, 2))
+    pset.assign_cells(space.mesh)
+    built, design = [], fitting._design
+
+    def spy(pset, rows, centers, ncols):
+        built.append(np.asarray(rows))
+        return design(pset, rows, centers, ncols)
+
+    monkeypatch.setattr(fitting, "_design", spy)
+    estimate_vertex_controls(space, list(space.vertex_index), pset)
+    assert np.array_equal(np.sort(np.concatenate(built)), np.arange(len(pset)))
+
+
+def test_stale_points_and_vertices_match_the_per_item_loops(monkeypatch):
+    # the relocated points and the re-estimated vertices of every round
+    # of a fit, against the loops they replaced; a bump refines the mesh
+    # around it only, so some vertices of split cells keep their data
+    rng = np.random.default_rng(2)
+    params = rng.uniform(0, 1, (1500, 2))
+    bump = np.exp(-40 * ((params[:, 0] - 0.3) ** 2 + (params[:, 1] - 0.3) ** 2))
+    pset = ParamPointSet(np.column_stack([params, bump]), params)
+    rounds, estimated = [], []
+    real_refine, real_estimate = fitting.refine, fitting.estimate_vertex_controls
+
+    def spy_refine(mesh, request):
+        got = real_refine(mesh, request)
+        rounds.append((got[1], pset.cell_of.copy()))
+        return got
+
+    def spy_estimate(space, vids, pset, max_rings=3, fallback_field=None):
+        estimated.append((space, list(vids)))
+        return real_estimate(space, vids, pset, max_rings, fallback_field)
+
+    monkeypatch.setattr(fitting, "refine", spy_refine)
+    monkeypatch.setattr(fitting, "estimate_vertex_controls", spy_estimate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit_surface(pset, FitConfig(tolerance=1e-3, max_levels=3, initial_grid=(4, 4)))
+    assert len(rounds) == 3 and len(estimated) == 4
+    kept = False
+    for (rrep, cell_of), (space, vids) in zip(rounds, estimated[1:]):
+        moved = ParamPointSet(pset.points, pset.params)
+        moved.cell_of = cell_of.copy()
+        moved.update_cells(rrep)
+        stale = np.nonzero(np.isin(cell_of, list(rrep.performed)))[0]
+        want = cell_of.copy()
+        want[stale] = rrep.mesh_after.locate_many(pset.params[stale, 0], pset.params[stale, 1])
+        assert np.array_equal(moved.cell_of, want)
+        old_mesh, expected = rrep.mesh_before, set(rrep.new_basis_vertices)
+        for parent in rrep.performed:
+            for vid in old_mesh.cell_vertices(parent):
+                if vid in space.vertex_row and vid not in expected:
+                    if all(c in rrep.performed for c in old_mesh.vertex_cells(vid)):
+                        expected.add(vid)
+        assert vids == sorted(expected)
+        kept |= any(vid in space.vertex_row and vid not in expected
+                    for parent in rrep.performed for vid in old_mesh.cell_vertices(parent))
+    assert kept
 
 
 def test_fit_counts_fallbacks_per_level(monkeypatch):
@@ -684,6 +775,26 @@ def test_labels_match_per_cell_reference(seed, start, arity):
                           np.array([curv_ref[c] for c in cells]))
 
 
+@pytest.mark.parametrize("seed, start", _ORACLE_SPACES[:3])
+def test_rings_match_the_per_cell_oracle(seed, start):
+    mesh = _refined_space(seed, start).mesh
+    split = [c for c in range(len(mesh.cell_bounds())) if not mesh.cell(c).active]
+    assert {mesh.cell(c).label for c in split} == {"H", "V", "C"}
+    rng = np.random.default_rng(seed)
+    active = mesh.active_cells()
+    sets = [sorted(rng.choice(active, rng.integers(1, 9), replace=False).tolist())
+            for _ in range(40)]
+    # the neighbors of the cells of the sets only, then of the whole mesh,
+    # which grows no further
+    for sets in (sets, [active]):
+        cells = np.concatenate(sets)
+        sizes, cells = fitting._ring(np.array([len(c) for c in sets]), cells,
+                                     fitting._edge_neighbors(mesh, cells))
+        got = np.split(cells, np.cumsum(sizes)[:-1])
+        assert [c.tolist() for c in got] == [sorted(ring_expand(mesh, c)) for c in sets]
+    assert got[0].tolist() == active
+
+
 def _peak_mib(fn, *args, **kwargs):
     gc.collect()
     tracemalloc.start()
@@ -708,8 +819,10 @@ def test_errors_and_labels_memory_is_bounded_by_chunks():
 
 def test_control_estimation_memory_is_bounded_by_blocks():
     # all nine level-0 vertices of the 101 x 101 cone: the center's cells
-    # hold all 10,201 points.  Streamed through 4,096-row pieces the peak
-    # is 0.75 MiB; one vertex at a time with lstsq it was 1.4 MiB.
+    # hold all 10,201 points.  Each cell reduced once, in QRs of at most
+    # 4,096 rows, the peak is 0.63 MiB; each vertex's points streamed
+    # through 4,096-row pieces it was 0.75 MiB, and one vertex at a time
+    # with lstsq 1.4 MiB.
     pset = generate_test_model("cone", (101, 101))
     space = build_initial_space(create_tensor_mesh(2, 2))
     pset.assign_cells(space.mesh)
