@@ -18,6 +18,15 @@ get fresh estimates (the surface value at an anchor is pinned by its own four
 functions, so a stale coarse estimate would put a floor under the
 error); anchors away from the refined region keep their control points,
 which freezes the surface over cells that already passed.
+
+A point set keeps its points' stable order by cell
+(`ParamPointSet.cell_order`), made once per level, on first use after the
+points' cells change.  The three per-point passes of a level read it: the
+error pass evaluates the surface run by run over it
+(`SplineField.eval_runs`) and takes each cell's largest distance over its
+run, the cell factors of the estimator take their points from it, and
+relocation after a refinement round finds the points of the split cells
+in it and moves each one step down from its parent.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .refine import RefinementRequest, refine
 from .reporting import AdaptiveReport, LevelRecord
 from .space import (
     HERMITE_ORDERS, SplineField, _solve_vertices, advance_level, build_initial_space,
+    cell_order,
 )
 from .tmesh import create_tensor_mesh
 
@@ -45,7 +55,11 @@ __all__ = [
 
 
 class ParamPointSet:
-    """3D points with parameters in [0,1]^2 and a per-point cell index."""
+    """3D points with parameters in [0,1]^2 and a per-point cell index.
+
+    Beside `cell_of` the set keeps the points' stable order by cell
+    (`cell_order`), made on first use after `cell_of` is assigned; every
+    assignment drops it, so write `cell_of` whole, never in place."""
 
     def __init__(self, points, params):
         self.points = np.asarray(points, dtype=float)
@@ -66,6 +80,23 @@ class ParamPointSet:
             raise ValueError("parameters outside [0,1]^2")
         self.cell_of = None
         self._tree = None
+
+    @property
+    def cell_of(self):
+        return self._cell_of
+
+    @cell_of.setter
+    def cell_of(self, cells):
+        self._cell_of = cells
+        self._order = None
+
+    def cell_order(self):
+        """(order, cells, counts) of `space.cell_order` for `cell_of`: the
+        permutation putting the points in cell order, the ascending cells
+        that hold points and their point counts."""
+        if self._order is None:
+            self._order = cell_order(self._cell_of)
+        return self._order
 
     def nearest(self, params, k):
         """Indices (n, k) of the k data points with parameters closest to
@@ -88,12 +119,22 @@ class ParamPointSet:
         self.cell_of = mesh.locate_many(self.params[:, 0], self.params[:, 1])
 
     def update_cells(self, report):
-        """Relocate only the points whose cell was subdivided."""
+        """Relocate only the points whose cell was subdivided, read from the
+        cell order: each moves one step down from its parent, by the
+        parent's cut midpoints.  The parent lies on the path of
+        `TMesh.locate_many`'s descent and its children are active, so this
+        is the cell the full descent gives, under the same half-open rule."""
+        order, cells, counts = self.cell_order()
         split = np.zeros(len(report.mesh_before.cell_bounds()), dtype=bool)
         split[list(report.performed)] = True
-        stale = np.flatnonzero(split[self.cell_of])
-        self.cell_of[stale] = report.mesh_after.locate_many(
-            self.params[stale, 0], self.params[stale, 1])
+        hit = split[cells]
+        stale = order[_ranges((np.cumsum(counts) - counts)[hit], counts[hit])]
+        parent = self._cell_of[stale]
+        _, kids, (_, _, s_mid, t_mid), _ = report.mesh_after._location_tables()
+        s, t = self.params.take(stale, axis=0).T
+        cell_of = self._cell_of.copy()
+        cell_of[stale] = kids[parent, (s >= s_mid[parent]) + 2 * (t >= t_mid[parent])]
+        self.cell_of = cell_of
 
 
 def _check_count(name, value, least, meaning=""):
@@ -228,10 +269,11 @@ class _CellFactors:
     def __init__(self, pset, mesh):
         b = mesh.cell_bounds()
         self.centers = np.stack([b[:, 0] + b[:, 1], b[:, 2] + b[:, 3]], axis=1) / 2
-        self.counts = np.bincount(pset.cell_of, minlength=len(b))
-        # neighborhood c is the points of cell c, in a stable order
-        self.points = _PointHoods(pset, np.argsort(pset.cell_of, kind="stable"),
-                                  np.cumsum(self.counts) - self.counts, self.counts)
+        order, cells, counts = pset.cell_order()
+        self.counts = np.zeros(len(b), dtype=np.int64)
+        self.counts[cells] = counts
+        # neighborhood c is the points of cell c, in the set's cell order
+        self.points = _PointHoods(pset, order, np.cumsum(self.counts) - self.counts, self.counts)
         k = 6 + pset.points.shape[1]
         self.nrows = np.minimum(self.counts, k)
         self.first = np.full(len(b), -1, dtype=np.int64)       # -1: not reduced yet
@@ -553,12 +595,18 @@ def _vertices_inside(mesh, cells):
 
 def _field_errors(field, pset):
     """Distance of every point to the surface, and the largest distance
-    per cell id that holds points."""
-    got = field.eval_located(pset.cell_of, pset.params[:, 0], pset.params[:, 1])[0]
-    err = np.linalg.norm(got - pset.points, axis=1)
-    cells, rank = np.unique(pset.cell_of, return_inverse=True)
-    worst = np.zeros(len(cells))
-    np.maximum.at(worst, rank, err)
+    per cell id that holds points, ascending.  The points are evaluated in
+    the set's cell order (`ParamPointSet.cell_order`, `SplineField.eval_runs`),
+    each cell's largest distance is a reduction over its run, and the
+    distances are put back in point order, so sums over them run as in
+    the set."""
+    order, cells, counts = pset.cell_order()
+    gap = field.eval_runs(order, cells, counts, pset.params[:, 0], pset.params[:, 1])[0]
+    gap -= pset.points.take(order, axis=0)
+    ranked = np.linalg.norm(gap, axis=1)
+    err = np.empty_like(ranked)
+    err[order] = ranked
+    worst = np.maximum.reduceat(ranked, np.cumsum(counts) - counts)
     return err, dict(zip(cells.tolist(), worst.tolist()))
 
 

@@ -11,6 +11,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from anisoline import bezier, fitting
+from anisoline import space as space_module
 from anisoline.fitting import (
     FitConfig, ParamPointSet, _field_errors, _sample_grid,
     estimate_vertex_controls, fit_surface, generate_test_model, label_by_curvature,
@@ -731,6 +732,33 @@ def test_evaluation_matches_per_cell_reference(seed, start, arity):
     assert _close(got, want)
 
 
+@pytest.mark.parametrize("arity", [None, 3])
+def test_located_evaluation_matches_per_cell_reference(arity):
+    # points handed in with their cells, unsorted and repeated: one cell
+    # holds more than a chunk of points, and more cells than one block
+    # hold points; some points lie on their cell's closing edges
+    space = _refined_space(7, (10, 10))
+    rng = np.random.default_rng(11)
+    shape = (space.dim,) if arity is None else (space.dim, arity)
+    field = SplineField(space, rng.standard_normal(shape))
+    active = np.array(space.mesh.active_cells())
+    cells = np.concatenate([rng.choice(active, 3000),
+                            np.full(space_module._CHUNK + 200, active[5])])
+    rng.shuffle(cells)
+    assert len(np.unique(cells)) > space_module._BLOCK
+    s0, s1, t0, t1 = space.mesh.cell_bounds()[cells].T
+    u, v = rng.uniform(0, 1, (2, len(cells)))
+    u[:100], v[50:150] = 1.0, 0.0
+    s, t = s0 + u * (s1 - s0), t0 + v * (t1 - t0)
+    got = field.eval_located(cells, s, t, DERIV_ORDERS)
+    want = np.empty_like(got)
+    for cid in np.unique(cells).tolist():
+        idx = cells == cid
+        want[:, idx] = _reference_eval_on_cell(field, cid, s[idx], t[idx], DERIV_ORDERS)
+    assert _close(got, want)
+    assert field.eval_located([], [], [], DERIV_ORDERS).shape == (6, 0) + shape[1:]
+
+
 def _point_sets(rng):
     params = rng.uniform(0, 1, (2500, 2))
     yield "spread", params
@@ -756,6 +784,62 @@ def test_field_errors_match_per_cell_reference(seed, start):
                       np.array(list(cell_max_ref.values()))), name
         if name == "one cell":
             assert len(cell_max) == 1
+
+
+def test_cell_order_follows_every_assignment():
+    # the order is made for a 4 x 4 grid, then `cell_of` is assigned
+    # directly for a refined mesh: errors and cell factors must read the
+    # new cells
+    space = _refined_space(5, (4, 4))
+    coarse = build_initial_space(create_tensor_mesh(4, 4))
+    rng = np.random.default_rng(5)
+    params = rng.uniform(0, 1, (2000, 2))
+    pset = ParamPointSet(rng.standard_normal((2000, 3)), params)
+    pset.assign_cells(coarse.mesh)
+    _field_errors(SplineField(coarse, rng.standard_normal((coarse.dim, 3))), pset)
+    pset.cell_of = space.mesh.locate_many(params[:, 0], params[:, 1])
+    field = SplineField(space, rng.standard_normal((space.dim, 3)))
+    err, cell_max = _field_errors(field, pset)
+    err_ref, cell_max_ref = _reference_field_errors(field, pset)
+    assert _close(err, err_ref)
+    assert list(cell_max) == sorted(cell_max_ref)
+    assert _close(np.array([cell_max[c] for c in cell_max_ref]),
+                  np.array(list(cell_max_ref.values())))
+    factors = fitting._CellFactors(pset, space.mesh)
+    assert np.array_equal(factors.counts,
+                          np.bincount(pset.cell_of, minlength=len(space.mesh.cell_bounds())))
+    for cid, idx in _by_cell(pset).items():
+        assert np.array_equal(factors.points.rows([cid]), idx)
+
+
+@pytest.mark.parametrize("seed, start", _ORACLE_SPACES[:3])
+def test_relocation_matches_locate_many_on_cut_lines(seed, start):
+    # per split cell, every point of the grid of its children's bounds
+    # and centers: on the H, V and C cut lines, at their ends and
+    # crossings and at the cell's corners, where the half-open rule decides
+    rng = random.Random(seed)
+    mesh = create_tensor_mesh(*start)
+    kinds = set()
+    for level in range(3):
+        cells = mesh.cells_of_level(level)
+        marks = rng.sample(cells, rng.randint(1, min(6, len(cells))))
+        after, report = refine(mesh, RefinementRequest({c: rng.choice("HVC") for c in marks}))
+        grids = []
+        for _, kids in report.performed.values():
+            b = after.cell_bounds()[list(kids)]
+            s = np.unique(np.concatenate([b[:, :2].ravel(), b[:, :2].mean(axis=1)]))
+            t = np.unique(np.concatenate([b[:, 2:].ravel(), b[:, 2:].mean(axis=1)]))
+            grids.append(np.stack(np.meshgrid(s, t), axis=-1).reshape(-1, 2))
+        params = np.concatenate(grids)
+        pset = ParamPointSet(np.zeros((len(params), 3)), params)
+        pset.assign_cells(mesh)
+        before = pset.cell_of
+        pset.update_cells(report)
+        assert np.array_equal(pset.cell_of, after.locate_many(params[:, 0], params[:, 1]))
+        assert (pset.cell_of != before).any()
+        kinds |= {kind for kind, _ in report.performed.values()}
+        mesh = after
+    assert kinds == {"H", "V", "C"}
 
 
 @pytest.mark.parametrize("seed, start", _ORACLE_SPACES)
@@ -815,6 +899,14 @@ def test_errors_and_labels_memory_is_bounded_by_chunks():
     cells = field.space.mesh.active_cells()
     assert _peak_mib(_field_errors, field, pset) <= 3.0
     assert _peak_mib(label_by_curvature, field, cells, 2.0) <= 1.1
+    # the final cone field: 64 cells of about 160 points each, all in one
+    # block.  Chunked, the peak is 1.3 MiB; gathering the block's points
+    # at once, not a chunk at a time, takes 6.3 MiB.
+    pset = generate_test_model("cone", (101, 101))
+    field, report = fit_surface(pset, FitConfig(tolerance=1e-3))
+    assert report.converged and len(field.space.mesh.active_cells()) == 64
+    pset.cell_of = pset.cell_of            # the cell order is made inside the call
+    assert _peak_mib(_field_errors, field, pset) <= 2.0
 
 
 def test_control_estimation_memory_is_bounded_by_blocks():

@@ -475,6 +475,29 @@ def test_vector_field_evaluation():
     assert hermite.shape == (4, 1, 3)
 
 
+@pytest.mark.parametrize("arity", [None, 3])
+def test_eval_many_keeps_the_parameter_shape(arity):
+    space = build_initial_space(create_tensor_mesh(2, 2))
+    rng = np.random.default_rng(7)
+    tail = () if arity is None else (arity,)
+    field = SplineField(space, rng.standard_normal((space.dim,) + tail))
+    s, t = rng.uniform(0, 1, (2, 2, 3))
+    got = field.eval_many(s, t, DERIV_ORDERS)
+    assert got.shape == (6, 2, 3) + tail
+    assert np.array_equal(got.reshape((6, 6) + tail),
+                          field.eval_many(s.ravel(), t.ravel(), DERIV_ORDERS))
+    assert field.eval_many(0.3, 0.7).shape == (1, 1) + tail
+
+
+def test_located_evaluation_refuses_mismatched_sizes():
+    space = build_initial_space(create_tensor_mesh(2, 2))
+    field = SplineField(space, np.ones(space.dim))
+    with pytest.raises(ValueError, match="1, 3 and 3"):
+        field.eval_located([0], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="2, 2 and 1"):
+        field.eval_located([0, 1], [0.1, 0.6], [0.1])
+
+
 # ----------------------------------------------------------------------
 # oracles of the collocation table and of the batched level advance
 
