@@ -1,10 +1,10 @@
 """Adaptive surface fitting of parameterized point sets.
 
-The loop fits a spline surface to points (x, y, z) with parameters
-(s, t) in the unit square: estimate control points from local quadratic
-fits, measure the max distance per cell, mark the current-level cells
-above tolerance, label them from discrete directional curvatures of the
-current surface, refine, repeat.
+The loop (`fit_surface`, on the driver `reporting.run_adaptive`) fits a
+spline surface to points (x, y, z) with parameters (s, t) in the unit
+square: estimate control points from local quadratic fits, measure the
+max distance per cell, mark the current-level cells above tolerance, label
+them from discrete directional curvatures of the surface, refine, repeat.
 
 Control points are estimated for a level's basis vertices at once
 (`estimate_vertex_controls`): one quadratic least-squares fit per vertex,
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .refine import RefinementRequest, refine
-from .reporting import AdaptiveReport, LevelRecord
+from .reporting import _check_count, run_adaptive
 from .space import (
     HERMITE_ORDERS, SplineField, _solve_vertices, advance_level, build_initial_space,
     cell_order,
@@ -135,13 +135,6 @@ class ParamPointSet:
         cell_of = self._cell_of.copy()
         cell_of[stale] = kids[parent, (s >= s_mid[parent]) + 2 * (t >= t_mid[parent])]
         self.cell_of = cell_of
-
-
-def _check_count(name, value, least, meaning=""):
-    """Raise a ValueError naming the config field `name` unless `value` is
-    an integer >= least."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}{meaning}, got {value!r}")
 
 
 @dataclass
@@ -665,88 +658,52 @@ def label_by_curvature(field, cells, delta, samples=9):
 
 
 def fit_surface(pset, config, strategy="modified"):
-    """Adaptive fit; returns (surface field, report).
-
-    `strategy` 'modified' uses curvature labels; 'cross_only' forces every
-    label to 'C', which reduces to plain cross-insertion refinement.
+    """Adaptive fit by `reporting.run_adaptive`; returns (surface field,
+    report).  Each level estimates the control points of its stale vertices
+    (all of them at level 0, where nothing is carried over) and meets the
+    goal when its max error is at most the tolerance.
     """
-    if strategy not in ("modified", "cross_only"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     tol = config.tolerance * pset.bbox_diagonal()
-    mesh = create_tensor_mesh(*config.initial_grid)
-    space = build_initial_space(mesh)
-    pset.assign_cells(mesh)
-    report = AdaptiveReport(strategy=strategy)
+    field = rrep = None
 
-    t0 = time.perf_counter()
-    coeffs = estimate_vertex_controls(space, space.vertices, pset)
-    field = SplineField(space, coeffs.reshape(space.dim, 3))
-    fit_time = time.perf_counter() - t0
-
-    pending_new = space.dim
-    pending_mod = 0
-    for level in range(config.max_levels + 1):
+    def estimate(space, level):
+        nonlocal field
+        if level == 0:
+            pset.assign_cells(space.mesh)
         t0 = time.perf_counter()
-        err, cell_max = _field_errors(field, pset)
-        err_time = time.perf_counter() - t0
-        rec = LevelRecord(
-            level=level, dof=field.space.dim,
-            new_functions=pending_new, modified_functions=pending_mod,
-            max_error=float(err.max()), mean_error=float(err.mean()),
-            seconds={"controls": fit_time, "errors": err_time})
-        marked = [cid for cid in mesh.cells_of_level(level)
-                  if cell_max.get(cid, 0.0) > config.mark_safety * tol]
-        rec.marked = len(marked)
-        report.add(rec)
-        if rec.max_error <= tol or not marked or level == config.max_levels:
-            break
-
-        t0 = time.perf_counter()
-        labels, _ = label_by_curvature(field, marked, config.delta, config.samples)
-        if strategy == "cross_only":
-            labels = {cid: "C" for cid in labels}
-        label_time = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        old_space = field.space
-        old_mesh = mesh
-        mesh, rrep = refine(mesh, RefinementRequest(labels))
-        new_space = advance_level(old_space, rrep)
-        pset.update_cells(rrep)
-        refine_time = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        new_coeffs = np.zeros((new_space.dim, 3))
-        new_coeffs[:old_space.dim] = field.coefficients
-        # an anchor fully inside the refined region gets a fresh local
-        # estimate: its old data came from a coarser fit, and the surface
-        # value at an anchor is pinned by its own functions, so keeping it
-        # would put a floor under the error there.  Anchors touching any
-        # unrefined cell keep their control points, which leaves the
-        # surface over every unrefined cell bitwise unchanged.
-        inside = _vertices_inside(old_mesh, list(rrep.performed))
-        stale = sorted(set(rrep.new_basis_vertices).union(
-            vid for vid in inside.tolist() if vid in new_space.vertex_row))
-        rows = np.array([new_space.vertex_row[vid] for vid in stale], dtype=np.intp)
+        coeffs = np.zeros((space.dim, 3))
+        stale = space.vertices
+        if level:
+            coeffs[:field.space.dim] = field.coefficients
+            # anchors inside the refined region are re-estimated (module docstring);
+            # the others keep theirs, which freezes the surface over unrefined cells
+            inside = _vertices_inside(rrep.mesh_before, list(rrep.performed))
+            stale = sorted(set(rrep.new_basis_vertices).union(
+                vid for vid in inside.tolist() if vid in space.vertex_row))
+        rows = np.array([space.vertex_row[vid] for vid in stale], dtype=np.intp)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            new_coeffs[4 * rows[:, None] + np.arange(4)] = estimate_vertex_controls(
-                new_space, stale, pset, fallback_field=field)
-        if caught:
-            warnings.warn(
-                f"level {level + 1}: {len(caught)} vertex estimates used a "
-                f"fallback (thin data)", stacklevel=2)
-        field = SplineField(new_space, new_coeffs)
-        fit_time = time.perf_counter() - t0
+            coeffs[4 * rows[:, None] + np.arange(4)] = estimate_vertex_controls(
+                space, stale, pset, fallback_field=field)
+        if caught:      # stack: this hook, run_adaptive, fit_surface, its caller
+            warnings.warn(f"level {level}: {len(caught)} vertex estimates used a "
+                          f"fallback (thin data)", stacklevel=4)
+        field = SplineField(space, coeffs)
+        t1 = time.perf_counter()
+        err, cell_max = _field_errors(field, pset)
+        fields = {"max_error": float(err.max()), "mean_error": float(err.mean()),
+                  "seconds": {"controls": t1 - t0, "errors": time.perf_counter() - t1}}
+        return fields, cell_max, config.mark_safety * tol, fields["max_error"] <= tol
 
-        hist = {}
-        for lab in rrep.final_labels.values():
-            hist[lab] = hist.get(lab, 0) + 1
-        rec.labels = hist
-        rec.seconds["label"] = label_time
-        rec.seconds["refine"] = refine_time
-        pending_new = 4 * len(rrep.new_basis_vertices)
-        pending_mod = len(old_space.functions_on_cells(rrep.performed))
+    def advance(space, labels):
+        nonlocal rrep
+        _, rrep = refine(space.mesh, RefinementRequest(labels))
+        pset.update_cells(rrep)
+        return advance_level(space, rrep), rrep
 
-    report.converged = bool(report.final.max_error <= tol)
+    report = run_adaptive(
+        build_initial_space(create_tensor_mesh(*config.initial_grid)), strategy,
+        config.max_levels, estimate,
+        lambda marked: label_by_curvature(field, marked, config.delta, config.samples)[0],
+        advance)
     return field, report

@@ -7,11 +7,11 @@ per-cell residual indicator
 
     eta^2 = h^2 ||laplace(u_h) + f||^2_(cell) + h ||g_N - du_h/dn||^2_(Neumann edges)
 
-with h the physical cell diameter, marks the current-level cells above a
+with h the physical cell diameter; `adaptive_solve` then, by the driver
+`reporting.run_adaptive`, marks the current-level cells above a
 threshold, labels them from the directional curvatures of the discrete
 solution, and refines with the anisotropic strategy.  The geometry is
-carried to the refined space exactly, so the physical domain never
-changes.
+carried to the refined space exactly, so the physical domain never changes.
 
 Gauss points are interior to cells, so the indicator stays finite on a
 cell whose closure holds a declared degenerate point of the geometry,
@@ -87,10 +87,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
 
-from .fitting import _check_count, label_by_curvature
+from .fitting import label_by_curvature
 from .geometry import Geometry
 from .refine import RefinementRequest, refine
-from .reporting import AdaptiveReport, LevelRecord
+from .reporting import _check_count, run_adaptive
 from .space import (
     DERIV_ORDERS, SplineField, _bernstein_tables, _blocks, _Cells, _eval_patches,
     _inverse_2x2, _padded_patches, advance_level,
@@ -641,7 +641,8 @@ def label_by_solution(u_h, cells, delta=2.0, samples=9):
     cell already halved in s is labelled 'V' again as long as the
     solution bends more along s per unit parameter.  On the L-shape patch
     this splits the two cells at (1/2, 0) in s down to width 1/32 while
-    their t-extent stays 1/4.  `fit_surface` labels with the same ratio.
+    their t-extent stays 1/4.  It is the label hook of `adaptive_solve` on
+    `reporting.run_adaptive`, as the same ratio is `fit_surface`'s.
     """
     return label_by_curvature(u_h.field, cells, delta, samples)[0]
 
@@ -668,54 +669,35 @@ def _solve_round(space, geometry, problem, config):
 
 
 def adaptive_solve(problem, geometry, config=None, strategy="modified"):
-    """Solve -> estimate & mark -> refine until nothing is marked.
-
-    Marking uses the absolute threshold on the current-level cells only.
-    Returns the last solution and the per-level report.
+    """Solve -> estimate & mark -> refine by `reporting.run_adaptive`,
+    until nothing is marked: marking uses the absolute threshold on the
+    current-level cells only.  Returns the last solution and the report.
     """
     config = config or SolveConfig()
-    if strategy not in ("modified", "cross_only"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    space = geometry.space
-    report = AdaptiveReport(strategy=strategy)
     solution = None
-    pending_new = space.dim
-    pending_mod = 0
-    for level in range(config.max_levels + 1):
+
+    def estimate(space, level):
+        nonlocal solution
         t0 = time.perf_counter()
         solution = _solve_round(space, _RoundGeometry(geometry), problem, config)
-        solve_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
         ind = error_indicators(solution, problem, config.quadrature)
-        est_time = time.perf_counter() - t0
         # the estimator has read the round's kept blocks; the solution
         # carries the plain map
         solution.geometry = geometry
-        rec = LevelRecord(level=level, dof=space.dim,
-                          new_functions=pending_new, modified_functions=pending_mod,
-                          eta_total=ind.total,
-                          seconds={"solve": solve_time, "estimate": est_time})
-        rec.l2_error, rec.h1_error = ind.l2_error, ind.h1_error
-        current = space.mesh.cells_of_level(level)
-        marked = [cid for cid in current if ind.eta[cid] > config.threshold]
-        rec.marked = len(marked)
-        report.add(rec)
-        if not marked or level == config.max_levels:
-            break
-        labels = label_by_solution(solution, marked, config.delta, config.samples)
-        if strategy == "cross_only":
-            labels = {cid: "C" for cid in labels}
-        t0 = time.perf_counter()
-        old_space = space
-        mesh2, rrep = refine(space.mesh, RefinementRequest(labels))
+        fields = {"eta_total": ind.total, "l2_error": ind.l2_error, "h1_error": ind.h1_error,
+                  "seconds": {"solve": t1 - t0, "estimate": time.perf_counter() - t1}}
+        return fields, ind.eta, config.threshold, None
+
+    def advance(space, labels):
+        nonlocal geometry
+        _, rrep = refine(space.mesh, RefinementRequest(labels))
         space = advance_level(space, rrep)
         geometry = geometry.advance(space)
-        rec.seconds["refine"] = time.perf_counter() - t0
-        hist = {}
-        for lab in rrep.final_labels.values():
-            hist[lab] = hist.get(lab, 0) + 1
-        rec.labels = hist
-        pending_new = 4 * len(rrep.new_basis_vertices)
-        pending_mod = len(old_space.functions_on_cells(rrep.performed))
-    report.converged = report.final.marked == 0
+        return space, rrep
+
+    report = run_adaptive(
+        geometry.space, strategy, config.max_levels, estimate,
+        lambda marked: label_by_solution(solution, marked, config.delta, config.samples),
+        advance)
     return solution, report

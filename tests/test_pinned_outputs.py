@@ -27,7 +27,8 @@ from anisoline.solver import SolveConfig, adaptive_solve
 _PINNED_FILE = Path(__file__).parent / "data" / "pinned_outputs.json"
 _PINNED = json.loads(_PINNED_FILE.read_text())
 _STRATEGIES = ("modified", "cross_only")
-_EXACT = ("level", "dof", "new_functions", "modified_functions", "marked", "labels")
+_EXACT = ("level", "dof", "new_functions", "modified_functions", "marked", "labels", "proposed",
+          "overridden")
 
 RUNS = {
     "cone": lambda strategy: fit_surface(
