@@ -56,10 +56,13 @@ across rounds, and every standalone call (`assemble`, `error_indicators`,
 `exact_error_norms`, which runs the estimator's walk without the
 residual) walks and evaluates by itself.
 
-Dirichlet pins are structural: along a boundary edge the trace of the
-space is the Hermite interpolant of the boundary vertices' data, so the
-functions that do not vanish on an edge piece are the value and
-along-edge slope functions of its two end vertices.
+Both boundary parts cut their segments into pieces on cell edges by one
+batched table (`_boundary_pieces`, `_EDGE_TABLE`).  Dirichlet pins are
+structural: along a boundary edge the trace of the space is the Hermite
+interpolant of the boundary vertices' data, so the functions that do not
+vanish on a piece are the value and along-edge slope functions of its cell
+edge's end vertices.  Inhomogeneous data is fitted by least squares at 8
+points per piece, evaluated in one batch from the cells' patches.
 
 Blocks bound the memory of a walk.  At 24 x 24 cells and q = 5 the
 tracemalloc peak of `assemble` is 4.3 MiB with blocks of 64 cells and
@@ -102,23 +105,21 @@ __all__ = [
     "label_by_solution", "exact_error_norms", "adaptive_solve",
 ]
 
-_EDGE_GEOM = {
-    # edge name -> (fixed coordinate accessor, outward parameter normal)
-    "s0": ((0, 0.0), (-1.0, 0.0)),
-    "s1": ((0, 1.0), (1.0, 0.0)),
-    "t0": ((1, 0.0), (0.0, -1.0)),
-    "t1": ((1, 1.0), (0.0, 1.0)),
-}
+# The boundary edges by code, the order of the lattice columns i0, i1, j0,
+# j1 they lie on: name, outward parameter normal, the slots not vanishing
+# along it (value 0, slope d_t = 2 on s-edges or d_s = 1 on t-edges) and a
+# cell's end vertices on it, as indexes into `TMesh.corner_vertices`.
+_EDGE_TABLE = (
+    ("s0", (-1.0, 0.0), (0, 2), (0, 2)),
+    ("s1", (1.0, 0.0), (0, 2), (1, 3)),
+    ("t0", (0.0, -1.0), (0, 1), (0, 1)),
+    ("t1", (0.0, 1.0), (0, 1), (2, 3)),
+)
+_EDGE_NAMES = [row[0] for row in _EDGE_TABLE]
+_EDGE_NORMAL, _EDGE_SLOTS, _EDGE_CORNERS = (np.array(col) for col in list(zip(*_EDGE_TABLE))[1:])
 
-# the edges in the order of the lattice columns i0, i1, j0, j1 they lie on
-_EDGES = tuple(_EDGE_GEOM)
-
-# the slots whose functions do not vanish along a boundary edge: the
-# value (0) and the slope along the edge (d_s = 1 on t-edges, d_t = 2 on
-# s-edges) of the edge's end vertices
-_EDGE_SLOTS = {"s0": (0, 2), "s1": (0, 2), "t0": (0, 1), "t1": (0, 1)}
-# the end vertices of each cell edge, as indexes into `TMesh.corner_vertices`
-_EDGE_CORNERS = {"s0": (0, 2), "s1": (1, 3), "t0": (0, 1), "t1": (2, 3)}
+# the Dirichlet fit's sample points per boundary piece, ends included
+_FIT_TICKS = np.linspace(0.0, 1.0, 8)
 
 
 @dataclass
@@ -248,26 +249,20 @@ class _CellBlock(_Cells):
         self.diameter = np.sqrt(np.max(np.sum(gaps ** 2, axis=1), axis=(1, 2)))
 
         self.edges = None
-        if not neumann:
+        rows, e, a, b = _boundary_pieces(space.mesh, self.cells, neumann)
+        if not len(rows):
             return
-        pieces = [(k, edge, a, b)
-                  for k, edge, lo, hi, _ in _boundary_edges(space.mesh, cids)
-                  for (a, b) in _segment_overlap(edge, lo, hi, neumann)]
-        if not pieces:
-            return
-        rows = np.array([k for k, _, _, _ in pieces])
-        s, t, w = map(np.array, zip(*(_edge_points(e, a, b, *gauss)
-                                      for _, e, a, b in pieces)))
+        x, w = gauss
+        s, t = _piece_points(space.mesh, self.cells[rows], e, a, b, x)
         u, v = self.local(s, t, np.s_[rows, None])
         pts = _Points(_bernstein_tables(u, v, DERIV_ORDERS[:3]), self.width[rows],
                       self.height[rows], geo[rows], self.cells[rows])
-        along_t = np.array([e in ("s0", "s1") for _, e, _, _ in pieces])
-        tangent = np.where(along_t[:, None, None], pts.J[..., 1], pts.J[..., 0])
+        tangent = np.where((e < 2)[:, None, None], pts.J[..., 1], pts.J[..., 0])
         # n_phys ~ J^-T n_par
-        npar = np.array([_EDGE_GEOM[e][1] for _, e, _, _ in pieces])
-        normal = np.einsum("pqyx,py->pqx", pts.Jinv, npar)
+        normal = np.einsum("pqyx,py->pqx", pts.Jinv, _EDGE_NORMAL[e])
         normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
-        self.edges = _Edges(rows, pts, w * np.linalg.norm(tangent, axis=-1), normal)
+        arc = w * (b - a)[:, None] * np.linalg.norm(tangent, axis=-1)
+        self.edges = _Edges(rows, pts, arc, normal)
 
     def kept(self):
         """The block as a round keeps it for its estimator: without the
@@ -351,42 +346,31 @@ def _walk(space, geometry, q, neumann):
         yield blk
 
 
-def _boundary_edges(mesh, cids):
-    """The domain-boundary edges of the cells `cids`, by cell and then in
-    `_EDGES` order, as (k, edge, lo, hi, at): cids[k] has `edge` on the
-    domain boundary at the float coordinate `at`, spanning [lo, hi] along
-    it.  Boundary cells are picked by lattice comparisons on the mesh's
-    cell table."""
+def _boundary_pieces(mesh, cids, segments):
+    """The pieces, longer than 1e-14, of the segment list [(edge name, a,
+    b)] on the domain-boundary edges of the cells `cids`, picked by lattice
+    comparisons, as arrays (k, e, a, b): the edge of code e of cids[k],
+    over [a, b].  Pieces run by cell, then edge code, then segment."""
     cids = np.asarray(cids, dtype=np.intp)
     ends = np.array([0, mesh.axes[0].end, 0, mesh.axes[1].end], dtype=np.int64)
-    # lattice columns i0, i1, j0, j1 are the edges s0, s1, t0, t1
     k, e = np.nonzero(mesh.cell_table().lattice[cids] == ends)
-    bounds = mesh.cell_bounds()[cids[k]].tolist()
-    return [(kk, _EDGES[ee], *(b[2:] if ee < 2 else b[:2]), b[ee])
-            for kk, ee, b in zip(k.tolist(), e.tolist(), bounds)]
+    s0, s1, t0, t1 = mesh.cell_bounds()[cids[k]].T
+    # an s-edge spans [t0, t1], a t-edge [s0, s1]
+    lo, hi = np.where(e < 2, t0, s0), np.where(e < 2, t1, s1)
+    code = np.array([_EDGE_NAMES.index(name) for name, _, _ in segments], dtype=np.intp)
+    a = np.maximum(lo[:, None], [sa for _, sa, _ in segments])
+    b = np.minimum(hi[:, None], [sb for _, _, sb in segments])
+    p, j = np.nonzero((e[:, None] == code) & (b > a + 1e-14))
+    return k[p], e[p], a[p, j], b[p, j]
 
 
-def _segment_overlap(edge, lo, hi, segments):
-    """Portion of [lo, hi] on `edge` covered by the segment list."""
-    spans = []
-    for (e, a, b) in segments:
-        if e == edge:
-            aa, bb = max(lo, a), min(hi, b)
-            if bb > aa + 1e-14:
-                spans.append((aa, bb))
-    return spans
-
-
-def _edge_points(edge, lo, hi, x, w):
-    """Gauss nodes (x, w on [0, 1]) mapped onto [lo, hi] of a boundary edge."""
-    par = lo + (hi - lo) * x
-    if edge in ("s0", "s1"):
-        s = np.full(len(x), _EDGE_GEOM[edge][0][1])
-        t = par
-    else:
-        s = par
-        t = np.full(len(x), _EDGE_GEOM[edge][0][1])
-    return s, t, w * (hi - lo)
+def _piece_points(mesh, cells, e, a, b, x):
+    """The parameters (s, t) (p, n) at a + (b - a) x, x (n,) in [0, 1],
+    along boundary pieces (e, a, b) of the cells `cells`."""
+    par = a[:, None] + (b - a)[:, None] * x
+    at = np.broadcast_to(mesh.cell_bounds()[cells, e][:, None], par.shape)
+    on_s = (e < 2)[:, None]
+    return np.where(on_s, at, par), np.where(on_s, par, at)
 
 
 def _neumann_segments(problem):
@@ -475,33 +459,19 @@ class ConstrainedSystem:
         return full
 
 
-def _constrained_functions(space, problem, samples_per_edge=8):
-    """Indices of functions not vanishing on the Dirichlet part, together
-    with dense sample points for the boundary fit.
-
-    The rule is structural (see the module docstring): every boundary
-    cell edge that overlaps the Dirichlet part pins the `_EDGE_SLOTS`
-    functions of its two end vertices.
-    """
+def _constrained_functions(space, problem):
+    """The sorted ids of the functions not vanishing on the Dirichlet part,
+    and its pieces (cells, e, a, b) on the active cells: by the structural
+    rule of the module docstring, the `_EDGE_SLOTS` functions of the end
+    vertices of each piece's cell edge."""
     mesh = space.mesh
-    ticks = np.linspace(0.0, 1.0, samples_per_edge)
-    active = mesh.active_cells()
-    corners = mesh.cell_table().corners
-    pinned = set()
-    pts = []
-    for k, edge, lo, hi, bound in _boundary_edges(mesh, active):
-        spans = _segment_overlap(edge, lo, hi, problem.dirichlet)
-        if not spans:
-            continue
-        cid = active[k]
-        for corner in _EDGE_CORNERS[edge]:
-            row = space.vertex_row[int(corners[cid, corner])]
-            pinned.update(4 * row + slot for slot in _EDGE_SLOTS[edge])
-        for (a, b) in spans:
-            par = a + (b - a) * ticks
-            fixed = np.full_like(par, bound)
-            pts.append((cid, fixed, par) if edge[0] == "s" else (cid, par, fixed))
-    return sorted(pinned), pts
+    active = np.asarray(mesh.active_cells(), dtype=np.intp)
+    k, e, a, b = _boundary_pieces(mesh, active, problem.dirichlet)
+    cells = active[k]
+    vids = mesh.cell_table().corners[cells[:, None], _EDGE_CORNERS[e]]     # (p, 2)
+    rows = np.array([space.vertex_row[vid] for vid in vids.ravel().tolist()], dtype=np.intp)
+    pinned = 4 * rows.reshape(vids.shape)[:, :, None] + _EDGE_SLOTS[e][:, None, :]
+    return np.unique(pinned), (cells, e, a, b)
 
 
 def impose_boundary_conditions(system, space, geometry, problem):
@@ -513,35 +483,30 @@ def impose_boundary_conditions(system, space, geometry, problem):
     """
     A, F = system
     n = space.dim
-    pinned, pts = _constrained_functions(space, problem)
+    pinned, (cells, e, a, b) = _constrained_functions(space, problem)
     fixed = np.zeros(n)
-    if problem.g_dirichlet is not None and pinned:
-        cols = {fid: k for k, fid in enumerate(pinned)}
-        blocks = []
-        targets = []
-        for (cid, s, t) in pts:
-            c = space.mesh.cell(cid)
-            s0, _, t0, _ = c.bounds_float()
-            width, height = c.size_float()
-            u = (s - s0) / width
-            v = (t - t0) / height
-            fids, bas = space.basis_on_cell(cid, u, v, ((0, 0),))
-            xy = geometry.field.eval_on_cell(cid, s, t)[0]
-            row = np.zeros((len(s), len(pinned)))
-            for k, fid in enumerate(fids):
-                if fid in cols:
-                    row[:, cols[fid]] = bas[0][k]
-            blocks.append(row)
-            targets.append(problem.g_dirichlet(xy[:, 0], xy[:, 1]))
-        Amat = np.vstack(blocks)
-        rhs = np.concatenate(targets)
-        sol, *_ = np.linalg.lstsq(Amat, rhs, rcond=None)
-        fixed[pinned] = sol
-    free = np.array(sorted(set(range(n)) - set(pinned)), dtype=int)
+    if problem.g_dirichlet is not None and len(pinned):
+        # all fit points in one batch: the pieces' cells' basis patches
+        # give the pinned functions' columns, `eval_located` the map
+        s, t = _piece_points(space.mesh, cells, e, a, b, _FIT_TICKS)
+        blk = _Cells(space, cells.tolist())
+        u, v = blk.local(s, t, np.s_[:, None])
+        values = _eval_patches(blk.patches, _bernstein_tables(u, v, ((0, 0),)), (0, 0),
+                               blk.width, blk.height)                    # (p, F, ticks)
+        col = np.searchsorted(pinned, blk.fids).clip(max=len(pinned) - 1)
+        p, f = np.nonzero(blk.valid & (pinned[col] == blk.fids))
+        design = np.zeros(s.shape + (len(pinned),))
+        design[p, :, col[p, f]] = values[p, f]
+        xy = geometry.field.eval_located(np.repeat(cells, s.shape[1]), s, t)[0]
+        fixed[pinned] = np.linalg.lstsq(design.reshape(s.size, -1),
+                                        problem.g_dirichlet(xy[:, 0], xy[:, 1]), rcond=None)[0]
+    is_free = np.ones(n, dtype=bool)
+    is_free[pinned] = False
+    free = np.flatnonzero(is_free)
     if len(free) == 0:
         raise ValueError("all degrees of freedom are constrained")
     Af = A[free]
-    Ff = F[free] - Af[:, pinned] @ fixed[pinned] if pinned else F[free]
+    Ff = F[free] - Af @ fixed
     # the row slice goes before the copy into CSC, the format SuperLU factors
     Af = Af[:, free]
     return ConstrainedSystem(Af.tocsc(), Ff, free, fixed, n)

@@ -338,9 +338,6 @@ class Cell:
         """float() of the exact width and height."""
         return tuple(self.mesh._sizes[self.id].tolist())
 
-    def area(self):
-        return self.width * self.height
-
     def contains_point(self, s, t):
         return self.s0 <= s <= self.s1 and self.t0 <= t <= self.t1
 

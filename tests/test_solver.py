@@ -19,9 +19,8 @@ from anisoline.refine import RefinementRequest, refine
 from anisoline.solver import (
     ConstrainedSystem, DiscreteSolution, ErrorIndicator, SolveConfig,
     adaptive_solve, assemble, error_indicators, exact_error_norms,
-    impose_boundary_conditions, label_by_solution, solve_linear, _EDGE_GEOM,
-    _boundary_edges, _cell_blocks, _constrained_functions, _edge_points, _gauss01,
-    _segment_overlap, _solve_round,
+    impose_boundary_conditions, label_by_solution, solve_linear, _boundary_pieces,
+    _cell_blocks, _constrained_functions, _gauss01, _solve_round,
 )
 from anisoline.space import (
     SplineField, SplineSpace, advance_level, build_initial_space, collocation_block,
@@ -112,19 +111,46 @@ def test_impose_pins_boundary_value_slots_by_mesh(n, count):
 
 def _boundary_edges_of_cell(mesh, cid):
     """The domain-boundary edges of one cell from its own bounds, as
-    (edge, lo, hi): the per-cell query `_boundary_edges` replaced."""
+    (edge, lo, hi, at): the edge spans [lo, hi] at the fixed coordinate
+    `at`."""
     c = mesh.cell(cid)
     s0, s1, t0, t1 = c.bounds_float()
     out = []
     if c.i0 == 0:
-        out.append(("s0", t0, t1))
+        out.append(("s0", t0, t1, s0))
     if c.i1 == mesh.axes[0].end:
-        out.append(("s1", t0, t1))
+        out.append(("s1", t0, t1, s1))
     if c.j0 == 0:
-        out.append(("t0", s0, s1))
+        out.append(("t0", s0, s1, t0))
     if c.j1 == mesh.axes[1].end:
-        out.append(("t1", s0, s1))
+        out.append(("t1", s0, s1, t1))
     return out
+
+
+def _reference_edge_pieces(mesh, cid, segments):
+    """The pieces of a segment list on one cell's boundary edges, as
+    (edge, a, b, at), by edge and then in segment order: the nested loops
+    that `solver._boundary_pieces` replaced."""
+    for (edge, lo, hi, at) in _boundary_edges_of_cell(mesh, cid):
+        for (e, a, b) in segments:
+            if e == edge:
+                aa, bb = max(lo, a), min(hi, b)
+                if bb > aa + 1e-14:
+                    yield edge, aa, bb, at
+
+
+def _reference_points(edge, a, b, at, x):
+    """Parameters (s, t) at a + (b - a) x along a boundary piece."""
+    par = a + (b - a) * x
+    fixed = np.full_like(par, at)
+    return (fixed, par) if edge in ("s0", "s1") else (par, fixed)
+
+
+def _reference_basis(space, cid, s, t, derivs=((0, 0),)):
+    c = space.mesh.cell(cid)
+    u = (s - float(c.s0)) / float(c.width)
+    v = (t - float(c.t0)) / float(c.height)
+    return space.basis_on_cell(cid, u, v, derivs)
 
 
 def _reference_pinned(space, problem, samples_per_edge=8):
@@ -134,18 +160,35 @@ def _reference_pinned(space, problem, samples_per_edge=8):
     ticks = np.linspace(0.0, 1.0, samples_per_edge)
     pinned = set()
     for cid in mesh.active_cells():
-        c = mesh.cell(cid)
-        for (edge, lo, hi) in _boundary_edges_of_cell(mesh, cid):
-            for (a, b) in _segment_overlap(edge, lo, hi, problem.dirichlet):
-                par = a + (b - a) * ticks
-                fixed = np.full_like(par, _EDGE_GEOM[edge][0][1])
-                s, t = (fixed, par) if edge in ("s0", "s1") else (par, fixed)
-                u = (s - float(c.s0)) / float(c.width)
-                v = (t - float(c.t0)) / float(c.height)
-                fids, bas = space.basis_on_cell(cid, u, v, ((0, 0),))
-                live = np.max(np.abs(bas[0]), axis=1) > 1e-10
-                pinned.update(np.asarray(fids)[live].tolist())
+        for piece in _reference_edge_pieces(mesh, cid, problem.dirichlet):
+            fids, bas = _reference_basis(space, cid, *_reference_points(*piece, ticks))
+            live = np.max(np.abs(bas[0]), axis=1) > 1e-10
+            pinned.update(np.asarray(fids)[live].tolist())
     return sorted(pinned)
+
+
+def _reference_dirichlet_fit(space, geometry, problem):
+    """The per-piece loop the batched Dirichlet fit replaced: the pinned
+    functions of the sampled scan, fitted by least squares to g_D at 8
+    points per Dirichlet piece, one piece at a time through
+    `basis_on_cell` and `eval_on_cell`.  Returns (pinned, values)."""
+    pinned = _reference_pinned(space, problem)
+    cols = {fid: k for k, fid in enumerate(pinned)}
+    ticks = np.linspace(0.0, 1.0, 8)
+    blocks, targets = [], []
+    for cid in space.mesh.active_cells():
+        for piece in _reference_edge_pieces(space.mesh, cid, problem.dirichlet):
+            s, t = _reference_points(*piece, ticks)
+            fids, bas = _reference_basis(space, cid, s, t)
+            xy = geometry.field.eval_on_cell(cid, s, t)[0]
+            row = np.zeros((len(s), len(pinned)))
+            for k, fid in enumerate(fids):
+                if fid in cols:
+                    row[:, cols[fid]] = bas[0][k]
+            blocks.append(row)
+            targets.append(problem.g_dirichlet(xy[:, 0], xy[:, 1]))
+    sol, *_ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(targets), rcond=None)
+    return pinned, sol
 
 
 def _mixed_problem():
@@ -156,23 +199,56 @@ def _mixed_problem():
         neumann=[("s0", 0.375, 1.0), ("s1", 0.0, 1.0), ("t1", 0.0, 1.0)])
 
 
+def _random_rounds(rng, space, geometry=None, rounds=3):
+    """The space (and the geometry carried along) after `rounds` rounds
+    that each split 1 to 6 random current-level cells by random H, V or C
+    labels."""
+    for level in range(rounds):
+        mesh = space.mesh
+        cells = mesh.cells_of_level(level)
+        marks = rng.choice(cells, rng.integers(1, min(6, len(cells)) + 1), replace=False)
+        mesh, rep = refine(mesh, RefinementRequest(
+            {int(c): str(rng.choice(list("HVC"))) for c in marks}))
+        space = advance_level(space, rep)
+        if geometry is not None:
+            geometry = geometry.advance(space)
+    return space, geometry
+
+
 @pytest.mark.parametrize("start", [(2, 2), (3, 2), (4, 4)])
 def test_structural_pins_match_sampled_scan(start):
     # 40 seeds x 3 random H/V/C rounds x 3 problems per start
     problems = [square_sin_problem(), lshape_benchmark(4)[0], _mixed_problem()]
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        mesh = create_tensor_mesh(*start)
-        space = build_initial_space(mesh)
-        for level in range(3):
-            cells = mesh.cells_of_level(level)
-            marks = rng.choice(cells, rng.integers(1, min(6, len(cells)) + 1), replace=False)
-            mesh, rep = refine(mesh, RefinementRequest(
-                {int(c): str(rng.choice(list("HVC"))) for c in marks}))
-            space = advance_level(space, rep)
+        space, _ = _random_rounds(rng, build_initial_space(create_tensor_mesh(*start)))
         for problem in problems:
             pinned, _ = _constrained_functions(space, problem)
-            assert pinned == _reference_pinned(space, problem), (seed, problem.name)
+            assert pinned.tolist() == _reference_pinned(space, problem), (seed, problem.name)
+
+
+@pytest.mark.parametrize("case", ["patch_linear", "mixed_lshape"])
+def test_dirichlet_fit_matches_per_piece_reference(case):
+    # patch_linear has Dirichlet data on the whole boundary of the unit
+    # square; the mixed problem's Dirichlet part ends inside an edge, and
+    # its data is not in the space, over the curved L-shape map
+    if case == "patch_linear":
+        problem = patch_linear_problem()
+        start = lambda: linear_geometry(build_initial_space(create_tensor_mesh(3, 2)))
+    else:
+        problem = dataclasses.replace(_mixed_problem(),
+                                      g_dirichlet=lambda x, y: np.sin(3 * x) + x * y * y)
+        start = lambda: lshape_geometry(4)
+    for seed in range(10):
+        geometry = start()
+        space, geometry = _random_rounds(np.random.default_rng(seed), geometry.space, geometry)
+        n = space.dim
+        system = impose_boundary_conditions((sp.identity(n, format="csr"), np.zeros(n)),
+                                            space, geometry, problem)
+        pinned, want = _reference_dirichlet_fit(space, geometry, problem)
+        assert np.setdiff1d(np.arange(n), system.free).tolist() == pinned
+        got = system.fixed_values[pinned]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (seed, case)
 
 
 def test_homogeneous_pins_evaluate_no_basis(monkeypatch):
@@ -181,9 +257,13 @@ def test_homogeneous_pins_evaluate_no_basis(monkeypatch):
     A, F = assemble(space, geometry, problem, q=4)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a basis function was evaluated")
+        raise AssertionError("a basis function or the map was evaluated")
 
-    monkeypatch.setattr(SplineSpace, "basis_on_cell", refuse)
+    # the Dirichlet fit's batch: the basis patches of the pieces' cells,
+    # their Bernstein weights, and the map
+    monkeypatch.setattr(solver, "_Cells", refuse)
+    monkeypatch.setattr(solver, "_bernstein_tables", refuse)
+    monkeypatch.setattr(SplineField, "eval_located", refuse)
     system = impose_boundary_conditions((A, F), space, geometry, problem)
     assert len(system.free) == space.dim - 28
 
@@ -542,10 +622,12 @@ def _reference_quadrature(space, cid, q):
     return s, t, ww
 
 
-def _reference_edge_pieces(mesh, cid, problem, q):
-    for (edge, lo, hi) in _boundary_edges_of_cell(mesh, cid):
-        for (a, b) in _segment_overlap(edge, lo, hi, problem.neumann):
-            yield (edge,) + _edge_points(edge, a, b, *_gauss01(q))
+def _reference_gauss_pieces(mesh, cid, problem, q):
+    """The Neumann pieces of one cell, each as (edge, s, t, w) at its q
+    Gauss points."""
+    x, w = _gauss01(q)
+    for (edge, a, b, at) in _reference_edge_pieces(mesh, cid, problem.neumann):
+        yield (edge,) + _reference_points(edge, a, b, at, x) + (w * (b - a),)
 
 
 def _reference_inverse(J):
@@ -565,7 +647,8 @@ def _reference_normal(J, edge):
     adjT[:, 0, 1] = -J[:, 1, 0]
     adjT[:, 1, 0] = -J[:, 0, 1]
     adjT[:, 1, 1] = J[:, 0, 0]
-    nvec = np.einsum("qxy,y->qx", adjT, np.array(_EDGE_GEOM[edge][1])) * np.sign(det)[:, None]
+    npar = {"s0": (-1.0, 0.0), "s1": (1.0, 0.0), "t0": (0.0, -1.0), "t1": (0.0, 1.0)}[edge]
+    nvec = np.einsum("qxy,y->qx", adjT, np.array(npar)) * np.sign(det)[:, None]
     nvec /= np.linalg.norm(nvec, axis=1)[:, None]
     return nvec[:, 0], nvec[:, 1]
 
@@ -613,7 +696,7 @@ def _reference_assemble(space, geometry, problem, q):
     if problem.g_neumann is not None:
         for cid in mesh.active_cells():
             c = mesh.cell(cid)
-            for (edge, s, t, w) in _reference_edge_pieces(mesh, cid, problem, q):
+            for (edge, s, t, w) in _reference_gauss_pieces(mesh, cid, problem, q):
                 u = (s - float(c.s0)) / float(c.width)
                 v = (t - float(c.t0)) / float(c.height)
                 fids, bas = space.basis_on_cell(cid, u, v, ((0, 0),))
@@ -641,7 +724,7 @@ def _reference_error_indicators(u_h, problem, q):
         h = geometry.physical_diameter(cid)
         boundary = 0.0
         if problem.g_neumann is not None:
-            for (edge, es, et, w) in _reference_edge_pieces(mesh, cid, problem, q):
+            for (edge, es, et, w) in _reference_gauss_pieces(mesh, cid, problem, q):
                 exy, _, egrad, _, _ = _reference_physical(u_h.field, geometry, cid, es, et)
                 eJ = geometry.derivatives_on_cell(cid, es, et)[1]
                 nx, ny = _reference_normal(eJ, edge)
@@ -701,8 +784,27 @@ def kernel_case(request):
     return problem, geometry, u_h
 
 
+# segment lists whose pieces are checked in order against the nested
+# loops: the L-shape's Neumann and Dirichlet parts, and one whose pieces end
+# inside cell edges, two of them on one edge in descending order
+_PIECE_SEGMENTS = (
+    BUILTIN_PROBLEMS["lshape"]().neumann,
+    BUILTIN_PROBLEMS["lshape"]().dirichlet,
+    [("t1", 0.6, 1.0), ("s0", 0.0, 0.375), ("t0", 0.1, 0.7), ("t1", 0.0, 0.45),
+     ("s1", 0.3, 1.0)],
+)
+
+
 def test_kernel_assemble_matches_reference(kernel_case):
     problem, geometry, _ = kernel_case
+    mesh = geometry.space.mesh
+    active = mesh.active_cells()
+    for segments in _PIECE_SEGMENTS:
+        k, e, a, b = _boundary_pieces(mesh, active, segments)
+        got = [(active[kk], solver._EDGE_NAMES[ee], aa, bb)
+               for kk, ee, aa, bb in zip(k.tolist(), e.tolist(), a.tolist(), b.tolist())]
+        assert got == [(cid, edge, aa, bb) for cid in active
+                       for edge, aa, bb, _ in _reference_edge_pieces(mesh, cid, segments)]
     A, F = assemble(geometry.space, geometry, problem, q=5)
     A_ref, F_ref = _reference_assemble(geometry.space, geometry, problem, 5)
     # same sparsity, so the sparse factorization sees the same structure

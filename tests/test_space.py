@@ -145,6 +145,15 @@ def test_evaluate_sparse_and_unity():
         assert np.sum(vals[1:], axis=1) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_no_module_evaluates_one_cell_at_a_time():
+    # every evaluation in the package goes through the block kernel;
+    # `basis_on_cell` is left to the tests as a per-cell reference
+    package = Path(space_module.__file__).parent
+    callers = [path.name for path in sorted(package.glob("*.py"))
+               if ".basis_on_cell(" in path.read_text()]
+    assert callers == []
+
+
 def test_initial_space_sixteen_per_cell():
     # on a tensor mesh every cell carries exactly its 4 corners x 4 slots
     space = build_initial_space(create_tensor_mesh(3, 2))
