@@ -13,7 +13,8 @@ implemented here avoids both:
    as aligned or adjacent only from the cells' lattice bounds, and a cell
    adjacent but not aligned to a member of a group is kept out of it, so
    the fill is a search with a conflict rule, not the connected
-   components of the aligned pairs;
+   components of the aligned pairs.  Each group keeps its members'
+   in-group aligned neighbors as the fill finds them;
 2. inside a group with identical labels, relabel to 'C' the chain of
    cells that would gain no new basis vertex; inside a mixed group,
    relabel every cell from its in-group aligned neighbors (only
@@ -29,10 +30,9 @@ change only there.  :func:`simulate_new_basis_vertices` ORs the cuts of a
 split set over the positions that are not yet vertices, and a round's
 report reads its new basis vertices and its T-to-crossing promotions off
 the cut vertex ids the batch returned, with kinds read in one batched
-lookup of the meshes' edge-direction masks.
-
-:func:`check_refinement_invariants` re-derives the guarantees from the
-before/after meshes and is used as the oracle in randomized tests.
+lookup of the meshes' edge-direction masks.  The test suite's oracle
+(`check_refinement_invariants` in `tests/oracles.py`) re-derives these
+guarantees from the before/after meshes.
 """
 
 from __future__ import annotations
@@ -41,34 +41,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tmesh import AdjacencyKind, TMesh, VertexKind, _unique_rows, cut_rule
+from .tmesh import AdjacencyKind, TMesh, _unique_rows, cut_rule
 
 __all__ = [
     "ConnectedGroup", "RefinementRequest", "RefinementReport",
-    "flood_fill_groups", "resolve_labels", "refine",
-    "check_refinement_invariants", "simulate_new_basis_vertices",
+    "flood_fill_groups", "resolve_labels", "refine", "simulate_new_basis_vertices",
 ]
+
 
 @dataclass(frozen=True)
 class ConnectedGroup:
     """A maximal set of marked cells closed under aligned-adjacency chains."""
     members: tuple
-    edges: dict = field(compare=False, default_factory=dict)
-    # cell id -> [(neighbor, kind)] sorted by neighbor, built from `edges`
-    _adjacent: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        adjacent = {}
-        for (a, b), k in self.edges.items():
-            adjacent.setdefault(a, []).append((b, k))
-            adjacent.setdefault(b, []).append((a, k))
-        for links in adjacent.values():
-            links.sort(key=lambda link: link[0])
-        object.__setattr__(self, "_adjacent", adjacent)
+    # member -> its in-group aligned neighbors as (id, AdjacencyKind), ascending
+    neighbors: dict = field(compare=False, default_factory=dict)
 
     def aligned_neighbors(self, cid, kind=None):
-        return [nb for nb, k in self._adjacent.get(cid, ())
-                if kind is None or k is kind]
+        return [nb for nb, k in self.neighbors.get(cid, ()) if kind is None or k is kind]
 
 
 @dataclass
@@ -170,25 +159,22 @@ def flood_fill_groups(mesh, marked):
     for seed in marked:
         if seed in assigned:
             continue
-        members = {seed}
-        queue = [seed]
-        while queue:
-            cur = queue.pop(0)
+        members, queue, neighbors = {seed}, [seed], {}
+        # breadth first: the queue grows while it is read.  A neighbor kept
+        # out conflicts with a member and stays out, so a member's in-group
+        # neighbors are known when it is read.
+        for cur in queue:
+            links = []
             for nb in sorted(aligned[cur]):
-                if nb in assigned or nb in members:
-                    continue
-                if conflict[nb] & members:
-                    continue
-                members.add(nb)
-                queue.append(nb)
+                if nb not in members:
+                    if nb in assigned or not conflict[nb].isdisjoint(members):
+                        continue
+                    members.add(nb)
+                    queue.append(nb)
+                links.append((nb, aligned[cur][nb]))
+            neighbors[cur] = tuple(links)
         assigned |= members
-        edges = {}
-        mem = sorted(members)
-        for a in mem:
-            for b in sorted(aligned[a]):
-                if b > a and b in members:
-                    edges[(a, b)] = aligned[a][b]
-        groups.append(ConnectedGroup(tuple(mem), edges))
+        groups.append(ConnectedGroup(tuple(sorted(members)), neighbors))
     return groups
 
 
@@ -211,7 +197,7 @@ def simulate_new_basis_vertices(mesh, splits):
     pos = ij[fresh[first]]
     joint = np.zeros(len(pos), dtype=np.int64)
     np.bitwise_or.at(joint, inverse, bits[fresh])
-    basis = (joint == 0b1111) | ((pos == 0) | (pos == [a.end for a in mesh.axes])).any(axis=1)
+    basis = (joint == 0b1111) | mesh.at_domain_ends(pos).any(axis=1)
     out = {cid: set() for cid in cids}
     for k in fresh[basis[inverse]].tolist():
         out[cids[owner[k]]].add(tuple(ij[k].tolist()))
@@ -321,97 +307,9 @@ def refine(mesh, request):
     The input mesh is left untouched; an empty request returns it as is
     with an empty report.
     """
-    _check_markable(mesh, request.marked)
     groups = flood_fill_groups(mesh, request.marked)
     final = {}
     for g in groups:
         final.update(resolve_labels(mesh, g, request.labels))
     return _split(mesh, groups, request.labels, final)
 
-
-def _point_interior_to_region(rects, s, t):
-    """Exact test that (s, t) lies in the open interior of a rectangle union."""
-    quads = [(False, False), (True, False), (False, True), (True, True)]
-    for (neg_s, neg_t) in quads:
-        covered = False
-        for (s0, s1, t0, t1) in rects:
-            ok_s = (s0 < s <= s1) if neg_s else (s0 <= s < s1)
-            ok_t = (t0 < t <= t1) if neg_t else (t0 <= t < t1)
-            if ok_s and ok_t:
-                covered = True
-                break
-        if not covered:
-            return False
-    return True
-
-
-def _rects_share_edge(a, b):
-    as0, as1, at0, at1 = a
-    bs0, bs1, bt0, bt1 = b
-    if as1 == bs0 or bs1 == as0:
-        if min(at1, bt1) > max(at0, bt0):
-            return True
-    if at1 == bt0 or bt1 == at0:
-        if min(as1, bs1) > max(as0, bs0):
-            return True
-    return False
-
-
-def check_refinement_invariants(before, after, report):
-    """Re-derive the refinement guarantees from the meshes themselves.
-
-    Fails when a pre-existing T-vertex became a crossing vertex, when a
-    subdivided cell gained no new basis vertex on its closure, when a
-    group's image is not a single connected group, when a T-vertex sits
-    on a group-interior edge, or when two distinct groups ended up
-    sharing an edge.  Both meshes must share their level-0 knots, so that
-    positions compare on the lattice.  Returns (ok, diagnostics).
-    """
-    if [a.knots for a in before.axes] != [a.knots for a in after.axes]:
-        raise ValueError("meshes on different level-0 knots")
-    diags = []
-    # the after-mesh vertex at each before-mesh vertex's position, -1 where none
-    for vid, aid in enumerate(after.vertices_at(before.vertex_table()).tolist()):
-        if before.classify_vertex(vid) is VertexKind.T_JUNCTION:
-            if aid >= 0 and after.classify_vertex(aid) is VertexKind.CROSSING:
-                s, t = before.vertex(vid).position_float()
-                diags.append(f"T-vertex at ({s}, {t}) became a crossing vertex")
-    after_pos = after.vertex_table()
-    fresh = np.flatnonzero(before.vertices_at(after_pos) < 0)
-    i, j = after_pos[fresh[after._basis_mask(fresh)]].T
-    for cid in report.performed:
-        i0, i1, j0, j1 = before.cell(cid).lattice_bounds
-        if not ((i0 <= i) & (i <= i1) & (j0 <= j) & (j <= j1)).any():
-            diags.append(f"subdivided cell {cid} gained no new basis vertex")
-
-    group_child_rects = []
-    for g in report.groups:
-        kids = []
-        for cid in g.members:
-            if cid in report.performed:
-                kids.extend(report.performed[cid][1])
-        if not kids:
-            continue
-        rects = [after.cell(k).lattice_bounds for k in kids]
-        group_child_rects.append((g, kids, rects))
-        if len(kids) > 1:
-            images = flood_fill_groups(after, kids)
-            if len(images) != 1:
-                diags.append(f"image of group {g.members} splits into {len(images)} groups")
-        # no T-vertex on interior edges of the image
-        for vid, (i, j) in enumerate(after_pos.tolist()):
-            if not _point_interior_to_region(rects, i, j):
-                continue
-            on_edge = not set(after.vertex_cells(vid)).isdisjoint(kids)
-            if on_edge and after.classify_vertex(vid) is VertexKind.T_JUNCTION:
-                s, t = after.vertex(vid).position_float()
-                diags.append(f"T-vertex at ({s}, {t}) on interior edge of group {g.members}")
-    for i in range(len(group_child_rects)):
-        for j in range(i + 1, len(group_child_rects)):
-            ra = group_child_rects[i][2]
-            rb = group_child_rects[j][2]
-            if any(_rects_share_edge(a, b) for a in ra for b in rb):
-                diags.append(
-                    f"groups {group_child_rects[i][0].members} and "
-                    f"{group_child_rects[j][0].members} share an edge after refinement")
-    return (not diags), diags

@@ -314,7 +314,7 @@ def _births(mesh, cells, born):
     sizes = table.sizes[cids]
 
     pos = mesh.vertex_table()[born]
-    on_edge = (pos == 0) | (pos == [axis.end for axis in mesh.axes])
+    on_edge = mesh.at_domain_ends(pos)
     want = np.where(on_edge, 1, 2).prod(axis=1)
     got = np.bincount(rows, minlength=len(born))
     if (got != want).any():

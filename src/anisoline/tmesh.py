@@ -25,9 +25,9 @@ through, with the edge directions they add at each.  Every vertex
 carries a mask of its incident edge directions (+s, -s, +t, -t); the
 level-0 grid sets it and :meth:`TMesh.split_many` ORs in the bits of each
 cut, since a split only adds edges and only at its cut points.  Vertex
-kinds are lookups in the mask, batched over every vertex for the basis
-vertices and the dimension; :meth:`TMesh.validate` re-derives every mask
-from the incident cells as an independent check.
+kinds are one batched lookup in the masks and the lattice ends
+(:meth:`TMesh._kinds`), which every kind query reads; :meth:`TMesh.validate`
+re-derives every mask from the incident cells as an independent check.
 
 The mesh is its tables.  A cell is a row of numpy columns by id: lattice
 bounds, corner vertex ids, float sizes and bounds, the smallest floats >=
@@ -43,7 +43,8 @@ which the descent of point location finds.  Vertex-cell incidence is
 derived in one batched pass per mesh state, on the first query after a
 split: the active cells whose closure holds vertex (i, j) are those that
 hold the lattice points (i - a, j - b), a, b in {0, 1}, inside the domain,
-found by the same descent, kept as CSR in both orders.
+found by the same descent, kept as CSR in both orders, which
+:meth:`TMesh.edge_neighbor_pairs` reads in one batch.
 
 The level-0 knots stay exact :class:`fractions.Fraction` values, in one
 axis table per direction (:class:`Axis`) shared by a mesh and its copies.
@@ -64,8 +65,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
-from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -76,8 +75,7 @@ import numpy as np
 
 __all__ = [
     "VertexKind", "AdjacencyKind", "Vertex", "Cell", "CellTable", "TMesh", "Axis",
-    "LatticeDepthError", "LATTICE_DEPTH", "cut_rule",
-    "create_tensor_mesh", "create_mesh_from_knots",
+    "LatticeDepthError", "LATTICE_DEPTH", "cut_rule", "create_tensor_mesh",
 ]
 
 SPLIT_KINDS = ("H", "V", "C")
@@ -178,6 +176,10 @@ class VertexKind(Enum):
     T_JUNCTION = "TJunction"
 
 
+# the order of the kind codes of `TMesh._kinds`
+_VERTEX_KINDS = (VertexKind.BOUNDARY, VertexKind.CROSSING, VertexKind.T_JUNCTION)
+
+
 class AdjacencyKind(Enum):
     NOT_ADJACENT = "NotAdjacent"
     ADJACENT_ONLY = "AdjacentOnly"
@@ -251,17 +253,6 @@ class Axis:
         """float() of the exact extent from x0 to x1 of a cell (ints or int64
         arrays): the span's float width times a power of two, no rounding."""
         return self._span_float[x0 >> LATTICE_DEPTH] * ((x1 - x0) / _SPAN)
-
-    def coordinate(self, value):
-        """Lattice coordinate of an exact value, or None off the lattice."""
-        value = Fraction(value)
-        k = bisect_right(self.knots, value) - 1
-        if k < 0 or value > self.knots[-1]:
-            return None
-        if k == len(self.knots) - 1:
-            return self.end
-        r = (value - self.knots[k]) / (self.knots[k + 1] - self.knots[k]) * _SPAN
-        return k * _SPAN + r.numerator if r.denominator == 1 else None
 
 
 def _floats(axis, x):
@@ -338,9 +329,6 @@ class Cell:
         """float() of the exact width and height."""
         return tuple(self.mesh._sizes[self.id].tolist())
 
-    def contains_point(self, s, t):
-        return self.s0 <= s <= self.s1 and self.t0 <= t <= self.t1
-
     def __repr__(self):
         state = "Active" if self.active else "Subdivided"
         return f"Cell({self.id}, {self.bounds_float()}, level={self.level}, {state})"
@@ -391,7 +379,7 @@ class TMesh:
         self.domain = (s_knots[0], s_knots[-1], t_knots[0], t_knots[-1])
         self.current_level = 0
         self.generation_log = []
-        self._locator = self._incidence = self._incidence_lists = None
+        self._locator = self._incidence = None
 
         # cells row by row and vertices line by line, s fastest: cell
         # (a, b) has the corner vertex b * (ns + 1) + a at its low end
@@ -438,8 +426,11 @@ class TMesh:
                    _dirs=np.zeros(len(ij), dtype=np.uint8))
         return self._next_vert - len(ij)
 
-    def _on_domain_boundary(self, i, j):
-        return i == 0 or j == 0 or i == self.axes[0].end or j == self.axes[1].end
+    def at_domain_ends(self, ij):
+        """Mask (..., 2) of the lattice positions ij (..., 2) whose s (t)
+        coordinate is the first or last knot: a position lies on the domain
+        boundary where either column is True."""
+        return (ij == 0) | (ij == [axis.end for axis in self.axes])
 
     # ------------------------------------------------------------------
     # value semantics
@@ -450,7 +441,7 @@ class TMesh:
         m.generation_log = list(self.generation_log)
         # a split writes these in place; the others grow into new arrays
         m._kids, m._label, m._dirs = self._kids.copy(), self._label.copy(), self._dirs.copy()
-        m._locator = m._incidence = m._incidence_lists = None
+        m._locator = m._incidence = None
         return m
 
     # ------------------------------------------------------------------
@@ -465,23 +456,6 @@ class TMesh:
         if not 0 <= vid < self._next_vert:
             raise KeyError(f"unknown vertex id {vid}")
         return Vertex(self, int(vid))
-
-    def vertices_at(self, ij):
-        """Ids of the vertices at lattice positions ij (k, 2), -1 where
-        there is none: one batched search of `vertex_table`."""
-        table = self._vtable
-        both = np.concatenate([table, np.asarray(ij, dtype=np.int64).reshape(-1, 2)])
-        first, inverse = _unique_rows(both)
-        hit = first[inverse[len(table):]]
-        return np.where(hit < len(table), hit, -1)
-
-    def vertex_at(self, s, t):
-        """Vertex id at an exact position, or None."""
-        i, j = self.axes[0].coordinate(s), self.axes[1].coordinate(t)
-        if i is None or j is None:
-            return None
-        hit = np.flatnonzero((self._vtable == (i, j)).all(axis=1))
-        return int(hit[0]) if hit.size else None
 
     def corner_vertices(self, cid):
         """Vertex ids at a cell's corners: (s0, t0), (s1, t0), (s0, t1), (s1, t1)."""
@@ -516,17 +490,17 @@ class TMesh:
 
     def vertex_cells(self, vid):
         """Ids of active cells whose closed boundary contains the vertex, ascending."""
-        start, cells, _, _ = self._incidences()
+        start, cells, _, _ = self._incidence_tables()
         if not 0 <= vid < len(start) - 1:
             self.vertex(vid)                    # raises the KeyError
-        return cells[start[vid]:start[vid + 1]]
+        return cells[start[vid]:start[vid + 1]].tolist()
 
     def cell_vertices(self, cid):
         """Ids of vertices on the closed boundary of an active cell, ascending."""
-        _, _, start, verts = self._incidences()
+        _, _, start, verts = self._incidence_tables()
         if not (0 <= cid < len(start) - 1 and start[cid] < start[cid + 1]):
             self._active_cell(cid)              # raises the KeyError or ValueError
-        return verts[start[cid]:start[cid + 1]]
+        return verts[start[cid]:start[cid + 1]].tolist()
 
     def _active_cell(self, cid):
         c = self.cell(cid)
@@ -534,18 +508,11 @@ class TMesh:
             raise ValueError(f"cell {cid} is not active")
         return c
 
-    def _incidences(self):
+    def _incidence_tables(self):
         """(cell_start, cells, vert_start, verts): the incidence CSR, vertex
         v's cells at cells[cell_start[v]:cell_start[v + 1]] and cell c's
-        vertices likewise, ascending, as lists (faster to slice per item),
-        made from :meth:`_incidence_tables` on first use."""
-        if self._incidence_lists is None:
-            self._incidence_lists = tuple(a.tolist() for a in self._incidence_tables())
-        return self._incidence_lists
-
-    def _incidence_tables(self):
-        """The incidence CSR of :meth:`_incidences` as arrays, built on
-        first use and dropped by a split."""
+        vertices likewise, ascending, built on first use and dropped by a
+        split."""
         if self._incidence is None:
             _, kids, _, lattice = self._location_tables()
             vij = self.vertex_table()
@@ -564,68 +531,44 @@ class TMesh:
             self._incidence = csr
         return self._incidence
 
-    def classify_vertex(self, vid):
-        """Kind of a vertex, read from its edge-direction mask."""
-        v = self.vertex(vid)
-        if self._on_domain_boundary(v.i, v.j):
-            return VertexKind.BOUNDARY
-        n = int(self._dirs[vid]).bit_count()
-        if n < 3:
-            raise ValueError(f"vertex {vid} has {n} incident edge directions; not a valid T-mesh vertex")
-        return VertexKind.CROSSING if n == 4 else VertexKind.T_JUNCTION
-
-    def is_basis_vertex(self, vid):
-        """Boundary vertices and interior crossing vertices carry basis functions."""
-        return self.classify_vertex(vid) in (VertexKind.BOUNDARY, VertexKind.CROSSING)
-
-    def _basis_mask(self, vids=None):
-        """`is_basis_vertex` of the vertices `vids` (an int array; all if
-        None) in one pass, raising the ValueError of `classify_vertex`."""
+    def _kinds(self, vids=None):
+        """Kind codes (indices into `_VERTEX_KINDS`) of the vertices `vids`
+        (an int array; all if None), read from the edge-direction masks in
+        one pass.  A vertex off the boundary with fewer than three
+        directions raises ValueError."""
         count = _DIRECTION_COUNT[self._dirs]
         pos = self._vtable
         if vids is None:
             vids = np.arange(len(pos))
         else:
             count, pos = count[vids], pos[vids]
-        boundary = ((pos == 0) | (pos == [axis.end for axis in self.axes])).any(axis=1)
+        boundary = self.at_domain_ends(pos).any(axis=-1)
         bad = ~boundary & (count < 3)
         if bad.any():
             k = int(np.argmax(bad))
             raise ValueError(f"vertex {vids[k]} has {count[k]} incident edge directions; "
                              f"not a valid T-mesh vertex")
-        return boundary | (count == 4)
+        return np.where(boundary, 0, np.where(count == 4, 1, 2))
 
-    def adjacency(self, cid1, cid2):
-        """Neighbor relation of two active cells."""
-        c1, c2 = self._active_cell(cid1), self._active_cell(cid2)
-        if cid1 == cid2:
-            return AdjacencyKind.NOT_ADJACENT
-        a0, a1, b0, b1 = c1.lattice_bounds
-        p0, p1, q0, q1 = c2.lattice_bounds
-        # a vertical common edge (side by side), then a horizontal one (stacked)
-        for touch, overlap, aligned, kind in (
-                (a1 == p0 or p1 == a0, min(b1, q1) > max(b0, q0), (b0, b1) == (q0, q1),
-                 AdjacencyKind.HORIZONTALLY_ALIGNED),
-                (b1 == q0 or q1 == b0, min(a1, p1) > max(a0, p0), (a0, a1) == (p0, p1),
-                 AdjacencyKind.VERTICALLY_ALIGNED)):
-            if touch and overlap:
-                return kind if aligned else AdjacencyKind.ADJACENT_ONLY
-        return AdjacencyKind.NOT_ADJACENT
+    def classify_vertex(self, vid):
+        """Kind of a vertex, read from its edge-direction mask."""
+        return _VERTEX_KINDS[self._kinds(np.array([self.vertex(vid).id]))[0]]
 
-    def edge_neighbors(self, cid):
-        """The set of active cells sharing a positive-length edge piece
-        with the active cell `cid`: the cells holding two or more of its
-        vertices (the ends of a shared piece; a corner touch shares one)."""
-        vids = self.cell_vertices(cid)
-        start, cells, _, _ = self._incidences()
-        shared = Counter(n for vid in vids for n in cells[start[vid]:start[vid + 1]])
-        del shared[cid]
-        return {n for n, k in shared.items() if k > 1}
+    def is_basis_vertex(self, vid):
+        """Boundary vertices and interior crossing vertices carry basis functions."""
+        return self.classify_vertex(vid) is not VertexKind.T_JUNCTION
+
+    def _basis_mask(self, vids=None):
+        """`is_basis_vertex` of the vertices `vids` (an int array; all if
+        None) in one pass, raising the ValueError of `classify_vertex`."""
+        return self._kinds(vids) < 2
 
     def edge_neighbor_pairs(self, cids):
-        """The pairs (a, b), a < b, of the active cells `cids` that are
-        :meth:`edge_neighbors`, as two int arrays by a and then b, in one
-        batched pass over the incidence CSR."""
+        """The pairs (a, b), a < b, of the active cells `cids` that share a
+        positive-length edge piece, as two int arrays by a and then b, in
+        one batched pass over the incidence CSR: the cells holding two or
+        more of the same vertices (the ends of a shared piece; a corner
+        touch shares one)."""
         cids = np.unique(np.asarray(cids, dtype=np.intp))
         n = self._next_cell
         known = (cids >= 0) & (cids < n)
@@ -768,7 +711,7 @@ class TMesh:
         self._label[cids] = codes + 1
         self.generation_log += [(self.current_level, cid, kind)
                                 for cid, kind in zip(cids.tolist(), kinds)]
-        self._locator = self._incidence = self._incidence_lists = None
+        self._locator = self._incidence = None
         return _per_owner(kids, owner, n), _per_owner(vid, cut_owner, n)
 
     def _open(self, cids):
@@ -851,6 +794,7 @@ class TMesh:
                     out.append(f"cell {kc.id}: not inside parent {cid}")
             if kids and sum(_area(*lattice[kc.id]) for kc in kids) != _area(*lattice[cid]):
                 out.append(f"cell {cid}: children do not tile it")
+        boundary = self.at_domain_ends(self._vtable).any(axis=1).tolist()
         for vid, (i, j) in enumerate(self._vtable.tolist()):
             # the edge directions the incident cells show, independent of the mask
             dirs = 0
@@ -862,7 +806,7 @@ class TMesh:
             if dirs != self._dirs[vid]:
                 out.append(f"vertex {vid}: direction mask {self._dirs[vid]:04b} "
                            f"disagrees with its incident cells ({dirs:04b})")
-            if dirs.bit_count() < (2 if self._on_domain_boundary(i, j) else 3):
+            if dirs.bit_count() < (2 if boundary[vid] else 3):
                 out.append(f"vertex {vid}: grid-line endpoint not on two grid lines")
         last = 0
         for lvl, cid, _ in self.generation_log:
@@ -960,9 +904,4 @@ def create_tensor_mesh(ns, nt, domain=(0.0, 1.0, 0.0, 1.0)):
         raise ValueError(f"degenerate domain {tuple(float(x) for x in domain)}")
     s_knots = [s0 + (s1 - s0) * Fraction(i, ns) for i in range(ns + 1)]
     t_knots = [t0 + (t1 - t0) * Fraction(j, nt) for j in range(nt + 1)]
-    return TMesh(s_knots, t_knots)
-
-
-def create_mesh_from_knots(s_knots, t_knots):
-    """Tensor-product mesh with explicit (possibly non-uniform) level-0 knot lines."""
     return TMesh(s_knots, t_knots)

@@ -23,7 +23,7 @@ from anisoline.space import (
     collocation_block,
 )
 from anisoline.tmesh import VertexKind, create_tensor_mesh
-from oracles import ring_expand
+from oracles import ring_expand, vertex_at
 
 
 def test_generate_models():
@@ -159,7 +159,7 @@ def test_estimate_controls_quadratic_derivative():
     pts = np.stack([params[:, 0], params[:, 1], params[:, 0] ** 2], axis=1)
     ps = ParamPointSet(pts, params)
     ps.assign_cells(mesh)
-    vid = mesh.vertex_at(0.5, 0.5)
+    vid = vertex_at(mesh, 0.5, 0.5)
     controls, = estimate_vertex_controls(space, [vid], ps)
     # z-coordinate Hermite data at the vertex: S_s must equal 2 s_v
     block = collocation_block(space, vid)
@@ -177,7 +177,7 @@ def test_estimate_controls_linear_fallback_warns():
     pts = np.stack([params[:, 0], params[:, 1], 1 + params[:, 0]], axis=1)
     ps = ParamPointSet(pts, params)
     ps.assign_cells(mesh)
-    vid = mesh.vertex_at(0, 0)
+    vid = vertex_at(mesh, 0, 0)
     with pytest.warns(UserWarning, match="rank deficient"):
         controls, = estimate_vertex_controls(space, [vid], ps)
     assert np.all(np.isfinite(controls))

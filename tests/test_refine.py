@@ -5,11 +5,13 @@ import random
 import pytest
 
 from anisoline.refine import (
-    ConnectedGroup, RefinementRequest, _build_report, check_refinement_invariants,
-    flood_fill_groups, refine, resolve_labels, simulate_new_basis_vertices,
+    ConnectedGroup, RefinementRequest, _build_report, flood_fill_groups, refine,
+    resolve_labels, simulate_new_basis_vertices,
 )
 from anisoline.tmesh import AdjacencyKind, VertexKind, create_tensor_mesh
-from oracles import naive_subdivide
+from oracles import (
+    adjacency, check_refinement_invariants, edge_neighbors, naive_subdivide, vertex_at,
+)
 from test_tmesh import LATTICE_STARTS, census_kinds
 
 
@@ -53,18 +55,19 @@ def test_flood_fill_three_groups():
 
 def _reference_flood_fill_groups(mesh, marked):
     """The per-cell flood fill the batched pair search replaced: each
-    marked cell's `edge_neighbors`, classified by `adjacency`.  Returns the
-    groups and the number of marked pairs adjacent but not aligned."""
+    marked cell's `edge_neighbors`, classified by `adjacency`, and each
+    group's neighbor table read off the finished group.  Returns the groups
+    and the number of marked pairs adjacent but not aligned."""
     marked = sorted(set(marked))
     marked_set = set(marked)
     aligned = {c: {} for c in marked}
     conflict = {c: set() for c in marked}
     conflicts = 0
     for a in marked:
-        for b in mesh.edge_neighbors(a):
+        for b in edge_neighbors(mesh, a):
             if b not in marked_set or b <= a:
                 continue
-            k = mesh.adjacency(a, b)
+            k = adjacency(mesh, a, b)
             if k in (AdjacencyKind.HORIZONTALLY_ALIGNED, AdjacencyKind.VERTICALLY_ALIGNED):
                 aligned[a][b] = k
                 aligned[b][a] = k
@@ -90,9 +93,9 @@ def _reference_flood_fill_groups(mesh, marked):
                 queue.append(nb)
         assigned |= members
         mem = sorted(members)
-        edges = {(a, b): aligned[a][b] for a in mem for b in sorted(aligned[a])
-                 if b > a and b in members}
-        groups.append(ConnectedGroup(tuple(mem), edges))
+        neighbors = {a: tuple((b, aligned[a][b]) for b in sorted(aligned[a]) if b in members)
+                     for a in mem}
+        groups.append(ConnectedGroup(tuple(mem), neighbors))
     return groups, conflicts
 
 
@@ -109,10 +112,10 @@ def test_flood_fill_matches_the_per_cell_reference(name):
             marked = rng.sample(cells, rng.randint(1, len(cells)))
             low, high = m.edge_neighbor_pairs(marked)
             assert list(zip(low.tolist(), high.tolist())) == sorted(
-                (a, b) for a in marked for b in m.edge_neighbors(a) if a < b and b in marked)
+                (a, b) for a in marked for b in edge_neighbors(m, a) if a < b and b in marked)
             want, n = _reference_flood_fill_groups(m, marked)
             got = flood_fill_groups(m, marked)
-            assert [(g.members, g.edges) for g in got] == [(g.members, g.edges) for g in want]
+            assert [(g.members, g.neighbors) for g in got] == [(g.members, g.neighbors) for g in want]
             conflicts += n
             labels = {cid: rng.choice("HVC") for cid in rng.sample(cells, rng.randint(1, len(cells)))}
             m, _ = naive_subdivide(m, RefinementRequest(labels))
@@ -243,7 +246,7 @@ def _naive_t_to_crossing_setup():
     x = m.locate_cell(0.5, 0.5)
     y = m.locate_cell(1.5, 0.5)
     m1, _ = naive_subdivide(m, RefinementRequest({x: "H", y: "V"}))
-    v = m1.vertex_at(1, 0.5)
+    v = vertex_at(m1, 1, 0.5)
     assert m1.classify_vertex(v) is VertexKind.T_JUNCTION
     yl = m1.locate_cell(1.25, 0.5)
     return m1, yl
@@ -252,7 +255,7 @@ def _naive_t_to_crossing_setup():
 def test_naive_t_to_crossing_rejected():
     m1, yl = _naive_t_to_crossing_setup()
     m2, report = naive_subdivide(m1, RefinementRequest({yl: "H"}))
-    v = m2.vertex_at(1, 0.5)
+    v = vertex_at(m2, 1, 0.5)
     assert m2.classify_vertex(v) is VertexKind.CROSSING
     ok, diags = check_refinement_invariants(m1, m2, report)
     assert not ok
@@ -268,7 +271,7 @@ def test_strategy_avoids_t_to_crossing():
     y = m.locate_cell(1.5, 0.5)
     out, report = refine(m, RefinementRequest({x: "H", y: "V"}))
     assert report.final_labels == {x: "H", y: "H"}
-    v = out.vertex_at(1, 0.5)
+    v = vertex_at(out, 1, 0.5)
     assert out.classify_vertex(v) is VertexKind.CROSSING
     assert v in report.new_basis_vertices
     ok, diags = check_refinement_invariants(m, out, report)
@@ -280,7 +283,7 @@ def test_kind_lookups_name_a_vertex_off_two_grid_lines():
     # a round's report name the vertex as `classify_vertex` does
     m = create_tensor_mesh(2, 2)
     m.split_cell(m.locate_cell(0.25, 0.25), "C")
-    t = m.vertex_at(0.5, 0.25)                      # a T-junction: -s, +t and -t
+    t = vertex_at(m, 0.5, 0.25)                      # a T-junction: -s, +t and -t
     right = m.locate_cell(0.75, 0.25)
     after = m.copy()
     (kids,), (cut,) = after.split_many([right], ["H"])          # cuts through t
@@ -303,7 +306,7 @@ def test_kind_lookups_name_a_vertex_off_two_grid_lines():
     assert m.dimension() == 48 and after.dimension() == 56
     report = _build_report(m, after, [], {}, {}, performed, cuts)
     assert [vid for vid, _ in report.t_to_crossing] == [t]
-    assert report.cell_new_basis == {right: [after.vertex_at(1, 0.25)]}
+    assert report.cell_new_basis == {right: [vertex_at(after, 1, 0.25)]}
 
 
 def test_naive_no_basis_vertex_rejected():
@@ -313,6 +316,44 @@ def test_naive_no_basis_vertex_rejected():
     ok, diags = check_refinement_invariants(m, out, report)
     assert not ok
     assert any("no new basis vertex" in d for d in diags)
+
+
+def _naive_round(m, labels, groups):
+    """One verbatim round whose report names the given groups, and the
+    oracle's diagnostics of it."""
+    out, report = naive_subdivide(m, RefinementRequest(labels))
+    report.groups = groups
+    ok, diags = check_refinement_invariants(m, out, report)
+    assert ok == (not diags)
+    return diags
+
+
+def test_oracle_rejects_a_group_whose_image_splits():
+    # two far corners split as one group: their children share no edge
+    m = create_tensor_mesh(3, 3)
+    a, b = cell_at(m, 1 / 6, 1 / 6), cell_at(m, 5 / 6, 5 / 6)
+    diags = _naive_round(m, {a: "C", b: "C"}, [ConnectedGroup((a, b))])
+    assert diags == [f"image of group {(a, b)} splits into 2 groups"]
+
+
+def test_oracle_rejects_a_t_vertex_inside_a_group():
+    # the mixed pair split verbatim: the midpoint of the shared edge is cut
+    # from the left only, a T-vertex inside the group's image
+    m = create_tensor_mesh(2, 1, (0, 2, 0, 1))
+    x, y = cell_at(m, 0.5, 0.5), cell_at(m, 1.5, 0.5)
+    groups = flood_fill_groups(m, [x, y])
+    assert [g.members for g in groups] == [(x, y)]
+    diags = _naive_round(m, {x: "H", y: "V"}, groups)
+    assert diags == [f"image of group {(x, y)} splits into 2 groups",
+                     f"T-vertex at (1.0, 0.5) on interior edge of group {(x, y)}"]
+
+
+def test_oracle_rejects_groups_that_share_an_edge():
+    # an aligned pair reported as two groups: their children meet
+    m = create_tensor_mesh(2, 1, (0, 2, 0, 1))
+    x, y = cell_at(m, 0.5, 0.5), cell_at(m, 1.5, 0.5)
+    diags = _naive_round(m, {x: "C", y: "C"}, [ConnectedGroup((x,)), ConnectedGroup((y,))])
+    assert diags == [f"groups {(x,)} and {(y,)} share an edge after refinement"]
 
 
 def test_refine_deterministic():

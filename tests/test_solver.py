@@ -27,6 +27,7 @@ from anisoline.space import (
     field_from_vertex_data,
 )
 from anisoline.tmesh import create_tensor_mesh
+from oracles import vertex_at
 from test_space import permuted_space
 
 
@@ -1024,7 +1025,7 @@ def test_folded_geometry_raises_named_error():
     # det J changes sign inside the cells right of it
     problem, geometry = make_problem("square_sin", (4, 4))
     space = geometry.space
-    center = space.mesh.vertex_at(0.5, 0.5)
+    center = vertex_at(space.mesh, 0.5, 0.5)
     coefficients = geometry.field.coefficients.copy()
     k = space.vertex_row[center]
     coefficients[4 * k:4 * k + 4, 0] += collocation_block(space, center).solve([0.6, 0, 0, 0])

@@ -21,8 +21,8 @@ from anisoline.space import (
     DERIV_ORDERS, HERMITE_ORDERS, SplineField, SplineSpace, advance_level,
     build_initial_space, _births, collocation_block, field_from_vertex_data, transfer_field,
 )
-from anisoline.tmesh import create_mesh_from_knots, create_tensor_mesh
-from oracles import interior_edge_samples, naive_subdivide, verify_space
+from anisoline.tmesh import TMesh, create_tensor_mesh
+from oracles import interior_edge_samples, naive_subdivide, verify_space, vertex_at
 from test_bezier import _reference_split_patch, _reference_zero_corner_block
 
 
@@ -120,7 +120,7 @@ def test_functions_away_from_marks_unchanged():
     mesh = create_tensor_mesh(3, 3)
     space = build_initial_space(mesh)
     corner_cell = mesh.locate_cell(0.1, 0.1)
-    far_vertex = mesh.vertex_at(1, 1)
+    far_vertex = vertex_at(mesh, 1, 1)
     mesh2, report = refine(mesh, RefinementRequest({corner_cell: "C"}))
     space2 = advance_level(space, report)
     old, new = space.supports(), space2.supports()
@@ -175,8 +175,8 @@ def test_transition_cell_keeps_coarse_functions():
     fids = space2.functions_on_cell(child)
     assert len(fids) == 16
     anchors = {space2.vertices[f // 4] for f in fids}
-    assert anchors == {mesh2.vertex_at(0.5, 0), mesh2.vertex_at(0, 0.5),
-                       mesh2.vertex_at(0.5, 0.5), mesh2.vertex_at(0.25, 0.25)}
+    assert anchors == {vertex_at(mesh2, 0.5, 0), vertex_at(mesh2, 0, 0.5),
+                       vertex_at(mesh2, 0.5, 0.5), vertex_at(mesh2, 0.25, 0.25)}
     ones = SplineField(space2, np.ones(space2.dim))
     assert ones.value(0.3, 0.3) == pytest.approx(1.0, abs=1e-12)
 
@@ -205,7 +205,7 @@ def test_collocation_dual_path_oracle():
     """B(v) from stored Bezier data equals the knot-formula prediction."""
     mesh = create_tensor_mesh(2, 2)
     space = build_initial_space(mesh)
-    center = mesh.vertex_at(0.5, 0.5)
+    center = vertex_at(mesh, 0.5, 0.5)
     block = collocation_block(space, center)
     # knot construction at a symmetric interior breakpoint, spacing 1/2:
     # variant 0: value wR/(wL+wR)=1/2, slope -3/(wL+wR)=-3; variant 1 mirrored
@@ -220,8 +220,8 @@ def test_collocation_dual_path_oracle():
 def test_collocation_scaling():
     small = build_initial_space(create_tensor_mesh(2, 2))
     big = build_initial_space(create_tensor_mesh(2, 2, (0, 2, 0, 2)))
-    bs = collocation_block(small, small.mesh.vertex_at(0.5, 0.5)).matrix
-    bb = collocation_block(big, big.mesh.vertex_at(1, 1)).matrix
+    bs = collocation_block(small, vertex_at(small.mesh, 0.5, 0.5)).matrix
+    bb = collocation_block(big, vertex_at(big.mesh, 1, 1)).matrix
     assert np.allclose(bb[:, 0], bs[:, 0], atol=1e-13)       # values unchanged
     assert np.allclose(bb[:, 1], bs[:, 1] / 2, atol=1e-13)   # d_s halves
 
@@ -231,7 +231,7 @@ def test_collocation_rejects_non_basis_vertex():
     space = build_initial_space(mesh)
     mesh2, report = refine(mesh, RefinementRequest({mesh.locate_cell(0.25, 0.25): "C"}))
     space2 = advance_level(space, report)
-    tv = mesh2.vertex_at(0.5, 0.25)  # T-junction on the shared edge
+    tv = vertex_at(mesh2, 0.5, 0.25)  # T-junction on the shared edge
     with pytest.raises(ValueError):
         collocation_block(space2, tv)
 
@@ -283,7 +283,7 @@ def test_interior_edge_samples_match_all_pairs_scan(start):
 
 
 def test_nonuniform_level0_space():
-    mesh = create_mesh_from_knots([0, 0.5, 0.75, 1], [0, 0.25, 1])
+    mesh = TMesh([0, 0.5, 0.75, 1], [0, 0.25, 1])
     space = build_initial_space(mesh)
     rep = verify_space(space, n_samples=800, seed=3)
     assert rep["dim_ok"]
@@ -372,7 +372,7 @@ def test_support_stays_local_and_connected():
             # birth level) whose closure contains the anchor (the full tree is
             # retained, so these records exist even after later subdivision)
             birth = [c for c in map(mesh.cell, range(len(mesh.cell_table().lattice)))
-                     if c.level == v.level and c.contains_point(v.s, v.t)]
+                     if c.level == v.level and c.s0 <= v.s <= c.s1 and c.t0 <= v.t <= c.t1]
             s_lo = min(c.s0 for c in birth)
             s_hi = max(c.s1 for c in birth)
             t_lo = min(c.t0 for c in birth)
@@ -673,8 +673,7 @@ _STARTS = {
     "3x2": lambda: create_tensor_mesh(3, 2),
     "4x4": lambda: create_tensor_mesh(4, 4),
     "10x10": lambda: create_tensor_mesh(10, 10),
-    "non-uniform": lambda: create_mesh_from_knots([0, 0.1, 0.35, 0.5, 0.9, 1],
-                                                  [0, 0.3, 0.45, 1]),
+    "non-uniform": lambda: TMesh([0, 0.1, 0.35, 0.5, 0.9, 1], [0, 0.3, 0.45, 1]),
 }
 
 
@@ -770,7 +769,7 @@ def test_births_match_per_vertex_references(start):
 
 def test_births_name_a_vertex_off_the_rule():
     mesh = create_tensor_mesh(2, 2)
-    center = mesh.vertex_at(Fraction(1, 2), Fraction(1, 2))
+    center = vertex_at(mesh, Fraction(1, 2), Fraction(1, 2))
     mesh.split_cell(mesh.locate_cell(0.25, 0.25), "V")
     cells = mesh.active_cells()
     # left of the center, the cell below is half as wide as the one above
@@ -780,7 +779,7 @@ def test_births_name_a_vertex_off_the_rule():
     below_left = mesh.locate_cell(0.4, 0.25)
     with pytest.raises(AssertionError, match=f"vertex {center} is a corner of 3 cells, expected 4"):
         _births(mesh, [c for c in cells if c != below_left], [center])
-    corner, edge = mesh.vertex_at(0, 1), mesh.vertex_at(0, Fraction(1, 2))
+    corner, edge = vertex_at(mesh, 0, 1), vertex_at(mesh, 0, Fraction(1, 2))
     with pytest.raises(AssertionError, match=f"vertex {edge} is a corner of 1 cells, expected 2"):
         _births(mesh, [mesh.locate_cell(0.25, 0.75)], sorted([corner, edge]))
 
@@ -836,7 +835,7 @@ def _hand_built(space, vid, edit):
 
 def test_singular_collocation_block_names_the_vertex():
     space = build_initial_space(create_tensor_mesh(2, 2))
-    center = space.mesh.vertex_at(0.5, 0.5)
+    center = vertex_at(space.mesh, 0.5, 0.5)
     # slots 1 and 3 repeat slots 0 and 2: the block is kron(T, S) with a singular S
     broken = _hand_built(space, center, lambda fs: [fs[0], fs[0], fs[2], fs[2]])
     match = f"singular collocation block at vertex {center}"
@@ -848,7 +847,7 @@ def test_singular_collocation_block_names_the_vertex():
 
 def test_non_tensor_collocation_data_is_refused():
     space = build_initial_space(create_tensor_mesh(2, 2))
-    center = space.mesh.vertex_at(0.5, 0.5)
+    center = vertex_at(space.mesh, 0.5, 0.5)
     broken = _hand_built(space, center,
                          lambda fs: fs[:3] + [{c: 2 * p for c, p in fs[3].items()}])
     with pytest.raises(ValueError, match=f"vertex {center} is not a tensor product"):

@@ -11,8 +11,9 @@ import pytest
 
 from anisoline.tmesh import (
     LATTICE_DEPTH, AdjacencyKind, LatticeDepthError, TMesh, VertexKind, cut_rule,
-    create_mesh_from_knots, create_tensor_mesh,
+    create_tensor_mesh,
 )
+from oracles import adjacency, edge_neighbors, lattice_coordinate, vertex_at
 
 
 def kinds_histogram(mesh):
@@ -63,13 +64,13 @@ def test_vertex_kinds_after_cross_split():
     m = create_tensor_mesh(2, 2)
     cid = m.locate_cell(0.25, 0.25)
     m.split_cell(cid, "C")
-    center = m.vertex_at(0.25, 0.25)
+    center = vertex_at(m, 0.25, 0.25)
     assert m.classify_vertex(center) is VertexKind.CROSSING
-    t1 = m.vertex_at(0.5, 0.25)
+    t1 = vertex_at(m, 0.5, 0.25)
     assert m.classify_vertex(t1) is VertexKind.T_JUNCTION
-    b1 = m.vertex_at(0.25, 0)
+    b1 = vertex_at(m, 0.25, 0)
     assert m.classify_vertex(b1) is VertexKind.BOUNDARY
-    assert m.classify_vertex(m.vertex_at(0, 0)) is VertexKind.BOUNDARY
+    assert m.classify_vertex(vertex_at(m, 0, 0)) is VertexKind.BOUNDARY
 
 
 def test_classify_unknown_id():
@@ -84,14 +85,14 @@ def test_adjacency_kinds():
     br = m.locate_cell(0.75, 0.25)
     tl = m.locate_cell(0.25, 0.75)
     tr = m.locate_cell(0.75, 0.75)
-    assert m.adjacency(bl, br) is AdjacencyKind.HORIZONTALLY_ALIGNED
-    assert m.adjacency(bl, tl) is AdjacencyKind.VERTICALLY_ALIGNED
-    assert m.adjacency(bl, tr) is AdjacencyKind.NOT_ADJACENT
+    assert adjacency(m, bl, br) is AdjacencyKind.HORIZONTALLY_ALIGNED
+    assert adjacency(m, bl, tl) is AdjacencyKind.VERTICALLY_ALIGNED
+    assert adjacency(m, bl, tr) is AdjacencyKind.NOT_ADJACENT
     # half-height neighbor shares the vertical edge only partially
     m.split_cell(br, "H")
     low = m.locate_cell(0.75, 0.1)
-    assert m.adjacency(bl, low) is AdjacencyKind.ADJACENT_ONLY
-    assert m.adjacency(low, bl) is AdjacencyKind.ADJACENT_ONLY
+    assert adjacency(m, bl, low) is AdjacencyKind.ADJACENT_ONLY
+    assert adjacency(m, low, bl) is AdjacencyKind.ADJACENT_ONLY
 
 
 def test_adjacency_symmetry_random():
@@ -107,7 +108,7 @@ def test_adjacency_symmetry_random():
     act = m.active_cells()
     for _ in range(200):
         a, b = rng.choice(act), rng.choice(act)
-        assert m.adjacency(a, b) is m.adjacency(b, a)
+        assert adjacency(m, a, b) is adjacency(m, b, a)
 
 
 def test_adjacency_rejects_inactive():
@@ -116,7 +117,7 @@ def test_adjacency_rejects_inactive():
     other = m.locate_cell(0.75, 0.25)
     m.split_cell(cid, "C")
     with pytest.raises(ValueError):
-        m.adjacency(cid, other)
+        adjacency(m, cid, other)
 
 
 def test_cell_queries_reject_inactive_and_unknown_cells():
@@ -124,7 +125,7 @@ def test_cell_queries_reject_inactive_and_unknown_cells():
     m = create_tensor_mesh(2, 2)
     cid = m.locate_cell(0.25, 0.25)
     m.split_cell(cid, "C")
-    for query in (m.cell_vertices, m.edge_neighbors):
+    for query in (m.cell_vertices, lambda cid: edge_neighbors(m, cid)):
         with pytest.raises(ValueError, match=f"cell {cid} is not active"):
             query(cid)
         with pytest.raises(KeyError, match="unknown cell id 99"):
@@ -158,11 +159,11 @@ def test_split_cell_v_then_matching_v():
     m = create_tensor_mesh(2, 1)
     a = m.locate_cell(0.1, 0.5)
     b = m.locate_cell(0.9, 0.5)
-    shared_top = m.vertex_at(0.5, 1)
+    shared_top = vertex_at(m, 0.5, 1)
     m.split_cell(a, "V")
     m.split_cell(b, "V")
     assert m.classify_vertex(shared_top) is VertexKind.BOUNDARY
-    assert m.vertex_at(0.5, 0.5) is None
+    assert vertex_at(m, 0.5, 0.5) is None
     h = kinds_histogram(m)
     assert h[VertexKind.T_JUNCTION] == 0
 
@@ -200,7 +201,7 @@ def test_validate_constructive_meshes_clean():
 def test_validate_flags_hanging_vertex():
     # inject a grid-line endpoint that does not land on two grid lines
     m = create_tensor_mesh(2, 2)
-    i, j = (axis.coordinate(Fraction(1, 8)) for axis in m.axes)
+    i, j = (lattice_coordinate(axis, Fraction(1, 8)) for axis in m.axes)
     vid = m._append_vertices(np.array([[i, j]]), np.array([[0.125, 0.125]]), 0)
     assert m.vertex(vid).position == (Fraction(1, 8), Fraction(1, 8))
     # the derived incidence finds the cell that holds the point
@@ -280,11 +281,11 @@ def test_json_roundtrip():
 
 
 def test_non_uniform_knots_supported():
-    m = create_mesh_from_knots([0, Fraction(1, 2), Fraction(3, 4), 1], [0, 1])
+    m = TMesh([0, Fraction(1, 2), Fraction(3, 4), 1], [0, 1])
     assert len(m.active_cells()) == 3
     assert m.validate() == []
     m.split_cell(m.locate_cell(0.6, 0.5), "V")
-    assert m.vertex_at(Fraction(5, 8), 0) is not None
+    assert vertex_at(m, Fraction(5, 8), 0) is not None
 
 
 def test_locate_cell_edges_and_errors():
@@ -338,9 +339,9 @@ def probe_coordinates(lines, rng):
 LOCATE_MESHES = {
     "3x3": lambda: create_tensor_mesh(3, 3),
     "5x5": lambda: create_tensor_mesh(5, 5),
-    "non-uniform": lambda: create_mesh_from_knots(
+    "non-uniform": lambda: TMesh(
         [0, Fraction(1, 7), Fraction(2, 5), Fraction(3, 4), 1], [0, Fraction(1, 3), 0.6, 1]),
-    "non-dyadic edges": lambda: create_mesh_from_knots(
+    "non-dyadic edges": lambda: TMesh(
         [Fraction(-1, 3), 0, Fraction(2, 7), Fraction(5, 3)], [Fraction(1, 10), Fraction(1, 3), Fraction(7, 5)]),
 }
 
@@ -403,8 +404,8 @@ def test_locate_many_not_stale_after_split_or_copy():
 
 
 def test_tensor_build_registers_corners_like_a_full_scan():
-    m = create_mesh_from_knots([0, Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), 0.7, 1],
-                               [0, Fraction(2, 9), 0.5, 1])
+    m = TMesh([0, Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), 0.7, 1],
+              [0, Fraction(2, 9), 0.5, 1])
     assert m.validate() == []
     _check_incidence_and_table(m)
     assert all(m.cell_vertices(cid) == sorted(m.corner_vertices(cid)) for cid in m.active_cells())
@@ -509,9 +510,9 @@ def float_bits(values):
 
 LATTICE_STARTS = {
     "uniform": lambda: create_tensor_mesh(3, 2),
-    "non-uniform": lambda: create_mesh_from_knots(
+    "non-uniform": lambda: TMesh(
         [0, Fraction(1, 7), Fraction(2, 5), Fraction(3, 4), 1], [0, Fraction(1, 3), 0.6, 1]),
-    "negative": lambda: create_mesh_from_knots(
+    "negative": lambda: TMesh(
         [-2, Fraction(-1, 3), 0, 0.7], [-1, Fraction(-1, 10), Fraction(5, 4)]),
     "24x24": lambda: create_tensor_mesh(24, 24),
 }
@@ -535,7 +536,7 @@ def test_lattice_matches_fraction_halving(name):
         v = m.vertex(vid)
         assert all(type(x) is Fraction for x in v.position)
         assert float_bits(v.position_float()) == float_bits(v.position)
-        assert m.vertex_at(v.s, v.t) == vid
+        assert vertex_at(m, v.s, v.t) == vid
         got[v.position] = m.classify_vertex(vid)
     assert len(got) == len(m.vertices())
     assert got == kinds
@@ -615,18 +616,24 @@ def test_edge_neighbors_match_a_full_scan(name):
     assert {kind for _, _, kind in m.generation_log} == set("HVC")
     act = m.active_cells()
     scan = _edge_neighbor_scan(m)
+    # the batched pairs over every active cell, against the scan
+    got = {cid: set() for cid in act}
+    for a, b in zip(*(x.tolist() for x in m.edge_neighbor_pairs(act))):
+        got[a].add(b)
+        got[b].add(a)
+    assert got == scan
+    # the per-cell references the other tests use agree with it
     rng = random.Random(29)
     for cid in act:
-        got = m.edge_neighbors(cid)
-        assert got == scan[cid], cid
+        assert edge_neighbors(m, cid) == scan[cid], cid
         # every neighbor is adjacent, and a sample of the rest is not
         others = act if len(act) <= 400 else rng.sample(act, 100)
-        for b in got | set(others):
-            assert (m.adjacency(cid, b) is not AdjacencyKind.NOT_ADJACENT) == (b in got), (cid, b)
+        for b in scan[cid] | set(others):
+            assert (adjacency(m, cid, b) is not AdjacencyKind.NOT_ADJACENT) == (b in scan[cid]), (cid, b)
 
 
 def test_split_past_the_lattice_depth_is_refused():
-    m = create_mesh_from_knots([0, Fraction(1, 3)], [0, 0.6])
+    m = TMesh([0, Fraction(1, 3)], [0, 0.6])
     cid = m.active_cells()[0]
     for _ in range(LATTICE_DEPTH):
         cid = m.split_cell(cid, "V")[0]
@@ -636,7 +643,7 @@ def test_split_past_the_lattice_depth_is_refused():
     assert c.i1 - c.i0 == 1
     assert c.s1 == Fraction(1, 3) / 2 ** LATTICE_DEPTH
     assert float_bits(c.size_float()) == float_bits([c.width, c.height])
-    assert m.vertex_at(c.s1, 0) is not None
+    assert vertex_at(m, c.s1, 0) is not None
     for kind in "VC":
         with pytest.raises(LatticeDepthError, match="lattice depth"):
             m.split_cell(cid, kind)
@@ -674,7 +681,7 @@ FRACTION_JSON = """
 
 
 def test_fraction_json_loads_onto_the_lattice():
-    built = create_mesh_from_knots([-1, Fraction(1, 3), 1], [0, 0.6, 1])
+    built = TMesh([-1, Fraction(1, 3), 1], [0, 0.6, 1])
     built.split_cell(0, "C")
     built.split_cell(3, "V")
     built.advance_current_level()
