@@ -21,12 +21,16 @@ which freezes the surface over cells that already passed.
 
 A point set keeps its points' stable order by cell
 (`ParamPointSet.cell_order`), made once per level, on first use after the
-points' cells change.  The three per-point passes of a level read it: the
+points' cells change.  Two per-point passes of a level read it: the
 error pass evaluates the surface run by run over it
 (`SplineField.eval_runs`) and takes each cell's largest distance over its
-run, the cell factors of the estimator take their points from it, and
-relocation after a refinement round finds the points of the split cells
-in it and moves each one step down from its parent.
+run, and the cell factors of the estimator take their points from it.
+Relocation after a refinement round descends from each point's old cell,
+so only the points of the split cells move, one step down.
+
+Each marked cell's split label comes from `label_by_curvature`, which
+returns the labels alone; the mean curvatures it compares are
+`_curvatures`, sampled on a fixed 3 x 3 interior grid of each cell.
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ from .space import (
     HERMITE_ORDERS, SplineField, _solve_vertices, advance_level, build_initial_space,
     cell_order,
 )
-from .tmesh import create_tensor_mesh
+from .tmesh import _ranges, create_tensor_mesh
 
 __all__ = [
-    "ParamPointSet", "FitConfig", "AnisotropyEstimate", "generate_test_model",
+    "ParamPointSet", "FitConfig", "generate_test_model",
     "estimate_vertex_controls", "label_by_curvature",
     "fit_surface",
 ]
@@ -119,31 +123,17 @@ class ParamPointSet:
         self.cell_of = mesh.locate_many(self.params[:, 0], self.params[:, 1])
 
     def update_cells(self, report):
-        """Relocate only the points whose cell was subdivided, read from the
-        cell order: each moves one step down from its parent, by the
-        parent's cut midpoints.  The parent lies on the path of
-        `TMesh.locate_many`'s descent and its children are active, so this
-        is the cell the full descent gives, under the same half-open rule."""
-        order, cells, counts = self.cell_order()
-        split = np.zeros(len(report.mesh_before.cell_bounds()), dtype=bool)
-        split[list(report.performed)] = True
-        hit = split[cells]
-        stale = order[_ranges((np.cumsum(counts) - counts)[hit], counts[hit])]
-        parent = self._cell_of[stale]
-        _, kids, (_, _, s_mid, t_mid), _ = report.mesh_after._location_tables()
-        s, t = self.params.take(stale, axis=0).T
-        cell_of = self._cell_of.copy()
-        cell_of[stale] = kids[parent, (s >= s_mid[parent]) + 2 * (t >= t_mid[parent])]
-        self.cell_of = cell_of
+        """Relocate the points after a refinement round: each descends from
+        its old cell (`TMesh.locate_many` with `start`), so the points of
+        the split cells move down to their children and the others stay."""
+        self.cell_of = report.mesh_after.locate_many(self.params[:, 0], self.params[:, 1],
+                                                     start=self._cell_of)
 
 
 @dataclass
 class FitConfig:
     tolerance: float = 1e-3          # fraction of the bounding-box diagonal
     delta: float = 2.0               # anisotropy threshold, > 1
-    # curvature samples per cell, rounded to the nearest square grid
-    # (`_sample_grid`): 10 means 3 x 3
-    samples: int = 9
     max_levels: int = 10
     initial_grid: tuple = (2, 2)
     # cells are marked when their error exceeds mark_safety * tolerance:
@@ -158,7 +148,6 @@ class FitConfig:
         if not self.delta > 1:
             raise ValueError(f"delta (anisotropy threshold) must exceed 1, got {self.delta!r}; "
                              f"values below 1 would mark every cell anisotropic")
-        _check_count("samples", self.samples, 1, " (curvature samples per cell)")
         _check_count("max_levels", self.max_levels, 0)
         grid = self.initial_grid
         if not (isinstance(grid, (tuple, list)) and len(grid) == 2
@@ -167,17 +156,6 @@ class FitConfig:
                              f"got {grid!r}")
         if not (0 < self.mark_safety <= 1):
             raise ValueError("mark_safety must lie in (0, 1]")
-
-
-@dataclass
-class AnisotropyEstimate:
-    k_s: float
-    k_t: float
-    label: str
-
-    @property
-    def ratio(self):
-        return self.k_s / self.k_t if self.k_t else np.inf
 
 
 def generate_test_model(kind, grid=(101, 101)):
@@ -219,12 +197,6 @@ _BLOCK = 4096
 _WINDOW = 256
 
 
-def _ranges(starts, counts):
-    """Concatenated integer ranges [starts[k], starts[k] + counts[k])."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
-
-
 class _PointHoods:
     """Neighborhoods of listed points, one design row per point:
     neighborhood i is the points `order[first[i]:first[i] + counts[i]]`."""
@@ -235,7 +207,8 @@ class _PointHoods:
 
     def rows(self, sel):
         """Point indices of the neighborhoods `sel`, one after another."""
-        return self.order[_ranges(self.first[sel], self.counts[sel])]
+        lo = self.first[sel]
+        return self.order[_ranges(lo, lo + self.counts[sel])]
 
     def design(self, rows, centers, ncols):
         return _design(self.pset, rows, centers, ncols)
@@ -307,13 +280,16 @@ class _CellHoods:
 
     def subset(self, sel):
         """The neighborhoods `sel` (indices or a mask)."""
+        lo = self.first[sel]
         return _CellHoods(self.factors, self.sizes[sel],
-                          self.cells[_ranges(self.first[sel], self.sizes[sel])])
+                          self.cells[_ranges(lo, lo + self.sizes[sel])])
 
     def rows(self, sel):
         """Factor-table rows of the neighborhoods `sel`, one after another."""
-        cells = self.cells[_ranges(self.first[sel], self.sizes[sel])]
-        return _ranges(self.factors.first[cells], self.factors.nrows[cells])
+        lo = self.first[sel]
+        cells = self.cells[_ranges(lo, lo + self.sizes[sel])]
+        lo = self.factors.first[cells]
+        return _ranges(lo, lo + self.factors.nrows[cells])
 
     def design(self, rows, centers, ncols):
         f = self.factors
@@ -327,10 +303,8 @@ def _edge_neighbors(mesh, cells):
     around their vertices, which hold every edge neighbor."""
     cell_start, incident, vert_start, verts = mesh._incidence_tables()
     cells = np.unique(cells)
-    lo = vert_start[cells]
-    vids = np.unique(verts[_ranges(lo, vert_start[cells + 1] - lo)])
-    lo = cell_start[vids]
-    a, b = mesh.edge_neighbor_pairs(incident[_ranges(lo, cell_start[vids + 1] - lo)])
+    vids = np.unique(verts[_ranges(vert_start[cells], vert_start[cells + 1])])
+    a, b = mesh.edge_neighbor_pairs(incident[_ranges(cell_start[vids], cell_start[vids + 1])])
     src, dst = np.concatenate([a, b]), np.concatenate([b, a])
     asked = np.zeros(len(vert_start), dtype=bool)
     asked[cells] = True
@@ -348,7 +322,7 @@ def _ring(sizes, cells, neighbors):
     owner = np.repeat(np.arange(len(sizes)), sizes)
     lo, hi = start[cells], start[cells + 1]
     key = np.unique(np.concatenate([owner, np.repeat(owner, hi - lo)]) * n
-                    + np.concatenate([cells, adjacent[_ranges(lo, hi - lo)]]))
+                    + np.concatenate([cells, adjacent[_ranges(lo, hi)]]))
     owner, cells = np.divmod(key, n)
     return np.bincount(owner, minlength=len(sizes)), cells
 
@@ -522,7 +496,7 @@ def estimate_vertex_controls(space, vids, pset, max_rings=3, fallback_field=None
     start, incident = mesh._incidence_tables()[:2]
     lo, hi = start[at], start[at + 1]
     factors = _CellFactors(pset, mesh)
-    hoods = _CellHoods(factors, hi - lo, incident[_ranges(lo, hi - lo)])
+    hoods = _CellHoods(factors, hi - lo, incident[_ranges(lo, hi)])
     ks = np.arange(n)
     failed = []             # (vertices, their last cells tried) that no ring made full rank
     for ring in range(max_rings + 1):
@@ -577,11 +551,10 @@ def _vertices_inside(mesh, cells):
     cells = np.asarray(cells, dtype=np.int64)
     chosen = np.zeros(len(vert_start) - 1, dtype=bool)
     chosen[cells] = True
-    lo = vert_start[cells]
-    vids = np.unique(verts[_ranges(lo, vert_start[cells + 1] - lo)])
-    lo, counts = cell_start[vids], cell_start[vids + 1] - cell_start[vids]
-    owner = np.repeat(np.arange(len(vids)), counts)
-    outside = np.bincount(owner, weights=~chosen[incident[_ranges(lo, counts)]],
+    vids = np.unique(verts[_ranges(vert_start[cells], vert_start[cells + 1])])
+    lo, hi = cell_start[vids], cell_start[vids + 1]
+    owner = np.repeat(np.arange(len(vids)), hi - lo)
+    outside = np.bincount(owner, weights=~chosen[incident[_ranges(lo, hi)]],
                           minlength=len(vids))
     return vids[outside == 0]
 
@@ -603,25 +576,24 @@ def _field_errors(field, pset):
     return err, dict(zip(cells.tolist(), worst.tolist()))
 
 
-def _sample_grid(l):
-    m = max(1, int(round(np.sqrt(l))))
-    ticks = np.arange(1, m + 1) / (m + 1.0)
-    uu, vv = np.meshgrid(ticks, ticks, indexing="ij")
-    return uu.ravel(), vv.ravel()
+# the labeler's sample grid: ticks 1/4, 1/2 and 3/4 across each cell, u-major
+_TICKS = np.arange(1, 4) / 4.0
+_GRID_U, _GRID_V = (g.ravel() for g in np.meshgrid(_TICKS, _TICKS, indexing="ij"))
 
 
 def _mean_curvatures(first, second):
     """Per-cell mean curvature of sampled curves from their first and
     second derivatives (c, n, m): the graph curvature |f''| / (1 + f'^2)^1.5
-    when m = 1, else |f' x f''| / |f'|^3.  Samples where the speed
+    when m = 1, else |f' x f''| / |f'|^3, with the cross product's z
+    component x'y'' - y'x'' when m = 2.  Sample points where the speed
     vanishes are skipped; a cell without any gets 0."""
     if first.shape[-1] == 1:
         num = np.abs(second[..., 0])
         den = (1.0 + first[..., 0] ** 2) ** 1.5
         good = np.ones(num.shape, dtype=bool)
     else:
-        cross = np.cross(first, second)
-        num = np.linalg.norm(cross.reshape(cross.shape[:2] + (-1,)), axis=-1)
+        num = (np.abs(first[..., 0] * second[..., 1] - first[..., 1] * second[..., 0])
+               if first.shape[-1] == 2 else np.linalg.norm(np.cross(first, second), axis=-1))
         speed = np.linalg.norm(first, axis=-1)
         den = speed ** 3
         good = speed > 1e-12
@@ -630,31 +602,32 @@ def _mean_curvatures(first, second):
     return np.divide(kappa.sum(axis=1), count, out=np.zeros(len(count)), where=count > 0)
 
 
-def label_by_curvature(field, cells, delta, samples=9):
-    """Split labels from averaged directional curvatures per cell.
-
+def _curvatures(field, cells):
+    """Mean directional curvatures (k_s, k_t), two arrays over `cells`:
     kappa_s = |S_s x S_ss| / |S_s|^3 (for a scalar field, the curvature of
-    its graph) is sampled on an interior grid of all cells at once; the
-    ratio of the means picks 'V' (curved along s) above `delta`, 'H'
-    (curved along t) below 1/delta, or 'C'.  Degenerate samples are
-    skipped; all-degenerate cells and flat cells get 'C'.  The ratio is
-    not weighted by the cell widths (see `solver.label_by_solution`).
-    """
-    u, v = _sample_grid(samples)
-    cells = list(cells)
-    d = field.eval_grid(cells, u, v, ((1, 0), (0, 1), (2, 0), (0, 2)))
+    its graph), sampled on the 3 x 3 interior grid `_GRID_U`, `_GRID_V` of
+    all cells at once."""
+    d = field.eval_grid(cells, _GRID_U, _GRID_V, ((1, 0), (0, 1), (2, 0), (0, 2)))
     d = d.reshape(d.shape[:3] + (-1,))             # a scalar field has one component
-    k_s = _mean_curvatures(d[0], d[2])
-    k_t = _mean_curvatures(d[1], d[3])
+    return _mean_curvatures(d[0], d[2]), _mean_curvatures(d[1], d[3])
+
+
+def label_by_curvature(field, cells, delta):
+    """Split labels {cell: 'H' | 'V' | 'C'} from the mean directional
+    curvatures of `_curvatures`: the ratio k_s / k_t picks 'V' (curved
+    along s) above `delta`, 'H' (curved along t) below 1/delta, or 'C'.
+    Degenerate sample points are skipped; all-degenerate cells and flat cells
+    get 'C'.  The ratio is not weighted by the cell widths (see
+    `solver.label_by_solution`).
+    """
+    cells = list(cells)
+    k_s, k_t = _curvatures(field, cells)
     tiny = 1e-12 * np.maximum(np.maximum(k_s, k_t), 1.0)
     flat_s, flat_t = k_s <= tiny, k_t <= tiny
     rho = np.divide(k_s, k_t, out=np.zeros(len(cells)), where=~flat_t)
     bent = np.where(rho > delta, "V", np.where(rho < 1.0 / delta, "H", "C"))
     label = np.where(flat_t, np.where(flat_s, "C", "V"), np.where(flat_s, "H", bent))
-    labels = dict(zip(cells, label.tolist()))
-    estimates = {cid: AnisotropyEstimate(ks, kt, labels[cid])
-                 for cid, ks, kt in zip(cells, k_s.tolist(), k_t.tolist())}
-    return labels, estimates
+    return dict(zip(cells, label.tolist()))
 
 
 def fit_surface(pset, config, strategy="modified"):
@@ -704,6 +677,6 @@ def fit_surface(pset, config, strategy="modified"):
     report = run_adaptive(
         build_initial_space(create_tensor_mesh(*config.initial_grid)), strategy,
         config.max_levels, estimate,
-        lambda marked: label_by_curvature(field, marked, config.delta, config.samples)[0],
+        lambda marked: label_by_curvature(field, marked, config.delta),
         advance)
     return field, report

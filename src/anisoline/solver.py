@@ -44,7 +44,7 @@ component) axis, which runs in BLAS.
 `adaptive_solve` hands each round's geometry to `assemble` as a
 `_RoundGeometry`.  The assembly's walk keeps every block there: the
 cells and their bounds, the map values, J^-1, the weights times |det J|,
-the geometry patches, the diameters and the Neumann edge pieces, about
+the geometry patches, each cell's diameter and the Neumann edge pieces, about
 1.8 KB per cell at q = 5.  The basis patches are dropped, and so are J
 and det J once the fold and singularity checks have run.
 `error_indicators` then walks these blocks instead of evaluating the map
@@ -126,9 +126,6 @@ _FIT_TICKS = np.linspace(0.0, 1.0, 8)
 class SolveConfig:
     threshold: float = 1e-4          # mark when eta exceeds this
     delta: float = 2.0               # label 'V' above this curvature ratio, 'H' below 1/delta
-    # curvature samples per cell, rounded to the nearest square grid
-    # (`fitting._sample_grid`): 10 means 3 x 3
-    samples: int = 9
     quadrature: int = 5
     max_levels: int = 8
     lin_tol: float = 1e-10
@@ -138,7 +135,6 @@ class SolveConfig:
             raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold!r}")
         if not self.delta > 1:
             raise ValueError(f"delta (anisotropy threshold) must exceed 1, got {self.delta!r}")
-        _check_count("samples", self.samples, 1, " (curvature samples per cell)")
         _check_count("max_levels", self.max_levels, 0)
         _check_count("quadrature", self.quadrature, 4, " for bicubic integrands")
         # a NaN or infinite tolerance would switch the residual check off
@@ -159,8 +155,9 @@ class DiscreteSolution:
 
 @dataclass
 class ErrorIndicator:
+    """Eta per cell and, when the problem knows its solution, the exact
+    error norms; the cell sizes h stay in the walk (`_CellBlock.diameter`)."""
     eta: dict                        # cell id -> eta >= 0
-    diameters: dict                  # cell id -> physical diameter
     l2_error: float = None           # exact error norms, when u_exact is known
     h1_error: float = None
 
@@ -564,7 +561,6 @@ def _estimate(u_h, problem, q, u_exact, grad_exact, residual):
     `grad_exact`)."""
     coefficients = u_h.field.coefficients
     eta = {}
-    diam = {}
     l2 = h1 = 0.0
     neumann = _neumann_segments(problem) if residual else ()
     for blk in _cell_blocks(u_h.space, u_h.geometry, q, neumann):
@@ -589,18 +585,16 @@ def _estimate(u_h, problem, q, u_exact, grad_exact, residual):
             mismatch = g - np.sum(egrad * e.normal, axis=-1)
             np.add.at(boundary, e.rows, np.sum(mismatch ** 2 * e.arc_weights, axis=1))
         h = blk.diameter
-        cells = blk.cells.tolist()
-        eta.update(zip(cells, np.sqrt(h * h * interior + h * boundary).tolist()))
-        diam.update(zip(cells, h.tolist()))
+        eta.update(zip(blk.cells.tolist(), np.sqrt(h * h * interior + h * boundary).tolist()))
     if u_exact is None:
-        return ErrorIndicator(eta, diam)
-    return ErrorIndicator(eta, diam, float(np.sqrt(l2)), float(np.sqrt(h1)))
+        return ErrorIndicator(eta)
+    return ErrorIndicator(eta, float(np.sqrt(l2)), float(np.sqrt(h1)))
 
 
-def label_by_solution(u_h, cells, delta=2.0, samples=9):
-    """Anisotropy labels of marked cells from the parametric graph
-    curvatures of the discrete solution (`label_by_curvature` on its
-    scalar field).
+def label_by_solution(u_h, cells, delta=2.0):
+    """Anisotropy labels {cell: 'H' | 'V' | 'C'} of marked cells from the
+    parametric graph curvatures of the discrete solution
+    (`label_by_curvature` on its scalar field).
 
     The ratio kappa_s / kappa_t is not weighted by the cell widths, so a
     cell already halved in s is labelled 'V' again as long as the
@@ -609,7 +603,7 @@ def label_by_solution(u_h, cells, delta=2.0, samples=9):
     their t-extent stays 1/4.  It is the label hook of `adaptive_solve` on
     `reporting.run_adaptive`, as the same ratio is `fit_surface`'s.
     """
-    return label_by_curvature(u_h.field, cells, delta, samples)[0]
+    return label_by_curvature(u_h.field, cells, delta)
 
 
 def exact_error_norms(u_h, u_exact=None, grad_exact=None, q=5):
@@ -663,6 +657,6 @@ def adaptive_solve(problem, geometry, config=None, strategy="modified"):
 
     report = run_adaptive(
         geometry.space, strategy, config.max_levels, estimate,
-        lambda marked: label_by_solution(solution, marked, config.delta, config.samples),
+        lambda marked: label_by_solution(solution, marked, config.delta),
         advance)
     return solution, report

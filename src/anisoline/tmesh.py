@@ -346,13 +346,17 @@ class CellTable(NamedTuple):
 _NEVER = np.iinfo(np.int64).max
 
 
-def _descend(kids, s, t, s_cuts, t_cuts, s_mid, t_mid):
+def _descend(kids, s, t, s_cuts, t_cuts, s_mid, t_mid, start=None):
     """Active cells holding the points (s, t) under the half-open rule:
-    the level-0 cell from the cuts between spans, then down `kids`, taking
-    the high side of each midpoint a point reaches."""
-    # level-0 cells are numbered row by row, s fastest
-    cid = (np.searchsorted(t_cuts, t, side="right") * (len(s_cuts) + 1)
-           + np.searchsorted(s_cuts, s, side="right"))
+    from the cells `start` when given (each the point's cell or one of its
+    ancestors), else from the level-0 cells found by the cuts between
+    spans, down `kids`, taking the high side of each midpoint a point
+    reaches."""
+    if start is None:
+        # level-0 cells are numbered row by row, s fastest
+        start = (np.searchsorted(t_cuts, t, side="right") * (len(s_cuts) + 1)
+                 + np.searchsorted(s_cuts, s, side="right"))
+    cid = np.array(start, dtype=np.int64).ravel()
     todo = np.flatnonzero(kids[cid, 0] >= 0)
     while todo.size:
         c = cid[todo]
@@ -597,22 +601,28 @@ class TMesh:
         """Active cell containing one parameter point; see :meth:`locate_many`."""
         return int(self.locate_many(s, t))
 
-    def locate_many(self, s, t):
+    def locate_many(self, s, t, start=None):
         """Active cells (an int64 array) containing the points of the float
         arrays `s` and `t`, of one shape.  Points on interior grid lines go
         to the cell on the +side (half-open); the domain's far edges close
         the last cells.  Points outside the domain, and NaN, raise ValueError.
+
+        `start`, of the same shape, names a cell that holds each point (its
+        cell on an earlier mesh of this history, or any ancestor of it); the
+        descent begins there instead of at level 0, with the same result.
         """
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         if s.shape != t.shape:
             raise ValueError(f"s and t differ in shape: {s.shape} vs {t.shape}")
+        if start is not None and np.shape(start) != s.shape:
+            raise ValueError(f"start and the points differ in shape: {np.shape(start)} vs {s.shape}")
         (s_lo, s_hi, t_lo, t_hi), kids, floats, _ = self._location_tables()
         inside = (s >= s_lo) & (s <= s_hi) & (t >= t_lo) & (t <= t_hi)
         if not inside.all():
             k = np.flatnonzero(~inside)[0]
             raise ValueError(f"point ({s.flat[k]}, {t.flat[k]}) outside domain")
-        return _descend(kids, s.ravel(), t.ravel(), *floats).reshape(s.shape)
+        return _descend(kids, s.ravel(), t.ravel(), *floats, start).reshape(s.shape)
 
     def _location_tables(self):
         """(bounds, kids, floats, lattice) for :func:`_descend`, built on

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 from anisoline import bezier, fitting
 from anisoline import space as space_module
 from anisoline.fitting import (
-    FitConfig, ParamPointSet, _field_errors, _sample_grid,
+    FitConfig, ParamPointSet, _curvatures, _field_errors,
     estimate_vertex_controls, fit_surface, generate_test_model, label_by_curvature,
 )
 from anisoline.refine import RefinementRequest, refine
@@ -457,9 +457,9 @@ def test_labels_cylinder_sphere_plane():
         return np.array([np.cos(2.0 * s), np.sin(2.0 * s), t])
 
     field = fit_exact_field(space, cylinder)
-    labels, est = label_by_curvature(field, cells, delta=2.0)
+    labels = label_by_curvature(field, cells, delta=2.0)
     assert all(lab == "V" for lab in labels.values()), labels
-    assert all(e.k_t < 1e-6 for e in est.values())
+    assert np.all(_curvatures(field, cells)[1] < 1e-6)
 
     # exact plane: exact Hermite data, curvatures vanish identically
     from anisoline.space import field_from_vertex_data
@@ -472,7 +472,7 @@ def test_labels_cylinder_sphere_plane():
             [t, 0.0, 1.0, 0.0],
             [0.2 + 0.3 * s + 0.4 * t, 0.3, 0.4, 0.0]])
     field = field_from_vertex_data(space, data)
-    labels, est = label_by_curvature(field, cells, delta=2.0)
+    labels = label_by_curvature(field, cells, delta=2.0)
     assert all(lab == "C" for lab in labels.values())
 
     def sphere_patch(s, t):
@@ -482,10 +482,11 @@ def test_labels_cylinder_sphere_plane():
         return np.array([np.sin(ph) * np.cos(th), np.sin(ph) * np.sin(th), np.cos(ph)])
 
     field = fit_exact_field(space, sphere_patch)
-    labels, est = label_by_curvature(field, cells, delta=2.0)
+    labels = label_by_curvature(field, cells, delta=2.0)
     mid = space.mesh.locate_cell(0.5, 0.5)
     assert labels[mid] == "C"
-    assert est[mid].ratio == pytest.approx(1.0, rel=0.5)
+    (k_s,), (k_t,) = _curvatures(field, [mid])
+    assert k_s / k_t == pytest.approx(1.0, rel=0.5)
 
 
 def test_labels_scale_invariant():
@@ -493,26 +494,27 @@ def test_labels_scale_invariant():
     rng = np.random.default_rng(3)
     field = SplineField(space, rng.standard_normal((space.dim, 3)))
     cells = space.mesh.active_cells()
-    labels1, _ = label_by_curvature(field, cells, delta=2.0)
+    labels1 = label_by_curvature(field, cells, delta=2.0)
     doubled = SplineField(space, 2.0 * field.coefficients)
-    labels2, _ = label_by_curvature(doubled, cells, delta=2.0)
+    labels2 = label_by_curvature(doubled, cells, delta=2.0)
     assert labels1 == labels2
 
 
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(delta=0.5)
-    with pytest.raises(ValueError):
-        FitConfig(samples=0)
 
 
 # Unchecked, a negative max_levels ends either loop in an AttributeError,
 # a NaN tolerance or threshold stops it at level 0, a NaN delta labels
 # every cell 'C', and a NaN lin_tol switches the solver's residual check off.
-# A NaN samples fails deep in the curvature sampling, a fractional or NaN
-# max_levels in range(), and a bad initial_grid only once fit_surface runs.
-_VALID = {"tolerance": 0, "threshold": 0, "max_levels": 0, "samples": 1, "delta": 1.5,
-          "lin_tol": 0, "quadrature": 4, "initial_grid": (1, 3)}
+# A fractional or NaN max_levels fails in range(), a bad initial_grid
+# only once fit_surface runs.  A mark_safety of 0 marks every cell with any
+# error, and one above 1 leaves cells just over the tolerance unmarked.
+# The initial_grid tuples get positional ids (value28 to value32), so they
+# stay the last rows.
+_VALID = {"tolerance": 0, "threshold": 0, "max_levels": 0, "delta": 1.5,
+          "lin_tol": 0, "quadrature": 4, "initial_grid": (1, 3), "mark_safety": 1}
 
 
 @pytest.mark.parametrize("config, field, value", [
@@ -520,12 +522,14 @@ _VALID = {"tolerance": 0, "threshold": 0, "max_levels": 0, "samples": 1, "delta"
     for config, stop in ((FitConfig, "tolerance"), (SolveConfig, "threshold"))
     for field, value in ((stop, -1e-3), (stop, float("nan")), (stop, float("inf")),
                          ("max_levels", -1), ("max_levels", 1.5), ("max_levels", float("nan")),
-                         ("samples", 0), ("samples", float("nan")), ("samples", 9.5),
                          ("delta", float("nan")), ("delta", 1.0))]
     + [(SolveConfig, field, value)
        for field, value in (("lin_tol", float("nan")), ("lin_tol", -1e-10),
                             ("lin_tol", float("inf")), ("quadrature", 4.5),
-                            ("quadrature", 5.0), ("quadrature", 3))]
+                            ("quadrature", 5.0), ("quadrature", 3),
+                            ("quadrature", float("nan")))]
+    + [(FitConfig, "mark_safety", value)
+       for value in (0, -0.5, 1.5, float("inf"), float("nan"))]
     + [(FitConfig, "initial_grid", value)
        for value in ((2.5, 2), (2,), (0, 2), (2, float("nan")), (2, 2, 2), 4)])
 def test_configs_reject_bad_values_by_name(config, field, value):
@@ -655,9 +659,13 @@ def _reference_directional_curvatures(field, cid, u, v):
             num = np.abs(second[:, 0])
             den = (1.0 + first[:, 0] ** 2) ** 1.5
             speed = np.ones(len(first))
+        elif first.shape[1] == 2:
+            # the z component of the plane cross product
+            num = np.abs(first[:, 0] * second[:, 1] - first[:, 1] * second[:, 0])
+            speed = np.linalg.norm(first, axis=1)
+            den = speed ** 3
         else:
-            cross = np.cross(first, second)
-            num = np.linalg.norm(np.atleast_2d(cross).reshape(len(first), -1), axis=1)
+            num = np.linalg.norm(np.cross(first, second), axis=1)
             speed = np.linalg.norm(first, axis=1)
             den = speed ** 3
         good = speed > 1e-12
@@ -666,8 +674,10 @@ def _reference_directional_curvatures(field, cid, u, v):
     return curvature(s1, s2), curvature(t1, t2)
 
 
-def _reference_label_by_curvature(field, cells, delta, samples=9):
-    u, v = _sample_grid(samples)
+def _reference_label_by_curvature(field, cells, delta):
+    # the 3 x 3 interior grid at ticks 1/4, 1/2, 3/4, u-major
+    ticks = np.array([0.25, 0.5, 0.75])
+    u, v = (g.ravel() for g in np.meshgrid(ticks, ticks, indexing="ij"))
     labels, curvatures = {}, {}
     for cid in cells:
         c = field.space.mesh.cell(cid)
@@ -843,7 +853,7 @@ def test_relocation_matches_locate_many_on_cut_lines(seed, start):
 
 
 @pytest.mark.parametrize("seed, start", _ORACLE_SPACES)
-@pytest.mark.parametrize("arity", [None, 3])
+@pytest.mark.parametrize("arity", [None, 2, 3])
 def test_labels_match_per_cell_reference(seed, start, arity):
     space = _refined_space(seed, start)
     rng = np.random.default_rng(seed)
@@ -851,12 +861,38 @@ def test_labels_match_per_cell_reference(seed, start, arity):
     cells = space.mesh.active_cells()
     for scale in (1.0, 0.1):
         field = SplineField(space, scale * rng.standard_normal(shape))
-        for samples in (1, 9, 10):
-            labels, est = label_by_curvature(field, cells, 2.0, samples)
-            labels_ref, curv_ref = _reference_label_by_curvature(field, cells, 2.0, samples)
-            assert labels == labels_ref
-            assert _close(np.array([(est[c].k_s, est[c].k_t) for c in cells]),
-                          np.array([curv_ref[c] for c in cells]))
+        labels_ref, curv_ref = _reference_label_by_curvature(field, cells, 2.0)
+        assert label_by_curvature(field, cells, 2.0) == labels_ref
+        assert _close(np.stack(_curvatures(field, cells), axis=1),
+                      np.array([curv_ref[c] for c in cells]))
+
+
+def test_one_graph_has_one_curvature_in_every_branch():
+    # one graph f(s, t) as the scalar field f, the plane field (s, f) and
+    # the point field (s, t, f): the labeler's three branches (graph, plane
+    # and space curves) see the same s-curves, and the scalar and point
+    # fields the same t-curves
+    from anisoline.space import field_from_vertex_data
+    space = _refined_space(3, (3, 2))
+    cells = space.mesh.active_cells()
+    data = {}
+    for vid in space.mesh.basis_vertices():
+        v = space.mesh.vertex(vid)
+        s, t = float(v.s), float(v.t)
+        # f = sin(2s) cos(1.5t) + 0.3 st and its exact Hermite data
+        f = (np.sin(2 * s) * np.cos(1.5 * t) + 0.3 * s * t,
+             2 * np.cos(2 * s) * np.cos(1.5 * t) + 0.3 * t,
+             -1.5 * np.sin(2 * s) * np.sin(1.5 * t) + 0.3 * s,
+             -3 * np.cos(2 * s) * np.sin(1.5 * t) + 0.3)
+        data[vid] = np.array([[s, 1.0, 0.0, 0.0], [t, 0.0, 1.0, 0.0], f])
+    coefficients = field_from_vertex_data(space, data).coefficients
+    (ks, kt), (ks_plane, _), (ks_point, kt_point) = (
+        _curvatures(SplineField(space, coefficients[:, cols]), cells)
+        for cols in (2, [0, 2], [0, 1, 2]))
+    assert np.min(ks) > 0.1 and np.min(kt) > 0
+    np.testing.assert_allclose(ks_plane, ks, rtol=1e-12)
+    np.testing.assert_allclose(ks_point, ks, rtol=1e-12)
+    np.testing.assert_allclose(kt_point, kt, rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed, start", _ORACLE_SPACES[:3])

@@ -370,6 +370,42 @@ def test_locate_many_matches_exact_rule(name):
             m.locate_many(np.array([s_in[0], a]), np.array([t_in[0], b]))
 
 
+@pytest.mark.parametrize("name", sorted(LOCATE_MESHES))
+def test_locate_many_descends_from_any_ancestor(name):
+    # a start at each point's level-0 ancestor, at its parent or at its own
+    # cell gives the cells of the full descent: on every grid line and its
+    # float neighbors, where the half-open rule decides, and at random points
+    rng = np.random.default_rng(9)
+    m = randomly_refined(LOCATE_MESHES[name](), 3, seed=7)
+    cells = [m.cell(cid) for cid in range(len(m.cell_table().lattice))]
+    s0, s1, t0, t1 = m.domain
+    ss = [x for x in probe_coordinates({c.s0 for c in cells} | {c.s1 for c in cells}, rng)
+          if s0 <= Fraction(x) <= s1]
+    ts = [x for x in probe_coordinates({c.t0 for c in cells} | {c.t1 for c in cells}, rng)
+          if t0 <= Fraction(x) <= t1]
+    S, T = (a.ravel() for a in np.meshgrid(ss, ts, indexing="ij"))
+    S = np.concatenate([S, rng.uniform(ss[0], ss[-1], 500)])
+    T = np.concatenate([T, rng.uniform(ts[0], ts[-1], 500)])
+    want = m.locate_many(S, T)
+    assert max(m.cell(c).level for c in want.tolist()) == 3
+
+    def ancestor(cid, steps):
+        c = m.cell(cid)
+        while steps and c.level:
+            c, steps = m.cell(c.parent), steps - 1
+        return c.id
+
+    for steps in (-1, 1, 0):                 # level 0, the parent, the cell itself
+        start = np.array([ancestor(c, steps) for c in want.tolist()])
+        assert np.array_equal(m.locate_many(S, T, start=start), want)
+        grid = (len(ss), len(ts))
+        assert np.array_equal(m.locate_many(S[:-500].reshape(grid), T[:-500].reshape(grid),
+                                            start=start[:-500].reshape(grid)),
+                              want[:-500].reshape(grid))
+    with pytest.raises(ValueError, match="start"):
+        m.locate_many(S, T, start=want[:-1])
+
+
 def test_locate_many_third_lines_stay_exact():
     # the float nearest 1/3 lies below 1/3: it belongs to the left cell
     m = create_tensor_mesh(3, 3)
