@@ -37,6 +37,12 @@ _CHILD_MAPS = {
     "C": (np.stack([_SPLIT_LO, _SPLIT_LO, _SPLIT_HI, _SPLIT_HI]),
           np.stack([_SPLIT_LO.T, _SPLIT_HI.T, _SPLIT_LO.T, _SPLIT_HI.T])),
 }
+# the same maps as one Kronecker matrix per kind, (16, 16k): entry
+# [(a, b), (k, i, j)] = rows[k, i, a] * cols[k, b, j], so a flattened patch
+# times it gives every child's flattened ordinates; the entries are
+# products of dyadic fractions, exact in floating point
+_KRON_MAPS = {kind: np.einsum("kia,kbj->abkij", rows, cols).reshape(16, -1)
+              for kind, (rows, cols) in _CHILD_MAPS.items()}
 
 
 def bernstein_row(u, order=0):
@@ -81,12 +87,19 @@ def split_patches(P, kind):
     (left, right), for 'C' (bottom-left, bottom-right, top-left,
     top-right) -- the same child order the mesh uses.  Children represent
     the identical polynomial restricted to each subcell.
+
+    All patches and children go through one matmul, (n, 16) by the
+    kind's Kronecker map (16, 16k).  For 'H' and 'V' one factor is the
+    identity, so each ordinate is the same four-term sum as row-then-
+    column de Casteljau; for 'C' it is one sum of up to 16 terms, equal to
+    the two-stage split up to roundoff.
     """
     try:
-        rows, cols = _CHILD_MAPS[kind]
+        kron = _KRON_MAPS[kind]
     except KeyError:
         raise ValueError(f"unknown split kind {kind!r}") from None
-    return rows @ np.asarray(P, dtype=float)[:, None] @ cols
+    P = np.asarray(P, dtype=float)
+    return (P.reshape(len(P), 16) @ kron).reshape(len(P), -1, 4, 4)
 
 
 def _corner_indices(corner):
@@ -103,6 +116,10 @@ def _corner_indices(corner):
 # the 2x2 ordinate block of each corner, corners in order cs + 2 * ct
 _CORNER_BLOCKS = np.array([np.kron(np.outer(np.eye(2)[ct], np.eye(2)[cs]), np.ones((2, 2)))
                            for ct in (0, 1) for cs in (0, 1)], dtype=bool)
+# per corner code (bit cs + 2 * ct set for each flagged corner), the
+# ordinates outside every flagged block: (16, 4, 4)
+_KEEP_BY_CODE = ~(((np.arange(16)[:, None] >> np.arange(4)) & 1).astype(bool)
+                  @ _CORNER_BLOCKS.reshape(4, 16)).reshape(16, 4, 4)
 
 
 def corner_data(p, corner, w, h):
@@ -127,10 +144,12 @@ def corner_data(p, corner, w, h):
     return np.array([f, f_s, f_t, f_st]) if np.ndim(f) == 0 else np.stack([f, f_s, f_t, f_st])
 
 
-def zero_corner_blocks(P, corners):
+def zero_corner_blocks(P, codes):
     """Copy of patches P (..., 4, 4) with the 2x2 ordinate block at every
-    flagged corner set to zero.  `corners` (..., 4) flags the corners in
-    the order (s_min, t_min), (s_max, t_min), (s_min, t_max), (s_max,
-    t_max), i.e. index cs + 2 * ct."""
-    zero = np.asarray(corners, dtype=bool) @ _CORNER_BLOCKS.reshape(4, 16)
-    return np.where(zero.reshape(zero.shape[:-1] + (4, 4)), 0.0, P)
+    flagged corner set to zero.  `codes` (...) are integer corner codes in
+    0..15: bit cs + 2 * ct flags the corner (cs, ct), so bits 0-3 stand
+    for (s_min, t_min), (s_max, t_min), (s_min, t_max), (s_max, t_max).
+
+    One lookup in a 16-row keep table gives every patch's mask; zeroed
+    ordinates are +0.0, and kept ones keep their bits (a -0.0 stays)."""
+    return np.where(_KEEP_BY_CODE[codes], P, 0.0)

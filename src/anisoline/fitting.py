@@ -569,7 +569,7 @@ def _field_errors(field, pset):
     order, cells, counts = pset.cell_order()
     gap = field.eval_runs(order, cells, counts, pset.params[:, 0], pset.params[:, 1])[0]
     gap -= pset.points.take(order, axis=0)
-    ranked = np.linalg.norm(gap, axis=1)
+    ranked = np.sqrt(np.einsum("ij,ij->i", gap, gap))
     err = np.empty_like(ranked)
     err[order] = ranked
     worst = np.maximum.reduceat(ranked, np.cumsum(counts) - counts)

@@ -165,13 +165,15 @@ def flood_fill_groups(mesh, marked):
         # neighbors are known when it is read.
         for cur in queue:
             links = []
-            for nb in sorted(aligned[cur]):
+            # ascending: the pairs come by low id, then high id, so each
+            # cell's lower neighbors were filled in first, then its higher
+            for nb, kind in aligned[cur].items():
                 if nb not in members:
                     if nb in assigned or not conflict[nb].isdisjoint(members):
                         continue
                     members.add(nb)
                     queue.append(nb)
-                links.append((nb, aligned[cur][nb]))
+                links.append((nb, kind))
             neighbors[cur] = tuple(links)
         assigned |= members
         groups.append(ConnectedGroup(tuple(sorted(members)), neighbors))

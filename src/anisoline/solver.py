@@ -96,7 +96,7 @@ from .refine import RefinementRequest, refine
 from .reporting import _check_count, run_adaptive
 from .space import (
     DERIV_ORDERS, SplineField, _bernstein_tables, _blocks, _Cells, _eval_patches,
-    _inverse_2x2, _padded_patches, advance_level,
+    _inverse_2x2, _NO_FUNCTIONS, _padded_patches, advance_level,
 )
 
 __all__ = [
@@ -398,7 +398,7 @@ def _element_contributions(space, geometry, problem, q):
     """Stiffness triplets, cell by cell in active order, and the load
     vector.  The blocks' tables are released on return, before the
     caller builds the sparse matrix."""
-    total = sum(len(space.functions_on_cell(cid)) ** 2
+    total = sum(len(space.cells.get(cid, _NO_FUNCTIONS)[0]) ** 2
                 for cid in space.mesh.active_cells())
     rows = np.empty(total, dtype=np.int32)
     cols = np.empty(total, dtype=np.int32)

@@ -29,14 +29,19 @@ vertices finds every vertex's support cells and factors:
 The advance works on the cell table, carried across levels as in
 multi-level Bezier extraction (D'Angella, Kollmannsberger, Rank and
 Reali, 2018): unsplit cells keep their entries, and subdivided cells are
-rewritten per kind, `_SPLIT_CELLS` whole cells at a time so memory stays
-bounded, in one pass per chunk.  The chunk's patches are split by the
-fixed half-interval de Casteljau matrices (`bezier.split_patches`) and
-their new-vertex corner blocks, read off the births' incidence table,
-zeroed by one mask (`bezier.zero_corner_blocks`); the live pieces are
-taken by one `np.nonzero` of the nonzero-piece mask, and the new vertices'
-functions on the chunk's children, batched outer products of univariate
-ordinates, from the children's rows of the incidence table.  One stable
+rewritten per kind, `_SPLIT_CELLS` (16) whole cells at a time, in one
+pass per chunk.  Memory bounds the chunk: at 32 cells its temporaries
+lift the advance's heap peak past 1.1 times the per-patch advance's and
+past 1.3 times what the advance keeps, the bounds of the two memory
+tests in `tests/test_space.py`.  The chunk's patches are split by one
+matmul with the kind's Kronecker matrix of the half-interval de
+Casteljau maps (`bezier.split_patches`); their new-vertex corner
+blocks, a 4-bit corner code per child read off the births' incidence
+table, are zeroed by one lookup in a 16-row keep table
+(`bezier.zero_corner_blocks`).  The live pieces are taken by one
+`np.nonzero` of the nonzero-piece mask, and the new vertices' functions
+on the chunk's children, batched outer products of univariate ordinates,
+from the children's rows of the incidence table.  One stable
 sort by child id merges both, old ids before new ones, and slicing the
 sorted pieces cuts the children's entries (`_entries`, which also cuts
 the level-0 space's).
@@ -95,7 +100,7 @@ HERMITE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 _BLOCK = 64
 _CHUNK = 1024
 # subdivided cells split per chunk by the level advance
-_SPLIT_CELLS = 8
+_SPLIT_CELLS = 16
 # the cell-table entry of a cell without functions
 _NO_FUNCTIONS = (np.zeros(0, dtype=np.intp), np.zeros((0, 4, 4)))
 
@@ -426,7 +431,7 @@ def advance_level(space, report):
             owner = np.repeat(np.arange(len(chunk)), [len(fids) for fids, _ in entries])
             split = bezier.zero_corner_blocks(
                 bezier.split_patches(np.concatenate([p for _, p in entries]), kind),
-                (corners[kids[owner]][..., None] >> np.arange(4)) & 1)
+                corners[kids[owner]])
             at, k = np.nonzero(split.any(axis=(2, 3)))
             # the newborn functions on the chunk's children: their rows of
             # the incidence table, which is sorted by cell

@@ -176,6 +176,13 @@ def test_split_patches_match_per_patch_reference(kind):
     for p, kids in zip(P, got):
         want = np.stack(_reference_split_patch(p, kind))
         assert np.max(np.abs(kids - want)) <= 1e-15 * np.max(np.abs(p))
+    if kind != "C":
+        # against the rule the Kronecker map replaced, stacks of 4x4
+        # matmuls on the rows, then the columns: with one factor the
+        # identity, the same four-term sums, bitwise
+        split, keep = np.stack([_SPLIT_LO, _SPLIT_HI]), np.stack([np.eye(4)] * 2)
+        rows, cols = (split, keep) if kind == "H" else (keep, np.swapaxes(split, 1, 2))
+        assert got.tobytes() == (rows @ P[:, None] @ cols).tobytes()
 
 
 def test_split_patches_rejects_unknown_kind():
@@ -220,30 +227,35 @@ def test_corner_data_rejects_degenerate_cell():
 
 def test_zero_corner_block():
     P = np.ones((2, 4, 4))
-    q = bezier.zero_corner_blocks(P, [[True, False, False, False], [False] * 4])
+    q = bezier.zero_corner_blocks(P, [1, 0])
     assert q[0, 0, 0] == q[0, 0, 1] == q[0, 1, 0] == q[0, 1, 1] == 0
     assert q[0].sum() == 12
     assert np.array_equal(q[1], P[1])
     assert np.array_equal(P, np.ones((2, 4, 4)))       # a copy, the input is kept
     assert np.allclose(bezier.corner_data(q[0], (0, 0), 1, 1), 0, atol=0)
     # idempotent, zero stays zero
-    assert np.array_equal(bezier.zero_corner_blocks(q, [[True, False, False, False]] * 2)[0], q[0])
+    assert np.array_equal(bezier.zero_corner_blocks(q, [1, 1])[0], q[0])
     z = np.zeros((1, 4, 4))
-    assert np.array_equal(bezier.zero_corner_blocks(z, [[False, False, False, True]]), z)
+    assert np.array_equal(bezier.zero_corner_blocks(z, [8]), z)
 
 
 def test_zero_corner_blocks_match_per_patch_reference():
-    # every subset of the four corners, on patches with children axes
+    # every corner code, i.e. every subset of the four corners, on
+    # patches with children axes; the per-patch rule writes +0.0 and
+    # copies the rest, as the boolean-matmul mask the keep table replaced
+    # did, so the bytes agree on inputs holding -0.0 too
     rng = np.random.default_rng(9)
-    flags = np.array([[(m >> q) & 1 for q in range(4)] for m in range(16)], dtype=bool)
     P = rng.uniform(-2, 2, size=(16, 3, 4, 4))
-    got = bezier.zero_corner_blocks(P, np.broadcast_to(flags[:, None], (16, 3, 4)))
+    P[:, 0] = -0.0
+    P[:, 1][rng.uniform(size=(16, 4, 4)) < 0.5] = -0.0
+    got = bezier.zero_corner_blocks(P, np.broadcast_to(np.arange(16)[:, None], (16, 3)))
     for m in range(16):
         for c in range(3):
             want = P[m, c]
-            for q in np.flatnonzero(flags[m]):
-                want = _reference_zero_corner_block(want, _CORNERS[q])
-            assert np.array_equal(got[m, c], want)
+            for q in range(4):
+                if m >> q & 1:
+                    want = _reference_zero_corner_block(want, _CORNERS[q])
+            assert got[m, c].tobytes() == want.tobytes()
 
 
 def test_eval_patch_many_matches_scalar():

@@ -876,10 +876,11 @@ def test_advance_level_memory_stays_near_reference():
 
 def test_last_advance_of_a_deep_fit_peaks_near_what_it_keeps(monkeypatch):
     # The fourth round of a 101 x 101 bernstein_sum fit splits all 256
-    # cells.  Merged per chunk, the advance's peak growth is 1.13 times the
-    # growth it leaves behind (its new entries); split pieces copied per
-    # child and then joined per cell to a round-wide batch of newborn
-    # functions, it was 1.80 times.
+    # cells.  Merged per chunk of 16 cells, the advance's peak growth is
+    # 1.24 times the growth it leaves behind (its new entries; 1.16 at 8
+    # cells, 1.44 at 32); split pieces copied per child and then joined
+    # per cell to a round-wide batch of newborn functions, it was 1.80
+    # times.
     rounds = []
 
     def recorded(space, report):

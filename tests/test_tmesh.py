@@ -653,8 +653,13 @@ def test_edge_neighbors_match_a_full_scan(name):
     act = m.active_cells()
     scan = _edge_neighbor_scan(m)
     # the batched pairs over every active cell, against the scan
+    low, high = m.edge_neighbor_pairs(act)
+    # by low id, then high id: `flood_fill_groups` reads each cell's
+    # aligned neighbors in the order these pairs fill them in
+    assert np.array_equal(np.lexsort((high, low)), np.arange(len(low)))
+    assert (low < high).all()
     got = {cid: set() for cid in act}
-    for a, b in zip(*(x.tolist() for x in m.edge_neighbor_pairs(act))):
+    for a, b in zip(low.tolist(), high.tolist()):
         got[a].add(b)
         got[b].add(a)
     assert got == scan
