@@ -21,19 +21,12 @@ q = 5 to 58.1 at q = 80 for the level-0 cells touching (1/2, 0).
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .space import (
-    DERIV_ORDERS, SplineField, SplineSpace, build_initial_space, field_from_vertex_data,
-    transfer_field,
-)
+from .space import DERIV_ORDERS, build_initial_space, field_from_vertex_data, transfer_field
 from .tmesh import create_tensor_mesh
 
 __all__ = ["Geometry", "linear_geometry", "lshape_geometry"]
-
-GEOMETRY_FORMAT_VERSION = 1
 
 
 class Geometry:
@@ -68,35 +61,11 @@ class Geometry:
         H = np.stack([np.stack([d[3], d[4]], axis=-1), np.stack([d[4], d[5]], axis=-1)], axis=-2)
         return d[0], J, H
 
-    def jacobian(self, s, t):
-        d = self.field.eval_many([s], [t], ((1, 0), (0, 1)))
-        return np.stack([d[0, 0], d[1, 0]], axis=-1)          # [i, j] = d x_i / d param_j
-
     def physical_diameter(self, cid):
         """Largest distance between the images of a cell's four corners."""
         s0, s1, t0, t1 = self.space.mesh.cell(cid).bounds_float()
         pts = self.field.eval_on_cell(cid, [s0, s1, s0, s1], [t0, t0, t1, t1])[0]
         return float(np.max(np.linalg.norm(pts[:, None] - pts[None], axis=-1)))
-
-    def to_json_dict(self):
-        return {
-            "version": GEOMETRY_FORMAT_VERSION,
-            "degenerate_params": [list(p) for p in self.degenerate_params],
-            "field": self.field.to_json_dict(),
-        }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_json_dict(), **kw)
-
-    @classmethod
-    def from_json_dict(cls, d):
-        if d.get("version") != GEOMETRY_FORMAT_VERSION:
-            raise ValueError(f"unsupported geometry format version {d.get('version')!r}")
-        return cls(SplineField.from_json_dict(d["field"]), d.get("degenerate_params", ()))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
 
 
 def linear_geometry(space, rect=(0.0, 1.0, 0.0, 1.0)):

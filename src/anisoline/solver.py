@@ -27,34 +27,34 @@ Each round evaluates the geometry at the Gauss points once, in one walk
 over the active cells through one element kernel (`_cell_blocks`) built
 on the evaluation kernel of `space`, whose block walk it shares.  The
 kernel walks the active cells in blocks of `space._BLOCK` = 64, takes
-each block's padded function ids and 4x4 Bezier patches and its cells'
-float bounds (rows of the mesh's `cell_bounds` table) from there,
-contracts the geometry coefficients into one geometry patch per cell, and
-evaluates patches at the q x q Gauss points with Bernstein tables built
-once per walk.  From the geometry patches come the map, J, det J and
-J^-1 at the points, the parameter Hessian only when the residual asks
-for the physical Laplacian, and the physical cell diameter: a Bezier
-patch interpolates its corner ordinates, so the corner images need no
-evaluation.  The cells with Neumann edge pieces are picked by lattice
-comparisons on the mesh's cell table.  The callers contract these block
-tables by einsums, except the stiffness: `_local_stiffness` forms each
-block's element matrices as one batched matmul over the flattened (point,
-component) axis, which runs in BLAS.
+each block's cells' float bounds (rows of the mesh's `cell_bounds`
+table) and geometry patches (`SplineField.cell_patches` of the map, which
+contracts once per field) from there, and evaluates patches at the q x q
+Gauss points with Bernstein tables built once per walk.  From the
+geometry patches come the map, J, det J and J^-1 at the points, the
+parameter Hessian only when the residual asks for the physical
+Laplacian, and the physical cell diameter: a Bezier patch interpolates
+its corner ordinates, so the corner images need no evaluation.  The cells
+with Neumann edge pieces are picked by lattice comparisons on the mesh's
+cell table.  The assembly gathers each block's basis patches from the
+space's piece table, zero-padded to the block's widest cell; the
+estimator reads the solution's contracted patches.  The callers contract
+these block tables by einsums, except the stiffness: `_local_stiffness`
+forms each block's element matrices as one batched matmul over the
+flattened (point, component) axis, which runs in BLAS.
 
 `adaptive_solve` hands each round's geometry to `assemble` as a
 `_RoundGeometry`.  The assembly's walk keeps every block there: the
 cells and their bounds, the map values, J^-1, the weights times |det J|,
-the geometry patches, each cell's diameter and the Neumann edge pieces, about
-1.8 KB per cell at q = 5.  The basis patches are dropped, and so are J
-and det J once the fold and singularity checks have run.
-`error_indicators` then walks these blocks instead of evaluating the map
-again: it gathers
-only the basis patches and releases each block once read, for the
-indicator and, when the problem knows its exact solution, the L2 and H1
-errors, which `adaptive_solve` reads off the indicator.  Nothing is kept
-across rounds, and every standalone call (`assemble`, `error_indicators`,
-`exact_error_norms`, which runs the estimator's walk without the
-residual) walks and evaluates by itself.
+the geometry patches, each cell's diameter and the Neumann edge pieces,
+about 1.8 KB per cell at q = 5.  J and det J are dropped once the fold
+and singularity checks have run.  `error_indicators` then walks these
+blocks instead of evaluating the map again, and releases each block once
+read, for the indicator and, when the problem knows its exact solution,
+the L2 and H1 errors, which `adaptive_solve` reads off the indicator.
+Nothing is kept across rounds, and every standalone call (`assemble`,
+`error_indicators`, `exact_error_norms`, which runs the estimator's walk
+without the residual) walks and evaluates by itself.
 
 Both boundary parts cut their segments into pieces on cell edges by one
 batched table (`_boundary_pieces`, `_EDGE_TABLE`).  Dirichlet pins are
@@ -96,7 +96,7 @@ from .refine import RefinementRequest, refine
 from .reporting import _check_count, run_adaptive
 from .space import (
     DERIV_ORDERS, SplineField, _bernstein_tables, _blocks, _Cells, _eval_patches,
-    _inverse_2x2, _NO_FUNCTIONS, _padded_patches, advance_level,
+    _inverse_2x2, _padded, advance_level,
 )
 
 __all__ = [
@@ -231,13 +231,12 @@ class _Edges:
 
 
 class _CellBlock(_Cells):
-    """Up to `space._BLOCK` active cells with their basis patches and the
-    data at their q x q Gauss points (see `_cell_blocks`)."""
+    """Up to `space._BLOCK` active cells with the data at their q x q
+    Gauss points (see `_cell_blocks`)."""
 
     def __init__(self, space, geometry, cids, grid, weights, gauss, neumann):
-        super().__init__(space, cids)
-        gblk = self if geometry.space is space else _Cells(geometry.space, cids)
-        geo = gblk.contract(geometry.field.coefficients)                 # (c, 2, 4, 4)
+        super().__init__(space.mesh, cids)
+        geo = geometry.field.cell_patches(self.cells)                    # (c, 2, 4, 4)
         self.grid = _Points(grid, self.width, self.height, geo, self.cells)
         self.wdet = weights * (self.width * self.height)[:, None] * np.abs(self.grid.det)
         # a Bezier patch interpolates its corner ordinates
@@ -262,18 +261,11 @@ class _CellBlock(_Cells):
         self.edges = _Edges(rows, pts, arc, normal)
 
     def kept(self):
-        """The block as a round keeps it for its estimator: without the
-        basis patches, which the estimator gathers again, and without J and
+        """The block as a round keeps it for its estimator: without J and
         det J, whose checks have run."""
-        self.fids = self.patches = self.valid = None
         for pts in (self.grid, self.edges and self.edges.points):
             if pts:
                 pts.J = pts.det = None
-        return self
-
-    def regathered(self, space):
-        """A kept block with its basis patches over `space` again."""
-        self.fids, self.patches, self.valid = _padded_patches(space, self.cells.tolist())
         return self
 
 
@@ -302,8 +294,8 @@ def _cell_blocks(space, geometry, q, neumann=()):
     there.  A map may reverse orientation as a whole.
 
     With a `_RoundGeometry`, the round's first walk keeps its blocks, and
-    a later walk of the same space, q and Neumann part yields them again
-    with their basis patches regathered, without evaluating the map.
+    a later walk of the same space, q and Neumann part yields them again,
+    without evaluating the map.
     """
     walk = (space, q, tuple(neumann))
     if isinstance(geometry, _RoundGeometry):
@@ -317,7 +309,7 @@ def _cell_blocks(space, geometry, q, neumann=()):
         if geometry.blocks is not None and geometry.walk == walk:
             blocks, geometry.blocks = geometry.blocks, None
             while blocks:
-                yield blocks.popleft().regathered(space)
+                yield blocks.popleft()
             return
     yield from _walk(space, geometry, q, neumann)
 
@@ -398,36 +390,37 @@ def _element_contributions(space, geometry, problem, q):
     """Stiffness triplets, cell by cell in active order, and the load
     vector.  The blocks' tables are released on return, before the
     caller builds the sparse matrix."""
-    total = sum(len(space.cells.get(cid, _NO_FUNCTIONS)[0]) ** 2
-                for cid in space.mesh.active_cells())
+    _, lo, hi = space.index[:, space.mesh.active_cells()]
+    total = int(np.sum((hi - lo) ** 2))
     rows = np.empty(total, dtype=np.int32)
     cols = np.empty(total, dtype=np.int32)
     vals = np.empty(total)
     F = np.zeros(space.dim)
     at = 0
     for blk in _cell_blocks(space, geometry, q, _neumann_segments(problem)):
+        fids, patches, valid = _padded(*space.pieces(blk.cells))
         g = blk.grid
         # physical gradient: grad_x b = Jinv^T grad_param b
-        gp = np.stack([g.eval(blk.patches, (1, 0)), g.eval(blk.patches, (0, 1))], axis=-1)
+        gp = np.stack([g.eval(patches, (1, 0)), g.eval(patches, (0, 1))], axis=-1)
         gx = np.einsum("cfqp,cqpx->cfqx", gp, g.Jinv, optimize=True)
         loc = _local_stiffness(gx, blk.wdet)
-        pair = blk.valid[:, :, None] & blk.valid[:, None, :]
+        pair = valid[:, :, None] & valid[:, None, :]
         m = int(np.count_nonzero(pair))
-        rows[at:at + m] = np.broadcast_to(blk.fids[:, :, None], pair.shape)[pair]
-        cols[at:at + m] = np.broadcast_to(blk.fids[:, None, :], pair.shape)[pair]
+        rows[at:at + m] = np.broadcast_to(fids[:, :, None], pair.shape)[pair]
+        cols[at:at + m] = np.broadcast_to(fids[:, None, :], pair.shape)[pair]
         vals[at:at + m] = loc[pair]
         at += m
         fv = _at_points(problem.f, g.xy)
-        load = np.einsum("cfq,cq->cf", g.eval(blk.patches, (0, 0)), fv * blk.wdet)
-        np.add.at(F, blk.fids[blk.valid], load[blk.valid])
+        load = np.einsum("cfq,cq->cf", g.eval(patches, (0, 0)), fv * blk.wdet)
+        np.add.at(F, fids[valid], load[valid])
         e = blk.edges
         if e is not None:
             gn = _at_points(problem.g_neumann, e.points.xy,
                             e.normal[..., 0], e.normal[..., 1])
-            load = np.einsum("pfq,pq->pf", e.points.eval(blk.patches[e.rows], (0, 0)),
+            load = np.einsum("pfq,pq->pf", e.points.eval(patches[e.rows], (0, 0)),
                              gn * e.arc_weights)
-            live = blk.valid[e.rows]
-            np.add.at(F, blk.fids[e.rows][live], load[live])
+            live = valid[e.rows]
+            np.add.at(F, fids[e.rows][live], load[live])
     return rows, cols, vals, F
 
 
@@ -486,12 +479,13 @@ def impose_boundary_conditions(system, space, geometry, problem):
         # all fit points in one batch: the pieces' cells' basis patches
         # give the pinned functions' columns, `eval_located` the map
         s, t = _piece_points(space.mesh, cells, e, a, b, _FIT_TICKS)
-        blk = _Cells(space, cells.tolist())
+        blk = _Cells(space.mesh, cells)
+        fids, patches, valid = _padded(*space.pieces(cells))
         u, v = blk.local(s, t, np.s_[:, None])
-        values = _eval_patches(blk.patches, _bernstein_tables(u, v, ((0, 0),)), (0, 0),
+        values = _eval_patches(patches, _bernstein_tables(u, v, ((0, 0),)), (0, 0),
                                blk.width, blk.height)                    # (p, F, ticks)
-        col = np.searchsorted(pinned, blk.fids).clip(max=len(pinned) - 1)
-        p, f = np.nonzero(blk.valid & (pinned[col] == blk.fids))
+        col = np.searchsorted(pinned, fids).clip(max=len(pinned) - 1)
+        p, f = np.nonzero(valid & (pinned[col] == fids))
         design = np.zeros(s.shape + (len(pinned),))
         design[p, :, col[p, f]] = values[p, f]
         xy = geometry.field.eval_located(np.repeat(cells, s.shape[1]), s, t)[0]
@@ -559,12 +553,11 @@ def _estimate(u_h, problem, q, u_exact, grad_exact, residual):
     """One walk over the active cells: with `residual`, eta per cell;
     with `u_exact`, the L2 and H1 seminorm errors (H1 left 0 without
     `grad_exact`)."""
-    coefficients = u_h.field.coefficients
     eta = {}
     l2 = h1 = 0.0
     neumann = _neumann_segments(problem) if residual else ()
     for blk in _cell_blocks(u_h.space, u_h.geometry, q, neumann):
-        P = blk.contract(coefficients)
+        P = u_h.field.cell_patches(blk.cells)
         vals, grad, lap = blk.grid.physical(P, second=residual)
         if u_exact is not None:
             du = vals - _at_points(u_exact, blk.grid.xy)

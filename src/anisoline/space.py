@@ -4,7 +4,7 @@ Every basis vertex (boundary or interior crossing) carries four basis
 functions, stored purely in per-cell Bezier form.  Knot vectors appear only
 transiently, when the level-0 tensor basis and the four functions of a
 newly created basis vertex are built; after that one representation, the
-three tables of `SplineSpace` (basis vertices, per-cell patches, the
+three tables of `SplineSpace` (basis vertices, the piece table, the
 collocation table), feeds evaluation, modification, fitting and assembly.
 
 Level construction has one birth rule (`_births`).  A new basis vertex
@@ -26,25 +26,31 @@ vertices finds every vertex's support cells and factors:
   over to the newcomers); the new basis vertices are then born on the
   children, which hold all their support.
 
-The advance works on the cell table, carried across levels as in
+The space keeps its patches in a piece table, carried across levels as in
 multi-level Bezier extraction (D'Angella, Kollmannsberger, Rank and
-Reali, 2018): unsplit cells keep their entries, and subdivided cells are
-rewritten per kind, `_SPLIT_CELLS` (16) whole cells at a time, in one
-pass per chunk.  Memory bounds the chunk: at 32 cells its temporaries
-lift the advance's heap peak past 1.1 times the per-patch advance's and
-past 1.3 times what the advance keeps, the bounds of the two memory
-tests in `tests/test_space.py`.  The chunk's patches are split by one
-matmul with the kind's Kronecker matrix of the half-interval de
-Casteljau maps (`bezier.split_patches`); their new-vertex corner
-blocks, a 4-bit corner code per child read off the births' incidence
-table, are zeroed by one lookup in a 16-row keep table
+Reali, 2018).  A piece is one function's patch on one cell.  The pieces
+live in buffers, each sorted by cell and then function: the level-0
+build makes one, and each chunk of an advance one more.  Three int rows
+over cell ids (`SplineSpace.index`) give each active cell its buffer and
+the first and end piece of its run there.  Unsplit cells keep pointing
+into the buffers they were born in, which the next space shares, so a
+buffer stays alive while any of its cells is unsplit; buffers no active
+cell points into are dropped.  Subdivided cells are rewritten per kind,
+`_SPLIT_CELLS` (16) whole cells at a time, in one pass per chunk.  Memory
+bounds the chunk: on the last round of a deep fit the advance's heap
+peak is 1.21 times what it keeps at 16 cells and 1.36 times at 32, past
+the bound 1.3 of the memory test in `tests/test_space.py`.  The chunk's
+patches are split by one matmul with the kind's Kronecker matrix of the
+half-interval de Casteljau maps (`bezier.split_patches`); their
+new-vertex corner blocks, a 4-bit corner code per child read off the
+births' incidence table, are zeroed by one lookup in a 16-row keep table
 (`bezier.zero_corner_blocks`).  The live pieces are taken by one
 `np.nonzero` of the nonzero-piece mask, and the new vertices' functions
-on the chunk's children, batched outer products of univariate ordinates,
-from the children's rows of the incidence table.  One stable
-sort by child id merges both, old ids before new ones, and slicing the
-sorted pieces cuts the children's entries (`_entries`, which also cuts
-the level-0 space's).
+on the chunk's children, batched outer products of univariate
+ordinates, from the children's rows of the incidence table.  One stable
+sort by child id merges both, old ids before new ones, into the chunk's
+buffer, each piece written once, and two `searchsorted` calls write the
+children's index rows.
 
 The four functions at a vertex reproduce arbitrary (value, d_s, d_t,
 d_st) data there, and all other functions carry zero data at that
@@ -60,30 +66,31 @@ against kron(T^-1, S^-1) in one batched einsum.
 
 Every evaluation in the package goes through one Bezier-extraction kernel
 (Borden, Scott, Evans and Hughes, 2011), kept here with the
-representation.  It walks cells in blocks of `_BLOCK` (`_Cells`: function
-ids and 4x4 patches, zero-padded to the block's widest cell, and the
-cells' float bounds from the mesh's `cell_bounds` table), contracts
-coefficients into one patch per cell, and evaluates patches by a matmul
-with Bernstein tables: at local points shared by all cells
-(`SplineField.eval_grid`, the solver's Gauss points; `_bernstein_tables`,
-`_eval_patches`), or at scattered points with known cells, read in their
-stable cell order (`cell_order`) as contiguous runs per ascending cell
-(`SplineField.eval_runs`), `_CHUNK` points at a time: each point's 16
-tensor-product weights bv (x) bu are applied to its cell's contracted
-patch by one batched matmul.  `SplineField.eval_located` sorts its points
-once, evaluates the runs and scatters the values back.  Blocks and chunks
-bound the memory.
+representation.  A field contracts its coefficients into one patch per
+active cell once, on first use, and keeps them (`SplineField.cell_patches`):
+a buffer whose cells are all active and carry one number of functions is
+contracted from views of its arrays, the other cells `_BLOCK` at a time
+from their pieces zero-padded to the block's widest cell (`_padded`).
+Patches are evaluated by a matmul with Bernstein tables: at local points
+shared by all cells (`SplineField.eval_grid`, the solver's Gauss points;
+`_bernstein_tables`, `_eval_patches`), or at scattered points with known
+cells, read in their stable cell order (`cell_order`) as contiguous runs
+per ascending cell (`SplineField.eval_runs`), `_CHUNK` points at a time:
+each point's 16 tensor-product weights bv (x) bu are applied to its
+cell's contracted patch by one batched matmul.  `SplineField.eval_located`
+sorts its points once, evaluates the runs and scatters the values back.
+Cells' float bounds come from the mesh's `cell_bounds` table (`_Cells`).
+Blocks and chunks bound the memory.
 """
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 import numpy as np
 
 from . import bezier
-from .tmesh import SPLIT_KINDS, TMesh, _ranges
+from .tmesh import SPLIT_KINDS, _ranges
 
 __all__ = [
     "SplineSpace", "SplineField", "CollocationBlock",
@@ -101,8 +108,6 @@ _BLOCK = 64
 _CHUNK = 1024
 # subdivided cells split per chunk by the level advance
 _SPLIT_CELLS = 16
-# the cell-table entry of a cell without functions
-_NO_FUNCTIONS = (np.zeros(0, dtype=np.intp), np.zeros((0, 4, 4)))
 
 
 class CollocationBlock:
@@ -136,44 +141,27 @@ class SplineSpace:
 
     * `vertices[k]` is the basis vertex whose slots 0-3 are the functions
       4k .. 4k + 3;
-    * `cells` maps each active cell id to (the ids of its functions,
-      ascending (F,); their Bezier patches there (F, 4, 4)).  Spaces share
-      entries (`advance_level` keeps those of unsplit cells), so nothing
-      writes into them;
+    * the piece table: `buffers` is a list of (function ids (n,), their
+      Bezier patches (n, 4, 4)), each sorted by cell and then function,
+      and `index` (3, cells made so far) gives each active cell its
+      buffer and the first and end piece of its run there (an empty run
+      for a cell without functions).  Spaces share buffers
+      (`advance_level` keeps those of unsplit cells), so nothing writes
+      into them; `pieces` reads them;
     * `factors` is the collocation table (len(vertices), 2, 2, 2): row k
       holds the factors S and T of vertex k's collocation block kron(T, S)
-      (see `CollocationBlock`).  The space builders record it; a space
-      constructed without it fills it from the patches' corner data on
-      first use.
+      (see `CollocationBlock`).
     """
 
-    def __init__(self, mesh, vertices, cells, factors=None):
+    def __init__(self, mesh, vertices, buffers, index, factors):
         self.mesh = mesh
         self.vertices = vertices
-        self.cells = cells
-        if factors is not None and np.shape(factors) != (len(vertices), 2, 2, 2):
+        self.buffers = buffers
+        self.index = index
+        if np.shape(factors) != (len(vertices), 2, 2, 2):
             raise ValueError(f"collocation table of shape {np.shape(factors)} for "
                              f"{len(vertices)} basis vertices")
-        self._factors = factors
-
-    @classmethod
-    def from_supports(cls, mesh, vertices, supports):
-        """The space whose function 4k + slot, at basis vertex vertices[k],
-        has the patches supports[4k + slot] ({cell id: (4, 4) patch})."""
-        if len(supports) != 4 * len(vertices):
-            raise ValueError(f"{len(supports)} functions for {len(vertices)} basis vertices, "
-                             f"expected four per vertex")
-        if len(set(vertices)) != len(vertices):
-            twice = next(v for k, v in enumerate(vertices) if v in vertices[:k])
-            raise ValueError(f"basis vertex {twice} is listed twice")
-        entries = {}
-        for fid, support in enumerate(supports):
-            for cid, patch in support.items():
-                entries.setdefault(cid, []).append((fid, patch))
-        cells = {cid: (np.array([f for f, _ in es], dtype=np.intp),
-                       np.array([p for _, p in es], dtype=float).reshape(-1, 4, 4))
-                 for cid, es in entries.items()}
-        return cls(mesh, list(vertices), cells)
+        self.factors = factors
 
     @property
     def dim(self):
@@ -184,44 +172,36 @@ class SplineSpace:
         return {vid: k for k, vid in enumerate(self.vertices)}
 
     @cached_property
-    def vertex_index(self):
-        return {vid: tuple(range(4 * k, 4 * k + 4)) for k, vid in enumerate(self.vertices)}
+    def active_row(self):
+        """Each cell id's row in `mesh.active_cells()`, -1 for a cell that
+        is not active."""
+        rows = np.full(self.index.shape[1], -1, dtype=np.intp)
+        active = self.mesh.active_cells()
+        rows[active] = np.arange(len(active))
+        return rows
 
-    @property
-    def factors(self):
-        if self._factors is None:
-            self._factors = _factors_from_patches(self)
-        return self._factors
-
-    def functions_on_cell(self, cid):
-        return self.cells.get(cid, _NO_FUNCTIONS)[0].tolist()
+    def pieces(self, cids):
+        """The pieces of the active cells `cids`, in their order: (pieces
+        per cell (c,), function ids (n,), patches (n, 4, 4)), each cell's
+        ids ascending; gathered from the buffers, so nothing is shared."""
+        buf, lo, hi = self.index[:, np.asarray(cids, dtype=np.intp).reshape(-1)]
+        counts = hi - lo
+        rows = _ranges(lo, hi)
+        used = set(buf[counts > 0].tolist())
+        if len(used) == 1:
+            fids, patches = self.buffers[used.pop()]
+            return counts, fids[rows], patches.take(rows, axis=0)
+        fids, patches = np.empty(len(rows), dtype=np.intp), np.empty((len(rows), 4, 4))
+        owner = np.repeat(buf, counts)
+        for b in used:
+            at = np.flatnonzero(owner == b)
+            fids[at] = self.buffers[b][0][rows[at]]
+            patches[at] = self.buffers[b][1].take(rows[at], axis=0)
+        return counts, fids, patches
 
     def functions_on_cells(self, cids):
         """The set of ids of the functions living on any of the cells."""
-        return {fid for cid in cids for fid in self.functions_on_cell(cid)}
-
-    def supports(self):
-        """Per function, its patches {cell id: (4, 4) patch} in ascending
-        cell order, read from the cell table."""
-        out = [{} for _ in range(self.dim)]
-        for cid in sorted(self.cells):
-            fids, patches = self.cells[cid]
-            for fid, patch in zip(fids.tolist(), patches):
-                out[fid][cid] = patch
-        return out
-
-    def basis_data_at_vertex(self, fid, vid):
-        """(f, f_s, f_t, f_st) of one function at a vertex, zeros off-support."""
-        v = self.mesh.vertex(vid)
-        for cid in self.mesh.vertex_cells(vid):
-            c = self.mesh.cell(cid)
-            fids, patches = self.cells.get(cid, _NO_FUNCTIONS)
-            k = np.searchsorted(fids, fid)
-            if k < len(fids) and fids[k] == fid and \
-                    v.i in (c.i0, c.i1) and v.j in (c.j0, c.j1):
-                corner = (0 if v.i == c.i0 else 1, 0 if v.j == c.j0 else 1)
-                return bezier.corner_data(patches[k], corner, *c.size_float())
-        return np.zeros(4)
+        return set(self.pieces(list(cids))[1].tolist())
 
     def basis_on_cell(self, cid, u, v, derivs=DERIV_ORDERS[:1]):
         """Evaluate all functions living on a cell at local points.
@@ -230,45 +210,13 @@ class SplineSpace:
         (function ids, array of shape (nderivs, nf, npts)) with
         derivatives already in global parameter units.
         """
-        blk = _Cells(self, [cid])
+        _, fids, patches = self.pieces([cid])
+        blk = _Cells(self.mesh, [cid])
         tables = _bernstein_tables(np.atleast_1d(np.asarray(u, dtype=float))[None],
                                    np.atleast_1d(np.asarray(v, dtype=float))[None], derivs)
-        out = np.stack([_eval_patches(blk.patches, tables, d, blk.width, blk.height)[0]
+        out = np.stack([_eval_patches(patches[None], tables, d, blk.width, blk.height)[0]
                         for d in derivs])
-        return self.functions_on_cell(cid), out
-
-    def to_json_dict(self):
-        return {
-            "mesh": self.mesh.to_json_dict(),
-            "functions": [
-                {"anchor": self.vertices[fid // 4], "slot": fid % 4,
-                 "birth_level": self.mesh.vertex(self.vertices[fid // 4]).level,
-                 "support": {str(cid): [float(x) for x in patch.ravel()]
-                             for cid, patch in support.items()}}
-                for fid, support in enumerate(self.supports())],
-        }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_json_dict(), **kw)
-
-    @classmethod
-    def from_json_dict(cls, d):
-        """The space of `to_json_dict`: four functions per basis vertex, in
-        slot order, or a ValueError names the first out of place."""
-        mesh = TMesh.from_json_dict(d["mesh"])
-        records = d["functions"]
-        vertices = [fd["anchor"] for fd in records[::4]]
-        for fid, fd in enumerate(records):
-            if (fd["anchor"], fd["slot"]) != (vertices[fid // 4], fid % 4):
-                raise ValueError(f"function {fid} is slot {fd['slot']} of vertex {fd['anchor']}, "
-                                 f"expected slot {fid % 4} of vertex {vertices[fid // 4]}")
-        supports = [{int(cid): np.array(vals, dtype=float).reshape(4, 4)
-                     for cid, vals in fd["support"].items()} for fd in records]
-        return cls.from_supports(mesh, vertices, supports)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
+        return fids.tolist(), out
 
 
 # ----------------------------------------------------------------------
@@ -367,12 +315,24 @@ def _vertex_functions(first, factors, incidence):
     return np.repeat(cids, 4), fids, patches
 
 
-def _entries(keys, cells, fids, patches):
-    """Cell-table entries of the cells `keys`, cut by slicing from pieces
-    (cell ids, function ids, patches) sorted by cell."""
-    lo = np.searchsorted(cells, keys).tolist()
-    hi = np.searchsorted(cells, keys, side="right").tolist()
-    return {cid: (fids[a:b], patches[a:b]) for cid, a, b in zip(keys.tolist(), lo, hi)}
+def _place(index, b, keys, cells):
+    """Point the cells `keys` at their runs in buffer b, whose pieces have
+    the sorted cell ids `cells`."""
+    index[0, keys] = b
+    index[1, keys] = np.searchsorted(cells, keys)
+    index[2, keys] = np.searchsorted(cells, keys, side="right")
+
+
+def _split_pieces(space, chunk, kids, kind, corners):
+    """The live pieces of the cells `chunk` split by `kind` into their
+    children `kids` (c, k), with the corner blocks that `corners` flags
+    per child zeroed: (child ids, function ids, patches), by parent and
+    then function."""
+    counts, fids, patches = space.pieces(chunk)
+    owner = np.repeat(np.arange(len(chunk)), counts)
+    split = bezier.zero_corner_blocks(bezier.split_patches(patches, kind), corners[kids[owner]])
+    at, k = np.nonzero(split.any(axis=(2, 3)))
+    return kids[owner[at], k], fids[at], split[at, k]
 
 
 def build_initial_space(mesh):
@@ -383,8 +343,10 @@ def build_initial_space(mesh):
     anchors = mesh.vertices()
     cells = np.array(mesh.active_cells(), dtype=np.intp)
     factors, incidence = _births(mesh, cells, anchors)
-    space = SplineSpace(mesh, anchors, _entries(cells, *_vertex_functions(0, factors, incidence)),
-                        factors)
+    piece_cells, fids, patches = _vertex_functions(0, factors, incidence)
+    index = np.zeros((3, len(cells)), dtype=np.intp)
+    _place(index, 0, cells, piece_cells)
+    space = SplineSpace(mesh, anchors, [(fids, patches)], index, factors)
     if space.dim != mesh.dimension():
         raise AssertionError("initial basis count disagrees with the dimension formula")
     return space
@@ -398,13 +360,13 @@ def advance_level(space, report):
 
     Existing functions whose support meets a subdivided cell get that
     patch split and their ordinate blocks at the new basis vertices
-    zeroed; the entries of unsplit cells are reused as-is.  The new basis
-    vertices are born on the children of the subdivided cells, which hold
-    all their support: one `_births` pass gives their factors, their four
-    functions each and the corners to zero.  Subdivided cells are split
-    per kind, `_SPLIT_CELLS` whole cells at a time, and each chunk's live
-    pieces and the newborn functions on its children are merged into the
-    children's entries in one pass.
+    zeroed; unsplit cells keep their runs in the buffers they point into.
+    The new basis vertices are born on the children of the subdivided
+    cells, which hold all their support: one `_births` pass gives their
+    factors, their four functions each and the corners to zero.
+    Subdivided cells are split per kind, `_SPLIT_CELLS` whole cells at a
+    time, and each chunk's live pieces and the newborn functions on its
+    children are merged into one new buffer.
     """
     if not report.performed:
         return space
@@ -421,34 +383,39 @@ def advance_level(space, report):
     corners = np.zeros(max(children) + 1, dtype=np.intp)   # bit cs + 2 ct per corner at a new vertex
     np.bitwise_or.at(corners, incidence[1], 1 << incidence[2])
 
-    cells = {cid: entry for cid, entry in space.cells.items() if cid not in split_info}
+    active = np.array(mesh.active_cells(), dtype=np.intp)
+    index = np.zeros((3, len(mesh.cell_bounds())), dtype=np.intp)
+    unsplit = active[active < space.index.shape[1]]        # children have new ids
+    index[:, unsplit] = space.index[:, unsplit]
+    buffers = list(space.buffers)
     for kind in SPLIT_KINDS:
         parents = [cid for cid, (k, _) in split_info.items() if k == kind]
         for lo in range(0, len(parents), _SPLIT_CELLS):
             chunk = parents[lo:lo + _SPLIT_CELLS]
             kids = np.array([split_info[cid][1] for cid in chunk], dtype=np.intp)
-            entries = [space.cells[cid] for cid in chunk]
-            owner = np.repeat(np.arange(len(chunk)), [len(fids) for fids, _ in entries])
-            split = bezier.zero_corner_blocks(
-                bezier.split_patches(np.concatenate([p for _, p in entries]), kind),
-                corners[kids[owner]])
-            at, k = np.nonzero(split.any(axis=(2, 3)))
+            old = _split_pieces(space, chunk, kids, kind, corners)
             # the newborn functions on the chunk's children: their rows of
             # the incidence table, which is sorted by cell
             flat = kids.ravel()
             rows = _ranges(np.searchsorted(incidence[1], flat),
                            np.searchsorted(incidence[1], flat, side="right"))
-            new_cells, new_fids, new_patches = _vertex_functions(
-                space.dim, factors, tuple(a[rows] for a in incidence))
+            new = _vertex_functions(space.dim, factors, tuple(a[rows] for a in incidence))
             # old ids ascend in parent order and new ids follow them, so a
-            # stable sort by cell leaves each cell's ids ascending
-            piece_cells = np.concatenate([kids[owner[at], k], new_cells])
-            fids = np.concatenate([np.concatenate([f for f, _ in entries])[at], new_fids])
-            patches = np.concatenate([split[at, k], new_patches])
+            # stable sort by cell leaves each cell's ids ascending; each
+            # piece is written once, into its row of the buffer
+            piece_cells = np.concatenate([old[0], new[0]])
             order = np.argsort(piece_cells, kind="stable")
-            cells.update(_entries(flat, piece_cells[order], fids[order], patches[order]))
+            place = np.empty_like(order)
+            place[order] = np.arange(len(order))
+            buffer = (np.empty(len(order), dtype=np.intp), np.empty((len(order), 4, 4)))
+            for at, (_, fids, patches) in ((place[:len(old[0])], old), (place[len(old[0]):], new)):
+                buffer[0][at], buffer[1][at] = fids, patches
+            buffers.append(buffer)
+            _place(index, len(buffers) - 1, flat, piece_cells[order])
+    # drop the buffers no active cell points into any more
+    live, index[0, active] = np.unique(index[0, active], return_inverse=True)
 
-    out = SplineSpace(mesh, space.vertices + born, cells,
+    out = SplineSpace(mesh, space.vertices + born, [buffers[b] for b in live.tolist()], index,
                       np.concatenate([space.factors, factors]))
     # the full Eq.-(1) recount classifies every vertex on the lattice, at
     # every level of every mesh
@@ -501,36 +468,59 @@ def _eval_patches(P, tables, order, width, height):
     return out / scale.reshape((-1,) + (1,) * (out.ndim - 1))
 
 
-def _padded_patches(space, cids):
-    """Function ids (c, F), their patches (c, F, 4, 4) and the mask of real
-    entries; padding has id 0 and a zero patch."""
-    entries = [space.cells.get(cid, _NO_FUNCTIONS) for cid in cids]
-    counts = np.array([len(f) for f, _ in entries])
+def _padded(counts, fids, patches):
+    """Pieces of `SplineSpace.pieces` as function ids (c, F), patches (c,
+    F, 4, 4) and the mask of real entries, padded to the widest cell;
+    padding has id 0 and a zero patch."""
     valid = np.arange(counts.max(initial=0)) < counts[:, None]
-    fids = np.zeros(valid.shape, dtype=np.intp)
-    patches = np.zeros(valid.shape + (4, 4))
-    if valid.any():
-        fids[valid] = np.concatenate([f for f, _ in entries])
-        patches[valid] = np.concatenate([p for _, p in entries])
-    return fids, patches, valid
+    if valid.all():
+        return fids.reshape(valid.shape), patches.reshape(valid.shape + (4, 4)), valid
+    padded_fids = np.zeros(valid.shape, dtype=np.intp)
+    padded_patches = np.zeros(valid.shape + (4, 4))
+    padded_fids[valid] = fids
+    padded_patches[valid] = patches
+    return padded_fids, padded_patches, valid
+
+
+def _contract(fids, patches, coefficients):
+    """Per-cell patches (c, ..., 4, 4) of scalar (n,) or point (n, m)
+    coefficients over the functions of c cells: ids (c, F), patches (c,
+    F, 4, 4)."""
+    return np.einsum("cfij,cf...->c...ij", patches, coefficients[fids])
+
+
+def _contract_active(space, coefficients):
+    """A field's patch on every active cell of `space`, in active order
+    (n_active, ..., 4, 4), buffer by buffer; see the module docstring."""
+    active = np.array(space.mesh.active_cells(), dtype=np.intp)
+    out = np.empty((len(active),) + coefficients.shape[1:] + (4, 4))
+    buf, lo, hi = space.index[:, active]
+    counts = hi - lo
+    order = np.argsort(buf, kind="stable")
+    ragged = np.ones(len(active), dtype=bool)
+    for rows in np.split(order, np.flatnonzero(np.diff(buf[order])) + 1):
+        fids, patches = space.buffers[buf[rows[0]]]
+        width = counts[rows[0]]
+        if len(rows) * width == len(fids) and (counts[rows] == width).all():
+            out[rows] = _contract(fids.reshape(-1, width), patches.reshape(-1, width, 4, 4),
+                                  coefficients)
+            ragged[rows] = False
+    ragged = np.flatnonzero(ragged)
+    for sl in _blocks(len(ragged)):
+        rows = ragged[sl]
+        fids, patches, _ = _padded(*space.pieces(active[rows]))
+        out[rows] = _contract(fids, patches, coefficients)
+    return out
 
 
 class _Cells:
-    """One block of the kernel: cells, their float bounds (rows of the
-    mesh's `cell_bounds`) and the padded basis patches of `space` on them
-    (see `_padded_patches`)."""
+    """Cells and their float bounds, rows of the mesh's `cell_bounds`."""
 
-    def __init__(self, space, cids):
+    def __init__(self, mesh, cids):
         self.cells = np.asarray(cids, dtype=np.intp)
-        s0, s1, t0, t1 = space.mesh.cell_bounds()[self.cells].T
+        s0, s1, t0, t1 = mesh.cell_bounds()[self.cells].T
         self.s0, self.t0 = s0, t0
         self.width, self.height = s1 - s0, t1 - t0
-        self.fids, self.patches, self.valid = _padded_patches(space, cids)
-
-    def contract(self, coefficients):
-        """Per-cell patches (c, ..., 4, 4) of a field with scalar (n,) or
-        point (n, m) coefficients over the block's space."""
-        return np.einsum("cfij,cf...->c...ij", self.patches, coefficients[self.fids])
 
     def local(self, s, t, rows):
         """Local coordinates of parameters s, t in the cells `rows`."""
@@ -563,29 +553,6 @@ def _inverse_blocks(factors, vids):
     return _kron2(inv[:, 1], inv[:, 0])
 
 
-def _factors_from_patches(space):
-    """The collocation table of a space, read from its patches' corner
-    data: each vertex's block split into its Kronecker factors S and T."""
-    vids = space.vertices
-    B = np.array([[space.basis_data_at_vertex(4 * k + slot, vid) for slot in range(4)]
-                  for k, vid in enumerate(vids)]).reshape(-1, 4, 4)
-    n = len(B)
-    # B[k, 2 tv + sv, 2 dt + ds] = T[tv, dt] S[sv, ds]: a rank-one R per vertex
-    R = B.reshape(n, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(n, 4, 4)
-    k = np.arange(n)
-    i, j = np.unravel_index(np.abs(R).reshape(n, 16).argmax(axis=1), (4, 4))
-    pivot = R[k, i, j]
-    S = np.divide(R[k, :, j], pivot[:, None], out=np.zeros((n, 4)), where=pivot[:, None] != 0)
-    factors = np.stack([S, R[k, i, :]], axis=1).reshape(n, 2, 2, 2)
-    # each data column (f, f_s, f_t, f_st) on its own scale
-    gap = np.abs(_kron2(factors[:, 1], factors[:, 0]) - B)
-    bad = ~(gap <= 1e-9 * np.abs(B).max(axis=1, keepdims=True)).all(axis=(1, 2))
-    if bad.any():
-        raise ValueError(f"collocation data at vertex {vids[int(np.argmax(bad))]} "
-                         f"is not a tensor product")
-    return factors
-
-
 def collocation_block(space, vid):
     """Collocation data of the four functions anchored at a basis vertex,
     from the space's collocation table."""
@@ -616,7 +583,9 @@ def field_from_vertex_data(space, data):
 
 
 class SplineField:
-    """A spline space with one scalar or point coefficient per function."""
+    """A spline space with one scalar or point coefficient per function.
+    The field contracts its coefficients on first use and keeps the
+    patches, so write no coefficient after evaluating."""
 
     def __init__(self, space, coefficients):
         self.space = space
@@ -627,6 +596,23 @@ class SplineField:
     @property
     def arity(self):
         return None if self.coefficients.ndim == 1 else self.coefficients.shape[1]
+
+    @cached_property
+    def _patches(self):
+        return _contract_active(self.space, self.coefficients)
+
+    def _rows(self, cids):
+        """The rows of the active cells `cids` in `_patches`; a ValueError
+        names the first cell that is not active."""
+        rows = self.space.active_row[cids]
+        if (rows < 0).any():
+            raise ValueError(f"cell {np.asarray(cids)[np.argmax(rows < 0)]} is not active")
+        return rows
+
+    def cell_patches(self, cids):
+        """The field's patches (c, ..., 4, 4) on the active cells `cids`,
+        contracted once for all active cells (`_contract_active`)."""
+        return self._patches[self._rows(cids)]
 
     def eval_many(self, s, t, derivs=DERIV_ORDERS[:1]):
         """Evaluate the field (and optional derivatives) at parameter arrays
@@ -660,8 +646,8 @@ class SplineField:
         out = np.empty((len(derivs), len(cids), tables[derivs[0]].shape[-1])
                        + self.coefficients.shape[1:])
         for sl in _blocks(len(cids)):
-            blk = _Cells(self.space, cids[sl])
-            P = blk.contract(self.coefficients)
+            blk = _Cells(self.space.mesh, cids[sl])
+            P = self.cell_patches(blk.cells)
             for k, d in enumerate(derivs):
                 out[k, sl] = np.moveaxis(_eval_patches(P, tables, d, blk.width, blk.height),
                                          -1, 1)
@@ -691,47 +677,37 @@ class SplineField:
         on (see `cell_order`).  Shapes as in :meth:`eval_located`, values
         in the order of `order`.
 
-        Cells are contracted `_BLOCK` at a time and their points evaluated
-        `_CHUNK` at a time: per point, the Bernstein weights bv (x) bu of
-        each derivative order, applied to its cell's patch by one batched
-        matmul, then divided by the cell's width^a height^b for a
-        derivative."""
+        Points are evaluated `_CHUNK` at a time: per point, the Bernstein
+        weights bv (x) bu of each derivative order, applied to its cell's
+        contracted patch by one batched matmul, then divided by the cell's
+        width^a height^b for a derivative."""
         tail = self.coefficients.shape[1:]
         out = np.empty((len(derivs), len(order)) + tail)
-        edge = np.concatenate([[0], np.cumsum(counts)])
+        blk = _Cells(self.space.mesh, cells)
+        patch_row = self._rows(blk.cells)
+        P = self._patches.reshape(len(self._patches), -1, 16)
+        scale = [blk.width ** a * blk.height ** b for a, b in derivs]
+        run = np.repeat(np.arange(len(blk.cells)), counts)
         s_orders, t_orders = {a for a, _ in derivs}, {b for _, b in derivs}
-        for sl in _blocks(len(cells)):
-            blk = _Cells(self.space, cells[sl].tolist())
-            P = blk.contract(self.coefficients).reshape(len(blk.cells), -1, 16)
-            scale = [blk.width ** a * blk.height ** b for a, b in derivs]
-            span = edge[sl.start:sl.start + len(blk.cells) + 1]
-            for at in range(span[0], span[-1], _CHUNK):
-                part = slice(at, min(at + _CHUNK, span[-1]))
-                rows = np.repeat(np.arange(len(blk.cells)), np.diff(span.clip(at, part.stop)))
-                idx = order[part]
-                u, v = blk.local(s[idx], t[idx], rows)
-                Pr = P.take(rows, axis=0)                         # (n, m, 16)
-                bu = {a: bezier.bernstein_row(u, a).T[:, None, :] for a in s_orders}
-                bv = {b: bezier.bernstein_row(v, b).T[:, :, None] for b in t_orders}
-                for k, (a, b) in enumerate(derivs):
-                    got = out[k, part]
-                    np.matmul(Pr, (bv[b] * bu[a]).reshape(-1, 16, 1),
-                              out=got.reshape(Pr.shape[:2] + (1,)))
-                    if a or b:
-                        got /= scale[k][rows].reshape((-1,) + (1,) * len(tail))
+        for at in range(0, len(order), _CHUNK):
+            part = slice(at, at + _CHUNK)
+            rows = run[part]
+            idx = order[part]
+            u, v = blk.local(s[idx], t[idx], rows)
+            Pr = P.take(patch_row[rows], axis=0)              # (n, m, 16)
+            bu = {a: bezier.bernstein_row(u, a).T[:, None, :] for a in s_orders}
+            bv = {b: bezier.bernstein_row(v, b).T[:, :, None] for b in t_orders}
+            for k, (a, b) in enumerate(derivs):
+                got = out[k, part]
+                np.matmul(Pr, (bv[b] * bu[a]).reshape(-1, 16, 1),
+                          out=got.reshape(Pr.shape[:2] + (1,)))
+                if a or b:
+                    got /= scale[k][rows].reshape((-1,) + (1,) * len(tail))
         return out
 
     def value(self, s, t):
         out = self.eval_many([s], [t])[0, 0]
         return float(out) if self.arity is None else out
-
-    def to_json_dict(self):
-        return {"coefficients": self.coefficients.tolist(),
-                "space": self.space.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(SplineSpace.from_json_dict(d["space"]), np.array(d["coefficients"]))
 
 
 def transfer_field(field, new_space):

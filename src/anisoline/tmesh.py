@@ -181,8 +181,6 @@ _VERTEX_KINDS = (VertexKind.BOUNDARY, VertexKind.CROSSING, VertexKind.T_JUNCTION
 
 
 class AdjacencyKind(Enum):
-    NOT_ADJACENT = "NotAdjacent"
-    ADJACENT_ONLY = "AdjacentOnly"
     HORIZONTALLY_ALIGNED = "HorizontallyAligned"
     VERTICALLY_ALIGNED = "VerticallyAligned"
 

@@ -14,20 +14,34 @@ The per-item mesh queries are references for the batched ones of
 `edge_neighbors` counts the vertices a cell shares with each other cell,
 and `vertex_at` and `vertices_at` find vertices by exact or lattice
 position.
+
+The per-cell and per-function views of a space, its patch-scanning
+collocation table and its JSON form are read from the piece table through
+`SplineSpace.pieces`: `cell_entries` gives the {cell: (function ids,
+patches)} dict the table replaced, `supports` the {cell: patch} dict of
+every function, and `space_from_entries` and `from_supports` build a space
+back, its collocation table read from the patches' corner data
+(`factors_from_patches`).  The JSON files of spaces, fields and
+geometries are written per function (`space_to_json_dict` and its
+companions).
 """
 
+import json
 from bisect import bisect_right
 from collections import Counter
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
+from anisoline import bezier
+from anisoline.geometry import Geometry
 from anisoline.refine import _check_markable, _split, flood_fill_groups
 from anisoline.space import (
-    DERIV_ORDERS, HERMITE_ORDERS, SplineField, _bernstein_tables, _blocks, _Cells,
-    _eval_patches, field_from_vertex_data,
+    DERIV_ORDERS, HERMITE_ORDERS, SplineField, SplineSpace, _bernstein_tables, _blocks,
+    _Cells, _eval_patches, _kron2, _padded, field_from_vertex_data,
 )
-from anisoline.tmesh import LATTICE_DEPTH, AdjacencyKind, VertexKind, _unique_rows
+from anisoline.tmesh import LATTICE_DEPTH, AdjacencyKind, TMesh, VertexKind, _unique_rows
 
 _SPAN = 1 << LATTICE_DEPTH
 
@@ -63,11 +77,19 @@ def vertices_at(mesh, ij):
     return np.where(hit < len(table), hit, -1)
 
 
+class Contact(Enum):
+    """The relations `adjacency` gives beside the two aligned kinds of
+    `AdjacencyKind`."""
+    NOT_ADJACENT = "NotAdjacent"
+    ADJACENT_ONLY = "AdjacentOnly"
+
+
 def adjacency(mesh, cid1, cid2):
-    """Neighbor relation of two active cells."""
+    """Neighbor relation of two active cells: an aligned `AdjacencyKind`
+    or a `Contact`."""
     c1, c2 = mesh._active_cell(cid1), mesh._active_cell(cid2)
     if cid1 == cid2:
-        return AdjacencyKind.NOT_ADJACENT
+        return Contact.NOT_ADJACENT
     a0, a1, b0, b1 = c1.lattice_bounds
     p0, p1, q0, q1 = c2.lattice_bounds
     # a vertical common edge (side by side), then a horizontal one (stacked)
@@ -77,8 +99,8 @@ def adjacency(mesh, cid1, cid2):
             (b1 == q0 or q1 == b0, min(a1, p1) > max(a0, p0), (a0, a1) == (p0, p1),
              AdjacencyKind.VERTICALLY_ALIGNED)):
         if touch and overlap:
-            return kind if aligned else AdjacencyKind.ADJACENT_ONLY
-    return AdjacencyKind.NOT_ADJACENT
+            return kind if aligned else Contact.ADJACENT_ONLY
+    return Contact.NOT_ADJACENT
 
 
 def edge_neighbors(mesh, cid):
@@ -242,10 +264,11 @@ def verify_space(space, n_samples=2000, seed=0):
     v = rng.uniform(0, 1, (len(act), 12))
     min_val = np.inf
     for sl in _blocks(len(act)):
-        blk = _Cells(space, act[sl])
-        vals = _eval_patches(blk.patches, _bernstein_tables(u[sl], v[sl], ((0, 0),)),
+        blk = _Cells(mesh, act[sl])
+        _, patches, valid = _padded(*space.pieces(act[sl]))
+        vals = _eval_patches(patches, _bernstein_tables(u[sl], v[sl], ((0, 0),)),
                              (0, 0), blk.width, blk.height)
-        min_val = min(min_val, float(vals[blk.valid].min(initial=np.inf)))
+        min_val = min(min_val, float(vals[valid].min(initial=np.inf)))
 
     field = SplineField(space, rng.standard_normal(space.dim))
     scale = max(abs(float(x)) for x in field.coefficients) or 1.0
@@ -276,3 +299,161 @@ def verify_space(space, n_samples=2000, seed=0):
         "c1_max_jump": c1_jump,
         "hermite_roundtrip_error": rt_err,
     }
+
+
+# ----------------------------------------------------------------------
+# per-cell and per-function views of a space, and its JSON form
+
+def functions_on_cell(space, cid):
+    """The ids of the functions living on one active cell, ascending."""
+    return space.pieces([cid])[1].tolist()
+
+
+def cell_entries(space):
+    """{active cell id: (function ids (F,), patches (F, 4, 4))}, the
+    per-cell dict the piece table replaced."""
+    active = space.mesh.active_cells()
+    counts, fids, patches = space.pieces(active)
+    cut = np.cumsum(counts)[:-1]
+    return dict(zip(active, zip(np.split(fids, cut), np.split(patches, cut))))
+
+
+def space_from_entries(mesh, vertices, entries, factors=None):
+    """The space whose piece table holds `entries` ({cell id: (ascending
+    function ids, patches)}) in one buffer.  Without `factors` its
+    collocation table is read from the patches (`factors_from_patches`)."""
+    cids = sorted(entries)
+    index = np.zeros((3, len(mesh.cell_bounds())), dtype=np.intp)
+    counts = np.array([len(entries[cid][0]) for cid in cids], dtype=np.intp)
+    index[2, cids] = np.cumsum(counts)
+    index[1, cids] = index[2, cids] - counts
+    buffer = (np.concatenate([np.zeros(0, dtype=np.intp)] + [entries[c][0] for c in cids]),
+              np.concatenate([np.zeros((0, 4, 4))] + [entries[c][1] for c in cids]))
+    space = SplineSpace(mesh, list(vertices), [buffer], index,
+                        np.zeros((len(vertices), 2, 2, 2)) if factors is None else factors)
+    if factors is None:
+        space.factors = factors_from_patches(space)
+    return space
+
+
+def supports(space):
+    """Per function, its patches {cell id: (4, 4) patch} in ascending cell
+    order."""
+    out = [{} for _ in range(space.dim)]
+    for cid, (fids, patches) in cell_entries(space).items():
+        for fid, patch in zip(fids.tolist(), patches):
+            out[fid][cid] = patch
+    return out
+
+
+def from_supports(mesh, vertices, supports, factors=None):
+    """The space whose function 4k + slot, at basis vertex vertices[k],
+    has the patches supports[4k + slot] ({cell id: (4, 4) patch});
+    `factors` as in `space_from_entries`."""
+    if len(supports) != 4 * len(vertices):
+        raise ValueError(f"{len(supports)} functions for {len(vertices)} basis vertices, "
+                         f"expected four per vertex")
+    if len(set(vertices)) != len(vertices):
+        twice = next(v for k, v in enumerate(vertices) if v in vertices[:k])
+        raise ValueError(f"basis vertex {twice} is listed twice")
+    entries = {}
+    for fid, support in enumerate(supports):
+        for cid, patch in support.items():
+            entries.setdefault(cid, []).append((fid, patch))
+    return space_from_entries(mesh, vertices, {
+        cid: (np.array([f for f, _ in es], dtype=np.intp),
+              np.array([p for _, p in es], dtype=float).reshape(-1, 4, 4))
+        for cid, es in entries.items()}, factors)
+
+
+def basis_data_at_vertex(space, fid, vid):
+    """(f, f_s, f_t, f_st) of one function at a vertex, zeros off-support."""
+    v = space.mesh.vertex(vid)
+    for cid in space.mesh.vertex_cells(vid):
+        c = space.mesh.cell(cid)
+        _, fids, patches = space.pieces([cid])
+        k = np.searchsorted(fids, fid)
+        if k < len(fids) and fids[k] == fid and \
+                v.i in (c.i0, c.i1) and v.j in (c.j0, c.j1):
+            corner = (0 if v.i == c.i0 else 1, 0 if v.j == c.j0 else 1)
+            return bezier.corner_data(patches[k], corner, *c.size_float())
+    return np.zeros(4)
+
+
+def factors_from_patches(space):
+    """The collocation table of a space, read from its patches' corner
+    data: each vertex's block split into its Kronecker factors S and T."""
+    vids = space.vertices
+    B = np.array([[basis_data_at_vertex(space, 4 * k + slot, vid) for slot in range(4)]
+                  for k, vid in enumerate(vids)]).reshape(-1, 4, 4)
+    n = len(B)
+    # B[k, 2 tv + sv, 2 dt + ds] = T[tv, dt] S[sv, ds]: a rank-one R per vertex
+    R = B.reshape(n, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(n, 4, 4)
+    k = np.arange(n)
+    i, j = np.unravel_index(np.abs(R).reshape(n, 16).argmax(axis=1), (4, 4))
+    pivot = R[k, i, j]
+    S = np.divide(R[k, :, j], pivot[:, None], out=np.zeros((n, 4)), where=pivot[:, None] != 0)
+    factors = np.stack([S, R[k, i, :]], axis=1).reshape(n, 2, 2, 2)
+    # each data column (f, f_s, f_t, f_st) on its own scale
+    gap = np.abs(_kron2(factors[:, 1], factors[:, 0]) - B)
+    bad = ~(gap <= 1e-9 * np.abs(B).max(axis=1, keepdims=True)).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"collocation data at vertex {vids[int(np.argmax(bad))]} "
+                         f"is not a tensor product")
+    return factors
+
+
+def space_to_json_dict(space):
+    return {
+        "mesh": space.mesh.to_json_dict(),
+        "functions": [
+            {"anchor": space.vertices[fid // 4], "slot": fid % 4,
+             "birth_level": space.mesh.vertex(space.vertices[fid // 4]).level,
+             "support": {str(cid): [float(x) for x in patch.ravel()]
+                         for cid, patch in support.items()}}
+            for fid, support in enumerate(supports(space))],
+    }
+
+
+def space_from_json_dict(d):
+    """The space of `space_to_json_dict`: four functions per basis vertex,
+    in slot order, or a ValueError names the first out of place."""
+    mesh = TMesh.from_json_dict(d["mesh"])
+    records = d["functions"]
+    vertices = [fd["anchor"] for fd in records[::4]]
+    for fid, fd in enumerate(records):
+        if (fd["anchor"], fd["slot"]) != (vertices[fid // 4], fid % 4):
+            raise ValueError(f"function {fid} is slot {fd['slot']} of vertex {fd['anchor']}, "
+                             f"expected slot {fid % 4} of vertex {vertices[fid // 4]}")
+    return from_supports(mesh, vertices, [{int(cid): np.array(vals, dtype=float).reshape(4, 4)
+                                           for cid, vals in fd["support"].items()}
+                                          for fd in records])
+
+
+def space_to_json(space, **kw):
+    return json.dumps(space_to_json_dict(space), **kw)
+
+
+def space_from_json(text):
+    return space_from_json_dict(json.loads(text))
+
+
+GEOMETRY_FORMAT_VERSION = 1
+
+
+def geometry_to_json(geometry, **kw):
+    return json.dumps({
+        "version": GEOMETRY_FORMAT_VERSION,
+        "degenerate_params": [list(p) for p in geometry.degenerate_params],
+        "field": {"coefficients": geometry.field.coefficients.tolist(),
+                  "space": space_to_json_dict(geometry.space)},
+    }, **kw)
+
+
+def geometry_from_json(text):
+    d = json.loads(text)
+    if d.get("version") != GEOMETRY_FORMAT_VERSION:
+        raise ValueError(f"unsupported geometry format version {d.get('version')!r}")
+    field = SplineField(space_from_json_dict(d["field"]["space"]),
+                        np.array(d["field"]["coefficients"]))
+    return Geometry(field, d.get("degenerate_params", ()))

@@ -144,8 +144,8 @@ def test_estimate_controls_plane_exact():
     ps = ParamPointSet(pts, params)
     ps.assign_cells(mesh)
     coeffs = np.zeros((space.dim, 3))
-    vids = list(space.vertex_index)
-    coeffs[[space.vertex_index[vid] for vid in vids]] = estimate_vertex_controls(space, vids, ps)
+    vids = space.vertices
+    coeffs[np.arange(space.dim).reshape(-1, 4)] = estimate_vertex_controls(space, vids, ps)
     field = SplineField(space, coeffs)
     got = field.eval_many(params[:, 0], params[:, 1])[0]
     assert np.max(np.linalg.norm(got - pts, axis=1)) < 1e-10
@@ -256,7 +256,7 @@ def test_estimates_match_per_vertex_reference(name, block, monkeypatch):
     monkeypatch.setattr(fitting, "_fit", spy_fit)
     monkeypatch.setattr(fitting, "_streamed_r", spy_stream)
     space, pset, fallback = _oracle_case(name, np.random.default_rng(11))
-    vids = list(space.vertex_index)
+    vids = space.vertices
     got, got_warned = _estimate_with_warnings(
         lambda: estimate_vertex_controls(space, vids, pset, fallback_field=fallback))
     want, want_warned = _estimate_with_warnings(
@@ -327,7 +327,7 @@ def test_each_point_gets_one_design_row_per_call(monkeypatch):
         return design(pset, rows, centers, ncols)
 
     monkeypatch.setattr(fitting, "_design", spy)
-    estimate_vertex_controls(space, list(space.vertex_index), pset)
+    estimate_vertex_controls(space, space.vertices, pset)
     assert np.array_equal(np.sort(np.concatenate(built)), np.arange(len(pset)))
 
 
@@ -625,10 +625,10 @@ def _reference_eval_on_cell(field, cid, s, t, derivs):
     w, h = float(c.width), float(c.height)
     u = (np.asarray(s, dtype=float) - float(c.s0)) / w
     v = (np.asarray(t, dtype=float) - float(c.t0)) / h
-    fids = space.functions_on_cell(cid)
+    _, fids, patches = space.pieces([cid])
+    fids = fids.tolist()
     vals = np.zeros((len(derivs), len(fids), u.size))
     if fids:
-        patches = space.cells[cid][1]
         for d, (a, b) in enumerate(derivs):
             bu = bezier.bernstein_row(u, a)
             bv = bezier.bernstein_row(v, b)
@@ -954,4 +954,4 @@ def test_control_estimation_memory_is_bounded_by_blocks():
     pset = generate_test_model("cone", (101, 101))
     space = build_initial_space(create_tensor_mesh(2, 2))
     pset.assign_cells(space.mesh)
-    assert _peak_mib(estimate_vertex_controls, space, list(space.vertex_index), pset) <= 1.0
+    assert _peak_mib(estimate_vertex_controls, space, space.vertices, pset) <= 1.0

@@ -10,7 +10,7 @@ from anisoline.refine import (
 )
 from anisoline.tmesh import AdjacencyKind, VertexKind, create_tensor_mesh
 from oracles import (
-    adjacency, check_refinement_invariants, edge_neighbors, naive_subdivide, vertex_at,
+    Contact, adjacency, check_refinement_invariants, edge_neighbors, naive_subdivide, vertex_at,
 )
 from test_tmesh import LATTICE_STARTS, census_kinds
 
@@ -71,7 +71,7 @@ def _reference_flood_fill_groups(mesh, marked):
             if k in (AdjacencyKind.HORIZONTALLY_ALIGNED, AdjacencyKind.VERTICALLY_ALIGNED):
                 aligned[a][b] = k
                 aligned[b][a] = k
-            elif k is AdjacencyKind.ADJACENT_ONLY:
+            elif k is Contact.ADJACENT_ONLY:
                 conflict[a].add(b)
                 conflict[b].add(a)
                 conflicts += 1

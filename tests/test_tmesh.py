@@ -13,7 +13,7 @@ from anisoline.tmesh import (
     LATTICE_DEPTH, AdjacencyKind, LatticeDepthError, TMesh, VertexKind, cut_rule,
     create_tensor_mesh,
 )
-from oracles import adjacency, edge_neighbors, lattice_coordinate, vertex_at
+from oracles import Contact, adjacency, edge_neighbors, lattice_coordinate, vertex_at
 
 
 def kinds_histogram(mesh):
@@ -87,12 +87,12 @@ def test_adjacency_kinds():
     tr = m.locate_cell(0.75, 0.75)
     assert adjacency(m, bl, br) is AdjacencyKind.HORIZONTALLY_ALIGNED
     assert adjacency(m, bl, tl) is AdjacencyKind.VERTICALLY_ALIGNED
-    assert adjacency(m, bl, tr) is AdjacencyKind.NOT_ADJACENT
+    assert adjacency(m, bl, tr) is Contact.NOT_ADJACENT
     # half-height neighbor shares the vertical edge only partially
     m.split_cell(br, "H")
     low = m.locate_cell(0.75, 0.1)
-    assert adjacency(m, bl, low) is AdjacencyKind.ADJACENT_ONLY
-    assert adjacency(m, low, bl) is AdjacencyKind.ADJACENT_ONLY
+    assert adjacency(m, bl, low) is Contact.ADJACENT_ONLY
+    assert adjacency(m, low, bl) is Contact.ADJACENT_ONLY
 
 
 def test_adjacency_symmetry_random():
@@ -670,7 +670,7 @@ def test_edge_neighbors_match_a_full_scan(name):
         # every neighbor is adjacent, and a sample of the rest is not
         others = act if len(act) <= 400 else rng.sample(act, 100)
         for b in scan[cid] | set(others):
-            assert (adjacency(m, cid, b) is not AdjacencyKind.NOT_ADJACENT) == (b in scan[cid]), (cid, b)
+            assert (adjacency(m, cid, b) is not Contact.NOT_ADJACENT) == (b in scan[cid]), (cid, b)
 
 
 def test_split_past_the_lattice_depth_is_refused():
