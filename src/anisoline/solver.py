@@ -26,22 +26,20 @@ such a point can therefore raise eta while the true error falls.
 Each round evaluates the geometry at the Gauss points once, in one walk
 over the active cells through one element kernel (`_cell_blocks`) built
 on the evaluation kernel of `space`, whose block walk it shares.  The
-kernel walks the active cells in blocks of `space._BLOCK` = 64, takes
-each block's cells' float bounds (rows of the mesh's `cell_bounds`
-table) and geometry patches (`SplineField.cell_patches` of the map, which
-contracts once per field) from there, and evaluates patches at the q x q
-Gauss points with Bernstein tables built once per walk.  From the
-geometry patches come the map, J, det J and J^-1 at the points, the
-parameter Hessian only when the residual asks for the physical
-Laplacian, and the physical cell diameter: a Bezier patch interpolates
-its corner ordinates, so the corner images need no evaluation.  The cells
-with Neumann edge pieces are picked by lattice comparisons on the mesh's
-cell table.  The assembly gathers each block's basis patches from the
-space's piece table, zero-padded to the block's widest cell; the
-estimator reads the solution's contracted patches.  The callers contract
-these block tables by einsums, except the stiffness: `_local_stiffness`
-forms each block's element matrices as one batched matmul over the
-flattened (point, component) axis, which runs in BLAS.
+kernel walks the active cells in blocks of `space._BLOCK` = 64, with the
+cells' float bounds (rows of the mesh's `cell_bounds` table) and their
+geometry patches (`SplineField.patches`, contracted once per field), and
+evaluates patches at the q x q Gauss points with Bernstein tables built
+once per walk.  From the geometry patches come the map, J, det J and
+J^-1 at the points, the parameter Hessian only when the residual asks
+for the physical Laplacian, and the physical cell diameter: a Bezier
+patch interpolates its corner ordinates, so the corner images need no
+evaluation.  The cells with Neumann edge pieces are picked by lattice
+comparisons on the mesh's cell table.  The assembly pads each block's
+basis pieces from the space's piece table, and the estimator reads the
+solution's patches; they contract by einsums, except the stiffness:
+`_local_stiffness` forms each block's element matrices as one batched
+matmul over the flattened (point, component) axis, which runs in BLAS.
 
 `adaptive_solve` hands each round's geometry to `assemble` as a
 `_RoundGeometry`.  The assembly's walk keeps every block there: the
@@ -236,7 +234,7 @@ class _CellBlock(_Cells):
 
     def __init__(self, space, geometry, cids, grid, weights, gauss, neumann):
         super().__init__(space.mesh, cids)
-        geo = geometry.field.cell_patches(self.cells)                    # (c, 2, 4, 4)
+        geo = geometry.field.patches[self.cells]                         # (c, 2, 4, 4)
         self.grid = _Points(grid, self.width, self.height, geo, self.cells)
         self.wdet = weights * (self.width * self.height)[:, None] * np.abs(self.grid.det)
         # a Bezier patch interpolates its corner ordinates
@@ -557,7 +555,7 @@ def _estimate(u_h, problem, q, u_exact, grad_exact, residual):
     l2 = h1 = 0.0
     neumann = _neumann_segments(problem) if residual else ()
     for blk in _cell_blocks(u_h.space, u_h.geometry, q, neumann):
-        P = u_h.field.cell_patches(blk.cells)
+        P = u_h.field.patches[blk.cells]
         vals, grad, lap = blk.grid.physical(P, second=residual)
         if u_exact is not None:
             du = vals - _at_points(u_exact, blk.grid.xy)

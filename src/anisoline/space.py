@@ -28,29 +28,25 @@ vertices finds every vertex's support cells and factors:
 
 The space keeps its patches in a piece table, carried across levels as in
 multi-level Bezier extraction (D'Angella, Kollmannsberger, Rank and
-Reali, 2018).  A piece is one function's patch on one cell.  The pieces
-live in buffers, each sorted by cell and then function: the level-0
-build makes one, and each chunk of an advance one more.  Three int rows
-over cell ids (`SplineSpace.index`) give each active cell its buffer and
-the first and end piece of its run there.  Unsplit cells keep pointing
-into the buffers they were born in, which the next space shares, so a
-buffer stays alive while any of its cells is unsplit; buffers no active
-cell points into are dropped.  Subdivided cells are rewritten per kind,
-`_SPLIT_CELLS` (16) whole cells at a time, in one pass per chunk.  Memory
-bounds the chunk: on the last round of a deep fit the advance's heap
-peak is 1.21 times what it keeps at 16 cells and 1.36 times at 32, past
-the bound 1.3 of the memory test in `tests/test_space.py`.  The chunk's
-patches are split by one matmul with the kind's Kronecker matrix of the
-half-interval de Casteljau maps (`bezier.split_patches`); their
-new-vertex corner blocks, a 4-bit corner code per child read off the
-births' incidence table, are zeroed by one lookup in a 16-row keep table
-(`bezier.zero_corner_blocks`).  The live pieces are taken by one
+Reali, 2018): buffers of pieces (a function's patch on a cell), sorted by
+cell and then function, one from the level-0 build and one per chunk of
+each advance, and an index giving each active cell its buffer and run
+(`SplineSpace`).  Unsplit cells keep their runs, so spaces share buffers,
+and a buffer lives while any of its cells is unsplit.  Subdivided cells
+are rewritten per kind, `_SPLIT_CELLS` (16) whole cells at a time, in one
+pass per chunk.  Memory bounds the chunk: on the last round of a deep
+fit the advance's heap peak is 1.20 times what it keeps at 16 cells and
+1.35 times at 32, past the bound 1.3 of its test in `tests/test_space.py`.
+The chunk's patches are split by one matmul with the kind's Kronecker
+matrix of the half-interval de Casteljau maps (`bezier.split_patches`);
+their new-vertex corner blocks, a 4-bit corner code per child read off
+the births' incidence table, are zeroed by one lookup in a 16-row keep
+table (`bezier.zero_corner_blocks`).  The live pieces are taken by one
 `np.nonzero` of the nonzero-piece mask, and the new vertices' functions
 on the chunk's children, batched outer products of univariate
 ordinates, from the children's rows of the incidence table.  One stable
 sort by child id merges both, old ids before new ones, into the chunk's
-buffer, each piece written once, and two `searchsorted` calls write the
-children's index rows.
+buffer.
 
 The four functions at a vertex reproduce arbitrary (value, d_s, d_t,
 d_st) data there, and all other functions carry zero data at that
@@ -67,20 +63,19 @@ against kron(T^-1, S^-1) in one batched einsum.
 Every evaluation in the package goes through one Bezier-extraction kernel
 (Borden, Scott, Evans and Hughes, 2011), kept here with the
 representation.  A field contracts its coefficients into one patch per
-active cell once, on first use, and keeps them (`SplineField.cell_patches`):
-a buffer whose cells are all active and carry one number of functions is
-contracted from views of its arrays, the other cells `_BLOCK` at a time
-from their pieces zero-padded to the block's widest cell (`_padded`).
-Patches are evaluated by a matmul with Bernstein tables: at local points
-shared by all cells (`SplineField.eval_grid`, the solver's Gauss points;
-`_bernstein_tables`, `_eval_patches`), or at scattered points with known
-cells, read in their stable cell order (`cell_order`) as contiguous runs
-per ascending cell (`SplineField.eval_runs`), `_CHUNK` points at a time:
-each point's 16 tensor-product weights bv (x) bu are applied to its
-cell's contracted patch by one batched matmul.  `SplineField.eval_located`
-sorts its points once, evaluates the runs and scatters the values back.
-Cells' float bounds come from the mesh's `cell_bounds` table (`_Cells`).
-Blocks and chunks bound the memory.
+active cell on first use and keeps them (`SplineField.patches`): a
+buffer whose cells are all active and carry one number of functions from
+views of its arrays, other cells `_BLOCK` at a time, padded to the
+block's widest cell (`_padded`).  Patches are evaluated by a matmul with
+Bernstein tables: at local points shared by all cells
+(`SplineField.eval_grid`, the solver's Gauss points; `_bernstein_tables`,
+`_eval_patches`), or at scattered points with known cells, read in their
+stable cell order (`cell_order`) as contiguous runs per ascending cell
+(`SplineField.eval_runs`), `_CHUNK` points at a time: each point's 16
+tensor-product weights bv (x) bu are applied to its cell's contracted
+patch by one batched matmul.  `SplineField.eval_located` sorts its points
+once, evaluates the runs and scatters the values back.  Blocks and chunks
+bound the memory.
 """
 
 from __future__ import annotations
@@ -141,13 +136,10 @@ class SplineSpace:
 
     * `vertices[k]` is the basis vertex whose slots 0-3 are the functions
       4k .. 4k + 3;
-    * the piece table: `buffers` is a list of (function ids (n,), their
-      Bezier patches (n, 4, 4)), each sorted by cell and then function,
-      and `index` (3, cells made so far) gives each active cell its
-      buffer and the first and end piece of its run there (an empty run
-      for a cell without functions).  Spaces share buffers
-      (`advance_level` keeps those of unsplit cells), so nothing writes
-      into them; `pieces` reads them;
+    * the piece table: `buffers` holds (function ids (n,), Bezier patches
+      (n, 4, 4)) sorted by cell and then function, and `index` (3, cells
+      made so far) each active cell's buffer and first and end piece.
+      Spaces share buffers, so nothing writes into them; `pieces` reads;
     * `factors` is the collocation table (len(vertices), 2, 2, 2): row k
       holds the factors S and T of vertex k's collocation block kron(T, S)
       (see `CollocationBlock`).
@@ -171,32 +163,17 @@ class SplineSpace:
     def vertex_row(self):
         return {vid: k for k, vid in enumerate(self.vertices)}
 
-    @cached_property
-    def active_row(self):
-        """Each cell id's row in `mesh.active_cells()`, -1 for a cell that
-        is not active."""
-        rows = np.full(self.index.shape[1], -1, dtype=np.intp)
-        active = self.mesh.active_cells()
-        rows[active] = np.arange(len(active))
-        return rows
-
     def pieces(self, cids):
         """The pieces of the active cells `cids`, in their order: (pieces
         per cell (c,), function ids (n,), patches (n, 4, 4)), each cell's
         ids ascending; gathered from the buffers, so nothing is shared."""
         buf, lo, hi = self.index[:, np.asarray(cids, dtype=np.intp).reshape(-1)]
         counts = hi - lo
-        rows = _ranges(lo, hi)
-        used = set(buf[counts > 0].tolist())
-        if len(used) == 1:
-            fids, patches = self.buffers[used.pop()]
-            return counts, fids[rows], patches.take(rows, axis=0)
+        rows, owner = _ranges(lo, hi), np.repeat(buf, counts)
         fids, patches = np.empty(len(rows), dtype=np.intp), np.empty((len(rows), 4, 4))
-        owner = np.repeat(buf, counts)
-        for b in used:
-            at = np.flatnonzero(owner == b)
-            fids[at] = self.buffers[b][0][rows[at]]
-            patches[at] = self.buffers[b][1].take(rows[at], axis=0)
+        for b in set(buf[counts > 0].tolist()):
+            at = owner == b
+            fids[at], patches[at] = self.buffers[b][0][rows[at]], self.buffers[b][1][rows[at]]
         return counts, fids, patches
 
     def functions_on_cells(self, cids):
@@ -324,10 +301,8 @@ def _place(index, b, keys, cells):
 
 
 def _split_pieces(space, chunk, kids, kind, corners):
-    """The live pieces of the cells `chunk` split by `kind` into their
-    children `kids` (c, k), with the corner blocks that `corners` flags
-    per child zeroed: (child ids, function ids, patches), by parent and
-    then function."""
+    """The live pieces (child ids, function ids, patches) of the cells
+    `chunk` split into `kids` (c, k), their `corners` blocks zeroed."""
     counts, fids, patches = space.pieces(chunk)
     owner = np.repeat(np.arange(len(chunk)), counts)
     split = bezier.zero_corner_blocks(bezier.split_patches(patches, kind), corners[kids[owner]])
@@ -401,16 +376,10 @@ def advance_level(space, report):
                            np.searchsorted(incidence[1], flat, side="right"))
             new = _vertex_functions(space.dim, factors, tuple(a[rows] for a in incidence))
             # old ids ascend in parent order and new ids follow them, so a
-            # stable sort by cell leaves each cell's ids ascending; each
-            # piece is written once, into its row of the buffer
+            # stable sort by cell leaves each cell's ids ascending
             piece_cells = np.concatenate([old[0], new[0]])
             order = np.argsort(piece_cells, kind="stable")
-            place = np.empty_like(order)
-            place[order] = np.arange(len(order))
-            buffer = (np.empty(len(order), dtype=np.intp), np.empty((len(order), 4, 4)))
-            for at, (_, fids, patches) in ((place[:len(old[0])], old), (place[len(old[0]):], new)):
-                buffer[0][at], buffer[1][at] = fids, patches
-            buffers.append(buffer)
+            buffers.append(tuple(np.concatenate(parts)[order] for parts in zip(old[1:], new[1:])))
             _place(index, len(buffers) - 1, flat, piece_cells[order])
     # drop the buffers no active cell points into any more
     live, index[0, active] = np.unique(index[0, active], return_inverse=True)
@@ -473,8 +442,6 @@ def _padded(counts, fids, patches):
     F, 4, 4) and the mask of real entries, padded to the widest cell;
     padding has id 0 and a zero patch."""
     valid = np.arange(counts.max(initial=0)) < counts[:, None]
-    if valid.all():
-        return fids.reshape(valid.shape), patches.reshape(valid.shape + (4, 4)), valid
     padded_fids = np.zeros(valid.shape, dtype=np.intp)
     padded_patches = np.zeros(valid.shape + (4, 4))
     padded_fids[valid] = fids
@@ -484,16 +451,14 @@ def _padded(counts, fids, patches):
 
 def _contract(fids, patches, coefficients):
     """Per-cell patches (c, ..., 4, 4) of scalar (n,) or point (n, m)
-    coefficients over the functions of c cells: ids (c, F), patches (c,
-    F, 4, 4)."""
+    coefficients over c cells' function ids (c, F) and patches."""
     return np.einsum("cfij,cf...->c...ij", patches, coefficients[fids])
 
 
 def _contract_active(space, coefficients):
-    """A field's patch on every active cell of `space`, in active order
-    (n_active, ..., 4, 4), buffer by buffer; see the module docstring."""
+    """`SplineField.patches`, buffer by buffer (see the module docstring)."""
     active = np.array(space.mesh.active_cells(), dtype=np.intp)
-    out = np.empty((len(active),) + coefficients.shape[1:] + (4, 4))
+    out = np.zeros((space.index.shape[1],) + coefficients.shape[1:] + (4, 4))
     buf, lo, hi = space.index[:, active]
     counts = hi - lo
     order = np.argsort(buf, kind="stable")
@@ -502,14 +467,13 @@ def _contract_active(space, coefficients):
         fids, patches = space.buffers[buf[rows[0]]]
         width = counts[rows[0]]
         if len(rows) * width == len(fids) and (counts[rows] == width).all():
-            out[rows] = _contract(fids.reshape(-1, width), patches.reshape(-1, width, 4, 4),
-                                  coefficients)
+            out[active[rows]] = _contract(fids.reshape(-1, width),
+                                          patches.reshape(-1, width, 4, 4), coefficients)
             ragged[rows] = False
-    ragged = np.flatnonzero(ragged)
+    ragged = active[ragged]
     for sl in _blocks(len(ragged)):
-        rows = ragged[sl]
-        fids, patches, _ = _padded(*space.pieces(active[rows]))
-        out[rows] = _contract(fids, patches, coefficients)
+        fids, patches, _ = _padded(*space.pieces(ragged[sl]))
+        out[ragged[sl]] = _contract(fids, patches, coefficients)
     return out
 
 
@@ -583,9 +547,8 @@ def field_from_vertex_data(space, data):
 
 
 class SplineField:
-    """A spline space with one scalar or point coefficient per function.
-    The field contracts its coefficients on first use and keeps the
-    patches, so write no coefficient after evaluating."""
+    """A spline space with one scalar or point coefficient per function;
+    write no coefficient once it has evaluated (see `patches`)."""
 
     def __init__(self, space, coefficients):
         self.space = space
@@ -598,21 +561,10 @@ class SplineField:
         return None if self.coefficients.ndim == 1 else self.coefficients.shape[1]
 
     @cached_property
-    def _patches(self):
+    def patches(self):
+        """The field's patch on every cell made so far (n, ..., 4, 4), zero
+        on cells that are not active, contracted on first use."""
         return _contract_active(self.space, self.coefficients)
-
-    def _rows(self, cids):
-        """The rows of the active cells `cids` in `_patches`; a ValueError
-        names the first cell that is not active."""
-        rows = self.space.active_row[cids]
-        if (rows < 0).any():
-            raise ValueError(f"cell {np.asarray(cids)[np.argmax(rows < 0)]} is not active")
-        return rows
-
-    def cell_patches(self, cids):
-        """The field's patches (c, ..., 4, 4) on the active cells `cids`,
-        contracted once for all active cells (`_contract_active`)."""
-        return self._patches[self._rows(cids)]
 
     def eval_many(self, s, t, derivs=DERIV_ORDERS[:1]):
         """Evaluate the field (and optional derivatives) at parameter arrays
@@ -647,7 +599,7 @@ class SplineField:
                        + self.coefficients.shape[1:])
         for sl in _blocks(len(cids)):
             blk = _Cells(self.space.mesh, cids[sl])
-            P = self.cell_patches(blk.cells)
+            P = self.patches[blk.cells]
             for k, d in enumerate(derivs):
                 out[k, sl] = np.moveaxis(_eval_patches(P, tables, d, blk.width, blk.height),
                                          -1, 1)
@@ -684,8 +636,7 @@ class SplineField:
         tail = self.coefficients.shape[1:]
         out = np.empty((len(derivs), len(order)) + tail)
         blk = _Cells(self.space.mesh, cells)
-        patch_row = self._rows(blk.cells)
-        P = self._patches.reshape(len(self._patches), -1, 16)
+        P = self.patches.reshape(len(self.patches), -1, 16)
         scale = [blk.width ** a * blk.height ** b for a, b in derivs]
         run = np.repeat(np.arange(len(blk.cells)), counts)
         s_orders, t_orders = {a for a, _ in derivs}, {b for _, b in derivs}
@@ -694,7 +645,7 @@ class SplineField:
             rows = run[part]
             idx = order[part]
             u, v = blk.local(s[idx], t[idx], rows)
-            Pr = P.take(patch_row[rows], axis=0)              # (n, m, 16)
+            Pr = P.take(blk.cells[rows], axis=0)              # (n, m, 16)
             bu = {a: bezier.bernstein_row(u, a).T[:, None, :] for a in s_orders}
             bv = {b: bezier.bernstein_row(v, b).T[:, :, None] for b in t_orders}
             for k, (a, b) in enumerate(derivs):

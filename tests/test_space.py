@@ -496,6 +496,19 @@ def test_cell_table_invariants(start):
             assert np.all(runs[1:, 0] >= runs[:-1, 1]) and runs[-1, 1] <= len(fids) == len(patches)
 
 
+def test_an_advance_keeps_only_the_buffers_active_cells_read():
+    # every cell splits in every round, so a space keeps only the buffers
+    # of its own round's chunks
+    space = build_initial_space(create_tensor_mesh(4, 4))
+    for level in range(3):
+        mesh = space.mesh
+        _, report = refine(mesh, RefinementRequest({c: "C" for c in mesh.cells_of_level(level)}))
+        space = advance_level(space, report)
+        assert len(space.buffers) == -(-len(report.performed) // space_module._SPLIT_CELLS)
+        buf = space.index[0, space.mesh.active_cells()]
+        assert set(buf.tolist()) == set(range(len(space.buffers)))
+
+
 def test_vector_field_evaluation():
     space = build_initial_space(create_tensor_mesh(2, 2))
     rng = np.random.default_rng(7)
@@ -903,8 +916,8 @@ def test_advance_level_memory_stays_near_reference():
 def test_last_advance_of_a_deep_fit_peaks_near_what_it_keeps(monkeypatch):
     # The fourth round of a 101 x 101 bernstein_sum fit splits all 256
     # cells.  Merged per chunk of 16 cells, the advance's peak growth is
-    # 1.21 times the growth it leaves behind (its new buffers and index;
-    # 1.14 at 8 cells, 1.36 at 32); split pieces copied per child and then
+    # 1.20 times the growth it leaves behind (its new buffers and index;
+    # 1.14 at 8 cells, 1.35 at 32); split pieces copied per child and then
     # joined per cell to a round-wide batch of newborn functions, it was
     # 1.80 times.
     rounds = []
