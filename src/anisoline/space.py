@@ -169,11 +169,17 @@ class SplineSpace:
         ids ascending; gathered from the buffers, so nothing is shared."""
         buf, lo, hi = self.index[:, np.asarray(cids, dtype=np.intp).reshape(-1)]
         counts = hi - lo
-        rows, owner = _ranges(lo, hi), np.repeat(buf, counts)
+        rows = _ranges(lo, hi)
+        used = set(buf[counts > 0].tolist())
+        if len(used) == 1:
+            fids, patches = self.buffers[used.pop()]
+            return counts, fids[rows], patches.take(rows, axis=0)
         fids, patches = np.empty(len(rows), dtype=np.intp), np.empty((len(rows), 4, 4))
-        for b in set(buf[counts > 0].tolist()):
-            at = owner == b
-            fids[at], patches[at] = self.buffers[b][0][rows[at]], self.buffers[b][1][rows[at]]
+        owner = np.repeat(buf, counts)
+        for b in used:
+            at = np.flatnonzero(owner == b)
+            fids[at] = self.buffers[b][0][rows[at]]
+            patches[at] = self.buffers[b][1].take(rows[at], axis=0)
         return counts, fids, patches
 
     def functions_on_cells(self, cids):
