@@ -63,10 +63,10 @@ against kron(T^-1, S^-1) in one batched einsum.
 Every evaluation in the package goes through one Bezier-extraction kernel
 (Borden, Scott, Evans and Hughes, 2011), kept here with the
 representation.  A field contracts its coefficients into one patch per
-active cell on first use and keeps them (`SplineField.patches`): a
-buffer whose cells are all active and carry one number of functions from
-views of its arrays, other cells `_BLOCK` at a time, padded to the
-block's widest cell (`_padded`).  Patches are evaluated by a matmul with
+active cell on first use and keeps them (`SplineField.patches`): the
+active cells of a buffer that carry one number of functions at once,
+from views of its arrays when none of its cells has split, other cells
+`_BLOCK` at a time, padded to the block's widest cell (`_padded`).  Patches are evaluated by a matmul with
 Bernstein tables: at local points shared by all cells
 (`SplineField.eval_grid`, the solver's Gauss points; `_bernstein_tables`,
 `_eval_patches`), or at scattered points with known cells, read in their
@@ -448,6 +448,8 @@ def _padded(counts, fids, patches):
     F, 4, 4) and the mask of real entries, padded to the widest cell;
     padding has id 0 and a zero patch."""
     valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    if valid.all():
+        return fids.reshape(valid.shape), patches.reshape(valid.shape + (4, 4)), valid
     padded_fids = np.zeros(valid.shape, dtype=np.intp)
     padded_patches = np.zeros(valid.shape + (4, 4))
     padded_fids[valid] = fids
@@ -472,7 +474,10 @@ def _contract_active(space, coefficients):
     for rows in np.split(order, np.flatnonzero(np.diff(buf[order])) + 1):
         fids, patches = space.buffers[buf[rows[0]]]
         width = counts[rows[0]]
-        if len(rows) * width == len(fids) and (counts[rows] == width).all():
+        if (counts[rows] == width).all():
+            if len(rows) * width < len(fids):            # some of the buffer's cells split
+                runs = _ranges(lo[rows], hi[rows])
+                fids, patches = fids[runs], patches.take(runs, axis=0)
             out[active[rows]] = _contract(fids.reshape(-1, width),
                                           patches.reshape(-1, width, 4, 4), coefficients)
             ragged[rows] = False
