@@ -66,16 +66,16 @@ representation.  A field contracts its coefficients into one patch per
 active cell on first use and keeps them (`SplineField.patches`): the
 active cells of a buffer that carry one number of functions at once,
 from views of its arrays when none of its cells has split, other cells
-`_BLOCK` at a time, padded to the block's widest cell (`_padded`).  Patches are evaluated by a matmul with
-Bernstein tables: at local points shared by all cells
-(`SplineField.eval_grid`, the solver's Gauss points; `_bernstein_tables`,
-`_eval_patches`), or at scattered points with known cells, read in their
-stable cell order (`cell_order`) as contiguous runs per ascending cell
-(`SplineField.eval_runs`), `_CHUNK` points at a time: each point's 16
-tensor-product weights bv (x) bu are applied to its cell's contracted
-patch by one batched matmul.  `SplineField.eval_located` sorts its points
-once, evaluates the runs and scatters the values back.  Blocks and chunks
-bound the memory.
+`_BLOCK` at a time, padded to the block's widest cell (`_padded`).
+Patches are evaluated by a matmul with Bernstein tables: at local points
+shared by all cells (`SplineField.eval_grid`, the solver's Gauss points;
+`_bernstein_tables`, `_eval_patches`), or at scattered points with known
+cells, read in their stable cell order (`cell_order`) as contiguous runs
+per ascending cell (`SplineField.eval_runs`), `_CHUNK` points at a time:
+each point's 16 tensor-product weights bv (x) bu are applied to its
+cell's contracted patch by one batched matmul.  `SplineField.eval_located`
+sorts its points once, evaluates the runs and scatters the values back.
+Blocks and chunks bound the memory.
 """
 
 from __future__ import annotations
@@ -478,8 +478,8 @@ def _contract_active(space, coefficients):
             if len(rows) * width < len(fids):            # some of the buffer's cells split
                 runs = _ranges(lo[rows], hi[rows])
                 fids, patches = fids[runs], patches.take(runs, axis=0)
-            out[active[rows]] = _contract(fids.reshape(-1, width),
-                                          patches.reshape(-1, width, 4, 4), coefficients)
+            out[active[rows]] = _contract(fids.reshape(len(rows), width),
+                                          patches.reshape(len(rows), width, 4, 4), coefficients)
             ragged[rows] = False
     ragged = active[ragged]
     for sl in _blocks(len(ragged)):

@@ -137,8 +137,8 @@ def test_functions_away_from_marks_unchanged():
 
 def _same_run(a, b, cid):
     """Cell `cid` reads the same run of the same buffer in spaces a and b."""
-    (fids_a, patches_a), (fids_b, patches_b) = a.buffers[a.index[0, cid]], b.buffers[b.index[0, cid]]
-    return fids_a is fids_b and patches_a is patches_b and \
+    buffer_a, buffer_b = a.buffers[a.index[0, cid]], b.buffers[b.index[0, cid]]
+    return all(x is y for x, y in zip(buffer_a, buffer_b)) and \
         np.array_equal(a.index[1:, cid], b.index[1:, cid])
 
 
