@@ -138,8 +138,9 @@ class SplineSpace:
       4k .. 4k + 3;
     * the piece table: `buffers` holds (function ids (n,), Bezier patches
       (n, 4, 4)) sorted by cell and then function, and `index` (3, cells
-      made so far) each active cell's buffer and first and end piece.
-      Spaces share buffers, so nothing writes into them; `pieces` reads;
+      made so far) gives each active cell's buffer and first and end
+      piece.  Spaces share buffers, so nothing writes into them; `pieces`
+      reads them;
     * `factors` is the collocation table (len(vertices), 2, 2, 2): row k
       holds the factors S and T of vertex k's collocation block kron(T, S)
       (see `CollocationBlock`).
