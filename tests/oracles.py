@@ -19,11 +19,10 @@ The per-cell and per-function views of a space, its patch-scanning
 collocation table and its JSON form are read from the piece table through
 `SplineSpace.pieces`: `cell_entries` gives the {cell: (function ids,
 patches)} dict the table replaced, `supports` the {cell: patch} dict of
-every function, and `space_from_entries` and `from_supports` build a space
-back, its collocation table read from the patches' corner data
-(`factors_from_patches`).  The JSON files of spaces, fields and
-geometries are written per function (`space_to_json_dict` and its
-companions).
+every function, and `from_supports` builds a space back, its collocation
+table read from the patches' corner data (`factors_from_patches`).  The
+JSON files of spaces, fields and geometries are written per function
+(`space_to_json_dict` and its companions).
 """
 
 import json
@@ -39,7 +38,7 @@ from anisoline.geometry import Geometry
 from anisoline.refine import _check_markable, _split, flood_fill_groups
 from anisoline.space import (
     DERIV_ORDERS, HERMITE_ORDERS, SplineField, SplineSpace, _bernstein_tables, _blocks,
-    _Cells, _eval_patches, _kron2, _padded, field_from_vertex_data,
+    _Cells, _eval_patches, _kron2, _padded, _place, field_from_vertex_data,
 )
 from anisoline.tmesh import LATTICE_DEPTH, AdjacencyKind, TMesh, VertexKind, _unique_rows
 
@@ -318,24 +317,6 @@ def cell_entries(space):
     return dict(zip(active, zip(np.split(fids, cut), np.split(patches, cut))))
 
 
-def space_from_entries(mesh, vertices, entries, factors=None):
-    """The space whose piece table holds `entries` ({cell id: (ascending
-    function ids, patches)}) in one buffer.  Without `factors` its
-    collocation table is read from the patches (`factors_from_patches`)."""
-    cids = sorted(entries)
-    index = np.zeros((3, len(mesh.cell_bounds())), dtype=np.intp)
-    counts = np.array([len(entries[cid][0]) for cid in cids], dtype=np.intp)
-    index[2, cids] = np.cumsum(counts)
-    index[1, cids] = index[2, cids] - counts
-    buffer = (np.concatenate([np.zeros(0, dtype=np.intp)] + [entries[c][0] for c in cids]),
-              np.concatenate([np.zeros((0, 4, 4))] + [entries[c][1] for c in cids]))
-    space = SplineSpace(mesh, list(vertices), [buffer], index,
-                        np.zeros((len(vertices), 2, 2, 2)) if factors is None else factors)
-    if factors is None:
-        space.factors = factors_from_patches(space)
-    return space
-
-
 def supports(space):
     """Per function, its patches {cell id: (4, 4) patch} in ascending cell
     order."""
@@ -348,22 +329,26 @@ def supports(space):
 
 def from_supports(mesh, vertices, supports, factors=None):
     """The space whose function 4k + slot, at basis vertex vertices[k],
-    has the patches supports[4k + slot] ({cell id: (4, 4) patch});
-    `factors` as in `space_from_entries`."""
+    has the patches supports[4k + slot] ({cell id: (4, 4) patch}), all
+    pieces in one buffer.  Without `factors` its collocation table is read
+    from the patches (`factors_from_patches`)."""
     if len(supports) != 4 * len(vertices):
         raise ValueError(f"{len(supports)} functions for {len(vertices)} basis vertices, "
                          f"expected four per vertex")
     if len(set(vertices)) != len(vertices):
         twice = next(v for k, v in enumerate(vertices) if v in vertices[:k])
         raise ValueError(f"basis vertex {twice} is listed twice")
-    entries = {}
-    for fid, support in enumerate(supports):
-        for cid, patch in support.items():
-            entries.setdefault(cid, []).append((fid, patch))
-    return space_from_entries(mesh, vertices, {
-        cid: (np.array([f for f, _ in es], dtype=np.intp),
-              np.array([p for _, p in es], dtype=float).reshape(-1, 4, 4))
-        for cid, es in entries.items()}, factors)
+    pieces = sorted((cid, fid) for fid, support in enumerate(supports) for cid in support)
+    cells = np.array([cid for cid, _ in pieces], dtype=np.intp)
+    buffer = (np.array([fid for _, fid in pieces], dtype=np.intp),
+              np.array([supports[fid][cid] for cid, fid in pieces], dtype=float).reshape(-1, 4, 4))
+    index = np.zeros((3, len(mesh.cell_bounds())), dtype=np.intp)
+    _place(index, 0, np.unique(cells), cells)
+    space = SplineSpace(mesh, list(vertices), [buffer], index,
+                        np.zeros((len(vertices), 2, 2, 2)) if factors is None else factors)
+    if factors is None:
+        space.factors = factors_from_patches(space)
+    return space
 
 
 def basis_data_at_vertex(space, fid, vid):
