@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "bernstein_row", "eval_patch", "split_patches",
-    "corner_data", "zero_corner_blocks",
+    "bernstein_row", "eval_patch", "split_patches", "split_corner_blocks",
+    "corner_data", "CORNER_CHILD", "CORNER_ORDINATES",
 ]
 
 # de Casteljau halving of a cubic: rows give child ordinates from parent ones
@@ -43,6 +43,16 @@ _CHILD_MAPS = {
 # products of dyadic fractions, exact in floating point
 _KRON_MAPS = {kind: np.einsum("kia,kbj->abkij", rows, cols).reshape(16, -1)
               for kind, (rows, cols) in _CHILD_MAPS.items()}
+# per kind, the child holding each corner cs + 2 * ct of the parent
+CORNER_CHILD = {"H": np.array([0, 0, 1, 1]), "V": np.array([0, 1, 0, 1]), "C": np.arange(4)}
+# the flattened ordinates of each corner's 2x2 block, corners in order cs + 2 * ct
+CORNER_ORDINATES = np.array([[4 * (2 * ct + i) + 2 * cs + j for i in (0, 1) for j in (0, 1)]
+                              for ct in (0, 1) for cs in (0, 1)])
+# per kind, the (4, 4) block of the Kronecker map from each corner's block
+# of the parent to the same corner's block of the child holding it
+_CORNER_MAPS = {kind: np.stack([kron[np.ix_(at, 16 * CORNER_CHILD[kind][c] + at)]
+                                for c, at in enumerate(CORNER_ORDINATES)])
+                for kind, kron in _KRON_MAPS.items()}
 
 
 def bernstein_row(u, order=0):
@@ -102,6 +112,19 @@ def split_patches(P, kind):
     return (P.reshape(len(P), 16) @ kron).reshape(len(P), -1, 4, 4)
 
 
+def split_corner_blocks(B, codes, kind):
+    """Split 2x2 corner blocks B (n, 2, 2) at the corners `codes` (n,),
+    cs + 2 * ct, of their patches at the parameter midpoint: the block of
+    the child holding each corner (`CORNER_CHILD`) at that corner.
+
+    The first two rows of a half-interval de Casteljau map read only the
+    first two ordinates, and the last two only the last two, so a child's
+    block at a parent corner is a map of the parent's block there alone,
+    the same sum as `split_patches` makes of it.
+    """
+    return np.matmul(B.reshape(-1, 1, 4), _CORNER_MAPS[kind][codes]).reshape(-1, 2, 2)
+
+
 def _corner_indices(corner):
     """Row/column index pairs of the 2x2 ordinate block nearest a corner.
 
@@ -111,15 +134,6 @@ def _corner_indices(corner):
     rows = (0, 1) if ct == 0 else (2, 3)
     cols = (0, 1) if cs == 0 else (2, 3)
     return rows, cols
-
-
-# the 2x2 ordinate block of each corner, corners in order cs + 2 * ct
-_CORNER_BLOCKS = np.array([np.kron(np.outer(np.eye(2)[ct], np.eye(2)[cs]), np.ones((2, 2)))
-                           for ct in (0, 1) for cs in (0, 1)], dtype=bool)
-# per corner code (bit cs + 2 * ct set for each flagged corner), the
-# ordinates outside every flagged block: (16, 4, 4)
-_KEEP_BY_CODE = ~(((np.arange(16)[:, None] >> np.arange(4)) & 1).astype(bool)
-                  @ _CORNER_BLOCKS.reshape(4, 16)).reshape(16, 4, 4)
 
 
 def corner_data(p, corner, w, h):
@@ -142,14 +156,3 @@ def corner_data(p, corner, w, h):
     f_t = 3.0 * st * (p[i1, j0] - p[i0, j0]) / h
     f_st = 9.0 * ss * st * (p[i1, j1] - p[i1, j0] - p[i0, j1] + p[i0, j0]) / (w * h)
     return np.array([f, f_s, f_t, f_st]) if np.ndim(f) == 0 else np.stack([f, f_s, f_t, f_st])
-
-
-def zero_corner_blocks(P, codes):
-    """Copy of patches P (..., 4, 4) with the 2x2 ordinate block at every
-    flagged corner set to zero.  `codes` (...) are integer corner codes in
-    0..15: bit cs + 2 * ct flags the corner (cs, ct), so bits 0-3 stand
-    for (s_min, t_min), (s_max, t_min), (s_min, t_max), (s_max, t_max).
-
-    One lookup in a 16-row keep table gives every patch's mask; zeroed
-    ordinates are +0.0, and kept ones keep their bits (a -0.0 stays)."""
-    return np.where(_KEEP_BY_CODE[codes], P, 0.0)

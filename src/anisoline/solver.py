@@ -63,16 +63,17 @@ edge's end vertices.  Inhomogeneous data is fitted by least squares at 8
 points per piece, evaluated in one batch from the cells' patches.
 
 Blocks bound the memory of a walk.  At 24 x 24 cells and q = 5 the
-tracemalloc peak of `assemble` is 4.3 MiB with blocks of 64 cells and
-17.0 MiB with whole-mesh tables, 1.1 MiB against 6.2 MiB for
-`error_indicators` with the exact error norms, and 0.9 MiB against
-3.9 MiB for `exact_error_norms`; the stiffness triplets themselves take
+tracemalloc peak of `assemble` is 4.6 MiB with blocks of 64 cells and
+17.2 MiB with whole-mesh tables, 0.9 MiB against 5.1 MiB for
+`error_indicators` with the exact error norms, and 0.6 MiB against
+2.7 MiB for `exact_error_norms`; the stiffness triplets themselves take
 2.3 MiB.  The kept blocks of a round add about 1 MiB there: one round of
-`adaptive_solve` peaks at 5.2 MiB instead of 4.3 with a second walk, and
-the five rounds of `lshape_benchmark(4)` at 7.9 MiB instead of 7.0.  To
-offset part of this, `_solve_round` holds no name on the full system, so
-the full stiffness matrix is released before SuperLU factors the reduced
-one, which `impose_boundary_conditions` hands over in CSC.
+`adaptive_solve` peaks at 5.4 MiB, and the five rounds of
+`lshape_benchmark(4)` at 7.0 MiB (8.1 MiB with full 4x4 patches in the
+space's piece table).  To offset part of this, `_solve_round` holds no
+name on the full system, so the full stiffness matrix is released before
+SuperLU factors the reduced one, which `impose_boundary_conditions` hands
+over in CSC.
 """
 
 from __future__ import annotations
@@ -388,8 +389,8 @@ def _element_contributions(space, geometry, problem, q):
     """Stiffness triplets, cell by cell in active order, and the load
     vector.  The blocks' tables are released on return, before the
     caller builds the sparse matrix."""
-    _, lo, hi = space.index[:, space.mesh.active_cells()]
-    total = int(np.sum((hi - lo) ** 2))
+    counts, _ = space.functions(space.mesh.active_cells())
+    total = int(np.sum(counts ** 2))
     rows = np.empty(total, dtype=np.int32)
     cols = np.empty(total, dtype=np.int32)
     vals = np.empty(total)

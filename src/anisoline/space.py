@@ -28,25 +28,36 @@ vertices finds every vertex's support cells and factors:
 
 The space keeps its patches in a piece table, carried across levels as in
 multi-level Bezier extraction (D'Angella, Kollmannsberger, Rank and
-Reali, 2018): buffers of pieces (a function's patch on a cell), sorted by
-cell and then function, one from the level-0 build and one per chunk of
-each advance, and an index giving each active cell its buffer and run
-(`SplineSpace`).  Unsplit cells keep their runs, so spaces share buffers,
-and a buffer lives while any of its cells is unsplit.  Subdivided cells
-are rewritten per kind, `_SPLIT_CELLS` (16) whole cells at a time, in one
-pass per chunk.  Memory bounds the chunk: on the last round of a deep
-fit the advance's heap peak is 1.20 times what it keeps at 16 cells and
-1.35 times at 32, past the bound 1.3 of its test in `tests/test_space.py`.
-The chunk's patches are split by one matmul with the kind's Kronecker
-matrix of the half-interval de Casteljau maps (`bezier.split_patches`);
-their new-vertex corner blocks, a 4-bit corner code per child read off
-the births' incidence table, are zeroed by one lookup in a 16-row keep
-table (`bezier.zero_corner_blocks`).  The live pieces are taken by one
-`np.nonzero` of the nonzero-piece mask, and the new vertices' functions
-on the chunk's children, batched outer products of univariate
-ordinates, from the children's rows of the incidence table.  One stable
-sort by child id merges both, old ids before new ones, into the chunk's
-buffer.
+Reali, 2018), as entries of corner blocks: a piece (a function's patch on
+a cell) is stored as its nonzero 2x2 ordinate blocks, each with the
+corner cs + 2 ct it sits at.  The block nearest a corner is the
+function's Hermite data there (`bezier.corner_data` reads only it), and
+each function's data is zero at every basis vertex but its own, so on a
+cell whose corners are all basis vertices each piece has one nonzero
+block: on the last `bernstein_sum` fit space, 61,088 of 62,128 pieces,
+whose entries take 2.6 MB where full patches took 8.5 MB.  Buffers of
+entries, sorted by cell, corner and function, come one from the level-0
+build and one per chunk of each advance, and an index gives each active
+cell its buffer and run (`SplineSpace`); `SplineSpace.pieces` expands a
+run to patches again.  Unsplit cells keep their runs, so spaces share
+buffers, and a buffer lives while any of its cells is unsplit.
+Subdivided cells are rewritten per kind, `_SPLIT_CELLS` (24) whole cells
+at a time, in one pass per chunk.  Memory bounds the chunk: on the last
+round of a deep fit the advance's heap peak is 1.18 times what it keeps
+at 16 cells, 1.20 at 24 and 1.33 at 32, past the bound 1.3 of its test
+in `tests/test_space.py`; fewer chunks make fewer buffers for the
+contraction and the gathers to walk.  The first two rows of a half-interval de
+Casteljau map read only the first two ordinates, and the last two only
+the last two, so an entry at a parent corner goes to the child at that
+corner as the split of its block alone (`bezier.split_corner_blocks`).
+A child corner at a new point gets no old entry where the point is a new
+basis vertex (the zeroing above), and where it is a T-junction the block
+there of the split of the parent's whole patch (`bezier.split_patches`,
+one matmul with the kind's Kronecker matrix), when nonzero.  The new
+vertices' functions are one block per support cell, batched outer
+products of univariate ordinates at the children's corners that are new
+basis vertices.  One stable sort by cell and corner merges the chunk's
+entries into its buffer.
 
 The four functions at a vertex reproduce arbitrary (value, d_s, d_t,
 d_st) data there, and all other functions carry zero data at that
@@ -64,9 +75,14 @@ Every evaluation in the package goes through one Bezier-extraction kernel
 (Borden, Scott, Evans and Hughes, 2011), kept here with the
 representation.  A field contracts its coefficients into one patch per
 active cell on first use and keeps them (`SplineField.patches`): the
-active cells of a buffer that carry one number of functions at once,
-from views of its arrays when none of its cells has split, other cells
-`_BLOCK` at a time, padded to the block's widest cell (`_padded`).
+active cells of a buffer at once, from views of its arrays when none of
+its cells has split, each corner's blocks summed in function order.
+Where every corner of the buffer's cells holds one number of entries
+that is one einsum per component, and otherwise one `np.bincount` that
+adds every term at its ordinate in entry order: both add the same terms
+in the same order as an einsum over whole patches, whose other terms are
+zeros.  The assembly and the Dirichlet fit pad pieces per block of
+`_BLOCK` cells instead (`_padded`).
 Patches are evaluated by a matmul with Bernstein tables: at local points
 shared by all cells (`SplineField.eval_grid`, the solver's Gauss points;
 `_bernstein_tables`, `_eval_patches`), or at scattered points with known
@@ -102,7 +118,7 @@ HERMITE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 _BLOCK = 64
 _CHUNK = 1024
 # subdivided cells split per chunk by the level advance
-_SPLIT_CELLS = 16
+_SPLIT_CELLS = 24
 
 
 class CollocationBlock:
@@ -136,11 +152,16 @@ class SplineSpace:
 
     * `vertices[k]` is the basis vertex whose slots 0-3 are the functions
       4k .. 4k + 3;
-    * the piece table: `buffers` holds (function ids (n,), Bezier patches
-      (n, 4, 4)) sorted by cell and then function, and `index` (3, cells
-      made so far) gives each active cell's buffer and first and end
-      piece.  Spaces share buffers, so nothing writes into them; `pieces`
-      reads them;
+    * the piece table: `buffers` holds entries (function ids (n,), corner
+      codes (n,), 2x2 blocks (n, 2, 2)) sorted by cell, then corner, then
+      function, and `index` (3, cells made so far) gives each active
+      cell's buffer and first and end entry.  An entry is a function's
+      nonzero ordinate block at one corner cs + 2 ct of a cell (cs = 1 at
+      the cell's high s end, ct = 1 at its high t end): the 2x2 block
+      nearest a corner is the function's Hermite data there, and a
+      function's data is zero at every basis vertex but its own, so
+      almost every piece has one nonzero block.  Spaces share buffers, so
+      nothing writes into them; `pieces` and `functions` read them;
     * `factors` is the collocation table (len(vertices), 2, 2, 2): row k
       holds the factors S and T of vertex k's collocation block kron(T, S)
       (see `CollocationBlock`).
@@ -164,28 +185,43 @@ class SplineSpace:
     def vertex_row(self):
         return {vid: k for k, vid in enumerate(self.vertices)}
 
-    def pieces(self, cids):
-        """The pieces of the active cells `cids`, in their order: (pieces
-        per cell (c,), function ids (n,), patches (n, 4, 4)), each cell's
-        ids ascending; gathered from the buffers, so nothing is shared."""
+    def _gather(self, cids, fields):
+        """The entries of the active cells `cids`, in their order: (entries
+        per cell (c,), [the buffer arrays `fields` (0 ids, 1 codes, 2
+        blocks) at those entries]), gathered, so nothing is shared."""
         buf, lo, hi = self.index[:, np.asarray(cids, dtype=np.intp).reshape(-1)]
         counts = hi - lo
         rows = _ranges(lo, hi)
-        used = set(buf[counts > 0].tolist())
-        if len(used) == 1:
-            fids, patches = self.buffers[used.pop()]
-            return counts, fids[rows], patches.take(rows, axis=0)
-        fids, patches = np.empty(len(rows), dtype=np.intp), np.empty((len(rows), 4, 4))
-        owner = np.repeat(buf, counts)
-        for b in used:
-            at = np.flatnonzero(owner == b)
-            fids[at] = self.buffers[b][0][rows[at]]
-            patches[at] = self.buffers[b][1].take(rows[at], axis=0)
-        return counts, fids, patches
+        out = [np.empty((len(rows),) + self.buffers[0][f].shape[1:], self.buffers[0][f].dtype)
+               for f in fields]
+        # one take per field from each run of cells that read one buffer;
+        # mode "clip" lets `take` write into `out` without a buffer
+        edges = ((buf[1:] != buf[:-1]).nonzero()[0] + 1).tolist()
+        runs = [0, *edges, len(buf)] if len(buf) else []
+        start = np.append(counts.cumsum() - counts, len(rows)).tolist()
+        for first, end in zip(runs, runs[1:]):
+            arrays, at = self.buffers[buf[first]], slice(start[first], start[end])
+            for got, f in zip(out, fields):
+                arrays[f].take(rows[at], axis=0, out=got[at], mode="clip")
+        return counts, out
+
+    def functions(self, cids):
+        """The functions on the active cells `cids`, in their order:
+        (functions per cell (c,), function ids (n,)), each cell's ids
+        ascending; the ids of `pieces` without the patches."""
+        counts, (fids,) = self._gather(cids, (0,))
+        return _piece_index(counts, fids)[:2]
+
+    def pieces(self, cids):
+        """The pieces of the active cells `cids`, in their order: (pieces
+        per cell (c,), function ids (n,), patches (n, 4, 4)), each cell's
+        ids ascending; the patches are the entries' blocks, zero elsewhere."""
+        counts, entries = self._gather(cids, (0, 1, 2))
+        return _expanded(counts, *entries)
 
     def functions_on_cells(self, cids):
         """The set of ids of the functions living on any of the cells."""
-        return set(self.pieces(list(cids))[1].tolist())
+        return set(self._gather(list(cids), (0,))[1][0].tolist())
 
     def basis_on_cell(self, cid, u, v, derivs=DERIV_ORDERS[:1]):
         """Evaluate all functions living on a cell at local points.
@@ -201,6 +237,33 @@ class SplineSpace:
         out = np.stack([_eval_patches(patches[None], tables, d, blk.width, blk.height)[0]
                         for d in derivs])
         return fids.tolist(), out
+
+
+def _piece_index(counts, fids):
+    """The pieces of the entries of c cells (entries per cell (c,),
+    function ids): (pieces per cell, their function ids, each cell's
+    ascending, and each entry's piece)."""
+    keys = (np.arange(len(counts)).repeat(counts) << 32) + fids
+    if (keys[1:] > keys[:-1]).all():        # one entry per piece, in order
+        return counts, fids, np.arange(len(keys))
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    piece = np.empty_like(order)
+    piece[order] = first.cumsum() - 1
+    keys = keys[first]
+    return np.bincount(keys >> 32, minlength=len(counts)), keys & 0xFFFFFFFF, piece
+
+
+def _expanded(counts, fids, codes, blocks):
+    """`SplineSpace.pieces` of the entries of c cells (entries per cell
+    (c,), function ids, corner codes, blocks)."""
+    per, ids, piece = _piece_index(counts, fids)
+    patches = np.zeros((len(ids), 4, 4))
+    patches.reshape(-1)[16 * piece[:, None] + bezier.CORNER_ORDINATES[codes]] = \
+        blocks.reshape(-1, 4)
+    return per, ids, patches
 
 
 # ----------------------------------------------------------------------
@@ -221,11 +284,24 @@ def _univariate_factors(lo, hi):
     return out.reshape(lo.shape + (2, 2))
 
 
+def _corner_incidence(mesh, cells, born):
+    """The corners of the cells `cells` (any shape) at the vertices `born`
+    (ascending ids): their mask (cells.shape + (4,)) and, in its order,
+    their rows of `born`, cell ids, corners cs + 2 ct and cells' (width,
+    height), rows of the mesh's `cell_table`."""
+    table = mesh.cell_table()
+    vids = table.corners[cells]
+    rows = np.searchsorted(born, vids)
+    hit = np.append(born, -1)[rows] == vids         # row len(born) matches no vertex
+    *at, corner = np.nonzero(hit)
+    cids = cells[tuple(at)]
+    return hit, (rows[hit], cids, corner, table.sizes[cids])
+
+
 def _births(mesh, cells, born):
     """Collocation factors and support cells of the basis vertices `born`
     (ascending ids), from one pass over the corners of `cells`, which must
-    hold every cell the vertices touch; corners and sizes are rows of the
-    mesh's `cell_table`.
+    hold every cell the vertices touch (`_corner_incidence`).
 
     Returns (factors, incidence).  factors (n, 2, 2, 2) holds each
     vertex's S and T (see `CollocationBlock`).  incidence has one entry per
@@ -240,15 +316,9 @@ def _births(mesh, cells, born):
     that breaks either rule.
     """
     born = np.asarray(born, dtype=np.intp)
-    cells = np.asarray(cells, dtype=np.intp)
-    table = mesh.cell_table()
-    vids = table.corners[cells]
-    at, corner = np.nonzero(np.isin(vids, born))
-    rows = np.searchsorted(born, vids[at, corner])
-    cids = cells[at]
-    order = np.lexsort((rows, cids))
-    rows, cids, corner = rows[order], cids[order], corner[order]
-    sizes = table.sizes[cids]
+    _, incidence = _corner_incidence(mesh, np.asarray(cells, dtype=np.intp), born)
+    order = np.lexsort(incidence[:2])
+    rows, cids, corner, sizes = (a[order] for a in incidence)
 
     pos = mesh.vertex_table()[born]
     on_edge = mesh.at_domain_ends(pos)
@@ -270,51 +340,87 @@ def _births(mesh, cells, born):
     return _univariate_factors(extent[..., 1], extent[..., 0]), (rows, cids, corner, sizes)
 
 
-def _ordinates_toward(pair, w, low):
-    """Cubic ordinates (e, 2, 4) on e cells of widths w of the two
-    univariate functions whose (value, slope) at the anchor endpoint are
-    pair[:, j] (e, 2, 2); the anchor is the cell's low end where `low`,
-    and both functions have zero value and slope at the other end."""
+def _anchor_ordinates(pair, w, high):
+    """The two cubic ordinates (e, 2, 2) nearest the anchor endpoint, in
+    order along the cell, of the two univariate functions on e cells of
+    widths w whose (value, slope) there are pair[:, j] (e, 2, 2); the
+    anchor is the cell's high end where `high`.  Both functions have zero
+    value and slope at the other end, so their other two ordinates are 0."""
     val, der = pair[..., 0], pair[..., 1]
-    w, low = w[:, None], low[:, None]
-    return np.stack([np.where(low, val, 0.0),
-                     np.where(low, val + der * w / 3.0, 0.0),
-                     np.where(low, 0.0, val - der * w / 3.0),
-                     np.where(low, 0.0, val)], axis=-1)
+    w, high = w[:, None], high[:, None]
+    return np.stack([np.where(high, val - der * w / 3.0, val),
+                     np.where(high, val, val + der * w / 3.0)], axis=-1)
 
 
 def _vertex_functions(first, factors, incidence):
     """The four functions of n vertices whose ids start at `first`, as
-    flat pieces (cell ids, function ids, patches), sorted by cell and then
-    function, from batched outer products of univariate ordinates; the
-    vertices' factors and incidence entries (any rows of the table of
-    `_births`, in its order) give them.  Slot k = sv + 2 tv takes the sv-th
-    s and the tv-th t function."""
+    entries (cell ids, function ids, corner codes, blocks), one block per
+    function at its vertex's corner of each support cell, from batched
+    outer products of univariate ordinates; the vertices' factors and
+    incidence entries (any rows of the table of `_births`, in its order)
+    give them.  Slot k = sv + 2 tv takes the sv-th s and the tv-th t
+    function."""
     rows, cids, corner, sizes = incidence
-    s_ord = _ordinates_toward(factors[rows, 0], sizes[:, 0], corner & 1 == 0)
-    t_ord = _ordinates_toward(factors[rows, 1], sizes[:, 1], corner < 2)
-    # (entry, tv, sv, 4, 4) -> (entry, slot, 4, 4)
-    patches = (t_ord[:, :, None, :, None] * s_ord[:, None, :, None, :]).reshape(-1, 4, 4)
+    s_ord = _anchor_ordinates(factors[rows, 0], sizes[:, 0], corner & 1 == 1)
+    t_ord = _anchor_ordinates(factors[rows, 1], sizes[:, 1], corner >= 2)
+    # (entry, tv, sv, 2, 2) -> (entry, slot, 2, 2)
+    blocks = (t_ord[:, :, None, :, None] * s_ord[:, None, :, None, :]).reshape(-1, 2, 2)
     fids = (first + 4 * rows[:, None] + np.arange(4)).reshape(-1)
-    return np.repeat(cids, 4), fids, patches
+    return np.repeat(cids, 4), fids, np.repeat(corner, 4).astype(np.int8), blocks
 
 
 def _place(index, b, keys, cells):
-    """Point the cells `keys` at their runs in buffer b, whose pieces have
+    """Point the cells `keys` at their runs in buffer b, whose entries have
     the sorted cell ids `cells`."""
     index[0, keys] = b
     index[1, keys] = np.searchsorted(cells, keys)
     index[2, keys] = np.searchsorted(cells, keys, side="right")
 
 
-def _split_pieces(space, chunk, kids, kind, corners):
-    """The live pieces (child ids, function ids, patches) of the cells
-    `chunk` split into `kids` (c, k), their `corners` blocks zeroed."""
-    counts, fids, patches = space.pieces(chunk)
+def _sorted_buffer(parts):
+    """One buffer of the entries `parts` [(cell ids, function ids, codes,
+    blocks)], and its entries' cell ids: a stable sort by cell and corner
+    keeps the ids ascending at each corner, as each part lists them so and
+    no two parts hold entries at one corner of one cell.  The fields are
+    joined and sorted one at a time, to bound the memory."""
+    cells = np.concatenate([part[0] for part in parts])
+    order = np.argsort(4 * cells + np.concatenate([part[2] for part in parts]), kind="stable")
+    return tuple(np.concatenate([part[f] for part in parts])[order] for f in (1, 2, 3)), \
+        cells[order]
+
+
+def _split_entries(space, chunk, kids, kind, flagged):
+    """The entries of the old functions on the children `kids` (c, k) of
+    the cells `chunk`, split as `kind`; `flagged` (c, k, 4) marks the
+    children's corners at new basis vertices, where the old functions get
+    no entry.
+
+    An entry at a parent corner goes to the child at that corner, its
+    block split alone (`bezier.split_corner_blocks`); a parent corner is an
+    old vertex, never a new basis vertex.  A child corner at a new point
+    that is no new basis vertex, a T-junction, gets its block from the
+    split of its parent's whole patch, where that block is nonzero."""
+    counts, (fids, codes, blocks) = space._gather(chunk, (0, 1, 2))
     owner = np.repeat(np.arange(len(chunk)), counts)
-    split = bezier.zero_corner_blocks(bezier.split_patches(patches, kind), corners[kids[owner]])
-    at, k = np.nonzero(split.any(axis=(2, 3)))
-    return kids[owner[at], k], fids[at], split[at, k]
+    parts = [(kids[owner, bezier.CORNER_CHILD[kind][codes]], fids, codes,
+              bezier.split_corner_blocks(blocks, codes, kind))]
+    # (child, corner) pairs at new points, and the chunk's T-junctions there
+    k, c = np.nonzero(bezier.CORNER_CHILD[kind] != np.arange(kids.shape[1])[:, None])
+    p, q = np.nonzero(~flagged[:, k, c])
+    if len(p):
+        parents = np.flatnonzero(np.bincount(p))
+        start = np.cumsum(counts) - counts
+        mine = _ranges(start[parents], start[parents] + counts[parents])
+        per, pf, patches = _expanded(counts[parents], fids[mine], codes[mine], blocks[mine])
+        split = bezier.split_patches(patches, kind).reshape(len(pf), -1, 2, 2, 2, 2)
+        at, end = np.searchsorted(parents, p), np.cumsum(per)
+        rows = _ranges((end - per)[at], end[at])
+        tj = np.repeat(np.arange(len(p)), per[at])
+        kk, cc = k[q[tj]], c[q[tj]].astype(np.int8)
+        got = split[rows, kk, cc >> 1, :, cc & 1, :]
+        live = got.any(axis=(1, 2))
+        parts.append((kids[p[tj], kk][live], pf[rows][live], cc[live], got[live]))
+    return parts
 
 
 def build_initial_space(mesh):
@@ -325,10 +431,10 @@ def build_initial_space(mesh):
     anchors = mesh.vertices()
     cells = np.array(mesh.active_cells(), dtype=np.intp)
     factors, incidence = _births(mesh, cells, anchors)
-    piece_cells, fids, patches = _vertex_functions(0, factors, incidence)
+    buffer, entry_cells = _sorted_buffer([_vertex_functions(0, factors, incidence)])
     index = np.zeros((3, len(cells)), dtype=np.intp)
-    _place(index, 0, cells, piece_cells)
-    space = SplineSpace(mesh, anchors, [(fids, patches)], index, factors)
+    _place(index, 0, cells, entry_cells)
+    space = SplineSpace(mesh, anchors, [buffer], index, factors)
     if space.dim != mesh.dimension():
         raise AssertionError("initial basis count disagrees with the dimension formula")
     return space
@@ -340,15 +446,19 @@ def build_initial_space(mesh):
 def advance_level(space, report):
     """Carry a spline space across one refinement round.
 
-    Existing functions whose support meets a subdivided cell get that
-    patch split and their ordinate blocks at the new basis vertices
-    zeroed; unsplit cells keep their runs in the buffers they point into.
-    The new basis vertices are born on the children of the subdivided
-    cells, which hold all their support: one `_births` pass gives their
-    factors, their four functions each and the corners to zero.
-    Subdivided cells are split per kind, `_SPLIT_CELLS` whole cells at a
-    time, and each chunk's live pieces and the newborn functions on its
-    children are merged into one new buffer.
+    Existing functions whose support meets a subdivided cell get their
+    entries there split onto the children and lose their blocks at the
+    new basis vertices, which the modification operator zeroes; unsplit
+    cells keep their runs in the buffers they point into.  A 2x2 corner
+    block is the Hermite data at that corner, and a split maps a parent
+    corner's block to the block of the child at that corner alone, so
+    only the T-junctions among the children's new corners read a parent's
+    whole patch (`_split_entries`).  The new basis vertices are born on
+    the children of the subdivided cells, which hold all their support:
+    one `_births` pass gives their factors, their four functions each, as
+    one block per support cell, and the corners they take.  Subdivided
+    cells are split per kind, `_SPLIT_CELLS` whole cells at a time, and
+    each chunk's entries are merged into one new buffer.
     """
     if not report.performed:
         return space
@@ -360,10 +470,14 @@ def advance_level(space, report):
     mesh = report.mesh_after
     split_info = report.performed
     born = report.new_basis_vertices
-    children = [kid for _, kids in split_info.values() for kid in kids]
-    factors, incidence = _births(mesh, children, born)
-    corners = np.zeros(max(children) + 1, dtype=np.intp)   # bit cs + 2 ct per corner at a new vertex
-    np.bitwise_or.at(corners, incidence[1], 1 << incidence[2])
+    # the full Eq.-(1) recount classifies every vertex on the lattice, at
+    # every level of every mesh
+    count, dim = 4 * (len(space.vertices) + len(born)), mesh.dimension()
+    if count != dim:
+        raise AssertionError(f"basis count {count} disagrees with dimension formula {dim}")
+    children = np.array([kid for _, kids in split_info.values() for kid in kids], dtype=np.intp)
+    factors = np.concatenate([space.factors, _births(mesh, children, born)[0]])
+    born_ids, born_factors = np.asarray(born, dtype=np.intp), factors[len(space.vertices):]
 
     active = np.array(mesh.active_cells(), dtype=np.intp)
     index = np.zeros((3, len(mesh.cell_bounds())), dtype=np.intp)
@@ -375,30 +489,19 @@ def advance_level(space, report):
         for lo in range(0, len(parents), _SPLIT_CELLS):
             chunk = parents[lo:lo + _SPLIT_CELLS]
             kids = np.array([split_info[cid][1] for cid in chunk], dtype=np.intp)
-            old = _split_pieces(space, chunk, kids, kind, corners)
-            # the newborn functions on the chunk's children: their rows of
-            # the incidence table, which is sorted by cell
-            flat = kids.ravel()
-            rows = _ranges(np.searchsorted(incidence[1], flat),
-                           np.searchsorted(incidence[1], flat, side="right"))
-            new = _vertex_functions(space.dim, factors, tuple(a[rows] for a in incidence))
-            # old ids ascend in parent order and new ids follow them, so a
-            # stable sort by cell leaves each cell's ids ascending
-            piece_cells = np.concatenate([old[0], new[0]])
-            order = np.argsort(piece_cells, kind="stable")
-            buffers.append(tuple(np.concatenate(parts)[order] for parts in zip(old[1:], new[1:])))
-            _place(index, len(buffers) - 1, flat, piece_cells[order])
+            # the children's corners at new basis vertices, where those
+            # vertices' functions are born
+            flagged, incidence = _corner_incidence(mesh, kids, born_ids)
+            new = _vertex_functions(space.dim, born_factors, incidence)
+            old = _split_entries(space, chunk, kids, kind, flagged)
+            buffer, cells = _sorted_buffer(old + [new])
+            buffers.append(buffer)
+            _place(index, len(buffers) - 1, kids.ravel(), cells)
     # drop the buffers no active cell points into any more
-    live, index[0, active] = np.unique(index[0, active], return_inverse=True)
-
-    out = SplineSpace(mesh, space.vertices + born, [buffers[b] for b in live.tolist()], index,
-                      np.concatenate([space.factors, factors]))
-    # the full Eq.-(1) recount classifies every vertex on the lattice, at
-    # every level of every mesh
-    dim = mesh.dimension()
-    if out.dim != dim:
-        raise AssertionError(f"basis count {out.dim} disagrees with dimension formula {dim}")
-    return out
+    read = np.bincount(index[0, active], minlength=len(buffers)) > 0
+    index[0, active] = (np.cumsum(read) - 1)[index[0, active]]
+    return SplineSpace(mesh, space.vertices + born, [buffers[b] for b in np.flatnonzero(read)],
+                       index, factors)
 
 
 # ----------------------------------------------------------------------
@@ -458,34 +561,39 @@ def _padded(counts, fids, patches):
     return padded_fids, padded_patches, valid
 
 
-def _contract(fids, patches, coefficients):
-    """Per-cell patches (c, ..., 4, 4) of scalar (n,) or point (n, m)
-    coefficients over c cells' function ids (c, F) and patches."""
-    return np.einsum("cfij,cf...->c...ij", patches, coefficients[fids])
-
-
 def _contract_active(space, coefficients):
     """`SplineField.patches`, buffer by buffer (see the module docstring)."""
     active = np.array(space.mesh.active_cells(), dtype=np.intp)
-    out = np.zeros((space.index.shape[1],) + coefficients.shape[1:] + (4, 4))
+    tail = coefficients.shape[1:]
+    components = coefficients.reshape(len(coefficients), -1).T
+    m = len(components)
+    ordinates = (16 * np.arange(m)[:, None] + bezier.CORNER_ORDINATES[:, None, :]).reshape(4, -1)
+    out = np.zeros((space.index.shape[1],) + tail + (4, 4))
     buf, lo, hi = space.index[:, active]
-    counts = hi - lo
-    order = np.argsort(buf, kind="stable")
-    ragged = np.ones(len(active), dtype=bool)
+    order = np.lexsort((lo, buf))
     for rows in np.split(order, np.flatnonzero(np.diff(buf[order])) + 1):
-        fids, patches = space.buffers[buf[rows[0]]]
-        width = counts[rows[0]]
-        if (counts[rows] == width).all():
-            if len(rows) * width < len(fids):            # some of the buffer's cells split
-                runs = _ranges(lo[rows], hi[rows])
-                fids, patches = fids[runs], patches.take(runs, axis=0)
-            out[active[rows]] = _contract(fids.reshape(len(rows), width),
-                                          patches.reshape(len(rows), width, 4, 4), coefficients)
-            ragged[rows] = False
-    ragged = active[ragged]
-    for sl in _blocks(len(ragged)):
-        fids, patches, _ = _padded(*space.pieces(ragged[sl]))
-        out[ragged[sl]] = _contract(fids, patches, coefficients)
+        fids, codes, blocks = space.buffers[buf[rows[0]]]
+        counts, c = hi[rows] - lo[rows], len(rows)
+        if counts.sum() < len(fids):            # some of the buffer's cells split
+            runs = _ranges(lo[rows], hi[rows])
+            fids, codes, blocks = fids[runs], codes[runs], blocks.take(runs, axis=0)
+        width = len(codes) // (4 * c)
+        if (counts == 4 * width).all() and \
+                (codes.reshape(c, 4, width) == np.arange(4)[:, None]).all():
+            # every corner holds `width` entries: one einsum per component,
+            # several times faster than one with the component axis
+            fids, blocks = fids.reshape(c, 4, width), blocks.reshape(c, 4, width, 2, 2)
+            got = np.empty((c, m, 2, 2, 2, 2))           # (cell, component, ct, i, cs, j)
+            for k, component in enumerate(components):
+                got[:, k] = np.einsum("cafij,caf->caij", blocks, component[fids]) \
+                    .reshape(c, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+        else:
+            # one bincount adds each ordinate's terms in entry order;
+            # ordinates[code] are a block's places in a cell's m patches
+            at = np.arange(0, 16 * m * c, 16 * m).repeat(counts)[:, None] + ordinates[codes]
+            terms = np.einsum("ek,ej->ekj", components.T[fids], blocks.reshape(-1, 4))
+            got = np.bincount(at.ravel(), terms.ravel(), minlength=16 * m * c)
+        out[active[rows]] = got.reshape((c,) + tail + (4, 4))
     return out
 
 

@@ -330,8 +330,9 @@ def supports(space):
 def from_supports(mesh, vertices, supports, factors=None):
     """The space whose function 4k + slot, at basis vertex vertices[k],
     has the patches supports[4k + slot] ({cell id: (4, 4) patch}), all
-    pieces in one buffer.  Without `factors` its collocation table is read
-    from the patches (`factors_from_patches`)."""
+    pieces in one buffer as their nonzero corner blocks.  Without
+    `factors` its collocation table is read from the patches
+    (`factors_from_patches`)."""
     if len(supports) != 4 * len(vertices):
         raise ValueError(f"{len(supports)} functions for {len(vertices)} basis vertices, "
                          f"expected four per vertex")
@@ -339,11 +340,16 @@ def from_supports(mesh, vertices, supports, factors=None):
         twice = next(v for k, v in enumerate(vertices) if v in vertices[:k])
         raise ValueError(f"basis vertex {twice} is listed twice")
     pieces = sorted((cid, fid) for fid, support in enumerate(supports) for cid in support)
-    cells = np.array([cid for cid, _ in pieces], dtype=np.intp)
-    buffer = (np.array([fid for _, fid in pieces], dtype=np.intp),
-              np.array([supports[fid][cid] for cid, fid in pieces], dtype=float).reshape(-1, 4, 4))
+    patches = np.array([supports[fid][cid] for cid, fid in pieces], dtype=float).reshape(-1, 4, 4)
+    # (piece, ct, i, cs, j) -> (piece, corner cs + 2 ct, i, j)
+    blocks = patches.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 2, 2)
+    at, code = np.nonzero(blocks.any(axis=(2, 3)))
+    cells = np.array([cid for cid, _ in pieces], dtype=np.intp)[at]
+    order = np.lexsort((code, cells))          # by cell, corner, function
+    fids = np.array([fid for _, fid in pieces], dtype=np.intp)[at]
+    buffer = (fids[order], code[order].astype(np.int8), blocks[at, code][order])
     index = np.zeros((3, len(mesh.cell_bounds())), dtype=np.intp)
-    _place(index, 0, np.unique(cells), cells)
+    _place(index, 0, np.unique(cells), cells[order])
     space = SplineSpace(mesh, list(vertices), [buffer], index,
                         np.zeros((len(vertices), 2, 2, 2)) if factors is None else factors)
     if factors is None:

@@ -30,7 +30,7 @@ def _reference_split_patch(p, kind):
 
 
 def _reference_zero_corner_block(p, corner):
-    """The per-patch zeroing the batched kernel replaced."""
+    """The per-patch zeroing of a corner block, for the reference level advance."""
     p = np.array(p, dtype=float, copy=True)
     cs, ct = corner
     for i in ((0, 1) if ct == 0 else (2, 3)):
@@ -225,37 +225,24 @@ def test_corner_data_rejects_degenerate_cell():
         bezier.corner_data(np.ones((4, 4)), (0, 0), 0.0, 1.0)
 
 
-def test_zero_corner_block():
-    P = np.ones((2, 4, 4))
-    q = bezier.zero_corner_blocks(P, [1, 0])
-    assert q[0, 0, 0] == q[0, 0, 1] == q[0, 1, 0] == q[0, 1, 1] == 0
-    assert q[0].sum() == 12
-    assert np.array_equal(q[1], P[1])
-    assert np.array_equal(P, np.ones((2, 4, 4)))       # a copy, the input is kept
-    assert np.allclose(bezier.corner_data(q[0], (0, 0), 1, 1), 0, atol=0)
-    # idempotent, zero stays zero
-    assert np.array_equal(bezier.zero_corner_blocks(q, [1, 1])[0], q[0])
-    z = np.zeros((1, 4, 4))
-    assert np.array_equal(bezier.zero_corner_blocks(z, [8]), z)
-
-
-def test_zero_corner_blocks_match_per_patch_reference():
-    # every corner code, i.e. every subset of the four corners, on
-    # patches with children axes; the per-patch rule writes +0.0 and
-    # copies the rest, as the boolean-matmul mask the keep table replaced
-    # did, so the bytes agree on inputs holding -0.0 too
-    rng = np.random.default_rng(9)
-    P = rng.uniform(-2, 2, size=(16, 3, 4, 4))
-    P[:, 0] = -0.0
-    P[:, 1][rng.uniform(size=(16, 4, 4)) < 0.5] = -0.0
-    got = bezier.zero_corner_blocks(P, np.broadcast_to(np.arange(16)[:, None], (16, 3)))
-    for m in range(16):
-        for c in range(3):
-            want = P[m, c]
-            for q in range(4):
-                if m >> q & 1:
-                    want = _reference_zero_corner_block(want, _CORNERS[q])
-            assert got[m, c].tobytes() == want.tobytes()
+@pytest.mark.parametrize("kind", ["H", "V", "C"])
+def test_split_corner_blocks_match_their_patches_split(kind):
+    # a child's block at a parent corner depends on the parent's block
+    # there alone, and is the same sum `split_patches` makes, so the
+    # values agree with the split of the whole patch
+    rng = np.random.default_rng(10)
+    P = rng.uniform(-2, 2, size=(40, 4, 4)) * 10.0 ** rng.integers(-3, 4, size=(40, 1, 1))
+    P[:5] = -0.0
+    codes = rng.integers(0, 4, size=40)
+    cs, ct = codes & 1, codes >> 1
+    blocks = P.reshape(40, 2, 2, 2, 2)[np.arange(40), ct, :, cs, :]
+    got = bezier.split_corner_blocks(blocks, codes, kind)
+    kids = bezier.split_patches(P, kind).reshape(40, -1, 2, 2, 2, 2)
+    want = kids[np.arange(40), bezier.CORNER_CHILD[kind][codes], ct, :, cs, :]
+    assert got.shape == (40, 2, 2) and np.array_equal(got, want)
+    # the child holding a corner lies on that corner's side of each cut
+    assert [{"H": t, "V": s, "C": s + 2 * t}[kind] for s, t in _CORNERS] == \
+        bezier.CORNER_CHILD[kind].tolist()
 
 
 def test_eval_patch_many_matches_scalar():

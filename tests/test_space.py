@@ -4,6 +4,7 @@ import copy
 import gc
 import json
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -491,9 +492,10 @@ def test_cell_table_invariants(start):
         # of one buffer do not overlap
         buf, lo, hi = s.index[:, mesh.active_cells()]
         assert set(buf.tolist()) == set(range(len(s.buffers)))
-        for b, (fids, patches) in enumerate(s.buffers):
+        for b, (fids, codes, blocks) in enumerate(s.buffers):
             runs = np.sort(np.stack([lo[buf == b], hi[buf == b]], axis=1), axis=0)
-            assert np.all(runs[1:, 0] >= runs[:-1, 1]) and runs[-1, 1] <= len(fids) == len(patches)
+            assert np.all(runs[1:, 0] >= runs[:-1, 1])
+            assert runs[-1, 1] <= len(fids) == len(codes) == len(blocks)
 
 
 def test_an_advance_keeps_only_the_buffers_active_cells_read():
@@ -792,8 +794,11 @@ def test_births_match_per_vertex_references(start):
     want, entries = _stacked(pieces), cell_entries(built)
     assert entries.keys() == want.keys()
     for cid, (fids, patches) in want.items():
+        # bitwise but for the sign of zero ordinates, which blocks do not keep
+        nonzero = patches != 0
         assert np.array_equal(entries[cid][0], fids)
-        assert entries[cid][1].tobytes() == patches.tobytes()
+        assert np.array_equal(entries[cid][1], patches)
+        assert entries[cid][1][nonzero].tobytes() == patches[nonzero].tobytes()
     for seed in range(3):
         steps, _ = _random_rounds(start, seed)
         for space, report in steps:
@@ -913,24 +918,32 @@ def test_advance_level_memory_stays_near_reference():
         assert got <= 1.10 * want, (got, want)
 
 
-def test_last_advance_of_a_deep_fit_peaks_near_what_it_keeps(monkeypatch):
-    # The fourth round of a 101 x 101 bernstein_sum fit splits all 256
-    # cells.  Merged per chunk of 16 cells, the advance's peak growth is
-    # 1.20 times the growth it leaves behind (its new buffers and index;
-    # 1.14 at 8 cells, 1.35 at 32); split pieces copied per child and then
-    # joined per cell to a round-wide batch of newborn functions, it was
-    # 1.80 times.
+@pytest.fixture(scope="module")
+def deep_fit_last_round():
+    """(space, report) of the fourth and last round of a 101 x 101
+    bernstein_sum fit, which splits all 256 cells of level 3."""
     rounds = []
 
     def recorded(space, report):
         rounds.append((space, report))
         return advance_level(space, report)
 
-    monkeypatch.setattr(fitting, "advance_level", recorded)
-    fit_surface(generate_test_model("bernstein_sum", (101, 101)),
-                FitConfig(tolerance=1e-3, max_levels=4))
-    space, report = rounds[-1]
-    assert len(rounds) == 4 and len(report.performed) == 256
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "advance_level", recorded)
+        fit_surface(generate_test_model("bernstein_sum", (101, 101)),
+                    FitConfig(tolerance=1e-3, max_levels=4))
+    assert len(rounds) == 4 and len(rounds[-1][1].performed) == 256
+    return rounds[-1]
+
+
+def test_last_advance_of_a_deep_fit_peaks_near_what_it_keeps(deep_fit_last_round):
+    # Merged per chunk of 24 cells, the advance's peak growth is 1.20
+    # times the growth it leaves behind (its new buffers and index; 1.10
+    # at 8 cells, 1.18 at 16, 1.33 at 32); with full patches in the
+    # buffers it was 1.20 at 16 cells, and split pieces copied per child
+    # and then joined per cell to a round-wide batch of newborn
+    # functions, 1.80.
+    space, report = deep_fit_last_round
     gc.collect()
     tracemalloc.start()
     try:
@@ -940,6 +953,64 @@ def test_last_advance_of_a_deep_fit_peaks_near_what_it_keeps(monkeypatch):
         tracemalloc.stop()
     assert kept.dim > space.dim
     assert peak <= 1.3 * grown, (peak, grown)
+
+
+def test_a_deep_fit_space_keeps_few_bytes_per_piece(deep_fit_last_round):
+    # A full piece is a function id and a 4x4 patch, 8 + 128 bytes.  The
+    # buffers hold a piece's nonzero corner blocks, almost always one, each
+    # with its id and corner: 0.30 of that here, and 0.31 on the active
+    # runs of the final five-level space of the benchmark's fit (2.59 MB
+    # for 62,128 pieces).
+    kept = advance_level(*deep_fit_last_round)
+    pieces = len(kept.functions(kept.mesh.active_cells())[1])
+    stored = sum(a.nbytes for arrays in kept.buffers for a in arrays)
+    assert stored <= 0.4 * (8 + 128) * pieces, (stored, pieces)
+
+
+def _assert_collocation_structure(space):
+    """Every piece has a nonzero 2x2 corner block; at a cell corner that
+    is basis vertex k the functions with a nonzero block are exactly
+    4k .. 4k + 3, so other functions' blocks lie at non-basis corners
+    only."""
+    active = space.mesh.active_cells()
+    counts, fids, patches = space.pieces(active)
+    # (piece, ct, i, cs, j) -> nonzero block per corner cs + 2 ct
+    nonzero = patches.reshape(-1, 2, 2, 2, 2).any(axis=(2, 4)).reshape(-1, 4)
+    assert nonzero.any(axis=1).all()
+    rows = np.full(len(space.mesh.vertex_table()), -1)
+    rows[space.vertices] = np.arange(len(space.vertices))
+    corner_rows = rows[space.mesh.cell_table().corners[active]]          # -1 off the basis
+    owner = np.repeat(np.arange(len(active)), counts)
+    own = fids[:, None] // 4 == corner_rows[owner]
+    assert not (nonzero & (corner_rows[owner] >= 0) & ~own).any()
+    assert nonzero[own].all()
+    per_corner = np.zeros(corner_rows.shape, dtype=np.intp)
+    np.add.at(per_corner, owner, own)
+    assert np.array_equal(per_corner, 4 * (corner_rows >= 0))
+
+
+@pytest.mark.parametrize("start", ["2x2", "10x10"])
+def test_pieces_hold_the_collocation_structure(start):
+    for seed in range(3):
+        steps, space = _random_rounds(start, seed)
+        for s in [step[0] for step in steps] + [space]:
+            _assert_collocation_structure(s)
+
+
+def test_a_fit_space_holds_the_collocation_structure():
+    field, _ = fit_surface(generate_test_model("bernstein_sum", (41, 41)),
+                           FitConfig(tolerance=1e-3, max_levels=3))
+    assert field.space.mesh.current_level == 3
+    _assert_collocation_structure(field.space)
+
+
+def test_only_the_space_module_reads_the_piece_table():
+    # the layout of the piece table stays behind `pieces`, `functions`,
+    # the contraction and the advance
+    package = Path(space_module.__file__).parent
+    readers = [path.name for path in sorted(package.glob("*.py"))
+               if re.search(r"\.(buffers|index)\b(?!\s*\()", path.read_text())]
+    assert readers == ["space.py"]
 
 
 # Functions on the refinement and level-advance paths whose coordinate work
