@@ -14,7 +14,7 @@ _SPLIT_LO = np.array([
     [1 / 8, 3 / 8, 3 / 8, 1 / 8],
 ])
 _SPLIT_HI = _SPLIT_LO[::-1, ::-1].copy()
-_CORNERS = [(0, 0), (1, 0), (0, 1), (1, 1)]        # flag order cs + 2 * ct
+_CORNERS = [(0, 0), (1, 0), (0, 1), (1, 1)]        # (cs, ct) in corner code order cs + 2 * ct
 
 
 def _reference_split_patch(p, kind):
