@@ -35,11 +35,21 @@ J^-1 at the points, the parameter Hessian only when the residual asks
 for the physical Laplacian, and the physical cell diameter: a Bezier
 patch interpolates its corner ordinates, so the corner images need no
 evaluation.  The cells with Neumann edge pieces are picked by lattice
-comparisons on the mesh's cell table.  The assembly pads each block's
-basis pieces from the space's piece table, and the estimator reads the
-solution's patches; they contract by einsums, except the stiffness:
-`_local_stiffness` forms each block's element matrices as one batched
+comparisons on the mesh's cell table.  The estimator reads the
+solution's patches and contracts them by einsums.  The assembly never
+forms the basis functions' patches.  It integrates on the 16 Bernstein
+polynomials of each cell and maps the result through the cell's
+extraction C (`SplineSpace.extraction`, one scatter of the cell's corner
+blocks; rows are its functions in whole vertex groups, padded to the
+block's widest cell), as in element-wise Bezier extraction
+K = C K_B C^T (Borden, Scott, Evans and Hughes, 2011).  J^-1 takes the
+cell's 1 / width and 1 / height, so the Bernstein derivative tables are
+shared by all cells, and `_local_stiffness` forms K_B by one batched
 matmul over the flattened (point, component) axis, which runs in BLAS.
+The loads are C times the Bernstein moments.  Each 4 x 4 vertex block of
+K is added into the data array of a block pattern made once per call
+(`_block_pattern`: the pairs of basis vertices that share a cell), and
+the block matrix is converted to CSR once.
 
 `adaptive_solve` hands each round's geometry to `assemble` as a
 `_RoundGeometry`.  The assembly's walk keeps every block there: the
@@ -60,20 +70,21 @@ structural: along a boundary edge the trace of the space is the Hermite
 interpolant of the boundary vertices' data, so the functions that do not
 vanish on a piece are the value and along-edge slope functions of its cell
 edge's end vertices.  Inhomogeneous data is fitted by least squares at 8
-points per piece, evaluated in one batch from the cells' patches.
+points per piece, in one batch: the Bernstein values there, mapped by
+the extraction of the pieces' cells.
 
 Blocks bound the memory of a walk.  At 24 x 24 cells and q = 5 the
-tracemalloc peak of `assemble` is 4.6 MiB with blocks of 64 cells and
-17.2 MiB with whole-mesh tables, 0.9 MiB against 5.1 MiB for
+tracemalloc peak of `assemble` is 2.3 MiB with blocks of 64 cells and
+11.6 MiB with whole-mesh tables, 0.9 MiB against 5.1 MiB for
 `error_indicators` with the exact error norms, and 0.6 MiB against
-2.7 MiB for `exact_error_norms`; the stiffness triplets themselves take
-2.3 MiB.  The kept blocks of a round add about 1 MiB there: one round of
-`adaptive_solve` peaks at 5.4 MiB, and the five rounds of
-`lshape_benchmark(4)` at 7.0 MiB (8.1 MiB with full 4x4 patches in the
-space's piece table).  To offset part of this, `_solve_round` holds no
-name on the full system, so the full stiffness matrix is released before
-SuperLU factors the reduced one, which `impose_boundary_conditions` hands
-over in CSC.
+2.7 MiB for `exact_error_norms`.  No stiffness triplets are made: the
+block pattern's data takes 0.65 MiB there, where the triplets of an
+assembly by functions took 2.3 MiB.  The kept blocks of a round add
+about 1 MiB: one round of `adaptive_solve` peaks at 4.1 MiB, and the
+five rounds of `lshape_benchmark(4)` at 5.7 MiB.  `_solve_round` holds
+no name on the full system, so the full stiffness matrix is released
+before SuperLU factors the reduced one, which
+`impose_boundary_conditions` hands over in CSC.
 """
 
 from __future__ import annotations
@@ -95,7 +106,7 @@ from .refine import RefinementRequest, refine
 from .reporting import _check_count, run_adaptive
 from .space import (
     DERIV_ORDERS, SplineField, _bernstein_tables, _blocks, _Cells, _eval_patches,
-    _inverse_2x2, _padded, advance_level,
+    _inverse_2x2, advance_level,
 )
 
 __all__ = [
@@ -195,6 +206,21 @@ class _Points:
     def eval(self, P, order):
         """d^(a+b)/ds^a dt^b of patches P (c, ..., 4, 4) -> (c, ..., n)."""
         return _eval_patches(P, self._tables, order, self._width, self._height)
+
+    def moments(self, w):
+        """The 16 Bernstein moments (c, 16), sum over points of B_a w, of
+        weights w (c, n)."""
+        return (self._tables[(0, 0)] @ w[..., None])[..., 0]
+
+    def gradients(self):
+        """The physical gradients (c, n, 2, 16) of the 16 Bernstein
+        polynomials: J^-1 takes the cells' 1 / width and 1 / height, so the
+        local derivative tables are shared, and one broadcast matmul
+        (c, n, 2, 2) @ (n, 2, 16) maps them."""
+        local = np.array([self._tables[(1, 0)], self._tables[(0, 1)]])       # (2, ., 16, n)
+        size = np.array([self._width, self._height]).T[:, None, :, None]
+        return (self.Jinv / size).swapaxes(-1, -2) @ \
+            np.ascontiguousarray(local.transpose(1, 3, 0, 2))
 
     @cached_property
     def H(self):
@@ -376,60 +402,66 @@ def assemble(space, geometry, problem, q=5):
 
     A_ij = integral grad(psi_i) . grad(psi_j) dx, F_i = integral f psi_i dx
     plus the Neumann boundary term, via q x q Gauss points per active cell
-    (q points per Neumann cell edge), pulled back with the geometry map.
+    (q points per Neumann cell edge), pulled back with the geometry map:
+    per cell K = C K_B C^T and C m from the Bernstein stiffness K_B and
+    moments m, added into a block pattern by 4 x 4 vertex blocks (see the
+    module docstring).
     """
     n = space.dim
-    rows, cols, vals, F = _element_contributions(space, geometry, problem, q)
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    A.sum_duplicates()
-    return A, F
-
-
-def _element_contributions(space, geometry, problem, q):
-    """Stiffness triplets, cell by cell in active order, and the load
-    vector.  The blocks' tables are released on return, before the
-    caller builds the sparse matrix."""
-    counts, _ = space.functions(space.mesh.active_cells())
-    total = int(np.sum(counts ** 2))
-    rows = np.empty(total, dtype=np.int32)
-    cols = np.empty(total, dtype=np.int32)
-    vals = np.empty(total)
-    F = np.zeros(space.dim)
+    columns, indptr, place = _block_pattern(space)
+    # a spare block and four spare functions take the padding's terms
+    data = np.zeros(16 * (len(columns) + 1))
+    F = np.zeros(n + 4)
+    slot = np.arange(4)
+    entry = 4 * slot[:, None, None] + slot          # of a block, in K's (s1, g2, s2) axes
     at = 0
     for blk in _cell_blocks(space, geometry, q, _neumann_segments(problem)):
-        fids, patches, valid = _padded(*space.pieces(blk.cells))
+        rows, C = space.extraction(blk.cells)
+        c, G = rows.shape
+        C = C.reshape(c, 4 * G, 16)
         g = blk.grid
-        # physical gradient: grad_x b = Jinv^T grad_param b
-        gp = np.stack([g.eval(patches, (1, 0)), g.eval(patches, (0, 1))], axis=-1)
-        gx = np.einsum("cfqp,cqpx->cfqx", gp, g.Jinv, optimize=True)
-        loc = _local_stiffness(gx, blk.wdet)
-        pair = valid[:, :, None] & valid[:, None, :]
-        m = int(np.count_nonzero(pair))
-        rows[at:at + m] = np.broadcast_to(fids[:, :, None], pair.shape)[pair]
-        cols[at:at + m] = np.broadcast_to(fids[:, None, :], pair.shape)[pair]
-        vals[at:at + m] = loc[pair]
-        at += m
-        fv = _at_points(problem.f, g.xy)
-        load = np.einsum("cfq,cq->cf", g.eval(patches, (0, 0)), fv * blk.wdet)
-        np.add.at(F, fids[valid], load[valid])
+        K = C @ _local_stiffness(g.gradients(), blk.wdet) @ C.transpose(0, 2, 1)
+        np.add.at(data, (16 * place[at:at + c, :G, None, :G, None] + entry).ravel(), K.ravel())
+        at += c
+        fids = (np.where(rows < 0, n, 4 * rows)[:, :, None] + slot).reshape(c, -1)
+        load = C @ g.moments(_at_points(problem.f, g.xy) * blk.wdet)[..., None]
+        np.add.at(F, fids.ravel(), load.ravel())
         e = blk.edges
         if e is not None:
-            gn = _at_points(problem.g_neumann, e.points.xy,
-                            e.normal[..., 0], e.normal[..., 1])
-            load = np.einsum("pfq,pq->pf", e.points.eval(patches[e.rows], (0, 0)),
-                             gn * e.arc_weights)
-            live = valid[e.rows]
-            np.add.at(F, fids[e.rows][live], load[live])
-    return rows, cols, vals, F
+            gn = _at_points(problem.g_neumann, e.points.xy, e.normal[..., 0], e.normal[..., 1])
+            load = C[e.rows] @ e.points.moments(gn * e.arc_weights)[..., None]
+            np.add.at(F, fids[e.rows].ravel(), load.ravel())
+    A = sp.bsr_matrix((data[:-16].reshape(-1, 4, 4), columns, indptr), shape=(n, n))
+    return A.tocsr(), F[:n]
+
+
+def _block_pattern(space):
+    """The pairs of basis vertices that share an active cell, as a BSR
+    pattern: (block columns (b,), row pointer (m + 1,) over the m basis
+    vertices, and place (cells, G, G), the block of the pair of each active
+    cell's groups g1 and g2, in the order of `SplineSpace.extraction`, or
+    b where either is padding)."""
+    rows = space.vertex_groups(space.mesh.active_cells())
+    m = len(space.vertices)
+    pair = (rows >= 0)[:, :, None] & (rows >= 0)[:, None, :]
+    keys = (rows[:, :, None] * m + rows[:, None, :])[pair]
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.append(True, keys[1:] != keys[:-1])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    keys = keys[first]
+    place = np.full(pair.shape, len(keys))
+    place[pair] = inverse
+    return keys % m, np.append(0, np.cumsum(np.bincount(keys // m, minlength=m))), place
 
 
 def _local_stiffness(gx, wdet):
-    """The cells' stiffness blocks loc[c, f, g] = sum over points n of
-    gx[c, f, n] . gx[c, g, n] wdet[c, n], as one batched matmul over the
-    flattened (point, component) axis."""
-    c, f = gx.shape[:2]
-    G = gx.reshape(c, f, -1)
-    return G @ (gx * wdet[:, None, :, None]).reshape(G.shape).transpose(0, 2, 1)
+    """The cells' stiffness matrices loc[c, a, b] = sum over points n of
+    gx[c, n, :, a] . gx[c, n, :, b] wdet[c, n], as one batched matmul over
+    the flattened (point, component) axis."""
+    G = gx.reshape(len(gx), -1, gx.shape[-1])
+    return G.transpose(0, 2, 1) @ (gx * wdet[:, :, None, None]).reshape(G.shape)
 
 
 class ConstrainedSystem:
@@ -475,16 +507,18 @@ def impose_boundary_conditions(system, space, geometry, problem):
     pinned, (cells, e, a, b) = _constrained_functions(space, problem)
     fixed = np.zeros(n)
     if problem.g_dirichlet is not None and len(pinned):
-        # all fit points in one batch: the pieces' cells' basis patches
-        # give the pinned functions' columns, `eval_located` the map
+        # all fit points in one batch: the Bernstein values there, mapped
+        # by the pieces' cells' extraction, give the pinned functions'
+        # columns, `eval_located` the map
         s, t = _piece_points(space.mesh, cells, e, a, b, _FIT_TICKS)
         blk = _Cells(space.mesh, cells)
-        fids, patches, valid = _padded(*space.pieces(cells))
+        rows, C = space.extraction(cells)
         u, v = blk.local(s, t, np.s_[:, None])
-        values = _eval_patches(patches, _bernstein_tables(u, v, ((0, 0),)), (0, 0),
-                               blk.width, blk.height)                    # (p, F, ticks)
+        values = C.reshape(len(cells), -1, 16) @ \
+            _bernstein_tables(u, v, ((0, 0),))[(0, 0)]                  # (p, F, ticks)
+        fids = (4 * rows[:, :, None] + np.arange(4)).reshape(len(cells), -1)
         col = np.searchsorted(pinned, fids).clip(max=len(pinned) - 1)
-        p, f = np.nonzero(valid & (pinned[col] == fids))
+        p, f = np.nonzero(np.repeat(rows >= 0, 4, axis=1) & (pinned[col] == fids))
         design = np.zeros(s.shape + (len(pinned),))
         design[p, :, col[p, f]] = values[p, f]
         xy = geometry.field.eval_located(np.repeat(cells, s.shape[1]), s, t)[0]

@@ -81,8 +81,10 @@ Where every corner of the buffer's cells holds one number of entries
 that is one einsum per component, and otherwise one `np.bincount` that
 adds every term at its ordinate in entry order: both add the same terms
 in the same order as an einsum over whole patches, whose other terms are
-zeros.  The assembly and the Dirichlet fit pad pieces per block of
-`_BLOCK` cells instead (`_padded`).
+zeros.  The assembly and the Dirichlet fit read the blocks instead as
+each cell's extraction matrix (`SplineSpace.extraction`): one row per
+function on the cell, in whole vertex groups padded to the widest cell
+of a block of `_BLOCK` cells, one column per ordinate.
 Patches are evaluated by a matmul with Bernstein tables: at local points
 shared by all cells (`SplineField.eval_grid`, the solver's Gauss points;
 `_bernstein_tables`, `_eval_patches`), or at scattered points with known
@@ -161,7 +163,8 @@ class SplineSpace:
       nearest a corner is the function's Hermite data there, and a
       function's data is zero at every basis vertex but its own, so
       almost every piece has one nonzero block.  Spaces share buffers, so
-      nothing writes into them; `pieces` and `functions` read them;
+      nothing writes into them; `pieces`, `functions` and `extraction`
+      read them;
     * `factors` is the collocation table (len(vertices), 2, 2, 2): row k
       holds the factors S and T of vertex k's collocation block kron(T, S)
       (see `CollocationBlock`).
@@ -223,6 +226,29 @@ class SplineSpace:
         """The set of ids of the functions living on any of the cells."""
         return set(self._gather(list(cids), (0,))[1][0].tolist())
 
+    def vertex_groups(self, cids):
+        """The basis-vertex rows k (c, G) of the function groups 4k .. 4k + 3
+        on the active cells `cids`, in their order: each cell's ascending,
+        padded with -1 to the widest cell.  The four functions of a vertex
+        share their nonzero corner blocks, so a cell carries whole groups;
+        an AssertionError names the first cell that does not."""
+        cids = np.asarray(cids, dtype=np.intp).reshape(-1)
+        return _groups(cids, *self.functions(cids))[0]
+
+    def extraction(self, cids):
+        """The Bezier extraction of the active cells `cids`, in their order:
+        (`vertex_groups` rows (c, G), and C (c, G, 4, 16), whose row [g,
+        slot] holds the ordinates of function 4 rows[g] + slot on the cell
+        in the row order of `_bernstein_tables`, zero on padding)."""
+        cids = np.asarray(cids, dtype=np.intp).reshape(-1)
+        counts, (fids, codes, blocks) = self._gather(cids, (0, 1, 2))
+        per, ids, piece = _piece_index(counts, fids)
+        rows, place = _groups(cids, per, ids)
+        C = np.zeros(rows.shape + (4, 16))
+        row = 4 * place[piece // 4] + fids % 4
+        C.reshape(-1)[16 * row[:, None] + bezier.CORNER_ORDINATES[codes]] = blocks.reshape(-1, 4)
+        return rows, C
+
     def basis_on_cell(self, cid, u, v, derivs=DERIV_ORDERS[:1]):
         """Evaluate all functions living on a cell at local points.
 
@@ -254,6 +280,31 @@ def _piece_index(counts, fids):
     piece[order] = first.cumsum() - 1
     keys = keys[first]
     return np.bincount(keys >> 32, minlength=len(counts)), keys & 0xFFFFFFFF, piece
+
+
+def _whole_groups(ids):
+    """Whether ascending function ids come in whole vertex groups 4k ..
+    4k + 3."""
+    return len(ids) % 4 == 0 and \
+        bool((ids.reshape(-1, 4) == (ids[::4] & ~3)[:, None] + np.arange(4)).all())
+
+
+def _groups(cids, per, ids):
+    """`SplineSpace.vertex_groups` of the cells `cids` with per (c,)
+    functions, of ids each cell's ascending, and each group's place in the
+    flattened rows."""
+    if (per % 4).any() or not _whole_groups(ids):
+        torn = next(cid for cid, got in zip(cids.tolist(), np.split(ids, np.cumsum(per)[:-1]))
+                    if not _whole_groups(got))
+        raise AssertionError(f"the functions on cell {torn} do not come in whole vertex groups")
+    # the cells' group j is group j - first[cell] of its own cell
+    groups = per // 4
+    G = groups.max(initial=0)
+    first = np.cumsum(groups) - groups
+    place = np.arange(len(ids) // 4) + np.repeat(G * np.arange(len(cids)) - first, groups)
+    rows = np.full((len(cids), G), -1, dtype=np.intp)
+    rows.reshape(-1)[place] = ids[::4] // 4
+    return rows, place
 
 
 def _expanded(counts, fids, codes, blocks):
@@ -545,20 +596,6 @@ def _eval_patches(P, tables, order, width, height):
     out = (P.reshape(len(P), -1, 16) @ tables[order]).reshape(P.shape[:-2] + (-1,))
     scale = width ** a * height ** b
     return out / scale.reshape((-1,) + (1,) * (out.ndim - 1))
-
-
-def _padded(counts, fids, patches):
-    """Pieces of `SplineSpace.pieces` as function ids (c, F), patches (c,
-    F, 4, 4) and the mask of real entries, padded to the widest cell;
-    padding has id 0 and a zero patch."""
-    valid = np.arange(counts.max(initial=0)) < counts[:, None]
-    if valid.all():
-        return fids.reshape(valid.shape), patches.reshape(valid.shape + (4, 4)), valid
-    padded_fids = np.zeros(valid.shape, dtype=np.intp)
-    padded_patches = np.zeros(valid.shape + (4, 4))
-    padded_fids[valid] = fids
-    padded_patches[valid] = patches
-    return padded_fids, padded_patches, valid
 
 
 def _contract_active(space, coefficients):

@@ -38,7 +38,7 @@ from anisoline.geometry import Geometry
 from anisoline.refine import _check_markable, _split, flood_fill_groups
 from anisoline.space import (
     DERIV_ORDERS, HERMITE_ORDERS, SplineField, SplineSpace, _bernstein_tables, _blocks,
-    _Cells, _eval_patches, _kron2, _padded, _place, field_from_vertex_data,
+    _Cells, _eval_patches, _kron2, _place, field_from_vertex_data,
 )
 from anisoline.tmesh import LATTICE_DEPTH, AdjacencyKind, TMesh, VertexKind, _unique_rows
 
@@ -239,6 +239,20 @@ def interior_edge_samples(mesh, n_per_edge=3):
                 s = lo + (hi - lo) * ticks
                 out.append((a, b, s, np.full_like(s, t_axis.float(max(ca.j0, cb.j0)))))
     return out
+
+
+def _padded(counts, fids, patches):
+    """Pieces of `SplineSpace.pieces` as function ids (c, F), patches (c,
+    F, 4, 4) and the mask of real entries, padded to the widest cell;
+    padding has id 0 and a zero patch."""
+    valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    if valid.all():
+        return fids.reshape(valid.shape), patches.reshape(valid.shape + (4, 4)), valid
+    padded_fids = np.zeros(valid.shape, dtype=np.intp)
+    padded_patches = np.zeros(valid.shape + (4, 4))
+    padded_fids[valid] = fids
+    padded_patches[valid] = patches
+    return padded_fids, padded_patches, valid
 
 
 def verify_space(space, n_samples=2000, seed=0):

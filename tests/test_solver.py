@@ -23,12 +23,14 @@ from anisoline.solver import (
     _cell_blocks, _constrained_functions, _gauss01, _solve_round,
 )
 from anisoline.space import (
-    SplineField, advance_level, build_initial_space, collocation_block,
+    SplineField, SplineSpace, advance_level, build_initial_space, collocation_block,
     field_from_vertex_data,
 )
 from anisoline.tmesh import create_tensor_mesh
-from oracles import from_supports, geometry_from_json, geometry_to_json, supports, vertex_at
-from test_space import permuted_space
+from oracles import (
+    from_supports, functions_on_cell, geometry_from_json, geometry_to_json, supports, vertex_at,
+)
+from test_space import _random_rounds as _hvc_rounds, permuted_space
 
 
 def unit_setup(n=1):
@@ -261,9 +263,10 @@ def test_homogeneous_pins_evaluate_no_basis(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a basis function or the map was evaluated")
 
-    # the Dirichlet fit's batch: the basis patches of the pieces' cells,
-    # their Bernstein weights, and the map
+    # the Dirichlet fit's batch: the extraction of the pieces' cells, the
+    # Bernstein weights, and the map
     monkeypatch.setattr(solver, "_Cells", refuse)
+    monkeypatch.setattr(SplineSpace, "extraction", refuse)
     monkeypatch.setattr(solver, "_bernstein_tables", refuse)
     monkeypatch.setattr(SplineField, "eval_located", refuse)
     system = impose_boundary_conditions((A, F), space, geometry, problem)
@@ -340,7 +343,7 @@ def test_solve_linear_paths():
 
 def _einsum_stiffness(gx, wdet):
     """The three-operand einsum that `solver._local_stiffness` replaced."""
-    return np.einsum("cfqx,cgqx,cq->cfg", gx, gx, wdet)
+    return np.einsum("cqxf,cqxg,cq->cfg", gx, gx, wdet)
 
 
 def _refined_once(build, label):
@@ -353,19 +356,25 @@ def _refined_once(build, label):
     return problem, geometry.advance(advance_level(geometry.space, rep))
 
 
-def _uneven_tmesh():
+def _dropped_pieces(functions):
     """The 4x4 square with one cell split crosswise, and a hand-built
-    solution space that drops every seventh function from one cell of its
-    support, so that the cells of a block carry different numbers of
-    functions.  Dropping pieces breaks the collocation data, which the
+    solution space that drops each of `functions(dim)` from the first cell
+    of its support.  Dropping pieces breaks the collocation data, which the
     stiffness does not read, so the space keeps the source's table."""
     problem, geometry = _refined_once(lambda: make_problem("square_sin", (4, 4)),
                                       lambda c: "C" if (c.s0, c.t0) == (0.25, 0.25) else None)
     space = geometry.space
     patches = supports(space)
-    for f in range(0, space.dim, 7):
+    for f in functions(space.dim):
         del patches[f][min(patches[f])]
     return problem, geometry, from_supports(space.mesh, space.vertices, patches, space.factors)
+
+
+def _uneven_tmesh():
+    """`_dropped_pieces` of the whole vertex group of every seventh basis
+    vertex, so that the cells of a block carry different numbers of
+    groups."""
+    return _dropped_pieces(lambda dim: [f for f in range(dim) if f // 4 % 7 == 0])
 
 
 _STIFFNESS_CASES = {
@@ -393,6 +402,21 @@ def test_stiffness_matches_einsum_oracle(monkeypatch, case):
     assert np.max(np.abs(A.data - A_ref.data)) <= 1e-13 * scale
     assert np.max(np.abs(F - F_ref)) <= 1e-13 * np.max(np.abs(F_ref))
     assert abs(A - A.T).max() <= 1e-14 * scale
+
+
+def test_assembly_names_a_cell_without_whole_vertex_groups():
+    # every seventh function of the second half dropped from one cell of
+    # its support tears the groups of several cells; the error names the
+    # first active one whose ids are no whole groups 4k .. 4k + 3
+    problem, geometry, space = _dropped_pieces(lambda dim: range(dim // 2, dim, 7))
+
+    def whole(ids):
+        return ids == [f // 4 * 4 + slot for f in ids[::4] for slot in range(4)]
+
+    torn = next(cid for cid in space.mesh.active_cells()
+                if not whole(functions_on_cell(space, cid)))
+    with pytest.raises(AssertionError, match=f"functions on cell {torn} do not come in whole"):
+        assemble(space, geometry, problem)
 
 
 def test_indicator_zero_for_exact_solution():
@@ -829,12 +853,23 @@ def _lshape_two_rounds():
     return problem, geometry
 
 
+def _square_sin_after_hvc_rounds():
+    """square_sin over the 10 x 10 start after the three random H/V/C
+    rounds of `test_space._random_rounds("10x10", 0)`: of its 998 cells, 83
+    carry 5 vertex groups and 3 carry 6, so the assembly pads groups."""
+    _, space = _hvc_rounds("10x10", 0)
+    groups = np.bincount((space.vertex_groups(space.mesh.active_cells()) >= 0).sum(axis=1))
+    assert groups[5:].tolist() == [83, 3]
+    return square_sin_problem(), linear_geometry(space)
+
+
 # 1x1: less than one block; 10x10: one full block and a partial one
 _KERNEL_CASES = {
     "1x1": lambda: make_problem("square_sin", (1, 1)),
     "10x10": lambda: make_problem("square_sin", (10, 10)),
     "24x24": lambda: make_problem("square_sin", (24, 24)),
     "lshape_two_rounds": _lshape_two_rounds,
+    "square_sin_hvc_rounds": _square_sin_after_hvc_rounds,
 }
 
 
@@ -1034,8 +1069,8 @@ def _round_objects():
 
 
 def test_a_solve_keeps_no_round_geometry():
-    # the kept blocks of the one round add about 1 MiB at this size: 5.2 MiB
-    # against 4.3 MiB with a second walk
+    # the kept blocks of the one round add about 1 MiB at this size, where
+    # the round peaks at 4.1 MiB (5.4 MiB with stiffness triplets)
     assert _peak_mib(adaptive_solve, *make_problem("square_sin", (24, 24)),
                      SolveConfig(max_levels=0)) <= 5.5
     before = _round_objects()
@@ -1070,11 +1105,11 @@ def _peak_mib(fn, *args, **kwargs):
 
 
 def test_kernel_memory_is_bounded_by_blocks():
-    # Whole-mesh tables would need about 17 MiB for `assemble`, 6.2 MiB for
+    # Whole-mesh tables would need about 12 MiB for `assemble`, 6.2 MiB for
     # `error_indicators` and 3.9 MiB for `exact_error_norms` at this size.
     problem, geometry = make_problem("square_sin", (24, 24))
     u_h = _solve_round(geometry.space, geometry, problem, SolveConfig(quadrature=5))
-    assert _peak_mib(assemble, geometry.space, geometry, problem, q=5) <= 6.0
+    assert _peak_mib(assemble, geometry.space, geometry, problem, q=5) <= 4.3
     assert _peak_mib(error_indicators, u_h, problem, q=5) <= 2.0
     assert _peak_mib(exact_error_norms, u_h, q=5) <= 2.0
 

@@ -29,6 +29,7 @@ from oracles import (
     supports, verify_space, vertex_at,
 )
 from test_bezier import _reference_split_patch, _reference_zero_corner_block
+from test_pinned_outputs import RUNS as PINNED_RUNS
 
 
 def make_space(seed=0, start=(2, 2), depth=0, max_marks=6):
@@ -165,6 +166,15 @@ def test_no_module_evaluates_one_cell_at_a_time():
     callers = [path.name for path in sorted(package.glob("*.py"))
                if ".basis_on_cell(" in path.read_text()]
     assert callers == []
+
+
+def test_only_the_space_module_expands_pieces():
+    # the solver reads the corner blocks through `SplineSpace.extraction`;
+    # full 4x4 pieces are left to `basis_on_cell` and the oracles
+    package = Path(space_module.__file__).parent
+    callers = [path.name for path in sorted(package.glob("*.py"))
+               if ".pieces(" in path.read_text()]
+    assert callers == ["space.py"]
 
 
 def test_initial_space_sixteen_per_cell():
@@ -995,6 +1005,31 @@ def test_pieces_hold_the_collocation_structure(start):
         steps, space = _random_rounds(start, seed)
         for s in [step[0] for step in steps] + [space]:
             _assert_collocation_structure(s)
+
+
+def _assert_whole_vertex_groups(space):
+    """Every active cell's function ids come in whole vertex groups 4k ..
+    4k + 3, which `SplineSpace.extraction` and the assembly rest on."""
+    active = space.mesh.active_cells()
+    per, ids = space.functions(active)
+    for cid, got in zip(active, np.split(ids, np.cumsum(per)[:-1])):
+        groups = np.unique(got // 4)
+        assert got.tolist() == (4 * groups[:, None] + np.arange(4)).ravel().tolist(), cid
+
+
+@pytest.mark.parametrize("start", list(_STARTS))
+def test_cells_carry_whole_vertex_groups(start):
+    for seed in range(3):
+        steps, space = _random_rounds(start, seed)
+        for s in [step[0] for step in steps] + [space]:
+            _assert_whole_vertex_groups(s)
+
+
+@pytest.mark.parametrize("run", ["cone_101", "bernstein_sum_101", "lshape_benchmark",
+                                 "square_sin_24"])
+def test_benchmark_spaces_carry_whole_vertex_groups(run):
+    # the final spaces of the benchmark's four workloads
+    _assert_whole_vertex_groups(PINNED_RUNS[run]("modified")[0].space)
 
 
 def test_a_fit_space_holds_the_collocation_structure():
