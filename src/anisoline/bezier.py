@@ -6,9 +6,10 @@ and ``j`` the s direction (column 0 at s_min):
 
     p(u, v) = sum_ij b[i, j] * B3_j(u) * B3_i(v),   (u, v) in [0,1]^2.
 
-Ordinates may be scalar or carry a trailing component axis (vector-valued
-patches), i.e. arrays of shape (4, 4) or (4, 4, m).  All operations are
-pure; callers apply the cell-size chain rule for global derivatives.
+The splits act on stacks of patches (n, 4, 4) and of their corner blocks
+(n, 2, 2); a vector-valued patch splits as one scalar patch per
+component.  All operations are pure; callers apply the cell-size chain
+rule for global derivatives.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "bernstein_row", "eval_patch", "split_patches", "split_corner_blocks",
-    "corner_data", "CORNER_CHILD", "CORNER_ORDINATES",
+    "bernstein_row", "split_patches", "split_corner_blocks", "CORNER_CHILD", "CORNER_ORDINATES",
 ]
 
 # de Casteljau halving of a cubic: rows give child ordinates from parent ones
@@ -79,17 +79,6 @@ def bernstein_row(u, order=0):
     return row
 
 
-def eval_patch(p, u, v, deriv=(0, 0)):
-    """Evaluate d^(a+b) p / du^a dv^b at one local point, a + b <= 2."""
-    a, b = deriv
-    if a + b > 2 or a < 0 or b < 0:
-        raise ValueError(f"derivative order {deriv} exceeds 2")
-    p = np.asarray(p, dtype=float)
-    bu = bernstein_row(u, a)
-    bv = bernstein_row(v, b)
-    return np.einsum("ij...,j,i->...", p, bu, bv)
-
-
 def split_patches(P, kind):
     """Split patches P (n, 4, 4) at the parameter midpoint.
 
@@ -123,36 +112,3 @@ def split_corner_blocks(B, codes, kind):
     the same sum as `split_patches` makes of it.
     """
     return np.matmul(B.reshape(-1, 1, 4), _CORNER_MAPS[kind][codes]).reshape(-1, 2, 2)
-
-
-def _corner_indices(corner):
-    """Row/column index pairs of the 2x2 ordinate block nearest a corner.
-
-    `corner` is (cs, ct) with cs = 0 at s_min, 1 at s_max; ct likewise for t.
-    """
-    cs, ct = corner
-    rows = (0, 1) if ct == 0 else (2, 3)
-    cols = (0, 1) if cs == 0 else (2, 3)
-    return rows, cols
-
-
-def corner_data(p, corner, w, h):
-    """(f, f_s, f_t, f_st) of the patch at a cell corner, in global units.
-
-    w, h are the owning cell's width and height; the data depends only on
-    the 2x2 ordinate block nearest the corner.
-    """
-    if w <= 0 or h <= 0:
-        raise ValueError(f"cell dimensions must be positive, got ({w}, {h})")
-    p = np.asarray(p, dtype=float)
-    cs, ct = corner
-    rows, cols = _corner_indices(corner)
-    i0, i1 = rows if ct == 0 else rows[::-1]   # i0 at the corner, i1 inward
-    j0, j1 = cols if cs == 0 else cols[::-1]
-    ss = 1.0 if cs == 0 else -1.0
-    st = 1.0 if ct == 0 else -1.0
-    f = p[i0, j0]
-    f_s = 3.0 * ss * (p[i0, j1] - p[i0, j0]) / w
-    f_t = 3.0 * st * (p[i1, j0] - p[i0, j0]) / h
-    f_st = 9.0 * ss * st * (p[i1, j1] - p[i1, j0] - p[i0, j1] + p[i0, j0]) / (w * h)
-    return np.array([f, f_s, f_t, f_st]) if np.ndim(f) == 0 else np.stack([f, f_s, f_t, f_st])

@@ -46,9 +46,6 @@ class Geometry:
         """Same map, represented in a once-refined space."""
         return Geometry(transfer_field(self.field, new_space), self.degenerate_params)
 
-    def point(self, s, t):
-        return self.field.value(s, t)
-
     def derivatives_on_cell(self, cid, s, t):
         """Map values, Jacobians and parameter Hessians at points of one cell.
 

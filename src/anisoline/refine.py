@@ -97,22 +97,6 @@ class RefinementReport:
     def transition_count(self):
         return len(self.t_to_crossing)
 
-    def to_json_dict(self):
-        after = self.mesh_after
-        return {
-            "level": self.level,
-            "groups": [list(g.members) for g in self.groups],
-            "proposed_labels": {str(k): v for k, v in sorted(self.proposed_labels.items())},
-            "final_labels": {str(k): v for k, v in sorted(self.final_labels.items())},
-            "performed": {str(k): {"kind": kind, "children": list(kids)}
-                          for k, (kind, kids) in sorted(self.performed.items())},
-            "new_basis_vertices": [
-                {"id": vid, "position": list(after.vertex(vid).position_float())}
-                for vid in self.new_basis_vertices],
-            "cell_new_basis": {str(k): list(v) for k, v in sorted(self.cell_new_basis.items())},
-            "t_to_crossing_count": self.transition_count,
-        }
-
 
 def _check_markable(mesh, marked):
     cids = np.asarray(marked, dtype=np.int64)

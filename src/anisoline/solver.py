@@ -118,7 +118,7 @@ __all__ = [
 # The boundary edges by code, the order of the lattice columns i0, i1, j0,
 # j1 they lie on: name, outward parameter normal, the slots not vanishing
 # along it (value 0, slope d_t = 2 on s-edges or d_s = 1 on t-edges) and a
-# cell's end vertices on it, as indexes into `TMesh.corner_vertices`.
+# cell's end vertices on it, as indexes into a row of the cell table's `corners`.
 _EDGE_TABLE = (
     ("s0", (-1.0, 0.0), (0, 2), (0, 2)),
     ("s1", (1.0, 0.0), (0, 2), (1, 3)),
@@ -270,6 +270,8 @@ class _CellBlock(_Cells):
         self.diameter = np.sqrt(np.max(np.sum(gaps ** 2, axis=1), axis=(1, 2)))
 
         self.edges = None
+        if not neumann:
+            return
         rows, e, a, b = _boundary_pieces(space.mesh, self.cells, neumann)
         if not len(rows):
             return

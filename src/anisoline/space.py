@@ -31,15 +31,15 @@ multi-level Bezier extraction (D'Angella, Kollmannsberger, Rank and
 Reali, 2018), as entries of corner blocks: a piece (a function's patch on
 a cell) is stored as its nonzero 2x2 ordinate blocks, each with the
 corner cs + 2 ct it sits at.  The block nearest a corner is the
-function's Hermite data there (`bezier.corner_data` reads only it), and
-each function's data is zero at every basis vertex but its own, so on a
-cell whose corners are all basis vertices each piece has one nonzero
-block: on the last `bernstein_sum` fit space, 61,088 of 62,128 pieces,
+function's Hermite data there (its value, first derivatives and twist
+read only that block), and each function's data is zero at every basis
+vertex but its own, so on a cell whose corners are all basis vertices
+each piece has one nonzero block: on the last `bernstein_sum` fit space, 61,088 of 62,128 pieces,
 whose entries take 2.6 MB where full patches took 8.5 MB.  Buffers of
 entries, sorted by cell, corner and function, come one from the level-0
 build and one per chunk of each advance, and an index gives each active
-cell its buffer and run (`SplineSpace`); `SplineSpace.pieces` expands a
-run to patches again.  Unsplit cells keep their runs, so spaces share
+cell its buffer and run (`SplineSpace`); `SplineSpace.extraction` expands
+runs to patches again.  Unsplit cells keep their runs, so spaces share
 buffers, and a buffer lives while any of its cells is unsplit.
 Subdivided cells are rewritten per kind, `_SPLIT_CELLS` (24) whole cells
 at a time, in one pass per chunk.  Memory bounds the chunk: on the last
@@ -163,8 +163,7 @@ class SplineSpace:
       nearest a corner is the function's Hermite data there, and a
       function's data is zero at every basis vertex but its own, so
       almost every piece has one nonzero block.  Spaces share buffers, so
-      nothing writes into them; `pieces`, `functions` and `extraction`
-      read them;
+      nothing writes into them; `functions` and `extraction` read them;
     * `factors` is the collocation table (len(vertices), 2, 2, 2): row k
       holds the factors S and T of vertex k's collocation block kron(T, S)
       (see `CollocationBlock`).
@@ -211,16 +210,9 @@ class SplineSpace:
     def functions(self, cids):
         """The functions on the active cells `cids`, in their order:
         (functions per cell (c,), function ids (n,)), each cell's ids
-        ascending; the ids of `pieces` without the patches."""
+        ascending."""
         counts, (fids,) = self._gather(cids, (0,))
         return _piece_index(counts, fids)[:2]
-
-    def pieces(self, cids):
-        """The pieces of the active cells `cids`, in their order: (pieces
-        per cell (c,), function ids (n,), patches (n, 4, 4)), each cell's
-        ids ascending; the patches are the entries' blocks, zero elsewhere."""
-        counts, entries = self._gather(cids, (0, 1, 2))
-        return _expanded(counts, *entries)
 
     def functions_on_cells(self, cids):
         """The set of ids of the functions living on any of the cells."""
@@ -241,13 +233,8 @@ class SplineSpace:
         slot] holds the ordinates of function 4 rows[g] + slot on the cell
         in the row order of `_bernstein_tables`, zero on padding)."""
         cids = np.asarray(cids, dtype=np.intp).reshape(-1)
-        counts, (fids, codes, blocks) = self._gather(cids, (0, 1, 2))
-        per, ids, piece = _piece_index(counts, fids)
-        rows, place = _groups(cids, per, ids)
-        C = np.zeros(rows.shape + (4, 16))
-        row = 4 * place[piece // 4] + fids % 4
-        C.reshape(-1)[16 * row[:, None] + bezier.CORNER_ORDINATES[codes]] = blocks.reshape(-1, 4)
-        return rows, C
+        counts, entries = self._gather(cids, (0, 1, 2))
+        return _extraction(cids, counts, *entries)
 
     def basis_on_cell(self, cid, u, v, derivs=DERIV_ORDERS[:1]):
         """Evaluate all functions living on a cell at local points.
@@ -256,13 +243,13 @@ class SplineSpace:
         (function ids, array of shape (nderivs, nf, npts)) with
         derivatives already in global parameter units.
         """
-        _, fids, patches = self.pieces([cid])
+        (rows,), C = self.extraction([cid])       # one cell: no padding
         blk = _Cells(self.mesh, [cid])
         tables = _bernstein_tables(np.atleast_1d(np.asarray(u, dtype=float))[None],
                                    np.atleast_1d(np.asarray(v, dtype=float))[None], derivs)
-        out = np.stack([_eval_patches(patches[None], tables, d, blk.width, blk.height)[0]
+        out = np.stack([_eval_patches(C.reshape(1, -1, 4, 4), tables, d, blk.width, blk.height)[0]
                         for d in derivs])
-        return fids.tolist(), out
+        return (4 * rows[:, None] + np.arange(4)).ravel().tolist(), out
 
 
 def _piece_index(counts, fids):
@@ -307,14 +294,16 @@ def _groups(cids, per, ids):
     return rows, place
 
 
-def _expanded(counts, fids, codes, blocks):
-    """`SplineSpace.pieces` of the entries of c cells (entries per cell
-    (c,), function ids, corner codes, blocks)."""
+def _extraction(cids, counts, fids, codes, blocks):
+    """`SplineSpace.extraction` of the cells `cids` from their gathered
+    entries (entries per cell (c,), function ids, corner codes, blocks):
+    the one place that expands corner blocks to patches."""
     per, ids, piece = _piece_index(counts, fids)
-    patches = np.zeros((len(ids), 4, 4))
-    patches.reshape(-1)[16 * piece[:, None] + bezier.CORNER_ORDINATES[codes]] = \
-        blocks.reshape(-1, 4)
-    return per, ids, patches
+    rows, place = _groups(cids, per, ids)
+    C = np.zeros(rows.shape + (4, 16))
+    row = 4 * place[piece // 4] + fids % 4
+    C.reshape(-1)[16 * row[:, None] + bezier.CORNER_ORDINATES[codes]] = blocks.reshape(-1, 4)
+    return rows, C
 
 
 # ----------------------------------------------------------------------
@@ -462,8 +451,13 @@ def _split_entries(space, chunk, kids, kind, flagged):
         parents = np.flatnonzero(np.bincount(p))
         start = np.cumsum(counts) - counts
         mine = _ranges(start[parents], start[parents] + counts[parents])
-        per, pf, patches = _expanded(counts[parents], fids[mine], codes[mine], blocks[mine])
-        split = bezier.split_patches(patches, kind).reshape(len(pf), -1, 2, 2, 2, 2)
+        groups, C = _extraction(np.asarray(chunk)[parents], counts[parents], fids[mine],
+                                codes[mine], blocks[mine])
+        real = groups >= 0
+        per = 4 * real.sum(axis=1)
+        pf = (4 * groups[real][:, None] + np.arange(4)).ravel()
+        split = bezier.split_patches(C[real].reshape(-1, 4, 4), kind) \
+            .reshape(len(pf), -1, 2, 2, 2, 2)
         at, end = np.searchsorted(parents, p), np.cumsum(per)
         rows = _ranges((end - per)[at], end[at])
         tj = np.repeat(np.arange(len(p)), per[at])
@@ -477,7 +471,7 @@ def _split_entries(space, chunk, kids, kind, flagged):
 def build_initial_space(mesh):
     """Tensor-product C1 bicubic basis on a level-0 tensor mesh: the birth
     rule with every cell and every vertex born."""
-    if mesh.generation_log:
+    if len(mesh.active_cells()) < len(mesh.cell_bounds()):
         raise ValueError("initial space requires a pure tensor-product mesh")
     anchors = mesh.vertices()
     cells = np.array(mesh.active_cells(), dtype=np.intp)
@@ -812,10 +806,6 @@ class SplineField:
                 if a or b:
                     got /= scale[k][rows].reshape((-1,) + (1,) * len(tail))
         return out
-
-    def value(self, s, t):
-        out = self.eval_many([s], [t])[0, 0]
-        return float(out) if self.arity is None else out
 
 
 def transfer_field(field, new_space):

@@ -48,10 +48,10 @@ found by the same descent, kept as CSR in both orders, which
 
 The level-0 knots stay exact :class:`fractions.Fraction` values, in one
 axis table per direction (:class:`Axis`) shared by a mesh and its copies.
-It caches the exact value of each lattice coordinate the views and the
-JSON format read, and derives floats and location thresholds in integer
-arithmetic: a split, once per distinct new coordinate, never from float
-midpoints.  A cell's float width is its span's times a power of two.
+It caches the exact value of each lattice coordinate the views read, and
+derives floats and location thresholds in integer arithmetic: a split,
+once per distinct new coordinate, never from float midpoints.  A cell's
+float width is its span's times a power of two.
 
 Point location (:meth:`TMesh.locate_many`) compares float parameters
 against the smallest float >= each level-0 knot and split midpoint: for a
@@ -63,12 +63,11 @@ edges are the largest floats <= them, for the same reason.
 
 from __future__ import annotations
 
-import json
 import math
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -336,7 +335,7 @@ class CellTable(NamedTuple):
     """Per-cell columns of a mesh, row `cid` for cell `cid`, over every
     cell made so far (active or not)."""
     lattice: np.ndarray              # (n, 4) int64: i0, i1, j0, j1
-    corners: np.ndarray              # (n, 4) vertex ids, as `TMesh.corner_vertices`
+    corners: np.ndarray              # (n, 4) vertex ids at (s0, t0), (s1, t0), (s0, t1), (s1, t1)
     sizes: np.ndarray                # (n, 2) float width and height, as `Cell.size_float`
 
 
@@ -365,9 +364,12 @@ def _descend(kids, s, t, s_cuts, t_cuts, s_mid, t_mid, start=None):
 
 
 class TMesh:
-    """Leveled T-mesh with exact coordinates and full subdivision history.
-    Reading is safe from any number of threads, while :meth:`split_many`
-    needs exclusive access; :meth:`copy` leaves the original untouched."""
+    """Leveled T-mesh with exact coordinates.  The cell table is the
+    subdivision history: each subdivided cell keeps its level and its split
+    label, and the children of a split take the next ids, so the splits in
+    order are the subdivided cells by their first child's id.  Reading is
+    safe from any number of threads, while :meth:`split_many` needs
+    exclusive access; :meth:`copy` leaves the original untouched."""
 
     def __init__(self, s_knots, t_knots):
         s_knots = [Fraction(x) for x in s_knots]
@@ -380,7 +382,6 @@ class TMesh:
         self.axes = (Axis(s_knots), Axis(t_knots))
         self.domain = (s_knots[0], s_knots[-1], t_knots[0], t_knots[-1])
         self.current_level = 0
-        self.generation_log = []
         self._locator = self._incidence = None
 
         # cells row by row and vertices line by line, s fastest: cell
@@ -440,7 +441,6 @@ class TMesh:
     def copy(self):
         m = object.__new__(TMesh)
         m.__dict__.update(self.__dict__)
-        m.generation_log = list(self.generation_log)
         # a split writes these in place; the others grow into new arrays
         m._kids, m._label, m._dirs = self._kids.copy(), self._label.copy(), self._dirs.copy()
         m._locator = m._incidence = None
@@ -458,11 +458,6 @@ class TMesh:
         if not 0 <= vid < self._next_vert:
             raise KeyError(f"unknown vertex id {vid}")
         return Vertex(self, int(vid))
-
-    def corner_vertices(self, cid):
-        """Vertex ids at a cell's corners: (s0, t0), (s1, t0), (s0, t1), (s1, t1)."""
-        self.cell(cid)
-        return tuple(self._corners[cid].tolist())
 
     def cell_table(self):
         """The `CellTable` of every cell made so far.  Its rows never
@@ -497,13 +492,6 @@ class TMesh:
             self.vertex(vid)                    # raises the KeyError
         return cells[start[vid]:start[vid + 1]].tolist()
 
-    def cell_vertices(self, cid):
-        """Ids of vertices on the closed boundary of an active cell, ascending."""
-        _, _, start, verts = self._incidence_tables()
-        if not (0 <= cid < len(start) - 1 and start[cid] < start[cid + 1]):
-            self._active_cell(cid)              # raises the KeyError or ValueError
-        return verts[start[cid]:start[cid + 1]].tolist()
-
     def _active_cell(self, cid):
         c = self.cell(cid)
         if not c.active:
@@ -526,7 +514,8 @@ class TMesh:
                                     & (j >= 0) & (j < self.axes[1].end))
             cids = _descend(kids, i[inside], j[inside], *lattice)
             # the distinct (vertex, cell) pairs, by vertex and then cell
-            vids, cids = np.divmod(np.unique((inside >> 2) * n + cids), n)
+            keys = np.sort((inside >> 2) * n + cids)
+            vids, cids = np.divmod(keys[np.append(True, keys[1:] != keys[:-1])], n)
             by_cell = np.argsort(cids, kind="stable")
             csr = (np.searchsorted(vids, np.arange(len(vij) + 1)), cids,
                    np.searchsorted(cids[by_cell], np.arange(n + 1)), vids[by_cell])
@@ -678,7 +667,7 @@ class TMesh:
         children, bottom first), 'V' a vertical one (left first), 'C' a
         cross (bottom-left, bottom-right, top-left, top-right).  A new cut
         vertex takes its id and the cells' level + 1 where it first appears.
-        Records each kind as the cell's `label` and in the generation log.
+        Records each kind as the cell's `label`.
         Returns (children, cuts): per cell, its child ids and the vertex ids
         at its cut points, in `cut_rule` order.  Nothing is written unless
         every cell can be split; the first that cannot raises (`_refuse`).
@@ -717,8 +706,6 @@ class TMesh:
                            least[o, [0, 1], box[:, ::2]], self.current_level + 1, cids[owner])
         self._kids[cids[owner], slot] = kids
         self._label[cids] = codes + 1
-        self.generation_log += [(self.current_level, cid, kind)
-                                for cid, kind in zip(cids.tolist(), kinds)]
         self._locator = self._incidence = None
         return _per_owner(kids, owner, n), _per_owner(vid, cut_owner, n)
 
@@ -816,13 +803,6 @@ class TMesh:
                            f"disagrees with its incident cells ({dirs:04b})")
             if dirs.bit_count() < (2 if boundary[vid] else 3):
                 out.append(f"vertex {vid}: grid-line endpoint not on two grid lines")
-        last = 0
-        for lvl, cid, _ in self.generation_log:
-            if lvl < last:
-                out.append("generation log levels decrease")
-            last = max(last, lvl)
-            if 0 <= cid < self._next_cell and self._level[cid] != lvl:
-                out.append(f"log entry for cell {cid}: level mismatch")
         return out
 
     def _overlaps(self, cids):
@@ -841,25 +821,6 @@ class TMesh:
         pairs = np.sort(np.stack([k[hit], m[hit]], axis=1), axis=1)
         return pairs[np.unique(pairs[:, 0] * len(cids) + pairs[:, 1], return_index=True)[1]]
 
-    def replay(self):
-        """Rebuild this mesh from its initial grid and generation log."""
-        return self._replayed(self.axes[0].knots, self.axes[1].knots,
-                              self.generation_log, self.current_level)
-
-    @classmethod
-    def _replayed(cls, s_knots, t_knots, log, level):
-        """The grid on the knots after the (level, cell id, kind) splits of
-        `log`, advanced to `level`: one batch per run of equal levels."""
-        m = cls(s_knots, t_knots)
-        for lvl, entries in groupby(log, key=lambda entry: entry[0]):
-            while m.current_level < lvl:
-                m.advance_current_level()
-            _, cids, kinds = zip(*entries)
-            m.split_many(cids, kinds)
-        while m.current_level < level:
-            m.advance_current_level()
-        return m
-
     def same_structure(self, other):
         """True when both meshes have identical cell and vertex sets."""
         # the level-0 cells are the knot spans: other knots, other cells
@@ -872,35 +833,6 @@ class TMesh:
 
         return (np.array_equal(cells(self), cells(other))
                 and np.array_equal(np.unique(self._vtable, axis=0), np.unique(other._vtable, axis=0)))
-
-    # ------------------------------------------------------------------
-    # serialization
-
-    def to_json_dict(self):
-        s0, s1, t0, t1 = self.domain
-        cells = [{"id": c.id, "bounds": [str(x) for x in c.bounds], "level": c.level,
-                  "state": "Active" if c.active else "Subdivided", "label": c.label}
-                 for c in map(self.cell, range(self._next_cell))]
-        return {
-            "domain": [str(s0), str(s1), str(t0), str(t1)],
-            "s_knots": [str(x) for x in self.axes[0].knots],
-            "t_knots": [str(x) for x in self.axes[1].knots],
-            "current_level": self.current_level,
-            "cells": cells,
-            "log": [[lvl, cid, kind] for (lvl, cid, kind) in self.generation_log],
-        }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_json_dict(), **kw)
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls._replayed([Fraction(x) for x in d["s_knots"]], [Fraction(x) for x in d["t_knots"]],
-                             d["log"], d.get("current_level", 0))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
 
 
 def create_tensor_mesh(ns, nt, domain=(0.0, 1.0, 0.0, 1.0)):

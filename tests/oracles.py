@@ -12,16 +12,25 @@ The per-item mesh queries are references for the batched ones of
 :mod:`anisoline.tmesh`, kept apart from the code they check:
 `adjacency` classifies two cells from their lattice bounds,
 `edge_neighbors` counts the vertices a cell shares with each other cell,
-and `vertex_at` and `vertices_at` find vertices by exact or lattice
-position.
+`cell_vertices` and `corner_vertices` read one cell's row of the
+incidence and of the cell table, and `vertex_at` and `vertices_at` find
+vertices by exact or lattice position.
+
+A mesh's split history is its cell table: `split_log` reads the splits
+in order, as the subdivided cells by their first child's id, each with
+its level and label.  `replayed` splits a fresh grid by such a log, and
+the mesh JSON (`mesh_to_json_dict` and its companions) writes the cells
+and the log, and loads by replaying the log.
 
 The per-cell and per-function views of a space, its patch-scanning
 collocation table and its JSON form are read from the piece table through
-`SplineSpace.pieces`: `cell_entries` gives the {cell: (function ids,
-patches)} dict the table replaced, `supports` the {cell: patch} dict of
-every function, and `from_supports` builds a space back, its collocation
-table read from the patches' corner data (`factors_from_patches`).  The
-JSON files of spaces, fields and geometries are written per function
+`pieces`, the extraction's rows as functions and patches:
+`cell_entries` gives the {cell: (function ids, patches)} dict the table
+replaced, `supports` the {cell: patch} dict of every function, and
+`from_supports` builds a space back, its collocation table read from the
+patches' corner data (`corner_data`, with the scalar evaluation
+`eval_patch` a reference for the batched Bernstein kernels).  The JSON
+files of spaces, fields and geometries are written per function
 (`space_to_json_dict` and its companions).
 """
 
@@ -30,6 +39,7 @@ from bisect import bisect_right
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -106,10 +116,86 @@ def edge_neighbors(mesh, cid):
     """The set of active cells sharing a positive-length edge piece
     with the active cell `cid`: the cells holding two or more of its
     vertices (the ends of a shared piece; a corner touch shares one)."""
-    shared = Counter(n for vid in mesh.cell_vertices(cid) for n in mesh.vertex_cells(vid))
+    shared = Counter(n for vid in cell_vertices(mesh, cid) for n in mesh.vertex_cells(vid))
     del shared[cid]
     return {n for n, k in shared.items() if k > 1}
 
+
+def cell_vertices(mesh, cid):
+    """Ids of the vertices on the closed boundary of an active cell,
+    ascending: its row of the incidence."""
+    mesh._active_cell(cid)
+    _, _, start, verts = mesh._incidence_tables()
+    return verts[start[cid]:start[cid + 1]].tolist()
+
+
+def corner_vertices(mesh, cid):
+    """Vertex ids at a cell's corners: (s0, t0), (s1, t0), (s0, t1), (s1, t1)."""
+    mesh.cell(cid)
+    return tuple(mesh.cell_table().corners[cid].tolist())
+
+
+# ----------------------------------------------------------------------
+# the split history and the mesh JSON
+
+def split_log(mesh):
+    """The (level, cell id, kind) of every split in split order: the
+    children of a split take the next ids, so the subdivided cells by
+    their first child's id."""
+    cells = [mesh.cell(cid) for cid in range(len(mesh.cell_bounds()))]
+    split = sorted((c for c in cells if not c.active), key=lambda c: c.children[0])
+    return [(c.level, c.id, c.label) for c in split]
+
+
+def replayed(s_knots, t_knots, log, level):
+    """The grid on the knots after the (level, cell id, kind) splits of
+    `log`, advanced to `level`: one batch per run of equal levels."""
+    m = TMesh(s_knots, t_knots)
+    for lvl, entries in groupby(log, key=lambda entry: entry[0]):
+        while m.current_level < lvl:
+            m.advance_current_level()
+        _, cids, kinds = zip(*entries)
+        m.split_many(cids, kinds)
+    while m.current_level < level:
+        m.advance_current_level()
+    return m
+
+
+def replay(mesh):
+    """Rebuild a mesh from its level-0 knots and its `split_log`."""
+    return replayed(mesh.axes[0].knots, mesh.axes[1].knots, split_log(mesh), mesh.current_level)
+
+
+def mesh_to_json_dict(mesh):
+    s0, s1, t0, t1 = mesh.domain
+    cells = [{"id": c.id, "bounds": [str(x) for x in c.bounds], "level": c.level,
+              "state": "Active" if c.active else "Subdivided", "label": c.label}
+             for c in map(mesh.cell, range(len(mesh.cell_bounds())))]
+    return {
+        "domain": [str(s0), str(s1), str(t0), str(t1)],
+        "s_knots": [str(x) for x in mesh.axes[0].knots],
+        "t_knots": [str(x) for x in mesh.axes[1].knots],
+        "current_level": mesh.current_level,
+        "cells": cells,
+        "log": [list(entry) for entry in split_log(mesh)],
+    }
+
+
+def mesh_to_json(mesh, **kw):
+    return json.dumps(mesh_to_json_dict(mesh), **kw)
+
+
+def mesh_from_json_dict(d):
+    return replayed([Fraction(x) for x in d["s_knots"]], [Fraction(x) for x in d["t_knots"]],
+                    d["log"], d.get("current_level", 0))
+
+
+def mesh_from_json(text):
+    return mesh_from_json_dict(json.loads(text))
+
+
+# ----------------------------------------------------------------------
+# refinement references
 
 def naive_subdivide(mesh, request):
     """Split marked cells exactly as labeled, skipping the strategy.
@@ -241,20 +327,6 @@ def interior_edge_samples(mesh, n_per_edge=3):
     return out
 
 
-def _padded(counts, fids, patches):
-    """Pieces of `SplineSpace.pieces` as function ids (c, F), patches (c,
-    F, 4, 4) and the mask of real entries, padded to the widest cell;
-    padding has id 0 and a zero patch."""
-    valid = np.arange(counts.max(initial=0)) < counts[:, None]
-    if valid.all():
-        return fids.reshape(valid.shape), patches.reshape(valid.shape + (4, 4)), valid
-    padded_fids = np.zeros(valid.shape, dtype=np.intp)
-    padded_patches = np.zeros(valid.shape + (4, 4))
-    padded_fids[valid] = fids
-    padded_patches[valid] = patches
-    return padded_fids, padded_patches, valid
-
-
 def verify_space(space, n_samples=2000, seed=0):
     """Numerical health report of a spline space.
 
@@ -278,17 +350,18 @@ def verify_space(space, n_samples=2000, seed=0):
     min_val = np.inf
     for sl in _blocks(len(act)):
         blk = _Cells(mesh, act[sl])
-        _, patches, valid = _padded(*space.pieces(act[sl]))
-        vals = _eval_patches(patches, _bernstein_tables(u[sl], v[sl], ((0, 0),)),
-                             (0, 0), blk.width, blk.height)
-        min_val = min(min_val, float(vals[valid].min(initial=np.inf)))
+        rows, C = space.extraction(act[sl])
+        vals = _eval_patches(C.reshape(len(rows), -1, 4, 4),
+                             _bernstein_tables(u[sl], v[sl], ((0, 0),)), (0, 0), blk.width, blk.height)
+        # four functions per group row, none on padding
+        min_val = min(min_val, float(vals[np.repeat(rows >= 0, 4, axis=1)].min(initial=np.inf)))
 
     field = SplineField(space, rng.standard_normal(space.dim))
     scale = max(abs(float(x)) for x in field.coefficients) or 1.0
-    pieces = interior_edge_samples(mesh)
+    edges = interior_edge_samples(mesh)
     c1_jump = 0.0
-    if pieces:
-        a, b, es, et = (np.concatenate([np.broadcast_to(p[k], p[2].shape) for p in pieces])
+    if edges:
+        a, b, es, et = (np.concatenate([np.broadcast_to(p[k], p[2].shape) for p in edges])
                         for k in range(4))
         jump = field.eval_located(a, es, et, DERIV_ORDERS[:3]) - \
             field.eval_located(b, es, et, DERIV_ORDERS[:3])
@@ -315,18 +388,74 @@ def verify_space(space, n_samples=2000, seed=0):
 
 
 # ----------------------------------------------------------------------
+# scalar references for the Bernstein kernels
+
+def eval_patch(p, u, v, deriv=(0, 0)):
+    """Evaluate d^(a+b) p / du^a dv^b of a patch p (4, 4) or (4, 4, m) at
+    one local point, a + b <= 2."""
+    a, b = deriv
+    if a + b > 2 or a < 0 or b < 0:
+        raise ValueError(f"derivative order {deriv} exceeds 2")
+    p = np.asarray(p, dtype=float)
+    return np.einsum("ij...,j,i->...", p, bezier.bernstein_row(u, a), bezier.bernstein_row(v, b))
+
+
+def corner_indices(corner):
+    """Row/column index pairs of the 2x2 ordinate block nearest a corner.
+
+    `corner` is (cs, ct) with cs = 0 at s_min, 1 at s_max; ct likewise for t.
+    """
+    cs, ct = corner
+    rows = (0, 1) if ct == 0 else (2, 3)
+    cols = (0, 1) if cs == 0 else (2, 3)
+    return rows, cols
+
+
+def corner_data(p, corner, w, h):
+    """(f, f_s, f_t, f_st) of the patch at a cell corner, in global units.
+
+    w, h are the owning cell's width and height; the data depends only on
+    the 2x2 ordinate block nearest the corner.
+    """
+    if w <= 0 or h <= 0:
+        raise ValueError(f"cell dimensions must be positive, got ({w}, {h})")
+    p = np.asarray(p, dtype=float)
+    cs, ct = corner
+    rows, cols = corner_indices(corner)
+    i0, i1 = rows if ct == 0 else rows[::-1]   # i0 at the corner, i1 inward
+    j0, j1 = cols if cs == 0 else cols[::-1]
+    ss = 1.0 if cs == 0 else -1.0
+    st = 1.0 if ct == 0 else -1.0
+    f = p[i0, j0]
+    f_s = 3.0 * ss * (p[i0, j1] - p[i0, j0]) / w
+    f_t = 3.0 * st * (p[i1, j0] - p[i0, j0]) / h
+    f_st = 9.0 * ss * st * (p[i1, j1] - p[i1, j0] - p[i0, j1] + p[i0, j0]) / (w * h)
+    return np.array([f, f_s, f_t, f_st]) if np.ndim(f) == 0 else np.stack([f, f_s, f_t, f_st])
+
+
+# ----------------------------------------------------------------------
 # per-cell and per-function views of a space, and its JSON form
+
+def pieces(space, cids):
+    """The pieces of the active cells `cids`, in their order: (pieces per
+    cell (c,), function ids (n,), patches (n, 4, 4)), each cell's ids
+    ascending, read off `SplineSpace.extraction` without its padding."""
+    rows, C = space.extraction(cids)
+    real = rows >= 0
+    return (4 * real.sum(axis=1), (4 * rows[real][:, None] + np.arange(4)).ravel(),
+            C[real].reshape(-1, 4, 4))
+
 
 def functions_on_cell(space, cid):
     """The ids of the functions living on one active cell, ascending."""
-    return space.pieces([cid])[1].tolist()
+    return space.functions([cid])[1].tolist()
 
 
 def cell_entries(space):
     """{active cell id: (function ids (F,), patches (F, 4, 4))}, the
     per-cell dict the piece table replaced."""
     active = space.mesh.active_cells()
-    counts, fids, patches = space.pieces(active)
+    counts, fids, patches = pieces(space, active)
     cut = np.cumsum(counts)[:-1]
     return dict(zip(active, zip(np.split(fids, cut), np.split(patches, cut))))
 
@@ -376,12 +505,12 @@ def basis_data_at_vertex(space, fid, vid):
     v = space.mesh.vertex(vid)
     for cid in space.mesh.vertex_cells(vid):
         c = space.mesh.cell(cid)
-        _, fids, patches = space.pieces([cid])
+        _, fids, patches = pieces(space, [cid])
         k = np.searchsorted(fids, fid)
         if k < len(fids) and fids[k] == fid and \
                 v.i in (c.i0, c.i1) and v.j in (c.j0, c.j1):
             corner = (0 if v.i == c.i0 else 1, 0 if v.j == c.j0 else 1)
-            return bezier.corner_data(patches[k], corner, *c.size_float())
+            return corner_data(patches[k], corner, *c.size_float())
     return np.zeros(4)
 
 
@@ -410,7 +539,7 @@ def factors_from_patches(space):
 
 def space_to_json_dict(space):
     return {
-        "mesh": space.mesh.to_json_dict(),
+        "mesh": mesh_to_json_dict(space.mesh),
         "functions": [
             {"anchor": space.vertices[fid // 4], "slot": fid % 4,
              "birth_level": space.mesh.vertex(space.vertices[fid // 4]).level,
@@ -423,7 +552,7 @@ def space_to_json_dict(space):
 def space_from_json_dict(d):
     """The space of `space_to_json_dict`: four functions per basis vertex,
     in slot order, or a ValueError names the first out of place."""
-    mesh = TMesh.from_json_dict(d["mesh"])
+    mesh = mesh_from_json_dict(d["mesh"])
     records = d["functions"]
     vertices = [fd["anchor"] for fd in records[::4]]
     for fid, fd in enumerate(records):

@@ -23,7 +23,7 @@ from anisoline.space import (
     collocation_block,
 )
 from anisoline.tmesh import VertexKind, create_tensor_mesh
-from oracles import ring_expand, vertex_at
+from oracles import cell_vertices, pieces, ring_expand, vertex_at
 
 
 def test_generate_models():
@@ -294,7 +294,7 @@ def test_estimates_match_per_vertex_reference(name, block, monkeypatch):
         cells = sorted({c for h in hoods for c in h})
         assert (counts[cells] <= 9).any() and (counts[cells] > 9).any()
         assert {int(np.count_nonzero(counts[h])) for h in hoods} >= {2, 3, 4}
-        corners = {mesh.classify_vertex(v) for c in cells for v in mesh.cell_vertices(c)}
+        corners = {mesh.classify_vertex(v) for c in cells for v in cell_vertices(mesh, c)}
         assert {VertexKind.BOUNDARY, VertexKind.T_JUNCTION} <= corners
         assert fits[0][0] == fits[1][0] == "_CellHoods" and fits[1][2] > 0    # a ring
         assert not got_warned
@@ -368,13 +368,13 @@ def test_stale_points_and_vertices_match_the_per_item_loops(monkeypatch):
         assert np.array_equal(moved.cell_of, want)
         old_mesh, expected = rrep.mesh_before, set(rrep.new_basis_vertices)
         for parent in rrep.performed:
-            for vid in old_mesh.cell_vertices(parent):
+            for vid in cell_vertices(old_mesh, parent):
                 if vid in space.vertex_row and vid not in expected:
                     if all(c in rrep.performed for c in old_mesh.vertex_cells(vid)):
                         expected.add(vid)
         assert vids == sorted(expected)
         kept |= any(vid in space.vertex_row and vid not in expected
-                    for parent in rrep.performed for vid in old_mesh.cell_vertices(parent))
+                    for parent in rrep.performed for vid in cell_vertices(old_mesh, parent))
     assert kept
 
 
@@ -625,7 +625,7 @@ def _reference_eval_on_cell(field, cid, s, t, derivs):
     w, h = float(c.width), float(c.height)
     u = (np.asarray(s, dtype=float) - float(c.s0)) / w
     v = (np.asarray(t, dtype=float) - float(c.t0)) / h
-    _, fids, patches = space.pieces([cid])
+    _, fids, patches = pieces(space, [cid])
     fids = fids.tolist()
     vals = np.zeros((len(derivs), len(fids), u.size))
     if fids:

@@ -10,7 +10,8 @@ from anisoline.refine import (
 )
 from anisoline.tmesh import AdjacencyKind, VertexKind, create_tensor_mesh
 from oracles import (
-    Contact, adjacency, check_refinement_invariants, edge_neighbors, naive_subdivide, vertex_at,
+    Contact, adjacency, check_refinement_invariants, edge_neighbors, mesh_to_json, naive_subdivide,
+    vertex_at,
 )
 from test_tmesh import LATTICE_STARTS, census_kinds
 
@@ -362,7 +363,7 @@ def test_refine_deterministic():
         req = RefinementRequest({c: lab for c, lab in
                                  zip(m.active_cells(), "HHVVCCHVC")})
         out, rep = refine(m, req)
-        return out.to_json(), str(rep.to_json_dict())
+        return mesh_to_json(out), repr(rep)
     assert run() == run()
 
 

@@ -28,7 +28,8 @@ from anisoline.space import (
 )
 from anisoline.tmesh import create_tensor_mesh
 from oracles import (
-    from_supports, functions_on_cell, geometry_from_json, geometry_to_json, supports, vertex_at,
+    from_supports, functions_on_cell, geometry_from_json, geometry_to_json, pieces, supports,
+    vertex_at,
 )
 from test_space import _random_rounds as _hvc_rounds, permuted_space
 
@@ -285,7 +286,7 @@ def test_impose_fits_inhomogeneous_data():
         for (s, t) in ((0.0, tt), (1.0, tt), (tt, 0.0), (tt, 1.0)):
             want = problem.u_exact(s, t)  # identity geometry
             # only pinned functions are nonzero on the boundary
-            got = field.value(s, t)
+            got = field.eval_many(s, t)[0, 0]
             assert got == pytest.approx(float(want), abs=1e-8)
 
 
@@ -386,13 +387,34 @@ _STIFFNESS_CASES = {
 }
 
 
+def test_walks_without_neumann_segments_skip_the_boundary_pieces(monkeypatch):
+    # square_sin has Dirichlet edges only: its walks look up no edge pieces,
+    # while the L-shape's Neumann walk looks them up once per block
+    solution, _ = adaptive_solve(*make_problem("square_sin", (12, 12)), SolveConfig(max_levels=0))
+    lshape, lgeo = lshape_benchmark(4)
+    calls = []
+
+    def counted(mesh, cids, segments):
+        calls.append(len(cids))
+        return _boundary_pieces(mesh, cids, segments)
+
+    monkeypatch.setattr(solver, "_boundary_pieces", counted)
+    blocks = list(_cell_blocks(solution.space, solution.geometry, 5,
+                               solver._neumann_segments(solution.problem)))
+    exact_error_norms(solution)
+    assert len(blocks) > 1 and all(blk.edges is None for blk in blocks)
+    assert calls == []
+    blocks = list(_cell_blocks(lgeo.space, lgeo, 5, solver._neumann_segments(lshape)))
+    assert calls == [len(blk.cells) for blk in blocks]
+
+
 @pytest.mark.parametrize("case", sorted(_STIFFNESS_CASES))
 def test_stiffness_matches_einsum_oracle(monkeypatch, case):
     problem, geometry, space = _STIFFNESS_CASES[case]()
     space = space or geometry.space
     blocks = list(_cell_blocks(space, geometry, 5, solver._neumann_segments(problem)))
     assert any(blk.edges is not None for blk in blocks) == (case == "lshape_refined")
-    assert any(len(set(space.pieces(blk.cells)[0].tolist())) > 1
+    assert any(len(set(pieces(space, blk.cells)[0].tolist())) > 1
                for blk in blocks) == (case == "uneven_tmesh")
     A, F = assemble(space, geometry, problem)
     monkeypatch.setattr(solver, "_local_stiffness", _einsum_stiffness)
@@ -526,14 +548,14 @@ def test_lshape_exact_solution_values():
 
 def test_lshape_geometry_shape():
     geo = lshape_geometry(4)
-    assert geo.point(0.5, 0.0) == pytest.approx([0.0, 0.0], abs=1e-12)
-    assert geo.point(0.5, 1.0) == pytest.approx([-1.0, -1.0], abs=1e-12)
-    assert set(map(tuple, [geo.point(0, 0), geo.point(1, 0), geo.point(0, 1), geo.point(1, 1)])) == \
+    point = geo.field.eval_many
+    assert point(0.5, 0.0)[0, 0] == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert point(0.5, 1.0)[0, 0] == pytest.approx([-1.0, -1.0], abs=1e-12)
+    assert set(map(tuple, point([0, 1, 0, 1], [0, 0, 1, 1])[0].tolist())) == \
         {(1.0, 0.0), (0.0, 1.0), (1.0, -1.0), (-1.0, 1.0)}
     rng = np.random.default_rng(1)
     ss, tt = rng.uniform(0, 1, 500), rng.uniform(0, 1, 500)
-    for a, b in zip(ss, tt):
-        x, y = geo.point(a, b)
+    for a, b, (x, y) in zip(ss, tt, point(ss, tt)[0]):
         assert -1 - 1e-9 <= x <= 1 + 1e-9 and -1 - 1e-9 <= y <= 1 + 1e-9
         assert not (x > 1e-9 and y > 1e-9)   # outside the removed quadrant
         (xs, ys), (xt, yt) = geo.field.eval_many([a], [b], ((1, 0), (0, 1)))[:, 0]
@@ -546,17 +568,16 @@ def test_lshape_geometry_shape():
 def test_lshape_dirichlet_trace_is_zero():
     problem, geo = lshape_benchmark(4)
     # the exact solution vanishes on the image of the Dirichlet edge
-    for s in np.linspace(0, 1, 21):
-        x, y = geo.point(s, 0.0)
-        assert abs(lshape_exact(x, y)) < 1e-10
+    x, y = geo.field.eval_many(np.linspace(0, 1, 21), np.zeros(21))[0].T
+    assert np.abs(lshape_exact(x, y)).max() < 1e-10
 
 
 def test_geometry_json_roundtrip():
     geo = lshape_geometry(4)
     back = geometry_from_json(geometry_to_json(geo))
     rng = np.random.default_rng(2)
-    for a, b in rng.uniform(0, 1, size=(20, 2)):
-        assert np.allclose(geo.point(a, b), back.point(a, b), atol=1e-14)
+    s, t = rng.uniform(0, 1, size=(2, 20))
+    assert np.allclose(geo.field.eval_many(s, t), back.field.eval_many(s, t), atol=1e-14)
     assert back.degenerate_params == geo.degenerate_params
 
 

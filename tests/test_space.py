@@ -25,8 +25,8 @@ from anisoline.space import (
 from anisoline.tmesh import TMesh, create_tensor_mesh
 from oracles import (
     basis_data_at_vertex, cell_entries, from_supports, functions_on_cell, interior_edge_samples,
-    naive_subdivide, space_from_json, space_from_json_dict, space_to_json, space_to_json_dict,
-    supports, verify_space, vertex_at,
+    mesh_to_json_dict, naive_subdivide, pieces, space_from_json, space_from_json_dict,
+    space_to_json, space_to_json_dict, supports, verify_space, vertex_at,
 )
 from test_bezier import _reference_split_patch, _reference_zero_corner_block
 from test_pinned_outputs import RUNS as PINNED_RUNS
@@ -93,6 +93,19 @@ def test_noop_report_returns_same_space():
     space = build_initial_space(mesh)
     _, report = refine(mesh, RefinementRequest({}))
     assert advance_level(space, report) is space
+
+
+def test_initial_space_refuses_a_split_mesh():
+    # the check reads the cell table: any subdivided cell, at any level
+    mesh = create_tensor_mesh(2, 2)
+    mesh.split_cell(1, "V")
+    with pytest.raises(ValueError, match="pure tensor-product mesh"):
+        build_initial_space(mesh)
+    with pytest.raises(ValueError, match="pure tensor-product mesh"):
+        build_initial_space(mesh.copy())
+    fresh = create_tensor_mesh(2, 2)
+    fresh.advance_current_level()
+    assert build_initial_space(fresh).dim == 36
 
 
 def test_round_without_new_basis_vertices_keeps_the_space():
@@ -169,12 +182,12 @@ def test_no_module_evaluates_one_cell_at_a_time():
 
 
 def test_only_the_space_module_expands_pieces():
-    # the solver reads the corner blocks through `SplineSpace.extraction`;
-    # full 4x4 pieces are left to `basis_on_cell` and the oracles
+    # the package reads the corner blocks through `SplineSpace.extraction`;
+    # full 4x4 pieces per function are left to the oracles
     package = Path(space_module.__file__).parent
     callers = [path.name for path in sorted(package.glob("*.py"))
-               if ".pieces(" in path.read_text()]
-    assert callers == ["space.py"]
+               if re.search(r"\bpieces\(", path.read_text())]
+    assert callers == []
 
 
 def test_initial_space_sixteen_per_cell():
@@ -201,7 +214,7 @@ def test_transition_cell_keeps_coarse_functions():
     assert anchors == {vertex_at(mesh2, 0.5, 0), vertex_at(mesh2, 0, 0.5),
                        vertex_at(mesh2, 0.5, 0.5), vertex_at(mesh2, 0.25, 0.25)}
     ones = SplineField(space2, np.ones(space2.dim))
-    assert ones.value(0.3, 0.3) == pytest.approx(1.0, abs=1e-12)
+    assert ones.eval_many(0.3, 0.3)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluate_rejects_outside_domain():
@@ -457,7 +470,9 @@ def test_per_function_file_loads_bitwise():
     loaded = space_from_json(text)
     assert json.loads(text) == space_to_json_dict(built)
     assert space_to_json_dict(loaded)["functions"] == space_to_json_dict(built)["functions"]
-    assert loaded.mesh.to_json_dict() == json.loads(text)["mesh"]
+    assert mesh_to_json_dict(loaded.mesh) == json.loads(text)["mesh"]
+    # the oracles write the file again byte for byte
+    assert space_to_json(loaded) == space_to_json(built) == text.rstrip("\n")
     assert loaded.mesh.same_structure(built.mesh)
     rng = np.random.default_rng(8)
     s, t = rng.uniform(0, 1, 300), rng.uniform(0, 1, 300)
@@ -983,7 +998,7 @@ def _assert_collocation_structure(space):
     4k .. 4k + 3, so other functions' blocks lie at non-basis corners
     only."""
     active = space.mesh.active_cells()
-    counts, fids, patches = space.pieces(active)
+    counts, fids, patches = pieces(space, active)
     # (piece, ct, i, cs, j) -> nonzero block per corner cs + 2 ct
     nonzero = patches.reshape(-1, 2, 2, 2, 2).any(axis=(2, 4)).reshape(-1, 4)
     assert nonzero.any(axis=1).all()

@@ -13,7 +13,16 @@ from anisoline.tmesh import (
     LATTICE_DEPTH, AdjacencyKind, LatticeDepthError, TMesh, VertexKind, cut_rule,
     create_tensor_mesh,
 )
-from oracles import Contact, adjacency, edge_neighbors, lattice_coordinate, vertex_at
+from oracles import (
+    Contact, adjacency, cell_vertices, corner_vertices, edge_neighbors, lattice_coordinate,
+    mesh_from_json, mesh_from_json_dict, mesh_to_json, mesh_to_json_dict, replay, split_log,
+    vertex_at,
+)
+
+
+def split_labels(mesh):
+    """The labels of the subdivided cells, read from the cell table."""
+    return {mesh.cell(cid).label for cid in range(len(mesh.cell_bounds()))} - {None}
 
 
 def kinds_histogram(mesh):
@@ -125,7 +134,7 @@ def test_cell_queries_reject_inactive_and_unknown_cells():
     m = create_tensor_mesh(2, 2)
     cid = m.locate_cell(0.25, 0.25)
     m.split_cell(cid, "C")
-    for query in (m.cell_vertices, lambda cid: edge_neighbors(m, cid)):
+    for query in (lambda cid: cell_vertices(m, cid), lambda cid: edge_neighbors(m, cid)):
         with pytest.raises(ValueError, match=f"cell {cid} is not active"):
             query(cid)
         with pytest.raises(KeyError, match="unknown cell id 99"):
@@ -263,9 +272,36 @@ def test_generation_log_replay():
             if rng.random() < 0.5:
                 m.split_cell(cid, rng.choice("HVC"))
         m.advance_current_level()
-    r = m.replay()
+    r = replay(m)
     assert m.same_structure(r)
-    assert r.generation_log == m.generation_log
+    assert split_log(r) == split_log(m)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_log_is_the_split_order(seed):
+    # the log read off the cell table against the splits as made: each
+    # level's cells in shuffled order, split one at a time or in batches
+    rng = random.Random(seed)
+    m = create_tensor_mesh(4, 4)
+    made = []
+    for level in range(4):
+        cells = [cid for cid in m.cells_of_level(level) if rng.random() < 0.6]
+        rng.shuffle(cells)
+        kinds = [rng.choice("HVC") for _ in cells]
+        at = 0
+        while at < len(cells):
+            n = rng.choice([1, rng.randint(1, len(cells))])
+            if n == 1:
+                m.split_cell(cells[at], kinds[at])
+            else:
+                m.split_many(cells[at:at + n], kinds[at:at + n])
+            at += n
+        made += [(level, cid, kind) for cid, kind in zip(cells, kinds)]
+        m.advance_current_level()
+    assert len(made) > 10 and split_labels(m) == set("HVC")
+    assert split_log(m) == made
+    assert split_log(m.copy()) == made
+    assert mesh_to_json_dict(replay(m)) == mesh_to_json_dict(m)
 
 
 def test_json_roundtrip():
@@ -273,8 +309,8 @@ def test_json_roundtrip():
     m.split_cell(m.locate_cell(0.25, 0.25), "C")
     m.advance_current_level()
     m.split_cell(m.locate_cell(0.1, 0.1), "H")
-    d = m.to_json_dict()
-    m2 = TMesh.from_json(json.dumps(d))
+    d = mesh_to_json_dict(m)
+    m2 = mesh_from_json(json.dumps(d))
     assert m.same_structure(m2)
     # bounds serialize as exact rational strings
     assert all(isinstance(b, str) for cell in d["cells"] for b in cell["bounds"])
@@ -351,7 +387,7 @@ def test_locate_many_matches_exact_rule(name):
     rng = np.random.default_rng(5)
     m = randomly_refined(LOCATE_MESHES[name](), 4 if name == "3x3" else 3, seed=7)
     cells = [m.cell(cid) for cid in range(len(m.cell_table().lattice))]
-    assert {kind for _, _, kind in m.generation_log} == set("HVC")
+    assert split_labels(m) == set("HVC")
     s0, s1, t0, t1 = m.domain
     ss = probe_coordinates({c.s0 for c in cells} | {c.s1 for c in cells}, rng)
     ts = probe_coordinates({c.t0 for c in cells} | {c.t1 for c in cells}, rng)
@@ -444,7 +480,7 @@ def test_tensor_build_registers_corners_like_a_full_scan():
               [0, Fraction(2, 9), 0.5, 1])
     assert m.validate() == []
     _check_incidence_and_table(m)
-    assert all(m.cell_vertices(cid) == sorted(m.corner_vertices(cid)) for cid in m.active_cells())
+    assert all(cell_vertices(m, cid) == sorted(corner_vertices(m, cid)) for cid in m.active_cells())
 
 
 def test_dimension_against_census_oracle():
@@ -501,10 +537,10 @@ def test_dimension_against_census_oracle():
 
 def reference_bounds(mesh):
     """Exact bounds of every cell the mesh ever made, rebuilt from its
-    level-0 knots and generation log by halving Fractions."""
+    level-0 knots and split log by halving Fractions."""
     sk, tk = (axis.knots for axis in mesh.axes)
     bounds = [(s0, s1, t0, t1) for t0, t1 in zip(tk, tk[1:]) for s0, s1 in zip(sk, sk[1:])]
-    for _, cid, kind in mesh.generation_log:
+    for _, cid, kind in split_log(mesh):
         s0, s1, t0, t1 = bounds[cid]
         sm, tm = (s0 + s1) / 2, (t0 + t1) / 2
         kids = {"H": [(s0, s1, t0, tm), (s0, s1, tm, t1)],
@@ -557,7 +593,7 @@ LATTICE_STARTS = {
 @pytest.mark.parametrize("name", sorted(LATTICE_STARTS))
 def test_lattice_matches_fraction_halving(name):
     m = randomly_refined(LATTICE_STARTS[name](), 2 if name == "24x24" else 5, seed=17)
-    assert {kind for _, _, kind in m.generation_log} == set("HVC")
+    assert split_labels(m) == set("HVC")
     ref = reference_bounds(m)
     assert len(ref) == m._next_cell
     for cid, b in enumerate(ref):
@@ -592,7 +628,7 @@ def _check_incidence_and_table(m):
     for k, vid in enumerate(vids):
         assert m.vertex_cells(vid) == [act[a] for a in np.flatnonzero(on[k])], vid
     for a, cid in enumerate(act):
-        assert m.cell_vertices(cid) == [vids[k] for k in np.flatnonzero(on[:, a])], cid
+        assert cell_vertices(m, cid) == [vids[k] for k in np.flatnonzero(on[:, a])], cid
     assert vids == list(range(len(vids)))
     assert m.vertex_table().dtype == np.int64 and m.vertex_table().tolist() == p.tolist()
     table, bounds = m.cell_table(), m.cell_bounds()
@@ -600,14 +636,14 @@ def _check_incidence_and_table(m):
     for cid in range(m._next_cell):
         c = m.cell(cid)
         assert tuple(table.lattice[cid].tolist()) == c.lattice_bounds
-        assert tuple(table.corners[cid].tolist()) == m.corner_vertices(cid)
+        assert tuple(table.corners[cid].tolist()) == corner_vertices(m, cid)
         assert float_bits(table.sizes[cid]) == float_bits(c.size_float())
         assert float_bits(bounds[cid]) == float_bits(c.bounds_float())
 
 
 def _incidence(m):
     return ([m.vertex_cells(vid) for vid in m.vertices()],
-            [m.cell_vertices(cid) for cid in m.active_cells()])
+            [cell_vertices(m, cid) for cid in m.active_cells()])
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_STARTS))
@@ -627,9 +663,9 @@ def test_incidence_and_cell_table_match_a_full_scan(name):
                     mesh.split_cell(cid, rng.choice("HVC"))
             mesh.advance_current_level()
             _check_incidence_and_table(mesh)
-    assert {kind for _, _, kind in m.generation_log} == set("HVC")
+    assert split_labels(m) == set("HVC")
     # a replayed log and a JSON round trip give the same ids, so the same incidence
-    for twin in (m.replay(), TMesh.from_json_dict(m.to_json_dict())):
+    for twin in (replay(m), mesh_from_json_dict(mesh_to_json_dict(m))):
         assert _incidence(twin) == _incidence(m)
 
 
@@ -649,7 +685,7 @@ def _edge_neighbor_scan(m):
 @pytest.mark.parametrize("name", sorted(LATTICE_STARTS))
 def test_edge_neighbors_match_a_full_scan(name):
     m = randomly_refined(LATTICE_STARTS[name](), 2 if name == "24x24" else 4, seed=29)
-    assert {kind for _, _, kind in m.generation_log} == set("HVC")
+    assert split_labels(m) == set("HVC")
     act = m.active_cells()
     scan = _edge_neighbor_scan(m)
     # the batched pairs over every active cell, against the scan
@@ -729,12 +765,13 @@ def test_fraction_json_loads_onto_the_lattice():
     built.split_cell(5, "H")
     built.split_cell(8, "C")
     built.advance_current_level()
-    loaded = TMesh.from_json(FRACTION_JSON)
+    loaded = mesh_from_json(FRACTION_JSON)
     assert loaded.same_structure(built) and built.same_structure(loaded)
-    assert built.to_json_dict() == json.loads(FRACTION_JSON)
-    assert loaded.to_json_dict() == json.loads(FRACTION_JSON)
+    # the oracles write the file again byte for byte, in its key order
+    want = json.dumps(json.loads(FRACTION_JSON), sort_keys=True)
+    assert mesh_to_json(built, sort_keys=True) == mesh_to_json(loaded, sort_keys=True) == want
     # a split records its kind as the cell's label, so a replayed log restores it
-    for _, cid, kind in loaded.generation_log:
+    for _, cid, kind in split_log(loaded):
         assert loaded.cell(cid).label == built.cell(cid).label == kind
     assert loaded.cell(12).bounds == (Fraction(1, 3), Fraction(1, 2), Fraction(0.6),
                                       (Fraction(0.6) + 1) / 2)
@@ -776,7 +813,7 @@ def test_split_many_matches_splits_one_at_a_time(name):
         children, cuts = batch.split_many(cids, kinds)
         assert children == want
         assert _column_bytes(batch) == _column_bytes(one)
-        assert batch.generation_log == one.generation_log
+        assert split_log(batch) == split_log(one)
         # each cell's cut ids name the vertices at its cut points, in order
         grid, _, (owner, point, _) = cut_rule(lattice, kinds)
         ij = grid[owner[:, None], [0, 1], point]
@@ -787,14 +824,14 @@ def test_split_many_matches_splits_one_at_a_time(name):
             mesh.advance_current_level()
         assert batch.locate_many(s, t).tolist() == one.locate_many(s, t).tolist()
         assert _incidence(batch) == _incidence(one)
-    assert {kind for _, _, kind in batch.generation_log} == set("HVC")
+    assert split_labels(batch) == set("HVC")
     assert shared > 0
     assert batch.validate() == []
 
 
 def _mesh_state(m, s, t):
     cells = [m.cell(cid) for cid in range(len(m.cell_table().lattice))]
-    return (m.to_json_dict(), [(c.children, c.active, c.label) for c in cells],
+    return (mesh_to_json_dict(m), [(c.children, c.active, c.label) for c in cells],
             [a.tobytes() for a in m.cell_table()], m.locate_many(s, t).tolist())
 
 
@@ -839,9 +876,9 @@ def test_a_batch_with_one_bad_cell_raises_and_writes_nothing():
         (narrow, [a, b], "CH", LatticeDepthError, f"cell {a} is one lattice unit wide along s"),
     ]
     for mesh, cids, kinds, error, match in cases:
-        before = (mesh.to_json_dict(), _column_bytes(mesh))
+        before = (mesh_to_json_dict(mesh), _column_bytes(mesh))
         with pytest.raises(error, match=match):
             mesh.split_many(cids, kinds)
-        assert (mesh.to_json_dict(), _column_bytes(mesh)) == before
+        assert (mesh_to_json_dict(mesh), _column_bytes(mesh)) == before
     # the valid cells of each batch still split
     assert len(narrow.split_many([a, b], "HH")[0]) == 2
