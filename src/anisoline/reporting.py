@@ -38,6 +38,8 @@ class LevelRecord:
     eta_total: float = None
     l2_error: float = None
     h1_error: float = None
+    solve_residual: float = None    # relative residual of the linear solve
+    bandwidth: int = None           # lower bandwidth of the solved system
     seconds: dict = field(default_factory=dict)  # phase -> wall time
 
     def to_json_dict(self):

@@ -31,11 +31,13 @@ cells' float bounds (rows of the mesh's `cell_bounds` table) and their
 geometry patches (`SplineField.patches`, contracted once per field), and
 evaluates patches at the q x q Gauss points with Bernstein tables built
 once per walk.  From the geometry patches come the map, J, det J and
-J^-1 at the points, the parameter Hessian only when the residual asks
-for the physical Laplacian, and the physical cell diameter: a Bezier
-patch interpolates its corner ordinates, so the corner images need no
-evaluation.  The cells with Neumann edge pieces are picked by lattice
-comparisons on the mesh's cell table.  The estimator reads the
+J^-1 at the points (the value and both first derivatives by one matmul
+against three of the tables side by side), the parameter Hessian only
+when the residual asks for the physical Laplacian, and the physical cell
+diameter: a Bezier patch interpolates its corner ordinates, so the
+corner images need no evaluation.  The cells with Neumann edge pieces
+are picked by lattice comparisons on the mesh's cell table.  The
+estimator reads the
 solution's patches and contracts them by einsums.  The assembly never
 forms the basis functions' patches.  It integrates on the 16 Bernstein
 polynomials of each cell and maps the result through the cell's
@@ -75,16 +77,20 @@ the extraction of the pieces' cells.
 
 Blocks bound the memory of a walk.  At 24 x 24 cells and q = 5 the
 tracemalloc peak of `assemble` is 2.3 MiB with blocks of 64 cells and
-11.6 MiB with whole-mesh tables, 0.9 MiB against 5.1 MiB for
-`error_indicators` with the exact error norms, and 0.6 MiB against
-2.7 MiB for `exact_error_norms`.  No stiffness triplets are made: the
+12.1 MiB with whole-mesh tables, 0.9 MiB against 5.5 MiB for
+`error_indicators` with the exact error norms, and 0.7 MiB against
+3.2 MiB for `exact_error_norms`.  No stiffness triplets are made: the
 block pattern's data takes 0.65 MiB there, where the triplets of an
 assembly by functions took 2.3 MiB.  The kept blocks of a round add
-about 1 MiB: one round of `adaptive_solve` peaks at 4.1 MiB, and the
-five rounds of `lshape_benchmark(4)` at 5.7 MiB.  `_solve_round` holds
-no name on the full system, so the full stiffness matrix is released
-before SuperLU factors the reduced one, which
-`impose_boundary_conditions` hands over in CSC.
+about 1 MiB.  `_solve_round` holds no name on the full system, so the
+full stiffness matrix is released before the reduced one is factored.
+`impose_boundary_conditions` orders the unknowns for a narrow band
+(`_band_order`: Cuthill-McKee level sets of the basis vertices, seeded
+from a side of the parameter square) and hands the reduced matrix over
+in CSR, and `solve_linear` copies its lower band into LAPACK's band
+storage and factors it in place by banded Cholesky: 1.8 MiB for the
+240k band entries at this size.  One round of `adaptive_solve` peaks at
+5.0 MiB, and the five rounds of `lshape_benchmark(4)` at 6.5 MiB.
 """
 
 from __future__ import annotations
@@ -97,8 +103,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from numpy.linalg import LinAlgError
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .fitting import label_by_curvature
 from .geometry import Geometry
@@ -108,6 +115,7 @@ from .space import (
     DERIV_ORDERS, SplineField, _bernstein_tables, _blocks, _Cells, _eval_patches,
     _inverse_2x2, advance_level,
 )
+from .tmesh import _ranges
 
 __all__ = [
     "SolveConfig", "DiscreteSolution", "ErrorIndicator", "assemble",
@@ -130,6 +138,9 @@ _EDGE_NORMAL, _EDGE_SLOTS, _EDGE_CORNERS = (np.array(col) for col in list(zip(*_
 
 # the Dirichlet fit's sample points per boundary piece, ends included
 _FIT_TICKS = np.linspace(0.0, 1.0, 8)
+
+# rows of the reduced matrix per chunk of the band's fill
+_BAND_ROWS = 512
 
 
 @dataclass
@@ -193,10 +204,13 @@ class _Points:
         self._tables = tables
         self._width, self._height = width, height
         self._geo = geo
-        d = [self.eval(geo, order) for order in DERIV_ORDERS[:3]]  # each (c, 2, n)
-        self.xy = np.moveaxis(d[0], 1, 2)                         # (c, n, 2)
+        # value, d/ds and d/dt by one matmul against the three tables side by side
+        side = np.concatenate([tables[order] for order in DERIV_ORDERS[:3]], axis=-1)
+        d = (geo.reshape(len(geo), 2, 16) @ side).reshape(len(geo), 2, 3, -1)
+        self.xy = np.moveaxis(d[:, :, 0], 1, 2)                    # (c, n, 2)
         # J[..., i, j] = d x_i / d param_j
-        self.J = np.moveaxis(np.stack([d[1], d[2]], axis=-1), 2, 1)
+        self.J = np.moveaxis(np.stack([d[:, :, 1] / width[:, None, None],
+                                       d[:, :, 2] / height[:, None, None]], axis=-1), 2, 1)
         self.det, self.Jinv = _inverse_2x2(self.J)
         bad = np.nonzero(np.any(np.abs(self.det) < 1e-14, axis=1))[0]
         if bad.size:
@@ -467,7 +481,12 @@ def _local_stiffness(gx, wdet):
 
 
 class ConstrainedSystem:
-    """Reduced SPD system plus the data to re-embed the solution."""
+    """Reduced SPD system plus the data to re-embed the solution.
+
+    `free` holds the function id of each unknown in the matrix's order,
+    which `impose_boundary_conditions` picks for a narrow band; `embed`
+    takes any order.  `solve_linear` records the matrix's lower
+    `bandwidth` and the relative `residual` it met."""
 
     def __init__(self, matrix, rhs, free, fixed_values, n):
         self.matrix = matrix
@@ -475,6 +494,7 @@ class ConstrainedSystem:
         self.free = free
         self.fixed_values = fixed_values
         self.n = n
+        self.bandwidth = self.residual = None
 
     def embed(self, reduced):
         full = np.array(self.fixed_values)
@@ -503,6 +523,8 @@ def impose_boundary_conditions(system, space, geometry, problem):
     Homogeneous data pins the non-vanishing boundary coefficients to
     zero; inhomogeneous data sets them from a least-squares fit of g_D
     along the Dirichlet part.  Rows/columns are eliminated symmetrically.
+    The unknowns are the free functions in the order of `_band_order`,
+    vertex by vertex, and the stiffness matrix is sliced once in it.
     """
     A, F = system
     n = space.dim
@@ -528,44 +550,145 @@ def impose_boundary_conditions(system, space, geometry, problem):
                                         problem.g_dirichlet(xy[:, 0], xy[:, 1]), rcond=None)[0]
     is_free = np.ones(n, dtype=bool)
     is_free[pinned] = False
-    free = np.flatnonzero(is_free)
+    # the vertices' four functions in the band order, less the pinned ones
+    fids = (4 * _band_order(A, space)[:, None] + np.arange(4)).ravel()
+    free = fids[is_free[fids]]
     if len(free) == 0:
         raise ValueError("all degrees of freedom are constrained")
     Af = A[free]
     Ff = F[free] - Af @ fixed
-    # the row slice goes before the copy into CSC, the format SuperLU factors
-    Af = Af[:, free]
-    return ConstrainedSystem(Af.tocsc(), Ff, free, fixed, n)
+    return ConstrainedSystem(Af[:, free], Ff, free, fixed, n)
+
+
+def _band_order(A, space):
+    """The basis vertices in an order that gives the stiffness matrix A a
+    narrow band: Cuthill-McKee level sets of the graph of the vertices
+    that share a cell, seeded from a whole side of the parameter square.
+    Of the orders seeded from the vertices at s = 0 (by t) and at t = 0
+    (by s), the one of smaller vertex bandwidth; on a square a side seed
+    gives half the bandwidth of a corner seed, whose levels run along
+    diagonals."""
+    rows, cols, table = _vertex_graph(A)
+    ij = space.mesh.vertex_table()[space.vertices]
+    seeds = []
+    for axis in (0, 1):
+        side = np.flatnonzero(ij[:, axis] == 0)
+        seeds.append(side[np.argsort(ij[side, 1 - axis], kind="stable")])
+
+    def width(order):
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        return np.max(np.abs(rank[rows] - rank[cols]), initial=0)
+
+    return min(_level_orders(table, seeds), key=width)
+
+
+def _vertex_graph(A):
+    """The graph of the basis vertices read off the stiffness matrix A
+    (CSR, functions 4k .. 4k + 3 at vertex k): the four functions of a
+    vertex share their support, so vertex k neighbours the vertices j
+    whose value function 4j couples to its own, the columns of row 4k that
+    are multiples of 4.  Returns its edges (rows, cols) and the neighbour
+    table (m, most neighbours), padded with m."""
+    n = A.shape[0]
+    m = n // 4
+    lo = A.indptr[0:n:4]
+    counts = A.indptr[1:n + 1:4] - lo
+    cols = A.indices[_ranges(lo, lo + counts)]
+    value = np.flatnonzero(cols % 4 == 0)
+    rows = np.repeat(np.arange(m), counts)[value]
+    cols = cols[value] // 4
+    degree = np.bincount(rows, minlength=m)
+    table = np.full((m, degree.max(initial=0)), m)
+    table[rows, np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]] = cols
+    return rows, cols, table
+
+
+def _level_orders(table, seeds):
+    """The Cuthill-McKee level sets of the graph of the neighbour `table`
+    (padded with m) from each list of seed vertices: the vertices level by
+    level, each level in discovery order, a vertex after the first of its
+    neighbours in the level before.  One frontier walk takes all seeds at
+    once, over one copy of the graph per seed.  Vertices that no seed
+    reaches (a graph in pieces) come last, by id."""
+    m, k = len(table), len(seeds)
+    graph = np.concatenate([np.where(table < m, table + c * m, k * m) for c in range(k)])
+    front = np.concatenate([seed + c * m for c, seed in enumerate(seeds)])
+    seen = np.zeros(k * m + 1, dtype=bool)
+    seen[k * m] = True
+    seen[front] = True
+    # each vertex's first place in the list of its step's reached vertices:
+    # a vertex is reached in one step only, so no step sees another's places
+    first = np.full(k * m + 1, np.iinfo(np.intp).max)
+    levels = [front]
+    while front.size:
+        reached = graph[front].ravel()
+        reached = reached[~seen[reached]]
+        at = np.arange(len(reached))
+        np.minimum.at(first, reached, at)
+        front = reached[first[reached] == at]
+        seen[front] = True
+        levels.append(front)
+    levels.append(np.flatnonzero(~seen))
+    order = np.concatenate(levels)
+    copy = order // m
+    return [order[copy == c] - c * m for c in range(k)]
+
+
+def _lower_band(A):
+    """The lower band of the square CSR matrix A, without duplicate
+    entries, in LAPACK's lower band storage: ab[i - j, j] = A[i, j] for
+    0 <= i - j <= w, the lower bandwidth, in Fortran order.  It is filled
+    `_BAND_ROWS` rows at a time, so no index array spans the matrix."""
+    n = A.shape[0]
+    ptr, cols = A.indptr, A.indices
+    stored = np.flatnonzero(np.diff(ptr))
+    w = 0
+    if len(stored):
+        # the rows between two stored rows are empty, so each segment is one row
+        w = max(0, int(np.max(stored - np.minimum.reduceat(cols, ptr[stored]))))
+    ab = np.zeros((w + 1, n), order="F")
+    flat = ab.ravel(order="F")
+    for r0 in range(0, n, _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, n)
+        lo, hi = ptr[r0], ptr[r1]
+        i = np.repeat(np.arange(r0, r1), np.diff(ptr[r0:r1 + 1]))
+        j = cols[lo:hi].astype(np.intp)
+        low = j <= i
+        flat[(i + w * j)[low]] = A.data[lo:hi][low]
+    return ab
 
 
 def solve_linear(system, tol=1e-10):
-    """Solve the constrained SPD system by sparse LU factorization; returns
-    the full coefficient vector.  A singular system raises RuntimeError;
-    the relative residual must meet `tol`.
+    """Solve the constrained SPD system by banded Cholesky factorization;
+    returns the full coefficient vector and records the system's
+    `bandwidth` and relative `residual`.  The relative residual must meet
+    `tol`.  A system that is not positive definite, a singular one among
+    them, raises RuntimeError naming the leading minor where the factor
+    fails.
 
-    SuperLU runs in its symmetric mode: the columns are ordered by minimum
-    degree on the structure of A^T + A (`MMD_AT_PLUS_A`), and the pivots
-    stay on the diagonal (`diag_pivot_thresh=0`, which leaves the diagonal
-    only where it is exactly zero).  Pivoting buys nothing on the
-    constrained Galerkin system, which is symmetric positive definite.
-    Against SuperLU's default (COLAMD ordering, partial pivoting) the
-    factors of the last `lshape_benchmark(4)` level hold 262k instead of
-    503k nonzeros, and those of the 24 x 24 `square_sin` system 317k
-    instead of 341k.
+    LAPACK's `pbtrf` factors the lower band of the matrix in the order it
+    is given, and `pbtrs` solves with the factor.  On the order of
+    `impose_boundary_conditions` the band of the last `lshape_benchmark(4)`
+    level holds 222k entries and that of the 24 x 24 `square_sin` system
+    240k, where the factors of SuperLU in symmetric mode held 262k and
+    317k nonzeros.
     """
-    A, b = system.matrix, system.rhs
-    if A.shape[0] != A.shape[1]:
+    A, b = system.matrix.tocsr(), system.rhs
+    n = A.shape[0]
+    if n != A.shape[1]:
         raise ValueError("system matrix must be square")
+    ab = _lower_band(A)
     try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-    except RuntimeError as err:          # SuperLU: "Factor is exactly singular"
-        raise RuntimeError(f"singular system of {A.shape[0]} unknowns ({err})") from None
-    x = lu.solve(b)
-    bn = np.linalg.norm(b)
-    res = np.linalg.norm(A @ x - b)
-    if bn > 0 and res / bn > tol:
-        raise RuntimeError(f"linear solve residual {res / bn:.2e} exceeds {tol:.2e}")
+        factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    except LinAlgError as err:
+        raise RuntimeError(f"singular system of {n} unknowns ({err})") from None
+    x = cho_solve_banded((factor, True), b, check_finite=False)
+    bn = float(np.linalg.norm(b))
+    res = float(np.linalg.norm(A @ x - b))
+    system.bandwidth, system.residual = len(ab) - 1, res / bn if bn > 0 else res
+    if system.residual > tol:
+        raise RuntimeError(f"linear solve residual {system.residual:.2e} exceeds {tol:.2e}")
     if not np.all(np.isfinite(x)):
         raise RuntimeError("linear solve produced non-finite values")
     return system.embed(x)
@@ -647,12 +770,15 @@ def exact_error_norms(u_h, u_exact=None, grad_exact=None, q=5):
 
 
 def _solve_round(space, geometry, problem, config):
+    """The round's solution, and the `LevelRecord` fields of its linear
+    solve."""
     # no name holds the full system, so it is released before the reduced
     # one is factored
     system = impose_boundary_conditions(assemble(space, geometry, problem, config.quadrature),
                                         space, geometry, problem)
     coeffs = solve_linear(system, config.lin_tol)
-    return DiscreteSolution(SplineField(space, coeffs), geometry, problem)
+    return (DiscreteSolution(SplineField(space, coeffs), geometry, problem),
+            {"solve_residual": system.residual, "bandwidth": system.bandwidth})
 
 
 def adaptive_solve(problem, geometry, config=None, strategy="modified"):
@@ -666,14 +792,14 @@ def adaptive_solve(problem, geometry, config=None, strategy="modified"):
     def estimate(space, level):
         nonlocal solution
         t0 = time.perf_counter()
-        solution = _solve_round(space, _RoundGeometry(geometry), problem, config)
+        solution, fields = _solve_round(space, _RoundGeometry(geometry), problem, config)
         t1 = time.perf_counter()
         ind = error_indicators(solution, problem, config.quadrature)
         # the estimator has read the round's kept blocks; the solution
         # carries the plain map
         solution.geometry = geometry
-        fields = {"eta_total": ind.total, "l2_error": ind.l2_error, "h1_error": ind.h1_error,
-                  "seconds": {"solve": t1 - t0, "estimate": time.perf_counter() - t1}}
+        fields.update(eta_total=ind.total, l2_error=ind.l2_error, h1_error=ind.h1_error,
+                      seconds={"solve": t1 - t0, "estimate": time.perf_counter() - t1})
         return fields, ind.eta, config.threshold, None
 
     def advance(space, labels):

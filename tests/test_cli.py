@@ -30,6 +30,7 @@ def test_fit_prints_the_report(capsys):
     assert levels[0]["dof"] == 36                # 2 x 2 start: 9 vertices x 4
     assert levels[1]["dof"] == levels[0]["dof"] + levels[1]["new_functions"]
     assert all(lev["max_error"] > 0 for lev in levels)
+    assert not any("solve_residual" in lev or "bandwidth" in lev for lev in levels)
     _check_label_counts(levels)
 
 
@@ -40,6 +41,10 @@ def test_solve_prints_the_report(capsys):
     assert levels[0]["dof"] == 36
     assert levels[1]["dof"] == levels[0]["dof"] + levels[1]["new_functions"]
     assert all(lev["h1_error"] > 0 for lev in levels)
+    # the linear solve of each level: its relative residual and bandwidth
+    assert all(0 <= lev["solve_residual"] <= 1e-10 for lev in levels)
+    assert all(isinstance(lev["bandwidth"], int) and 0 < lev["bandwidth"] < lev["dof"]
+               for lev in levels)
     _check_label_counts(levels)
 
 

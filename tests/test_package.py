@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import anisoline
@@ -73,3 +76,22 @@ def test_every_public_name_has_a_caller():
     assert uncalled == []
     defined = {qualified for qualified, _ in _public_definitions()}
     assert set(_KEPT_FOR_USERS) <= defined
+
+
+def test_no_module_loads_scipy_sparse_linalg():
+    # `scipy.sparse.linalg` (SuperLU and the iterative solvers) adds about
+    # 2 MB of resident memory to every process that imports the package,
+    # and `scipy.sparse.csgraph` imports it; the package factors with
+    # `scipy.linalg`'s banded Cholesky and orders with numpy.  A fresh
+    # interpreter imports every module and reports what scipy loaded.
+    code = ("import pkgutil, importlib, sys, anisoline\n"
+            "for info in pkgutil.iter_modules(anisoline.__path__):\n"
+            "    importlib.import_module(f'anisoline.{info.name}')\n"
+            "print(' '.join(sorted(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(_PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "anisoline.solver" in loaded
+    assert [name for name in loaded
+            if name.startswith(("scipy.sparse.linalg", "scipy.sparse.csgraph"))] == []

@@ -63,7 +63,7 @@ def test_quadrature_measures_area():
 def test_patch_test_linear_reproduction():
     space, geometry = unit_setup(2)
     problem = patch_linear_problem()
-    sol = _solve_round(space, geometry, problem, SolveConfig())
+    sol, _ = _solve_round(space, geometry, problem, SolveConfig())
     l2, h1 = exact_error_norms(sol)
     assert l2 <= 1e-9
     assert h1 <= 1e-8
@@ -317,11 +317,12 @@ def test_solve_linear_paths():
     x = solve_linear(system)
     assert np.allclose(x, np.linalg.solve(A, b), atol=1e-10)
 
-    # symmetric and nonsingular with a zero diagonal: the factorization
-    # must pivot off the diagonal rather than call it singular
+    # symmetric and nonsingular but indefinite: the contract is SPD only,
+    # and the banded Cholesky factor names the leading minor where it fails
     swap = ConstrainedSystem(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
                              np.array([1.0, 2.0]), np.arange(2), np.zeros(2), 2)
-    assert solve_linear(swap) == pytest.approx(np.array([2.0, 1.0]), abs=1e-15)
+    with pytest.raises(RuntimeError, match="singular system of 2 unknowns .*1-th leading minor"):
+        solve_linear(swap)
 
     # a real constrained system against a dense solve
     problem, geometry = make_problem("square_sin", (8, 8))
@@ -340,6 +341,71 @@ def test_solve_linear_paths():
                                  np.arange(2), np.zeros(2), 2)
     with pytest.raises(RuntimeError, match="singular system"):
         solve_linear(rank_one)
+
+
+def _reduced_systems(case):
+    """The reduced systems of a case: every level of `lshape_benchmark(4)`
+    as `adaptive_solve` builds them, or the mixed boundary problem with
+    inhomogeneous Dirichlet data, a load and a flux on the curved L-shape
+    map after three random H/V/C rounds, seeds 0-5."""
+    if case == "lshape_benchmark":
+        systems, solve = [], solver.solve_linear
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "solve_linear",
+                       lambda system, tol: systems.append(system) or solve(system, tol))
+            adaptive_solve(*lshape_benchmark(4), SolveConfig(max_levels=4))
+        return systems
+    problem = dataclasses.replace(
+        _mixed_problem(), f=lambda x, y: 1.0 + x * y,
+        g_dirichlet=lambda x, y: np.sin(3 * x) + x * y * y,
+        g_neumann=lambda x, y, nx, ny: np.cos(x) * nx + y * ny)
+    systems = []
+    for seed in range(6):
+        geometry = lshape_geometry(4)
+        space, geometry = _random_rounds(np.random.default_rng(seed), geometry.space, geometry)
+        systems.append(impose_boundary_conditions(assemble(space, geometry, problem), space,
+                                                  geometry, problem))
+    return systems
+
+
+def _lower_bandwidth(A):
+    A = A.tocoo()
+    return int(np.max(A.row - A.col, initial=0))
+
+
+@pytest.mark.parametrize("case", ["lshape_benchmark", "mixed_hvc_rounds"])
+def test_banded_solve_matches_superlu(case):
+    # SuperLU, the solver the band replaced, and scipy's reverse
+    # Cuthill-McKee order serve as references here only
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    from scipy.sparse.linalg import splu
+
+    systems = _reduced_systems(case)
+    assert len(systems) == (5 if case == "lshape_benchmark" else 6)
+    for k, system in enumerate(systems):
+        A = system.matrix
+        x = solve_linear(system)
+        ref = system.embed(splu(A.tocsc()).solve(system.rhs))
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref)), (case, k)
+        assert system.residual <= 1e-12
+        assert system.bandwidth == _lower_bandwidth(A)
+        rcm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=True)
+        assert system.bandwidth <= _lower_bandwidth(A[rcm][:, rcm]), (case, k)
+
+
+def test_band_order_covers_every_function_of_a_graph_in_pieces():
+    # the identity couples no vertex to another: the order still takes
+    # every free function once, and the band is the diagonal
+    problem, geometry = lshape_benchmark(2)
+    space = geometry.space
+    n = space.dim
+    system = impose_boundary_conditions((sp.identity(n, format="csr"), np.ones(n)),
+                                        space, geometry, problem)
+    pinned, _ = _constrained_functions(space, problem)
+    assert sorted(system.free.tolist()) == np.setdiff1d(np.arange(n), pinned).tolist()
+    x = solve_linear(system)
+    assert system.bandwidth == 0
+    assert np.array_equal(x[system.free], np.ones(len(system.free)))
 
 
 def _einsum_stiffness(gx, wdet):
@@ -644,7 +710,7 @@ def test_bicubic_patch_test_on_random_hvc_meshes(seed):
     space = build_initial_space(create_tensor_mesh(3, 2))
     geometry = linear_geometry(space, (0.0, 2.0, -0.5, 0.5))
     for level in range(4):
-        l2, h1 = exact_error_norms(_solve_round(space, geometry, problem, SolveConfig()))
+        l2, h1 = exact_error_norms(_solve_round(space, geometry, problem, SolveConfig())[0])
         assert l2 <= 1e-12 and h1 <= 1e-12, (level, space.dim, l2, h1)
         if level == 3:
             break
@@ -661,7 +727,7 @@ def test_uniform_refinement_l2_order_smoke():
     errors = []
     space = geometry.space
     for _ in range(3):
-        sol = _solve_round(space, geometry, problem, SolveConfig(quadrature=5))
+        sol, _ = _solve_round(space, geometry, problem, SolveConfig(quadrature=5))
         errors.append(exact_error_norms(sol))
         from anisoline.refine import RefinementRequest, refine
         from anisoline.space import advance_level
@@ -897,7 +963,7 @@ _KERNEL_CASES = {
 @pytest.fixture(scope="module", params=sorted(_KERNEL_CASES))
 def kernel_case(request):
     problem, geometry = _KERNEL_CASES[request.param]()
-    u_h = _solve_round(geometry.space, geometry, problem, SolveConfig(quadrature=5))
+    u_h, _ = _solve_round(geometry.space, geometry, problem, SolveConfig(quadrature=5))
     return problem, geometry, u_h
 
 
@@ -1018,18 +1084,20 @@ def test_each_round_evaluates_the_geometry_once(monkeypatch, build, config):
     for name, dim, cids in built:
         walked.setdefault((name, dim), []).extend(cids)
     assert walked == {("assemble", space.dim): space.mesh.active_cells() for space in spaces}
-    assert max(sum(order) for name, order in orders if name == "assemble") == 1
+    # `_Points` takes the map's value and first derivatives by its own
+    # matmul, so `_eval_patches` sees second derivatives only in the estimate
+    assert not any(sum(order) == 2 for name, order in orders if name == "assemble")
     assert max(sum(order) for name, order in orders if name == "estimate") == 2
 
     # standalone calls walk and evaluate by themselves
     space = geometry.space
     u_h = DiscreteSolution(SplineField(space, np.zeros(space.dim)), geometry, problem)
-    for call, highest in ((lambda: assemble(space, geometry, problem), 1),
-                          (lambda: error_indicators(u_h, problem), 2)):
+    for call, second in ((lambda: assemble(space, geometry, problem), False),
+                         (lambda: error_indicators(u_h, problem), True)):
         del built[:], orders[:]
         call()
         assert [cid for _, _, cids in built for cid in cids] == space.mesh.active_cells()
-        assert max(sum(order) for _, order in orders) == highest
+        assert any(sum(order) == 2 for _, order in orders) == second
 
 
 @_ROUNDS
@@ -1070,7 +1138,7 @@ def test_a_round_reads_what_standalone_calls_compute(monkeypatch, build, config)
 def test_round_geometry_replays_only_its_own_walk():
     problem, geometry = lshape_benchmark(2)
     space = geometry.space
-    u_h = _solve_round(space, geometry, problem, SolveConfig())
+    u_h, _ = _solve_round(space, geometry, problem, SolveConfig())
     walked = solver._RoundGeometry(geometry)
     assemble(space, walked, problem)
     on_round = dataclasses.replace(u_h, geometry=walked)
@@ -1091,7 +1159,9 @@ def _round_objects():
 
 def test_a_solve_keeps_no_round_geometry():
     # the kept blocks of the one round add about 1 MiB at this size, where
-    # the round peaks at 4.1 MiB (5.4 MiB with stiffness triplets)
+    # the round peaks at 5.0 MiB with the band of its Cholesky factor
+    # (6.5 MiB on a reverse Cuthill-McKee order, 6.8 MiB with index arrays
+    # over the whole matrix)
     assert _peak_mib(adaptive_solve, *make_problem("square_sin", (24, 24)),
                      SolveConfig(max_levels=0)) <= 5.5
     before = _round_objects()
@@ -1129,7 +1199,7 @@ def test_kernel_memory_is_bounded_by_blocks():
     # Whole-mesh tables would need about 12 MiB for `assemble`, 6.2 MiB for
     # `error_indicators` and 3.9 MiB for `exact_error_norms` at this size.
     problem, geometry = make_problem("square_sin", (24, 24))
-    u_h = _solve_round(geometry.space, geometry, problem, SolveConfig(quadrature=5))
+    u_h, _ = _solve_round(geometry.space, geometry, problem, SolveConfig(quadrature=5))
     assert _peak_mib(assemble, geometry.space, geometry, problem, q=5) <= 4.3
     assert _peak_mib(error_indicators, u_h, problem, q=5) <= 2.0
     assert _peak_mib(exact_error_norms, u_h, q=5) <= 2.0
