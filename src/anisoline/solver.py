@@ -35,23 +35,27 @@ J^-1 at the points (the value and both first derivatives by one matmul
 against three of the tables side by side), the parameter Hessian only
 when the residual asks for the physical Laplacian, and the physical cell
 diameter: a Bezier patch interpolates its corner ordinates, so the
-corner images need no evaluation.  The cells with Neumann edge pieces
-are picked by lattice comparisons on the mesh's cell table.  The
-estimator reads the
-solution's patches and contracts them by einsums.  The assembly never
-forms the basis functions' patches.  It integrates on the 16 Bernstein
-polynomials of each cell and maps the result through the cell's
-extraction C (`SplineSpace.extraction`, one scatter of the cell's corner
-blocks; rows are its functions in whole vertex groups, padded to the
-block's widest cell), as in element-wise Bezier extraction
-K = C K_B C^T (Borden, Scott, Evans and Hughes, 2011).  J^-1 takes the
-cell's 1 / width and 1 / height, so the Bernstein derivative tables are
-shared by all cells, and `_local_stiffness` forms K_B by one batched
-matmul over the flattened (point, component) axis, which runs in BLAS.
-The loads are C times the Bernstein moments.  Each 4 x 4 vertex block of
-K is added into the data array of a block pattern made once per call
-(`_block_pattern`: the pairs of basis vertices that share a cell), and
-the block matrix is converted to CSR once.
+corner images need no evaluation.  The Neumann edge pieces are cut by
+lattice comparisons on the mesh's cell table and evaluated once per walk,
+for all its cells, and each block gets its slice of them.  The estimator
+reads the solution's patches and contracts them by einsums.  The
+assembly never forms the basis functions' patches.  It integrates on the
+16 Bernstein polynomials of each cell and maps the result through the
+cell's extraction C (one scatter of the cell's corner blocks, as
+`SplineSpace.extraction` makes it; rows are its functions in whole vertex
+groups, padded to the block's widest cell), as in element-wise Bezier
+extraction K = C K_B C^T (Borden, Scott, Evans and Hughes, 2011).  J^-1
+takes the cell's 1 / width and 1 / height, so the Bernstein derivative
+tables are shared by all cells, and `_local_stiffness` forms K_B by one
+batched matmul over the flattened (point, component) axis, which runs in
+BLAS.  The loads are C times the Bernstein moments.  `assemble` gathers
+the active cells' corner blocks, their piece index and vertex groups
+once per call (`SplineSpace._gather`, `space._piece_index`,
+`space._groups`); the block pattern (`_block_pattern`: the pairs of basis
+vertices that share a cell) comes from those groups, and each block's
+dense C from its slice of the entries.  Each 4 x 4 vertex block of K is
+added into the data array of the pattern, and `assemble` returns the
+block (BSR) matrix itself.
 
 `adaptive_solve` hands each round's geometry to `assemble` as a
 `_RoundGeometry`.  The assembly's walk keeps every block there: the
@@ -76,21 +80,24 @@ points per piece, in one batch: the Bernstein values there, mapped by
 the extraction of the pieces' cells.
 
 Blocks bound the memory of a walk.  At 24 x 24 cells and q = 5 the
-tracemalloc peak of `assemble` is 2.3 MiB with blocks of 64 cells and
-12.1 MiB with whole-mesh tables, 0.9 MiB against 5.5 MiB for
-`error_indicators` with the exact error norms, and 0.7 MiB against
-3.2 MiB for `exact_error_norms`.  No stiffness triplets are made: the
-block pattern's data takes 0.65 MiB there, where the triplets of an
-assembly by functions took 2.3 MiB.  The kept blocks of a round add
-about 1 MiB.  `_solve_round` holds no name on the full system, so the
-full stiffness matrix is released before the reduced one is factored.
+tracemalloc peak of `assemble` is 2.8 MiB with blocks of 64 cells (the
+entries gathered for all cells at once included) and 12.1 MiB with
+whole-mesh tables, 0.9 MiB against 5.5 MiB for `error_indicators` with
+the exact error norms, and 0.7 MiB against 3.2 MiB for
+`exact_error_norms`.  No stiffness triplets are made: the block
+pattern's data takes 0.65 MiB there, where the triplets of an assembly
+by functions took 2.3 MiB.  The kept blocks of a round add about 1 MiB.
+Nothing copies or slices the stiffness matrix.
 `impose_boundary_conditions` orders the unknowns for a narrow band
-(`_band_order`: Cuthill-McKee level sets of the basis vertices, seeded
-from a side of the parameter square) and hands the reduced matrix over
-in CSR, and `solve_linear` copies its lower band into LAPACK's band
-storage and factors it in place by banded Cholesky: 1.8 MiB for the
-240k band entries at this size.  One round of `adaptive_solve` peaks at
-5.0 MiB, and the five rounds of `lshape_benchmark(4)` at 6.5 MiB.
+(`_band_order`: Cuthill-McKee level sets of the graph of the matrix's
+vertex blocks, seeded from a side of the parameter square) and keeps the
+block matrix with the order, and `solve_linear` fills LAPACK's band
+storage straight from the blocks (`ConstrainedSystem.lower_band`) and
+factors it in place by banded Cholesky: 1.8 MiB for the 240k band
+entries at this size, where a CSR copy of the block matrix would take
+1.0 MiB and its reduced slice 0.9 MiB.  One round of `adaptive_solve`
+peaks at 4.6 MiB, and the five rounds of `lshape_benchmark(4)` at
+6.0 MiB.
 """
 
 from __future__ import annotations
@@ -107,15 +114,16 @@ from numpy.linalg import LinAlgError
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from .bezier import CORNER_ORDINATES
 from .fitting import label_by_curvature
 from .geometry import Geometry
 from .refine import RefinementRequest, refine
 from .reporting import _check_count, run_adaptive
 from .space import (
-    DERIV_ORDERS, SplineField, _bernstein_tables, _blocks, _Cells, _eval_patches,
-    _inverse_2x2, advance_level,
+    DERIV_ORDERS, SplineField, _bernstein_tables, _blocks, _Cells, _eval_patches, _groups,
+    _inverse_2x2, _piece_index, advance_level,
 )
-from .tmesh import _ranges
+from .tmesh import _run_starts
 
 __all__ = [
     "SolveConfig", "DiscreteSolution", "ErrorIndicator", "assemble",
@@ -138,9 +146,6 @@ _EDGE_NORMAL, _EDGE_SLOTS, _EDGE_CORNERS = (np.array(col) for col in list(zip(*_
 
 # the Dirichlet fit's sample points per boundary piece, ends included
 _FIT_TICKS = np.linspace(0.0, 1.0, 8)
-
-# rows of the reduced matrix per chunk of the band's fill
-_BAND_ROWS = 512
 
 
 @dataclass
@@ -197,10 +202,13 @@ class _Points:
 
     `tables` come from `space._bernstein_tables`, with one row of points
     shared by all cells or one row per cell.  `geo` holds the cells'
-    geometry patches (c, 2, 4, 4).
+    geometry patches (c, 2, 4, 4).  Points made without `cells` are
+    checked when a block `take`s its rows of them.
     """
 
-    def __init__(self, tables, width, height, geo, cells):
+    _ROWS = ("_width", "_height", "_geo", "xy", "J", "det", "Jinv")
+
+    def __init__(self, tables, width, height, geo, cells=None):
         self._tables = tables
         self._width, self._height = width, height
         self._geo = geo
@@ -212,10 +220,24 @@ class _Points:
         self.J = np.moveaxis(np.stack([d[:, :, 1] / width[:, None, None],
                                        d[:, :, 2] / height[:, None, None]], axis=-1), 2, 1)
         self.det, self.Jinv = _inverse_2x2(self.J)
+        if cells is not None:
+            self._check(cells)
+
+    def _check(self, cells):
         bad = np.nonzero(np.any(np.abs(self.det) < 1e-14, axis=1))[0]
         if bad.size:
             raise RuntimeError(
                 f"singular geometry Jacobian at a quadrature point of cell {cells[bad[0]]}")
+
+    def take(self, rows, cells):
+        """The rows `rows` (a slice) of these points, one per cell of
+        `cells`, checked, without evaluating the map again."""
+        pts = object.__new__(_Points)
+        pts._tables = {order: table[rows] for order, table in self._tables.items()}
+        for name in self._ROWS:
+            setattr(pts, name, getattr(self, name)[rows])
+        pts._check(cells)
+        return pts
 
     def eval(self, P, order):
         """d^(a+b)/ds^a dt^b of patches P (c, ..., 4, 4) -> (c, ..., n)."""
@@ -262,18 +284,51 @@ class _Points:
 
 @dataclass
 class _Edges:
-    """The Neumann edge pieces of a block, q Gauss points on each."""
-    rows: np.ndarray                 # (p,) block row of each piece's cell
+    """The Neumann edge pieces of a walk or of a block, q Gauss points on
+    each."""
+    rows: np.ndarray                 # (p,) walk or block row of each piece's cell
     points: _Points
     arc_weights: np.ndarray          # (p, q) Gauss weight times arc length
     normal: np.ndarray               # (p, q, 2) outward unit normal
 
+    def block(self, lo, cells):
+        """The pieces of the block of walk rows lo .. lo + len(cells), on
+        its own rows, or None."""
+        a, b = np.searchsorted(self.rows, [lo, lo + len(cells)]).tolist()
+        if a == b:
+            return None
+        rows = self.rows[a:b] - lo
+        return _Edges(rows, self.points.take(slice(a, b), cells[rows]),
+                      self.arc_weights[a:b], self.normal[a:b])
+
+
+def _neumann_edges(space, geometry, cids, gauss, segments):
+    """The pieces of the Neumann `segments` on the cells `cids` with the
+    map at their Gauss points (x, w), by one evaluation, unchecked; None
+    without pieces."""
+    if not segments:
+        return None
+    k, e, a, b = _boundary_pieces(space.mesh, cids, segments)
+    if not len(k):
+        return None
+    x, w = gauss
+    cells = _Cells(space.mesh, np.asarray(cids, dtype=np.intp)[k])
+    u, v = cells.local(*_piece_points(space.mesh, cells.cells, e, a, b, x), np.s_[:, None])
+    pts = _Points(_bernstein_tables(u, v, DERIV_ORDERS[:3]), cells.width, cells.height,
+                  geometry.field.patches[cells.cells])
+    tangent = np.where((e < 2)[:, None, None], pts.J[..., 1], pts.J[..., 0])
+    # n_phys ~ J^-T n_par
+    normal = np.einsum("pqyx,py->pqx", pts.Jinv, _EDGE_NORMAL[e])
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    arc = w * (b - a)[:, None] * np.linalg.norm(tangent, axis=-1)
+    return _Edges(k, pts, arc, normal)
+
 
 class _CellBlock(_Cells):
     """Up to `space._BLOCK` active cells with the data at their q x q
-    Gauss points (see `_cell_blocks`)."""
+    Gauss points and their Neumann `edges` (see `_cell_blocks`)."""
 
-    def __init__(self, space, geometry, cids, grid, weights, gauss, neumann):
+    def __init__(self, space, geometry, cids, grid, weights):
         super().__init__(space.mesh, cids)
         geo = geometry.field.patches[self.cells]                         # (c, 2, 4, 4)
         self.grid = _Points(grid, self.width, self.height, geo, self.cells)
@@ -282,24 +337,7 @@ class _CellBlock(_Cells):
         corners = geo[:, :, [0, 0, 3, 3], [0, 3, 0, 3]]              # (c, 2, 4)
         gaps = corners[:, :, :, None] - corners[:, :, None, :]
         self.diameter = np.sqrt(np.max(np.sum(gaps ** 2, axis=1), axis=(1, 2)))
-
         self.edges = None
-        if not neumann:
-            return
-        rows, e, a, b = _boundary_pieces(space.mesh, self.cells, neumann)
-        if not len(rows):
-            return
-        x, w = gauss
-        s, t = _piece_points(space.mesh, self.cells[rows], e, a, b, x)
-        u, v = self.local(s, t, np.s_[rows, None])
-        pts = _Points(_bernstein_tables(u, v, DERIV_ORDERS[:3]), self.width[rows],
-                      self.height[rows], geo[rows], self.cells[rows])
-        tangent = np.where((e < 2)[:, None, None], pts.J[..., 1], pts.J[..., 0])
-        # n_phys ~ J^-T n_par
-        normal = np.einsum("pqyx,py->pqx", pts.Jinv, _EDGE_NORMAL[e])
-        normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
-        arc = w * (b - a)[:, None] * np.linalg.norm(tangent, axis=-1)
-        self.edges = _Edges(rows, pts, arc, normal)
 
     def kept(self):
         """The block as a round keeps it for its estimator: without J and
@@ -362,9 +400,13 @@ def _walk(space, geometry, q, neumann):
     grid = _bernstein_tables(u[None], v[None])
     weights = np.outer(w, w).ravel()
     active = space.mesh.active_cells()
+    # the Neumann pieces of the whole walk, cut and evaluated once
+    edges = _neumann_edges(space, geometry, active, (x, w), neumann)
     sign = 0.0
     for sl in _blocks(len(active)):
-        blk = _CellBlock(space, geometry, active[sl], grid, weights, (x, w), neumann)
+        blk = _CellBlock(space, geometry, active[sl], grid, weights)
+        if edges is not None:
+            blk.edges = edges.block(sl.start, blk.cells)
         det = blk.grid.det
         sign = sign or np.sign(det[0, 0])
         folded = det * sign < 0
@@ -414,7 +456,8 @@ def _at_points(fn, xy, *rest):
 
 
 def assemble(space, geometry, problem, q=5):
-    """Stiffness matrix and load vector of the Galerkin system.
+    """Stiffness matrix (BSR of 4 x 4 vertex blocks) and load vector of
+    the Galerkin system.
 
     A_ij = integral grad(psi_i) . grad(psi_j) dx, F_i = integral f psi_i dx
     plus the Neumann boundary term, via q x q Gauss points per active cell
@@ -424,7 +467,15 @@ def assemble(space, geometry, problem, q=5):
     module docstring).
     """
     n = space.dim
-    columns, indptr, place = _block_pattern(space)
+    # the active cells' entries, pieces and vertex groups, once per call
+    active = np.asarray(space.mesh.active_cells(), dtype=np.intp)
+    counts, (fids, codes, corner_blocks) = space._gather(active, (0, 1, 2))
+    per, ids, piece = _piece_index(counts, fids)
+    rows, place = _groups(active, per, ids)
+    columns, indptr, pairs = _block_pattern(rows, len(space.vertices))
+    groups, start = per // 4, np.append(0, np.cumsum(counts))
+    # each entry's row among its cell's functions, in whole vertex groups
+    fn_row = 4 * (place[piece // 4] % rows.shape[1]) + fids % 4
     # a spare block and four spare functions take the padding's terms
     data = np.zeros(16 * (len(columns) + 1))
     F = np.zeros(n + 4)
@@ -432,38 +483,42 @@ def assemble(space, geometry, problem, q=5):
     entry = 4 * slot[:, None, None] + slot          # of a block, in K's (s1, g2, s2) axes
     at = 0
     for blk in _cell_blocks(space, geometry, q, _neumann_segments(problem)):
-        rows, C = space.extraction(blk.cells)
-        c, G = rows.shape
-        C = C.reshape(c, 4 * G, 16)
+        c = len(blk.cells)
+        G = groups[at:at + c].max()
+        # the block's extraction (`SplineSpace.extraction`) from its entries
+        e0, e1 = start[at], start[at + c]
+        row = 4 * G * np.repeat(np.arange(c), counts[at:at + c]) + fn_row[e0:e1]
+        C = np.zeros((c, 4 * G, 16))
+        C.reshape(-1)[16 * row[:, None] + CORNER_ORDINATES[codes[e0:e1]]] = \
+            corner_blocks[e0:e1].reshape(-1, 4)
         g = blk.grid
         K = C @ _local_stiffness(g.gradients(), blk.wdet) @ C.transpose(0, 2, 1)
-        np.add.at(data, (16 * place[at:at + c, :G, None, :G, None] + entry).ravel(), K.ravel())
+        np.add.at(data, (16 * pairs[at:at + c, :G, None, :G, None] + entry).ravel(), K.ravel())
+        cell_rows = rows[at:at + c, :G]
         at += c
-        fids = (np.where(rows < 0, n, 4 * rows)[:, :, None] + slot).reshape(c, -1)
+        cell_fids = (np.where(cell_rows < 0, n, 4 * cell_rows)[:, :, None] + slot).reshape(c, -1)
         load = C @ g.moments(_at_points(problem.f, g.xy) * blk.wdet)[..., None]
-        np.add.at(F, fids.ravel(), load.ravel())
+        np.add.at(F, cell_fids.ravel(), load.ravel())
         e = blk.edges
         if e is not None:
             gn = _at_points(problem.g_neumann, e.points.xy, e.normal[..., 0], e.normal[..., 1])
             load = C[e.rows] @ e.points.moments(gn * e.arc_weights)[..., None]
-            np.add.at(F, fids[e.rows].ravel(), load.ravel())
+            np.add.at(F, cell_fids[e.rows].ravel(), load.ravel())
     A = sp.bsr_matrix((data[:-16].reshape(-1, 4, 4), columns, indptr), shape=(n, n))
-    return A.tocsr(), F[:n]
+    return A, F[:n]
 
 
-def _block_pattern(space):
-    """The pairs of basis vertices that share an active cell, as a BSR
-    pattern: (block columns (b,), row pointer (m + 1,) over the m basis
-    vertices, and place (cells, G, G), the block of the pair of each active
-    cell's groups g1 and g2, in the order of `SplineSpace.extraction`, or
-    b where either is padding)."""
-    rows = space.vertex_groups(space.mesh.active_cells())
-    m = len(space.vertices)
+def _block_pattern(rows, m):
+    """The pairs of the m basis vertices that share an active cell, as a
+    BSR pattern from the cells' vertex groups `rows` (cells, G) of
+    `space._groups`: (block columns (b,), row pointer (m + 1,), and place
+    (cells, G, G), the block of the pair of each cell's groups g1 and g2,
+    or b where either is padding)."""
     pair = (rows >= 0)[:, :, None] & (rows >= 0)[:, None, :]
     keys = (rows[:, :, None] * m + rows[:, None, :])[pair]
     order = keys.argsort()
     keys = keys[order]
-    first = np.append(True, keys[1:] != keys[:-1])
+    first = _run_starts(keys)
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1
     keys = keys[first]
@@ -483,23 +538,69 @@ def _local_stiffness(gx, wdet):
 class ConstrainedSystem:
     """Reduced SPD system plus the data to re-embed the solution.
 
-    `free` holds the function id of each unknown in the matrix's order,
-    which `impose_boundary_conditions` picks for a narrow band; `embed`
-    takes any order.  `solve_linear` records the matrix's lower
-    `bandwidth` and the relative `residual` it met."""
+    `stiffness` is the full system over the n functions, a BSR matrix (of
+    1 x 1 blocks if given in another sparse format), and `free` holds the
+    function id of each unknown in the reduced system's order, which
+    `impose_boundary_conditions` picks for a narrow band; `embed` takes
+    any order.  `matrix`, the reduced sparse matrix (CSR) in that order,
+    is built only when read: the solve reads `lower_band` instead.
+    `solve_linear` records the band's lower `bandwidth` and the relative
+    `residual` it met."""
 
-    def __init__(self, matrix, rhs, free, fixed_values, n):
-        self.matrix = matrix
+    def __init__(self, stiffness, rhs, free, fixed_values, n):
+        # another format's stored entries become 1 x 1 blocks
+        self.stiffness = stiffness if stiffness.format == "bsr" else \
+            stiffness.tobsr(blocksize=(1, 1))
+        if self.stiffness.shape != (n, n):
+            raise ValueError(f"system matrix of shape {self.stiffness.shape} for {n} functions")
         self.rhs = rhs
         self.free = free
         self.fixed_values = fixed_values
         self.n = n
         self.bandwidth = self.residual = None
 
+    @cached_property
+    def matrix(self):
+        return self.stiffness.tocsr()[self.free][:, self.free]
+
     def embed(self, reduced):
         full = np.array(self.fixed_values)
         full[self.free] = reduced
         return full
+
+    def lower_band(self):
+        """The reduced matrix's lower band in LAPACK's band storage:
+        ab[i - j, j] = matrix[i, j] for 0 <= i - j <= w, the lower
+        bandwidth, in Fortran order.  It is filled straight from the
+        stiffness blocks that reach the band, through each function's
+        position among the unknowns (-1 where pinned), `space._BLOCK` block
+        rows at a time, so no index array spans the matrix's entries."""
+        A = self.stiffness
+        r = A.blocksize[0]
+        m = A.shape[0] // r
+        pos = np.full(self.n, -1)
+        pos[self.free] = np.arange(len(self.free))
+        at = pos.reshape(m, r)
+        last = at.max(axis=1)
+        first = np.where(at >= 0, at, self.n).min(axis=1)
+        # a block holds every pair of its block row's and column's
+        # functions, so it reaches the band where its row's last unknown
+        # lies at or below its column's first one
+        brow = np.repeat(np.arange(m), np.diff(A.indptr))
+        gap = last[brow] - first[A.indices]
+        lower = np.flatnonzero(gap >= 0)
+        w = int(gap[lower].max(initial=0))
+        size = (w + 1) * len(self.free)
+        flat = np.zeros(size + 1)       # the last slot takes pinned and upper entries
+        # entry a r + b of a block lies in its row a and column b
+        row_of, col_of = np.repeat(at, r, axis=1), np.tile(at, r)
+        cuts = np.searchsorted(lower, A.indptr[[sl.start for sl in _blocks(m)] + [m]]).tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            blocks = lower[lo:hi]
+            i, j = row_of[brow[blocks]], col_of[A.indices[blocks]]
+            flat[np.where((i >= j) & (j >= 0), i + w * j, size)] = \
+                A.data[blocks].reshape(len(blocks), r * r)
+        return flat[:size].reshape((w + 1, -1), order="F")
 
 
 def _constrained_functions(space, problem):
@@ -513,8 +614,9 @@ def _constrained_functions(space, problem):
     cells = active[k]
     vids = mesh.cell_table().corners[cells[:, None], _EDGE_CORNERS[e]]     # (p, 2)
     rows = np.array([space.vertex_row[vid] for vid in vids.ravel().tolist()], dtype=np.intp)
-    pinned = 4 * rows.reshape(vids.shape)[:, :, None] + _EDGE_SLOTS[e][:, None, :]
-    return np.unique(pinned), (cells, e, a, b)
+    pinned = np.sort(4 * rows.reshape(vids.shape)[:, :, None] + _EDGE_SLOTS[e][:, None, :],
+                     axis=None)
+    return pinned[_run_starts(pinned)], (cells, e, a, b)
 
 
 def impose_boundary_conditions(system, space, geometry, problem):
@@ -522,9 +624,11 @@ def impose_boundary_conditions(system, space, geometry, problem):
 
     Homogeneous data pins the non-vanishing boundary coefficients to
     zero; inhomogeneous data sets them from a least-squares fit of g_D
-    along the Dirichlet part.  Rows/columns are eliminated symmetrically.
-    The unknowns are the free functions in the order of `_band_order`,
-    vertex by vertex, and the stiffness matrix is sliced once in it.
+    along the Dirichlet part.  Rows/columns are eliminated symmetrically,
+    without slicing the stiffness (see `ConstrainedSystem`): the lift of
+    the pinned values is one matvec of it.  The unknowns are the free
+    functions in the order of `_band_order` on the graph of its 4 x 4
+    vertex blocks, vertex by vertex.
     """
     A, F = system
     n = space.dim
@@ -551,24 +655,29 @@ def impose_boundary_conditions(system, space, geometry, problem):
     is_free = np.ones(n, dtype=bool)
     is_free[pinned] = False
     # the vertices' four functions in the band order, less the pinned ones
-    fids = (4 * _band_order(A, space)[:, None] + np.arange(4)).ravel()
+    blocks = sp.bsr_matrix(A, blocksize=(4, 4))
+    blocks.sort_indices()
+    graph = np.repeat(np.arange(len(space.vertices)), np.diff(blocks.indptr)), blocks.indices
+    fids = (4 * _band_order(space, *graph)[:, None] + np.arange(4)).ravel()
     free = fids[is_free[fids]]
     if len(free) == 0:
         raise ValueError("all degrees of freedom are constrained")
-    Af = A[free]
-    Ff = F[free] - Af @ fixed
-    return ConstrainedSystem(Af[:, free], Ff, free, fixed, n)
+    return ConstrainedSystem(A, F[free] - (A @ fixed)[free], free, fixed, n)
 
 
-def _band_order(A, space):
-    """The basis vertices in an order that gives the stiffness matrix A a
+def _band_order(space, rows, cols):
+    """The basis vertices in an order that gives the stiffness matrix a
     narrow band: Cuthill-McKee level sets of the graph of the vertices
-    that share a cell, seeded from a whole side of the parameter square.
-    Of the orders seeded from the vertices at s = 0 (by t) and at t = 0
-    (by s), the one of smaller vertex bandwidth; on a square a side seed
-    gives half the bandwidth of a corner seed, whose levels run along
-    diagonals."""
-    rows, cols, table = _vertex_graph(A)
+    that share a cell, of edges (rows, cols) by row, seeded from a whole
+    side of the parameter square.  Of the orders seeded from the vertices
+    at s = 0 (by t) and at t = 0 (by s), the one of smaller vertex
+    bandwidth; on a square a side seed gives half the bandwidth of a
+    corner seed, whose levels run along diagonals."""
+    m = len(space.vertices)
+    degree = np.bincount(rows, minlength=m)
+    # the neighbour table (m, most neighbours), padded with m
+    table = np.full((m, degree.max(initial=0)), m)
+    table[rows, np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]] = cols
     ij = space.mesh.vertex_table()[space.vertices]
     seeds = []
     for axis in (0, 1):
@@ -581,27 +690,6 @@ def _band_order(A, space):
         return np.max(np.abs(rank[rows] - rank[cols]), initial=0)
 
     return min(_level_orders(table, seeds), key=width)
-
-
-def _vertex_graph(A):
-    """The graph of the basis vertices read off the stiffness matrix A
-    (CSR, functions 4k .. 4k + 3 at vertex k): the four functions of a
-    vertex share their support, so vertex k neighbours the vertices j
-    whose value function 4j couples to its own, the columns of row 4k that
-    are multiples of 4.  Returns its edges (rows, cols) and the neighbour
-    table (m, most neighbours), padded with m."""
-    n = A.shape[0]
-    m = n // 4
-    lo = A.indptr[0:n:4]
-    counts = A.indptr[1:n + 1:4] - lo
-    cols = A.indices[_ranges(lo, lo + counts)]
-    value = np.flatnonzero(cols % 4 == 0)
-    rows = np.repeat(np.arange(m), counts)[value]
-    cols = cols[value] // 4
-    degree = np.bincount(rows, minlength=m)
-    table = np.full((m, degree.max(initial=0)), m)
-    table[rows, np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]] = cols
-    return rows, cols, table
 
 
 def _level_orders(table, seeds):
@@ -635,30 +723,6 @@ def _level_orders(table, seeds):
     return [order[copy == c] - c * m for c in range(k)]
 
 
-def _lower_band(A):
-    """The lower band of the square CSR matrix A, without duplicate
-    entries, in LAPACK's lower band storage: ab[i - j, j] = A[i, j] for
-    0 <= i - j <= w, the lower bandwidth, in Fortran order.  It is filled
-    `_BAND_ROWS` rows at a time, so no index array spans the matrix."""
-    n = A.shape[0]
-    ptr, cols = A.indptr, A.indices
-    stored = np.flatnonzero(np.diff(ptr))
-    w = 0
-    if len(stored):
-        # the rows between two stored rows are empty, so each segment is one row
-        w = max(0, int(np.max(stored - np.minimum.reduceat(cols, ptr[stored]))))
-    ab = np.zeros((w + 1, n), order="F")
-    flat = ab.ravel(order="F")
-    for r0 in range(0, n, _BAND_ROWS):
-        r1 = min(r0 + _BAND_ROWS, n)
-        lo, hi = ptr[r0], ptr[r1]
-        i = np.repeat(np.arange(r0, r1), np.diff(ptr[r0:r1 + 1]))
-        j = cols[lo:hi].astype(np.intp)
-        low = j <= i
-        flat[(i + w * j)[low]] = A.data[lo:hi][low]
-    return ab
-
-
 def solve_linear(system, tol=1e-10):
     """Solve the constrained SPD system by banded Cholesky factorization;
     returns the full coefficient vector and records the system's
@@ -667,25 +731,29 @@ def solve_linear(system, tol=1e-10):
     them, raises RuntimeError naming the leading minor where the factor
     fails.
 
-    LAPACK's `pbtrf` factors the lower band of the matrix in the order it
-    is given, and `pbtrs` solves with the factor.  On the order of
+    LAPACK's `pbtrf` factors the system's lower band, filled from the
+    stiffness blocks in the order of the unknowns
+    (`ConstrainedSystem.lower_band`), in place, and `pbtrs` solves with
+    the factor; the residual takes one matvec of the stiffness.  On the
+    order of
     `impose_boundary_conditions` the band of the last `lshape_benchmark(4)`
     level holds 222k entries and that of the 24 x 24 `square_sin` system
     240k, where the factors of SuperLU in symmetric mode held 262k and
     317k nonzeros.
     """
-    A, b = system.matrix.tocsr(), system.rhs
-    n = A.shape[0]
-    if n != A.shape[1]:
-        raise ValueError("system matrix must be square")
-    ab = _lower_band(A)
+    b = system.rhs
+    n = len(b)
+    ab = system.lower_band()
     try:
         factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
     except LinAlgError as err:
         raise RuntimeError(f"singular system of {n} unknowns ({err})") from None
     x = cho_solve_banded((factor, True), b, check_finite=False)
+    # the residual by one matvec of the stiffness, zero at the pinned functions
+    full = np.zeros(system.n)
+    full[system.free] = x
     bn = float(np.linalg.norm(b))
-    res = float(np.linalg.norm(A @ x - b))
+    res = float(np.linalg.norm((system.stiffness @ full)[system.free] - b))
     system.bandwidth, system.residual = len(ab) - 1, res / bn if bn > 0 else res
     if system.residual > tol:
         raise RuntimeError(f"linear solve residual {system.residual:.2e} exceeds {tol:.2e}")
@@ -772,8 +840,6 @@ def exact_error_norms(u_h, u_exact=None, grad_exact=None, q=5):
 def _solve_round(space, geometry, problem, config):
     """The round's solution, and the `LevelRecord` fields of its linear
     solve."""
-    # no name holds the full system, so it is released before the reduced
-    # one is factored
     system = impose_boundary_conditions(assemble(space, geometry, problem, config.quadrature),
                                         space, geometry, problem)
     coeffs = solve_linear(system, config.lin_tol)

@@ -103,7 +103,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bezier
-from .tmesh import SPLIT_KINDS, _ranges
+from .tmesh import SPLIT_KINDS, _ranges, _run_starts
 
 __all__ = [
     "SplineSpace", "SplineField", "CollocationBlock",
@@ -163,7 +163,7 @@ class SplineSpace:
       nearest a corner is the function's Hermite data there, and a
       function's data is zero at every basis vertex but its own, so
       almost every piece has one nonzero block.  Spaces share buffers, so
-      nothing writes into them; `functions` and `extraction` read them;
+      nothing writes into them; `_gather` reads them;
     * `factors` is the collocation table (len(vertices), 2, 2, 2): row k
       holds the factors S and T of vertex k's collocation block kron(T, S)
       (see `CollocationBlock`).
@@ -207,31 +207,16 @@ class SplineSpace:
                 arrays[f].take(rows[at], axis=0, out=got[at], mode="clip")
         return counts, out
 
-    def functions(self, cids):
-        """The functions on the active cells `cids`, in their order:
-        (functions per cell (c,), function ids (n,)), each cell's ids
-        ascending."""
-        counts, (fids,) = self._gather(cids, (0,))
-        return _piece_index(counts, fids)[:2]
-
     def functions_on_cells(self, cids):
         """The set of ids of the functions living on any of the cells."""
         return set(self._gather(list(cids), (0,))[1][0].tolist())
 
-    def vertex_groups(self, cids):
-        """The basis-vertex rows k (c, G) of the function groups 4k .. 4k + 3
-        on the active cells `cids`, in their order: each cell's ascending,
-        padded with -1 to the widest cell.  The four functions of a vertex
-        share their nonzero corner blocks, so a cell carries whole groups;
-        an AssertionError names the first cell that does not."""
-        cids = np.asarray(cids, dtype=np.intp).reshape(-1)
-        return _groups(cids, *self.functions(cids))[0]
-
     def extraction(self, cids):
         """The Bezier extraction of the active cells `cids`, in their order:
-        (`vertex_groups` rows (c, G), and C (c, G, 4, 16), whose row [g,
-        slot] holds the ordinates of function 4 rows[g] + slot on the cell
-        in the row order of `_bernstein_tables`, zero on padding)."""
+        (their vertex groups `rows` (c, G) of `_groups`, and C (c, G, 4,
+        16), whose row [g, slot] holds the ordinates of function 4 rows[g]
+        + slot on the cell in the row order of `_bernstein_tables`, zero on
+        padding)."""
         cids = np.asarray(cids, dtype=np.intp).reshape(-1)
         counts, entries = self._gather(cids, (0, 1, 2))
         return _extraction(cids, counts, *entries)
@@ -261,8 +246,7 @@ def _piece_index(counts, fids):
         return counts, fids, np.arange(len(keys))
     order = keys.argsort(kind="stable")
     keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = _run_starts(keys)
     piece = np.empty_like(order)
     piece[order] = first.cumsum() - 1
     keys = keys[first]
@@ -277,9 +261,12 @@ def _whole_groups(ids):
 
 
 def _groups(cids, per, ids):
-    """`SplineSpace.vertex_groups` of the cells `cids` with per (c,)
-    functions, of ids each cell's ascending, and each group's place in the
-    flattened rows."""
+    """The basis-vertex rows k (c, G) of the function groups 4k .. 4k + 3
+    on the cells `cids`, from their per (c,) functions `ids`, each cell's
+    ascending: a cell's rows ascending, padded with -1 to the widest cell;
+    and each group's place in the flattened rows.  The four functions of a
+    vertex share their nonzero corner blocks, so a cell carries whole
+    groups; an AssertionError names the first cell that does not."""
     if (per % 4).any() or not _whole_groups(ids):
         torn = next(cid for cid, got in zip(cids.tolist(), np.split(ids, np.cumsum(per)[:-1]))
                     if not _whole_groups(got))

@@ -117,6 +117,15 @@ def _ranges(lo, hi):
     return np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
 
 
+def _run_starts(keys):
+    """Whether each of the sorted `keys` differs from the one before it:
+    the first of each run of equal keys, as `np.unique` would find it
+    without its sort."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
 def _rows_by_kind(rule, codes):
     """(owner, rows): the rows of `rule` (one array per split kind) for
     each kind code of `codes` in turn, owner the position in `codes`."""
@@ -255,8 +264,12 @@ class Axis:
 def _floats(axis, x):
     """`Axis.float` and `Axis.float_at_least` of the lattice coordinates
     x (an int array), each distinct coordinate derived once."""
-    values, inverse = np.unique(x, return_inverse=True)
-    values = values.tolist()
+    order = x.argsort()
+    x = x[order]
+    first = _run_starts(x)
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    values = x[first].tolist()
     return (np.array([axis.float(v) for v in values], dtype=float)[inverse],
             np.array([axis.float_at_least(v) for v in values], dtype=float)[inverse])
 
@@ -515,7 +528,7 @@ class TMesh:
             cids = _descend(kids, i[inside], j[inside], *lattice)
             # the distinct (vertex, cell) pairs, by vertex and then cell
             keys = np.sort((inside >> 2) * n + cids)
-            vids, cids = np.divmod(keys[np.append(True, keys[1:] != keys[:-1])], n)
+            vids, cids = np.divmod(keys[_run_starts(keys)], n)
             by_cell = np.argsort(cids, kind="stable")
             csr = (np.searchsorted(vids, np.arange(len(vij) + 1)), cids,
                    np.searchsorted(cids[by_cell], np.arange(n + 1)), vids[by_cell])
@@ -560,7 +573,8 @@ class TMesh:
         one batched pass over the incidence CSR: the cells holding two or
         more of the same vertices (the ends of a shared piece; a corner
         touch shares one)."""
-        cids = np.unique(np.asarray(cids, dtype=np.intp))
+        cids = np.sort(np.asarray(cids, dtype=np.intp), axis=None)
+        cids = cids[_run_starts(cids)]
         n = self._next_cell
         known = (cids >= 0) & (cids < n)
         bad = ~known | (self._kids[np.where(known, cids, 0), 0] >= 0)
@@ -574,8 +588,10 @@ class TMesh:
         wanted = np.zeros(n, dtype=bool)
         wanted[cids] = True
         keep = (a < b) & wanted[b]
-        pairs, shared = np.unique(a[keep] * n + b[keep], return_counts=True)
-        return np.divmod(pairs[shared > 1], n)
+        # the pairs met more than once: runs of more than one equal key
+        keys = np.sort(a[keep] * n + b[keep])
+        start = np.flatnonzero(np.append(_run_starts(keys), True))
+        return np.divmod(keys[start[:-1]][np.diff(start) > 1], n)
 
     def dimension(self):
         """Spline-space dimension 4*(boundary vertices + interior crossings)."""

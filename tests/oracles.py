@@ -32,6 +32,12 @@ patches' corner data (`corner_data`, with the scalar evaluation
 `eval_patch` a reference for the batched Bernstein kernels).  The JSON
 files of spaces, fields and geometries are written per function
 (`space_to_json_dict` and its companions).
+
+`sliced_system` and `sliced_solve` are the reduced Galerkin system and its
+banded solve as the solver made them before it filled the band from the
+stiffness blocks: the stiffness converted to CSR, the band order read off
+its value functions' columns (`vertex_graph`), the matrix sliced as
+A[free][:, free], and the band copied from the slice (`lower_band`).
 """
 
 import json
@@ -42,15 +48,20 @@ from fractions import Fraction
 from itertools import groupby
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from anisoline import bezier
 from anisoline.geometry import Geometry
 from anisoline.refine import _check_markable, _split, flood_fill_groups
 from anisoline.space import (
     DERIV_ORDERS, HERMITE_ORDERS, SplineField, SplineSpace, _bernstein_tables, _blocks,
-    _Cells, _eval_patches, _kron2, _place, field_from_vertex_data,
+    _Cells, _eval_patches, _kron2, _piece_index, _place, field_from_vertex_data,
 )
-from anisoline.tmesh import LATTICE_DEPTH, AdjacencyKind, TMesh, VertexKind, _unique_rows
+from anisoline.solver import _band_order
+from anisoline.tmesh import (
+    LATTICE_DEPTH, AdjacencyKind, TMesh, VertexKind, _ranges, _unique_rows,
+)
 
 _SPAN = 1 << LATTICE_DEPTH
 
@@ -446,9 +457,17 @@ def pieces(space, cids):
             C[real].reshape(-1, 4, 4))
 
 
+def functions(space, cids):
+    """The functions on the active cells `cids`, in their order:
+    (functions per cell (c,), function ids (n,)), each cell's ids
+    ascending, whole vertex groups or not."""
+    counts, (fids,) = space._gather(cids, (0,))
+    return _piece_index(counts, fids)[:2]
+
+
 def functions_on_cell(space, cid):
     """The ids of the functions living on one active cell, ascending."""
-    return space.functions([cid])[1].tolist()
+    return functions(space, [cid])[1].tolist()
 
 
 def cell_entries(space):
@@ -591,3 +610,73 @@ def geometry_from_json(text):
     field = SplineField(space_from_json_dict(d["field"]["space"]),
                         np.array(d["field"]["coefficients"]))
     return Geometry(field, d.get("degenerate_params", ()))
+
+
+# ----------------------------------------------------------------------
+# the reduced Galerkin system by slicing the stiffness
+
+# rows of the reduced matrix per chunk of `lower_band`'s fill
+_BAND_ROWS = 512
+
+
+def vertex_graph(A):
+    """The graph of the basis vertices read off the stiffness matrix A
+    (CSR, functions 4k .. 4k + 3 at vertex k): the four functions of a
+    vertex share their support, so vertex k neighbours the vertices j
+    whose value function 4j couples to its own, the columns of row 4k that
+    are multiples of 4.  Returns its edges (rows, cols), by row."""
+    n = A.shape[0]
+    lo = A.indptr[0:n:4]
+    counts = A.indptr[1:n + 1:4] - lo
+    cols = A.indices[_ranges(lo, lo + counts)]
+    value = np.flatnonzero(cols % 4 == 0)
+    return np.repeat(np.arange(n // 4), counts)[value], cols[value] // 4
+
+
+def lower_band(A):
+    """The lower band of the square CSR matrix A, without duplicate
+    entries, in LAPACK's lower band storage: ab[i - j, j] = A[i, j] for
+    0 <= i - j <= w, the lower bandwidth, in Fortran order, filled
+    `_BAND_ROWS` rows at a time."""
+    n = A.shape[0]
+    ptr, cols = A.indptr, A.indices
+    stored = np.flatnonzero(np.diff(ptr))
+    w = 0
+    if len(stored):
+        # the rows between two stored rows are empty, so each segment is one row
+        w = max(0, int(np.max(stored - np.minimum.reduceat(cols, ptr[stored]))))
+    ab = np.zeros((w + 1, n), order="F")
+    flat = ab.ravel(order="F")
+    for r0 in range(0, n, _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, n)
+        lo, hi = ptr[r0], ptr[r1]
+        i = np.repeat(np.arange(r0, r1), np.diff(ptr[r0:r1 + 1]))
+        j = cols[lo:hi].astype(np.intp)
+        low = j <= i
+        flat[(i + w * j)[low]] = A.data[lo:hi][low]
+    return ab
+
+
+def sliced_system(A, F, space, pinned, fixed):
+    """The reduced system of the stiffness A (any sparse format) and load
+    F with the functions `pinned` set to `fixed`, by slicing A as CSR:
+    (the free functions in the band order of `vertex_graph`, the reduced
+    matrix A[free][:, free], the right-hand side F[free] - A[free] @
+    fixed)."""
+    A = sp.csr_matrix(A)
+    is_free = np.ones(A.shape[0], dtype=bool)
+    is_free[pinned] = False
+    fids = (4 * _band_order(space, *vertex_graph(A))[:, None] + np.arange(4)).ravel()
+    free = fids[is_free[fids]]
+    Af = A[free]
+    return free, Af[:, free], F[free] - Af @ fixed
+
+
+def sliced_solve(M, b):
+    """The banded Cholesky solve of the reduced CSR matrix M: (its
+    `lower_band`, the solution, the relative residual)."""
+    ab = lower_band(M)
+    factor = cholesky_banded(ab, lower=True, check_finite=False)
+    x = cho_solve_banded((factor, True), b, check_finite=False)
+    bn, res = float(np.linalg.norm(b)), float(np.linalg.norm(M @ x - b))
+    return ab, x, res / bn if bn > 0 else res

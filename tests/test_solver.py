@@ -28,8 +28,8 @@ from anisoline.space import (
 )
 from anisoline.tmesh import create_tensor_mesh
 from oracles import (
-    from_supports, functions_on_cell, geometry_from_json, geometry_to_json, pieces, supports,
-    vertex_at,
+    from_supports, functions_on_cell, geometry_from_json, geometry_to_json, pieces,
+    sliced_solve, sliced_system, supports, vertex_at,
 )
 from test_space import _random_rounds as _hvc_rounds, permuted_space
 
@@ -344,28 +344,45 @@ def test_solve_linear_paths():
 
 
 def _reduced_systems(case):
-    """The reduced systems of a case: every level of `lshape_benchmark(4)`
-    as `adaptive_solve` builds them, or the mixed boundary problem with
+    """The reduced systems of a case, each with its space and load, as
+    (space, F, system): every level of `lshape_benchmark(4)` as
+    `adaptive_solve` builds them, or the mixed boundary problem with
     inhomogeneous Dirichlet data, a load and a flux on the curved L-shape
     map after three random H/V/C rounds, seeds 0-5."""
     if case == "lshape_benchmark":
-        systems, solve = [], solver.solve_linear
+        found, impose = [], solver.impose_boundary_conditions
+
+        def kept(system, space, geometry, problem):
+            found.append((space, system[1], impose(system, space, geometry, problem)))
+            return found[-1][-1]
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "solve_linear",
-                       lambda system, tol: systems.append(system) or solve(system, tol))
+            mp.setattr(solver, "impose_boundary_conditions", kept)
             adaptive_solve(*lshape_benchmark(4), SolveConfig(max_levels=4))
-        return systems
+        return found
     problem = dataclasses.replace(
         _mixed_problem(), f=lambda x, y: 1.0 + x * y,
         g_dirichlet=lambda x, y: np.sin(3 * x) + x * y * y,
         g_neumann=lambda x, y, nx, ny: np.cos(x) * nx + y * ny)
-    systems = []
+    found = []
     for seed in range(6):
         geometry = lshape_geometry(4)
         space, geometry = _random_rounds(np.random.default_rng(seed), geometry.space, geometry)
-        systems.append(impose_boundary_conditions(assemble(space, geometry, problem), space,
-                                                  geometry, problem))
-    return systems
+        A, F = assemble(space, geometry, problem)
+        found.append((space, F, impose_boundary_conditions((A, F), space, geometry, problem)))
+    return found
+
+
+def _identity_system():
+    """The identity stiffness, which couples no vertex to another, and a
+    load of ones over the space of `lshape_benchmark(2)`, constrained by
+    its problem, as (space, F, system)."""
+    problem, geometry = lshape_benchmark(2)
+    space = geometry.space
+    n = space.dim
+    F = np.ones(n)
+    return space, F, impose_boundary_conditions((sp.identity(n, format="csr"), F),
+                                                space, geometry, problem)
 
 
 def _lower_bandwidth(A):
@@ -382,7 +399,7 @@ def test_banded_solve_matches_superlu(case):
 
     systems = _reduced_systems(case)
     assert len(systems) == (5 if case == "lshape_benchmark" else 6)
-    for k, system in enumerate(systems):
+    for k, (_, _, system) in enumerate(systems):
         A = system.matrix
         x = solve_linear(system)
         ref = system.embed(splu(A.tocsc()).solve(system.rhs))
@@ -396,16 +413,32 @@ def test_banded_solve_matches_superlu(case):
 def test_band_order_covers_every_function_of_a_graph_in_pieces():
     # the identity couples no vertex to another: the order still takes
     # every free function once, and the band is the diagonal
-    problem, geometry = lshape_benchmark(2)
-    space = geometry.space
+    space, _, system = _identity_system()
     n = space.dim
-    system = impose_boundary_conditions((sp.identity(n, format="csr"), np.ones(n)),
-                                        space, geometry, problem)
-    pinned, _ = _constrained_functions(space, problem)
+    pinned, _ = _constrained_functions(space, lshape_benchmark(2)[0])
     assert sorted(system.free.tolist()) == np.setdiff1d(np.arange(n), pinned).tolist()
     x = solve_linear(system)
     assert system.bandwidth == 0
     assert np.array_equal(x[system.free], np.ones(len(system.free)))
+
+
+@pytest.mark.parametrize("case", ["lshape_benchmark", "mixed_hvc_rounds", "identity"])
+def test_band_from_the_blocks_matches_the_sliced_path(case):
+    # the solve fills the band straight from the stiffness blocks; the path
+    # it replaced sliced the stiffness as CSR and copied the band off the
+    # slice (`oracles.sliced_system`): order, right-hand side, band,
+    # bandwidth, residual and solution are bitwise equal
+    found = [_identity_system()] if case == "identity" else _reduced_systems(case)
+    for k, (space, F, system) in enumerate(found):
+        pinned = np.setdiff1d(np.arange(system.n), system.free)
+        free, M, rhs = sliced_system(system.stiffness, F, space, pinned, system.fixed_values)
+        assert free.tobytes() == system.free.tobytes(), (case, k)
+        assert rhs.tobytes() == system.rhs.tobytes(), (case, k)
+        ab, x, residual = sliced_solve(M, rhs)
+        band = system.lower_band()
+        assert band.shape == ab.shape and band.tobytes() == ab.tobytes(), (case, k)
+        assert solve_linear(system).tobytes() == system.embed(x).tobytes(), (case, k)
+        assert (system.bandwidth, system.residual) == (len(ab) - 1, residual), (case, k)
 
 
 def _einsum_stiffness(gx, wdet):
@@ -455,7 +488,7 @@ _STIFFNESS_CASES = {
 
 def test_walks_without_neumann_segments_skip_the_boundary_pieces(monkeypatch):
     # square_sin has Dirichlet edges only: its walks look up no edge pieces,
-    # while the L-shape's Neumann walk looks them up once per block
+    # while the L-shape's Neumann walk looks them up once, for all its cells
     solution, _ = adaptive_solve(*make_problem("square_sin", (12, 12)), SolveConfig(max_levels=0))
     lshape, lgeo = lshape_benchmark(4)
     calls = []
@@ -470,8 +503,35 @@ def test_walks_without_neumann_segments_skip_the_boundary_pieces(monkeypatch):
     exact_error_norms(solution)
     assert len(blocks) > 1 and all(blk.edges is None for blk in blocks)
     assert calls == []
-    blocks = list(_cell_blocks(lgeo.space, lgeo, 5, solver._neumann_segments(lshape)))
-    assert calls == [len(blk.cells) for blk in blocks]
+    list(_cell_blocks(lgeo.space, lgeo, 5, solver._neumann_segments(lshape)))
+    assert calls == [len(lgeo.space.mesh.active_cells())]
+
+
+def test_an_assembly_gathers_and_cuts_once(monkeypatch):
+    # one `assemble` call over several blocks gathers the active cells'
+    # entries once and cuts the Neumann pieces once
+    problem, geometry = _lshape_two_rounds()
+    space = geometry.space
+    blocks = list(_cell_blocks(space, geometry, 5, solver._neumann_segments(problem)))
+    assert len(blocks) > 1 and sum(blk.edges is not None for blk in blocks) > 1
+    calls = []
+    gather, boundary_pieces = SplineSpace._gather, solver._boundary_pieces
+    monkeypatch.setattr(SplineSpace, "_gather",
+                        lambda *args: calls.append("gather") or gather(*args))
+    monkeypatch.setattr(solver, "_boundary_pieces",
+                        lambda *args: calls.append("pieces") or boundary_pieces(*args))
+    assemble(space, geometry, problem)
+    assert sorted(calls) == ["gather", "pieces"]
+
+
+def test_a_solve_never_builds_the_reduced_matrix(monkeypatch):
+    def refuse(system):
+        raise AssertionError("the reduced matrix was built")
+
+    monkeypatch.setattr(ConstrainedSystem, "matrix", property(refuse))
+    _, report = adaptive_solve(*make_problem("square_sin", (8, 8)), SolveConfig(max_levels=1))
+    assert len(report.levels) == 2
+    assert all(0 <= lev.solve_residual <= 1e-10 for lev in report.levels)
 
 
 @pytest.mark.parametrize("case", sorted(_STIFFNESS_CASES))
@@ -485,6 +545,7 @@ def test_stiffness_matches_einsum_oracle(monkeypatch, case):
     A, F = assemble(space, geometry, problem)
     monkeypatch.setattr(solver, "_local_stiffness", _einsum_stiffness)
     A_ref, F_ref = assemble(space, geometry, problem)
+    A, A_ref = A.tocsr(), A_ref.tocsr()
     scale = np.max(np.abs(A_ref.data))
     assert np.array_equal(A.indptr, A_ref.indptr) and np.array_equal(A.indices, A_ref.indices)
     assert np.max(np.abs(A.data - A_ref.data)) <= 1e-13 * scale
@@ -945,7 +1006,7 @@ def _square_sin_after_hvc_rounds():
     rounds of `test_space._random_rounds("10x10", 0)`: of its 998 cells, 83
     carry 5 vertex groups and 3 carry 6, so the assembly pads groups."""
     _, space = _hvc_rounds("10x10", 0)
-    groups = np.bincount((space.vertex_groups(space.mesh.active_cells()) >= 0).sum(axis=1))
+    groups = np.bincount((space.extraction(space.mesh.active_cells())[0] >= 0).sum(axis=1))
     assert groups[5:].tolist() == [83, 3]
     return square_sin_problem(), linear_geometry(space)
 
@@ -989,8 +1050,8 @@ def test_kernel_assemble_matches_reference(kernel_case):
         assert got == [(cid, edge, aa, bb) for cid in active
                        for edge, aa, bb, _ in _reference_edge_pieces(mesh, cid, segments)]
     A, F = assemble(geometry.space, geometry, problem, q=5)
+    A = A.tocsr()
     A_ref, F_ref = _reference_assemble(geometry.space, geometry, problem, 5)
-    # same sparsity, so the sparse factorization sees the same structure
     assert np.array_equal(A.indptr, A_ref.indptr)
     assert np.array_equal(A.indices, A_ref.indices)
     assert np.max(np.abs(A.data - A_ref.data)) <= 1e-12 * np.max(np.abs(A_ref.data))
@@ -1159,9 +1220,10 @@ def _round_objects():
 
 def test_a_solve_keeps_no_round_geometry():
     # the kept blocks of the one round add about 1 MiB at this size, where
-    # the round peaks at 5.0 MiB with the band of its Cholesky factor
-    # (6.5 MiB on a reverse Cuthill-McKee order, 6.8 MiB with index arrays
-    # over the whole matrix)
+    # the round peaks at 4.6 MiB with the band of its Cholesky factor filled
+    # from the stiffness blocks (5.0 MiB with the band copied from a CSR
+    # slice of the matrix, 6.5 MiB on a reverse Cuthill-McKee order,
+    # 6.8 MiB with index arrays over the whole matrix)
     assert _peak_mib(adaptive_solve, *make_problem("square_sin", (24, 24)),
                      SolveConfig(max_levels=0)) <= 5.5
     before = _round_objects()
@@ -1196,8 +1258,10 @@ def _peak_mib(fn, *args, **kwargs):
 
 
 def test_kernel_memory_is_bounded_by_blocks():
-    # Whole-mesh tables would need about 12 MiB for `assemble`, 6.2 MiB for
-    # `error_indicators` and 3.9 MiB for `exact_error_norms` at this size.
+    # Blocks peak at 2.8 MiB for `assemble`, with the entries it gathers for
+    # all cells at once, 0.9 MiB for `error_indicators` and 0.7 MiB for
+    # `exact_error_norms` at this size; whole-mesh tables would need about
+    # 12, 6.2 and 3.9 MiB.
     problem, geometry = make_problem("square_sin", (24, 24))
     u_h, _ = _solve_round(geometry.space, geometry, problem, SolveConfig(quadrature=5))
     assert _peak_mib(assemble, geometry.space, geometry, problem, q=5) <= 4.3

@@ -24,7 +24,8 @@ from anisoline.space import (
 )
 from anisoline.tmesh import TMesh, create_tensor_mesh
 from oracles import (
-    basis_data_at_vertex, cell_entries, from_supports, functions_on_cell, interior_edge_samples,
+    basis_data_at_vertex, cell_entries, from_supports, functions, functions_on_cell,
+    interior_edge_samples,
     mesh_to_json_dict, naive_subdivide, pieces, space_from_json, space_from_json_dict,
     space_to_json, space_to_json_dict, supports, verify_space, vertex_at,
 )
@@ -987,7 +988,7 @@ def test_a_deep_fit_space_keeps_few_bytes_per_piece(deep_fit_last_round):
     # runs of the final five-level space of the benchmark's fit (2.59 MB
     # for 62,128 pieces).
     kept = advance_level(*deep_fit_last_round)
-    pieces = len(kept.functions(kept.mesh.active_cells())[1])
+    pieces = len(functions(kept, kept.mesh.active_cells())[1])
     stored = sum(a.nbytes for arrays in kept.buffers for a in arrays)
     assert stored <= 0.4 * (8 + 128) * pieces, (stored, pieces)
 
@@ -1026,7 +1027,7 @@ def _assert_whole_vertex_groups(space):
     """Every active cell's function ids come in whole vertex groups 4k ..
     4k + 3, which `SplineSpace.extraction` and the assembly rest on."""
     active = space.mesh.active_cells()
-    per, ids = space.functions(active)
+    per, ids = functions(space, active)
     for cid, got in zip(active, np.split(ids, np.cumsum(per)[:-1])):
         groups = np.unique(got // 4)
         assert got.tolist() == (4 * groups[:, None] + np.arange(4)).ravel().tolist(), cid
@@ -1055,7 +1056,7 @@ def test_a_fit_space_holds_the_collocation_structure():
 
 
 def test_only_the_space_module_reads_the_piece_table():
-    # the layout of the piece table stays behind `pieces`, `functions`,
+    # the layout of the piece table stays behind `SplineSpace._gather`,
     # the contraction and the advance
     package = Path(space_module.__file__).parent
     readers = [path.name for path in sorted(package.glob("*.py"))
