@@ -26,7 +26,7 @@ such a point can therefore raise eta while the true error falls.
 Each round evaluates the geometry at the Gauss points once, in one walk
 over the active cells through one element kernel (`_cell_blocks`) built
 on the evaluation kernel of `space`, whose block walk it shares.  The
-kernel walks the active cells in blocks of `space._BLOCK` = 64, with the
+kernel walks the active cells in blocks of `space._BLOCK` = 128, with the
 cells' float bounds (rows of the mesh's `cell_bounds` table) and their
 geometry patches (`SplineField.patches`, contracted once per field), and
 evaluates patches at the q x q Gauss points with Bernstein tables built
@@ -44,11 +44,18 @@ assembly never forms the basis functions' patches.  It integrates on the
 cell's extraction C (one scatter of the cell's corner blocks, as
 `SplineSpace.extraction` makes it; rows are its functions in whole vertex
 groups, padded to the block's widest cell), as in element-wise Bezier
-extraction K = C K_B C^T (Borden, Scott, Evans and Hughes, 2011).  J^-1
-takes the cell's 1 / width and 1 / height, so the Bernstein derivative
-tables are shared by all cells, and `_local_stiffness` forms K_B by one
-batched matmul over the flattened (point, component) axis, which runs in
-BLAS.  The loads are C times the Bernstein moments.  `assemble` gathers
+extraction K = C K_B C^T (Borden, Scott, Evans and Hughes, 2011).  K_B
+is one GEMM per block (`_bernstein_stiffness`), M (c, 3n) @ P (3n, 256),
+a precomputed table of basis products contracted with pointwise geometry
+factors (Antolin, Buffa, Calabro, Martinelli and Sangalli, 2015).  J^-1
+takes the cell's 1 / width and 1 / height, so the local Bernstein
+derivative tables D_s and D_t are shared by all cells: P holds their
+products D_s (x) D_s, D_s (x) D_t + D_t (x) D_s and D_t (x) D_t at each
+point (`_stiffness_products`, made once per `assemble` call from the
+walk's grid tables), and M each point's weighted metric w |det J|
+(J^-1 J^-T)_pq / (size_p size_q) for pq = ss, st, tt, with the cell's
+width and height as sizes.  No per-point gradients of the 16 polynomials
+are formed.  The loads are C times the Bernstein moments.  `assemble` gathers
 the active cells' corner blocks, their piece index and vertex groups
 once per call (`SplineSpace._gather`, `space._piece_index`,
 `space._groups`); the block pattern (`_block_pattern`: the pairs of basis
@@ -61,7 +68,7 @@ block (BSR) matrix itself.
 `_RoundGeometry`.  The assembly's walk keeps every block there: the
 cells and their bounds, the map values, J^-1, the weights times |det J|,
 the geometry patches, each cell's diameter and the Neumann edge pieces,
-about 1.8 KB per cell at q = 5.  J and det J are dropped once the fold
+about 2.5 KB per cell at q = 5.  J and det J are dropped once the fold
 and singularity checks have run.  `error_indicators` then walks these
 blocks instead of evaluating the map again, and releases each block once
 read, for the indicator and, when the problem knows its exact solution,
@@ -80,13 +87,13 @@ points per piece, in one batch: the Bernstein values there, mapped by
 the extraction of the pieces' cells.
 
 Blocks bound the memory of a walk.  At 24 x 24 cells and q = 5 the
-tracemalloc peak of `assemble` is 2.8 MiB with blocks of 64 cells (the
-entries gathered for all cells at once included) and 12.1 MiB with
-whole-mesh tables, 0.9 MiB against 5.5 MiB for `error_indicators` with
-the exact error norms, and 0.7 MiB against 3.2 MiB for
+tracemalloc peak of `assemble` is 3.2 MiB with blocks of 128 cells (the
+entries gathered for all cells at once included) and 7.1 MiB with
+whole-mesh tables, 1.6 MiB against 5.5 MiB for `error_indicators` with
+the exact error norms, and 1.2 MiB against 3.2 MiB for
 `exact_error_norms`.  No stiffness triplets are made: the block
 pattern's data takes 0.65 MiB there, where the triplets of an assembly
-by functions took 2.3 MiB.  The kept blocks of a round add about 1 MiB.
+by functions took 2.3 MiB.  The kept blocks of a round add about 1.4 MiB.
 Nothing copies or slices the stiffness matrix.
 `impose_boundary_conditions` orders the unknowns for a narrow band
 (`_band_order`: Cuthill-McKee level sets of the graph of the matrix's
@@ -96,8 +103,8 @@ storage straight from the blocks (`ConstrainedSystem.lower_band`) and
 factors it in place by banded Cholesky: 1.8 MiB for the 240k band
 entries at this size, where a CSR copy of the block matrix would take
 1.0 MiB and its reduced slice 0.9 MiB.  One round of `adaptive_solve`
-peaks at 4.6 MiB, and the five rounds of `lshape_benchmark(4)` at
-6.0 MiB.
+peaks at 4.8 MiB, and the five rounds of `lshape_benchmark(4)` at
+6.2 MiB.
 """
 
 from __future__ import annotations
@@ -106,7 +113,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -192,9 +199,14 @@ class ErrorIndicator:
         return float(np.sqrt(sum(e * e for e in self.eta.values())))
 
 
+@lru_cache(maxsize=None)
 def _gauss01(q):
+    """The q Gauss points and weights on [0, 1], made once per q and
+    read-only, as every walk shares them."""
     x, w = leggauss(q)
-    return (x + 1.0) / 2.0, w / 2.0
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 class _Points:
@@ -247,16 +259,6 @@ class _Points:
         """The 16 Bernstein moments (c, 16), sum over points of B_a w, of
         weights w (c, n)."""
         return (self._tables[(0, 0)] @ w[..., None])[..., 0]
-
-    def gradients(self):
-        """The physical gradients (c, n, 2, 16) of the 16 Bernstein
-        polynomials: J^-1 takes the cells' 1 / width and 1 / height, so the
-        local derivative tables are shared, and one broadcast matmul
-        (c, n, 2, 2) @ (n, 2, 16) maps them."""
-        local = np.array([self._tables[(1, 0)], self._tables[(0, 1)]])       # (2, ., 16, n)
-        size = np.array([self._width, self._height]).T[:, None, :, None]
-        return (self.Jinv / size).swapaxes(-1, -2) @ \
-            np.ascontiguousarray(local.transpose(1, 3, 0, 2))
 
     @cached_property
     def H(self):
@@ -481,7 +483,7 @@ def assemble(space, geometry, problem, q=5):
     F = np.zeros(n + 4)
     slot = np.arange(4)
     entry = 4 * slot[:, None, None] + slot          # of a block, in K's (s1, g2, s2) axes
-    at = 0
+    at, products = 0, None
     for blk in _cell_blocks(space, geometry, q, _neumann_segments(problem)):
         c = len(blk.cells)
         G = groups[at:at + c].max()
@@ -492,7 +494,9 @@ def assemble(space, geometry, problem, q=5):
         C.reshape(-1)[16 * row[:, None] + CORNER_ORDINATES[codes[e0:e1]]] = \
             corner_blocks[e0:e1].reshape(-1, 4)
         g = blk.grid
-        K = C @ _local_stiffness(g.gradients(), blk.wdet) @ C.transpose(0, 2, 1)
+        if products is None:             # the walk's grid tables are shared by its blocks
+            products = _stiffness_products(g._tables)
+        K = C @ _bernstein_stiffness(blk, products) @ C.transpose(0, 2, 1)
         np.add.at(data, (16 * pairs[at:at + c, :G, None, :G, None] + entry).ravel(), K.ravel())
         cell_rows = rows[at:at + c, :G]
         at += c
@@ -527,12 +531,30 @@ def _block_pattern(rows, m):
     return keys % m, np.append(0, np.cumsum(np.bincount(keys // m, minlength=m))), place
 
 
-def _local_stiffness(gx, wdet):
-    """The cells' stiffness matrices loc[c, a, b] = sum over points n of
-    gx[c, n, :, a] . gx[c, n, :, b] wdet[c, n], as one batched matmul over
-    the flattened (point, component) axis."""
-    G = gx.reshape(len(gx), -1, gx.shape[-1])
-    return G.transpose(0, 2, 1) @ (gx * wdet[:, :, None, None]).reshape(G.shape)
+def _stiffness_products(tables):
+    """The products P (3n, 256) of the local Bernstein derivative tables
+    D_s, D_t (16, n) shared by all cells (`tables` of one row of points):
+    row 3k + pq holds, at point k, D_s (x) D_s, D_s (x) D_t + D_t (x) D_s
+    and D_t (x) D_t for pq = ss, st, tt, flattened over (a, b)."""
+    ds, dt = tables[(1, 0)][0].T[:, :, None], tables[(0, 1)][0].T[:, :, None]     # (n, 16, 1)
+    st = ds * dt.transpose(0, 2, 1)
+    return np.stack([ds * ds.transpose(0, 2, 1), st + st.transpose(0, 2, 1),
+                     dt * dt.transpose(0, 2, 1)], axis=1).reshape(-1, 256)
+
+
+def _bernstein_stiffness(blk, products):
+    """The cells' Bernstein stiffness matrices K_B (c, 16, 16) of a block
+    by one GEMM, M (c, 3n) @ P (3n, 256): M holds each point's weighted
+    metric w |det J| (J^-1 J^-T)_pq / (size_p size_q) for pq = ss, st, tt,
+    with the cells' width and height as the sizes, and P the
+    `_stiffness_products`."""
+    inv = blk.grid.Jinv.reshape(len(blk.cells), -1, 4)     # (J^-1)_px at 2 p + x
+    # row p of J^-1 dotted with row q; a sum over an axis of length 2 is slower
+    metric = inv[..., [0, 0, 2]] * inv[..., [0, 2, 2]] + inv[..., [1, 1, 3]] * inv[..., [1, 3, 3]]
+    w, h = blk.width[:, None], blk.height[:, None]
+    size = np.concatenate([w * w, w * h, h * h], axis=1)[:, None, :]     # (c, 1, 3)
+    M = metric * blk.wdet[..., None] / size
+    return (M.reshape(len(M), -1) @ products).reshape(-1, 16, 16)
 
 
 class ConstrainedSystem:

@@ -116,8 +116,18 @@ DERIV_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 # the collocation data at a vertex: f, f_s, f_t, f_st
 HERMITE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
-# cells per block and scattered points per chunk of the evaluation kernel
-_BLOCK = 64
+# cells per block and scattered points per chunk of the evaluation kernel.
+# Fewer blocks make fewer numpy calls per walk, and the assembly's one GEMM
+# for the Bernstein stiffness (`solver._bernstein_stiffness`) forms no
+# per-point gradients, which leaves room for 128 under the memory gates of
+# `tests/test_solver.py` (square_sin 24 x 24, q = 5): `assemble` peaks at
+# 3.16 MiB of its 4.3 (4.18 MiB with the gradients), `error_indicators` at
+# 1.56 and `exact_error_norms` at 1.22 of their 2.0, and one solve round at
+# 4.80 of its 5.5.  Blocks of 64 / 96 / 128 cells ran `solve_lshape` in
+# 99.8 / 94.9 / 93.8 ms and `solve_square_uniform` in 31.7 / 29.0 /
+# 28.9 ms (in-process medians of 41 alternating runs, one BLAS thread,
+# 2-vCPU host).
+_BLOCK = 128
 _CHUNK = 1024
 # subdivided cells split per chunk by the level advance
 _SPLIT_CELLS = 24

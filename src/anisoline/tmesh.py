@@ -734,8 +734,10 @@ class TMesh:
 
     def _check_split(self, cids, kinds):
         """The kind codes of a batch of splits, after checking every cell."""
-        again = np.ones(len(cids), dtype=bool)
-        again[np.unique(cids, return_index=True)[1]] = False
+        # a stable sort keeps each id's first occurrence first in its run
+        order = np.argsort(cids, kind="stable")
+        again = np.empty(len(cids), dtype=bool)
+        again[order] = ~_run_starts(cids[order])
         codes = np.array([_KIND_CODE.get(kind, -1) for kind in kinds], dtype=np.intp)
         rows = np.clip(cids, 0, self._next_cell - 1)
         # a cut across an extent of one lattice unit

@@ -38,6 +38,11 @@ banded solve as the solver made them before it filled the band from the
 stiffness blocks: the stiffness converted to CSR, the band order read off
 its value functions' columns (`vertex_graph`), the matrix sliced as
 A[free][:, free], and the band copied from the slice (`lower_band`).
+
+`gradients` and `local_stiffness` are the Bernstein stiffness K_B of a
+block as the assembly formed it before one GEMM on the per-point metric
+replaced it: the physical gradients of the 16 Bernstein polynomials at
+the block's points, contracted by one batched matmul.
 """
 
 import json
@@ -680,3 +685,25 @@ def sliced_solve(M, b):
     x = cho_solve_banded((factor, True), b, check_finite=False)
     bn, res = float(np.linalg.norm(b)), float(np.linalg.norm(M @ x - b))
     return ab, x, res / bn if bn > 0 else res
+
+
+# ----------------------------------------------------------------------
+# the Bernstein stiffness by physical gradients
+
+def gradients(points):
+    """The physical gradients (c, n, 2, 16) of the 16 Bernstein
+    polynomials at a block's points (`solver._Points`): J^-1 takes the
+    cells' 1 / width and 1 / height, so the local derivative tables are
+    shared, and one broadcast matmul (c, n, 2, 2) @ (n, 2, 16) maps them."""
+    local = np.array([points._tables[(1, 0)], points._tables[(0, 1)]])      # (2, ., 16, n)
+    size = np.array([points._width, points._height]).T[:, None, :, None]
+    return (points.Jinv / size).swapaxes(-1, -2) @ \
+        np.ascontiguousarray(local.transpose(1, 3, 0, 2))
+
+
+def local_stiffness(gx, wdet):
+    """The cells' stiffness matrices loc[c, a, b] = sum over points n of
+    gx[c, n, :, a] . gx[c, n, :, b] wdet[c, n], as one batched matmul over
+    the flattened (point, component) axis."""
+    G = gx.reshape(len(gx), -1, gx.shape[-1])
+    return G.transpose(0, 2, 1) @ (gx * wdet[:, :, None, None]).reshape(G.shape)

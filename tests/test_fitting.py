@@ -720,8 +720,8 @@ def _close(got, want, rel=1e-12):
     return np.max(np.abs(got - want), initial=0.0) <= rel * max(np.max(np.abs(want)), 1e-300)
 
 
-# (10, 10) holds more cells than one kernel block
-_ORACLE_SPACES = [(0, (2, 2)), (3, (3, 2)), (5, (4, 4)), (7, (10, 10))]
+# (12, 12) holds more cells than one kernel block: 170 after its rounds
+_ORACLE_SPACES = [(0, (2, 2)), (3, (3, 2)), (5, (4, 4)), (7, (12, 12))]
 
 
 @pytest.mark.parametrize("seed, start", _ORACLE_SPACES)
@@ -747,7 +747,7 @@ def test_located_evaluation_matches_per_cell_reference(arity):
     # points handed in with their cells, unsorted and repeated: one cell
     # holds more than a chunk of points, and more cells than one block
     # hold points; some points lie on their cell's closing edges
-    space = _refined_space(7, (10, 10))
+    space = _refined_space(7, (12, 12))
     rng = np.random.default_rng(11)
     shape = (space.dim,) if arity is None else (space.dim, arity)
     field = SplineField(space, rng.standard_normal(shape))

@@ -16,8 +16,13 @@ level count or of a run-level field such as `converged`.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
+
+# recorded on one BLAS thread, as the tests and the benchmark run (see
+# `conftest.py`); run as a script, this precedes numpy's import
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import pytest
 

@@ -14,7 +14,7 @@ from anisoline.problems import (
     lshape_exact_gradient, make_problem, patch_linear_problem,
     square_sin_problem,
 )
-from anisoline import solver
+from anisoline import solver, space as space_module
 from anisoline.refine import RefinementRequest, refine
 from anisoline.solver import (
     ConstrainedSystem, DiscreteSolution, ErrorIndicator, SolveConfig,
@@ -28,8 +28,8 @@ from anisoline.space import (
 )
 from anisoline.tmesh import create_tensor_mesh
 from oracles import (
-    from_supports, functions_on_cell, geometry_from_json, geometry_to_json, pieces,
-    sliced_solve, sliced_system, supports, vertex_at,
+    from_supports, functions_on_cell, geometry_from_json, geometry_to_json, gradients,
+    local_stiffness, pieces, sliced_solve, sliced_system, supports, vertex_at,
 )
 from test_space import _random_rounds as _hvc_rounds, permuted_space
 
@@ -442,8 +442,14 @@ def test_band_from_the_blocks_matches_the_sliced_path(case):
 
 
 def _einsum_stiffness(gx, wdet):
-    """The three-operand einsum that `solver._local_stiffness` replaced."""
+    """The three-operand einsum that the oracle `local_stiffness` replaced."""
     return np.einsum("cqxf,cqxg,cq->cfg", gx, gx, wdet)
+
+
+def _gradient_stiffness(blk, products):
+    """K_B of a block from the physical gradients of the Bernstein
+    polynomials, as `solver._bernstein_stiffness` replaced it."""
+    return _einsum_stiffness(gradients(blk.grid), blk.wdet)
 
 
 def _refined_once(build, label):
@@ -509,8 +515,9 @@ def test_walks_without_neumann_segments_skip_the_boundary_pieces(monkeypatch):
 
 def test_an_assembly_gathers_and_cuts_once(monkeypatch):
     # one `assemble` call over several blocks gathers the active cells'
-    # entries once and cuts the Neumann pieces once
-    problem, geometry = _lshape_two_rounds()
+    # entries once and cuts the Neumann pieces once; the 198 cells of the
+    # refined 6 x 6 start span two blocks, both with Neumann pieces
+    problem, geometry = _lshape_two_rounds(6)
     space = geometry.space
     blocks = list(_cell_blocks(space, geometry, 5, solver._neumann_segments(problem)))
     assert len(blocks) > 1 and sum(blk.edges is not None for blk in blocks) > 1
@@ -543,7 +550,7 @@ def test_stiffness_matches_einsum_oracle(monkeypatch, case):
     assert any(len(set(pieces(space, blk.cells)[0].tolist())) > 1
                for blk in blocks) == (case == "uneven_tmesh")
     A, F = assemble(space, geometry, problem)
-    monkeypatch.setattr(solver, "_local_stiffness", _einsum_stiffness)
+    monkeypatch.setattr(solver, "_bernstein_stiffness", _gradient_stiffness)
     A_ref, F_ref = assemble(space, geometry, problem)
     A, A_ref = A.tocsr(), A_ref.tocsr()
     scale = np.max(np.abs(A_ref.data))
@@ -551,6 +558,61 @@ def test_stiffness_matches_einsum_oracle(monkeypatch, case):
     assert np.max(np.abs(A.data - A_ref.data)) <= 1e-13 * scale
     assert np.max(np.abs(F - F_ref)) <= 1e-13 * np.max(np.abs(F_ref))
     assert abs(A - A.T).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("build, q", [
+    (lambda: make_problem("square_sin", (24, 24)), 5),
+    (lambda: lshape_benchmark(4), 5),
+    (lambda: lshape_benchmark(4), 4),
+    (lambda: lshape_benchmark(4), 7)],
+    ids=["square_sin_24x24", "lshape_q5", "lshape_q4", "lshape_q7"])
+def test_gemm_stiffness_matches_the_gradient_oracle(build, q):
+    # K_B of every block, by the one GEMM on the per-point metric, against
+    # the batched matmul of the physical gradients it replaced
+    problem, geometry = build()
+    blocks = list(_cell_blocks(geometry.space, geometry, q, solver._neumann_segments(problem)))
+    assert any(blk.edges is not None for blk in blocks) == (problem.name == "lshape")
+    products = solver._stiffness_products(blocks[0].grid._tables)
+    assert products.shape == (3 * q * q, 256)
+    for blk in blocks:
+        got = solver._bernstein_stiffness(blk, products)
+        want = local_stiffness(gradients(blk.grid), blk.wdet)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("build", [lambda: make_problem("square_sin", (24, 24)),
+                                   lambda: _lshape_two_rounds(6)],
+                         ids=["square_sin_24x24", "lshape_two_rounds_6"])
+def test_block_size_moves_only_the_walk_totals(monkeypatch, build):
+    # blocks of 64 and of 128 cells give the same stiffness, loads and eta
+    # per cell; only the error norms, summed block by block, may differ
+    problem, geometry = build()
+    space = geometry.space
+    assert len(space.mesh.active_cells()) > 128
+    u_h, _ = _solve_round(space, geometry, problem, SolveConfig())
+    runs = []
+    for block in (64, 128):
+        monkeypatch.setattr(space_module, "_BLOCK", block)
+        A, F = assemble(space, geometry, problem)
+        runs.append((A.tocsr(), F, error_indicators(u_h, problem)))
+    (A, F, ind), (A2, F2, ind2) = runs
+    assert np.array_equal(A.indptr, A2.indptr) and np.array_equal(A.indices, A2.indices)
+    assert np.max(np.abs(A.data - A2.data)) <= 1e-14 * np.max(np.abs(A.data))
+    assert np.max(np.abs(F - F2)) <= 1e-14 * np.max(np.abs(F))
+    assert ind.eta.keys() == ind2.eta.keys()
+    eta, eta2 = (np.array(list(i.eta.values())) for i in (ind, ind2))
+    assert np.max(np.abs(eta - eta2)) <= 1e-14 * np.max(eta)
+    assert ind2.l2_error == pytest.approx(ind.l2_error, rel=1e-12)
+    assert ind2.h1_error == pytest.approx(ind.h1_error, rel=1e-12)
+
+
+def test_gauss_points_are_made_once_per_order():
+    x, w = _gauss01(5)
+    assert _gauss01(5)[0] is x and _gauss01(5)[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    assert w.sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 def test_assembly_names_a_cell_without_whole_vertex_groups():
@@ -981,11 +1043,11 @@ def _reference_error_norms(u_h, q):
     return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
-def _lshape_two_rounds():
-    """The L-shape patch after two refinement rounds with H, V and C
-    splits: every cell 'V', then 'H' for s < 1/4 and 'C' for s >= 1/2.
-    (The adaptive run's first two rounds split only in s.)"""
-    problem, geometry = lshape_benchmark(4)
+def _lshape_two_rounds(n=4):
+    """The L-shape patch `lshape_benchmark(n)` after two refinement rounds
+    with H, V and C splits: every cell 'V', then 'H' for s < 1/4 and 'C'
+    for s >= 1/2.  (The adaptive run's first two rounds split only in s.)"""
+    problem, geometry = lshape_benchmark(n)
     space = geometry.space
     kinds = set()
     for label in (lambda s: "V", lambda s: "H" if s < 0.25 else "C" if s >= 0.5 else None):
@@ -1011,7 +1073,7 @@ def _square_sin_after_hvc_rounds():
     return square_sin_problem(), linear_geometry(space)
 
 
-# 1x1: less than one block; 10x10: one full block and a partial one
+# 1x1 and 10x10: less than one block; 24x24: four full blocks and a partial one
 _KERNEL_CASES = {
     "1x1": lambda: make_problem("square_sin", (1, 1)),
     "10x10": lambda: make_problem("square_sin", (10, 10)),
@@ -1219,11 +1281,12 @@ def _round_objects():
 
 
 def test_a_solve_keeps_no_round_geometry():
-    # the kept blocks of the one round add about 1 MiB at this size, where
-    # the round peaks at 4.6 MiB with the band of its Cholesky factor filled
-    # from the stiffness blocks (5.0 MiB with the band copied from a CSR
-    # slice of the matrix, 6.5 MiB on a reverse Cuthill-McKee order,
-    # 6.8 MiB with index arrays over the whole matrix)
+    # the kept blocks of the one round add about 1.4 MiB at this size, where
+    # the round peaks at 4.8 MiB with blocks of 128 cells and the band of
+    # its Cholesky factor filled from the stiffness blocks (with blocks of
+    # 64: 4.6 MiB, and 5.0 MiB with the band copied from a CSR slice of the
+    # matrix, 6.5 MiB on a reverse Cuthill-McKee order, 6.8 MiB with index
+    # arrays over the whole matrix)
     assert _peak_mib(adaptive_solve, *make_problem("square_sin", (24, 24)),
                      SolveConfig(max_levels=0)) <= 5.5
     before = _round_objects()
@@ -1258,10 +1321,10 @@ def _peak_mib(fn, *args, **kwargs):
 
 
 def test_kernel_memory_is_bounded_by_blocks():
-    # Blocks peak at 2.8 MiB for `assemble`, with the entries it gathers for
-    # all cells at once, 0.9 MiB for `error_indicators` and 0.7 MiB for
-    # `exact_error_norms` at this size; whole-mesh tables would need about
-    # 12, 6.2 and 3.9 MiB.
+    # Blocks of 128 cells peak at 3.2 MiB for `assemble`, with the entries
+    # it gathers for all cells at once, 1.6 MiB for `error_indicators` and
+    # 1.2 MiB for `exact_error_norms` at this size; whole-mesh tables would
+    # need about 7.1, 5.5 and 3.2 MiB.
     problem, geometry = make_problem("square_sin", (24, 24))
     u_h, _ = _solve_round(geometry.space, geometry, problem, SolveConfig(quadrature=5))
     assert _peak_mib(assemble, geometry.space, geometry, problem, q=5) <= 4.3

@@ -869,6 +869,12 @@ def test_a_batch_with_one_bad_cell_raises_and_writes_nothing():
     cases = [
         (m, [kids[0], 0, kids[1]], "HHH", ValueError, "cell 0 is already subdivided"),
         (m, [kids[0], kids[0]], "HV", ValueError, f"cell {kids[0]} is already subdivided"),
+        # the second of a repeat at non-adjacent positions raises, the first
+        # never: the bad cell between them is named
+        (m, [kids[3], kids[1], kids[2], kids[1]], "HHHV", ValueError,
+         f"cell {kids[1]} is already subdivided"),
+        (m, [kids[3], kids[1], 4, kids[1]], "HHHV", ValueError,
+         "cell 4 has level 0, but only cells of the current level 1"),
         (m, [kids[0], 4, 0], "HHH", ValueError, "cell 4 has level 0, but only cells of the current level 1"),
         (m, [kids[2], kids[1]], "HX", ValueError, "unknown split kind 'X'"),
         (m, [kids[1], 99], "HH", KeyError, "unknown cell id 99"),
